@@ -18,16 +18,10 @@
 // byte-identical for every worker count — which CI exercises, since every
 // number below ultimately comes out of the hashed flow tables through
 // their deterministic ordered snapshots.
-//
-// --partitions N additionally shards each world ACROSS worker threads with
-// the conservative-lookahead partitioned engine (DESIGN.md §14): the
-// topology cut falls on the edge->core uplinks, whose propagation delay is
-// the lookahead. Counters, the table, the --metrics sidecar and the --slo
-// health stream are all byte-identical for every partition count — CI
-// diffs --partitions 2 against 1.
 #include <cstdint>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,7 +31,7 @@
 #include "net/queue.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
-#include "sim/partition.hpp"
+#include "sim/engine.hpp"
 
 namespace {
 
@@ -49,7 +43,6 @@ struct CityConfig {
   std::size_t flows_per_host = 16;   // total flows = hosts * flows_per_host
   int packets_per_flow = 8;
   double parent_rate_bps = 0.0;      // > 0: HTB parent on the core egress
-  unsigned partitions = 1;           // world shards (1 = single engine)
   bool collect_metrics = false;      // fill CityResult::metrics
   bool telemetry = false;            // fill CityResult::health (drop-rate SLOs)
 };
@@ -86,9 +79,9 @@ struct CityResult {
 bool is_reserved(net::FlowId f) { return (f - 1) % 8 == 0; }
 
 CityResult run_city(const CityConfig& cfg) {
-  sim::World world(sim::EngineConfig{cfg.partitions});
-  for (unsigned p = 0; p < world.partitions(); ++p) world.engine(p).reserve(1 << 16);
-  net::Network net(world);
+  sim::Engine engine;
+  engine.reserve(1 << 16);
+  net::Network net(engine);
 
   const net::NodeId core = net.add_node("core");
   const net::NodeId sink = net.add_node("sink");
@@ -134,8 +127,10 @@ CityResult run_city(const CityConfig& cfg) {
   net.add_link(core, sink, core_up, std::move(core_q));
 
   // Reservations: every 8th flow is EF with a guaranteed rate, installed on
-  // both IntServ stages its packets cross. Ids ascend, so each install
-  // extends the incremental reserved-rate sum (no O(n) re-sum on this path).
+  // both IntServ stages its packets cross. The installs bypass RSVP
+  // admission, so past 1k flows they over-commit the core uplink (see the
+  // Notes). Ids ascend, so each install extends the incremental
+  // reserved-rate sum (no O(n) re-sum on this path).
   const std::uint64_t n_flows = cfg.hosts * cfg.flows_per_host;
   const TimePoint t0 = TimePoint::zero();
   for (std::uint64_t f = 1; f <= n_flows; f += 8) {
@@ -144,16 +139,24 @@ CityResult run_city(const CityConfig& cfg) {
     core_egress.install_reservation(f, 50e3, 16'000, t0);
   }
 
-  // Cut the world: the branch heuristic puts each edge router's host tree
-  // in one unit and cuts on the edge->core uplinks (positive propagation,
-  // so they carry the lookahead); core + sink stay on partition 0.
-  net.auto_partition();
-  if (cfg.telemetry) net.enable_telemetry_log();
+  // Drop-rate SLOs on 64 monitors spread across the id space, so they land
+  // on hosts over the whole burst stagger — late hosts hit the saturated
+  // core uplink and their best-effort monitors breach.
+  std::optional<obs::TelemetryHub> hub;
+  if (cfg.telemetry) {
+    hub.emplace();
+    obs::SloSpec slo;
+    slo.max_drop_rate = 0.05;
+    const std::uint64_t stride = n_flows < 64 ? 1 : n_flows / 64;
+    for (std::uint64_t f = 1; f <= n_flows; f += stride) {
+      hub->set_slo(f, slo);
+    }
+    engine.set_telemetry(&*hub);
+  }
 
   CityResult out;
-  sim::Engine& sink_engine = net.engine_of(sink);
-  net.set_receiver(sink, [&sink_engine, &out](net::Packet&& p) {
-    const std::int64_t lat = (sink_engine.now() - p.sent_at).ns();
+  net.set_receiver(sink, [&engine, &out](net::Packet&& p) {
+    const std::int64_t lat = (engine.now() - p.sent_at).ns();
     (is_reserved(p.flow) ? out.reserved_latency_ns : out.other_latency_ns) += lat;
   });
 
@@ -165,7 +168,7 @@ CityResult run_city(const CityConfig& cfg) {
         TimePoint::zero() + microseconds(static_cast<std::int64_t>(
                                 1 + (h * 1'000'000) / cfg.hosts));
     const net::NodeId src = hosts[h];
-    net.engine_of(src).at(start, [&net, &cfg, h, src, sink] {
+    engine.at(start, [&net, &cfg, h, src, sink] {
       for (int round = 0; round < cfg.packets_per_flow; ++round) {
         for (std::size_t j = 0; j < cfg.flows_per_host; ++j) {
           const auto f =
@@ -183,7 +186,7 @@ CityResult run_city(const CityConfig& cfg) {
       }
     });
   }
-  world.run();
+  engine.run();
 
   out.sent = net.totals().sent;
   out.delivered = net.totals().delivered;
@@ -197,8 +200,7 @@ CityResult run_city(const CityConfig& cfg) {
 
   if (cfg.collect_metrics) {
     // Totals plus a probe flow per traffic class (full per-flow export at
-    // 256k flows would be a ~1.5M-line sidecar). The probes cross shard
-    // boundaries in partitioned runs, so the merge itself is on the diff.
+    // 256k flows would be a ~1.5M-line sidecar).
     obs::MetricsRegistry reg;
     const auto emit = [&reg](const std::string& base, const net::FlowCounters& c) {
       reg.counter(base + ".sent").set(c.sent);
@@ -216,23 +218,9 @@ CityResult run_city(const CityConfig& cfg) {
     out.metrics = reg.snapshot();
   }
 
-  if (cfg.telemetry) {
-    // One hub, fed after the fact from the per-partition telemetry logs in
-    // merged (time, partition, sequence) order — never attached to the
-    // engines, so the health stream is independent of the partition count.
-    obs::TelemetryHub hub;
-    obs::SloSpec slo;
-    slo.max_drop_rate = 0.05;
-    // 64 monitors spread across the id space, so they land on hosts over
-    // the whole burst stagger — late hosts hit the saturated core uplink
-    // and their best-effort monitors breach.
-    const std::uint64_t stride = n_flows < 64 ? 1 : n_flows / 64;
-    for (std::uint64_t f = 1; f <= n_flows; f += stride) {
-      hub.set_slo(f, slo);
-    }
-    net.replay_telemetry(hub);
-    hub.finalize(net.end_time());
-    out.health = hub.report();
+  if (hub) {
+    hub->finalize(engine.now());
+    out.health = hub->report();
   }
   return out;
 }
@@ -261,7 +249,6 @@ int main(int argc, char** argv) {
   core::Experiment<CityResult> exp;
   for (const auto& c : cases) {
     CityConfig cfg = c.cfg;
-    cfg.partitions = opts.partitions;
     cfg.collect_metrics = !opts.metrics_path.empty();
     cfg.telemetry = !opts.slo_path.empty();
     exp.add(c.name, /*seed=*/cfg.hosts * cfg.flows_per_host,
@@ -308,15 +295,19 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n";
   table.print();
-  std::cout << "\nNotes: every 8th flow holds an EF reservation on both IntServ\n"
-            << "stages (edge->core, core->sink); the 30 Mbps core uplink is\n"
-            << "oversubscribed at every scale, so past 1k flows best effort\n"
-            << "sheds load there while reserved flows ride the guaranteed\n"
-            << "queues through (100% delivered, much lower latency). The HTB\n"
-            << "variant adds a 20 Mbps shared parent bucket over the reserved\n"
-            << "class at the core egress: excess EF is demoted into the\n"
-            << "saturated best-effort queue and mostly dropped there, so only\n"
-            << "about half the reserved packets survive vs. the uncapped\n"
-            << "32k row.\n";
+  std::cout << "\nNotes: every 8th flow holds a 50 kbps EF reservation on both\n"
+            << "IntServ stages (edge->core, core->sink). The driver installs\n"
+            << "them straight into the queues, bypassing RSVP admission, so\n"
+            << "past 1k flows they over-commit the 30 Mbps core uplink, whose\n"
+            << "reservable share is 27 Mbps: 204.8 Mbps is reserved at 32k\n"
+            << "flows and 1638.4 Mbps at 256k. Reserved packets are still all\n"
+            << "delivered (each flow queue holds its whole burst) while best\n"
+            << "effort sheds load. They queue behind one another, though:\n"
+            << "reserved latency grows with the over-commit (2561 ms in the\n"
+            << "256k row) and nothing is guaranteed. The HTB variant adds a\n"
+            << "20 Mbps shared parent bucket over the reserved class at the\n"
+            << "core egress: excess EF is demoted into the saturated\n"
+            << "best-effort queue and mostly dropped there, so only about\n"
+            << "half the reserved packets survive vs. the uncapped 32k row.\n";
   return 0;
 }

@@ -22,7 +22,6 @@
 #include "net/traffic_gen.hpp"
 #include "os/cpu.hpp"
 #include "sim/engine.hpp"
-#include "sim/partition.hpp"
 
 namespace {
 
@@ -425,104 +424,6 @@ void BM_ParallelSweep(benchmark::State& state) {
   state.counters["workers"] = jobs;
 }
 BENCHMARK(BM_ParallelSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-/// A compact city_scale fabric (hosts -> edge routers -> core -> sink,
-/// IntServ egress stages, every 8th flow reserved) executed by the
-/// conservative-lookahead partitioned engine at 1/2/4 partitions. The cut
-/// falls on the edge->core uplinks; partitions=1 is the verbatim
-/// single-threaded engine, so its floor doubles as the no-regression gate
-/// for the partitioning hooks on the plain path. Real time is the metric
-/// (workers run outside the timing thread); null_msgs_per_event records
-/// the synchronization tax — horizon publications per executed event.
-/// Like BM_ParallelSweep, the multi-partition speedup is recorded, not
-/// gated: CI runs on one core, where the barrier tax is all cost.
-void BM_PartitionedWorld(benchmark::State& state) {
-  const auto partitions = static_cast<unsigned>(state.range(0));
-  constexpr std::size_t kEdges = 8;
-  constexpr std::size_t kHosts = 128;
-  constexpr std::size_t kFlowsPerHost = 32;
-  constexpr int kPacketsPerFlow = 4;
-
-  std::uint64_t events = 0;
-  std::uint64_t horizon_posts = 0;
-  for (auto _ : state) {
-    sim::World world(sim::EngineConfig{partitions});
-    for (unsigned p = 0; p < world.partitions(); ++p) world.engine(p).reserve(1 << 14);
-    net::Network net(world);
-    const net::NodeId core = net.add_node("core");
-    const net::NodeId sink = net.add_node("sink");
-    std::vector<net::NodeId> edges;
-    for (std::size_t m = 0; m < kEdges; ++m) {
-      edges.push_back(net.add_node("edge" + std::to_string(m)));
-    }
-    net::LinkConfig host_up;
-    host_up.bandwidth_bps = 100e6;
-    net::LinkConfig edge_up;
-    edge_up.bandwidth_bps = 1e9;
-    net::LinkConfig core_up;
-    core_up.bandwidth_bps = 30e6;
-    std::vector<net::NodeId> hosts;
-    for (std::size_t h = 0; h < kHosts; ++h) {
-      hosts.push_back(net.add_node("host" + std::to_string(h)));
-      net.add_link(hosts[h], edges[h % kEdges], host_up);
-    }
-    std::vector<net::IntServQueue*> edge_egress;
-    for (const net::NodeId e : edges) {
-      net::IntServQueue::Config qc;
-      qc.best_effort_capacity = 4'096;
-      auto q = std::make_unique<net::IntServQueue>(qc);
-      edge_egress.push_back(q.get());
-      net.add_link(e, core, edge_up, std::move(q));
-    }
-    net::IntServQueue::Config core_qc;
-    core_qc.best_effort_capacity = 4'096;
-    auto core_q = std::make_unique<net::IntServQueue>(core_qc);
-    net::IntServQueue& core_egress = *core_q;
-    net.add_link(core, sink, core_up, std::move(core_q));
-
-    const std::uint64_t n_flows = kHosts * kFlowsPerHost;
-    for (std::uint64_t f = 1; f <= n_flows; f += 8) {
-      const std::size_t host = static_cast<std::size_t>((f - 1) / kFlowsPerHost);
-      edge_egress[host % kEdges]->install_reservation(f, 50e3, 16'000, TimePoint::zero());
-      core_egress.install_reservation(f, 50e3, 16'000, TimePoint::zero());
-    }
-    net.auto_partition();
-
-    std::uint64_t delivered = 0;
-    net.set_receiver(sink, [&delivered](net::Packet&&) { ++delivered; });
-    for (std::size_t h = 0; h < kHosts; ++h) {
-      const TimePoint start =
-          TimePoint::zero() +
-          microseconds(static_cast<std::int64_t>(1 + (h * 1'000'000) / kHosts));
-      const net::NodeId src = hosts[h];
-      net.engine_of(src).at(start, [&net, src, sink, h] {
-        for (int round = 0; round < kPacketsPerFlow; ++round) {
-          for (std::size_t j = 0; j < kFlowsPerHost; ++j) {
-            const auto f = static_cast<net::FlowId>(h * kFlowsPerHost + j + 1);
-            net::Packet p;
-            p.dst = sink;
-            p.flow = f;
-            p.seq = static_cast<std::uint64_t>(round);
-            p.size_bytes = 700;
-            p.dscp = (f - 1) % 8 == 0 ? net::dscp::kEf : net::dscp::kBestEffort;
-            net.send(src, std::move(p));
-          }
-        }
-      });
-    }
-    world.run();
-    events += world.stats().events;
-    horizon_posts += world.stats().horizon_posts;
-    benchmark::DoNotOptimize(delivered);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.counters["null_msgs_per_event"] =
-      events == 0 ? 0.0
-                  : static_cast<double>(horizon_posts) / static_cast<double>(events);
-  state.counters["partitions"] = partitions;
-  state.SetLabel(std::to_string(partitions) + "_partitions");
-}
-BENCHMARK(BM_PartitionedWorld)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_DiffServQueueOps(benchmark::State& state) {
   net::DiffServQueue q(100'000);

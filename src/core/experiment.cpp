@@ -1,5 +1,6 @@
 #include "core/experiment.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,19 +23,12 @@ bool parse_jobs_value(const char* text, unsigned& out) {
   std::exit(2);
 }
 
-bool parse_partitions_value(const char* text, unsigned& out) {
-  if (text == nullptr || *text == '\0') return false;
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(text, &end, 10);
-  if (end == nullptr || *end != '\0' || v < 1 || v > 64) return false;
-  out = static_cast<unsigned>(v);
-  return true;
-}
-
-[[noreturn]] void partitions_usage_error(const char* arg) {
+[[noreturn]] void unknown_argument_error(const char* prog, const char* arg) {
   std::fprintf(stderr,
-               "invalid --partitions argument: %s (expected --partitions N with N in 1..64)\n",
-               arg);
+               "unknown argument: %s\n"
+               "usage: %s [--jobs N] [--trace FILE] [--metrics FILE] [--slo FILE] "
+               "[--flight FILE]\n",
+               arg, prog);
   std::exit(2);
 }
 
@@ -52,12 +46,10 @@ void report_trial_done(bool enabled) {
 
 ExperimentOptions parse_experiment_options(int& argc, char** argv) {
   ExperimentOptions opts;
-  int out = 1;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* value = nullptr;
     bool value_in_next = false;
-    bool is_partitions = false;
     std::string* path_target = nullptr;
     if (std::strncmp(arg, "--jobs=", 7) == 0) {
       value = arg + 7;
@@ -65,15 +57,6 @@ ExperimentOptions parse_experiment_options(int& argc, char** argv) {
       value_in_next = true;
     } else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0') {
       value = arg + 2;
-    } else if (std::strncmp(arg, "--partitions=", 13) == 0) {
-      value = arg + 13;
-      is_partitions = true;
-    } else if (std::strcmp(arg, "--partitions") == 0 || std::strcmp(arg, "-p") == 0) {
-      value_in_next = true;
-      is_partitions = true;
-    } else if (std::strncmp(arg, "-p", 2) == 0 && arg[2] != '\0') {
-      value = arg + 2;
-      is_partitions = true;
     } else if (std::strncmp(arg, "--trace=", 8) == 0) {
       value = arg + 8;
       path_target = &opts.trace_path;
@@ -99,8 +82,7 @@ ExperimentOptions parse_experiment_options(int& argc, char** argv) {
       value_in_next = true;
       path_target = &opts.flight_path;
     } else {
-      argv[out++] = argv[i];
-      continue;
+      unknown_argument_error(argv[0], arg);
     }
     if (value_in_next) {
       if (i + 1 >= argc) {
@@ -108,7 +90,6 @@ ExperimentOptions parse_experiment_options(int& argc, char** argv) {
           std::fprintf(stderr, "missing file argument after %s\n", arg);
           std::exit(2);
         }
-        if (is_partitions) partitions_usage_error(arg);
         jobs_usage_error(arg);
       }
       value = argv[++i];
@@ -119,13 +100,11 @@ ExperimentOptions parse_experiment_options(int& argc, char** argv) {
         std::exit(2);
       }
       *path_target = value;
-    } else if (is_partitions) {
-      if (!parse_partitions_value(value, opts.partitions)) partitions_usage_error(value);
     } else if (!parse_jobs_value(value, opts.jobs)) {
       jobs_usage_error(value);
     }
   }
-  argc = out;
+  argc = std::min(argc, 1);
   argv[argc] = nullptr;
   return opts;
 }

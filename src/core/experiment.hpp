@@ -9,8 +9,7 @@
 // for any --jobs value, because each result is computed by exactly one
 // single-threaded simulation and written to a slot owned by its index.
 //
-// Drivers accept `--jobs N` (or `-jN`) and `--partitions N` (or `-pN`)
-// via parse_experiment_options().
+// Drivers accept `--jobs N` (or `-jN`) via parse_experiment_options().
 #pragma once
 
 #include <cstdint>
@@ -33,11 +32,6 @@ struct TrialSpec {
 struct ExperimentOptions {
   /// Worker threads; 0 = one per hardware thread, 1 = inline (no threads).
   unsigned jobs = 1;
-  /// Partitions per simulated world (DESIGN.md §14); 1 = the verbatim
-  /// single-threaded engine. Drivers that shard their world honour this;
-  /// others accept and ignore it (the flag is parsed either way so every
-  /// driver can be invoked uniformly from CI diff checks).
-  unsigned partitions = 1;
   /// Print one '.' to stderr as each trial finishes (multi-trial runs only).
   bool progress = true;
   /// Non-empty: drivers that support tracing write a Chrome trace-event
@@ -55,11 +49,10 @@ struct ExperimentOptions {
 };
 
 /// Parses and strips `--jobs N`, `--jobs=N`, `-jN`, `-j N`,
-/// `--partitions N`, `--partitions=N`, `-pN`, `-p N`,
 /// `--trace FILE`, `--trace=FILE`, `--metrics FILE`, `--metrics=FILE`,
 /// `--slo FILE`, `--slo=FILE`, `--flight FILE` and `--flight=FILE`
-/// from an argv-style array (argc is updated). Unrecognised arguments are
-/// left in place; an unparsable value prints an error and exits.
+/// from an argv-style array (argc is updated). An unrecognised argument
+/// prints a usage line and an unparsable value an error; both exit with 2.
 ExperimentOptions parse_experiment_options(int& argc, char** argv);
 
 /// Decorrelates a per-trial seed from an experiment base seed and a trial

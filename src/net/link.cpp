@@ -5,13 +5,12 @@
 #include <cmath>
 
 #include "obs/telemetry.hpp"
-#include "sim/partition.hpp"
 
 namespace aqm::net {
 
 Link::Link(sim::Engine& engine, NodeId from, NodeId to, LinkConfig config,
            std::unique_ptr<Queue> queue)
-    : engine_(&engine),
+    : engine_(engine),
       from_(from),
       to_(to),
       config_(config),
@@ -29,7 +28,7 @@ Duration Link::transmission_time(std::uint32_t bytes) const {
 }
 
 obs::TraceRecorder* Link::net_tracer() {
-  obs::TraceRecorder* tr = engine_->tracer_for(obs::TraceCategory::Net);
+  obs::TraceRecorder* tr = engine_.tracer_for(obs::TraceCategory::Net);
   if (tr != nullptr && trace_bound_ != tr) {
     // First use (or recorder/name changed): bind this link's lane and hand
     // the queue discipline the same lane for its internal decisions.
@@ -50,7 +49,7 @@ void Link::trace_qlen(obs::TraceRecorder* tr, TimePoint t) {
 }
 
 obs::TelemetryHub* Link::net_telemetry() {
-  obs::TelemetryHub* th = engine_->telemetry();
+  obs::TelemetryHub* th = engine_.telemetry();
   if (th != telemetry_bound_) {
     queue_->set_telemetry(th);
     telemetry_bound_ = th;
@@ -64,18 +63,18 @@ void Link::send(Packet p) {
   const std::uint64_t trace_id = p.trace;
   const double flow = static_cast<double>(p.flow);
   if (!config_.coalesced_events) {
-    if (auto rejected = queue_->enqueue(std::move(p), engine_->now())) {
+    if (auto rejected = queue_->enqueue(std::move(p), engine_.now())) {
       if (tr != nullptr) {
-        tr->instant(obs::TraceCategory::Net, "drop", trace_track_, engine_->now(),
+        tr->instant(obs::TraceCategory::Net, "drop", trace_track_, engine_.now(),
                     rejected->trace, {{"flow", flow}});
       }
       if (on_drop_) on_drop_(*rejected);
       return;
     }
     if (tr != nullptr) {
-      tr->instant(obs::TraceCategory::Net, "enqueue", trace_track_, engine_->now(),
+      tr->instant(obs::TraceCategory::Net, "enqueue", trace_track_, engine_.now(),
                   trace_id, {{"flow", flow}});
-      trace_qlen(tr, engine_->now());
+      trace_qlen(tr, engine_.now());
     }
     if (th != nullptr) th->on_queue_depth(queue_->packets());
     if (!busy_) legacy_try_transmit();
@@ -86,24 +85,24 @@ void Link::send(Packet p) {
   // queue as it was without this arrival, exactly as the legacy
   // end-of-serialization event (which fired at avail_at_) did.
   pump();
-  if (auto rejected = queue_->enqueue(std::move(p), engine_->now())) {
+  if (auto rejected = queue_->enqueue(std::move(p), engine_.now())) {
     if (tr != nullptr) {
-      tr->instant(obs::TraceCategory::Net, "drop", trace_track_, engine_->now(),
+      tr->instant(obs::TraceCategory::Net, "drop", trace_track_, engine_.now(),
                   rejected->trace, {{"flow", flow}});
     }
     if (on_drop_) on_drop_(*rejected);
     return;
   }
   if (tr != nullptr) {
-    tr->instant(obs::TraceCategory::Net, "enqueue", trace_track_, engine_->now(),
+    tr->instant(obs::TraceCategory::Net, "enqueue", trace_track_, engine_.now(),
                 trace_id, {{"flow", flow}});
-    trace_qlen(tr, engine_->now());
+    trace_qlen(tr, engine_.now());
   }
   if (th != nullptr) th->on_queue_depth(queue_->packets());
   // decision_pending_ false implies the transmitter is idle (any committed
   // transmission ending in the future keeps its decision pending), so the
   // arrival itself triggers a decision — the legacy "kick on !busy_".
-  if (!decision_pending_) service(engine_->now());
+  if (!decision_pending_) service(engine_.now());
 }
 
 /// Replays every service decision the legacy transmitter would have made
@@ -111,7 +110,7 @@ void Link::send(Packet p) {
 /// transmission; once a decision finds the queue unservable, no new one
 /// arises until an arrival (send) or a conformance retry.
 void Link::pump() {
-  while (decision_pending_ && avail_at_ <= engine_->now()) {
+  while (decision_pending_ && avail_at_ <= engine_.now()) {
     decision_pending_ = false;
     service(avail_at_);
   }
@@ -125,10 +124,10 @@ void Link::pump() {
 /// including token-bucket fill levels and RED arrival state.
 void Link::service(TimePoint t) {
   if (retry_event_.valid()) {
-    engine_->cancel(retry_event_);
+    engine_.cancel(retry_event_);
     retry_event_ = sim::EventId{};
   }
-  const TimePoint now = engine_->now();
+  const TimePoint now = engine_.now();
   for (;;) {
     if (auto next = queue_->dequeue(t)) {
       start_tx(std::move(*next), t);
@@ -141,9 +140,9 @@ void Link::service(TimePoint t) {
     if (!delay || *delay >= Duration::max()) return;
     const TimePoint ready = t + *delay;
     if (ready > now) {
-      retry_event_ = engine_->at(ready, [this] {
+      retry_event_ = engine_.at(ready, [this] {
         retry_event_ = sim::EventId{};
-        service(engine_->now());
+        service(engine_.now());
       });
       return;
     }
@@ -175,62 +174,40 @@ void Link::start_tx(Packet p, TimePoint t) {
   if (config_.loss_probability > 0.0 && loss_rng_.bernoulli(config_.loss_probability)) {
     // A backdated commit can place tx end in the past; clamp the event to
     // now (the drop hook only feeds counters, never timing).
-    engine_->at(std::max(avail_at_, engine_->now()), [this, p = std::move(p)]() mutable {
+    engine_.at(std::max(avail_at_, engine_.now()), [this, p = std::move(p)]() mutable {
       ++corrupted_;
       if (obs::TraceRecorder* tr = net_tracer()) {
-        tr->instant(obs::TraceCategory::Net, "corrupt", trace_track_, engine_->now(),
+        tr->instant(obs::TraceCategory::Net, "corrupt", trace_track_, engine_.now(),
                     p.trace, {{"flow", static_cast<double>(p.flow)}});
       }
       if (on_drop_) on_drop_(p);
       pump();
     });
-  } else if (remote_world_ == nullptr) {
-    engine_->at(avail_at_ + config_.propagation, [this, p = std::move(p)]() mutable {
+  } else {
+    engine_.at(avail_at_ + config_.propagation, [this, p = std::move(p)]() mutable {
       pump();
       if (obs::TraceRecorder* tr = net_tracer()) {
-        tr->instant(obs::TraceCategory::Net, "deliver", trace_track_, engine_->now(),
+        tr->instant(obs::TraceCategory::Net, "deliver", trace_track_, engine_.now(),
                     p.trace, {{"flow", static_cast<double>(p.flow)}});
       }
       if (deliver_) deliver_(std::move(p));
     });
-  } else {
-    // Boundary link: the delivery event moves to the destination
-    // partition's engine, so the local service chain needs its own
-    // catch-up point — a tx-end event at avail_at_, exactly the legacy
-    // transmitter's end-of-serialization event. That event also
-    // guarantees no boundary decision is ever replayed late (pump runs
-    // the pending decision at precisely avail_at_), so every boundary
-    // commit happens at the current instant and the arrival below is
-    // always >= one full propagation past it: the conservative-lookahead
-    // contract of DESIGN.md §14. (The corruption branch above already
-    // fires locally at avail_at_ and pumps, covering the same role.)
-    engine_->at(avail_at_, [this] { pump(); });
-    remote_deliver(std::move(p), avail_at_ + config_.propagation);
   }
-}
-
-void Link::remote_deliver(Packet p, TimePoint arrival) {
-  // The handler runs on the destination partition's thread; tracing is a
-  // partition-0 affair by contract (DESIGN.md §14), so no trace instant
-  // is emitted here — the tx event above already recorded the hop.
-  remote_world_->post(remote_partition_, arrival, [this, p = std::move(p)]() mutable {
-    if (deliver_) deliver_(std::move(p));
-  });
 }
 
 void Link::legacy_try_transmit() {
   assert(!busy_);
   if (retry_event_.valid()) {
-    engine_->cancel(retry_event_);
+    engine_.cancel(retry_event_);
     retry_event_ = sim::EventId{};
   }
-  auto next = queue_->dequeue(engine_->now());
+  auto next = queue_->dequeue(engine_.now());
   if (!next) {
     // Nothing eligible. If something is queued but gated (token bucket),
     // poll again when it could conform.
-    const auto delay = queue_->next_ready_delay(engine_->now());
+    const auto delay = queue_->next_ready_delay(engine_.now());
     if (delay && *delay < Duration::max()) {
-      retry_event_ = engine_->after(*delay, [this] {
+      retry_event_ = engine_.after(*delay, [this] {
         retry_event_ = sim::EventId{};
         if (!busy_) legacy_try_transmit();
       });
@@ -244,29 +221,29 @@ void Link::legacy_try_transmit() {
   ++tx_packets_;
   tx_bytes_ += next->size_bytes;
   if (obs::TraceRecorder* tr = net_tracer()) {
-    tr->complete(obs::TraceCategory::Net, "tx", trace_track_, engine_->now(), tx,
+    tr->complete(obs::TraceCategory::Net, "tx", trace_track_, engine_.now(), tx,
                  next->trace, {{"bytes", static_cast<double>(next->size_bytes)},
                                {"flow", static_cast<double>(next->flow)}});
-    trace_qlen(tr, engine_->now());
+    trace_qlen(tr, engine_.now());
   }
 
   // Store-and-forward: the head of the packet leaves now; the receiver has
   // it fully after transmission + propagation.
-  engine_->after(tx, [this, p = std::move(*next)]() mutable {
+  engine_.after(tx, [this, p = std::move(*next)]() mutable {
     busy_ = false;
     // Channel corruption (noisy wireless links): the packet occupied the
     // transmitter but never arrives intact.
     if (config_.loss_probability > 0.0 && loss_rng_.bernoulli(config_.loss_probability)) {
       ++corrupted_;
       if (obs::TraceRecorder* tr = net_tracer()) {
-        tr->instant(obs::TraceCategory::Net, "corrupt", trace_track_, engine_->now(),
+        tr->instant(obs::TraceCategory::Net, "corrupt", trace_track_, engine_.now(),
                     p.trace, {{"flow", static_cast<double>(p.flow)}});
       }
       if (on_drop_) on_drop_(p);
     } else {
-      engine_->after(config_.propagation, [this, p = std::move(p)]() mutable {
+      engine_.after(config_.propagation, [this, p = std::move(p)]() mutable {
         if (obs::TraceRecorder* tr = net_tracer()) {
-          tr->instant(obs::TraceCategory::Net, "deliver", trace_track_, engine_->now(),
+          tr->instant(obs::TraceCategory::Net, "deliver", trace_track_, engine_.now(),
                       p.trace, {{"flow", static_cast<double>(p.flow)}});
         }
         if (deliver_) deliver_(std::move(p));
@@ -277,7 +254,7 @@ void Link::legacy_try_transmit() {
 }
 
 double Link::utilization() const {
-  const std::int64_t elapsed = engine_->now().ns();
+  const std::int64_t elapsed = engine_.now().ns();
   if (elapsed <= 0) return 0.0;
   return static_cast<double>(busy_ns_) / static_cast<double>(elapsed);
 }

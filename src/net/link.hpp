@@ -31,10 +31,6 @@
 #include "net/queue.hpp"
 #include "sim/engine.hpp"
 
-namespace aqm::sim {
-class World;
-}
-
 namespace aqm::net {
 
 struct LinkConfig {
@@ -72,28 +68,6 @@ class Link {
   /// Wired by the Network: called when the egress queue drops a packet.
   void set_drop_hook(DropFn fn) { on_drop_ = std::move(fn); }
 
-  /// Marks this link as a partition boundary (see DESIGN.md §14): the
-  /// sender side keeps running on its own engine, but completed
-  /// transmissions hand the delivery to `to_partition` through the
-  /// world's cross-partition channels, arriving exactly one propagation
-  /// delay after the transmitter frees. Boundary links additionally pin
-  /// a tx-end catch-up event so service decisions are never replayed
-  /// late — which is what makes `propagation` an exact conservative
-  /// lookahead for the cut. Wired by Network::finalize_partitions().
-  void set_remote_delivery(sim::World* world, unsigned to_partition) {
-    remote_world_ = world;
-    remote_partition_ = to_partition;
-  }
-  [[nodiscard]] bool is_boundary() const { return remote_world_ != nullptr; }
-
-  /// Re-points the link at another engine (the owning partition's).
-  /// Only legal before any traffic: partition assignment happens between
-  /// topology construction and the first send.
-  void rebind_engine(sim::Engine& engine) {
-    assert(tx_packets_ == 0 && !decision_pending_ && !busy_ && !retry_event_.valid());
-    engine_ = &engine;
-  }
-
   /// Offers a packet to the egress queue and kicks the transmitter.
   void send(Packet p);
 
@@ -121,8 +95,6 @@ class Link {
   void pump();
   void service(TimePoint t);
   void start_tx(Packet p, TimePoint t);
-  /// Posts the delivery of `p` at `arrival` to the destination partition.
-  void remote_deliver(Packet p, TimePoint arrival);
   // --- legacy path ---
   void legacy_try_transmit();
   // --- observability ---
@@ -133,15 +105,13 @@ class Link {
   /// when it changes (one compare per send, like the tracer binding).
   [[nodiscard]] obs::TelemetryHub* net_telemetry();
 
-  sim::Engine* engine_;
+  sim::Engine& engine_;
   NodeId from_;
   NodeId to_;
   LinkConfig config_;
   std::unique_ptr<Queue> queue_;
   DeliveryFn deliver_;
   DropFn on_drop_;
-  sim::World* remote_world_ = nullptr;  // non-null: cross-partition delivery
-  unsigned remote_partition_ = 0;
 
   /// Coalesced: instant the transmitter frees (end of the last committed
   /// transmission). decision_pending_ means the service decision due at

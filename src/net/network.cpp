@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
-#include <stdexcept>
 
 #include "common/log.hpp"
 #include "obs/telemetry.hpp"
@@ -12,26 +11,12 @@ namespace aqm::net {
 
 namespace {
 std::unique_ptr<Queue> default_queue() { return std::make_unique<DropTailQueue>(1000); }
-
-void accumulate(FlowCounters& into, const FlowCounters& c) {
-  into.sent += c.sent;
-  into.delivered += c.delivered;
-  into.dropped += c.dropped;
-  into.sent_bytes += c.sent_bytes;
-  into.delivered_bytes += c.delivered_bytes;
-}
 }  // namespace
 
-Network::Network(sim::Engine& engine) : engine_(engine) { shards_.resize(1); }
-
-Network::Network(sim::World& world) : engine_(world.engine(0)), world_(&world) {
-  shards_.resize(world.partitions());
-  world.add_start_hook([this] { finalize_partitions(); });
-}
+Network::Network(sim::Engine& engine) : engine_(engine) {}
 
 NodeId Network::add_node(std::string name) {
   nodes_.push_back(Node{std::move(name), nullptr, nullptr});
-  node_partition_.push_back(0);
   routes_dirty_ = true;
   return static_cast<NodeId>(nodes_.size() - 1);
 }
@@ -95,14 +80,13 @@ void Network::send(NodeId from, Packet p) {
   assert(from >= 0 && static_cast<std::size_t>(from) < nodes_.size());
   assert(p.dst >= 0 && static_cast<std::size_t>(p.dst) < nodes_.size());
   p.src = p.src == kInvalidNode ? from : p.src;
-  p.sent_at = cur_engine().now();
+  p.sent_at = engine_.now();
 
-  Shard& shard = cur_shard();
-  auto& counters = shard.flows[p.flow];
+  auto& counters = flows_[p.flow];
   ++counters.sent;
   counters.sent_bytes += p.size_bytes;
-  ++shard.totals.sent;
-  shard.totals.sent_bytes += p.size_bytes;
+  ++totals_.sent;
+  totals_.sent_bytes += p.size_bytes;
 
   forward(from, std::move(p));
 }
@@ -143,30 +127,22 @@ void Network::deliver_local(NodeId node, Packet&& p) {
     forward(node, std::move(p));
     return;
   }
-  Shard& shard = cur_shard();
-  auto& counters = shard.flows[p.flow];
+  auto& counters = flows_[p.flow];
   ++counters.delivered;
   counters.delivered_bytes += p.size_bytes;
-  ++shard.totals.delivered;
-  shard.totals.delivered_bytes += p.size_bytes;
-  sim::Engine& eng = cur_engine();
-  if (telemetry_log_) {
-    shard.tel.push_back(TelEvent{eng.now().ns(), p.flow, p.size_bytes, false});
-  } else if (obs::TelemetryHub* th = eng.telemetry()) {
-    th->on_delivery(p.flow, eng.now(), p.size_bytes);
+  ++totals_.delivered;
+  totals_.delivered_bytes += p.size_bytes;
+  if (obs::TelemetryHub* th = engine_.telemetry()) {
+    th->on_delivery(p.flow, engine_.now(), p.size_bytes);
   }
   if (n.receiver) n.receiver(std::move(p));
 }
 
 void Network::on_drop(const Packet& p) {
-  Shard& shard = cur_shard();
-  ++shard.flows[p.flow].dropped;
-  ++shard.totals.dropped;
-  sim::Engine& eng = cur_engine();
-  if (telemetry_log_) {
-    shard.tel.push_back(TelEvent{eng.now().ns(), p.flow, p.trace, true});
-  } else if (obs::TelemetryHub* th = eng.telemetry()) {
-    th->on_drop(p.flow, eng.now(), p.trace);
+  ++flows_[p.flow].dropped;
+  ++totals_.dropped;
+  if (obs::TelemetryHub* th = engine_.telemetry()) {
+    th->on_drop(p.flow, engine_.now(), p.trace);
   }
 }
 
@@ -239,23 +215,11 @@ std::vector<NodeId> Network::path(NodeId from, NodeId dst) const {
 }
 
 const FlowCounters& Network::flow(FlowId id) const {
-  if (shards_.size() == 1) {
-    const FlowCounters* c = shards_[0].flows.find(id);
-    return c == nullptr ? no_counters_ : *c;
-  }
-  merged_scratch_ = FlowCounters{};
-  for (const Shard& s : shards_) {
-    if (const FlowCounters* c = s.flows.find(id)) accumulate(merged_scratch_, *c);
-  }
-  return merged_scratch_;
+  const FlowCounters* c = flows_.find(id);
+  return c == nullptr ? no_counters_ : *c;
 }
 
-const FlowCounters& Network::totals() const {
-  if (shards_.size() == 1) return shards_[0].totals;
-  merged_scratch_ = FlowCounters{};
-  for (const Shard& s : shards_) accumulate(merged_scratch_, s.totals);
-  return merged_scratch_;
-}
+const FlowCounters& Network::totals() const { return totals_; }
 
 void Network::export_metrics(obs::MetricsRegistry& reg, std::string_view prefix) const {
   const std::string p(prefix);
@@ -266,206 +230,9 @@ void Network::export_metrics(obs::MetricsRegistry& reg, std::string_view prefix)
     reg.counter(base + ".sent_bytes").set(c.sent_bytes);
     reg.counter(base + ".delivered_bytes").set(c.delivered_bytes);
   };
-  if (shards_.size() == 1) {
-    emit(p + ".total", shards_[0].totals);
-    shards_[0].flows.for_each_ordered(
-        [&](FlowId id, const FlowCounters& c) { emit(p + ".flow" + std::to_string(id), c); });
-    return;
-  }
-  // Shard union, accumulated into one table so lines stay ascending-FlowId
-  // and byte-identical to the single-partition export.
-  FlowMap<FlowCounters> merged;
-  FlowCounters tot{};
-  for (Shard& s : shards_) {
-    accumulate(tot, s.totals);
-    s.flows.for_each_ordered(
-        [&](FlowId id, const FlowCounters& c) { accumulate(merged[id], c); });
-  }
-  emit(p + ".total", tot);
-  merged.for_each_ordered(
+  emit(p + ".total", totals_);
+  flows_.for_each_ordered(
       [&](FlowId id, const FlowCounters& c) { emit(p + ".flow" + std::to_string(id), c); });
-}
-
-void Network::set_node_partition(NodeId node, unsigned partition) {
-  assert(node >= 0 && static_cast<std::size_t>(node) < nodes_.size());
-  assert(world_ != nullptr && partition < world_->partitions());
-  node_partition_[static_cast<std::size_t>(node)] = partition;
-}
-
-unsigned Network::node_partition(NodeId node) const {
-  assert(node >= 0 && static_cast<std::size_t>(node) < nodes_.size());
-  return node_partition_[static_cast<std::size_t>(node)];
-}
-
-sim::Engine& Network::engine_of(NodeId node) {
-  return world_ != nullptr ? world_->engine(node_partition(node)) : engine_;
-}
-
-void Network::auto_partition() {
-  assert(world_ != nullptr && "auto_partition needs world mode");
-  const unsigned parts = world_->partitions();
-  const std::size_t n = nodes_.size();
-  std::fill(node_partition_.begin(), node_partition_.end(), 0u);
-  if (parts <= 1 || n == 0) return;
-
-  // Undirected adjacency, remembering whether any parallel edge has zero
-  // propagation (such an edge must never be cut).
-  std::vector<std::vector<NodeId>> adj(n);
-  std::vector<std::vector<NodeId>> zero_adj(n);
-  for (const auto& [key, link] : links_) {
-    const auto a = static_cast<std::size_t>(key >> 32);
-    const auto b = static_cast<NodeId>(static_cast<std::uint32_t>(key));
-    adj[a].push_back(b);
-    adj[static_cast<std::size_t>(b)].push_back(static_cast<NodeId>(a));
-    if (link->config().propagation <= Duration::zero()) {
-      zero_adj[a].push_back(b);
-      zero_adj[static_cast<std::size_t>(b)].push_back(static_cast<NodeId>(a));
-    }
-  }
-  for (auto& v : adj) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-  }
-
-  // Root: highest-degree node, lowest id on ties (the fan-in hub).
-  std::size_t root = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (adj[i].size() > adj[root].size()) root = i;
-  }
-
-  // Every branch hanging off the root is one unit: BFS from the root,
-  // stamping each node with the root-neighbor its shortest path leaves
-  // through. Unreachable nodes become their own units.
-  constexpr std::uint32_t kUnassigned = 0xffffffffu;
-  std::vector<std::uint32_t> unit(n, kUnassigned);
-  std::uint32_t units = 0;
-  std::deque<std::size_t> frontier;
-  std::vector<std::uint32_t> unit_of_root_neighbor;
-  unit[root] = units++;  // unit 0 = the root itself
-  unit_of_root_neighbor.push_back(0);
-  for (const NodeId nb : adj[root]) {
-    const auto v = static_cast<std::size_t>(nb);
-    if (unit[v] != kUnassigned) continue;
-    unit[v] = units++;
-    frontier.push_back(v);
-  }
-  while (!frontier.empty()) {
-    const std::size_t u = frontier.front();
-    frontier.pop_front();
-    for (const NodeId nb : adj[u]) {
-      const auto v = static_cast<std::size_t>(nb);
-      if (unit[v] != kUnassigned) continue;
-      unit[v] = unit[u];
-      frontier.push_back(v);
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (unit[i] == kUnassigned) unit[i] = units++;
-  }
-
-  // Zero-propagation edges must stay internal: union the units they join
-  // (plain union-find, smaller root id wins so the merge is deterministic).
-  std::vector<std::uint32_t> parent(units);
-  for (std::uint32_t i = 0; i < units; ++i) parent[i] = i;
-  const auto find = [&parent](std::uint32_t x) {
-    while (parent[x] != x) x = parent[x] = parent[parent[x]];
-    return x;
-  };
-  for (std::size_t a = 0; a < n; ++a) {
-    for (const NodeId nb : zero_adj[a]) {
-      const std::uint32_t ra = find(unit[a]);
-      const std::uint32_t rb = find(unit[static_cast<std::size_t>(nb)]);
-      if (ra != rb) parent[std::max(ra, rb)] = std::min(ra, rb);
-    }
-  }
-
-  // Greedy balance: units heaviest-first (ties: lowest unit id, i.e.
-  // lowest first-hop NodeId) onto the currently lightest partition; the
-  // root's merged unit is pinned to partition 0.
-  std::vector<std::uint64_t> weight(units, 0);
-  for (std::size_t i = 0; i < n; ++i) ++weight[find(unit[i])];
-  std::vector<std::uint32_t> order;
-  for (std::uint32_t u = 0; u < units; ++u) {
-    if (find(u) == u && u != find(0)) order.push_back(u);
-  }
-  std::sort(order.begin(), order.end(), [&weight](std::uint32_t a, std::uint32_t b) {
-    if (weight[a] != weight[b]) return weight[a] > weight[b];
-    return a < b;
-  });
-  std::vector<std::uint64_t> load(parts, 0);
-  std::vector<unsigned> unit_partition(units, 0);
-  load[0] = weight[find(0)];
-  for (const std::uint32_t u : order) {
-    unsigned lightest = 0;
-    for (unsigned p = 1; p < parts; ++p) {
-      if (load[p] < load[lightest]) lightest = p;
-    }
-    unit_partition[u] = lightest;
-    load[lightest] += weight[u];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    node_partition_[i] = unit_partition[find(unit[i])];
-  }
-}
-
-void Network::finalize_partitions() {
-  ensure_routes();
-  if (world_ == nullptr) return;
-  Duration lookahead = Duration::max();
-  for (auto& [key, link] : links_) {
-    const unsigned from_part = node_partition(link->from());
-    const unsigned to_part = node_partition(link->to());
-    link->rebind_engine(world_->engine(from_part));
-    if (from_part == to_part) continue;
-    if (link->config().propagation <= Duration::zero()) {
-      throw std::runtime_error(
-          "net: partition cut crosses zero-propagation link " + node_name(link->from()) +
-          "->" + node_name(link->to()) + " (no conservative lookahead)");
-    }
-    link->set_remote_delivery(world_, to_part);
-    lookahead = std::min(lookahead, link->config().propagation);
-  }
-  world_->set_lookahead(lookahead);
-}
-
-void Network::enable_telemetry_log() {
-  telemetry_log_ = true;
-  for (Shard& s : shards_) s.tel.clear();
-}
-
-void Network::replay_telemetry(obs::TelemetryHub& hub) const {
-  // K-way merge over the per-partition streams (each time-sorted) in
-  // (time, partition, sequence) order. With one shard this is exactly the
-  // live call order, so replay == streaming; across shards the order of
-  // same-instant observations from different partitions is normalized by
-  // partition index (DESIGN.md §14 tie-break contract).
-  std::vector<std::size_t> idx(shards_.size(), 0);
-  for (;;) {
-    std::size_t best = shards_.size();
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (idx[s] >= shards_[s].tel.size()) continue;
-      if (best == shards_.size() ||
-          shards_[s].tel[idx[s]].t_ns < shards_[best].tel[idx[best]].t_ns) {
-        best = s;
-      }
-    }
-    if (best == shards_.size()) return;
-    const TelEvent& e = shards_[best].tel[idx[best]++];
-    if (e.drop) {
-      hub.on_drop(e.flow, TimePoint{e.t_ns}, e.aux);
-    } else {
-      hub.on_delivery(e.flow, TimePoint{e.t_ns}, e.aux);
-    }
-  }
-}
-
-TimePoint Network::end_time() const {
-  if (world_ == nullptr) return engine_.now();
-  TimePoint end = TimePoint::zero();
-  for (unsigned p = 0; p < world_->partitions(); ++p) {
-    end = std::max(end, world_->engine(p).now());
-  }
-  return end;
 }
 
 }  // namespace aqm::net

@@ -26,11 +26,6 @@
 #include "net/queue.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
-#include "sim/partition.hpp"
-
-namespace aqm::obs {
-class TelemetryHub;
-}
 
 namespace aqm::net {
 
@@ -51,16 +46,6 @@ class Network {
   using ControlFn = std::function<void(NodeId, Packet&&)>;
 
   explicit Network(sim::Engine& engine);
-
-  /// World mode: the network may span the partitions of a sim::World
-  /// (DESIGN.md §14). Nodes are assigned to partitions after topology
-  /// construction (set_node_partition / auto_partition); at world start
-  /// the network re-points every link at its owner partition's engine,
-  /// marks partition-crossing links as boundary links and installs the
-  /// cut's minimum propagation delay as the world's conservative
-  /// lookahead. With world.partitions() == 1 this is behaviourally
-  /// identical to the Engine constructor.
-  explicit Network(sim::World& world);
 
   // --- topology ---------------------------------------------------------------
 
@@ -111,34 +96,6 @@ class Network {
 
   [[nodiscard]] sim::Engine& engine() { return engine_; }
 
-  // --- partitioning (world mode only) ------------------------------------------
-
-  /// Pins a node to a partition. Call between topology construction and
-  /// world.run(); partition-0 is the default for every node.
-  void set_node_partition(NodeId node, unsigned partition);
-  [[nodiscard]] unsigned node_partition(NodeId node) const;
-  /// The engine that drives a node's events (partition-owned in world
-  /// mode, the single engine otherwise).
-  [[nodiscard]] sim::Engine& engine_of(NodeId node);
-
-  /// Deterministic topology-cut heuristic over world.partitions() parts:
-  /// contracts each branch hanging off the highest-degree node into one
-  /// unit (keeping zero-propagation edges inside a unit, since a cut
-  /// needs positive lookahead), pins the root to partition 0, and
-  /// greedily assigns units heaviest-first to the lightest partition.
-  void auto_partition();
-
-  /// World mode: record delivery/drop telemetry observations into
-  /// per-partition shards instead of calling the engine's hub, so a
-  /// partitioned run can feed ONE hub deterministically after the fact.
-  void enable_telemetry_log();
-  /// Replays the logged observations into `hub`, merged across partition
-  /// shards in (time, partition, sequence) order. Call after world.run();
-  /// the caller then hub.finalize()s at end_time() and reads the report.
-  void replay_telemetry(obs::TelemetryHub& hub) const;
-  /// Latest engine clock across partitions (the world's end of time).
-  [[nodiscard]] TimePoint end_time() const;
-
  private:
   struct Node {
     std::string name;
@@ -150,9 +107,6 @@ class Network {
   void forward(NodeId from, Packet&& p);
   void ensure_routes() const;
   void on_drop(const Packet& p);
-  /// World start hook: routes, per-link engine rebinding, boundary-link
-  /// wiring and the lookahead computation (throws on a zero-lookahead cut).
-  void finalize_partitions();
 
   /// Directed-edge key for the hashed link table.
   [[nodiscard]] static std::uint64_t link_key(NodeId from, NodeId to) {
@@ -160,36 +114,8 @@ class Network {
            static_cast<std::uint32_t>(to);
   }
 
-  /// One delivery/drop observation, recorded when the telemetry log is
-  /// enabled. Per-shard streams are time-sorted by construction (each
-  /// partition's clock is monotonic), so replay is a k-way merge.
-  struct TelEvent {
-    std::int64_t t_ns;
-    FlowId flow;
-    std::uint64_t aux;  // delivered bytes, or the drop's trace id
-    bool drop;
-  };
-  /// Per-partition slice of the forwarding-plane state that packet events
-  /// mutate. Exactly one worker thread writes each shard (the owning
-  /// partition's); readers merge across shards post-run. Legacy mode has
-  /// a single shard, making every accessor below the old code path.
-  struct Shard {
-    FlowMap<FlowCounters> flows;
-    FlowCounters totals;
-    std::vector<TelEvent> tel;
-  };
-
-  [[nodiscard]] Shard& cur_shard() const {
-    return shards_[world_ != nullptr ? sim::World::current_partition() : 0];
-  }
-  [[nodiscard]] sim::Engine& cur_engine() const {
-    return world_ != nullptr ? world_->engine(sim::World::current_partition()) : engine_;
-  }
-
   sim::Engine& engine_;
-  sim::World* world_ = nullptr;
   std::vector<Node> nodes_;
-  std::vector<unsigned> node_partition_;  // parallel to nodes_; all 0 in legacy mode
   /// Hashed adjacency: (from,to) key -> link. Never iterated for anything
   /// order-sensitive — ensure_routes() sorts the per-node neighbor lists it
   /// derives, so routes stay identical to the old ordered-map build.
@@ -199,13 +125,11 @@ class Network {
   mutable std::vector<NodeId> next_hop_table_;
   mutable bool routes_dirty_ = true;
 
-  /// Per-flow counters in flat indexed tables (DESIGN.md §10), one shard
-  /// per partition (§14); export merges shards and goes through
-  /// for_each_ordered so metric lines stay ascending-FlowId.
-  mutable std::vector<Shard> shards_;
-  mutable FlowCounters merged_scratch_;  // flow()/totals() return slot in world mode
+  /// Per-flow counters in a flat indexed table (DESIGN.md §10); export
+  /// goes through for_each_ordered so metric lines stay ascending-FlowId.
+  FlowMap<FlowCounters> flows_;
+  FlowCounters totals_;
   FlowCounters no_counters_{};
-  bool telemetry_log_ = false;
 };
 
 }  // namespace aqm::net

@@ -126,13 +126,6 @@ void Engine::run_until(TimePoint t) {
   if (now_ < t) now_ = t;
 }
 
-void Engine::run_before(TimePoint t) {
-  TimePoint next;
-  while (peek_next_time(next) && next < t) {
-    step();
-  }
-}
-
 PeriodicTimer::PeriodicTimer(Engine& engine, Duration period, std::function<void()> on_tick)
     : engine_(engine), period_(period), on_tick_(std::move(on_tick)) {
   assert(period_ > Duration::zero());

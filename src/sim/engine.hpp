@@ -334,18 +334,6 @@ class Engine {
   /// Runs all events with time <= t, then advances the clock to t.
   void run_until(TimePoint t);
 
-  /// Runs all events with time strictly < t. Unlike run_until, the clock
-  /// is NOT advanced to t afterwards: it stays at the last fired event so
-  /// that events arriving from outside (cross-partition handoff) may still
-  /// be scheduled anywhere in [now, t). This is the safe-window primitive
-  /// of the partitioned executor (sim::World).
-  void run_before(TimePoint t);
-
-  /// Time of the earliest pending (non-cancelled) event. Returns false and
-  /// leaves `t` untouched when the queue is empty. Used by the partitioned
-  /// executor to compute the next global safe window.
-  [[nodiscard]] bool next_event_time(TimePoint& t) { return peek_next_time(t); }
-
   /// Pre-sizes the handler slab and calendar storage for roughly `n_slots`
   /// concurrently pending events. Capacity-only: scheduling behaviour and
   /// firing order are unchanged; the ramp-up of a large scenario (or the

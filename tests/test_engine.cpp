@@ -164,9 +164,6 @@ TEST(Engine, AfterSaturatesInsteadOfWrapping) {
   e.run();  // now() > 0, so now + Duration::max() overflows
   TimePoint fired_at = TimePoint::zero();
   e.after(Duration::max(), [&] { fired_at = e.now(); });
-  TimePoint next;
-  ASSERT_TRUE(e.next_event_time(next));
-  EXPECT_EQ(next, TimePoint::max());
   e.run();
   EXPECT_EQ(fired_at, TimePoint::max());
 }
@@ -184,32 +181,6 @@ TEST(Engine, AfterSaturatedEventsKeepScheduleOrder) {
   e.after(Duration::max() - nanoseconds(7), [&] { order.push_back(2); });
   e.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(Engine, RunBeforeExcludesBoundaryAndKeepsClock) {
-  Engine e;
-  int fired = 0;
-  e.after(milliseconds(10), [&] { ++fired; });
-  e.after(milliseconds(20), [&] { ++fired; });
-  e.run_before(TimePoint{milliseconds(20).ns()});
-  EXPECT_EQ(fired, 1);
-  // Unlike run_until, the clock stays at the last fired event so later
-  // cross-partition injections anywhere in [now, boundary) stay legal.
-  EXPECT_EQ(e.now().ns(), milliseconds(10).ns());
-  e.run();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(Engine, NextEventTimeSkipsCancelled) {
-  Engine e;
-  const EventId id = e.after(milliseconds(1), [] {});
-  e.after(milliseconds(2), [] {});
-  e.cancel(id);
-  TimePoint next;
-  ASSERT_TRUE(e.next_event_time(next));
-  EXPECT_EQ(next.ns(), milliseconds(2).ns());
-  e.run();
-  EXPECT_FALSE(e.next_event_time(next));
 }
 
 TEST(Engine, StepReturnsFalseWhenEmpty) {

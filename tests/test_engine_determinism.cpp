@@ -7,44 +7,29 @@
 // 2. Steady-state scheduling is allocation-free: a hold-model loop with
 //    capture-light handlers performs zero heap allocations once warmed up,
 //    verified by counting global operator new.
-// 3. Partitioned diff suite: randomized star-of-branches topologies with
-//    lossy and token-bucket-gated links run under --partitions 1/2/4; the
-//    canonical delivery trace, merged per-flow counters and merged metrics
-//    snapshot must be byte-identical to the single-engine run (the
-//    partitioned-execution contract of DESIGN.md §14).
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <memory>
 #include <new>
-#include <string>
-#include <tuple>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "net/network.hpp"
-#include "net/queue.hpp"
-#include "obs/metrics.hpp"
-#include "sim/partition.hpp"
-
 // --- counting allocator ------------------------------------------------------
 
 namespace {
-// Atomic: the partitioned-diff suite allocates from worker threads, and the
-// replacement operator new below is process-global.
-std::atomic<std::uint64_t> g_heap_allocs{0};
+std::uint64_t g_heap_allocs = 0;
 }  // namespace
 
 void* operator new(std::size_t n) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  ++g_heap_allocs;
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -238,160 +223,6 @@ TEST(EngineAllocation, SteadyStateHoldLoopIsAllocationFree) {
   EXPECT_EQ(g_heap_allocs - before, 0u)
       << "schedule->fire loop allocated on the heap";
   EXPECT_GT(sink, 0u);
-}
-
-// --- partitioned diff suite --------------------------------------------------
-
-/// One run of a seed-randomized city fabric at a given partition count.
-/// Every decision (topology jitter, loss seeds, reservations, send times,
-/// packet sizes) comes from the seed alone, so two runs with the same seed
-/// describe the same simulated world regardless of how it is sharded.
-struct FabricRun {
-  /// Deliveries in canonical (arrival_ns, flow, seq) order.
-  std::vector<std::tuple<std::int64_t, net::FlowId, std::uint64_t>> deliveries;
-  std::map<std::string, std::uint64_t> counters;  // merged metrics export
-  WorldStats stats;
-};
-
-FabricRun run_fabric(std::uint64_t seed, unsigned partitions) {
-  constexpr std::size_t kBranches = 6;
-  constexpr std::size_t kHostsPerBranch = 4;
-  constexpr int kPacketsPerFlow = 60;
-
-  std::uint64_t rng = seed * 0x9E3779B97F4A7C15ULL + 1;
-  const auto next = [&rng] {
-    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
-    return static_cast<std::uint32_t>(rng >> 33);
-  };
-
-  World world(EngineConfig{partitions});
-  net::Network net(world);
-
-  const net::NodeId hub = net.add_node("hub");
-  std::vector<net::NodeId> branches;
-  std::vector<net::NodeId> hosts;
-  std::vector<net::IntServQueue*> uplinks;  // branch -> hub egress queues
-  for (std::size_t b = 0; b < kBranches; ++b) {
-    const net::NodeId br = net.add_node("br" + std::to_string(b));
-    branches.push_back(br);
-
-    // Branch uplink: the fabric bottleneck. IntServ egress with a small
-    // best-effort ring (drops under burst) and, below, token-bucket-gated
-    // reservations; every third uplink is additionally lossy. Propagation
-    // is ns-jittered so cross-partition arrivals never tie with local
-    // events (the §14 tie-break caveat).
-    net::LinkConfig up;
-    up.bandwidth_bps = 20e6 + static_cast<double>(next() % 4) * 10e6;
-    up.propagation = microseconds(50) + nanoseconds(1 + next() % 4999);
-    if (b % 3 == 2) {
-      up.loss_probability = 0.02;
-      up.loss_seed = seed ^ (b * 0x51ED2701ULL);
-    }
-    net::IntServQueue::Config qc;
-    qc.best_effort_capacity = 48;
-    auto q = std::make_unique<net::IntServQueue>(qc);
-    uplinks.push_back(q.get());
-    net.add_link(br, hub, up, std::move(q));
-
-    net::LinkConfig down = up;
-    down.loss_probability = 0.0;
-    down.propagation = microseconds(50) + nanoseconds(1 + next() % 4999);
-    net.add_link(hub, br, down);
-
-    for (std::size_t h = 0; h < kHostsPerBranch; ++h) {
-      const net::NodeId host = net.add_node("h" + std::to_string(b) + "_" +
-                                            std::to_string(h));
-      hosts.push_back(host);
-      net::LinkConfig access;
-      access.bandwidth_bps = 100e6;
-      access.propagation = microseconds(10) + nanoseconds(1 + next() % 997);
-      net.add_duplex_link(host, br, access);
-    }
-  }
-
-  // Every 4th flow holds a token-bucket-gated EF reservation on its
-  // branch uplink (the conformance-retry path crosses the cut).
-  const std::size_t n_hosts = hosts.size();
-  for (std::size_t i = 0; i < n_hosts; i += 4) {
-    const auto f = static_cast<net::FlowId>(i + 1);
-    uplinks[i / kHostsPerBranch]->install_reservation(f, 40e3, 4'000,
-                                                      TimePoint::zero());
-  }
-
-  net.auto_partition();
-
-  // Per-host delivery logs: each is written only by the receiving node's
-  // partition thread, merged canonically after the run.
-  std::vector<std::vector<std::tuple<std::int64_t, net::FlowId, std::uint64_t>>>
-      logs(n_hosts);
-  for (std::size_t i = 0; i < n_hosts; ++i) {
-    const net::NodeId node = hosts[i];
-    auto* log = &logs[i];
-    sim::Engine& eng = net.engine_of(node);
-    net.set_receiver(node, [log, &eng](net::Packet&& p) {
-      log->emplace_back(eng.now().ns(), p.flow, p.seq);
-    });
-  }
-
-  // Traffic: host i drives flow i+1 at a pseudo-random host in another
-  // branch; ns-granularity send times spread over two simulated seconds.
-  for (std::size_t i = 0; i < n_hosts; ++i) {
-    const std::size_t branch = i / kHostsPerBranch;
-    const net::NodeId src = hosts[i];
-    sim::Engine& eng = net.engine_of(src);
-    for (int k = 0; k < kPacketsPerFlow; ++k) {
-      std::size_t dst_i = next() % n_hosts;
-      if (dst_i / kHostsPerBranch == branch) {
-        dst_i = (dst_i + kHostsPerBranch) % n_hosts;
-      }
-      net::Packet p;
-      p.dst = hosts[dst_i];
-      p.flow = static_cast<net::FlowId>(i + 1);
-      p.seq = static_cast<std::uint64_t>(k);
-      p.size_bytes = 200 + next() % 1201;
-      p.dscp = i % 4 == 0 ? net::dscp::kEf : net::dscp::kBestEffort;
-      const TimePoint t =
-          TimePoint::zero() +
-          nanoseconds(static_cast<std::int64_t>(next() % 2'000'000'000u));
-      eng.at(t, [&net, src, p]() mutable { net.send(src, std::move(p)); });
-    }
-  }
-
-  world.run();
-
-  FabricRun out;
-  for (const auto& log : logs) {
-    out.deliveries.insert(out.deliveries.end(), log.begin(), log.end());
-  }
-  std::sort(out.deliveries.begin(), out.deliveries.end());
-  obs::MetricsRegistry reg;
-  net.export_metrics(reg, "net");
-  out.counters = reg.snapshot().counters;
-  out.stats = world.stats();
-  return out;
-}
-
-TEST(PartitionedDiff, RandomizedFabricsMatchSingleEngineRun) {
-  for (const std::uint64_t seed : {11ULL, 12ULL, 13ULL}) {
-    const FabricRun ref = run_fabric(seed, 1);
-    // The workload must be non-trivial: thousands of deliveries and some
-    // loss (lossy uplinks + best-effort drops) or the diff proves little.
-    ASSERT_GT(ref.deliveries.size(), 1000u) << "seed " << seed;
-    ASSERT_GT(ref.counters.at("net.total.dropped"), 0u) << "seed " << seed;
-
-    for (const unsigned parts : {2u, 4u}) {
-      const FabricRun run = run_fabric(seed, parts);
-      EXPECT_EQ(run.deliveries, ref.deliveries)
-          << "seed " << seed << " partitions " << parts;
-      EXPECT_EQ(run.counters, ref.counters)
-          << "seed " << seed << " partitions " << parts;
-      // The cut must actually carry traffic, or the run degenerated into
-      // a single-partition world and the comparison is vacuous.
-      EXPECT_GT(run.stats.messages, 0u)
-          << "seed " << seed << " partitions " << parts;
-      EXPECT_GT(run.stats.windows, 0u);
-    }
-  }
 }
 
 }  // namespace

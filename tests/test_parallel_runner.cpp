@@ -17,6 +17,7 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -65,14 +66,28 @@ TEST(ParallelRunner, ResolveJobsZeroMeansAllCores) {
 // --- option parsing and seed derivation ---------------------------------------
 
 TEST(ExperimentOptions, ParsesAndStripsJobsFlag) {
-  char a0[] = "prog", a1[] = "--jobs", a2[] = "3", a3[] = "keep";
-  char* argv[] = {a0, a1, a2, a3, nullptr};
-  int argc = 4;
+  char a0[] = "prog", a1[] = "--jobs", a2[] = "3";
+  char* argv[] = {a0, a1, a2, nullptr};
+  int argc = 3;
   const auto opts = core::parse_experiment_options(argc, argv);
   EXPECT_EQ(opts.jobs, 3u);
-  ASSERT_EQ(argc, 2);
+  ASSERT_EQ(argc, 1);
   EXPECT_STREQ(argv[0], "prog");
-  EXPECT_STREQ(argv[1], "keep");
+  EXPECT_EQ(argv[1], nullptr);
+
+  // Anything unrecognised fails loudly instead of being silently dropped:
+  // a stale --partitions flag and a plain typo alike.
+  const auto parse = [](std::vector<std::string> args) {
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    argv.push_back(nullptr);
+    int argc = static_cast<int>(args.size());
+    core::parse_experiment_options(argc, argv.data());
+  };
+  EXPECT_EXIT(parse({"prog", "--partitions", "2"}), ::testing::ExitedWithCode(2),
+              "unknown argument: --partitions.*usage: prog");
+  EXPECT_EXIT(parse({"prog", "--jobs", "2", "--jbos=4"}), ::testing::ExitedWithCode(2),
+              "unknown argument: --jbos=4.*usage: prog");
 }
 
 TEST(ExperimentOptions, ParsesCompactForms) {

@@ -30,7 +30,9 @@ class PolicyBuilder {
   /// priority (what default_sender_policy used to hard-code).
   [[nodiscard]] static PolicyBuilder sender(net::FlowId flow,
                                             orb::CorbaPriority priority = 1000) {
-    return PolicyBuilder{}.flow(flow).priority(priority);
+    PolicyBuilder b;
+    b.flow(flow).priority(priority);
+    return b;
   }
 
   PolicyBuilder& flow(net::FlowId flow) {

@@ -266,7 +266,8 @@ void BM_GiopPipelined(benchmark::State& state) {
                          // the window hits the count threshold)
     engine.run();
   }
-  if (completed != state.iterations() * kWindow || completed_ids != issued_ids) {
+  if (completed != static_cast<std::uint64_t>(state.iterations()) * kWindow ||
+      completed_ids != issued_ids) {
     state.SkipWithError("pipelined completions diverged from submissions");
   }
   state.SetItemsProcessed(state.iterations() * kWindow);
@@ -293,10 +294,8 @@ void BM_GiopBatchedOneway(benchmark::State& state) {
   orb::GiopTransport server(net, b, cfg);
   orb::CdrBufferPool pool;
   orb::GiopMessage scratch;
-  orb::RequestHeader req;
-  req.object_key = "sink";
-  req.operation = "op";
-  req.response_expected = false;
+  orb::RequestHeader req{
+      .response_expected = false, .object_key = "sink", .operation = "op", .contexts = {}};
   const std::vector<std::uint8_t> body(static_cast<std::size_t>(state.range(0)));
   std::uint64_t handled = 0;
   server.set_message_handler([&](net::NodeId, const orb::MessageView& m) {

@@ -168,8 +168,11 @@ int main(int argc, char** argv) {
     const auto& load = loaded.per_algorithm_ms[i];
     const auto& resv = reserved.per_algorithm_ms[i];
     const double inflation = 100.0 * (load.mean() / base.mean() - 1.0);
+    std::string inflation_pct = "+";
+    inflation_pct += fmt(inflation, 0);
+    inflation_pct += "%";
     table.row({img::to_string(kAlgorithms[i]), fmt(base.mean(), 1), fmt(base.stddev(), 1),
-               fmt(load.mean(), 1), fmt(load.stddev(), 1), "+" + fmt(inflation, 0) + "%",
+               fmt(load.mean(), 1), fmt(load.stddev(), 1), inflation_pct,
                fmt(resv.mean(), 1), fmt(resv.stddev(), 1)});
   }
   table.print();

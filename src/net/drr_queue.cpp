@@ -1,5 +1,6 @@
 #include "net/drr_queue.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace aqm::net {
@@ -7,7 +8,8 @@ namespace aqm::net {
 DrrQueue::DrrQueue(DrrConfig config) : config_(config) {
   assert(config_.class_capacity > 0);
   assert(config_.quantum_bytes > 0);
-  for (const auto w : config_.weights) assert(w > 0);
+  assert(std::all_of(config_.weights.begin(), config_.weights.end(),
+                     [](auto w) { return w > 0; }));
 }
 
 std::optional<Packet> DrrQueue::enqueue(Packet p, TimePoint /*now*/) {

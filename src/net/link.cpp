@@ -184,7 +184,15 @@ void Link::start_tx(Packet p, TimePoint t) {
       pump();
     });
   } else {
-    engine_.at(avail_at_ + config_.propagation, [this, p = std::move(p)]() mutable {
+    // Delivery instants strictly follow commit order on one link (each
+    // avail_at_ + propagation is >= the previous one, and the engine fires
+    // ties in scheduling order), so the packet waits in the in-flight FIFO
+    // and the event captures only `this`: it fits the engine's inline
+    // handler buffer, where a captured Packet would cost a heap allocation.
+    in_flight_.push_back(std::move(p));
+    engine_.at(avail_at_ + config_.propagation, [this] {
+      Packet p = std::move(in_flight_.front());
+      in_flight_.pop_front();
       pump();
       if (obs::TraceRecorder* tr = net_tracer()) {
         tr->instant(obs::TraceCategory::Net, "deliver", trace_track_, engine_.now(),

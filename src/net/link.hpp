@@ -13,7 +13,12 @@
 //    not change in between, because every arrival catches up first), so
 //    dequeue order, token-bucket accounting, loss draws and delivery
 //    times are bit-identical to the legacy path while steady state costs
-//    ~1 engine event per packet per hop instead of ~2.
+//    ~1 engine event per packet per hop instead of ~2. Committed packets
+//    wait in an in-flight FIFO; the delivery event captures only the link
+//    and pops the front, which is safe because delivery instants never
+//    decrease in commit order and the engine fires ties in scheduling
+//    order. The event fits the engine's inline handler buffer, so a hop
+//    costs no heap allocation for its closure (DESIGN.md §10).
 //
 //  * Legacy (config.coalesced_events = false). One event at the end of
 //    serialization plus one per delivery, as a literal store-and-forward
@@ -21,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -118,6 +124,9 @@ class Link {
   /// that instant has not been replayed yet.
   TimePoint avail_at_ = TimePoint::zero();
   bool decision_pending_ = false;
+  /// Coalesced: committed, uncorrupted packets awaiting their delivery
+  /// event, in commit (= delivery) order.
+  std::deque<Packet> in_flight_;
   bool busy_ = false;  // legacy path only
   sim::EventId retry_event_{};
   std::uint64_t tx_packets_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <utility>
 
 #include "common/log.hpp"
 #include "obs/telemetry.hpp"
@@ -32,7 +33,13 @@ Link& Network::add_link(NodeId from, NodeId to, LinkConfig config,
   ref.set_trace_name("link:" + node_name(from) + "->" + node_name(to));
   ref.set_delivery([this, to](Packet&& p) { deliver_local(to, std::move(p)); });
   ref.set_drop_hook([this](const Packet& p) { on_drop(p); });
-  links_[link_key(from, to)] = std::move(link);
+  const auto fresh = static_cast<std::uint32_t>(links_.size());
+  const auto [slot, inserted] = link_index_.try_insert(link_key(from, to), fresh);
+  if (inserted) {
+    links_.push_back(std::move(link));
+  } else {
+    links_[slot] = std::move(link);  // re-adding a pair replaces the link
+  }
   routes_dirty_ = true;
   return ref;
 }
@@ -49,13 +56,13 @@ const std::string& Network::node_name(NodeId id) const {
 }
 
 Link* Network::link_between(NodeId from, NodeId to) {
-  const auto it = links_.find(link_key(from, to));
-  return it == links_.end() ? nullptr : it->second.get();
+  const std::uint32_t slot = link_index_.find(link_key(from, to));
+  return slot == kNoSlot ? nullptr : links_[slot].get();
 }
 
 const Link* Network::link_between(NodeId from, NodeId to) const {
-  const auto it = links_.find(link_key(from, to));
-  return it == links_.end() ? nullptr : it->second.get();
+  const std::uint32_t slot = link_index_.find(link_key(from, to));
+  return slot == kNoSlot ? nullptr : links_[slot].get();
 }
 
 void Network::set_receiver(NodeId node, ReceiverFn fn) {
@@ -96,16 +103,14 @@ void Network::forward(NodeId from, Packet&& p) {
     deliver_local(from, std::move(p));
     return;
   }
-  const NodeId hop = next_hop(from, p.dst);
-  if (hop == kInvalidNode) {
+  const std::uint32_t egress = route(from, p.dst);
+  if (egress == kNoSlot) {
     AQM_WARN() << "net: no route " << node_name(from) << " -> " << node_name(p.dst)
                << ", packet dropped";
     on_drop(p);
     return;
   }
-  Link* link = link_between(from, hop);
-  assert(link != nullptr);
-  link->send(std::move(p));
+  links_[egress]->send(std::move(p));
 }
 
 void Network::deliver_local(NodeId node, Packet&& p) {
@@ -149,56 +154,44 @@ void Network::on_drop(const Packet& p) {
 void Network::ensure_routes() const {
   if (!routes_dirty_) return;
   const auto n = nodes_.size();
-  next_hop_table_.assign(n * n, kInvalidNode);
+  route_link_.assign(n * n, kNoSlot);
 
-  // Adjacency from the hashed link table. The table's iteration order is
-  // unspecified, so sort each neighbor list: BFS then visits neighbors in
-  // ascending NodeId exactly as the old ordered (from,to) map produced,
-  // keeping tie-broken shortest paths byte-identical.
-  std::vector<std::vector<NodeId>> adj(n);
-  for (const auto& [key, link] : links_) {
-    adj[static_cast<std::size_t>(key >> 32)].push_back(
-        static_cast<NodeId>(static_cast<std::uint32_t>(key)));
+  // Adjacency as (neighbor, link position) pairs, each list sorted by
+  // neighbor: BFS visits neighbors in ascending NodeId exactly as the old
+  // ordered (from,to) map produced, keeping tie-broken shortest paths
+  // byte-identical.
+  std::vector<std::vector<std::pair<NodeId, std::uint32_t>>> adj(n);
+  for (std::uint32_t i = 0; i < links_.size(); ++i) {
+    adj[static_cast<std::size_t>(links_[i]->from())].emplace_back(links_[i]->to(), i);
   }
   for (auto& neighbors : adj) std::sort(neighbors.begin(), neighbors.end());
 
-  // BFS from every destination over reversed edges would be cheaper, but
-  // topologies here are tiny; do a BFS per source.
+  // One BFS per source; each reached node inherits the egress link of the
+  // tree path that reached it (the source's own links start the paths).
   for (std::size_t src = 0; src < n; ++src) {
-    std::vector<NodeId> parent(n, kInvalidNode);
+    std::uint32_t* row = &route_link_[src * n];
     std::vector<bool> seen(n, false);
     std::deque<NodeId> frontier;
     frontier.push_back(static_cast<NodeId>(src));
     seen[src] = true;
     while (!frontier.empty()) {
-      const NodeId u = frontier.front();
+      const auto u = static_cast<std::size_t>(frontier.front());
       frontier.pop_front();
-      for (const NodeId v : adj[static_cast<std::size_t>(u)]) {
+      for (const auto& [v, link] : adj[u]) {
         if (seen[static_cast<std::size_t>(v)]) continue;
         seen[static_cast<std::size_t>(v)] = true;
-        parent[static_cast<std::size_t>(v)] = u;
+        row[static_cast<std::size_t>(v)] = u == src ? link : row[u];
         frontier.push_back(v);
       }
-    }
-    for (std::size_t dst = 0; dst < n; ++dst) {
-      if (dst == src || !seen[dst]) continue;
-      // Walk back from dst to src to find the first hop.
-      NodeId hop = static_cast<NodeId>(dst);
-      while (parent[static_cast<std::size_t>(hop)] != static_cast<NodeId>(src)) {
-        hop = parent[static_cast<std::size_t>(hop)];
-        assert(hop != kInvalidNode);
-      }
-      next_hop_table_[src * n + dst] = hop;
     }
   }
   routes_dirty_ = false;
 }
 
 NodeId Network::next_hop(NodeId from, NodeId dst) const {
-  ensure_routes();
   if (from == dst) return dst;
-  return next_hop_table_[static_cast<std::size_t>(from) * nodes_.size() +
-                         static_cast<std::size_t>(dst)];
+  const std::uint32_t egress = route(from, dst);
+  return egress == kNoSlot ? kInvalidNode : links_[egress]->to();
 }
 
 std::vector<NodeId> Network::path(NodeId from, NodeId dst) const {

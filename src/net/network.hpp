@@ -16,9 +16,9 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_index.hpp"
 #include "common/time.hpp"
 #include "net/flow_table.hpp"
 #include "net/link.hpp"
@@ -108,21 +108,30 @@ class Network {
   void ensure_routes() const;
   void on_drop(const Packet& p);
 
-  /// Directed-edge key for the hashed link table.
+  /// Directed-edge key for the link index.
   [[nodiscard]] static std::uint64_t link_key(NodeId from, NodeId to) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
            static_cast<std::uint32_t>(to);
   }
+  /// Egress link index of the route from -> dst (from != dst); kNoSlot
+  /// when unreachable.
+  [[nodiscard]] std::uint32_t route(NodeId from, NodeId dst) const {
+    if (routes_dirty_) ensure_routes();
+    return route_link_[static_cast<std::size_t>(from) * nodes_.size() +
+                       static_cast<std::size_t>(dst)];
+  }
 
   sim::Engine& engine_;
   std::vector<Node> nodes_;
-  /// Hashed adjacency: (from,to) key -> link. Never iterated for anything
-  /// order-sensitive — ensure_routes() sorts the per-node neighbor lists it
+  /// Links in creation order, plus a (from,to) key -> position index for
+  /// link_between. ensure_routes() sorts the per-node neighbor lists it
   /// derives, so routes stay identical to the old ordered-map build.
-  std::unordered_map<std::uint64_t, std::unique_ptr<Link>> links_;
+  std::vector<std::unique_ptr<Link>> links_;
+  FlatIndex<std::uint64_t> link_index_;
 
-  // next_hop_[from * n + dst]; kInvalidNode when unreachable. Rebuilt lazily.
-  mutable std::vector<NodeId> next_hop_table_;
+  /// route_link_[from * n + dst]: position in links_ of the first hop's
+  /// egress link; kNoSlot when unreachable or from == dst. Rebuilt lazily.
+  mutable std::vector<std::uint32_t> route_link_;
   mutable bool routes_dirty_ = true;
 
   /// Per-flow counters in a flat indexed table (DESIGN.md §10); export

@@ -189,11 +189,10 @@ void IntServQueue::install_reservation(FlowId flow, double rate_bps,
     flows_.emplace(flow, FlowState{TokenBucket{rate_bps, bucket_bytes, now}, {}});
     return;
   }
-  const auto it = slot_of_.find(flow);
-  if (it != slot_of_.end()) {
+  if (const std::uint32_t slot = slot_of_.find(flow); slot != kNoSlot) {
     // Modify: swap in the new bucket, keep the queued packets. The rate
     // changed in the middle of id order, so the running sum goes stale.
-    flow_bucket_[it->second] = TokenBucket{rate_bps, bucket_bytes, now};
+    flow_bucket_[slot] = TokenBucket{rate_bps, bucket_bytes, now};
     reserved_dirty_ = true;
     return;
   }
@@ -208,18 +207,18 @@ void IntServQueue::install_reservation(FlowId flow, double rate_bps,
     flow_bucket_.emplace_back(rate_bps, bucket_bytes, now);
     flow_fifo_.emplace_back();
   }
-  slot_of_.emplace(flow, slot);
-  // Incremental sum, PR-5 idiom: an append at the end of id order extends
-  // the running value exactly as the legacy scan would; anything else is
-  // recomputed lazily in id order, so the result stays bit-identical.
+  // Incremental sum: an append at the end of id order extends the running
+  // value exactly as the legacy scan would; anything else is recomputed
+  // lazily in id order, so the result stays bit-identical.
   if (!reserved_dirty_) {
-    if (flow_order_.empty() || flow > *flow_order_.rbegin()) {
+    if (slot_of_.empty() || flow > reserved_max_id_) {
       reserved_sum_ += rate_bps;
+      reserved_max_id_ = flow;
     } else {
       reserved_dirty_ = true;
     }
   }
-  flow_order_.insert(flow);
+  slot_of_.insert(flow, slot);
 }
 
 bool IntServQueue::update_reservation(FlowId flow, double rate_bps,
@@ -231,9 +230,9 @@ bool IntServQueue::update_reservation(FlowId flow, double rate_bps,
     it->second.bucket.reconfigure(rate_bps, bucket_bytes, now);
     return true;
   }
-  const auto it = slot_of_.find(flow);
-  if (it == slot_of_.end()) return false;
-  flow_bucket_[it->second].reconfigure(rate_bps, bucket_bytes, now);
+  const std::uint32_t slot = slot_of_.find(flow);
+  if (slot == kNoSlot) return false;
+  flow_bucket_[slot].reconfigure(rate_bps, bucket_bytes, now);
   // The rate changed in the middle of id order: the running sum goes stale
   // and is recomputed lazily in id order (bit-identical to the legacy scan).
   reserved_dirty_ = true;
@@ -273,9 +272,8 @@ void IntServQueue::remove_reservation(FlowId flow) {
     flows_.erase(it);
     return;
   }
-  const auto it = slot_of_.find(flow);
-  if (it == slot_of_.end()) return;
-  const std::uint32_t slot = it->second;
+  const std::uint32_t slot = slot_of_.find(flow);
+  if (slot == kNoSlot) return;
   while (flow_fifo_[slot].len > 0) {
     Packet p = flow_pop(slot, flow);
     if (best_effort_.size() >= config_.best_effort_capacity) {
@@ -287,8 +285,7 @@ void IntServQueue::remove_reservation(FlowId flow) {
     best_effort_.push_back(std::move(p));
   }
   free_slots_.push_back(slot);
-  slot_of_.erase(it);
-  flow_order_.erase(flow);
+  slot_of_.erase(flow);
   reserved_dirty_ = true;
 }
 
@@ -297,8 +294,8 @@ double IntServQueue::flow_rate_bps(FlowId flow) const {
     const auto it = flows_.find(flow);
     return it == flows_.end() ? 0.0 : it->second.bucket.rate_bps();
   }
-  const auto it = slot_of_.find(flow);
-  return it == slot_of_.end() ? 0.0 : flow_bucket_[it->second].rate_bps();
+  const std::uint32_t slot = slot_of_.find(flow);
+  return slot == kNoSlot ? 0.0 : flow_bucket_[slot].rate_bps();
 }
 
 double IntServQueue::reserved_rate_bps() const {
@@ -308,10 +305,14 @@ double IntServQueue::reserved_rate_bps() const {
     return sum;
   }
   if (reserved_dirty_) {
+    std::vector<std::pair<FlowId, std::uint32_t>> order;
+    order.reserve(slot_of_.size());
+    slot_of_.for_each_unordered(
+        [&order](FlowId id, std::uint32_t slot) { order.emplace_back(id, slot); });
+    std::sort(order.begin(), order.end());
     reserved_sum_ = 0.0;
-    for (const FlowId id : flow_order_) {
-      reserved_sum_ += flow_bucket_[slot_of_.at(id)].rate_bps();
-    }
+    for (const auto& [id, slot] : order) reserved_sum_ += flow_bucket_[slot].rate_bps();
+    reserved_max_id_ = order.empty() ? kNoFlow : order.back().first;
     reserved_dirty_ = false;
   }
   return reserved_sum_;
@@ -332,9 +333,8 @@ std::optional<Packet> IntServQueue::enqueue(Packet p, TimePoint now) {
     control_.push_back(std::move(p));
     return std::nullopt;
   }
-  const auto it = p.flow != kNoFlow ? slot_of_.find(p.flow) : slot_of_.end();
-  if (it != slot_of_.end()) {
-    const std::uint32_t slot = it->second;
+  const std::uint32_t slot = p.flow != kNoFlow ? slot_of_.find(p.flow) : kNoSlot;
+  if (slot != kNoSlot) {
     if (config_.excess_to_best_effort) {
       // Policing: pay for the packet now; conforming packets get the
       // guaranteed queue, excess falls through to best effort below.

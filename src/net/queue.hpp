@@ -16,9 +16,9 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_index.hpp"
 #include "common/time.hpp"
 #include "net/dscp.hpp"
 #include "net/packet.hpp"
@@ -163,15 +163,15 @@ class DiffServQueue final : public Queue {
 /// Control-plane (CS6) packets bypass into a dedicated high-priority
 /// sub-queue so signaling survives congestion.
 ///
-/// Per-flow state is flat SoA (DESIGN.md §10): a hashed FlowId -> dense-slot
-/// index over struct-of-arrays fields (token bucket, FIFO head/tail into a
-/// shared packet-node pool, queue length), with two explicit ordered
-/// FlowId indexes — all reserved flows (admission re-sums) and the ready
-/// flows holding packets (service scans) — so enqueue is O(1)+O(log n) and
-/// dequeue serves the lowest ready FlowId without touching the other
-/// n-1 flows. The original std::map storage is kept verbatim behind
-/// Config::legacy_flow_map as a differential oracle (the CpuConfig::
-/// legacy_scan pattern); both modes are observably byte-identical.
+/// Per-flow state is flat SoA (DESIGN.md §10): a FlatIndex FlowId ->
+/// dense-slot map over struct-of-arrays fields (token bucket, FIFO
+/// head/tail into a shared packet-node pool, queue length), with an
+/// explicit ordered index of the ready flows holding packets (service
+/// scans) — so enqueue is O(1)+O(log n) and dequeue serves the lowest
+/// ready FlowId without touching the other n-1 flows. The original
+/// std::map storage is kept verbatim behind Config::legacy_flow_map as a
+/// differential oracle (the CpuConfig::legacy_scan pattern); both modes
+/// are observably byte-identical.
 class IntServQueue final : public Queue {
  public:
   struct Config {
@@ -216,7 +216,7 @@ class IntServQueue final : public Queue {
     return parent_ ? parent_->rate_bps() : 0.0;
   }
   [[nodiscard]] bool has_reservation(FlowId flow) const {
-    return config_.legacy_flow_map ? flows_.count(flow) > 0 : slot_of_.count(flow) > 0;
+    return config_.legacy_flow_map ? flows_.count(flow) > 0 : slot_of_.contains(flow);
   }
   /// Sum of reserved rates. O(1) amortized: maintained incrementally on
   /// id-order appends and recomputed lazily (in id order, so the value is
@@ -289,23 +289,23 @@ class IntServQueue final : public Queue {
   Config config_;
   /// Legacy oracle storage (config_.legacy_flow_map == true).
   std::map<FlowId, FlowState> flows_;  // ordered: deterministic service order
-  /// Indexed storage: hashed id -> slot over SoA per-flow fields.
-  std::unordered_map<FlowId, std::uint32_t> slot_of_;
+  /// Indexed storage: flat id -> slot index over SoA per-flow fields.
+  FlatIndex<FlowId> slot_of_;
   std::vector<TokenBucket> flow_bucket_;    // by slot
   std::vector<FlowFifo> flow_fifo_;         // by slot
   std::vector<std::uint32_t> free_slots_;
   std::vector<PacketNode> pool_;
   std::uint32_t pool_free_ = kNil;
-  /// Explicit rank indexes preserving the legacy map's ascending-FlowId
-  /// order: all reserved flows (admission re-sum order) and the subset
-  /// with queued packets (service order — dequeue takes begin()). The
-  /// ready index carries each flow's slot so the service path never pays
-  /// a second hash probe per packet.
-  std::set<FlowId> flow_order_;
+  /// Explicit rank index preserving the legacy map's ascending-FlowId
+  /// service order over the flows with queued packets (dequeue takes
+  /// begin()). It carries each flow's slot so the service path never pays
+  /// a second index probe per packet.
   std::set<std::pair<FlowId, std::uint32_t>> flow_ready_;
-  /// Running sum of reserved rates; dirty after a remove or a mid-order
-  /// install, recomputed over flow_order_ on the next query.
+  /// Running sum of reserved rates in ascending-FlowId order, and the
+  /// highest reserved FlowId it covers. Dirty after a remove, a modify or
+  /// a mid-order install; recomputed in id order on the next query.
   mutable double reserved_sum_ = 0.0;
+  mutable FlowId reserved_max_id_ = kNoFlow;
   mutable bool reserved_dirty_ = false;
 
   /// Hierarchical policing parent (Config::parent_rate_bps > 0).

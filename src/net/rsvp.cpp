@@ -149,7 +149,7 @@ void RsvpAgent::remove_on_link(NodeId neighbor, FlowId flow) {
   if (auto* q = dynamic_cast<IntServQueue*>(&link->queue())) q->remove_reservation(flow);
 }
 
-void RsvpAgent::handle(NodeId node, Packet&& p) {
+void RsvpAgent::handle([[maybe_unused]] NodeId node, Packet&& p) {
   assert(node == node_);
   switch (p.kind) {
     case PacketKind::RsvpPath:

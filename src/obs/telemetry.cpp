@@ -25,15 +25,11 @@ TelemetryHub::TelemetryHub(TelemetryConfig cfg)
 
 TelemetryHub::FlowState& TelemetryHub::flow_state(std::uint64_t flow) {
   if (flow == mru_flow_ && mru_flow_ != 0) return flows_[mru_slot_];
-  const auto it = flow_index_.find(flow);
-  std::uint32_t slot;
-  if (it != flow_index_.end()) {
-    slot = it->second;
-  } else {
-    slot = static_cast<std::uint32_t>(flows_.size());
+  const auto [slot, inserted] =
+      flow_index_.try_insert(flow, static_cast<std::uint32_t>(flows_.size()));
+  if (inserted) {
     flows_.emplace_back();
     flows_.back().id = flow;
-    flow_index_.emplace(flow, slot);
   }
   mru_flow_ = flow;
   mru_slot_ = slot;
@@ -66,9 +62,9 @@ void TelemetryHub::watch(std::uint64_t flow) {
 }
 
 void TelemetryHub::clear_slo(std::uint64_t flow) {
-  const auto it = flow_index_.find(flow);
-  if (it == flow_index_.end()) return;
-  FlowState& f = flows_[it->second];
+  const std::uint32_t slot = flow_index_.find(flow);
+  if (slot == kNoSlot) return;
+  FlowState& f = flows_[slot];
   f.spec = SloSpec{};
   f.has_spec = false;
   f.bad_streak = 0;
@@ -76,9 +72,9 @@ void TelemetryHub::clear_slo(std::uint64_t flow) {
 }
 
 const SloSpec* TelemetryHub::slo(std::uint64_t flow) const {
-  const auto it = flow_index_.find(flow);
-  if (it == flow_index_.end() || !flows_[it->second].has_spec) return nullptr;
-  return &flows_[it->second].spec;
+  const std::uint32_t slot = flow_index_.find(flow);
+  if (slot == kNoSlot || !flows_[slot].has_spec) return nullptr;
+  return &flows_[slot].spec;
 }
 
 void TelemetryHub::roll(FlowState& f, std::int64_t now_ns) {
@@ -288,13 +284,13 @@ void TelemetryHub::on_reserve_overrun(std::uint64_t reserve_id, TimePoint now) {
 void TelemetryHub::poll(TimePoint now) {
   // Ascending flow-id order so same-boundary health events from different
   // flows land in the stream in a deterministic order.
-  std::vector<std::uint64_t> ids;
-  ids.reserve(flows_.size());
-  for (const FlowState& f : flows_) {
-    if (f.windowed) ids.push_back(f.id);
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> order;
+  order.reserve(flows_.size());
+  for (std::uint32_t slot = 0; slot < flows_.size(); ++slot) {
+    if (flows_[slot].windowed) order.emplace_back(flows_[slot].id, slot);
   }
-  std::sort(ids.begin(), ids.end());
-  for (const std::uint64_t id : ids) roll(flows_[flow_index_.at(id)], now.ns());
+  std::sort(order.begin(), order.end());
+  for (const auto& [id, slot] : order) roll(flows_[slot], now.ns());
 }
 
 void TelemetryHub::finalize(TimePoint now) {
@@ -308,8 +304,8 @@ void TelemetryHub::finalize(TimePoint now) {
 }
 
 bool TelemetryHub::breached(std::uint64_t flow) const {
-  const auto it = flow_index_.find(flow);
-  return it != flow_index_.end() && flows_[it->second].breached;
+  const std::uint32_t slot = flow_index_.find(flow);
+  return slot != kNoSlot && flows_[slot].breached;
 }
 
 WindowStats TelemetryHub::window(std::uint64_t flow, TimePoint now) {
@@ -331,12 +327,14 @@ HealthReport TelemetryHub::report() const {
 
 void TelemetryHub::export_metrics(MetricsRegistry& reg, std::string_view prefix) const {
   const std::string p(prefix);
-  std::vector<std::uint64_t> ids;
-  ids.reserve(flows_.size());
-  for (const FlowState& f : flows_) ids.push_back(f.id);
-  std::sort(ids.begin(), ids.end());
-  for (const std::uint64_t id : ids) {
-    const FlowState& f = flows_[flow_index_.at(id)];
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> order;
+  order.reserve(flows_.size());
+  for (std::uint32_t slot = 0; slot < flows_.size(); ++slot) {
+    order.emplace_back(flows_[slot].id, slot);
+  }
+  std::sort(order.begin(), order.end());
+  for (const auto& [id, slot] : order) {
+    const FlowState& f = flows_[slot];
     const std::string fp = p + ".flow" + std::to_string(id);
     reg.counter(fp + ".calls").inc(f.total_calls);
     reg.counter(fp + ".deadline_misses").inc(f.total_misses);

@@ -33,9 +33,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_index.hpp"
 #include "common/stats.hpp"
 #include "common/time.hpp"
 #include "obs/metrics.hpp"
@@ -289,7 +289,7 @@ class TelemetryHub {
   // pointer, the bucket width, and the latency layout bucket_index()
   // consults. Keep declaration order (= memory order) tight here.
   std::int64_t bucket_ns_;
-  // MRU cache: the last flow touched, to skip the hash lookup on runs of
+  // MRU cache: the last flow touched, to skip the index probe on runs of
   // observations for the same flow (the common case on the hot path).
   std::uint64_t mru_flow_ = 0;
   std::uint32_t mru_slot_ = 0;
@@ -298,7 +298,7 @@ class TelemetryHub {
 
   std::int64_t window_ns_;
   Histogram window_scratch_;  // merge target for window_stats()
-  std::unordered_map<std::uint64_t, std::uint32_t> flow_index_;
+  FlatIndex<std::uint64_t> flow_index_;  // flow id -> position in flows_
 
   std::vector<HealthEvent> events_;
   std::vector<FlightDump> dumps_;

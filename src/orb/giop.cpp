@@ -32,12 +32,6 @@ void read_contexts_into(CdrReader& r, std::vector<ServiceContext>& out) {
   }
 }
 
-std::vector<ServiceContext> read_contexts(CdrReader& r) {
-  std::vector<ServiceContext> out;
-  read_contexts_into(r, out);
-  return out;
-}
-
 void finish(CdrWriter& w) {
   // Patch msg_size = bytes after the 12-byte header.
   w.patch_u32(8, static_cast<std::uint32_t>(w.size() - kHeaderSize));

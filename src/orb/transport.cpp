@@ -133,16 +133,16 @@ std::uint32_t GiopTransport::staging_slot(net::NodeId dst, net::Dscp dscp,
   if (dst == last_dst_ && dscp == last_dscp_ && flow == last_flow_) {
     return last_slot_;
   }
-  const std::uint64_t hi = staging_hi(dst, dscp);
-  std::uint32_t slot = staging_index_.find(hi, flow);
-  if (slot == Key128Map::kNoSlot) {
+  const Key128 key = staging_key(dst, dscp, flow);
+  std::uint32_t slot = staging_index_.find(key);
+  if (slot == kNoSlot) {
     slot = static_cast<std::uint32_t>(staging_.size());
     Staging s;
     s.dst = dst;
     s.dscp = dscp;
     s.flow = flow;
     staging_.push_back(std::move(s));
-    staging_index_.insert(hi, flow, slot);
+    staging_index_.insert(key, slot);
   }
   last_dst_ = dst;
   last_dscp_ = dscp;
@@ -152,8 +152,8 @@ std::uint32_t GiopTransport::staging_slot(net::NodeId dst, net::Dscp dscp,
 }
 
 void GiopTransport::flush(net::NodeId dst, net::Dscp dscp, net::FlowId flow) {
-  const std::uint32_t slot = staging_index_.find(staging_hi(dst, dscp), flow);
-  if (slot != Key128Map::kNoSlot) flush_slot(slot);
+  const std::uint32_t slot = staging_index_.find(staging_key(dst, dscp, flow));
+  if (slot != kNoSlot) flush_slot(slot);
 }
 
 void GiopTransport::flush_all() {
@@ -252,7 +252,7 @@ std::uint32_t GiopTransport::acquire_reassembly_slot() {
 
 void GiopTransport::release_reassembly_slot(std::uint32_t slot) {
   Reassembly& r = reassembly_slots_[slot];
-  reassembly_index_.erase(reassembly_hi(r.src), r.message_id);
+  reassembly_index_.erase(reassembly_key(r.src, r.message_id));
   // Drop the message reference now (the sender's pooled buffer recycles),
   // but keep the `seen` bitmap's capacity for the next message in this slot
   // — the zero-alloc steady-state receive path depends on it.
@@ -281,8 +281,8 @@ void GiopTransport::on_packet(net::Packet&& p) {
     return;
   }
 
-  std::uint32_t slot = reassembly_index_.find(reassembly_hi(p.src), frag->message_id);
-  if (slot == Key128Map::kNoSlot) {
+  std::uint32_t slot = reassembly_index_.find(reassembly_key(p.src, frag->message_id));
+  if (slot == kNoSlot) {
     slot = acquire_reassembly_slot();
     Reassembly& r = reassembly_slots_[slot];
     r.expected = frag->count;
@@ -295,7 +295,7 @@ void GiopTransport::on_packet(net::Packet&& p) {
     r.expiry = net_.engine().after(
         config_.reassembly_timeout,
         [this, src = p.src, id = frag->message_id] { expire(src, id); });
-    reassembly_index_.insert(reassembly_hi(p.src), frag->message_id, slot);
+    reassembly_index_.insert(reassembly_key(p.src, frag->message_id), slot);
   }
   Reassembly& r = reassembly_slots_[slot];
   if (frag->index >= r.expected) return;  // garbage
@@ -346,8 +346,8 @@ void GiopTransport::deliver(net::NodeId src, MessageBuffer msg) {
 }
 
 void GiopTransport::expire(net::NodeId src, std::uint64_t message_id) {
-  const std::uint32_t slot = reassembly_index_.find(reassembly_hi(src), message_id);
-  if (slot == Key128Map::kNoSlot) return;
+  const std::uint32_t slot = reassembly_index_.find(reassembly_key(src, message_id));
+  if (slot == kNoSlot) return;
   const std::uint64_t trace = reassembly_slots_[slot].trace;
   const std::uint32_t missing =
       reassembly_slots_[slot].expected - reassembly_slots_[slot].arrived;

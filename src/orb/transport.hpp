@@ -23,12 +23,12 @@
 #include <span>
 #include <vector>
 
+#include "common/flat_index.hpp"
 #include "common/time.hpp"
 #include "net/flow_table.hpp"
 #include "net/network.hpp"
 #include "obs/trace.hpp"
 #include "orb/buffer_pool.hpp"  // MessageBuffer
-#include "orb/flat_index.hpp"
 #include "sim/engine.hpp"
 
 namespace aqm::orb {
@@ -203,11 +203,12 @@ class GiopTransport {
   std::uint32_t acquire_reassembly_slot();
   void release_reassembly_slot(std::uint32_t slot);
 
-  [[nodiscard]] static std::uint64_t reassembly_hi(net::NodeId src) {
-    return static_cast<std::uint32_t>(src);
+  [[nodiscard]] static Key128 reassembly_key(net::NodeId src, std::uint64_t message_id) {
+    return {static_cast<std::uint32_t>(src), message_id};
   }
-  [[nodiscard]] static std::uint64_t staging_hi(net::NodeId dst, net::Dscp dscp) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)) << 8) | dscp;
+  [[nodiscard]] static Key128 staging_key(net::NodeId dst, net::Dscp dscp,
+                                          net::FlowId flow) {
+    return {(static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)) << 8) | dscp, flow};
   }
 
   /// Engine recorder iff ORB tracing is on; binds the "giop:<node>" lane on
@@ -224,13 +225,13 @@ class GiopTransport {
 
   // Reassembly: flat (src, message_id)-keyed index over a recycled slot
   // arena — the steady-state receive path touches no allocator.
-  Key128Map reassembly_index_;
+  FlatIndex<Key128> reassembly_index_;
   std::vector<Reassembly> reassembly_slots_;
   std::vector<std::uint32_t> reassembly_free_;
 
   // Coalescing: flat (dst, dscp, flow)-keyed index over persistent slots;
   // staging buffers are recycled through the batch buffer pool.
-  Key128Map staging_index_;
+  FlatIndex<Key128> staging_index_;
   std::vector<Staging> staging_;
   CdrBufferPool batch_pool_;
   net::FlowMap<BatchPolicy> flow_batching_;
@@ -240,7 +241,7 @@ class GiopTransport {
   net::NodeId last_dst_ = net::kInvalidNode;
   net::Dscp last_dscp_ = 0;
   net::FlowId last_flow_ = net::kNoFlow;
-  std::uint32_t last_slot_ = Key128Map::kNoSlot;
+  std::uint32_t last_slot_ = kNoSlot;
 
   std::uint64_t sent_ = 0;
   std::uint64_t delivered_ = 0;

@@ -35,7 +35,9 @@ void ParallelRunner::run(std::size_t n,
   auto worker = [&](std::size_t w) {
     // Tag this worker's log lines so interleaved shard output stays
     // attributable when trials log concurrently.
-    Log::set_thread_tag("w" + std::to_string(w));
+    std::string tag = "w";
+    tag += std::to_string(w);
+    Log::set_thread_tag(std::move(tag));
     for (;;) {
       if (abort.load(std::memory_order_relaxed)) return;
       const std::size_t i = ticket.fetch_add(1, std::memory_order_relaxed);

@@ -52,17 +52,20 @@ namespace {
 std::uint64_t g_heap_allocs = 0;
 }  // namespace
 
-void* operator new(std::size_t n) {
+// The plain new/delete pair stays out of line and every other form forwards
+// to it: callers then see operator new matched with operator delete, never
+// an inlined malloc() meeting a delete (or a new meeting a free()).
+[[gnu::noinline]] void* operator new(std::size_t n) {
   ++g_heap_allocs;
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace aqm::core {
 namespace {

@@ -113,9 +113,12 @@ Outcome run_script(const std::vector<Op>& script, const CpuConfig& base_config,
         }
         case Op::Kind::UpdateReserve:
           if (!created.empty()) {
-            cpu.update_reserve(
+            const auto s = cpu.update_reserve(
                 created[static_cast<std::size_t>(op.reserve_slot) % created.size()],
                 {op.compute, op.period, op.hard});
+            // Admission outcomes are observable too: record them with the probes.
+            out.probes.push_back(std::to_string(engine.now().ns()) +
+                                 ":update=" + (s.ok() ? "ok" : s.error()));
           }
           break;
         case Op::Kind::DestroyReserve:

@@ -12,12 +12,15 @@
 //    fewer simulator events to get there.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -207,7 +210,9 @@ TEST(Experiment, WorkerCountInvariance) {
 TEST(Experiment, ResultsKeepAddOrder) {
   core::Experiment<std::size_t> exp;
   for (std::size_t i = 0; i < 16; ++i) {
-    exp.add("t" + std::to_string(i), i, [](const core::TrialSpec& s) { return s.index; });
+    std::string name = "t";
+    name += std::to_string(i);
+    exp.add(name, i, [](const core::TrialSpec& s) { return s.index; });
   }
   core::ExperimentOptions opts;
   opts.jobs = 4;
@@ -221,7 +226,12 @@ TEST(Experiment, ResultsKeepAddOrder) {
 struct LinkCase {
   double loss_probability = 0.0;
   bool gated = false;  // IntServ token-bucket egress with one reserved flow
+  Duration propagation = net::LinkConfig{}.propagation;
+  std::uint32_t packet_bytes = net::kDefaultMtu;
 };
+
+/// One delivered packet: (flow, seq, delivery instant in ns).
+using Delivery = std::tuple<net::FlowId, std::uint64_t, std::int64_t>;
 
 struct LinkCaseStats {
   net::FlowCounters flow_a;
@@ -229,6 +239,7 @@ struct LinkCaseStats {
   std::uint64_t transmitted = 0;
   std::uint64_t corrupted = 0;
   std::uint64_t events_executed = 0;
+  std::vector<Delivery> deliveries;  // in delivery order
 
   static bool same_flow(const net::FlowCounters& x, const net::FlowCounters& y) {
     return x.sent == y.sent && x.delivered == y.delivered && x.dropped == y.dropped &&
@@ -249,6 +260,7 @@ LinkCaseStats run_link_case(bool coalesced, const LinkCase& c) {
   cfg.coalesced_events = coalesced;
   cfg.loss_probability = c.loss_probability;
   cfg.loss_seed = 99;
+  cfg.propagation = c.propagation;
 
   std::unique_ptr<net::Queue> egress;
   if (c.gated) {
@@ -263,11 +275,16 @@ LinkCaseStats run_link_case(bool coalesced, const LinkCase& c) {
   }
   net::Link& link = net.add_link(a, b, cfg, std::move(egress));
   net.add_link(b, a, cfg);
+  LinkCaseStats s;
+  net.set_receiver(b, [&](net::Packet&& p) {
+    s.deliveries.emplace_back(p.flow, p.seq, engine.now().ns());
+  });
 
   net::TrafficGenerator::Config f5;
   f5.src = a;
   f5.dst = b;
   f5.flow = 5;
+  f5.packet_bytes = c.packet_bytes;
   f5.rate_bps = 8e6;
   f5.poisson = true;
   net::TrafficGenerator gen5(net, f5, /*trial_seed=*/101);
@@ -283,7 +300,6 @@ LinkCaseStats run_link_case(bool coalesced, const LinkCase& c) {
   gen6.run_between(TimePoint::zero(), stop);
   engine.run();
 
-  LinkCaseStats s;
   s.flow_a = net.flow(5);
   s.flow_b = net.flow(6);
   s.transmitted = link.packets_transmitted();
@@ -292,7 +308,19 @@ LinkCaseStats run_link_case(bool coalesced, const LinkCase& c) {
   return s;
 }
 
-void expect_equivalent(const LinkCase& c, const char* what) {
+/// Most deliveries that fall within one propagation delay of each other:
+/// the deepest the link's in-flight FIFO got.
+std::size_t max_in_flight(const std::vector<Delivery>& log, Duration propagation) {
+  std::size_t best = 0;
+  std::size_t lo = 0;
+  for (std::size_t hi = 0; hi < log.size(); ++hi) {
+    while (std::get<2>(log[lo]) <= std::get<2>(log[hi]) - propagation.ns()) ++lo;
+    best = std::max(best, hi - lo + 1);
+  }
+  return best;
+}
+
+LinkCaseStats expect_equivalent(const LinkCase& c, const char* what) {
   const LinkCaseStats legacy = run_link_case(false, c);
   const LinkCaseStats coalesced = run_link_case(true, c);
 
@@ -305,8 +333,14 @@ void expect_equivalent(const LinkCase& c, const char* what) {
   EXPECT_TRUE(LinkCaseStats::same_flow(legacy.flow_b, coalesced.flow_b)) << what;
   EXPECT_EQ(legacy.transmitted, coalesced.transmitted) << what;
   EXPECT_EQ(legacy.corrupted, coalesced.corrupted) << what;
+  // Per packet, not only in aggregate: same packets, same order, same
+  // delivery instants.
+  EXPECT_EQ(legacy.deliveries.size(), legacy.flow_a.delivered + legacy.flow_b.delivered)
+      << what;
+  EXPECT_EQ(legacy.deliveries, coalesced.deliveries) << what;
   // The point of the change: same observable outcome, fewer events.
   EXPECT_LT(coalesced.events_executed, legacy.events_executed) << what;
+  return coalesced;
 }
 
 TEST(LinkCoalescing, EquivalentOnSaturatedDropTail) {
@@ -330,6 +364,29 @@ TEST(LinkCoalescing, EquivalentGatedAndLossy) {
   c.gated = true;
   c.loss_probability = 0.03;
   expect_equivalent(c, "gated+lossy");
+}
+
+/// Propagation far longer than transmission (20 ms against 0.8 ms for a
+/// 1000-byte packet at 10 Mbps) keeps about 25 packets in flight at once,
+/// so every delivery pops a deep in-flight FIFO on the coalesced link.
+TEST(LinkCoalescing, InFlightFifoOnLongPropagation) {
+  LinkCase c;
+  c.propagation = milliseconds(20);
+  c.packet_bytes = 1000;
+  const LinkCaseStats s = expect_equivalent(c, "long propagation");
+  EXPECT_GE(max_in_flight(s.deliveries, c.propagation), 24u);
+}
+
+/// Same, with corrupted packets interleaved: they take the separate drop
+/// event and must never enter the in-flight FIFO.
+TEST(LinkCoalescing, InFlightFifoOnLongPropagationLossy) {
+  LinkCase c;
+  c.propagation = milliseconds(20);
+  c.packet_bytes = 1000;
+  c.loss_probability = 0.2;
+  const LinkCaseStats s = expect_equivalent(c, "long propagation, lossy");
+  EXPECT_GT(s.corrupted, 0u);
+  EXPECT_GE(max_in_flight(s.deliveries, c.propagation), 15u);
 }
 
 /// Steady-state event cost: on a long saturated drain the coalesced

@@ -213,9 +213,9 @@ void BM_GiopPipelined(benchmark::State& state) {
   orb::CdrBufferPool client_pool;
   orb::CdrBufferPool server_pool;
   orb::GiopMessage scratch;
-  orb::RequestHeader req;
-  req.object_key = "sink";
-  req.operation = "op";
+  orb::RequestHeader req{
+      .request_id = 0, .response_expected = true, .object_key = "sink", .operation = "op",
+      .contexts = {}};
   orb::ReplyHeader rep;
   const std::vector<std::uint8_t> body(static_cast<std::size_t>(state.range(0)));
 

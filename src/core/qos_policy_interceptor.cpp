@@ -14,16 +14,43 @@ QosPolicyInterceptor* QosPolicyInterceptor::find(orb::OrbEndpoint& orb) {
   return static_cast<QosPolicyInterceptor*>(orb.find_client_interceptor(kName));
 }
 
+Key128 QosPolicyInterceptor::index_key(net::NodeId node, std::string_view object_key) {
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a
+  for (const char c : object_key) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return Key128{static_cast<std::uint32_t>(node), h};
+}
+
 void QosPolicyInterceptor::bind(net::NodeId node, std::string object_key,
                                 EndToEndQosPolicy policy) {
-  // Re-stamp in place when the binding exists: the map nodes (and the
-  // object-key string) are reused, so a live policy change allocates
+  // Re-stamp in place when the binding exists: the binding (and its
+  // object-key string) is reused, so a live policy change allocates
   // nothing after the first bind.
   if (rebind(node, object_key, policy)) return;
-  Binding binding;
-  binding.state.policy = std::move(policy);
-  binding.state.version = 1;
-  bindings_[node].insert_or_assign(std::move(object_key), std::move(binding));
+  std::uint32_t slot;
+  if (!free_bindings_.empty()) {
+    slot = free_bindings_.back();
+    free_bindings_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(bindings_.size());
+    bindings_.push_back(std::make_unique<Binding>());
+  }
+  Binding& b = *bindings_[slot];
+  b.node = node;
+  b.object_key = std::move(object_key);
+  b.state = QosBindingState{std::move(policy), 1};
+  b.banded = orb::rt::BandedDscpMapping{};
+  b.next = kNoSlot;
+  const Key128 key = index_key(node, b.object_key);
+  std::uint32_t i = index_.find(key);
+  if (i == kNoSlot) {
+    index_.insert(key, slot);
+    return;
+  }
+  while (bindings_[i]->next != kNoSlot) i = bindings_[i]->next;
+  bindings_[i]->next = slot;
 }
 
 bool QosPolicyInterceptor::rebind(net::NodeId node, std::string_view object_key,
@@ -36,20 +63,30 @@ bool QosPolicyInterceptor::rebind(net::NodeId node, std::string_view object_key,
 }
 
 void QosPolicyInterceptor::unbind(net::NodeId node, std::string_view object_key) {
-  const auto nit = bindings_.find(node);
-  if (nit == bindings_.end()) return;
-  const auto bit = nit->second.find(object_key);
-  if (bit == nit->second.end()) return;
-  nit->second.erase(bit);
-  if (nit->second.empty()) bindings_.erase(nit);
+  const Key128 key = index_key(node, object_key);
+  std::uint32_t prev = kNoSlot;
+  for (std::uint32_t i = index_.find(key); i != kNoSlot; prev = i, i = bindings_[i]->next) {
+    Binding& b = *bindings_[i];
+    if (b.node != node || b.object_key != object_key) continue;
+    if (prev != kNoSlot) {
+      bindings_[prev]->next = b.next;
+    } else {
+      index_.erase(key);
+      if (b.next != kNoSlot) index_.insert(key, b.next);
+    }
+    free_bindings_.push_back(i);
+    return;
+  }
 }
 
 const QosPolicyInterceptor::Binding* QosPolicyInterceptor::lookup(
     net::NodeId node, std::string_view object_key) const {
-  const auto nit = bindings_.find(node);
-  if (nit == bindings_.end()) return nullptr;
-  const auto bit = nit->second.find(object_key);
-  return bit == nit->second.end() ? nullptr : &bit->second;
+  for (std::uint32_t i = index_.find(index_key(node, object_key)); i != kNoSlot;
+       i = bindings_[i]->next) {
+    const Binding& b = *bindings_[i];
+    if (b.node == node && b.object_key == object_key) return &b;
+  }
+  return nullptr;
 }
 
 QosPolicyInterceptor::Binding* QosPolicyInterceptor::lookup_mut(

@@ -10,11 +10,13 @@
 // not per-invocation work.
 #pragma once
 
-#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "common/flat_index.hpp"
 #include "core/qos_policy.hpp"
 #include "orb/interceptor.hpp"
 #include "orb/rt/dscp_mapping.hpp"
@@ -50,8 +52,9 @@ class QosPolicyInterceptor final : public orb::ClientRequestInterceptor {
 
   /// Binds (or re-stamps) the policy governing invocations of the given
   /// target reference. An existing binding is mutated in place — the
-  /// version bumps, map nodes are reused, and the steady-state re-stamp
-  /// path allocates nothing (EndToEndQosPolicy is allocation-free to copy).
+  /// version bumps, its state keeps its address, and the steady-state
+  /// re-stamp path allocates nothing (EndToEndQosPolicy is allocation-free
+  /// to copy).
   void bind(net::NodeId node, std::string object_key, EndToEndQosPolicy policy);
   /// Allocation-free re-stamp of an existing binding: returns false (and
   /// changes nothing) when the target has no binding, so callers that may
@@ -76,18 +79,28 @@ class QosPolicyInterceptor final : public orb::ClientRequestInterceptor {
 
  private:
   struct Binding {
+    net::NodeId node = net::kInvalidNode;
+    std::string object_key;
     QosBindingState state;
     /// Per-binding priority->DSCP bands (used iff policy.map_priority_to_dscp),
     /// so one binding's mapping never leaks onto other traffic of the ORB.
     orb::rt::BandedDscpMapping banded;
+    /// Next binding whose (node, key hash) index key is the same.
+    std::uint32_t next = kNoSlot;
   };
 
+  /// (node, 64-bit hash of the object key): the index key of a target.
+  [[nodiscard]] static Key128 index_key(net::NodeId node, std::string_view object_key);
   [[nodiscard]] const Binding* lookup(net::NodeId node, std::string_view object_key) const;
   [[nodiscard]] Binding* lookup_mut(net::NodeId node, std::string_view object_key);
 
-  // Nested maps with a transparent inner comparator: the establish-phase
-  // lookup takes a string_view and allocates nothing.
-  std::map<net::NodeId, std::map<std::string, Binding, std::less<>>> bindings_;
+  // The establish-phase lookup is one index probe plus one string compare
+  // to confirm the key; it allocates nothing. Bindings are individually
+  // allocated so a binding's state keeps its address for its lifetime;
+  // targets whose index keys collide chain through Binding::next.
+  FlatIndex<Key128> index_;
+  std::vector<std::unique_ptr<Binding>> bindings_;
+  std::vector<std::uint32_t> free_bindings_;
 };
 
 }  // namespace aqm::core

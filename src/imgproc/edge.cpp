@@ -8,81 +8,78 @@
 namespace aqm::img {
 namespace {
 
-using Kernel = std::array<int, 9>;
+/// The clamped 3x3 neighbourhood of one pixel, in row-major kernel order:
+///  0 1 2
+///  3 4 5
+///  6 7 8
+using Window = std::array<int, 9>;
 
-int apply_kernel(const GrayImage& in, int x, int y, const Kernel& k) {
-  int acc = 0;
-  int idx = 0;
-  for (int dy = -1; dy <= 1; ++dy) {
-    for (int dx = -1; dx <= 1; ++dx) {
-      acc += k[static_cast<std::size_t>(idx++)] * in.at_clamped(x + dx, y + dy);
+/// Calls fn(x, y, window) for every pixel. The border replicates the edge
+/// pixels (GrayImage::at_clamped); each window is loaded once, from three
+/// row pointers and clamped column indices.
+template <typename Fn>
+void for_each_window(const GrayImage& in, Fn&& fn) {
+  const int w = in.width();
+  const int h = in.height();
+  const std::uint8_t* px = in.data().data();
+  for (int y = 0; y < h; ++y) {
+    const std::uint8_t* up = px + static_cast<std::ptrdiff_t>(std::max(y - 1, 0)) * w;
+    const std::uint8_t* mid = px + static_cast<std::ptrdiff_t>(y) * w;
+    const std::uint8_t* down = px + static_cast<std::ptrdiff_t>(std::min(y + 1, h - 1)) * w;
+    for (int x = 0; x < w; ++x) {
+      const int l = std::max(x - 1, 0);
+      const int r = std::min(x + 1, w - 1);
+      const Window n{up[l], up[x], up[r], mid[l], mid[x], mid[r], down[l], down[x], down[r]};
+      fn(x, y, n);
     }
   }
-  return acc;
 }
 
-/// |Gx| + |Gy| gradient magnitude, scaled into [0, 255].
-GrayImage two_kernel_gradient(const GrayImage& in, const Kernel& gx, const Kernel& gy,
-                              int norm) {
+/// |Gx| + |Gy| gradient magnitude with centre-column weight `c` (1 for
+/// Prewitt, 2 for Sobel), scaled into [0, 255].
+GrayImage two_kernel_gradient(const GrayImage& in, int c, int norm) {
   GrayImage out(in.width(), in.height());
-  for (int y = 0; y < in.height(); ++y) {
-    for (int x = 0; x < in.width(); ++x) {
-      const int mag = std::abs(apply_kernel(in, x, y, gx)) +
-                      std::abs(apply_kernel(in, x, y, gy));
-      out.at(x, y) = static_cast<std::uint8_t>(std::min(255, mag / norm));
-    }
-  }
+  for_each_window(in, [&](int x, int y, const Window& n) {
+    const int gx = (n[2] + c * n[5] + n[8]) - (n[0] + c * n[3] + n[6]);
+    const int gy = (n[6] + c * n[7] + n[8]) - (n[0] + c * n[1] + n[2]);
+    out.at(x, y) = static_cast<std::uint8_t>(std::min(255, (std::abs(gx) + std::abs(gy)) / norm));
+  });
   return out;
 }
 
 }  // namespace
 
 GrayImage prewitt(const GrayImage& in) {
-  static constexpr Kernel gx{-1, 0, 1, -1, 0, 1, -1, 0, 1};
-  static constexpr Kernel gy{-1, -1, -1, 0, 0, 0, 1, 1, 1};
-  // Max |Gx|+|Gy| = 6*255; scale by 3 to keep contrast while clamping.
-  return two_kernel_gradient(in, gx, gy, 3);
+  // Gx = [-1 0 1; -1 0 1; -1 0 1], Gy its transpose. Max |Gx|+|Gy| =
+  // 6*255; scale by 3 to keep contrast while clamping.
+  return two_kernel_gradient(in, 1, 3);
 }
 
 GrayImage sobel(const GrayImage& in) {
-  static constexpr Kernel gx{-1, 0, 1, -2, 0, 2, -1, 0, 1};
-  static constexpr Kernel gy{-1, -2, -1, 0, 0, 0, 1, 2, 1};
-  return two_kernel_gradient(in, gx, gy, 4);
+  // Gx = [-1 0 1; -2 0 2; -1 0 1], Gy its transpose.
+  return two_kernel_gradient(in, 2, 4);
 }
 
 GrayImage kirsch(const GrayImage& in) {
-  // The 8 Kirsch compass masks: three 5s rotate around the 8-neighbour
-  // ring, the rest are -3 (every mask sums to zero). Generated instead of
-  // hand-written so the rotation cannot be botched.
-  static const std::array<Kernel, 8> masks = [] {
-    // Ring positions clockwise from top-left in kernel index space:
-    //  0 1 2
-    //  3 4 5      ring: 0,1,2,5,8,7,6,3
-    //  6 7 8
-    constexpr std::array<int, 8> ring{0, 1, 2, 5, 8, 7, 6, 3};
-    std::array<Kernel, 8> out{};
-    for (std::size_t rot = 0; rot < 8; ++rot) {
-      Kernel k{};
-      k.fill(-3);
-      k[4] = 0;
-      for (std::size_t i = 0; i < 3; ++i) {
-        k[static_cast<std::size_t>(ring[(rot + i) % 8])] = 5;
-      }
-      out[rot] = k;
-    }
-    return out;
-  }();
+  // The 8 Kirsch compass masks put 5 on three consecutive pixels of the
+  // 8-neighbour ring and -3 on the other five (every mask sums to zero,
+  // the centre weighs 0). So a mask's response is
+  // 5*three - 3*(ring - three) = 8*three - 3*ring, and the best mask is
+  // the rotation with the largest run of three.
   GrayImage out(in.width(), in.height());
-  for (int y = 0; y < in.height(); ++y) {
-    for (int x = 0; x < in.width(); ++x) {
-      int best = 0;
-      for (const auto& m : masks) {
-        best = std::max(best, apply_kernel(in, x, y, m));
-      }
-      // Max response is 15*255; scale by 8.
-      out.at(x, y) = static_cast<std::uint8_t>(std::min(255, best / 8));
+  for_each_window(in, [&](int x, int y, const Window& n) {
+    // Ring clockwise from top-left: 0,1,2,5,8,7,6,3.
+    const std::array<int, 8> ring{n[0], n[1], n[2], n[5], n[8], n[7], n[6], n[3]};
+    int sum = 0;
+    for (const int v : ring) sum += v;
+    int three = 0;
+    for (std::size_t rot = 0; rot < 8; ++rot) {
+      three = std::max(three, ring[rot] + ring[(rot + 1) % 8] + ring[(rot + 2) % 8]);
     }
-  }
+    const int best = std::max(0, 8 * three - 3 * sum);
+    // Max response is 15*255; scale by 8.
+    out.at(x, y) = static_cast<std::uint8_t>(std::min(255, best / 8));
+  });
   return out;
 }
 

@@ -10,6 +10,11 @@ DrrQueue::DrrQueue(DrrConfig config) : config_(config) {
   assert(config_.quantum_bytes > 0);
   assert(std::all_of(config_.weights.begin(), config_.weights.end(),
                      [](auto w) { return w > 0; }));
+  bind_packet_pool(own_packet_pool());
+}
+
+void DrrQueue::bind_packet_pool(PacketChunkPool& pool) {
+  for (ClassState& c : classes_) c.q.bind(pool);
 }
 
 std::optional<Packet> DrrQueue::enqueue(Packet p, TimePoint /*now*/) {
@@ -25,7 +30,7 @@ std::optional<Packet> DrrQueue::enqueue(Packet p, TimePoint /*now*/) {
   if (!state.in_active_list) {
     state.in_active_list = true;
     state.deficit = 0;  // credit granted when its turn comes
-    active_.push_back(cls);
+    active_push(cls);
   }
   return std::nullopt;
 }
@@ -42,8 +47,8 @@ std::optional<Packet> DrrQueue::dequeue(TimePoint /*now*/) {
   // (ceil(max_packet / (quantum * weight)) rounds at worst).
   std::size_t rotations = 0;
   const std::size_t rotation_cap = 100'000;  // sanity bound
-  while (!active_.empty() && rotations < rotation_cap) {
-    const std::size_t cls = active_.front();
+  while (active_count_ > 0 && rotations < rotation_cap) {
+    const std::size_t cls = active_[active_head_];
     ClassState& state = classes_[cls];
     assert(!state.q.empty());
     if (!state.granted_this_round) {
@@ -52,8 +57,7 @@ std::optional<Packet> DrrQueue::dequeue(TimePoint /*now*/) {
       state.granted_this_round = true;
     }
     if (state.deficit >= static_cast<std::int64_t>(state.q.front().size_bytes)) {
-      Packet p = std::move(state.q.front());
-      state.q.pop_front();
+      Packet p = state.q.pop_front();
       state.deficit -= p.size_bytes;
       state.bytes_sent += p.size_bytes;
       bytes_ -= p.size_bytes;
@@ -62,14 +66,13 @@ std::optional<Packet> DrrQueue::dequeue(TimePoint /*now*/) {
         state.in_active_list = false;
         state.granted_this_round = false;
         state.deficit = 0;  // an idle class must not hoard credit
-        active_.pop_front();
+        active_pop();
       }
       return p;
     }
     // Deficit exhausted for this round: rotate with the residual credit.
     state.granted_this_round = false;
-    active_.pop_front();
-    active_.push_back(cls);
+    active_push(active_pop());
     ++rotations;
   }
   return std::nullopt;

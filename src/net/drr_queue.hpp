@@ -10,8 +10,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <list>
 
 #include "common/time.hpp"
 #include "net/dscp.hpp"
@@ -40,6 +38,7 @@ class DrrQueue final : public Queue {
   [[nodiscard]] std::optional<Duration> next_ready_delay(TimePoint now) const override;
   [[nodiscard]] std::size_t packets() const override;
   [[nodiscard]] std::size_t bytes() const override { return bytes_; }
+  void bind_packet_pool(PacketChunkPool& pool) override;
 
   [[nodiscard]] std::size_t class_packets(PhbClass c) const {
     return classes_[static_cast<std::size_t>(c)].q.size();
@@ -50,7 +49,7 @@ class DrrQueue final : public Queue {
 
  private:
   struct ClassState {
-    std::deque<Packet> q;
+    PacketFifo q;
     std::int64_t deficit = 0;
     bool in_active_list = false;
     bool granted_this_round = false;
@@ -59,7 +58,20 @@ class DrrQueue final : public Queue {
 
   DrrConfig config_;
   std::array<ClassState, kPhbClassCount> classes_;
-  std::list<std::size_t> active_;  // round-robin order of backlogged classes
+  /// Round-robin order of the backlogged classes: a ring over the class
+  /// indices (each class is in it at most once).
+  std::array<std::size_t, kPhbClassCount> active_{};
+  std::size_t active_head_ = 0;
+  std::size_t active_count_ = 0;
+  void active_push(std::size_t cls) {
+    active_[(active_head_ + active_count_++) % kPhbClassCount] = cls;
+  }
+  std::size_t active_pop() {
+    const std::size_t cls = active_[active_head_];
+    active_head_ = (active_head_ + 1) % kPhbClassCount;
+    --active_count_;
+    return cls;
+  }
   std::size_t bytes_ = 0;
 };
 

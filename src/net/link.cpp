@@ -191,8 +191,7 @@ void Link::start_tx(Packet p, TimePoint t) {
     // handler buffer, where a captured Packet would cost a heap allocation.
     in_flight_.push_back(std::move(p));
     engine_.at(avail_at_ + config_.propagation, [this] {
-      Packet p = std::move(in_flight_.front());
-      in_flight_.pop_front();
+      Packet p = in_flight_.pop_front();
       pump();
       if (obs::TraceRecorder* tr = net_tracer()) {
         tr->instant(obs::TraceCategory::Net, "deliver", trace_track_, engine_.now(),

@@ -17,8 +17,9 @@
 //    wait in an in-flight FIFO; the delivery event captures only the link
 //    and pops the front, which is safe because delivery instants never
 //    decrease in commit order and the engine fires ties in scheduling
-//    order. The event fits the engine's inline handler buffer, so a hop
-//    costs no heap allocation for its closure (DESIGN.md §10).
+//    order. The event fits the engine's inline handler buffer and the FIFO
+//    draws from the network's packet arena, so a hop costs no heap
+//    allocation (DESIGN.md §10).
 //
 //  * Legacy (config.coalesced_events = false). One event at the end of
 //    serialization plus one per delivery, as a literal store-and-forward
@@ -26,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -68,6 +68,13 @@ class Link {
   [[nodiscard]] const LinkConfig& config() const { return config_; }
   [[nodiscard]] Queue& queue() { return *queue_; }
   [[nodiscard]] const Queue& queue() const { return *queue_; }
+
+  /// Moves the egress queue's and the in-flight FIFO's packets onto
+  /// `pool` (Network::add_link hands over the network's shared arena).
+  void bind_packet_pool(PacketChunkPool& pool) {
+    queue_->bind_packet_pool(pool);
+    in_flight_.bind(pool);
+  }
 
   /// Wired by the Network: called when a packet finishes propagation.
   void set_delivery(DeliveryFn fn) { deliver_ = std::move(fn); }
@@ -125,8 +132,9 @@ class Link {
   TimePoint avail_at_ = TimePoint::zero();
   bool decision_pending_ = false;
   /// Coalesced: committed, uncorrupted packets awaiting their delivery
-  /// event, in commit (= delivery) order.
-  std::deque<Packet> in_flight_;
+  /// event, in commit (= delivery) order. Declared after queue_, so it
+  /// returns its chunks before a private pool goes away.
+  PacketFifo in_flight_{queue_->own_packet_pool()};
   bool busy_ = false;  // legacy path only
   sim::EventId retry_event_{};
   std::uint64_t tx_packets_ = 0;

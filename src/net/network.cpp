@@ -30,6 +30,7 @@ Link& Network::add_link(NodeId from, NodeId to, LinkConfig config,
   if (!queue) queue = default_queue();
   auto link = std::make_unique<Link>(engine_, from, to, config, std::move(queue));
   Link& ref = *link;
+  ref.bind_packet_pool(packet_pool_);
   ref.set_trace_name("link:" + node_name(from) + "->" + node_name(to));
   ref.set_delivery([this, to](Packet&& p) { deliver_local(to, std::move(p)); });
   ref.set_drop_hook([this](const Packet& p) { on_drop(p); });

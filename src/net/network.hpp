@@ -96,6 +96,9 @@ class Network {
 
   [[nodiscard]] sim::Engine& engine() { return engine_; }
 
+  /// The packet arena every link's queue and in-flight FIFO draws from.
+  [[nodiscard]] const PacketChunkPool& packet_pool() const { return packet_pool_; }
+
  private:
   struct Node {
     std::string name;
@@ -122,6 +125,8 @@ class Network {
   }
 
   sim::Engine& engine_;
+  /// Declared before links_ so it outlives every FIFO drawing from it.
+  PacketChunkPool packet_pool_;
   std::vector<Node> nodes_;
   /// Links in creation order, plus a (from,to) key -> position index for
   /// link_between. ensure_routes() sorts the per-node neighbor lists it

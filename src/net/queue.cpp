@@ -25,8 +25,7 @@ std::optional<Packet> DropTailQueue::enqueue(Packet p, TimePoint /*now*/) {
 
 std::optional<Packet> DropTailQueue::dequeue(TimePoint /*now*/) {
   if (q_.empty()) return std::nullopt;
-  Packet p = std::move(q_.front());
-  q_.pop_front();
+  Packet p = q_.pop_front();
   bytes_ -= p.size_bytes;
   count_dequeue();
   return p;
@@ -41,10 +40,17 @@ std::optional<Duration> DropTailQueue::next_ready_delay(TimePoint /*now*/) const
 DiffServQueue::DiffServQueue(std::size_t class_capacity) {
   capacities_.fill(class_capacity);
   assert(class_capacity > 0);
+  bind_packet_pool(own_packet_pool());
 }
 
 DiffServQueue::DiffServQueue(const std::array<std::size_t, kPhbClassCount>& capacities)
-    : capacities_(capacities) {}
+    : capacities_(capacities) {
+  bind_packet_pool(own_packet_pool());
+}
+
+void DiffServQueue::bind_packet_pool(PacketChunkPool& pool) {
+  for (PacketFifo& q : classes_) q.bind(pool);
+}
 
 std::optional<Packet> DiffServQueue::enqueue(Packet p, TimePoint /*now*/) {
   const auto cls = static_cast<std::size_t>(classify(p.dscp));
@@ -65,9 +71,8 @@ std::optional<Packet> DiffServQueue::dequeue(TimePoint /*now*/) {
   // Lowest set bit == highest-priority occupied class: identical pick to
   // the class-order scan, without visiting the empty classes above it.
   const auto cls = static_cast<std::size_t>(std::countr_zero(occupied_classes_));
-  auto& q = classes_[cls];
-  Packet p = std::move(q.front());
-  q.pop_front();
+  PacketFifo& q = classes_[cls];
+  Packet p = q.pop_front();
   if (q.empty()) occupied_classes_ &= ~(1u << cls);
   bytes_ -= p.size_bytes;
   --packets_;
@@ -116,6 +121,48 @@ void IntServQueue::trace_demote(const Packet& p, TimePoint now) {
   }
 }
 
+// --- indexed flow table: ready-flow heap -------------------------------------
+
+void IntServQueue::ready_push(FlowId id, std::uint32_t slot) {
+  ready_.push_back(ReadyFlow{id, slot});
+  ready_sift_up(ready_.size() - 1);
+}
+
+void IntServQueue::ready_erase(std::uint32_t slot) {
+  const std::size_t pos = ready_pos_[slot];
+  const ReadyFlow last = ready_.back();
+  ready_.pop_back();
+  if (pos == ready_.size()) return;
+  ready_set(pos, last);
+  ready_sift_up(pos);
+  ready_sift_down(ready_pos_[last.slot]);
+}
+
+void IntServQueue::ready_sift_up(std::size_t pos) {
+  const ReadyFlow f = ready_[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (ready_[parent].id < f.id) break;
+    ready_set(pos, ready_[parent]);
+    pos = parent;
+  }
+  ready_set(pos, f);
+}
+
+void IntServQueue::ready_sift_down(std::size_t pos) {
+  const ReadyFlow f = ready_[pos];
+  const std::size_t n = ready_.size();
+  for (;;) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && ready_[child + 1].id < ready_[child].id) ++child;
+    if (f.id < ready_[child].id) break;
+    ready_set(pos, ready_[child]);
+    pos = child;
+  }
+  ready_set(pos, f);
+}
+
 // --- indexed flow table: pool + per-flow FIFO helpers ------------------------
 
 std::uint32_t IntServQueue::pool_alloc(Packet&& p) {
@@ -144,7 +191,7 @@ void IntServQueue::flow_push(std::uint32_t slot, FlowId id, Packet&& p) {
   FlowFifo& fifo = flow_fifo_[slot];
   if (fifo.tail == kNil) {
     fifo.head = fifo.tail = node;
-    flow_ready_.emplace(id, slot);
+    ready_push(id, slot);
   } else {
     pool_[fifo.tail].next = node;
     fifo.tail = node;
@@ -152,13 +199,13 @@ void IntServQueue::flow_push(std::uint32_t slot, FlowId id, Packet&& p) {
   ++fifo.len;
 }
 
-Packet IntServQueue::flow_pop(std::uint32_t slot, FlowId id) {
+Packet IntServQueue::flow_pop(std::uint32_t slot) {
   FlowFifo& fifo = flow_fifo_[slot];
   const std::uint32_t node = fifo.head;
   fifo.head = pool_[node].next;
   if (fifo.head == kNil) {
     fifo.tail = kNil;
-    flow_ready_.erase({id, slot});
+    ready_erase(slot);
   }
   --fifo.len;
   return pool_release(node);
@@ -174,7 +221,7 @@ void IntServQueue::install_reservation(FlowId flow, double rate_bps,
     // queued packets of the old state are preserved.
     const auto it = flows_.find(flow);
     if (it != flows_.end()) {
-      std::deque<Packet> pending = std::move(it->second.q);
+      auto pending = std::move(it->second.q);
       for (const auto& p : pending) bytes_ -= p.size_bytes;  // re-added below
       flows_.erase(it);
       auto [nit, inserted] =
@@ -206,6 +253,7 @@ void IntServQueue::install_reservation(FlowId flow, double rate_bps,
     slot = static_cast<std::uint32_t>(flow_bucket_.size());
     flow_bucket_.emplace_back(rate_bps, bucket_bytes, now);
     flow_fifo_.emplace_back();
+    ready_pos_.push_back(0);
   }
   // Incremental sum: an append at the end of id order extends the running
   // value exactly as the legacy scan would; anything else is recomputed
@@ -275,7 +323,7 @@ void IntServQueue::remove_reservation(FlowId flow) {
   const std::uint32_t slot = slot_of_.find(flow);
   if (slot == kNoSlot) return;
   while (flow_fifo_[slot].len > 0) {
-    Packet p = flow_pop(slot, flow);
+    Packet p = flow_pop(slot);
     if (best_effort_.size() >= config_.best_effort_capacity) {
       bytes_ -= p.size_bytes;
       --packets_;
@@ -381,46 +429,67 @@ std::optional<Packet> IntServQueue::dequeue(TimePoint now) {
   if (config_.legacy_flow_map) return dequeue_legacy(now);
   // 1. Control plane first.
   if (!control_.empty()) {
-    Packet p = std::move(control_.front());
-    control_.pop_front();
+    Packet p = control_.pop_front();
     bytes_ -= p.size_bytes;
     --packets_;
     count_dequeue();
     return p;
   }
   // 2. Conforming reserved-flow packets, lowest ready FlowId first — the
-  // same pick as the legacy ascending-map scan, found in the ready index
+  // same pick as the legacy ascending-map scan, found in the ready heap
   // instead of by walking every reserved flow.
   if (config_.excess_to_best_effort) {
     // Demote mode: queued packets pre-paid their tokens at enqueue, so the
-    // first ready flow is always servable.
-    if (!flow_ready_.empty()) {
-      const auto [id, slot] = *flow_ready_.begin();
-      Packet p = flow_pop(slot, id);
+    // lowest ready flow is always servable.
+    if (!ready_.empty()) {
+      Packet p = flow_pop(ready_.front().slot);
       bytes_ -= p.size_bytes;
       --packets_;
       count_dequeue();
       return p;
     }
-  } else {
-    for (const auto& [id, slot] : flow_ready_) {
-      if (policer_consume(flow_bucket_[slot], flow_front(slot).size_bytes, now)) {
-        Packet p = flow_pop(slot, id);  // returns immediately: safe erase
-        bytes_ -= p.size_bytes;
-        --packets_;
-        count_dequeue();
-        return p;
-      }
-    }
+  } else if (auto p = dequeue_shaped(now)) {
+    return p;
   }
   // 3. Best effort.
   if (!best_effort_.empty()) {
-    Packet p = std::move(best_effort_.front());
-    best_effort_.pop_front();
+    Packet p = best_effort_.pop_front();
     bytes_ -= p.size_bytes;
     --packets_;
     count_dequeue();
     return p;
+  }
+  return std::nullopt;
+}
+
+std::optional<Packet> IntServQueue::dequeue_shaped(TimePoint now) {
+  if (ready_.empty()) return std::nullopt;
+  // Best-first walk of the heap: scan_ is a min-heap of heap positions
+  // ordered by FlowId, seeded with the root; popping a position and
+  // pushing its two children yields the ready flows in ascending FlowId.
+  const auto later = [this](std::uint32_t a, std::uint32_t b) {
+    return ready_[a].id > ready_[b].id;
+  };
+  scan_.clear();
+  scan_.push_back(0);
+  while (!scan_.empty()) {
+    std::pop_heap(scan_.begin(), scan_.end(), later);
+    const std::uint32_t pos = scan_.back();
+    scan_.pop_back();
+    const std::uint32_t slot = ready_[pos].slot;
+    if (policer_consume(flow_bucket_[slot], flow_front(slot).size_bytes, now)) {
+      Packet p = flow_pop(slot);  // mutates the heap: return at once
+      bytes_ -= p.size_bytes;
+      --packets_;
+      count_dequeue();
+      return p;
+    }
+    for (std::uint32_t child = 2 * pos + 1; child <= 2 * pos + 2; ++child) {
+      if (child < ready_.size()) {
+        scan_.push_back(child);
+        std::push_heap(scan_.begin(), scan_.end(), later);
+      }
+    }
   }
   return std::nullopt;
 }
@@ -430,13 +499,13 @@ std::optional<Duration> IntServQueue::next_ready_delay(TimePoint now) const {
   if (!control_.empty() || !best_effort_.empty()) return Duration::zero();
   if (config_.excess_to_best_effort) {
     // Pre-paid: any ready flow is immediately servable.
-    return flow_ready_.empty() ? std::nullopt
-                               : std::make_optional(Duration::zero());
+    return ready_.empty() ? std::nullopt : std::make_optional(Duration::zero());
   }
+  // The minimum wait does not depend on visiting order: walk the heap array.
   Duration best = Duration::max();
-  for (const auto& [id, slot] : flow_ready_) {
-    best = std::min(best, policer_wait(flow_bucket_[slot],
-                                       flow_front(slot).size_bytes, now));
+  for (const ReadyFlow& f : ready_) {
+    best = std::min(best, policer_wait(flow_bucket_[f.slot],
+                                       flow_front(f.slot).size_bytes, now));
   }
   if (best == Duration::max()) return std::nullopt;  // nothing queued anywhere
   return best;
@@ -500,8 +569,7 @@ std::optional<Packet> IntServQueue::enqueue_legacy(Packet p, TimePoint now) {
 std::optional<Packet> IntServQueue::dequeue_legacy(TimePoint now) {
   // 1. Control plane first.
   if (!control_.empty()) {
-    Packet p = std::move(control_.front());
-    control_.pop_front();
+    Packet p = control_.pop_front();
     bytes_ -= p.size_bytes;
     --packets_;
     count_dequeue();
@@ -523,8 +591,7 @@ std::optional<Packet> IntServQueue::dequeue_legacy(TimePoint now) {
   }
   // 3. Best effort.
   if (!best_effort_.empty()) {
-    Packet p = std::move(best_effort_.front());
-    best_effort_.pop_front();
+    Packet p = best_effort_.pop_front();
     bytes_ -= p.size_bytes;
     --packets_;
     count_dequeue();

@@ -6,6 +6,11 @@
 //                      derived from each packet's DSCP (Section 3.2).
 //  * IntServQueue    — RSVP-installed per-flow token-bucket guaranteed
 //                      service ahead of best-effort traffic (Section 3.4).
+//
+// Queued packets never cost a heap allocation in steady state: every FIFO
+// is a PacketFifo drawing chunks from the network's shared PacketChunkPool
+// (net/packet_fifo.hpp), and IntServ's reserved flows share one recycled
+// packet-node pool plus an indexed ready-flow heap (DESIGN.md §10).
 #pragma once
 
 #include <array>
@@ -14,7 +19,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +26,7 @@
 #include "common/time.hpp"
 #include "net/dscp.hpp"
 #include "net/packet.hpp"
+#include "net/packet_fifo.hpp"
 #include "net/token_bucket.hpp"
 #include "obs/trace.hpp"
 
@@ -77,6 +82,13 @@ class Queue {
   /// without any engine dependency.
   void set_telemetry(obs::TelemetryHub* hub) { telemetry_ = hub; }
 
+  /// Moves every packet FIFO of the discipline onto `pool` (queued packets
+  /// included). Network::add_link hands over the network's shared arena;
+  /// until then the FIFOs draw from the queue's own pool.
+  virtual void bind_packet_pool(PacketChunkPool& pool) = 0;
+  /// The queue's private arena, used until bind_packet_pool().
+  [[nodiscard]] PacketChunkPool& own_packet_pool() { return own_pool_; }
+
  protected:
   /// Non-null iff a recorder is attached and wants net events.
   [[nodiscard]] obs::TraceRecorder* tracer() const {
@@ -97,6 +109,8 @@ class Queue {
   void count_dequeue() { ++stats_.dequeued; }
 
  private:
+  // Declared in the base so it outlives the derived class's FIFOs.
+  PacketChunkPool own_pool_;
   QueueStats stats_;
   obs::TraceRecorder* tracer_ = nullptr;
   obs::TelemetryHub* telemetry_ = nullptr;
@@ -113,10 +127,11 @@ class DropTailQueue final : public Queue {
   [[nodiscard]] std::optional<Duration> next_ready_delay(TimePoint now) const override;
   [[nodiscard]] std::size_t packets() const override { return q_.size(); }
   [[nodiscard]] std::size_t bytes() const override { return bytes_; }
+  void bind_packet_pool(PacketChunkPool& pool) override { q_.bind(pool); }
 
  private:
   std::size_t capacity_;
-  std::deque<Packet> q_;
+  PacketFifo q_{own_packet_pool()};
   std::size_t bytes_ = 0;
 };
 
@@ -135,13 +150,14 @@ class DiffServQueue final : public Queue {
   [[nodiscard]] std::optional<Duration> next_ready_delay(TimePoint now) const override;
   [[nodiscard]] std::size_t packets() const override { return packets_; }
   [[nodiscard]] std::size_t bytes() const override { return bytes_; }
+  void bind_packet_pool(PacketChunkPool& pool) override;
 
   [[nodiscard]] std::size_t class_packets(PhbClass c) const {
     return classes_[static_cast<std::size_t>(c)].size();
   }
 
  private:
-  std::array<std::deque<Packet>, kPhbClassCount> classes_;
+  std::array<PacketFifo, kPhbClassCount> classes_;
   std::array<std::size_t, kPhbClassCount> capacities_;
   std::size_t bytes_ = 0;
   std::size_t packets_ = 0;  // total across classes; packets() is on the hot path
@@ -166,12 +182,13 @@ class DiffServQueue final : public Queue {
 /// Per-flow state is flat SoA (DESIGN.md §10): a FlatIndex FlowId ->
 /// dense-slot map over struct-of-arrays fields (token bucket, FIFO
 /// head/tail into a shared packet-node pool, queue length), with an
-/// explicit ordered index of the ready flows holding packets (service
-/// scans) — so enqueue is O(1)+O(log n) and dequeue serves the lowest
-/// ready FlowId without touching the other n-1 flows. The original
-/// std::map storage is kept verbatim behind Config::legacy_flow_map as a
-/// differential oracle (the CpuConfig::legacy_scan pattern); both modes
-/// are observably byte-identical.
+/// indexed min-heap of the ready flows holding packets (service scans) —
+/// so enqueue is O(1)+O(log n), dequeue serves the lowest ready FlowId
+/// without touching the other n-1 flows, and neither allocates once warm.
+/// The original std::map storage is kept verbatim behind
+/// Config::legacy_flow_map as a differential oracle (the
+/// CpuConfig::legacy_scan pattern); both modes are observably
+/// byte-identical.
 class IntServQueue final : public Queue {
  public:
   struct Config {
@@ -235,6 +252,10 @@ class IntServQueue final : public Queue {
   [[nodiscard]] std::optional<Duration> next_ready_delay(TimePoint now) const override;
   [[nodiscard]] std::size_t packets() const override { return packets_; }
   [[nodiscard]] std::size_t bytes() const override { return bytes_; }
+  void bind_packet_pool(PacketChunkPool& pool) override {
+    best_effort_.bind(pool);
+    control_.bind(pool);
+  }
 
  private:
   struct FlowState {
@@ -274,10 +295,31 @@ class IntServQueue final : public Queue {
     std::uint32_t len = 0;
   };
 
+  // Ready-flow heap: a binary min-heap on FlowId over the flows with queued
+  // packets, each carrying its slot; ready_pos_[slot] is the flow's heap
+  // position (a flow is in it at most once), so a flow that drains
+  // anywhere in the heap leaves in O(log n).
+  struct ReadyFlow {
+    FlowId id;
+    std::uint32_t slot;
+  };
+  void ready_set(std::size_t pos, ReadyFlow f) {
+    ready_[pos] = f;
+    ready_pos_[f.slot] = static_cast<std::uint32_t>(pos);
+  }
+  void ready_push(FlowId id, std::uint32_t slot);
+  void ready_erase(std::uint32_t slot);
+  void ready_sift_up(std::size_t pos);
+  void ready_sift_down(std::size_t pos);
+  /// Shape mode: serves the lowest-FlowId ready flow whose head packet
+  /// conforms, visiting ready flows in ascending FlowId order (best-first
+  /// over the heap) exactly like the ordered scan it replaces.
+  std::optional<Packet> dequeue_shaped(TimePoint now);
+
   std::uint32_t pool_alloc(Packet&& p);
   Packet pool_release(std::uint32_t node);
   void flow_push(std::uint32_t slot, FlowId id, Packet&& p);
-  Packet flow_pop(std::uint32_t slot, FlowId id);
+  Packet flow_pop(std::uint32_t slot);
   [[nodiscard]] const Packet& flow_front(std::uint32_t slot) const {
     return pool_[flow_fifo_[slot].head].pkt;
   }
@@ -296,11 +338,13 @@ class IntServQueue final : public Queue {
   std::vector<std::uint32_t> free_slots_;
   std::vector<PacketNode> pool_;
   std::uint32_t pool_free_ = kNil;
-  /// Explicit rank index preserving the legacy map's ascending-FlowId
-  /// service order over the flows with queued packets (dequeue takes
-  /// begin()). It carries each flow's slot so the service path never pays
-  /// a second index probe per packet.
-  std::set<std::pair<FlowId, std::uint32_t>> flow_ready_;
+  /// The ready-flow heap preserves the legacy map's ascending-FlowId
+  /// service order over the flows with queued packets (dequeue takes the
+  /// top). It carries each flow's slot so the service path never pays a
+  /// second index probe per packet.
+  std::vector<ReadyFlow> ready_;
+  std::vector<std::uint32_t> ready_pos_;  // by slot
+  std::vector<std::uint32_t> scan_;       // dequeue_shaped scratch: heap positions
   /// Running sum of reserved rates in ascending-FlowId order, and the
   /// highest reserved FlowId it covers. Dirty after a remove, a modify or
   /// a mid-order install; recomputed in id order on the next query.
@@ -311,8 +355,8 @@ class IntServQueue final : public Queue {
   /// Hierarchical policing parent (Config::parent_rate_bps > 0).
   std::optional<TokenBucket> parent_;
 
-  std::deque<Packet> best_effort_;
-  std::deque<Packet> control_;
+  PacketFifo best_effort_{own_packet_pool()};
+  PacketFifo control_{own_packet_pool()};
   std::size_t bytes_ = 0;
   std::size_t packets_ = 0;  // total across sub-queues; packets() is hot
 };

@@ -72,8 +72,7 @@ std::optional<Packet> RedQueue::enqueue(Packet p, TimePoint now) {
 
 std::optional<Packet> RedQueue::dequeue(TimePoint /*now*/) {
   if (q_.empty()) return std::nullopt;
-  Packet p = std::move(q_.front());
-  q_.pop_front();
+  Packet p = q_.pop_front();
   bytes_ -= p.size_bytes;
   count_dequeue();
   return p;

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "common/rng.hpp"
 #include "common/time.hpp"
@@ -38,6 +37,7 @@ class RedQueue final : public Queue {
   [[nodiscard]] std::optional<Duration> next_ready_delay(TimePoint now) const override;
   [[nodiscard]] std::size_t packets() const override { return q_.size(); }
   [[nodiscard]] std::size_t bytes() const override { return bytes_; }
+  void bind_packet_pool(PacketChunkPool& pool) override { q_.bind(pool); }
 
   [[nodiscard]] double average_queue() const { return avg_; }
   [[nodiscard]] std::uint64_t ecn_marked() const { return marked_; }
@@ -49,7 +49,7 @@ class RedQueue final : public Queue {
 
   RedConfig config_;
   Rng rng_;
-  std::deque<Packet> q_;
+  PacketFifo q_{own_packet_pool()};
   std::size_t bytes_ = 0;
   double avg_ = 0.0;
   int count_since_mark_ = -1;  // RED's "count" variable

@@ -33,13 +33,40 @@ std::uint16_t TraceRecorder::track(std::string_view name) {
   return idx;
 }
 
-const char* TraceRecorder::intern(std::string_view s) {
-  const auto it = intern_index_.find(s);
-  if (it != intern_index_.end()) return it->second;
-  interned_.push_back(std::make_unique<std::string>(s));
-  const char* p = interned_.back()->c_str();
-  intern_index_.emplace(std::string(s), p);
-  return p;
+namespace {
+
+std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+}  // namespace
+
+const char* TraceRecorder::intern(std::string_view prefix, std::string_view s) {
+  const std::uint64_t h = fnv1a(fnv1a(0xcbf29ce484222325ull, prefix), s);
+  const std::uint32_t head = intern_index_.find(h);
+  std::uint32_t tail = kNoSlot;
+  for (std::uint32_t i = head; i != kNoSlot; i = interned_[i].next) {
+    const std::string& text = *interned_[i].text;
+    if (text.size() == prefix.size() + s.size() && text.starts_with(prefix) &&
+        text.ends_with(s)) {
+      return text.c_str();
+    }
+    tail = i;
+  }
+  const auto slot = static_cast<std::uint32_t>(interned_.size());
+  auto text = std::make_unique<std::string>(prefix);
+  text->append(s);
+  interned_.push_back(Interned{std::move(text)});
+  if (tail == kNoSlot) {
+    intern_index_.insert(h, slot);
+  } else {
+    interned_[tail].next = slot;  // hash collision: chain behind the last one
+  }
+  return interned_.back().text->c_str();
 }
 
 void TraceRecorder::push(TraceCategory cat, TracePhase phase, const char* name,

@@ -34,6 +34,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/flat_index.hpp"
 #include "common/time.hpp"
 
 #ifndef AQM_OBS_ENABLED
@@ -137,9 +138,14 @@ class TraceRecorder {
   [[nodiscard]] std::uint16_t track(std::string_view name);
 
   /// Interns a dynamic string, returning a pointer that stays valid for
-  /// the recorder's lifetime. Cold path: intended for labels built once
-  /// (operation names, contract transitions), not per-event text.
-  [[nodiscard]] const char* intern(std::string_view s);
+  /// the recorder's lifetime. Intended for labels from a small set
+  /// (operation names, contract transitions), not per-event text. A label
+  /// already interned costs one hash over its bytes, one index probe and
+  /// one equality compare: no allocation and no ordered string compares.
+  [[nodiscard]] const char* intern(std::string_view s) { return intern(s, {}); }
+  /// Interns the concatenation prefix + s without building it first (the
+  /// per-invocation "call <operation>" span names).
+  [[nodiscard]] const char* intern(std::string_view prefix, std::string_view s);
 
   // --- recording ------------------------------------------------------------
   // Callers are expected to have checked wants(cat) already (the macros /
@@ -226,9 +232,15 @@ class TraceRecorder {
   std::vector<std::string> track_names_;
   std::map<std::string, std::uint16_t, std::less<>> track_index_;
   // Interned strings held by unique_ptr so c_str() pointers stay stable
-  // while the vector grows.
-  std::vector<std::unique_ptr<std::string>> interned_;
-  std::map<std::string, const char*, std::less<>> intern_index_;
+  // while the vector grows. intern_index_ maps a 64-bit hash of the bytes
+  // to the first string with that hash; strings whose hashes collide chain
+  // through `next`.
+  struct Interned {
+    std::unique_ptr<std::string> text;
+    std::uint32_t next = kNoSlot;
+  };
+  std::vector<Interned> interned_;
+  FlatIndex<std::uint64_t> intern_index_;
 };
 
 }  // namespace aqm::obs

@@ -137,10 +137,51 @@ GiopMessage decode(std::span<const std::uint8_t> bytes) {
   return msg;
 }
 
+void recycle_contexts(std::vector<ServiceContext>& contexts,
+                      std::vector<ServiceContext>& spare) {
+  for (ServiceContext& c : contexts) spare.push_back(std::move(c));
+  contexts.clear();
+}
+
+std::vector<std::uint8_t>& append_context(std::vector<ServiceContext>& contexts,
+                                          std::uint32_t id,
+                                          std::vector<ServiceContext>* spare) {
+  if (spare != nullptr && !spare->empty()) {
+    contexts.push_back(std::move(spare->back()));
+    spare->pop_back();
+  } else {
+    contexts.emplace_back();
+  }
+  ServiceContext& c = contexts.back();
+  c.id = id;
+  c.data.clear();
+  return c.data;
+}
+
+void stamp_priority_context(std::vector<ServiceContext>& contexts, CorbaPriority priority,
+                            std::vector<ServiceContext>* spare) {
+  CdrWriter(append_context(contexts, kRtCorbaPriorityContextId, spare)).write_i32(priority);
+}
+
+void stamp_timestamp_context(std::vector<ServiceContext>& contexts, TimePoint t,
+                             std::vector<ServiceContext>* spare) {
+  CdrWriter(append_context(contexts, kTimestampContextId, spare)).write_i64(t.ns());
+}
+
+void stamp_trace_context(std::vector<ServiceContext>& contexts, std::uint64_t trace_id,
+                         std::vector<ServiceContext>* spare) {
+  CdrWriter(append_context(contexts, kTraceContextId, spare)).write_u64(trace_id);
+}
+
+void stamp_deadline_context(std::vector<ServiceContext>& contexts, TimePoint deadline,
+                            std::vector<ServiceContext>* spare) {
+  CdrWriter(append_context(contexts, kDeadlineContextId, spare)).write_i64(deadline.ns());
+}
+
 ServiceContext make_priority_context(CorbaPriority priority) {
-  CdrWriter w;
-  w.write_i32(priority);
-  return ServiceContext{kRtCorbaPriorityContextId, w.take()};
+  std::vector<ServiceContext> one;
+  stamp_priority_context(one, priority, nullptr);
+  return std::move(one.front());
 }
 
 std::optional<CorbaPriority> find_priority(const std::vector<ServiceContext>& contexts) {
@@ -153,9 +194,9 @@ std::optional<CorbaPriority> find_priority(const std::vector<ServiceContext>& co
 }
 
 ServiceContext make_timestamp_context(TimePoint t) {
-  CdrWriter w;
-  w.write_i64(t.ns());
-  return ServiceContext{kTimestampContextId, w.take()};
+  std::vector<ServiceContext> one;
+  stamp_timestamp_context(one, t, nullptr);
+  return std::move(one.front());
 }
 
 std::optional<TimePoint> find_timestamp(const std::vector<ServiceContext>& contexts) {
@@ -168,9 +209,9 @@ std::optional<TimePoint> find_timestamp(const std::vector<ServiceContext>& conte
 }
 
 ServiceContext make_trace_context(std::uint64_t trace_id) {
-  CdrWriter w;
-  w.write_u64(trace_id);
-  return ServiceContext{kTraceContextId, w.take()};
+  std::vector<ServiceContext> one;
+  stamp_trace_context(one, trace_id, nullptr);
+  return std::move(one.front());
 }
 
 std::optional<std::uint64_t> find_trace(const std::vector<ServiceContext>& contexts) {
@@ -183,9 +224,9 @@ std::optional<std::uint64_t> find_trace(const std::vector<ServiceContext>& conte
 }
 
 ServiceContext make_deadline_context(TimePoint deadline) {
-  CdrWriter w;
-  w.write_i64(deadline.ns());
-  return ServiceContext{kDeadlineContextId, w.take()};
+  std::vector<ServiceContext> one;
+  stamp_deadline_context(one, deadline, nullptr);
+  return std::move(one.front());
 }
 
 std::optional<TimePoint> find_deadline(const std::vector<ServiceContext>& contexts) {

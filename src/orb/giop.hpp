@@ -95,6 +95,28 @@ void decode_into(GiopMessage& out, std::span<const std::uint8_t> bytes);
 
 // --- service-context helpers ---------------------------------------------------
 
+/// Moves every context of `contexts` into `spare` (element and byte-buffer
+/// capacity included), leaving `contexts` empty for the next message.
+void recycle_contexts(std::vector<ServiceContext>& contexts,
+                      std::vector<ServiceContext>& spare);
+/// Appends a context with `id` and returns its emptied data buffer. The
+/// element comes from `spare` when that holds one, so a scratch header
+/// restamped for every message allocates nothing once warm.
+std::vector<std::uint8_t>& append_context(std::vector<ServiceContext>& contexts,
+                                          std::uint32_t id,
+                                          std::vector<ServiceContext>* spare);
+
+/// In-place stampers: append the context, reusing a spare element.
+/// make_*_context below builds the same context standalone.
+void stamp_priority_context(std::vector<ServiceContext>& contexts, CorbaPriority priority,
+                            std::vector<ServiceContext>* spare);
+void stamp_timestamp_context(std::vector<ServiceContext>& contexts, TimePoint t,
+                             std::vector<ServiceContext>* spare);
+void stamp_trace_context(std::vector<ServiceContext>& contexts, std::uint64_t trace_id,
+                         std::vector<ServiceContext>* spare);
+void stamp_deadline_context(std::vector<ServiceContext>& contexts, TimePoint deadline,
+                            std::vector<ServiceContext>* spare);
+
 [[nodiscard]] ServiceContext make_priority_context(CorbaPriority priority);
 [[nodiscard]] std::optional<CorbaPriority> find_priority(
     const std::vector<ServiceContext>& contexts);

@@ -16,7 +16,7 @@ InterceptStatus PriorityInterceptor::establish(ClientRequestContext& ctx) {
 }
 
 InterceptStatus PriorityInterceptor::send_request(ClientRequestContext& ctx) {
-  ctx.contexts->push_back(make_priority_context(ctx.priority));
+  stamp_priority_context(*ctx.contexts, ctx.priority, ctx.context_spare);
   return {};
 }
 
@@ -29,14 +29,14 @@ InterceptStatus PriorityInterceptor::receive_request(ServerRequestContext& ctx) 
 }
 
 InterceptStatus PriorityInterceptor::send_reply(ServerRequestContext& ctx) {
-  ctx.reply_contexts->push_back(make_priority_context(ctx.priority));
+  stamp_priority_context(*ctx.reply_contexts, ctx.priority, ctx.context_spare);
   return {};
 }
 
 // --- obs.timestamp ---------------------------------------------------------
 
 InterceptStatus TimestampInterceptor::send_request(ClientRequestContext& ctx) {
-  ctx.contexts->push_back(make_timestamp_context(ctx.now));
+  stamp_timestamp_context(*ctx.contexts, ctx.now, ctx.context_spare);
   return {};
 }
 
@@ -46,14 +46,14 @@ InterceptStatus TimestampInterceptor::receive_request(ServerRequestContext& ctx)
 }
 
 InterceptStatus TimestampInterceptor::send_reply(ServerRequestContext& ctx) {
-  ctx.reply_contexts->push_back(make_timestamp_context(ctx.now));
+  stamp_timestamp_context(*ctx.reply_contexts, ctx.now, ctx.context_spare);
   return {};
 }
 
 // --- obs.trace -------------------------------------------------------------
 
 InterceptStatus TraceInterceptor::send_request(ClientRequestContext& ctx) {
-  if (ctx.trace_id != 0) ctx.contexts->push_back(make_trace_context(ctx.trace_id));
+  if (ctx.trace_id != 0) stamp_trace_context(*ctx.contexts, ctx.trace_id, ctx.context_spare);
   return {};
 }
 
@@ -63,7 +63,7 @@ InterceptStatus TraceInterceptor::receive_request(ServerRequestContext& ctx) {
 }
 
 InterceptStatus TraceInterceptor::send_reply(ServerRequestContext& ctx) {
-  if (ctx.trace != 0) ctx.reply_contexts->push_back(make_trace_context(ctx.trace));
+  if (ctx.trace != 0) stamp_trace_context(*ctx.reply_contexts, ctx.trace, ctx.context_spare);
   return {};
 }
 
@@ -80,7 +80,7 @@ InterceptStatus DeadlineRetryInterceptor::establish(ClientRequestContext& ctx) {
 }
 
 InterceptStatus DeadlineRetryInterceptor::send_request(ClientRequestContext& ctx) {
-  if (ctx.deadline) ctx.contexts->push_back(make_deadline_context(*ctx.deadline));
+  if (ctx.deadline) stamp_deadline_context(*ctx.contexts, *ctx.deadline, ctx.context_spare);
   return {};
 }
 

@@ -28,7 +28,9 @@
 // CompletionStatus encoding of a CORBA system exception — exceptions cannot
 // cross simulated hosts, so the status code is what travels (see
 // orb/exceptions.hpp). Contexts are stack-allocated views into pooled
-// state: steady-state invocations allocate nothing in the pipeline itself.
+// state, and the built-in stampers append service contexts into the
+// endpoint's scratch headers from a spare list that keeps each element's
+// byte buffer: steady-state invocations allocate nothing in the pipeline.
 #pragma once
 
 #include <cstdint>
@@ -125,6 +127,9 @@ struct ClientRequestContext {
   std::vector<std::uint8_t>* body = nullptr;
   /// Request service contexts — valid during send_request only.
   std::vector<ServiceContext>* contexts = nullptr;
+  /// Recycled context elements the built-in stampers append from (see
+  /// stamp_priority_context); null when none are pooled.
+  std::vector<ServiceContext>* context_spare = nullptr;
 
   // --- reply path ----------------------------------------------------------
   CompletionStatus status = CompletionStatus::Ok;
@@ -162,6 +167,8 @@ struct ServerRequestContext {
 
   // --- send_reply phase ----------------------------------------------------
   std::vector<ServiceContext>* reply_contexts = nullptr;
+  /// Recycled context elements the built-in stampers append from.
+  std::vector<ServiceContext>* context_spare = nullptr;
   ReplyStatus reply_status = ReplyStatus::NoException;
   net::Dscp reply_dscp = net::dscp::kBestEffort;
 };

@@ -9,11 +9,10 @@
 namespace aqm::orb {
 namespace {
 
-/// Encodes a CompletionStatus code as an exception reply body.
-std::vector<std::uint8_t> encode_error_body(CompletionStatus status) {
-  CdrWriter w;
-  w.write_u32(static_cast<std::uint32_t>(status));
-  return w.take();
+/// Encodes a CompletionStatus code as an exception reply body into `out`.
+void encode_error_body(CompletionStatus status, std::vector<std::uint8_t>& out) {
+  out.clear();
+  CdrWriter(out).write_u32(static_cast<std::uint32_t>(status));
 }
 
 CompletionStatus decode_error_body(const std::vector<std::uint8_t>& body) {
@@ -46,7 +45,7 @@ Poa& OrbEndpoint::create_poa(const std::string& name, PoaPolicies policies) {
   return ref;
 }
 
-Poa* OrbEndpoint::find_poa(const std::string& name) {
+Poa* OrbEndpoint::find_poa(std::string_view name) {
   const auto it = poas_.find(name);
   return it == poas_.end() ? nullptr : it->second.get();
 }
@@ -258,22 +257,44 @@ void OrbEndpoint::export_metrics(obs::MetricsRegistry& reg, std::string_view pre
 
 // --- client side -------------------------------------------------------------
 
+std::uint32_t OrbEndpoint::acquire_call() {
+  if (!free_calls_.empty()) {
+    const std::uint32_t slot = free_calls_.back();
+    free_calls_.pop_back();
+    return slot;
+  }
+  calls_.push_back(std::make_unique<CallRecord>());
+  return static_cast<std::uint32_t>(calls_.size() - 1);
+}
+
+void OrbEndpoint::release_call(std::uint32_t slot) {
+  calls_[slot]->cb = nullptr;  // drop the caller's captures now
+  free_calls_.push_back(slot);
+}
+
 void OrbEndpoint::invoke(const ObjectRef& ref, const std::string& operation,
                          std::vector<std::uint8_t> body, InvokeOptions options,
                          ResponseCallback cb) {
   if (!ref.valid()) throw BadParam("invoke on invalid object reference");
   if (!options.oneway && !cb) throw BadParam("twoway invoke requires a callback");
-  invoke_internal(ref, operation, std::move(body), std::move(options), std::move(cb),
-                  /*attempt=*/1, /*deadline=*/std::nullopt);
+  const std::uint32_t slot = acquire_call();
+  CallRecord& rec = *calls_[slot];
+  rec.ref = ref;  // copy-assign: the record's strings keep their capacity
+  rec.operation = operation;
+  rec.body.swap(body);
+  rec.options = options;
+  rec.cb = std::move(cb);
+  rec.attempt = 1;
+  rec.deadline.reset();
+  start_attempt(slot);
 }
 
-void OrbEndpoint::invoke_internal(const ObjectRef& ref, const std::string& operation,
-                                  std::vector<std::uint8_t> body, InvokeOptions options,
-                                  ResponseCallback cb, int attempt,
-                                  std::optional<TimePoint> deadline) {
+void OrbEndpoint::start_attempt(std::uint32_t slot) {
+  CallRecord& rec = *calls_[slot];
+  const InvokeOptions& options = rec.options;
   const CorbaPriority resolved =
-      options.priority.value_or(ref.priority_model == PriorityModel::ServerDeclared
-                                    ? ref.server_priority
+      options.priority.value_or(rec.ref.priority_model == PriorityModel::ServerDeclared
+                                    ? rec.ref.server_priority
                                     : client_priority_);
   const std::uint32_t request_id = next_request_id_++;
 
@@ -281,18 +302,18 @@ void OrbEndpoint::invoke_internal(const ObjectRef& ref, const std::string& opera
   // before any CPU cost is paid; the built-in priority stage maps the final
   // CORBA priority to the native band the marshal job runs at.
   ClientRequestContext ectx;
-  ectx.ref = &ref;
-  ectx.operation = &operation;
+  ectx.ref = &rec.ref;
+  ectx.operation = &rec.operation;
   ectx.options = &options;
   ectx.request_id = request_id;
   ectx.oneway = options.oneway;
-  ectx.attempt = attempt;
+  ectx.attempt = rec.attempt;
   ectx.now = engine().now();
   ectx.priority = resolved;
   ectx.flow = options.flow;
-  ectx.deadline = deadline;  // carried across retries
+  ectx.deadline = rec.deadline;  // carried across retries
   ectx.retry = options.retry;
-  ectx.body = &body;
+  ectx.body = &rec.body;
   if (const auto st = run_client_establish(ectx); !st) {
     ++stats_.client_vetoed;
     if (st.error() == CompletionStatus::Timeout) {
@@ -308,183 +329,176 @@ void OrbEndpoint::invoke_internal(const ObjectRef& ref, const std::string& opera
                   {{"request_id", static_cast<double>(request_id)}});
     }
     // Vetoed invocations complete synchronously: no CPU or wire cost.
-    if (!options.oneway && cb) cb(st.error(), {});
+    ResponseCallback cb = std::move(rec.cb);
+    const bool oneway = options.oneway;
+    release_call(slot);
+    if (!oneway && cb) cb(st.error(), {});
     return;
   }
-  ectx.body = nullptr;
 
-  const CorbaPriority priority = ectx.priority;
-  const os::Priority native = ectx.native_priority;
-  const Duration cost = marshal_cost(body.size() + operation.size() + 64);
+  rec.request_id = request_id;
+  rec.priority = ectx.priority;
+  rec.deadline = ectx.deadline;
+  rec.dscp_override = ectx.dscp_override;
+  rec.flow = ectx.flow;
+  rec.flush_override = ectx.batch_flush_override;
+  rec.retryable = !options.oneway && options.retry.enabled() &&
+                  rec.attempt < options.retry.max_attempts;
+  const Duration cost = marshal_cost(rec.body.size() + rec.operation.size() + 64);
 
   // A traced request gets one end-to-end id here; it rides in a GIOP
   // service context (next to the RT-CORBA priority) and on every fragment
   // packet, so all layers chain their events to this call.
-  std::uint64_t trace_id = 0;
-  const char* span_name = nullptr;
+  rec.trace = 0;
+  rec.span_name = nullptr;
   if (obs::TraceRecorder* tr = orb_tracer()) {
-    trace_id = tr->next_id();
-    span_name = tr->intern("call " + operation);
-    tr->async_begin(obs::TraceCategory::Orb, span_name, obs_track_, engine().now(),
-                    trace_id,
+    rec.trace = tr->next_id();
+    rec.span_name = tr->intern("call ", rec.operation);
+    tr->async_begin(obs::TraceCategory::Orb, rec.span_name, obs_track_, engine().now(),
+                    rec.trace,
                     {{"request_id", static_cast<double>(request_id)},
-                     {"priority", static_cast<double>(priority)}});
+                     {"priority", static_cast<double>(rec.priority)}});
   }
 
-  // Materialized only when another attempt is still possible, so the
-  // common (no-retry) path stays allocation-free.
-  std::shared_ptr<RetryState> retry_state;
-  if (!options.oneway && options.retry.enabled() && attempt < options.retry.max_attempts) {
-    retry_state = std::make_shared<RetryState>(
-        RetryState{ref, operation, body, options, attempt, ectx.deadline});
-  }
-
-  // Marshal on the client CPU at the request's native priority, run the
-  // send_request (stamping) phase, then ship.
-  cpu_.submit_for(
-      cost, native,
-      [this, ref, operation, body = std::move(body), options, cb = std::move(cb),
-       priority, request_id, trace_id, span_name, attempt, deadline = ectx.deadline,
-       dscp_override = ectx.dscp_override, flow = ectx.flow,
-       flush_override = ectx.batch_flush_override,
-       retry_state = std::move(retry_state)]() mutable {
-        RequestHeader header;
-        header.request_id = request_id;
-        header.response_expected = !options.oneway;
-        header.object_key = ref.object_key;
-        header.operation = operation;
-
-        ClientRequestContext ctx;
-        ctx.ref = &ref;
-        ctx.operation = &operation;
-        ctx.options = &options;
-        ctx.request_id = request_id;
-        ctx.oneway = options.oneway;
-        ctx.attempt = attempt;
-        ctx.now = engine().now();
-        ctx.priority = priority;
-        ctx.dscp_override = dscp_override;
-        ctx.flow = flow;
-        ctx.deadline = deadline;
-        ctx.batch_flush_override = flush_override;
-        ctx.trace_id = trace_id;
-        ctx.retry = options.retry;
-        ctx.contexts = &header.contexts;
-        if (const auto st = run_client_send(ctx); !st) {
-          ++stats_.client_vetoed;
-          if (trace_id != 0 && span_name != nullptr) {
-            if (obs::TraceRecorder* tr = orb_tracer()) {
-              tr->async_end(obs::TraceCategory::Orb, span_name, obs_track_,
-                            engine().now(), trace_id, {{"veto", 1.0}});
-            }
-          }
-          if (!options.oneway && cb) cb(st.error(), {});
-          return;
-        }
-
-        auto buf = pool_.acquire();
-        encode_request(header, body, *buf);
-        pool_.note_message_size(buf->size());
-        MessageBuffer bytes = CdrBufferPool::freeze(std::move(buf));
-        ++stats_.requests_sent;
-        const bool collocated = ref.node == node();
-        if (collocated) ++stats_.collocated_calls;
-        if (obs::TraceRecorder* tr = orb_tracer()) {
-          tr->instant(obs::TraceCategory::Orb, "send", obs_track_, engine().now(),
-                      trace_id, {{"bytes", static_cast<double>(bytes->size())}});
-        }
-
-        if (!options.oneway) {
-          PendingRequest pending;
-          pending.cb = std::move(cb);
-          pending.priority = priority;
-          pending.trace = trace_id;
-          pending.span_name = span_name;
-          pending.attempt = attempt;
-          pending.retry = std::move(retry_state);
-          pending.flow = ctx.flow;
-          pending.sent_at = engine().now();
-          pending.timeout = engine().after(options.timeout, [this, request_id] {
-            const auto it = pending_.find(request_id);
-            if (it == pending_.end()) return;
-            auto callback = std::move(it->second.cb);
-            const std::uint64_t trace = it->second.trace;
-            const char* span = it->second.span_name;
-            const int att = it->second.attempt;
-            const net::FlowId flow = it->second.flow;
-            auto retry = std::move(it->second.retry);
-            pending_.erase(it);
-            ++stats_.timeouts;
-            ++stats_.deadline_missed;
-            if (obs::TelemetryHub* th = engine().telemetry()) {
-              th->on_deadline_miss(flow, engine().now(), trace);
-            }
-            if (trace != 0 && span != nullptr) {
-              if (obs::TraceRecorder* tr = orb_tracer()) {
-                tr->async_end(obs::TraceCategory::Orb, span, obs_track_, engine().now(),
-                              trace, {{"timeout", 1.0}});
-              }
-            }
-            complete_exception(std::move(callback), CompletionStatus::Timeout, att,
-                               std::move(retry), trace);
-          });
-          pending_.emplace(request_id, std::move(pending));
-        } else if (trace_id != 0 && span_name != nullptr) {
-          // Oneways have no reply; the client span closes at the send.
-          if (obs::TraceRecorder* tr = orb_tracer()) {
-            tr->async_end(obs::TraceCategory::Orb, span_name, obs_track_,
-                          engine().now(), trace_id);
-          }
-        }
-
-        if (collocated) {
-          // Collocation optimization (TAO-style): the target lives in this
-          // ORB, so the request short-circuits the transport entirely —
-          // same marshaling and dispatch semantics, zero wire time.
-          on_message(node(), std::move(bytes));
-        } else {
-          transport_.send_message(ref.node, std::move(bytes), ctx.dscp, ctx.flow,
-                                  trace_id, ctx.batch_flush_override);
-        }
-      });
+  // Marshal on the client CPU at the request's native priority, then run
+  // the send_request (stamping) phase and ship.
+  cpu_.submit_for(cost, ectx.native_priority, [this, slot] { send_request(slot); });
 }
 
-void OrbEndpoint::complete_exception(ResponseCallback cb, CompletionStatus status,
-                                     int attempt, std::shared_ptr<RetryState> retry_state,
-                                     std::uint64_t trace) {
+void OrbEndpoint::send_request(std::uint32_t slot) {
+  CallRecord& rec = *calls_[slot];
+  const bool oneway = rec.options.oneway;
+  RequestHeader& header = request_scratch_;
+  header.request_id = rec.request_id;
+  header.response_expected = !oneway;
+  header.object_key = rec.ref.object_key;
+  header.operation = rec.operation;
+  recycle_contexts(header.contexts, context_spare_);
+
   ClientRequestContext ctx;
-  ctx.attempt = attempt;
+  ctx.ref = &rec.ref;
+  ctx.operation = &rec.operation;
+  ctx.options = &rec.options;
+  ctx.request_id = rec.request_id;
+  ctx.oneway = oneway;
+  ctx.attempt = rec.attempt;
+  ctx.now = engine().now();
+  ctx.priority = rec.priority;
+  ctx.dscp_override = rec.dscp_override;
+  ctx.flow = rec.flow;
+  ctx.deadline = rec.deadline;
+  ctx.batch_flush_override = rec.flush_override;
+  ctx.trace_id = rec.trace;
+  ctx.retry = rec.options.retry;
+  ctx.contexts = &header.contexts;
+  ctx.context_spare = &context_spare_;
+  if (const auto st = run_client_send(ctx); !st) {
+    ++stats_.client_vetoed;
+    if (rec.trace != 0 && rec.span_name != nullptr) {
+      if (obs::TraceRecorder* tr = orb_tracer()) {
+        tr->async_end(obs::TraceCategory::Orb, rec.span_name, obs_track_, engine().now(),
+                      rec.trace, {{"veto", 1.0}});
+      }
+    }
+    ResponseCallback cb = std::move(rec.cb);
+    release_call(slot);
+    if (!oneway && cb) cb(st.error(), {});
+    return;
+  }
+
+  auto buf = pool_.acquire();
+  encode_request(header, rec.body, *buf);
+  pool_.note_message_size(buf->size());
+  MessageBuffer bytes = CdrBufferPool::freeze(std::move(buf));
+  ++stats_.requests_sent;
+  const net::NodeId target = rec.ref.node;
+  const bool collocated = target == node();
+  if (collocated) ++stats_.collocated_calls;
+  const std::uint64_t trace_id = rec.trace;
+  if (obs::TraceRecorder* tr = orb_tracer()) {
+    tr->instant(obs::TraceCategory::Orb, "send", obs_track_, engine().now(), trace_id,
+                {{"bytes", static_cast<double>(bytes->size())}});
+  }
+
+  if (!oneway) {
+    rec.flow = ctx.flow;
+    rec.sent_at = engine().now();
+    rec.timeout = engine().after(rec.options.timeout, [this, slot] { on_timeout(slot); });
+    pending_.insert(rec.request_id, slot);
+  } else {
+    // Oneways have no reply; the client span closes at the send.
+    if (trace_id != 0 && rec.span_name != nullptr) {
+      if (obs::TraceRecorder* tr = orb_tracer()) {
+        tr->async_end(obs::TraceCategory::Orb, rec.span_name, obs_track_, engine().now(),
+                      trace_id);
+      }
+    }
+    release_call(slot);
+  }
+
+  if (collocated) {
+    // Collocation optimization (TAO-style): the target lives in this
+    // ORB, so the request short-circuits the transport entirely —
+    // same marshaling and dispatch semantics, zero wire time.
+    on_message(node(), std::move(bytes));
+  } else {
+    transport_.send_message(target, std::move(bytes), ctx.dscp, ctx.flow, trace_id,
+                            ctx.batch_flush_override);
+  }
+}
+
+void OrbEndpoint::on_timeout(std::uint32_t slot) {
+  CallRecord& rec = *calls_[slot];
+  pending_.erase(rec.request_id);
+  ++stats_.timeouts;
+  ++stats_.deadline_missed;
+  if (obs::TelemetryHub* th = engine().telemetry()) {
+    th->on_deadline_miss(rec.flow, engine().now(), rec.trace);
+  }
+  if (rec.trace != 0 && rec.span_name != nullptr) {
+    if (obs::TraceRecorder* tr = orb_tracer()) {
+      tr->async_end(obs::TraceCategory::Orb, rec.span_name, obs_track_, engine().now(),
+                    rec.trace, {{"timeout", 1.0}});
+    }
+  }
+  complete_exception(slot, CompletionStatus::Timeout);
+}
+
+void OrbEndpoint::complete_exception(std::uint32_t slot, CompletionStatus status) {
+  CallRecord& rec = *calls_[slot];
+  ClientRequestContext ctx;
+  ctx.attempt = rec.attempt;
   ctx.now = engine().now();
   ctx.status = status;
-  ctx.trace_id = trace;
-  if (retry_state != nullptr) {
-    ctx.ref = &retry_state->ref;
-    ctx.operation = &retry_state->operation;
-    ctx.options = &retry_state->options;
-    ctx.retry = retry_state->options.retry;
-    ctx.deadline = retry_state->deadline;
+  ctx.trace_id = rec.trace;
+  if (rec.retryable) {
+    ctx.ref = &rec.ref;
+    ctx.operation = &rec.operation;
+    ctx.options = &rec.options;
+    ctx.retry = rec.options.retry;
+    ctx.deadline = rec.deadline;
   }
   run_client_exception(ctx);
 
-  if (ctx.retry_requested && retry_state != nullptr) {
+  if (ctx.retry_requested && rec.retryable) {
     ++stats_.retries;
     if (obs::TelemetryHub* th = engine().telemetry()) {
-      th->on_retry(retry_state->options.flow, engine().now());
+      th->on_retry(rec.options.flow, engine().now());
     }
     if (obs::TraceRecorder* tr = orb_tracer()) {
       tr->instant(obs::TraceCategory::Orb, "icpt.retry", obs_track_, engine().now(),
-                  trace,
-                  {{"attempt", static_cast<double>(attempt + 1)},
+                  rec.trace,
+                  {{"attempt", static_cast<double>(rec.attempt + 1)},
                    {"backoff_us", static_cast<double>(ctx.retry_backoff.ns()) / 1e3}});
     }
-    engine().after(ctx.retry_backoff,
-                   [this, state = std::move(retry_state), cb = std::move(cb)]() mutable {
-                     invoke_internal(state->ref, state->operation, state->body,
-                                     state->options, std::move(cb), state->attempt + 1,
-                                     state->deadline);
-                   });
+    engine().after(ctx.retry_backoff, [this, slot] {
+      ++calls_[slot]->attempt;
+      start_attempt(slot);
+    });
     return;
   }
+  ResponseCallback cb = std::move(rec.cb);
+  release_call(slot);
   if (cb) cb(status, {});
 }
 
@@ -508,24 +522,52 @@ void OrbEndpoint::on_message(net::NodeId src, const MessageView& msg) {
   }
 }
 
+std::uint32_t OrbEndpoint::acquire_server_call(net::NodeId client, std::uint32_t request_id,
+                                               std::uint64_t trace) {
+  std::uint32_t slot;
+  if (!free_server_calls_.empty()) {
+    slot = free_server_calls_.back();
+    free_server_calls_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(server_calls_.size());
+    server_calls_.push_back(std::make_unique<ServerCall>());
+  }
+  ServerCall& call = *server_calls_[slot];
+  call.req.client = client;
+  call.req.reply_body.clear();
+  call.request_id = request_id;
+  call.trace = trace;
+  call.replied = false;
+  return slot;
+}
+
+void OrbEndpoint::release_server_call(std::uint32_t slot) {
+  ServerCall& call = *server_calls_[slot];
+  ++call.generation;  // outstanding Repliers for this request go stale
+  call.servant.reset();
+  call.poa = nullptr;
+  call.req.replier = nullptr;
+  free_server_calls_.push_back(slot);
+}
+
 void OrbEndpoint::handle_request(net::NodeId src, GiopMessage& msg, std::size_t wire_size) {
   RequestHeader& header = msg.request;
 
-  // object_key = "<poa>/<object-id>"
-  const auto slash = header.object_key.find('/');
+  // object_key = "<poa>/<object-id>"; demuxed through views into the key.
+  const std::string_view key = header.object_key;
+  const auto slash = key.find('/');
   Poa* poa = nullptr;
   std::shared_ptr<Servant> servant;
-  if (slash != std::string::npos) {
-    poa = find_poa(header.object_key.substr(0, slash));
-    if (poa != nullptr) servant = poa->find(header.object_key.substr(slash + 1));
+  if (slash != std::string_view::npos) {
+    poa = find_poa(key.substr(0, slash));
+    if (poa != nullptr) servant = poa->find(key.substr(slash + 1));
   }
   if (servant == nullptr) {
     AQM_DEBUG() << "orb@" << net_.node_name(node()) << ": no servant for key "
                 << header.object_key;
     if (header.response_expected) {
-      send_reply(src, header.request_id, ReplyStatus::SystemException,
-                 encode_error_body(CompletionStatus::ObjectNotExist),
-                 config_.default_priority);
+      send_error_reply(acquire_server_call(src, header.request_id, 0),
+                       CompletionStatus::ObjectNotExist, config_.default_priority);
     }
     return;
   }
@@ -553,8 +595,8 @@ void OrbEndpoint::handle_request(net::NodeId src, GiopMessage& msg, std::size_t 
                    {"status", static_cast<double>(st.error())}});
     }
     if (header.response_expected) {
-      send_reply(src, header.request_id, ReplyStatus::SystemException,
-                 encode_error_body(st.error()), rctx.priority, rctx.trace);
+      send_error_reply(acquire_server_call(src, header.request_id, rctx.trace), st.error(),
+                       rctx.priority);
     }
     return;
   }
@@ -563,77 +605,33 @@ void OrbEndpoint::handle_request(net::NodeId src, GiopMessage& msg, std::size_t 
   const std::uint64_t trace = rctx.trace;
   if (rctx.collocated) ++poa->dispatch_stats().collocated;
 
-  auto req = std::make_shared<ServerRequest>();
-  req->operation = std::move(header.operation);
-  req->body = std::move(msg.body);
-  req->client = src;
-  req->priority = priority;
-  req->client_send_time = rctx.client_send_time;
-
-  const Duration cost = demarshal_cost(wire_size) + servant->cpu_cost(*req);
-  const bool response_expected = header.response_expected;
-  const std::uint32_t request_id = header.request_id;
+  const std::uint32_t slot = acquire_server_call(src, header.request_id, trace);
+  ServerCall& call = *server_calls_[slot];
+  ServerRequest& req = call.req;
+  // Swap rather than move: the scratch keeps a buffer to decode into next.
+  req.operation.swap(header.operation);
+  req.body.swap(msg.body);
+  req.priority = priority;
+  req.client_send_time = rctx.client_send_time;
+  req.handled_at = TimePoint{};
+  req.deferred_ = false;
+  call.servant = std::move(servant);
+  call.poa = poa;
+  call.response_expected = header.response_expected;
+  call.dispatch_priority = priority;
 
   // Reply channel, usable synchronously (after handle() returns) or
-  // asynchronously via ServerRequest::defer(). Answers at most once, even
-  // if a deferred replier races an exception reply.
-  auto replied = std::make_shared<bool>(false);
-  if (response_expected) {
-    req->replier = [this, src, request_id, priority, trace,
-                    replied](std::vector<std::uint8_t> reply_body) {
-      if (*replied) return;
-      *replied = true;
-      send_reply(src, request_id, ReplyStatus::NoException, std::move(reply_body),
-                 priority, trace);
+  // asynchronously via ServerRequest::defer(). Answers at most once: the
+  // generation check makes a repeated or late call a no-op.
+  if (call.response_expected) {
+    req.replier = [this, slot, generation = call.generation](std::vector<std::uint8_t> body) {
+      deferred_reply(slot, generation, std::move(body));
     };
   }
 
-  const bool accepted = poa->thread_pool().dispatch(
-      priority, cost,
-      [this, poa, servant, req, response_expected, request_id, src, replied, trace] {
-        ++stats_.requests_dispatched;
-        ++poa->dispatch_stats().dispatched;
-        req->handled_at = engine().now();
-        obs::TraceRecorder* tr = orb_tracer();
-        if (tr != nullptr) {
-          tr->instant(obs::TraceCategory::Orb, "dispatch", obs_track_, engine().now(),
-                      trace,
-                      {{"request_id", static_cast<double>(request_id)},
-                       {"priority", static_cast<double>(req->priority)}});
-          // Make the request's trace ambient while the servant runs, so
-          // downstream effects (syscond updates, contract transitions,
-          // reservations) chain their events to this request.
-          tr->set_current(trace);
-        }
-        if (trace != 0) last_dispatch_trace_ = trace;
-        ReplyStatus status = ReplyStatus::NoException;
-        std::vector<std::uint8_t> reply_body;
-        try {
-          servant->handle(*req);
-          reply_body = std::move(req->reply_body);
-        } catch (const ObjectNotExist&) {
-          status = ReplyStatus::SystemException;
-          reply_body = encode_error_body(CompletionStatus::ObjectNotExist);
-        } catch (const Transient&) {
-          status = ReplyStatus::SystemException;
-          reply_body = encode_error_body(CompletionStatus::Transient);
-        } catch (const SystemException&) {
-          status = ReplyStatus::SystemException;
-          reply_body = encode_error_body(CompletionStatus::SystemError);
-        }
-        if (tr != nullptr) tr->set_current(0);
-        if (!response_expected) return;
-        if (status == ReplyStatus::NoException) {
-          if (!req->deferred()) req->replier(std::move(reply_body));
-          // deferred: the servant's replier fires later.
-        } else if (!*replied) {
-          // Exceptions answer immediately, deferred or not.
-          *replied = true;
-          send_reply(src, request_id, status, std::move(reply_body), req->priority,
-                     trace);
-        }
-      });
-
+  const Duration cost = demarshal_cost(wire_size) + call.servant->cpu_cost(req);
+  const bool accepted =
+      poa->thread_pool().dispatch(priority, cost, [this, slot] { run_servant(slot); });
   if (!accepted) {
     ++stats_.dispatch_rejected;
     ++poa->dispatch_stats().rejected;
@@ -642,113 +640,184 @@ void OrbEndpoint::handle_request(net::NodeId src, GiopMessage& msg, std::size_t 
                   engine().now(), trace,
                   {{"priority", static_cast<double>(priority)}});
     }
-    if (response_expected) {
-      send_reply(src, request_id, ReplyStatus::SystemException,
-                 encode_error_body(CompletionStatus::Transient), priority, trace);
+    if (call.response_expected) {
+      send_error_reply(slot, CompletionStatus::Transient, priority);
+    } else {
+      release_server_call(slot);
     }
   }
 }
 
-void OrbEndpoint::send_reply(net::NodeId client, std::uint32_t request_id,
-                             ReplyStatus status, std::vector<std::uint8_t> body,
-                             CorbaPriority priority, std::uint64_t trace) {
+void OrbEndpoint::run_servant(std::uint32_t slot) {
+  ServerCall& call = *server_calls_[slot];
+  ServerRequest& req = call.req;
+  ++stats_.requests_dispatched;
+  ++call.poa->dispatch_stats().dispatched;
+  req.handled_at = engine().now();
+  obs::TraceRecorder* tr = orb_tracer();
+  if (tr != nullptr) {
+    tr->instant(obs::TraceCategory::Orb, "dispatch", obs_track_, engine().now(), call.trace,
+                {{"request_id", static_cast<double>(call.request_id)},
+                 {"priority", static_cast<double>(req.priority)}});
+    // Make the request's trace ambient while the servant runs, so
+    // downstream effects (syscond updates, contract transitions,
+    // reservations) chain their events to this request.
+    tr->set_current(call.trace);
+  }
+  if (call.trace != 0) last_dispatch_trace_ = call.trace;
+  std::optional<CompletionStatus> error;
+  try {
+    call.servant->handle(req);
+  } catch (const ObjectNotExist&) {
+    error = CompletionStatus::ObjectNotExist;
+  } catch (const Transient&) {
+    error = CompletionStatus::Transient;
+  } catch (const SystemException&) {
+    error = CompletionStatus::SystemError;
+  }
+  if (tr != nullptr) tr->set_current(0);
+  if (!call.response_expected) {
+    release_server_call(slot);
+    return;
+  }
+  if (!error) {
+    // Deferred: the servant's replier answers later and releases the record.
+    if (!req.deferred()) {
+      call.replied = true;
+      send_reply(slot, ReplyStatus::NoException, call.dispatch_priority);
+    }
+  } else if (!call.replied) {
+    // Exceptions answer immediately, deferred or not.
+    call.replied = true;
+    send_error_reply(slot, *error, req.priority);
+  }
+}
+
+void OrbEndpoint::deferred_reply(std::uint32_t slot, std::uint32_t generation,
+                                 std::vector<std::uint8_t> body) {
+  ServerCall& call = *server_calls_[slot];
+  if (call.generation != generation || call.replied) return;
+  call.replied = true;
+  call.req.reply_body.swap(body);
+  send_reply(slot, ReplyStatus::NoException, call.dispatch_priority);
+}
+
+void OrbEndpoint::send_error_reply(std::uint32_t slot, CompletionStatus status,
+                                   CorbaPriority priority) {
+  encode_error_body(status, server_calls_[slot]->req.reply_body);
+  send_reply(slot, ReplyStatus::SystemException, priority);
+}
+
+void OrbEndpoint::send_reply(std::uint32_t slot, ReplyStatus status, CorbaPriority priority) {
+  ServerCall& call = *server_calls_[slot];
+  call.replied = true;
+  call.reply_status = status;
+  call.reply_priority = priority;
   const os::Priority native = priority_mappings_.to_native(priority);
-  const Duration cost = marshal_cost(body.size() + 32);
-  cpu_.submit_for(
-      cost, native,
-      [this, client, request_id, status, body = std::move(body), priority, trace] {
-        ReplyHeader header;
-        header.request_id = request_id;
-        header.status = status;
+  const Duration cost = marshal_cost(call.req.reply_body.size() + 32);
+  cpu_.submit_for(cost, native, [this, slot] { marshal_reply(slot); });
+}
 
-        // Send_reply phase: built-in stampers append the reply's service
-        // contexts and derive the egress DSCP from the reply priority.
-        ServerRequestContext rctx;
-        rctx.request_id = request_id;
-        rctx.response_expected = true;
-        rctx.client = client;
-        rctx.now = engine().now();
-        rctx.priority = priority;
-        rctx.trace = trace;
-        rctx.reply_contexts = &header.contexts;
-        rctx.reply_status = status;
-        if (const auto st = run_server_reply(rctx); !st) {
-          // Reply suppressed: the client sees a timeout.
-          ++stats_.server_vetoed;
-          return;
-        }
+void OrbEndpoint::marshal_reply(std::uint32_t slot) {
+  ServerCall& call = *server_calls_[slot];
+  ReplyHeader& header = reply_scratch_;
+  header.request_id = call.request_id;
+  header.status = call.reply_status;
+  recycle_contexts(header.contexts, context_spare_);
 
-        auto buf = pool_.acquire();
-        encode_reply(header, body, *buf);
-        pool_.note_message_size(buf->size());
-        MessageBuffer bytes = CdrBufferPool::freeze(std::move(buf));
-        if (obs::TraceRecorder* tr = orb_tracer()) {
-          tr->instant(obs::TraceCategory::Orb, "reply.send", obs_track_, engine().now(),
-                      trace, {{"bytes", static_cast<double>(bytes->size())}});
-        }
-        transport_.send_message(client, std::move(bytes), rctx.reply_dscp, net::kNoFlow,
-                                trace);
-      });
+  // Send_reply phase: built-in stampers append the reply's service
+  // contexts and derive the egress DSCP from the reply priority.
+  ServerRequestContext rctx;
+  rctx.request_id = call.request_id;
+  rctx.response_expected = true;
+  rctx.client = call.req.client;
+  rctx.now = engine().now();
+  rctx.priority = call.reply_priority;
+  rctx.trace = call.trace;
+  rctx.reply_contexts = &header.contexts;
+  rctx.context_spare = &context_spare_;
+  rctx.reply_status = call.reply_status;
+  if (const auto st = run_server_reply(rctx); !st) {
+    // Reply suppressed: the client sees a timeout.
+    ++stats_.server_vetoed;
+    release_server_call(slot);
+    return;
+  }
+
+  auto buf = pool_.acquire();
+  encode_reply(header, call.req.reply_body, *buf);
+  pool_.note_message_size(buf->size());
+  MessageBuffer bytes = CdrBufferPool::freeze(std::move(buf));
+  if (obs::TraceRecorder* tr = orb_tracer()) {
+    tr->instant(obs::TraceCategory::Orb, "reply.send", obs_track_, engine().now(),
+                call.trace, {{"bytes", static_cast<double>(bytes->size())}});
+  }
+  const net::NodeId client = call.req.client;
+  const std::uint64_t trace = call.trace;
+  release_server_call(slot);
+  transport_.send_message(client, std::move(bytes), rctx.reply_dscp, net::kNoFlow, trace);
 }
 
 void OrbEndpoint::handle_reply(GiopMessage& msg, std::size_t wire_size) {
-  const auto it = pending_.find(msg.reply.request_id);
-  if (it == pending_.end()) return;  // late reply after timeout: drop
-  PendingRequest pending = std::move(it->second);
-  pending_.erase(it);
-  engine().cancel(pending.timeout);
+  const std::uint32_t slot = pending_.find(msg.reply.request_id);
+  if (slot == kNoSlot) return;  // late reply after timeout: drop
+  pending_.erase(msg.reply.request_id);
+  CallRecord& rec = *calls_[slot];
+  engine().cancel(rec.timeout);
+  rec.reply_status = msg.reply.status;
+  rec.reply_body.swap(msg.body);
 
-  const os::Priority native = priority_mappings_.to_native(pending.priority);
+  const os::Priority native = priority_mappings_.to_native(rec.priority);
   const Duration cost = demarshal_cost(wire_size);
-  const ReplyStatus status = msg.reply.status;
   if (obs::TraceRecorder* tr = orb_tracer()) {
-    tr->instant(obs::TraceCategory::Orb, "reply.recv", obs_track_, engine().now(),
-                pending.trace, {{"bytes", static_cast<double>(wire_size)}});
+    tr->instant(obs::TraceCategory::Orb, "reply.recv", obs_track_, engine().now(), rec.trace,
+                {{"bytes", static_cast<double>(wire_size)}});
   }
-  cpu_.submit_for(
-      cost, native,
-      [this, cb = std::move(pending.cb), status, trace = pending.trace,
-       span = pending.span_name, attempt = pending.attempt,
-       retry_state = std::move(pending.retry), priority = pending.priority,
-       flow = pending.flow, sent_at = pending.sent_at,
-       request_id = msg.reply.request_id, body = std::move(msg.body)]() mutable {
-        // The client call span closes once the reply is
-        // demarshaled — end-to-end latency as the app sees it.
-        if (trace != 0 && span != nullptr) {
-          if (obs::TraceRecorder* tr = orb_tracer()) {
-            tr->async_end(obs::TraceCategory::Orb, span, obs_track_, engine().now(),
-                          trace,
-                          {{"ok", status == ReplyStatus::NoException ? 1.0 : 0.0}});
-          }
-        }
-        if (status == ReplyStatus::NoException) {
-          ++stats_.replies_ok;
-          if (obs::TelemetryHub* th = engine().telemetry()) {
-            th->on_call(flow, engine().now(), (engine().now() - sent_at).millis(),
-                        trace);
-          }
-          ClientRequestContext ctx;
-          ctx.request_id = request_id;
-          ctx.attempt = attempt;
-          ctx.now = engine().now();
-          ctx.priority = priority;
-          ctx.trace_id = trace;
-          ctx.status = CompletionStatus::Ok;
-          if (retry_state != nullptr) {
-            ctx.ref = &retry_state->ref;
-            ctx.operation = &retry_state->operation;
-            ctx.options = &retry_state->options;
-            ctx.retry = retry_state->options.retry;
-            ctx.deadline = retry_state->deadline;
-          }
-          run_client_reply(ctx);
-          cb(CompletionStatus::Ok, std::move(body));
-        } else {
-          ++stats_.replies_error;
-          complete_exception(std::move(cb), decode_error_body(body), attempt,
-                             std::move(retry_state), trace);
-        }
-      });
+  cpu_.submit_for(cost, native, [this, slot] { finish_reply(slot); });
+}
+
+void OrbEndpoint::finish_reply(std::uint32_t slot) {
+  CallRecord& rec = *calls_[slot];
+  const bool ok = rec.reply_status == ReplyStatus::NoException;
+  // The client call span closes once the reply is demarshaled —
+  // end-to-end latency as the app sees it.
+  if (rec.trace != 0 && rec.span_name != nullptr) {
+    if (obs::TraceRecorder* tr = orb_tracer()) {
+      tr->async_end(obs::TraceCategory::Orb, rec.span_name, obs_track_, engine().now(),
+                    rec.trace, {{"ok", ok ? 1.0 : 0.0}});
+    }
+  }
+  if (!ok) {
+    ++stats_.replies_error;
+    complete_exception(slot, decode_error_body(rec.reply_body));
+    return;
+  }
+  ++stats_.replies_ok;
+  if (obs::TelemetryHub* th = engine().telemetry()) {
+    th->on_call(rec.flow, engine().now(), (engine().now() - rec.sent_at).millis(), rec.trace);
+  }
+  ClientRequestContext ctx;
+  ctx.request_id = rec.request_id;
+  ctx.attempt = rec.attempt;
+  ctx.now = engine().now();
+  ctx.priority = rec.priority;
+  ctx.trace_id = rec.trace;
+  ctx.status = CompletionStatus::Ok;
+  if (rec.retryable) {
+    ctx.ref = &rec.ref;
+    ctx.operation = &rec.operation;
+    ctx.options = &rec.options;
+    ctx.retry = rec.options.retry;
+    ctx.deadline = rec.deadline;
+  }
+  run_client_reply(ctx);
+  // A non-empty body goes to the caller by value (the public callback
+  // signature), and the record's buffer with it; an empty one keeps it.
+  ResponseCallback cb = std::move(rec.cb);
+  std::vector<std::uint8_t> body;
+  if (!rec.reply_body.empty()) body.swap(rec.reply_body);
+  release_call(slot);
+  cb(CompletionStatus::Ok, std::move(body));
 }
 
 // --- ObjectStub --------------------------------------------------------------

@@ -19,6 +19,16 @@
 // All previously hard-wired QoS behaviors live in built-in interceptors
 // (see orb/interceptor.hpp); invoke/handle_request/send_reply are now
 // marshal + pipeline + transport.
+//
+// The steady-state round trip allocates nothing (DESIGN.md §8). Each
+// client invocation lives in a recycled call record from invoke() to its
+// completion (retries included), pending replies are found through a
+// FlatIndex, each server request lives in a recycled server record with
+// its ServerRequest, and requests and replies are encoded from endpoint
+// scratch headers. Every callback the endpoint hands to the CPU, the
+// engine, a thread pool or a Replier captures {this, slot} or
+// {this, slot, generation}: at most 16 bytes, which std::function and the
+// engine's InlineHandler both store inline.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +37,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
+#include "common/flat_index.hpp"
 #include "common/time.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
@@ -130,7 +141,7 @@ class OrbEndpoint {
   // --- server side -------------------------------------------------------------
 
   Poa& create_poa(const std::string& name, PoaPolicies policies = {});
-  [[nodiscard]] Poa* find_poa(const std::string& name);
+  [[nodiscard]] Poa* find_poa(std::string_view name);
 
   // --- client side -------------------------------------------------------------
 
@@ -170,28 +181,54 @@ class OrbEndpoint {
   void export_metrics(obs::MetricsRegistry& reg, std::string_view prefix) const;
 
  private:
-  /// Everything needed to re-issue an invocation; materialized only when
-  /// the invocation opted into retries, so the common path stays
-  /// allocation-free.
-  struct RetryState {
+  /// One client invocation, from invoke() to the caller's callback, kept
+  /// across retries. Records are recycled with their strings' and buffers'
+  /// capacity, so a warm invocation copies into them without allocating.
+  struct CallRecord {
+    // --- the invocation, as passed to invoke() -------------------------------
     ObjectRef ref;
     std::string operation;
     std::vector<std::uint8_t> body;
     InvokeOptions options;
-    int attempt = 1;
-    std::optional<TimePoint> deadline;
-  };
-
-  struct PendingRequest {
     ResponseCallback cb;
-    CorbaPriority priority;
-    sim::EventId timeout{};
+    int attempt = 1;
+    /// Absolute deadline, carried across retries.
+    std::optional<TimePoint> deadline;
+    /// Another attempt is still possible: the reply/exception phases see
+    /// ref/operation/options (interceptor.hpp's "originals").
+    bool retryable = false;
+    // --- the current attempt ------------------------------------------------
+    std::uint32_t request_id = 0;
+    CorbaPriority priority = 0;
+    std::optional<net::Dscp> dscp_override;
+    net::FlowId flow = net::kNoFlow;  // resolved flow (after send_request)
+    std::optional<Duration> flush_override;
     std::uint64_t trace = 0;
     const char* span_name = nullptr;  // interned "call <op>" for the async end
-    int attempt = 1;
-    std::shared_ptr<RetryState> retry;  // null unless retries were requested
-    net::FlowId flow = net::kNoFlow;    // resolved flow, for telemetry
-    TimePoint sent_at{};                // post-marshal send instant
+    sim::EventId timeout{};
+    TimePoint sent_at{};  // post-marshal send instant
+    // --- the reply ----------------------------------------------------------
+    ReplyStatus reply_status = ReplyStatus::NoException;
+    std::vector<std::uint8_t> reply_body;
+  };
+
+  /// One server-side request (or bare error reply), from demux to the
+  /// reply's send. `generation` changes on every release, so a stale or
+  /// repeated Replier call is recognised and ignored.
+  struct ServerCall {
+    ServerRequest req;  // req.reply_body carries the reply
+    std::shared_ptr<Servant> servant;
+    Poa* poa = nullptr;
+    std::uint32_t request_id = 0;
+    std::uint64_t trace = 0;
+    std::uint32_t generation = 0;
+    bool response_expected = false;
+    bool replied = false;
+    /// Priority the normal reply goes out at (the dispatch priority; the
+    /// servant may have changed req.priority, which exception replies use).
+    CorbaPriority dispatch_priority = 0;
+    ReplyStatus reply_status = ReplyStatus::NoException;
+    CorbaPriority reply_priority = 0;
   };
 
   template <typename T>
@@ -203,13 +240,19 @@ class OrbEndpoint {
   };
 
   void install_builtin_interceptors();
-  void invoke_internal(const ObjectRef& ref, const std::string& operation,
-                       std::vector<std::uint8_t> body, InvokeOptions options,
-                       ResponseCallback cb, int attempt,
-                       std::optional<TimePoint> deadline);
-  /// Runs receive_exception and either schedules a retry or completes `cb`.
-  void complete_exception(ResponseCallback cb, CompletionStatus status, int attempt,
-                          std::shared_ptr<RetryState> retry_state, std::uint64_t trace);
+
+  // --- client call path (all keyed by call-record slot) --------------------
+  std::uint32_t acquire_call();
+  void release_call(std::uint32_t slot);
+  /// Establish phase + marshal job of the record's current attempt.
+  void start_attempt(std::uint32_t slot);
+  /// Marshal job done: send_request phase, encode, ship.
+  void send_request(std::uint32_t slot);
+  void on_timeout(std::uint32_t slot);
+  /// Reply demarshaled: receive_reply or the exception path.
+  void finish_reply(std::uint32_t slot);
+  /// Runs receive_exception and either schedules a retry or completes.
+  void complete_exception(std::uint32_t slot, CompletionStatus status);
 
   InterceptStatus run_client_establish(ClientRequestContext& ctx);
   InterceptStatus run_client_send(ClientRequestContext& ctx);
@@ -219,13 +262,27 @@ class OrbEndpoint {
   InterceptStatus run_server_reply(ServerRequestContext& ctx);
 
   void on_message(net::NodeId src, const MessageView& msg);
-  /// Both take the decode scratch by reference and move its movable
-  /// fields out; decode_into reinitializes them on the next message.
+  /// Both take the decode scratch by reference and swap its body and
+  /// strings with pooled buffers; decode_into refills them on the next
+  /// message.
   void handle_request(net::NodeId src, GiopMessage& msg, std::size_t wire_size);
   void handle_reply(GiopMessage& msg, std::size_t wire_size);
-  void send_reply(net::NodeId client, std::uint32_t request_id, ReplyStatus status,
-                  std::vector<std::uint8_t> body, CorbaPriority priority,
-                  std::uint64_t trace = 0);
+
+  // --- server call path (keyed by server-record slot) ----------------------
+  std::uint32_t acquire_server_call(net::NodeId client, std::uint32_t request_id,
+                                    std::uint64_t trace);
+  void release_server_call(std::uint32_t slot);
+  /// Thread-pool work done: runs the servant and answers synchronously.
+  void run_servant(std::uint32_t slot);
+  /// A Replier fired: sends the deferred reply unless already answered.
+  void deferred_reply(std::uint32_t slot, std::uint32_t generation,
+                      std::vector<std::uint8_t> body);
+  /// Answers with a system exception whose body encodes `status`.
+  void send_error_reply(std::uint32_t slot, CompletionStatus status, CorbaPriority priority);
+  /// Queues the reply marshal job for the record's req.reply_body.
+  void send_reply(std::uint32_t slot, ReplyStatus status, CorbaPriority priority);
+  /// Reply marshal job done: send_reply phase, encode, ship, release.
+  void marshal_reply(std::uint32_t slot);
   /// Engine recorder iff orb tracing is on; binds the "orb:<node>" lane on
   /// first use.
   [[nodiscard]] obs::TraceRecorder* orb_tracer();
@@ -243,15 +300,25 @@ class OrbEndpoint {
   rt::PriorityMappingManager priority_mappings_;
   rt::DscpMappingManager dscp_mappings_;
   CorbaPriority client_priority_ = 0;
-  std::map<std::string, std::unique_ptr<Poa>> poas_;
-  /// In-flight twoway completions, demuxed by request id. Hashed (O(1) at
-  /// pipelining depths) and never iterated, so determinism holds.
-  std::unordered_map<std::uint32_t, PendingRequest> pending_;
+  std::map<std::string, std::unique_ptr<Poa>, std::less<>> poas_;
+  /// Call records (stable addresses: user callbacks may re-enter invoke())
+  /// and their free list; in-flight twoways are found by request id.
+  std::vector<std::unique_ptr<CallRecord>> calls_;
+  std::vector<std::uint32_t> free_calls_;
+  FlatIndex<std::uint64_t> pending_;
+  std::vector<std::unique_ptr<ServerCall>> server_calls_;
+  std::vector<std::uint32_t> free_server_calls_;
   /// Receive-path decode scratch: every inbound message decodes into this
   /// one GiopMessage, reusing its strings/contexts/body capacity. Safe
   /// because servant and callback work is always deferred through the CPU
   /// or thread pool, so no nested on_message can run while it is live.
   GiopMessage decode_scratch_;
+  /// Encode-side twins of decode_scratch_: each request/reply is stamped
+  /// into one of these and encoded before anything can re-enter, and
+  /// stamped contexts are recycled through context_spare_.
+  RequestHeader request_scratch_;
+  ReplyHeader reply_scratch_;
+  std::vector<ServiceContext> context_spare_;
   std::uint32_t next_request_id_ = 1;
   OrbStats stats_;
   // Client chain: [user..., built-ins...]; server chain: [built-ins..., user...].

@@ -33,7 +33,7 @@ ObjectRef Poa::activate_object(const std::string& object_id,
 
 void Poa::deactivate_object(const std::string& object_id) { servants_.erase(object_id); }
 
-std::shared_ptr<Servant> Poa::find(const std::string& object_id) const {
+std::shared_ptr<Servant> Poa::find(std::string_view object_id) const {
   const auto it = servants_.find(object_id);
   return it == servants_.end() ? nullptr : it->second;
 }

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -54,8 +55,9 @@ class Poa {
   [[nodiscard]] const PoaPolicies& policies() const { return policies_; }
   [[nodiscard]] std::size_t servant_count() const { return servants_.size(); }
 
-  /// Constant-time servant lookup (active demultiplexing).
-  [[nodiscard]] std::shared_ptr<Servant> find(const std::string& object_id) const;
+  /// Constant-time servant lookup (active demultiplexing); takes a view
+  /// into the request's object key, so the demux builds no string.
+  [[nodiscard]] std::shared_ptr<Servant> find(std::string_view object_id) const;
 
   [[nodiscard]] rt::ThreadPool& thread_pool() { return *pool_; }
 
@@ -67,7 +69,12 @@ class Poa {
   std::string name_;
   PoaPolicies policies_;
   PoaDispatchStats dispatch_stats_;
-  std::unordered_map<std::string, std::shared_ptr<Servant>> servants_;
+  /// Transparent hash: find() probes with a string_view.
+  struct IdHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
+  };
+  std::unordered_map<std::string, std::shared_ptr<Servant>, IdHash, std::equal_to<>> servants_;
   std::unique_ptr<rt::ThreadPool> pool_;
 };
 

@@ -16,7 +16,7 @@ ThreadPool::ThreadPool(os::Cpu& cpu, const PriorityMappingManager& mapping,
   lanes_.reserve(lanes.size());
   for (auto& l : lanes) {
     assert(l.static_threads > 0);
-    lanes_.push_back(Lane{l, 0, {}});
+    lanes_.emplace_back().spec = l;
   }
 }
 
@@ -35,39 +35,69 @@ bool ThreadPool::dispatch(CorbaPriority priority, Duration cpu_cost,
                           std::function<void()> on_complete) {
   const std::size_t idx = lane_for(priority);
   Lane& lane = lanes_[idx];
-  Pending work{priority, cpu_cost, std::move(on_complete)};
-  if (lane.busy < lane.spec.static_threads) {
-    run(idx, std::move(work));
-    return true;
-  }
-  if (lane.queue.size() >= lane.spec.max_queue) {
+  const bool run_now = lane.busy < lane.spec.static_threads;
+  if (!run_now && lane.queued >= lane.spec.max_queue) {
     ++rejected_;
     return false;
   }
-  lane.queue.push_back(std::move(work));
+  std::uint32_t slot;
+  if (!free_work_.empty()) {
+    slot = free_work_.back();
+    free_work_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(work_.size());
+    work_.emplace_back();
+  }
+  Work& work = work_[slot];
+  work.priority = priority;
+  work.cpu_cost = cpu_cost;
+  work.on_complete = std::move(on_complete);
+  work.lane = static_cast<std::uint32_t>(idx);
+  if (run_now) {
+    run(slot);
+    return true;
+  }
+  if (lane.queued == lane.ring.size()) {
+    // Full ring: grow it, unrolled so the FIFO order starts at index 0.
+    std::vector<std::uint32_t> grown(std::max<std::size_t>(4, 2 * lane.ring.size()));
+    for (std::size_t i = 0; i < lane.queued; ++i) {
+      grown[i] = lane.ring[(lane.head + i) % lane.ring.size()];
+    }
+    lane.ring.swap(grown);
+    lane.head = 0;
+  }
+  lane.ring[(lane.head + lane.queued) % lane.ring.size()] = slot;
+  ++lane.queued;
   return true;
 }
 
-void ThreadPool::run(std::size_t lane_idx, Pending work) {
-  Lane& lane = lanes_[lane_idx];
-  ++lane.busy;
-  const os::Priority native = mapping_.to_native(work.priority);
-  cpu_.submit_for(work.cpu_cost, native,
-                  [this, lane_idx, fn = std::move(work.on_complete)] {
-                    ++completed_;
-                    if (fn) fn();
-                    on_thread_free(lane_idx);
-                  });
+void ThreadPool::run(std::uint32_t slot) {
+  const Work& work = work_[slot];
+  ++lanes_[work.lane].busy;
+  cpu_.submit_for(work.cpu_cost, mapping_.to_native(work.priority),
+                  [this, slot] { finish(slot); });
+}
+
+void ThreadPool::finish(std::uint32_t slot) {
+  ++completed_;
+  // Free the slot before running the work: it may dispatch again.
+  const std::size_t lane_idx = work_[slot].lane;
+  std::function<void()> fn = std::move(work_[slot].on_complete);
+  work_[slot].on_complete = nullptr;
+  free_work_.push_back(slot);
+  if (fn) fn();
+  on_thread_free(lane_idx);
 }
 
 void ThreadPool::on_thread_free(std::size_t lane_idx) {
   Lane& lane = lanes_[lane_idx];
   assert(lane.busy > 0);
   --lane.busy;
-  if (lane.queue.empty()) return;
-  Pending next = std::move(lane.queue.front());
-  lane.queue.pop_front();
-  run(lane_idx, std::move(next));
+  if (lane.queued == 0) return;
+  const std::uint32_t next = lane.ring[lane.head];
+  lane.head = (lane.head + 1) % lane.ring.size();
+  --lane.queued;
+  run(next);
 }
 
 }  // namespace aqm::orb::rt

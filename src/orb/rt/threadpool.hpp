@@ -9,10 +9,14 @@
 // full. CLIENT_PROPAGATED requests execute at the *request's* mapped native
 // priority; SERVER_DECLARED ones arrive already carrying the declared
 // priority, so the same rule applies.
+//
+// Dispatch allocates nothing once warm: every request's work sits in a
+// recycled slot of one pool-wide table, a lane queues slot indices in a
+// ring that grows on demand, and the CPU job a request runs as captures
+// only {pool, slot}, so it fits std::function's inline storage.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -41,7 +45,7 @@ class ThreadPool {
   bool dispatch(CorbaPriority priority, Duration cpu_cost, std::function<void()> on_complete);
 
   [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
-  [[nodiscard]] std::size_t queued(std::size_t lane) const { return lanes_.at(lane).queue.size(); }
+  [[nodiscard]] std::size_t queued(std::size_t lane) const { return lanes_.at(lane).queued; }
   [[nodiscard]] unsigned busy(std::size_t lane) const { return lanes_.at(lane).busy; }
   [[nodiscard]] std::uint64_t rejected() const { return rejected_; }
   [[nodiscard]] std::uint64_t completed() const { return completed_; }
@@ -50,23 +54,31 @@ class ThreadPool {
   [[nodiscard]] std::size_t lane_for(CorbaPriority priority) const;
 
  private:
-  struct Pending {
-    CorbaPriority priority;
-    Duration cpu_cost;
+  /// One dispatched request: waiting in its lane's ring or running.
+  struct Work {
+    CorbaPriority priority = 0;
+    Duration cpu_cost{};
     std::function<void()> on_complete;
+    std::uint32_t lane = 0;
   };
   struct Lane {
     ThreadpoolLane spec;
     unsigned busy = 0;
-    std::deque<Pending> queue;
+    /// FIFO of waiting work slots: ring[(head + i) % ring.size()], i < queued.
+    std::vector<std::uint32_t> ring;
+    std::size_t head = 0;
+    std::size_t queued = 0;
   };
 
-  void run(std::size_t lane_idx, Pending work);
+  void run(std::uint32_t slot);
+  void finish(std::uint32_t slot);
   void on_thread_free(std::size_t lane_idx);
 
   os::Cpu& cpu_;
   const PriorityMappingManager& mapping_;
   std::vector<Lane> lanes_;  // sorted ascending by lane_priority
+  std::vector<Work> work_;
+  std::vector<std::uint32_t> free_work_;
   std::uint64_t rejected_ = 0;
   std::uint64_t completed_ = 0;
 };

@@ -13,7 +13,12 @@
 
 namespace aqm::orb {
 
-/// One incoming request as seen by a servant.
+class OrbEndpoint;
+
+/// One incoming request as seen by a servant. The ORB recycles these from
+/// a per-endpoint pool: a servant may keep what it needs from one, or the
+/// replier from defer(), but not a reference to the request itself past
+/// handle().
 struct ServerRequest {
   std::string operation;
   std::vector<std::uint8_t> body;
@@ -41,6 +46,7 @@ struct ServerRequest {
   // --- ORB plumbing (set by the dispatch path, not by servants) ---------------
   Replier replier;  // non-null for twoway requests
  private:
+  friend class OrbEndpoint;  // recycles pooled requests
   bool deferred_ = false;
 };
 

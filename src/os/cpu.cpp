@@ -41,35 +41,151 @@ std::uint64_t Cpu::cycles_for(Duration cpu_time) const {
   return mul_div_ceil(static_cast<std::uint64_t>(cpu_time.ns()), config_.hz, 1'000'000'000ULL);
 }
 
-// --- ready-queue index ------------------------------------------------------
+// --- job slab ---------------------------------------------------------------
 
-void Cpu::ready_insert(Job& job) {
+void Cpu::release_job(std::uint32_t slot) {
+  Job& job = jobs_[slot];
+  if (indexed()) {
+    ready_remove(job);
+    if (job.reserve != kNoReserve) detach(job);
+  }
+  job_index_.erase(job.id);
+  job.id = 0;
+  job.on_complete = nullptr;
+  free_jobs_.push_back(slot);
+}
+
+// --- ready index ------------------------------------------------------------
+
+std::size_t Cpu::find_level(Priority priority) const {
+  // Descending order: the first level whose priority is not above `priority`.
+  const auto it = std::partition_point(
+      levels_.begin(), levels_.end(),
+      [priority](const Level& l) { return l.priority > priority; });
+  return static_cast<std::size_t>(it - levels_.begin());
+}
+
+std::size_t Cpu::level_for(Priority priority) {
+  const std::size_t i = find_level(priority);
+  if (i < levels_.size() && levels_[i].priority == priority) return i;
+  levels_.insert(levels_.begin() + static_cast<std::ptrdiff_t>(i), Level{priority, {}});
+  if (i <= first_ready_) ++first_ready_;  // the new level is empty
+  return i;
+}
+
+void Cpu::heap_set(Level& level, std::size_t pos, HeapEntry e) {
+  level.heap[pos] = e;
+  jobs_[e.slot].heap_pos = static_cast<std::uint32_t>(pos);
+}
+
+void Cpu::sift_up(Level& level, std::size_t pos) {
+  const HeapEntry e = level.heap[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (level.heap[parent].rank < e.rank) break;
+    heap_set(level, pos, level.heap[parent]);
+    pos = parent;
+  }
+  heap_set(level, pos, e);
+}
+
+void Cpu::sift_down(Level& level, std::size_t pos) {
+  const HeapEntry e = level.heap[pos];
+  const std::size_t n = level.heap.size();
+  for (;;) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && level.heap[child + 1].rank < level.heap[child].rank) ++child;
+    if (e.rank < level.heap[child].rank) break;
+    heap_set(level, pos, level.heap[child]);
+    pos = child;
+  }
+  heap_set(level, pos, e);
+}
+
+void Cpu::ready_insert(Job& job, std::uint32_t slot) {
   assert(!job.in_ready);
   const auto ep = effective_priority(job);
   if (!ep) return;  // hard reserve with exhausted budget: suspended
-  ready_[*ep].emplace(job.queue_rank, job.id);
+  const std::size_t li = level_for(*ep);
+  Level& level = levels_[li];
+  level.heap.push_back(HeapEntry{job.queue_rank, slot});
+  sift_up(level, level.heap.size() - 1);
   job.ready_level = *ep;
   job.in_ready = true;
+  first_ready_ = std::min(first_ready_, li);
   ++ready_count_;
 }
 
 void Cpu::ready_remove(Job& job) {
   if (!job.in_ready) return;
-  const auto lit = ready_.find(job.ready_level);
-  assert(lit != ready_.end());
-  lit->second.erase(job.queue_rank);
-  if (lit->second.empty()) ready_.erase(lit);
+  const std::size_t li = find_level(job.ready_level);
+  assert(li < levels_.size() && levels_[li].priority == job.ready_level);
+  Level& level = levels_[li];
+  const std::size_t pos = job.heap_pos;
+  const HeapEntry last = level.heap.back();
+  level.heap.pop_back();
+  if (pos < level.heap.size()) {
+    heap_set(level, pos, last);
+    sift_up(level, pos);
+    sift_down(level, jobs_[last.slot].heap_pos);
+  }
   job.in_ready = false;
   --ready_count_;
+  while (first_ready_ < levels_.size() && levels_[first_ready_].heap.empty()) ++first_ready_;
 }
 
 void Cpu::reindex_attached(ReserveId id) {
-  const auto ait = attached_.find(id);
-  if (ait == attached_.end()) return;
-  for (const JobId jid : ait->second) {
-    const auto it = jobs_.find(jid);
-    assert(it != jobs_.end());
-    reindex_job(it->second);
+  const std::uint32_t pos = attached_index_.find(id);
+  if (pos == kNoSlot) return;
+  for (std::uint32_t slot = attached_[pos].head; slot != kNil;
+       slot = jobs_[slot].attached_next) {
+    reindex_job(jobs_[slot], slot);
+  }
+}
+
+// --- reserve membership -----------------------------------------------------
+
+std::uint32_t Cpu::attached_count(ReserveId id) const {
+  const std::uint32_t pos = attached_index_.find(id);
+  return pos == kNoSlot ? 0 : attached_[pos].count;
+}
+
+bool Cpu::attach(Job& job, std::uint32_t slot) {
+  std::uint32_t pos = attached_index_.find(job.reserve);
+  if (pos == kNoSlot) {
+    if (!free_attached_.empty()) {
+      pos = free_attached_.back();
+      free_attached_.pop_back();
+    } else {
+      pos = static_cast<std::uint32_t>(attached_.size());
+      attached_.emplace_back();
+    }
+    attached_[pos] = AttachedList{};
+    attached_index_.insert(job.reserve, pos);
+  }
+  AttachedList& list = attached_[pos];
+  job.attached_prev = kNil;
+  job.attached_next = list.head;
+  if (list.head != kNil) jobs_[list.head].attached_prev = slot;
+  list.head = slot;
+  return ++list.count == 1;
+}
+
+void Cpu::detach(Job& job) {
+  const std::uint32_t pos = attached_index_.find(job.reserve);
+  assert(pos != kNoSlot);
+  AttachedList& list = attached_[pos];
+  if (job.attached_prev != kNil) {
+    jobs_[job.attached_prev].attached_next = job.attached_next;
+  } else {
+    list.head = job.attached_next;
+  }
+  if (job.attached_next != kNil) jobs_[job.attached_next].attached_prev = job.attached_prev;
+  job.attached_prev = job.attached_next = kNil;
+  if (--list.count == 0) {
+    attached_index_.erase(job.reserve);
+    free_attached_.push_back(pos);
   }
 }
 
@@ -82,29 +198,31 @@ void Cpu::push_wake(const Reserve& r) {
 JobId Cpu::submit(std::uint64_t cycles, Priority priority, std::function<void()> on_complete,
                   ReserveId reserve) {
   const JobId id = next_job_id_++;
-  Job job;
+  std::uint32_t slot;
+  if (!free_jobs_.empty()) {
+    slot = free_jobs_.back();
+    free_jobs_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(jobs_.size());
+    jobs_.emplace_back();
+  }
+  Job& job = jobs_[slot];
   job.id = id;
   job.cycles_remaining = cycles;
   job.base_priority = priority;
   job.reserve = reserve;
   job.on_complete = std::move(on_complete);
   job.queue_rank = next_rank_++;
-  const auto [it, inserted] = jobs_.emplace(id, std::move(job));
-  assert(inserted);
-  (void)inserted;
+  job.in_ready = false;
+  job_index_.insert(id, slot);
   if (indexed()) {
-    if (reserve != kNoReserve) {
-      auto& members = attached_[reserve];
-      const bool first = members.empty();
-      members.insert(id);
-      if (first) {
-        // First attached job: the wake heap may hold no live entry for this
-        // reserve (entries go stale when the set drains), so seed one.
-        const auto rit = reserves_.find(reserve);
-        if (rit != reserves_.end()) push_wake(rit->second);
-      }
+    if (reserve != kNoReserve && attach(job, slot)) {
+      // First attached job: the wake heap may hold no live entry for this
+      // reserve (entries go stale when the list drains), so seed one.
+      const auto rit = reserves_.find(reserve);
+      if (rit != reserves_.end()) push_wake(rit->second);
     }
-    ready_insert(it->second);
+    ready_insert(job, slot);
   }
   reschedule();
   return id;
@@ -116,24 +234,14 @@ JobId Cpu::submit_for(Duration cpu_time, Priority priority, std::function<void()
 }
 
 bool Cpu::cancel(JobId id) {
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return false;
+  const std::uint32_t slot = slot_of(id);
+  if (slot == kNil) return false;
   if (running_ && *running_ == id) {
     charge_running();
     clear_pending_events();
     running_.reset();
   }
-  if (indexed()) {
-    ready_remove(it->second);
-    if (it->second.reserve != kNoReserve) {
-      const auto ait = attached_.find(it->second.reserve);
-      if (ait != attached_.end()) {
-        ait->second.erase(id);
-        if (ait->second.empty()) attached_.erase(ait);
-      }
-    }
-  }
-  jobs_.erase(it);
+  release_job(slot);
   reschedule();
   return true;
 }
@@ -148,25 +256,26 @@ obs::TraceRecorder* Cpu::os_tracer() {
 }
 
 bool Cpu::set_base_priority(JobId id, Priority priority) {
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return false;
-  if (it->second.base_priority == priority) return true;
+  const std::uint32_t slot = slot_of(id);
+  if (slot == kNil) return false;
+  Job& job = jobs_[slot];
+  if (job.base_priority == priority) return true;
   if (obs::TraceRecorder* tr = os_tracer()) {
     tr->instant(obs::TraceCategory::Os, "priority.change", obs_track_, engine_.now(),
                 tr->current(),
-                {{"from", static_cast<double>(it->second.base_priority)},
+                {{"from", static_cast<double>(job.base_priority)},
                  {"to", static_cast<double>(priority)}});
   }
-  it->second.base_priority = priority;
-  if (indexed()) reindex_job(it->second);
+  job.base_priority = priority;
+  if (indexed()) reindex_job(job, slot);
   reschedule();
   return true;
 }
 
 std::optional<Priority> Cpu::base_priority(JobId id) const {
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  return it->second.base_priority;
+  const Job* job = find_job(id);
+  if (job == nullptr) return std::nullopt;
+  return job->base_priority;
 }
 
 // --- reserves ---------------------------------------------------------------
@@ -198,8 +307,7 @@ Result<ReserveId> Cpu::create_reserve(const ReserveSpec& spec) {
   }
   if (indexed()) {
     replenish_heap_.push({boundary_of(rit->second).ns(), id});
-    const auto ait = attached_.find(id);
-    if (ait != attached_.end() && !ait->second.empty()) {
+    if (attached_count(id) > 0) {
       // Jobs submitted against this id before the reserve existed attach
       // now (the legacy scheduler resolves the reserve lazily on scan).
       push_wake(rit->second);
@@ -254,8 +362,7 @@ Status<std::string> Cpu::update_reserve(ReserveId id, const ReserveSpec& spec) {
     // jobs — the resize may have flipped the boost state in either
     // direction (budget gained or clamped to zero).
     replenish_heap_.push({boundary_of(r).ns(), id});
-    const auto ait = attached_.find(id);
-    if (ait != attached_.end() && !ait->second.empty()) push_wake(r);
+    if (attached_count(id) > 0) push_wake(r);
     reindex_attached(id);
   }
   reschedule();
@@ -296,8 +403,8 @@ Duration Cpu::reserve_budget(ReserveId id) const {
   // event interrupts at boundaries, so the running slice never straddles
   // one by more than scheduling latency.
   if (running_ && running_boosted_) {
-    const auto jit = jobs_.find(*running_);
-    if (jit != jobs_.end() && jit->second.reserve == id) {
+    const Job* job = find_job(*running_);
+    if (job != nullptr && job->reserve == id) {
       const TimePoint from = std::max(run_start_, period_start);
       budget = std::max(Duration::zero(), budget - (now - from));
     }
@@ -319,8 +426,8 @@ double Cpu::reserved_utilization() const {
 std::size_t Cpu::runnable_count() const {
   if (config_.legacy_scan) {
     std::size_t n = 0;
-    for (const auto& [id, job] : jobs_) {
-      if (effective_priority(job)) ++n;
+    for (const Job& job : jobs_) {
+      if (job.id != 0 && effective_priority(job)) ++n;
     }
     return n;
   }
@@ -345,15 +452,15 @@ void Cpu::export_metrics(obs::MetricsRegistry& reg, std::string_view prefix) con
   reg.gauge(p + ".reserved_utilization").set(reserved_utilization());
   reg.counter(p + ".busy_ns").set(static_cast<std::uint64_t>(busy_time().ns()));
   reg.counter(p + ".reserves").set(reserves_.size());
-  reg.counter(p + ".jobs_pending").set(jobs_.size());
+  reg.counter(p + ".jobs_pending").set(job_count());
   reg.counter(p + ".jobs_runnable").set(runnable_count());
 }
 
 std::optional<Priority> Cpu::running_priority() const {
   if (!running_) return std::nullopt;
-  const auto it = jobs_.find(*running_);
-  if (it == jobs_.end()) return std::nullopt;
-  return effective_priority(it->second);
+  const Job* job = find_job(*running_);
+  if (job == nullptr) return std::nullopt;
+  return effective_priority(*job);
 }
 
 std::optional<Priority> Cpu::effective_priority(const Job& job) const {
@@ -377,9 +484,9 @@ bool Cpu::is_boosted(const Job& job) const {
 
 void Cpu::charge_running() {
   if (!running_) return;
-  const auto it = jobs_.find(*running_);
-  assert(it != jobs_.end());
-  Job& job = it->second;
+  Job* const running = find_job(*running_);
+  assert(running != nullptr);
+  Job& job = *running;
   const Duration elapsed = engine_.now() - run_start_;
   assert(elapsed >= Duration::zero());
   if (elapsed == Duration::zero()) return;
@@ -450,7 +557,8 @@ void Cpu::roll_periods() {
   // Indexed: pop due boundaries off the min-heap; the common case (nothing
   // due) is a single comparison and touches neither reserves nor the tracer.
   if (replenish_heap_.empty() || replenish_heap_.top().first > now.ns()) return;
-  std::vector<ReserveId> due;
+  std::vector<ReserveId>& due = due_;
+  due.clear();
   while (!replenish_heap_.empty() && replenish_heap_.top().first <= now.ns()) {
     const auto [at_ns, id] = replenish_heap_.top();
     replenish_heap_.pop();
@@ -471,9 +579,7 @@ void Cpu::roll_periods() {
     const bool was_exhausted = r.budget == Duration::zero();
     r.budget = r.spec.compute;  // unused budget does not accumulate
     replenish_heap_.push({boundary_of(r).ns(), id});
-    const auto ait = attached_.find(id);
-    const bool has_jobs = ait != attached_.end() && !ait->second.empty();
-    if (has_jobs) {
+    if (attached_count(id) > 0) {
       push_wake(r);
       // Suspended (hard) and demoted (soft) jobs re-enter the boost band.
       if (was_exhausted) reindex_attached(id);
@@ -492,8 +598,8 @@ void Cpu::arm_reserve_wake() {
   // Idle reserves arm nothing, which keeps the event queue drainable.
   if (config_.legacy_scan) {
     TimePoint next = TimePoint::max();
-    for (const auto& [jid, job] : jobs_) {
-      if (job.reserve == kNoReserve) continue;
+    for (const Job& job : jobs_) {
+      if (job.id == 0 || job.reserve == kNoReserve) continue;
       const auto rit = reserves_.find(job.reserve);
       if (rit == reserves_.end()) continue;
       next = std::min(next, rit->second.period_start + rit->second.spec.period);
@@ -512,11 +618,8 @@ void Cpu::arm_reserve_wake() {
   while (!wake_heap_.empty()) {
     const auto [at_ns, id] = wake_heap_.top();
     const auto rit = reserves_.find(id);
-    bool live = rit != reserves_.end() && boundary_of(rit->second).ns() == at_ns;
-    if (live) {
-      const auto ait = attached_.find(id);
-      live = ait != attached_.end() && !ait->second.empty();
-    }
+    const bool live = rit != reserves_.end() && boundary_of(rit->second).ns() == at_ns &&
+                      attached_count(id) > 0;
     if (!live) {
       wake_heap_.pop();
       continue;
@@ -542,16 +645,16 @@ void Cpu::reschedule() {
   Job* best = nullptr;
   Priority best_prio = 0;
   if (indexed()) {
-    if (!ready_.empty()) {
-      const auto& [level, queue] = *ready_.begin();
-      assert(!queue.empty());
-      best = &jobs_.find(queue.begin()->second)->second;
-      best_prio = level;
+    if (first_ready_ < levels_.size()) {
+      const Level& level = levels_[first_ready_];
+      best = &jobs_[level.heap.front().slot];
+      best_prio = level.priority;
     }
   } else {
     // Legacy oracle: scan every job. The comparison is a strict total order
     // ((effective priority, unique rank)), so iteration order is irrelevant.
-    for (auto& [id, job] : jobs_) {
+    for (Job& job : jobs_) {
+      if (job.id == 0) continue;
       const auto ep = effective_priority(job);
       if (!ep) continue;
       if (best == nullptr || *ep > best_prio ||
@@ -578,12 +681,12 @@ void Cpu::reschedule() {
   if (config_.quantum < Duration::max()) {
     bool has_peer = false;
     if (indexed()) {
-      // The running job sits at the front of its level queue; any second
+      // The running job sits at the top of its level heap; any second
       // entry is an equal-effective-priority peer.
-      has_peer = ready_.begin()->second.size() > 1;
+      has_peer = levels_[first_ready_].heap.size() > 1;
     } else {
-      for (const auto& [id, job] : jobs_) {
-        if (id == best->id) continue;
+      for (const Job& job : jobs_) {
+        if (job.id == 0 || job.id == best->id) continue;
         const auto ep = effective_priority(job);
         if (ep && *ep == best_prio) {
           has_peer = true;
@@ -604,14 +707,15 @@ void Cpu::reschedule() {
       // re-evaluate. Budget exhaustion is picked up by effective_priority()
       // after charge_running() updates the reserve.
       if (running_) {
-        const auto it = jobs_.find(*running_);
-        if (it != jobs_.end()) {
+        const std::uint32_t slot = slot_of(*running_);
+        if (slot != kNil) {
+          Job& job = jobs_[slot];
           if (indexed()) {
-            ready_remove(it->second);
-            it->second.queue_rank = next_rank_++;
-            ready_insert(it->second);
+            ready_remove(job);
+            job.queue_rank = next_rank_++;
+            ready_insert(job, slot);
           } else {
-            it->second.queue_rank = next_rank_++;
+            job.queue_rank = next_rank_++;
           }
         }
       }
@@ -628,23 +732,13 @@ void Cpu::complete(JobId id) {
   running_.reset();
   running_boosted_ = false;
 
-  const auto it = jobs_.find(id);
-  assert(it != jobs_.end());
+  const std::uint32_t slot = slot_of(id);
+  assert(slot != kNil);
   // Completion was scheduled for the exact finish instant; rounding in
   // charge_running() can leave a sub-nanosecond residue of cycles.
-  it->second.cycles_remaining = 0;
-  auto on_complete = std::move(it->second.on_complete);
-  if (indexed()) {
-    ready_remove(it->second);
-    if (it->second.reserve != kNoReserve) {
-      const auto ait = attached_.find(it->second.reserve);
-      if (ait != attached_.end()) {
-        ait->second.erase(id);
-        if (ait->second.empty()) attached_.erase(ait);
-      }
-    }
-  }
-  jobs_.erase(it);
+  jobs_[slot].cycles_remaining = 0;
+  auto on_complete = std::move(jobs_[slot].on_complete);
+  release_job(slot);
 
   reschedule();
   if (on_complete) on_complete();

@@ -18,10 +18,12 @@
 //    every `period`.
 //  * Reserve admission control enforces sum(C_i/T_i) <= utilization cap.
 //
-// Scheduling decisions are indexed, not scanned (DESIGN.md §9): runnable
-// jobs live in per-effective-priority-level FIFO queues under an ordered
-// occupied-level index, reserves keep a membership index of their attached
-// jobs, and period boundaries sit in lazily-invalidated min-heaps — so
+// Scheduling decisions are indexed, not scanned (DESIGN.md §9), and the
+// steady state allocates nothing: jobs live in a recycled slab addressed
+// through a FlatIndex, runnable jobs sit in per-effective-priority-level
+// rank-ordered min-heaps under a descending level vector (levels are never
+// erased), reserves keep an intrusive list of their attached jobs, and
+// period boundaries sit in lazily-invalidated min-heaps — so
 // submit/complete/cancel cost is independent of the number of pending jobs.
 // The original scan-everything implementation is kept verbatim behind
 // Config::legacy_scan as a differential oracle (tests/test_cpu_sched_diff
@@ -38,12 +40,11 @@
 #include <map>
 #include <optional>
 #include <queue>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/flat_index.hpp"
 #include "common/result.hpp"
 #include "common/time.hpp"
 #include "obs/metrics.hpp"
@@ -145,7 +146,7 @@ class Cpu {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::uint64_t hz() const { return config_.hz; }
   [[nodiscard]] bool idle() const { return !running_.has_value(); }
-  [[nodiscard]] std::size_t job_count() const { return jobs_.size(); }
+  [[nodiscard]] std::size_t job_count() const { return job_index_.size(); }
   /// Jobs runnable right now (pending jobs minus hard-reserve-suspended
   /// ones). O(1) for the indexed scheduler, O(n) under legacy_scan.
   [[nodiscard]] std::size_t runnable_count() const;
@@ -177,17 +178,24 @@ class Cpu {
   [[nodiscard]] const std::vector<RunSlice>& trace() const { return trace_; }
 
  private:
+  static constexpr std::uint32_t kNil = kNoSlot;
+
   struct Job {
-    JobId id = 0;
+    JobId id = 0;  // 0: free slab slot
     std::uint64_t cycles_remaining = 0;
     Priority base_priority = kDefaultPriority;
     ReserveId reserve = kNoReserve;
     std::function<void()> on_complete;
     std::uint64_t queue_rank = 0;  // FIFO order within a priority level
-    // Indexed-scheduler placement: which ready-queue level holds the job
-    // (meaningless while !in_ready; hard-suspended jobs are in no queue).
+    // Indexed-scheduler placement: which ready level holds the job and
+    // where in that level's heap (meaningless while !in_ready;
+    // hard-suspended jobs are in no level).
     Priority ready_level = 0;
+    std::uint32_t heap_pos = 0;
     bool in_ready = false;
+    // Membership in the attached list of `reserve` (indexed mode).
+    std::uint32_t attached_prev = kNil;
+    std::uint32_t attached_next = kNil;
   };
 
   struct Reserve {
@@ -214,23 +222,69 @@ class Cpu {
 
   [[nodiscard]] bool indexed() const { return !config_.legacy_scan; }
 
-  // --- ready-queue index (indexed mode only) --------------------------------
-  /// FIFO within a level: queue_rank -> job. Ranks are globally unique and
-  /// monotonically assigned, so map order == arrival order; reserve state
-  /// transitions re-insert jobs at their existing rank, which keeps the
-  /// legacy "smallest rank first" tie-break exact even when a demoted job
-  /// lands between jobs that were already queued at that level.
-  using LevelQueue = std::map<std::uint64_t, JobId>;
-
-  void ready_insert(Job& job);   // no-op (stays out) when not runnable
-  void ready_remove(Job& job);   // no-op when not in a queue
-  void reindex_job(Job& job) {
-    ready_remove(job);
-    ready_insert(job);
+  // --- job slab -----------------------------------------------------------
+  /// Slab slot of a live job, or kNil.
+  [[nodiscard]] std::uint32_t slot_of(JobId id) const { return job_index_.find(id); }
+  [[nodiscard]] Job* find_job(JobId id) {
+    const std::uint32_t slot = slot_of(id);
+    return slot == kNil ? nullptr : &jobs_[slot];
   }
-  /// Recomputes queue placement of every job attached to `id` after a
+  [[nodiscard]] const Job* find_job(JobId id) const {
+    const std::uint32_t slot = slot_of(id);
+    return slot == kNil ? nullptr : &jobs_[slot];
+  }
+  /// Unlinks the job from every index and returns its slot to the free list.
+  void release_job(std::uint32_t slot);
+
+  // --- ready index (indexed mode only) --------------------------------------
+  /// One effective-priority level: a binary min-heap of (queue_rank, slot).
+  /// Ranks are globally unique and monotonically assigned, so heap order
+  /// == arrival order; reserve state transitions re-insert jobs at their
+  /// existing rank, which keeps the legacy "smallest rank first" tie-break
+  /// exact even when a demoted job lands between jobs that were already
+  /// queued at that level. Every job records its heap position, so removal
+  /// is an exact O(log n) sift: no stale entries pile up when a reserve
+  /// transition re-places every attached job.
+  struct HeapEntry {
+    std::uint64_t rank;
+    std::uint32_t slot;
+  };
+  struct Level {
+    Priority priority;
+    std::vector<HeapEntry> heap;
+  };
+
+  /// Index into levels_ of `priority`, inserting an empty level if new.
+  std::size_t level_for(Priority priority);
+  [[nodiscard]] std::size_t find_level(Priority priority) const;
+  void heap_set(Level& level, std::size_t pos, HeapEntry e);
+  void sift_up(Level& level, std::size_t pos);
+  void sift_down(Level& level, std::size_t pos);
+
+  void ready_insert(Job& job, std::uint32_t slot);  // no-op (stays out) when not runnable
+  void ready_remove(Job& job);                      // no-op when not in a level
+  void reindex_job(Job& job, std::uint32_t slot) {
+    ready_remove(job);
+    ready_insert(job, slot);
+  }
+  /// Recomputes level placement of every job attached to `id` after a
   /// boost-state transition (exhaust/replenish/create/destroy).
   void reindex_attached(ReserveId id);
+
+  // --- reserve membership (indexed mode only) --------------------------------
+  /// Live jobs referencing one reserve id, as an intrusive list through
+  /// Job::attached_prev/next — including ids with no live reserve (a job
+  /// may be submitted against a reserve created later; the legacy
+  /// scheduler resolves the reserve lazily, so must we).
+  struct AttachedList {
+    std::uint32_t head = kNil;
+    std::uint32_t count = 0;
+  };
+  /// Number of live jobs attached to `id`.
+  [[nodiscard]] std::uint32_t attached_count(ReserveId id) const;
+  /// Links the job into its reserve's list; returns true for the first one.
+  bool attach(Job& job, std::uint32_t slot);
+  void detach(Job& job);
 
   [[nodiscard]] static TimePoint boundary_of(const Reserve& r) {
     return r.period_start + r.spec.period;
@@ -248,24 +302,28 @@ class Cpu {
   std::string name_;
   Config config_;
 
-  // Job/reserve ids are handed out sequentially and never iterated on the
-  // decision path (the legacy scan's pick is a strict total order on
-  // (effective priority, rank), so even its result is hash-order-proof).
-  std::unordered_map<JobId, Job> jobs_;
+  /// Job slab: live jobs plus recycled free slots, addressed by id through
+  /// job_index_. Ids are handed out sequentially and never iterated on the
+  /// decision path (the legacy scan's pick is a strict total order on
+  /// (effective priority, rank), so even its result is slot-order-proof).
+  std::vector<Job> jobs_;
+  std::vector<std::uint32_t> free_jobs_;
+  FlatIndex<JobId> job_index_;
   std::map<ReserveId, Reserve> reserves_;  // ordered: id-order replenish traces
   JobId next_job_id_ = 1;
   ReserveId next_reserve_id_ = 1;
   std::uint64_t next_rank_ = 1;
 
   // --- indexed-scheduler state (maintained iff !config_.legacy_scan) -------
-  /// Occupied effective-priority levels, highest first; levels are erased
-  /// when empty so begin() is always the level to run.
-  std::map<Priority, LevelQueue, std::greater<Priority>> ready_;
+  /// Every effective-priority level ever used, highest first. Levels are
+  /// never erased, so their heaps keep their capacity; first_ready_ is the
+  /// first non-empty one (levels_.size() when nothing is runnable).
+  std::vector<Level> levels_;
+  std::size_t first_ready_ = 0;
   std::size_t ready_count_ = 0;
-  /// Live jobs referencing each reserve id — including ids with no live
-  /// reserve (a job may be submitted against a reserve created later; the
-  /// legacy scheduler resolves the reserve lazily, so must we).
-  std::map<ReserveId, std::set<JobId>> attached_;
+  FlatIndex<ReserveId> attached_index_;  // reserve id -> attached_ position
+  std::vector<AttachedList> attached_;
+  std::vector<std::uint32_t> free_attached_;
   /// Lazily-invalidated min-heaps of (period boundary ns, reserve id). An
   /// entry is stale when the reserve is gone or its boundary moved on; the
   /// wake heap additionally requires attached jobs. Exactly one live
@@ -280,6 +338,7 @@ class Cpu {
   /// Incremental sum(C/T): += on create; recomputed in id order on destroy
   /// so the value stays bit-identical to a from-scratch summation.
   double reserved_util_sum_ = 0.0;
+  std::vector<ReserveId> due_;  // roll_periods() scratch
 
   std::optional<JobId> running_;
   bool running_boosted_ = false;

@@ -25,6 +25,11 @@ LoadGenerator::LoadGenerator(sim::Engine& engine, Cpu& cpu, Config config,
                              std::uint64_t trial_seed)
     : LoadGenerator(engine, cpu, with_seed(config, trial_seed)) {}
 
+LoadGenerator::~LoadGenerator() {
+  stop();
+  for (const JobId id : in_flight_) cpu_.cancel(id);
+}
+
 void LoadGenerator::start() {
   if (running_) return;
   running_ = true;
@@ -64,7 +69,8 @@ void LoadGenerator::emit_burst() {
       Duration{std::max<std::int64_t>(1, static_cast<std::int64_t>(
                                              static_cast<double>(config_.burst_mean.ns()) * factor))};
   ++bursts_;
-  cpu_.submit_for(cost, config_.priority, [this] { ++completed_; });
+  std::erase_if(in_flight_, [this](JobId id) { return !cpu_.base_priority(id).has_value(); });
+  in_flight_.push_back(cpu_.submit_for(cost, config_.priority, [this] { ++completed_; }));
 }
 
 }  // namespace aqm::os

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/time.hpp"
@@ -33,7 +34,9 @@ class LoadGenerator {
   /// private Rng (no shared or global stream), so trials seeded identically
   /// produce identical load patterns on any worker thread.
   LoadGenerator(sim::Engine& engine, Cpu& cpu, Config config, std::uint64_t trial_seed);
-  ~LoadGenerator() { stop(); }
+  /// Stops arrivals and cancels every burst still on the CPU: their
+  /// completion callbacks point back at this generator.
+  ~LoadGenerator();
   LoadGenerator(const LoadGenerator&) = delete;
   LoadGenerator& operator=(const LoadGenerator&) = delete;
 
@@ -58,6 +61,9 @@ class LoadGenerator {
   Rng rng_;
   bool running_ = false;
   sim::EventId next_event_{};
+  /// Bursts submitted and possibly still on the CPU. stop() leaves them
+  /// running; completed ones are pruned as new bursts are submitted.
+  std::vector<JobId> in_flight_;
   std::uint64_t bursts_ = 0;
   std::uint64_t completed_ = 0;
 };

@@ -34,8 +34,8 @@ void small_sort(std::vector<T>& v, Less less) {
 void Engine::reserve(std::size_t n_slots) {
   slots_.reserve(n_slots);
   far_.reserve(n_slots);
-  // A drained bucket swaps its storage into near_, so near_ only ever holds
-  // one bucket's worth of entries (plus same-rung inserts).
+  // A drained bucket is copied into near_, so near_ only ever holds one
+  // bucket's worth of entries (plus same-rung inserts).
   near_.reserve(std::min<std::size_t>(n_slots, 64 * kBucketTarget));
   buckets_.reserve(std::clamp<std::size_t>(n_slots / kBucketTarget, 1, kMaxBuckets));
 }
@@ -47,17 +47,28 @@ bool Engine::refill() {
       std::vector<QEntry>& b = buckets_[cur_];
       ++cur_;
       if (b.empty()) continue;
-      // Swap rather than copy: the drained near_ vector's storage cycles
-      // back into the bucket, so steady state allocates nothing.
-      near_.swap(b);
+      // Copy rather than swap: near_ and every bucket keep their own
+      // storage, so each grows only at its own peak and near_ keeps what
+      // reserve() gave it.
+      near_.assign(b.begin(), b.end());
+      b.clear();
       small_sort(near_, later);
-      near_end_ = rung_start_ + (static_cast<std::int64_t>(cur_) << shift_);
+      near_end_ = rung_offset(static_cast<std::uint64_t>(cur_) << shift_);
       return true;
     }
     nb_ = 0;
     if (far_.empty()) return false;
     build_rung();
   }
+}
+
+std::int64_t Engine::rung_offset(std::uint64_t offset) const {
+  // A rung starting near TimePoint::max() can extend past it: saturate
+  // rather than overflow the signed clock.
+  constexpr std::int64_t kMaxTime = std::numeric_limits<std::int64_t>::max();
+  return offset > static_cast<std::uint64_t>(kMaxTime - rung_start_)
+             ? kMaxTime
+             : rung_start_ + static_cast<std::int64_t>(offset);
 }
 
 void Engine::build_rung() {
@@ -74,11 +85,7 @@ void Engine::build_rung() {
   nb_ = static_cast<std::size_t>(((span - 1) >> shift_) + 1);
   cur_ = 0;
   if (buckets_.size() < nb_) buckets_.resize(nb_);
-  constexpr std::int64_t kMaxTime = std::numeric_limits<std::int64_t>::max();
-  const std::uint64_t extent = static_cast<std::uint64_t>(nb_) << shift_;
-  rung_end_ = extent > static_cast<std::uint64_t>(kMaxTime - rung_start_)
-                  ? kMaxTime
-                  : rung_start_ + static_cast<std::int64_t>(extent);
+  rung_end_ = rung_offset(static_cast<std::uint64_t>(nb_) << shift_);
   for (const QEntry& e : far_) {
     buckets_[static_cast<std::uint64_t>(e.time_ns - rung_start_) >> shift_].push_back(e);
   }

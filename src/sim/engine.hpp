@@ -432,6 +432,8 @@ class Engine {
   // runs once per ~kBucketTarget events.
   bool refill();
   void build_rung();
+  /// rung_start_ + offset, saturated at the largest representable time.
+  [[nodiscard]] std::int64_t rung_offset(std::uint64_t offset) const;
 
   // Time of the next non-cancelled event (discarding cancelled heads).
   bool peek_next_time(TimePoint& t);

@@ -81,6 +81,42 @@ TEST(Edge, KirschIsOmnidirectional) {
   EXPECT_GT(out.at(5, 10), 80);  // horizontal edge
 }
 
+/// FNV-1a over the outputs of one edge kernel on seeded random images of
+/// every degenerate and ordinary shape (1x1, 1xN, Nx1, 2x2, odd and square
+/// sizes), so any change to the kernels' arithmetic or border clamping
+/// shows up as a different digest.
+std::uint64_t edge_digest(EdgeAlgorithm algo) {
+  constexpr int kShapes[][2] = {{1, 1}, {1, 7}, {7, 1},  {2, 2},  {3, 3},
+                                {2, 5}, {16, 16}, {17, 9}, {5, 32}, {48, 48}};
+  std::uint64_t state = 0x5EED0000u + static_cast<std::uint64_t>(algo);
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& shape : kShapes) {
+    for (int round = 0; round < 3; ++round) {
+      GrayImage im(shape[0], shape[1]);
+      for (std::uint8_t& px : im.data()) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        // Round 0: full range; round 1: saturated extremes; round 2: near-flat.
+        const auto v = static_cast<std::uint8_t>(state >> 56);
+        px = round == 0 ? v : round == 1 ? (v & 1 ? 255 : 0) : static_cast<std::uint8_t>(120 + (v & 7));
+      }
+      const GrayImage out = run_edge(algo, im);
+      EXPECT_EQ(out.width(), im.width());
+      EXPECT_EQ(out.height(), im.height());
+      for (const std::uint8_t px : out.data()) {
+        h ^= px;
+        h *= 0x100000001b3ull;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(Edge, GoldenOutputsOnSeededImages) {
+  EXPECT_EQ(edge_digest(EdgeAlgorithm::Prewitt), 17897259187860182584ull);
+  EXPECT_EQ(edge_digest(EdgeAlgorithm::Sobel), 17693994717030736552ull);
+  EXPECT_EQ(edge_digest(EdgeAlgorithm::Kirsch), 7992687879248710384ull);
+}
+
 TEST(Edge, ThresholdBinarizes) {
   const GrayImage im = vertical_edge_image(16, 8);
   const GrayImage edges = sobel(im);

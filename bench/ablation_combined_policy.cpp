@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   using namespace aqm;
   using namespace aqm::bench;
 
-  const auto opts = core::parse_experiment_options(argc, argv);
+  const auto opts = core::parse_experiment_options(argc, argv, core::kNoSidecars);
 
   banner("Ablation: policy x cross-traffic sweep (sender 1 = high priority)");
 

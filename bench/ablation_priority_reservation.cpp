@@ -110,7 +110,7 @@ std::array<StreamRow, 4> run_case(bool priority_driven_reservations) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = core::parse_experiment_options(argc, argv);
+  const auto opts = core::parse_experiment_options(argc, argv, core::kNoSidecars);
 
   banner("Ablation: priority-driven reservation allocation (paper Section 6)");
 

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   using namespace aqm;
   using namespace aqm::bench;
 
-  const auto opts = core::parse_experiment_options(argc, argv);
+  const auto opts = core::parse_experiment_options(argc, argv, core::kAllSidecars);
 
   banner("Ablation: drop-tail queue depth under 16 Mbps cross traffic");
 

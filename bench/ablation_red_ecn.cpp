@@ -166,7 +166,7 @@ CaseResult run_case(RouterKind router, Feedback feedback) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = core::parse_experiment_options(argc, argv);
+  const auto opts = core::parse_experiment_options(argc, argv, core::kNoSidecars);
 
   banner("Ablation: RED/ECN early adaptation vs loss-triggered adaptation");
 

@@ -231,7 +231,8 @@ int main(int argc, char** argv) {
   using namespace aqm;
   using namespace aqm::bench;
 
-  const auto opts = core::parse_experiment_options(argc, argv);
+  const auto opts = core::parse_experiment_options(argc, argv,
+                                                 core::kMetricsSidecar | core::kSloSidecar);
 
   banner("city_scale: flow-substrate fan-in sweep (1k -> 256k flows)");
 

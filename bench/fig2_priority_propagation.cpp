@@ -103,7 +103,7 @@ HopObservation run_propagation(orb::CorbaPriority corba) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = core::parse_experiment_options(argc, argv);
+  const auto opts = core::parse_experiment_options(argc, argv, core::kNoSidecars);
 
   constexpr orb::CorbaPriority kPriorities[] = {4'000, 15'000, 30'000};
 

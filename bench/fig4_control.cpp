@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   using namespace aqm;
   using namespace aqm::bench;
 
-  const auto opts = core::parse_experiment_options(argc, argv);
+  const auto opts = core::parse_experiment_options(argc, argv, core::kNoSidecars);
 
   PriorityScenarioConfig idle;
   idle.duration = seconds(30);

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   using namespace aqm;
   using namespace aqm::bench;
 
-  const auto opts = core::parse_experiment_options(argc, argv);
+  const auto opts = core::parse_experiment_options(argc, argv, core::kNoSidecars);
 
   PriorityScenarioConfig cfg;
   cfg.duration = seconds(30);

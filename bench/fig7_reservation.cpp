@@ -66,7 +66,7 @@ void print_case(const Case& c, const ReservationScenarioResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = core::parse_experiment_options(argc, argv);
+  const auto opts = core::parse_experiment_options(argc, argv, core::kNoSidecars);
 
   core::Experiment<ReservationScenarioResult> exp;
   for (const Case& c : kCases) {

@@ -45,7 +45,7 @@ void print_case(const char* title, const FlashCrowdResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = core::parse_experiment_options(argc, argv);
+  const auto opts = core::parse_experiment_options(argc, argv, core::kNoSidecars);
 
   core::Experiment<FlashCrowdResult> exp;
   for (const bool feedback : {false, true}) {

@@ -308,13 +308,10 @@ void BM_ControllerOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_ControllerOverhead)->Arg(0)->Arg(1);
 
-/// A saturated 10 Mbps link draining a deep burst. Tracks the tentpole
-/// metric of the event-coalescing change: simulator events executed per
-/// delivered packet. Legacy two-event transmitter (Arg 0): ~2 events per
-/// packet (tx-complete + delivery). Coalesced transmitter (Arg 1): ~1
-/// (delivery only; the service decision piggybacks on it).
+/// A saturated 10 Mbps link draining a deep burst. Reports simulator events
+/// executed per delivered packet: ~1 (the delivery; the service decision
+/// piggybacks on it), against ~2 for a store-and-forward transmitter.
 void BM_LinkSaturated(benchmark::State& state) {
-  const bool coalesced = state.range(0) != 0;
   constexpr int kPackets = 4'000;
   std::uint64_t events = 0;
   std::uint64_t delivered_total = 0;
@@ -326,7 +323,6 @@ void BM_LinkSaturated(benchmark::State& state) {
     const auto b = net.add_node("b");
     net::LinkConfig cfg;
     cfg.bandwidth_bps = 10e6;
-    cfg.coalesced_events = coalesced;
     net.add_link(a, b, cfg, std::make_unique<net::DropTailQueue>(kPackets));
     net.add_link(b, a, cfg);
     int delivered = 0;
@@ -345,9 +341,8 @@ void BM_LinkSaturated(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kPackets);
   state.counters["events_per_packet"] =
       static_cast<double>(events) / static_cast<double>(delivered_total);
-  state.SetLabel(coalesced ? "coalesced" : "legacy");
 }
-BENCHMARK(BM_LinkSaturated)->Arg(0)->Arg(1);
+BENCHMARK(BM_LinkSaturated);
 
 /// One self-contained sweep trial: Poisson traffic through a two-hop path
 /// with a 10 Mbps bottleneck, private engine/network/RNG per trial.

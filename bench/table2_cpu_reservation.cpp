@@ -142,7 +142,7 @@ RunResult run_condition(bool with_load, bool with_reserve, std::uint64_t load_se
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opts = core::parse_experiment_options(argc, argv);
+  const auto opts = core::parse_experiment_options(argc, argv, core::kNoSidecars);
 
   banner("Table 2: CPU reservation experiments (400x250 PPM, Kirsch/Prewitt/Sobel)");
   std::cout << "conditions: no load, competing load, load + CPU reservation\n\n"

@@ -37,7 +37,7 @@
 int main(int argc, char** argv) {
   using namespace aqm;
 
-  const auto opts = core::parse_experiment_options(argc, argv);
+  const auto opts = core::parse_experiment_options(argc, argv, core::kAllSidecars);
 
   core::ReservationTestbed bed((core::ReservationTestbedParams{}));
   const media::GopStructure gop = media::GopStructure::mpeg1_paper_profile();

@@ -23,12 +23,39 @@ bool parse_jobs_value(const char* text, unsigned& out) {
   std::exit(2);
 }
 
-[[noreturn]] void unknown_argument_error(const char* prog, const char* arg) {
-  std::fprintf(stderr,
-               "unknown argument: %s\n"
-               "usage: %s [--jobs N] [--trace FILE] [--metrics FILE] [--slo FILE] "
-               "[--flight FILE]\n",
-               arg, prog);
+/// One sidecar flag: `--<name> FILE` or `--<name>=FILE`.
+struct SidecarFlag {
+  const char* name;
+  Sidecar bit;
+  std::string ExperimentOptions::*path;
+};
+
+constexpr SidecarFlag kSidecarFlags[] = {
+    {"trace", kTraceSidecar, &ExperimentOptions::trace_path},
+    {"metrics", kMetricsSidecar, &ExperimentOptions::metrics_path},
+    {"slo", kSloSidecar, &ExperimentOptions::slo_path},
+    {"flight", kFlightSidecar, &ExperimentOptions::flight_path},
+};
+
+/// `--name` alone (value in the next argument) or `--name=VALUE` (sets
+/// `value`); false when `arg` is neither.
+bool match_flag(const char* arg, const char* name, const char*& value) {
+  if (std::strncmp(arg, "--", 2) != 0) return false;
+  const std::size_t n = std::strlen(name);
+  if (std::strncmp(arg + 2, name, n) != 0) return false;
+  if (arg[2 + n] == '\0') return true;
+  if (arg[2 + n] != '=') return false;
+  value = arg + 3 + n;
+  return true;
+}
+
+[[noreturn]] void usage_error(const char* prog, const char* what, const char* arg,
+                              unsigned sidecars) {
+  std::fprintf(stderr, "%s: %s\nusage: %s [--jobs N]", what, arg, prog);
+  for (const SidecarFlag& f : kSidecarFlags) {
+    if ((sidecars & f.bit) != 0) std::fprintf(stderr, " [--%s FILE]", f.name);
+  }
+  std::fputc('\n', stderr);
   std::exit(2);
 }
 
@@ -44,65 +71,41 @@ void report_trial_done(bool enabled) {
 }
 }  // namespace detail
 
-ExperimentOptions parse_experiment_options(int& argc, char** argv) {
+ExperimentOptions parse_experiment_options(int& argc, char** argv, unsigned sidecars) {
   ExperimentOptions opts;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* value = nullptr;
-    bool value_in_next = false;
-    std::string* path_target = nullptr;
-    if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      value = arg + 7;
-    } else if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0) {
-      value_in_next = true;
-    } else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0') {
-      value = arg + 2;
-    } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-      value = arg + 8;
-      path_target = &opts.trace_path;
-    } else if (std::strcmp(arg, "--trace") == 0) {
-      value_in_next = true;
-      path_target = &opts.trace_path;
-    } else if (std::strncmp(arg, "--metrics=", 10) == 0) {
-      value = arg + 10;
-      path_target = &opts.metrics_path;
-    } else if (std::strcmp(arg, "--metrics") == 0) {
-      value_in_next = true;
-      path_target = &opts.metrics_path;
-    } else if (std::strncmp(arg, "--slo=", 6) == 0) {
-      value = arg + 6;
-      path_target = &opts.slo_path;
-    } else if (std::strcmp(arg, "--slo") == 0) {
-      value_in_next = true;
-      path_target = &opts.slo_path;
-    } else if (std::strncmp(arg, "--flight=", 9) == 0) {
-      value = arg + 9;
-      path_target = &opts.flight_path;
-    } else if (std::strcmp(arg, "--flight") == 0) {
-      value_in_next = true;
-      path_target = &opts.flight_path;
-    } else {
-      unknown_argument_error(argv[0], arg);
-    }
-    if (value_in_next) {
-      if (i + 1 >= argc) {
-        if (path_target != nullptr) {
-          std::fprintf(stderr, "missing file argument after %s\n", arg);
-          std::exit(2);
-        }
-        jobs_usage_error(arg);
+    const SidecarFlag* sidecar = nullptr;
+    for (const SidecarFlag& f : kSidecarFlags) {
+      if (match_flag(arg, f.name, value)) {
+        sidecar = &f;
+        break;
       }
-      value = argv[++i];
     }
-    if (path_target != nullptr) {
+    if (sidecar != nullptr) {
+      if ((sidecars & sidecar->bit) == 0) {
+        usage_error(argv[0], "unsupported argument", arg, sidecars);
+      }
+      if (value == nullptr && i + 1 < argc) value = argv[++i];
       if (value == nullptr || *value == '\0') {
         std::fprintf(stderr, "missing file argument after %s\n", arg);
         std::exit(2);
       }
-      *path_target = value;
-    } else if (!parse_jobs_value(value, opts.jobs)) {
-      jobs_usage_error(value);
+      opts.*sidecar->path = value;
+      continue;
     }
+    if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0) {
+      if (i + 1 >= argc) jobs_usage_error(arg);
+      value = argv[++i];
+    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
+      value = arg + 7;
+    } else if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0') {
+      value = arg + 2;
+    } else {
+      usage_error(argv[0], "unknown argument", arg, sidecars);
+    }
+    if (!parse_jobs_value(value, opts.jobs)) jobs_usage_error(value);
   }
   argc = std::min(argc, 1);
   argv[argc] = nullptr;

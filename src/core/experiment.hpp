@@ -9,7 +9,8 @@
 // for any --jobs value, because each result is computed by exactly one
 // single-threaded simulation and written to a slot owned by its index.
 //
-// Drivers accept `--jobs N` (or `-jN`) via parse_experiment_options().
+// Drivers accept `--jobs N` (or `-jN`), plus the flags of the sidecars they
+// write, via parse_experiment_options().
 #pragma once
 
 #include <cstdint>
@@ -34,26 +35,39 @@ struct ExperimentOptions {
   unsigned jobs = 1;
   /// Print one '.' to stderr as each trial finishes (multi-trial runs only).
   bool progress = true;
-  /// Non-empty: drivers that support tracing write a Chrome trace-event
-  /// JSON (load in Perfetto / chrome://tracing) of an instrumented trial.
+  /// Non-empty: the driver writes a Chrome trace-event JSON (load in
+  /// Perfetto / chrome://tracing) of an instrumented trial here.
   std::string trace_path;
-  /// Non-empty: drivers that support metrics write the per-trial + merged
-  /// metrics sidecar JSON here.
+  /// Non-empty: the driver writes the per-trial + merged metrics sidecar
+  /// JSON here.
   std::string metrics_path;
-  /// Non-empty: drivers that support SLO monitoring write the per-trial +
-  /// merged health-event sidecar JSON here.
+  /// Non-empty: the driver writes the per-trial + merged SLO health-event
+  /// sidecar JSON here.
   std::string slo_path;
-  /// Non-empty: drivers that support the flight recorder write the breach
-  /// dump sidecar JSON here.
+  /// Non-empty: the driver writes the flight-recorder breach dump sidecar
+  /// JSON here.
   std::string flight_path;
 };
 
-/// Parses and strips `--jobs N`, `--jobs=N`, `-jN`, `-j N`,
-/// `--trace FILE`, `--trace=FILE`, `--metrics FILE`, `--metrics=FILE`,
-/// `--slo FILE`, `--slo=FILE`, `--flight FILE` and `--flight=FILE`
-/// from an argv-style array (argc is updated). An unrecognised argument
-/// prints a usage line and an unparsable value an error; both exit with 2.
-ExperimentOptions parse_experiment_options(int& argc, char** argv);
+/// The observability sidecars a driver writes, as bits of a set. A driver
+/// declares its set to parse_experiment_options, which accepts the flag of
+/// each declared sidecar and rejects the rest, so no flag is parsed and
+/// then ignored.
+enum Sidecar : unsigned {
+  kNoSidecars = 0,
+  kTraceSidecar = 1u << 0,    // --trace FILE
+  kMetricsSidecar = 1u << 1,  // --metrics FILE
+  kSloSidecar = 1u << 2,      // --slo FILE
+  kFlightSidecar = 1u << 3,   // --flight FILE
+  kAllSidecars = kTraceSidecar | kMetricsSidecar | kSloSidecar | kFlightSidecar,
+};
+
+/// Parses and strips `--jobs N`, `--jobs=N`, `-jN`, `-j N` and, for each
+/// Sidecar bit set in `sidecars`, `--<name> FILE` / `--<name>=FILE` (trace,
+/// metrics, slo, flight) from an argv-style array (argc is updated). Any
+/// other argument, an undeclared sidecar flag included, prints a usage line
+/// listing the accepted flags; that and an unparsable value exit with 2.
+ExperimentOptions parse_experiment_options(int& argc, char** argv, unsigned sidecars);
 
 /// Decorrelates a per-trial seed from an experiment base seed and a trial
 /// index (splitmix64 finalizer), so sweeps get independent streams without

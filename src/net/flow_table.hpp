@@ -11,8 +11,7 @@
 // never exposes it. Any consumer that iterates (metrics export, admission
 // re-sums, service scans) must go through sorted_ids()/for_each_ordered(),
 // which materialize the ascending-FlowId order the old std::map gave for
-// free. That keeps every emitted byte `--jobs`-invariant and identical to
-// the legacy containers.
+// free. That keeps every emitted byte `--jobs`-invariant.
 #pragma once
 
 #include <algorithm>

@@ -62,28 +62,10 @@ void Link::send(Packet p) {
   obs::TelemetryHub* th = net_telemetry();
   const std::uint64_t trace_id = p.trace;
   const double flow = static_cast<double>(p.flow);
-  if (!config_.coalesced_events) {
-    if (auto rejected = queue_->enqueue(std::move(p), engine_.now())) {
-      if (tr != nullptr) {
-        tr->instant(obs::TraceCategory::Net, "drop", trace_track_, engine_.now(),
-                    rejected->trace, {{"flow", flow}});
-      }
-      if (on_drop_) on_drop_(*rejected);
-      return;
-    }
-    if (tr != nullptr) {
-      tr->instant(obs::TraceCategory::Net, "enqueue", trace_track_, engine_.now(),
-                  trace_id, {{"flow", flow}});
-      trace_qlen(tr, engine_.now());
-    }
-    if (th != nullptr) th->on_queue_depth(queue_->packets());
-    if (!busy_) legacy_try_transmit();
-    return;
-  }
   // Catch the virtual transmitter up before the new packet becomes
   // visible: a service decision pending at avail_at_ <= now must see the
-  // queue as it was without this arrival, exactly as the legacy
-  // end-of-serialization event (which fired at avail_at_) did.
+  // queue as it was without this arrival, exactly as a store-and-forward
+  // end-of-serialization event (firing at avail_at_) would.
   pump();
   if (auto rejected = queue_->enqueue(std::move(p), engine_.now())) {
     if (tr != nullptr) {
@@ -101,12 +83,13 @@ void Link::send(Packet p) {
   if (th != nullptr) th->on_queue_depth(queue_->packets());
   // decision_pending_ false implies the transmitter is idle (any committed
   // transmission ending in the future keeps its decision pending), so the
-  // arrival itself triggers a decision — the legacy "kick on !busy_".
+  // arrival itself triggers a decision (the store-and-forward "kick when
+  // idle").
   if (!decision_pending_) service(engine_.now());
 }
 
-/// Replays every service decision the legacy transmitter would have made
-/// up to now. A decision is due only at the end of a committed
+/// Replays every service decision a store-and-forward transmitter would
+/// have made up to now. A decision is due only at the end of a committed
 /// transmission; once a decision finds the queue unservable, no new one
 /// arises until an arrival (send) or a conformance retry.
 void Link::pump() {
@@ -120,7 +103,7 @@ void Link::pump() {
 /// commits the next transmission, arms a conformance retry, or finds the
 /// queue empty. t <= now() always; between t and now the queue cannot
 /// have changed (every mutation path pumps first), so dequeuing with the
-/// backdated timestamp reproduces the legacy decision bit for bit —
+/// backdated timestamp reproduces the store-and-forward decision exactly —
 /// including token-bucket fill levels and RED arrival state.
 void Link::service(TimePoint t) {
   if (retry_event_.valid()) {
@@ -135,7 +118,7 @@ void Link::service(TimePoint t) {
     }
     // Nothing eligible. If something is queued but gated (token bucket),
     // retry when it could conform — inline when that instant has already
-    // passed (the legacy retry event would have fired by now).
+    // passed (a store-and-forward retry event would have fired by now).
     const auto delay = queue_->next_ready_delay(t);
     if (!delay || *delay >= Duration::max()) return;
     const TimePoint ready = t + *delay;
@@ -168,9 +151,9 @@ void Link::start_tx(Packet p, TimePoint t) {
                   {"flow", static_cast<double>(p.flow)}});
     trace_qlen(tr, t);
   }
-  // The loss draw moves from the end of serialization to its commit; draws
-  // still happen exactly once per transmission in transmission order, so
-  // the (seed, packet) mapping matches the legacy sequence bit for bit.
+  // The loss draw happens at commit rather than at the end of
+  // serialization; draws still happen exactly once per transmission in
+  // transmission order, so the (seed, packet) mapping is the same.
   if (config_.loss_probability > 0.0 && loss_rng_.bernoulli(config_.loss_probability)) {
     // A backdated commit can place tx end in the past; clamp the event to
     // now (the drop hook only feeds counters, never timing).
@@ -200,64 +183,6 @@ void Link::start_tx(Packet p, TimePoint t) {
       if (deliver_) deliver_(std::move(p));
     });
   }
-}
-
-void Link::legacy_try_transmit() {
-  assert(!busy_);
-  if (retry_event_.valid()) {
-    engine_.cancel(retry_event_);
-    retry_event_ = sim::EventId{};
-  }
-  auto next = queue_->dequeue(engine_.now());
-  if (!next) {
-    // Nothing eligible. If something is queued but gated (token bucket),
-    // poll again when it could conform.
-    const auto delay = queue_->next_ready_delay(engine_.now());
-    if (delay && *delay < Duration::max()) {
-      retry_event_ = engine_.after(*delay, [this] {
-        retry_event_ = sim::EventId{};
-        if (!busy_) legacy_try_transmit();
-      });
-    }
-    return;
-  }
-
-  busy_ = true;
-  const Duration tx = transmission_time(next->size_bytes);
-  busy_ns_ += tx.ns();
-  ++tx_packets_;
-  tx_bytes_ += next->size_bytes;
-  if (obs::TraceRecorder* tr = net_tracer()) {
-    tr->complete(obs::TraceCategory::Net, "tx", trace_track_, engine_.now(), tx,
-                 next->trace, {{"bytes", static_cast<double>(next->size_bytes)},
-                               {"flow", static_cast<double>(next->flow)}});
-    trace_qlen(tr, engine_.now());
-  }
-
-  // Store-and-forward: the head of the packet leaves now; the receiver has
-  // it fully after transmission + propagation.
-  engine_.after(tx, [this, p = std::move(*next)]() mutable {
-    busy_ = false;
-    // Channel corruption (noisy wireless links): the packet occupied the
-    // transmitter but never arrives intact.
-    if (config_.loss_probability > 0.0 && loss_rng_.bernoulli(config_.loss_probability)) {
-      ++corrupted_;
-      if (obs::TraceRecorder* tr = net_tracer()) {
-        tr->instant(obs::TraceCategory::Net, "corrupt", trace_track_, engine_.now(),
-                    p.trace, {{"flow", static_cast<double>(p.flow)}});
-      }
-      if (on_drop_) on_drop_(p);
-    } else {
-      engine_.after(config_.propagation, [this, p = std::move(p)]() mutable {
-        if (obs::TraceRecorder* tr = net_tracer()) {
-          tr->instant(obs::TraceCategory::Net, "deliver", trace_track_, engine_.now(),
-                      p.trace, {{"flow", static_cast<double>(p.flow)}});
-        }
-        if (deliver_) deliver_(std::move(p));
-      });
-    }
-    legacy_try_transmit();
-  });
 }
 
 double Link::utilization() const {

@@ -1,29 +1,24 @@
 // A unidirectional link: an egress queue plus a serializing transmitter
 // with fixed bandwidth and propagation delay.
 //
-// Two transmitter implementations share identical packet timing:
-//
-//  * Coalesced (default). The transmitter is "virtual": instead of a
-//    dedicated end-of-serialization event per packet, the link tracks
-//    avail_at_ (the instant the transmitter frees) and advances the
-//    service loop lazily — from send() before each new arrival becomes
-//    visible, and from the delivery/drop events it already schedules
-//    anyway. Service decisions that logically happened in the past are
-//    replayed at their exact original instants (the queue provably did
-//    not change in between, because every arrival catches up first), so
-//    dequeue order, token-bucket accounting, loss draws and delivery
-//    times are bit-identical to the legacy path while steady state costs
-//    ~1 engine event per packet per hop instead of ~2. Committed packets
-//    wait in an in-flight FIFO; the delivery event captures only the link
-//    and pops the front, which is safe because delivery instants never
-//    decrease in commit order and the engine fires ties in scheduling
-//    order. The event fits the engine's inline handler buffer and the FIFO
-//    draws from the network's packet arena, so a hop costs no heap
-//    allocation (DESIGN.md §10).
-//
-//  * Legacy (config.coalesced_events = false). One event at the end of
-//    serialization plus one per delivery, as a literal store-and-forward
-//    transcription. Kept as the behavioural oracle for equivalence tests.
+// The transmitter is "virtual": instead of a dedicated end-of-serialization
+// event per packet, the link tracks avail_at_ (the instant the transmitter
+// frees) and advances the service loop lazily — from send() before each
+// new arrival becomes visible, and from the delivery/drop events it
+// already schedules anyway. Service decisions that logically happened in
+// the past are replayed at their exact original instants (the queue
+// provably did not change in between, because every arrival catches up
+// first), so dequeue order, token-bucket accounting, loss draws and
+// delivery times are exactly those of a store-and-forward transmitter with
+// one event per stage, while steady state costs ~1 engine event per packet
+// per hop instead of ~2. Committed packets wait in an in-flight FIFO; the
+// delivery event captures only the link and pops the front, which is safe
+// because delivery instants never decrease in commit order and the engine
+// fires ties in scheduling order. The event fits the engine's inline
+// handler buffer and the FIFO draws from the network's packet arena, so a
+// hop costs no heap allocation (DESIGN.md §10). tests/test_link_diff
+// checks the timing packet for packet against a one-event-per-stage
+// store-and-forward reference model that lives with the tests.
 #pragma once
 
 #include <cstdint>
@@ -48,9 +43,6 @@ struct LinkConfig {
   /// after transmission, before delivery; deterministic per (link, seed).
   double loss_probability = 0.0;
   std::uint64_t loss_seed = 0;
-  /// Per-hop event coalescing (see the file comment). false selects the
-  /// legacy one-event-per-stage transmitter.
-  bool coalesced_events = true;
 };
 
 class Link {
@@ -104,12 +96,10 @@ class Link {
   [[nodiscard]] std::uint64_t packets_corrupted() const { return corrupted_; }
 
  private:
-  // --- coalesced path ---
+  // --- virtual transmitter ---
   void pump();
   void service(TimePoint t);
   void start_tx(Packet p, TimePoint t);
-  // --- legacy path ---
-  void legacy_try_transmit();
   // --- observability ---
   /// Engine recorder iff net tracing is on; binds the lane on first use.
   [[nodiscard]] obs::TraceRecorder* net_tracer();
@@ -126,16 +116,15 @@ class Link {
   DeliveryFn deliver_;
   DropFn on_drop_;
 
-  /// Coalesced: instant the transmitter frees (end of the last committed
+  /// Instant the transmitter frees (end of the last committed
   /// transmission). decision_pending_ means the service decision due at
   /// that instant has not been replayed yet.
   TimePoint avail_at_ = TimePoint::zero();
   bool decision_pending_ = false;
-  /// Coalesced: committed, uncorrupted packets awaiting their delivery
-  /// event, in commit (= delivery) order. Declared after queue_, so it
+  /// Committed, uncorrupted packets awaiting their delivery event, in
+  /// commit (= delivery) order. Declared after queue_, so it
   /// returns its chunks before a private pool goes away.
   PacketFifo in_flight_{queue_->own_packet_pool()};
-  bool busy_ = false;  // legacy path only
   sim::EventId retry_event_{};
   std::uint64_t tx_packets_ = 0;
   std::uint64_t tx_bytes_ = 0;

@@ -216,26 +216,6 @@ Packet IntServQueue::flow_pop(std::uint32_t slot) {
 void IntServQueue::install_reservation(FlowId flow, double rate_bps,
                                        std::uint32_t bucket_bytes, TimePoint now) {
   assert(flow != kNoFlow);
-  if (config_.legacy_flow_map) {
-    // Replace any existing reservation for the flow (RSVP refresh/modify);
-    // queued packets of the old state are preserved.
-    const auto it = flows_.find(flow);
-    if (it != flows_.end()) {
-      auto pending = std::move(it->second.q);
-      for (const auto& p : pending) bytes_ -= p.size_bytes;  // re-added below
-      flows_.erase(it);
-      auto [nit, inserted] =
-          flows_.emplace(flow, FlowState{TokenBucket{rate_bps, bucket_bytes, now}, {}});
-      assert(inserted);
-      for (auto& p : pending) {
-        bytes_ += p.size_bytes;
-        nit->second.q.push_back(std::move(p));
-      }
-      return;
-    }
-    flows_.emplace(flow, FlowState{TokenBucket{rate_bps, bucket_bytes, now}, {}});
-    return;
-  }
   if (const std::uint32_t slot = slot_of_.find(flow); slot != kNoSlot) {
     // Modify: swap in the new bucket, keep the queued packets. The rate
     // changed in the middle of id order, so the running sum goes stale.
@@ -256,8 +236,8 @@ void IntServQueue::install_reservation(FlowId flow, double rate_bps,
     ready_pos_.push_back(0);
   }
   // Incremental sum: an append at the end of id order extends the running
-  // value exactly as the legacy scan would; anything else is recomputed
-  // lazily in id order, so the result stays bit-identical.
+  // value exactly as a full id-order summation would; anything else is
+  // recomputed lazily in id order, so the result stays bit-identical.
   if (!reserved_dirty_) {
     if (slot_of_.empty() || flow > reserved_max_id_) {
       reserved_sum_ += rate_bps;
@@ -272,17 +252,11 @@ void IntServQueue::install_reservation(FlowId flow, double rate_bps,
 bool IntServQueue::update_reservation(FlowId flow, double rate_bps,
                                       std::uint32_t bucket_bytes, TimePoint now) {
   assert(flow != kNoFlow);
-  if (config_.legacy_flow_map) {
-    const auto it = flows_.find(flow);
-    if (it == flows_.end()) return false;
-    it->second.bucket.reconfigure(rate_bps, bucket_bytes, now);
-    return true;
-  }
   const std::uint32_t slot = slot_of_.find(flow);
   if (slot == kNoSlot) return false;
   flow_bucket_[slot].reconfigure(rate_bps, bucket_bytes, now);
   // The rate changed in the middle of id order: the running sum goes stale
-  // and is recomputed lazily in id order (bit-identical to the legacy scan).
+  // and is recomputed lazily in id order.
   reserved_dirty_ = true;
   return true;
 }
@@ -303,25 +277,10 @@ void IntServQueue::set_parent_rate(double rate_bps, std::uint32_t bucket_bytes,
 }
 
 void IntServQueue::remove_reservation(FlowId flow) {
-  if (config_.legacy_flow_map) {
-    const auto it = flows_.find(flow);
-    if (it == flows_.end()) return;
-    // Queued packets of the torn-down flow demote to best effort (clamped
-    // by the best-effort capacity).
-    for (auto& p : it->second.q) {
-      if (best_effort_.size() >= config_.best_effort_capacity) {
-        bytes_ -= p.size_bytes;
-        --packets_;
-        count_drop(p);
-        continue;
-      }
-      best_effort_.push_back(std::move(p));
-    }
-    flows_.erase(it);
-    return;
-  }
   const std::uint32_t slot = slot_of_.find(flow);
   if (slot == kNoSlot) return;
+  // Queued packets of the torn-down flow demote to best effort (clamped by
+  // the best-effort capacity).
   while (flow_fifo_[slot].len > 0) {
     Packet p = flow_pop(slot);
     if (best_effort_.size() >= config_.best_effort_capacity) {
@@ -338,20 +297,11 @@ void IntServQueue::remove_reservation(FlowId flow) {
 }
 
 double IntServQueue::flow_rate_bps(FlowId flow) const {
-  if (config_.legacy_flow_map) {
-    const auto it = flows_.find(flow);
-    return it == flows_.end() ? 0.0 : it->second.bucket.rate_bps();
-  }
   const std::uint32_t slot = slot_of_.find(flow);
   return slot == kNoSlot ? 0.0 : flow_bucket_[slot].rate_bps();
 }
 
 double IntServQueue::reserved_rate_bps() const {
-  if (config_.legacy_flow_map) {
-    double sum = 0.0;
-    for (const auto& [id, f] : flows_) sum += f.bucket.rate_bps();
-    return sum;
-  }
   if (reserved_dirty_) {
     std::vector<std::pair<FlowId, std::uint32_t>> order;
     order.reserve(slot_of_.size());
@@ -369,7 +319,6 @@ double IntServQueue::reserved_rate_bps() const {
 // --- data plane --------------------------------------------------------------
 
 std::optional<Packet> IntServQueue::enqueue(Packet p, TimePoint now) {
-  if (config_.legacy_flow_map) return enqueue_legacy(std::move(p), now);
   if (classify(p.dscp) == PhbClass::NetworkControl) {
     if (control_.size() >= config_.control_capacity) {
       count_drop(p);
@@ -426,7 +375,6 @@ std::optional<Packet> IntServQueue::enqueue(Packet p, TimePoint now) {
 }
 
 std::optional<Packet> IntServQueue::dequeue(TimePoint now) {
-  if (config_.legacy_flow_map) return dequeue_legacy(now);
   // 1. Control plane first.
   if (!control_.empty()) {
     Packet p = control_.pop_front();
@@ -435,9 +383,8 @@ std::optional<Packet> IntServQueue::dequeue(TimePoint now) {
     count_dequeue();
     return p;
   }
-  // 2. Conforming reserved-flow packets, lowest ready FlowId first — the
-  // same pick as the legacy ascending-map scan, found in the ready heap
-  // instead of by walking every reserved flow.
+  // 2. Conforming reserved-flow packets, lowest ready FlowId first, found in
+  // the ready heap instead of by walking every reserved flow.
   if (config_.excess_to_best_effort) {
     // Demote mode: queued packets pre-paid their tokens at enqueue, so the
     // lowest ready flow is always servable.
@@ -495,7 +442,6 @@ std::optional<Packet> IntServQueue::dequeue_shaped(TimePoint now) {
 }
 
 std::optional<Duration> IntServQueue::next_ready_delay(TimePoint now) const {
-  if (config_.legacy_flow_map) return next_ready_delay_legacy(now);
   if (!control_.empty() || !best_effort_.empty()) return Duration::zero();
   if (config_.excess_to_best_effort) {
     // Pre-paid: any ready flow is immediately servable.
@@ -506,107 +452,6 @@ std::optional<Duration> IntServQueue::next_ready_delay(TimePoint now) const {
   for (const ReadyFlow& f : ready_) {
     best = std::min(best, policer_wait(flow_bucket_[f.slot],
                                        flow_front(f.slot).size_bytes, now));
-  }
-  if (best == Duration::max()) return std::nullopt;  // nothing queued anywhere
-  return best;
-}
-
-// --- legacy oracle data plane (config_.legacy_flow_map == true) --------------
-// The original ordered-map implementation, kept verbatim as the
-// differential oracle; only the policing calls route through the shared
-// policer_* helpers so the hierarchical parent behaves identically in
-// both modes (with the parent disabled the helpers are the original
-// single-bucket calls).
-
-std::optional<Packet> IntServQueue::enqueue_legacy(Packet p, TimePoint now) {
-  if (classify(p.dscp) == PhbClass::NetworkControl) {
-    if (control_.size() >= config_.control_capacity) {
-      count_drop(p);
-      return p;
-    }
-    count_enqueue(p);
-    bytes_ += p.size_bytes;
-    ++packets_;
-    control_.push_back(std::move(p));
-    return std::nullopt;
-  }
-  const auto it = p.flow != kNoFlow ? flows_.find(p.flow) : flows_.end();
-  if (it != flows_.end()) {
-    if (config_.excess_to_best_effort) {
-      if (it->second.q.size() < config_.flow_capacity &&
-          policer_consume(it->second.bucket, p.size_bytes, now)) {
-        count_enqueue(p);
-        bytes_ += p.size_bytes;
-        ++packets_;
-        it->second.q.push_back(std::move(p));
-        return std::nullopt;
-      }
-      trace_demote(p, now);
-    } else {
-      if (shape_unconformable(it->second.bucket, p.size_bytes) ||
-          it->second.q.size() >= config_.flow_capacity) {
-        count_drop(p);
-        return p;
-      }
-      count_enqueue(p);
-      bytes_ += p.size_bytes;
-      ++packets_;
-      it->second.q.push_back(std::move(p));
-      return std::nullopt;
-    }
-  }
-  if (best_effort_.size() >= config_.best_effort_capacity) {
-    count_drop(p);
-    return p;
-  }
-  count_enqueue(p);
-  bytes_ += p.size_bytes;
-  ++packets_;
-  best_effort_.push_back(std::move(p));
-  return std::nullopt;
-}
-
-std::optional<Packet> IntServQueue::dequeue_legacy(TimePoint now) {
-  // 1. Control plane first.
-  if (!control_.empty()) {
-    Packet p = control_.pop_front();
-    bytes_ -= p.size_bytes;
-    --packets_;
-    count_dequeue();
-    return p;
-  }
-  // 2. Conforming reserved-flow packets (deterministic flow order). In
-  // demote mode packets already paid their tokens at enqueue.
-  for (auto& [id, f] : flows_) {
-    if (f.q.empty()) continue;
-    if (config_.excess_to_best_effort ||
-        policer_consume(f.bucket, f.q.front().size_bytes, now)) {
-      Packet p = std::move(f.q.front());
-      f.q.pop_front();
-      bytes_ -= p.size_bytes;
-      --packets_;
-      count_dequeue();
-      return p;
-    }
-  }
-  // 3. Best effort.
-  if (!best_effort_.empty()) {
-    Packet p = best_effort_.pop_front();
-    bytes_ -= p.size_bytes;
-    --packets_;
-    count_dequeue();
-    return p;
-  }
-  return std::nullopt;
-}
-
-std::optional<Duration> IntServQueue::next_ready_delay_legacy(TimePoint now) const {
-  if (!control_.empty() || !best_effort_.empty()) return Duration::zero();
-  Duration best = Duration::max();
-  for (const auto& [id, f] : flows_) {
-    if (f.q.empty()) continue;
-    if (config_.excess_to_best_effort) return Duration::zero();  // pre-paid
-    best = std::min(best, policer_wait(f.bucket, f.q.front().size_bytes, now));
   }
   if (best == Duration::max()) return std::nullopt;  // nothing queued anywhere
   return best;

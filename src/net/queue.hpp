@@ -15,8 +15,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -185,10 +183,9 @@ class DiffServQueue final : public Queue {
 /// indexed min-heap of the ready flows holding packets (service scans) —
 /// so enqueue is O(1)+O(log n), dequeue serves the lowest ready FlowId
 /// without touching the other n-1 flows, and neither allocates once warm.
-/// The original std::map storage is kept verbatim behind
-/// Config::legacy_flow_map as a differential oracle (the
-/// CpuConfig::legacy_scan pattern); both modes are observably
-/// byte-identical.
+/// tests/test_flow_table_diff replays randomized scripts against this queue
+/// and a std::map reference model that lives with the tests, and asserts
+/// byte-identical observations.
 class IntServQueue final : public Queue {
  public:
   struct Config {
@@ -203,11 +200,6 @@ class IntServQueue final : public Queue {
     /// packet, independent of flow count). 0 = per-flow policing only.
     double parent_rate_bps = 0.0;
     std::uint32_t parent_bucket_bytes = 64'000;
-    /// Differential oracle: true selects the original ordered-map flow
-    /// table (O(log n) lookups, O(n) service scans). Observable behavior
-    /// is identical to the indexed table; exists so randomized tests can
-    /// diff the two (mirrors CpuConfig::legacy_scan).
-    bool legacy_flow_map = false;
   };
 
   explicit IntServQueue(Config config);
@@ -221,8 +213,7 @@ class IntServQueue final : public Queue {
   /// the new depth) and queued packets stay queued — unlike the RSVP
   /// refresh path in install_reservation, which swaps in a fresh full
   /// bucket. Idempotent; returns false when the flow holds no reservation
-  /// (callers fall back to install_reservation). Identical observable
-  /// behavior in both storage modes (tests/test_flow_table_diff).
+  /// (callers fall back to install_reservation).
   bool update_reservation(FlowId flow, double rate_bps, std::uint32_t bucket_bytes,
                           TimePoint now);
   /// Live re-stamp of the hierarchical (HTB-style) parent: rate <= 0 drops
@@ -232,19 +223,15 @@ class IntServQueue final : public Queue {
   [[nodiscard]] double parent_rate_bps() const {
     return parent_ ? parent_->rate_bps() : 0.0;
   }
-  [[nodiscard]] bool has_reservation(FlowId flow) const {
-    return config_.legacy_flow_map ? flows_.count(flow) > 0 : slot_of_.contains(flow);
-  }
+  [[nodiscard]] bool has_reservation(FlowId flow) const { return slot_of_.contains(flow); }
   /// Sum of reserved rates. O(1) amortized: maintained incrementally on
   /// id-order appends and recomputed lazily (in id order, so the value is
-  /// bit-identical to the legacy full scan) after removes/modifies.
+  /// bit-identical to a full id-order summation) after removes/modifies.
   [[nodiscard]] double reserved_rate_bps() const;
   /// Reserved rate of one flow; 0 when it holds no reservation.
   [[nodiscard]] double flow_rate_bps(FlowId flow) const;
   /// Number of installed reservations.
-  [[nodiscard]] std::size_t reservation_count() const {
-    return config_.legacy_flow_map ? flows_.size() : slot_of_.size();
-  }
+  [[nodiscard]] std::size_t reservation_count() const { return slot_of_.size(); }
 
   // --- Queue interface -------------------------------------------------------
   std::optional<Packet> enqueue(Packet p, TimePoint now) override;
@@ -258,14 +245,8 @@ class IntServQueue final : public Queue {
   }
 
  private:
-  struct FlowState {
-    TokenBucket bucket;
-    std::deque<Packet> q;
-  };
-
-  // Two-level policing helpers shared by both storage modes: with the
-  // parent disabled they collapse to the exact single-bucket calls the
-  // original code made (including the refill-on-failed-consume side
+  // Two-level policing helpers: with the parent disabled they collapse to
+  // the single-bucket calls (including the refill-on-failed-consume side
   // effect), which keeps pre-HTB configurations bit-identical.
   bool policer_consume(TokenBucket& child, std::uint32_t bytes, TimePoint now);
   [[nodiscard]] Duration policer_wait(const TokenBucket& child, std::uint32_t bytes,
@@ -276,7 +257,7 @@ class IntServQueue final : public Queue {
                                          std::uint32_t bytes) const;
   void trace_demote(const Packet& p, TimePoint now);
 
-  // --- indexed flow table (config_.legacy_flow_map == false) ----------------
+  // --- flow table ---------------------------------------------------------------
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
   /// Shared FIFO arena: every queued reserved-flow packet lives in one
   /// recycled node pool; per-flow queues are intrusive head/tail lists, so
@@ -324,24 +305,18 @@ class IntServQueue final : public Queue {
     return pool_[flow_fifo_[slot].head].pkt;
   }
 
-  std::optional<Packet> enqueue_legacy(Packet p, TimePoint now);
-  std::optional<Packet> dequeue_legacy(TimePoint now);
-  [[nodiscard]] std::optional<Duration> next_ready_delay_legacy(TimePoint now) const;
-
   Config config_;
-  /// Legacy oracle storage (config_.legacy_flow_map == true).
-  std::map<FlowId, FlowState> flows_;  // ordered: deterministic service order
-  /// Indexed storage: flat id -> slot index over SoA per-flow fields.
+  /// Flat id -> slot index over SoA per-flow fields.
   FlatIndex<FlowId> slot_of_;
   std::vector<TokenBucket> flow_bucket_;    // by slot
   std::vector<FlowFifo> flow_fifo_;         // by slot
   std::vector<std::uint32_t> free_slots_;
   std::vector<PacketNode> pool_;
   std::uint32_t pool_free_ = kNil;
-  /// The ready-flow heap preserves the legacy map's ascending-FlowId
-  /// service order over the flows with queued packets (dequeue takes the
-  /// top). It carries each flow's slot so the service path never pays a
-  /// second index probe per packet.
+  /// The ready-flow heap keeps the ascending-FlowId service order over the
+  /// flows with queued packets (dequeue takes the top). It carries each
+  /// flow's slot so the service path never pays a second index probe per
+  /// packet.
   std::vector<ReadyFlow> ready_;
   std::vector<std::uint32_t> ready_pos_;  // by slot
   std::vector<std::uint32_t> scan_;       // dequeue_shaped scratch: heap positions

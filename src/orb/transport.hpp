@@ -11,9 +11,9 @@
 // packet_overhead share — framed under a "GBAT" header and unpacked on the
 // receive side into zero-copy MessageViews over the batch buffer. Flushes
 // are driven by byte/count thresholds or an engine-timer deadline, so the
-// batched world stays exactly as deterministic as the unbatched one. The
-// unbatched path (batching disabled, the default) is the verbatim legacy
-// code and serves as the differential oracle.
+// batched world stays exactly as deterministic as the unbatched one.
+// Batching is a per-transport policy choice: with it disabled (the default)
+// every message ships as its own wire write.
 #pragma once
 
 #include <cstdint>

@@ -45,10 +45,8 @@ std::uint64_t Cpu::cycles_for(Duration cpu_time) const {
 
 void Cpu::release_job(std::uint32_t slot) {
   Job& job = jobs_[slot];
-  if (indexed()) {
-    ready_remove(job);
-    if (job.reserve != kNoReserve) detach(job);
-  }
+  ready_remove(job);
+  if (job.reserve != kNoReserve) detach(job);
   job_index_.erase(job.id);
   job.id = 0;
   job.on_complete = nullptr;
@@ -215,15 +213,13 @@ JobId Cpu::submit(std::uint64_t cycles, Priority priority, std::function<void()>
   job.queue_rank = next_rank_++;
   job.in_ready = false;
   job_index_.insert(id, slot);
-  if (indexed()) {
-    if (reserve != kNoReserve && attach(job, slot)) {
-      // First attached job: the wake heap may hold no live entry for this
-      // reserve (entries go stale when the list drains), so seed one.
-      const auto rit = reserves_.find(reserve);
-      if (rit != reserves_.end()) push_wake(rit->second);
-    }
-    ready_insert(job, slot);
+  if (reserve != kNoReserve && attach(job, slot)) {
+    // First attached job: the wake heap may hold no live entry for this
+    // reserve (entries go stale when the list drains), so seed one.
+    const auto rit = reserves_.find(reserve);
+    if (rit != reserves_.end()) push_wake(rit->second);
   }
+  ready_insert(job, slot);
   reschedule();
   return id;
 }
@@ -267,7 +263,7 @@ bool Cpu::set_base_priority(JobId id, Priority priority) {
                  {"to", static_cast<double>(priority)}});
   }
   job.base_priority = priority;
-  if (indexed()) reindex_job(job, slot);
+  reindex_job(job, slot);
   reschedule();
   return true;
 }
@@ -305,14 +301,12 @@ Result<ReserveId> Cpu::create_reserve(const ReserveSpec& spec) {
                 tr->current(),
                 {{"compute_ms", spec.compute.millis()}, {"period_ms", spec.period.millis()}});
   }
-  if (indexed()) {
-    replenish_heap_.push({boundary_of(rit->second).ns(), id});
-    if (attached_count(id) > 0) {
-      // Jobs submitted against this id before the reserve existed attach
-      // now (the legacy scheduler resolves the reserve lazily on scan).
-      push_wake(rit->second);
-      reindex_attached(id);
-    }
+  replenish_heap_.push({boundary_of(rit->second).ns(), id});
+  if (attached_count(id) > 0) {
+    // Jobs submitted against this id before the reserve existed are
+    // boosted from now on.
+    push_wake(rit->second);
+    reindex_attached(id);
   }
   reschedule();
   return id;
@@ -337,7 +331,7 @@ Status<std::string> Cpu::update_reserve(ReserveId id, const ReserveSpec& spec) {
   reschedule();
   // Admission with the reserve's own old utilization excluded. Summed over
   // reserves_ in id order with the candidate substituted, so the admitted
-  // value is bit-identical to a fresh summation (and to legacy_scan).
+  // value is bit-identical to a fresh summation.
   double candidate_sum = 0.0;
   for (const auto& [rid, other] : reserves_) {
     candidate_sum += (rid == id ? spec : other.spec).utilization();
@@ -356,15 +350,13 @@ Status<std::string> Cpu::update_reserve(ReserveId id, const ReserveSpec& spec) {
                 tr->current(),
                 {{"compute_ms", spec.compute.millis()}, {"period_ms", spec.period.millis()}});
   }
-  if (indexed()) {
-    // The boundary moved with the new period: push a fresh replenish entry
-    // (the old one goes stale and is skipped lazily) and re-place attached
-    // jobs — the resize may have flipped the boost state in either
-    // direction (budget gained or clamped to zero).
-    replenish_heap_.push({boundary_of(r).ns(), id});
-    if (attached_count(id) > 0) push_wake(r);
-    reindex_attached(id);
-  }
+  // The boundary moved with the new period: push a fresh replenish entry
+  // (the old one goes stale and is skipped lazily) and re-place attached
+  // jobs — the resize may have flipped the boost state in either direction
+  // (budget gained or clamped to zero).
+  replenish_heap_.push({boundary_of(r).ns(), id});
+  if (attached_count(id) > 0) push_wake(r);
+  reindex_attached(id);
   reschedule();
   return {};
 }
@@ -378,11 +370,9 @@ void Cpu::destroy_reserve(ReserveId id) {
   // control-plane events; admissions stay O(1).
   reserved_util_sum_ = 0.0;
   for (const auto& [rid, r] : reserves_) reserved_util_sum_ += r.spec.utilization();
-  if (indexed()) {
-    // Jobs that referenced the reserve fall back to base priority; heap
-    // entries for the dead id are skipped lazily.
-    reindex_attached(id);
-  }
+  // Jobs that referenced the reserve fall back to base priority; heap
+  // entries for the dead id are skipped lazily.
+  reindex_attached(id);
   reschedule();
 }
 
@@ -412,27 +402,7 @@ Duration Cpu::reserve_budget(ReserveId id) const {
   return budget;
 }
 
-double Cpu::reserved_utilization() const {
-  if (config_.legacy_scan) {
-    double u = 0.0;
-    for (const auto& [id, r] : reserves_) u += r.spec.utilization();
-    return u;
-  }
-  return reserved_util_sum_;
-}
-
 // --- introspection ----------------------------------------------------------
-
-std::size_t Cpu::runnable_count() const {
-  if (config_.legacy_scan) {
-    std::size_t n = 0;
-    for (const Job& job : jobs_) {
-      if (job.id != 0 && effective_priority(job)) ++n;
-    }
-    return n;
-  }
-  return ready_count_;
-}
 
 Duration Cpu::busy_time() const {
   std::int64_t ns = busy_ns_;
@@ -514,7 +484,7 @@ void Cpu::charge_running() {
         }
         // Boost state flipped: attached jobs drop out of the boost band
         // (hard: out of the ready index entirely until replenishment).
-        if (indexed()) reindex_attached(job.reserve);
+        reindex_attached(job.reserve);
       }
     }
   }
@@ -538,24 +508,8 @@ void Cpu::clear_pending_events() {
 
 void Cpu::roll_periods() {
   const TimePoint now = engine_.now();
-  if (config_.legacy_scan) {
-    obs::TraceRecorder* tr = os_tracer();
-    for (auto& [id, r] : reserves_) {
-      if (now < r.period_start + r.spec.period) continue;
-      const std::int64_t k = (now - r.period_start).ns() / r.spec.period.ns();
-      r.period_start = r.period_start + r.spec.period * k;
-      r.budget = r.spec.compute;  // unused budget does not accumulate
-      if (tr != nullptr) {
-        tr->instant(obs::TraceCategory::Os, "reserve.replenish", obs_track_, now, 0,
-                    {{"reserve", static_cast<double>(id)},
-                     {"budget_ms", r.budget.millis()}});
-      }
-    }
-    return;
-  }
-
-  // Indexed: pop due boundaries off the min-heap; the common case (nothing
-  // due) is a single comparison and touches neither reserves nor the tracer.
+  // Pop due boundaries off the min-heap; the common case (nothing due) is a
+  // single comparison and touches neither reserves nor the tracer.
   if (replenish_heap_.empty() || replenish_heap_.top().first > now.ns()) return;
   std::vector<ReserveId>& due = due_;
   due.clear();
@@ -568,8 +522,8 @@ void Cpu::roll_periods() {
     due.push_back(id);
   }
   if (due.empty()) return;
-  // Replenish in id order so the emitted trace instants match the legacy
-  // reserves_-iteration order byte for byte.
+  // Replenish in id order, so the emitted trace instants come out in
+  // reserve-id order whatever order the heap held them in.
   std::sort(due.begin(), due.end());
   obs::TraceRecorder* tr = os_tracer();
   for (const ReserveId id : due) {
@@ -595,25 +549,9 @@ void Cpu::roll_periods() {
 void Cpu::arm_reserve_wake() {
   // Wake the scheduler at the next period boundary of any reserve that has
   // jobs attached, so suspended jobs resume and budgets refresh on time.
-  // Idle reserves arm nothing, which keeps the event queue drainable.
-  if (config_.legacy_scan) {
-    TimePoint next = TimePoint::max();
-    for (const Job& job : jobs_) {
-      if (job.id == 0 || job.reserve == kNoReserve) continue;
-      const auto rit = reserves_.find(job.reserve);
-      if (rit == reserves_.end()) continue;
-      next = std::min(next, rit->second.period_start + rit->second.spec.period);
-    }
-    if (next == TimePoint::max()) return;
-    reserve_wake_event_ = engine_.at(next, [this] {
-      reserve_wake_event_ = sim::EventId{};
-      reschedule();
-    });
-    return;
-  }
-
-  // Indexed: the earliest live wake-heap entry IS the next boundary of an
-  // attached reserve (entries are pushed on first attach and on every
+  // Idle reserves arm nothing, which keeps the event queue drainable. The
+  // earliest live wake-heap entry IS the next boundary of an attached
+  // reserve (entries are pushed on first attach and on every
   // replenish while attached, and a live entry is never popped as stale).
   while (!wake_heap_.empty()) {
     const auto [at_ns, id] = wake_heap_.top();
@@ -640,31 +578,10 @@ void Cpu::reschedule() {
   roll_periods();
   arm_reserve_wake();
 
-  // Pick the runnable job with the highest effective priority; FIFO within
-  // a level (smallest queue_rank first).
-  Job* best = nullptr;
-  Priority best_prio = 0;
-  if (indexed()) {
-    if (first_ready_ < levels_.size()) {
-      const Level& level = levels_[first_ready_];
-      best = &jobs_[level.heap.front().slot];
-      best_prio = level.priority;
-    }
-  } else {
-    // Legacy oracle: scan every job. The comparison is a strict total order
-    // ((effective priority, unique rank)), so iteration order is irrelevant.
-    for (Job& job : jobs_) {
-      if (job.id == 0) continue;
-      const auto ep = effective_priority(job);
-      if (!ep) continue;
-      if (best == nullptr || *ep > best_prio ||
-          (*ep == best_prio && job.queue_rank < best->queue_rank)) {
-        best = &job;
-        best_prio = *ep;
-      }
-    }
-  }
-  if (best == nullptr) return;  // idle
+  // Run the runnable job with the highest effective priority; FIFO within
+  // a level (smallest queue_rank first): the top of the first ready level.
+  if (first_ready_ == levels_.size()) return;  // idle
+  Job* const best = &jobs_[levels_[first_ready_].heap.front().slot];
 
   running_ = best->id;
   running_boosted_ = is_boosted(*best);
@@ -678,23 +595,10 @@ void Cpu::reschedule() {
   if (running_boosted_) {
     limit = reserves_.at(best->reserve).budget;
   }
-  if (config_.quantum < Duration::max()) {
-    bool has_peer = false;
-    if (indexed()) {
-      // The running job sits at the top of its level heap; any second
-      // entry is an equal-effective-priority peer.
-      has_peer = levels_[first_ready_].heap.size() > 1;
-    } else {
-      for (const Job& job : jobs_) {
-        if (job.id == 0 || job.id == best->id) continue;
-        const auto ep = effective_priority(job);
-        if (ep && *ep == best_prio) {
-          has_peer = true;
-          break;
-        }
-      }
-    }
-    if (has_peer) limit = std::min(limit, config_.quantum);
+  // The running job sits at the top of its level heap; any second entry is
+  // an equal-effective-priority peer to round-robin with.
+  if (config_.quantum < Duration::max() && levels_[first_ready_].heap.size() > 1) {
+    limit = std::min(limit, config_.quantum);
   }
 
   if (to_completion <= limit) {
@@ -710,13 +614,9 @@ void Cpu::reschedule() {
         const std::uint32_t slot = slot_of(*running_);
         if (slot != kNil) {
           Job& job = jobs_[slot];
-          if (indexed()) {
-            ready_remove(job);
-            job.queue_rank = next_rank_++;
-            ready_insert(job, slot);
-          } else {
-            job.queue_rank = next_rank_++;
-          }
+          ready_remove(job);
+          job.queue_rank = next_rank_++;
+          ready_insert(job, slot);
         }
       }
       reschedule();

@@ -25,9 +25,9 @@
 // erased), reserves keep an intrusive list of their attached jobs, and
 // period boundaries sit in lazily-invalidated min-heaps — so
 // submit/complete/cancel cost is independent of the number of pending jobs.
-// The original scan-everything implementation is kept verbatim behind
-// Config::legacy_scan as a differential oracle (tests/test_cpu_sched_diff
-// drives both through randomized workloads and asserts identical traces).
+// tests/test_cpu_sched_diff drives this scheduler and an O(n)-scan
+// reference model that lives with the tests through randomized workloads
+// and asserts identical traces.
 //
 // The scheduler records an optional run trace (contiguous slices of which
 // job ran at what effective priority) that property tests use to check the
@@ -74,11 +74,6 @@ struct CpuConfig {
   std::uint64_t hz = 1'000'000'000;       // 1 GHz, like the paper's testbed
   Duration quantum = milliseconds(10);    // round-robin slice within a priority
   double reserve_utilization_cap = 0.9;   // admission bound for sum(C/T)
-  /// Differential oracle: when true every scheduling decision rescans all
-  /// jobs and reserves (the original O(n) implementation). Identical
-  /// observable behavior to the indexed scheduler; exists so randomized
-  /// tests can diff the two (same pattern as LinkConfig::coalesced_events).
-  bool legacy_scan = false;
 };
 
 class Cpu {
@@ -137,9 +132,9 @@ class Cpu {
   [[nodiscard]] Duration reserve_budget(ReserveId id) const;
 
   /// Sum of C/T over all live reserves. O(1): the sum is maintained
-  /// incrementally on create/destroy (legacy_scan mode recomputes, as the
-  /// original did; the two are bit-identical — see DESIGN.md §9).
-  [[nodiscard]] double reserved_utilization() const;
+  /// incrementally on create and recomputed in id order on resize/destroy,
+  /// so it is bit-identical to a fresh summation (DESIGN.md §9).
+  [[nodiscard]] double reserved_utilization() const { return reserved_util_sum_; }
 
   // --- introspection --------------------------------------------------------
 
@@ -148,8 +143,8 @@ class Cpu {
   [[nodiscard]] bool idle() const { return !running_.has_value(); }
   [[nodiscard]] std::size_t job_count() const { return job_index_.size(); }
   /// Jobs runnable right now (pending jobs minus hard-reserve-suspended
-  /// ones). O(1) for the indexed scheduler, O(n) under legacy_scan.
-  [[nodiscard]] std::size_t runnable_count() const;
+  /// ones). O(1).
+  [[nodiscard]] std::size_t runnable_count() const { return ready_count_; }
   /// Total CPU time spent executing jobs so far.
   [[nodiscard]] Duration busy_time() const;
   /// busy_time / elapsed simulated time (0 if no time has elapsed).
@@ -187,13 +182,13 @@ class Cpu {
     ReserveId reserve = kNoReserve;
     std::function<void()> on_complete;
     std::uint64_t queue_rank = 0;  // FIFO order within a priority level
-    // Indexed-scheduler placement: which ready level holds the job and
-    // where in that level's heap (meaningless while !in_ready;
-    // hard-suspended jobs are in no level).
+    // Ready-index placement: which ready level holds the job and where in
+    // that level's heap (meaningless while !in_ready; hard-suspended jobs
+    // are in no level).
     Priority ready_level = 0;
     std::uint32_t heap_pos = 0;
     bool in_ready = false;
-    // Membership in the attached list of `reserve` (indexed mode).
+    // Membership in the attached list of `reserve`.
     std::uint32_t attached_prev = kNil;
     std::uint32_t attached_next = kNil;
   };
@@ -216,11 +211,9 @@ class Cpu {
   [[nodiscard]] bool is_boosted(const Job& job) const;
 
   /// Engine recorder iff os tracing is on; binds the "cpu:<name>" lane on
-  /// first use and caches the binding per recorder. The indexed hot path
-  /// only resolves it when an instant is actually emitted.
+  /// first use and caches the binding per recorder. The hot path only
+  /// resolves it when an instant is actually emitted.
   [[nodiscard]] obs::TraceRecorder* os_tracer();
-
-  [[nodiscard]] bool indexed() const { return !config_.legacy_scan; }
 
   // --- job slab -----------------------------------------------------------
   /// Slab slot of a live job, or kNil.
@@ -236,11 +229,11 @@ class Cpu {
   /// Unlinks the job from every index and returns its slot to the free list.
   void release_job(std::uint32_t slot);
 
-  // --- ready index (indexed mode only) --------------------------------------
+  // --- ready index ------------------------------------------------------------
   /// One effective-priority level: a binary min-heap of (queue_rank, slot).
   /// Ranks are globally unique and monotonically assigned, so heap order
   /// == arrival order; reserve state transitions re-insert jobs at their
-  /// existing rank, which keeps the legacy "smallest rank first" tie-break
+  /// existing rank, which keeps the "smallest rank first" tie-break
   /// exact even when a demoted job lands between jobs that were already
   /// queued at that level. Every job records its heap position, so removal
   /// is an exact O(log n) sift: no stale entries pile up when a reserve
@@ -271,11 +264,11 @@ class Cpu {
   /// boost-state transition (exhaust/replenish/create/destroy).
   void reindex_attached(ReserveId id);
 
-  // --- reserve membership (indexed mode only) --------------------------------
+  // --- reserve membership -----------------------------------------------------
   /// Live jobs referencing one reserve id, as an intrusive list through
   /// Job::attached_prev/next — including ids with no live reserve (a job
-  /// may be submitted against a reserve created later; the legacy
-  /// scheduler resolves the reserve lazily, so must we).
+  /// may be submitted against a reserve created later and is boosted the
+  /// moment that reserve appears).
   struct AttachedList {
     std::uint32_t head = kNil;
     std::uint32_t count = 0;
@@ -304,8 +297,7 @@ class Cpu {
 
   /// Job slab: live jobs plus recycled free slots, addressed by id through
   /// job_index_. Ids are handed out sequentially and never iterated on the
-  /// decision path (the legacy scan's pick is a strict total order on
-  /// (effective priority, rank), so even its result is slot-order-proof).
+  /// decision path.
   std::vector<Job> jobs_;
   std::vector<std::uint32_t> free_jobs_;
   FlatIndex<JobId> job_index_;
@@ -314,7 +306,7 @@ class Cpu {
   ReserveId next_reserve_id_ = 1;
   std::uint64_t next_rank_ = 1;
 
-  // --- indexed-scheduler state (maintained iff !config_.legacy_scan) -------
+  // --- ready index, reserve membership and period boundaries ---------------
   /// Every effective-priority level ever used, highest first. Levels are
   /// never erased, so their heaps keep their capacity; first_ready_ is the
   /// first non-empty one (levels_.size() when nothing is runnable).

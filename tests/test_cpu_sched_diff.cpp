@@ -1,13 +1,13 @@
 // Differential suite for the indexed CPU scheduler (DESIGN.md §9).
 //
 // The indexed scheduler (per-level ready queues, reserve membership index,
-// period-boundary heaps) must be observably indistinguishable from the
-// original scan-everything implementation, which is kept verbatim behind
-// CpuConfig::legacy_scan as the oracle. Every test here builds one
-// deterministic operation script, replays it against both schedulers in
-// separate engines, and asserts byte-identical run traces, completion
-// orders, and sampled state probes — the same new-vs-oracle pattern the
-// link layer uses for LinkConfig::coalesced_events.
+// period-boundary heaps) must be observably indistinguishable from
+// oracle::ScanCpu (tests/oracle/), a reference model that rescans every
+// job and reserve on each decision. Every test builds one deterministic
+// operation script, replays it against both schedulers in separate
+// engines, and asserts byte-identical run traces, completion orders, and
+// sampled state probes — the same production-vs-oracle pattern
+// test_flow_table_diff and test_link_diff use.
 #include "os/cpu.hpp"
 
 #include <gtest/gtest.h>
@@ -18,10 +18,16 @@
 #include <string>
 #include <vector>
 
+#include "oracle/scan_cpu.hpp"
 #include "sim/engine.hpp"
 
 namespace aqm::os {
 namespace {
+
+/// os::Cpu under the oracle's constructor signature.
+struct ProdCpu : Cpu {
+  ProdCpu(sim::Engine& engine, const CpuConfig& config) : Cpu(engine, "diff", config) {}
+};
 
 // --- operation scripts ------------------------------------------------------
 
@@ -59,13 +65,10 @@ struct Outcome {
 };
 
 /// Replays `script` on a fresh engine+cpu and records everything observable.
-Outcome run_script(const std::vector<Op>& script, const CpuConfig& base_config,
-                   bool legacy) {
-  CpuConfig config = base_config;
-  config.legacy_scan = legacy;
-
+template <typename Sched>
+Outcome run_script(const std::vector<Op>& script, const CpuConfig& config) {
   sim::Engine engine;
-  Cpu cpu(engine, "diff", config);
+  Sched cpu(engine, config);
   cpu.enable_trace(true);
 
   Outcome out;
@@ -78,7 +81,7 @@ Outcome run_script(const std::vector<Op>& script, const CpuConfig& base_config,
         case Op::Kind::Submit: {
           ReserveId reserve = kNoReserve;
           if (op.raw_reserve != kNoReserve) {
-            reserve = op.raw_reserve;  // may not exist (yet): legacy contract
+            reserve = op.raw_reserve;  // may not exist (yet): resolved lazily
           } else if (op.reserve_slot >= 0 && !created.empty()) {
             reserve = created[static_cast<std::size_t>(op.reserve_slot) % created.size()];
           }
@@ -151,20 +154,20 @@ Outcome run_script(const std::vector<Op>& script, const CpuConfig& base_config,
   return out;
 }
 
-void expect_identical(const Outcome& indexed, const Outcome& legacy,
+void expect_identical(const Outcome& indexed, const Outcome& scan,
                       const std::string& label) {
   SCOPED_TRACE(label);
-  EXPECT_EQ(indexed.reserves_created, legacy.reserves_created);
-  EXPECT_EQ(indexed.completions, legacy.completions);
-  EXPECT_EQ(indexed.probes, legacy.probes);
-  EXPECT_EQ(indexed.final_busy_ns, legacy.final_busy_ns);
-  EXPECT_EQ(indexed.end_time_ns, legacy.end_time_ns);
-  EXPECT_EQ(indexed.leftover_jobs, legacy.leftover_jobs);
+  EXPECT_EQ(indexed.reserves_created, scan.reserves_created);
+  EXPECT_EQ(indexed.completions, scan.completions);
+  EXPECT_EQ(indexed.probes, scan.probes);
+  EXPECT_EQ(indexed.final_busy_ns, scan.final_busy_ns);
+  EXPECT_EQ(indexed.end_time_ns, scan.end_time_ns);
+  EXPECT_EQ(indexed.leftover_jobs, scan.leftover_jobs);
 
-  ASSERT_EQ(indexed.trace.size(), legacy.trace.size());
+  ASSERT_EQ(indexed.trace.size(), scan.trace.size());
   for (std::size_t i = 0; i < indexed.trace.size(); ++i) {
     const auto& a = indexed.trace[i];
-    const auto& b = legacy.trace[i];
+    const auto& b = scan.trace[i];
     ASSERT_TRUE(a.job == b.job && a.effective_priority == b.effective_priority &&
                 a.reserve == b.reserve && a.boosted == b.boosted &&
                 a.start == b.start && a.end == b.end)
@@ -177,11 +180,11 @@ void expect_identical(const Outcome& indexed, const Outcome& legacy,
 
 void run_diff(const std::vector<Op>& script, const CpuConfig& config,
               const std::string& label, std::size_t min_slices = 10) {
-  const Outcome indexed = run_script(script, config, /*legacy=*/false);
-  const Outcome legacy = run_script(script, config, /*legacy=*/true);
+  const Outcome indexed = run_script<ProdCpu>(script, config);
+  const Outcome scan = run_script<oracle::ScanCpu>(script, config);
   // Guard against a vacuous pass: every script must actually run work.
   EXPECT_GE(indexed.trace.size(), min_slices) << label << ": workload too trivial";
-  expect_identical(indexed, legacy, label);
+  expect_identical(indexed, scan, label);
 }
 
 /// Randomized script generator. Times, costs and priorities are drawn from a
@@ -223,7 +226,7 @@ std::vector<Op> random_script(std::uint64_t seed, bool with_reserves,
           op.reserve_slot = slot(rng);  // existing reserve (round-robin)
         } else if (attach < 45) {
           // A reserve id that may only come into existence later — the
-          // legacy scheduler resolves lazily, so attachment must "wake up"
+          // scan resolves reserves lazily, so attachment must "wake up"
           // when the id is eventually created.
           op.raw_reserve = static_cast<ReserveId>(1 + slot(rng) % 8);
         }
@@ -385,9 +388,9 @@ TEST(CpuSchedDiff, SubmitAgainstFutureReserveId) {
   probe.at = TimePoint{milliseconds(2).ns()};
   script.push_back(probe);
 
-  const Outcome indexed = run_script(script, quantum_config(milliseconds(10)), false);
-  const Outcome legacy = run_script(script, quantum_config(milliseconds(10)), true);
-  expect_identical(indexed, legacy, "future-reserve-id");
+  const Outcome indexed = run_script<ProdCpu>(script, quantum_config(milliseconds(10)));
+  const Outcome scan = run_script<oracle::ScanCpu>(script, quantum_config(milliseconds(10)));
+  expect_identical(indexed, scan, "future-reserve-id");
 
   // Semantic check, not just parity: after the reserve appears at 1ms the
   // orphan job preempts the priority-200 competitor (boost band).
@@ -512,13 +515,11 @@ TEST(CpuSchedDiff, UpdateReserveResizeParity) {
 
 TEST(CpuSchedDiff, IncrementalUtilizationMatchesRecomputation) {
   // Create/destroy churn: the incrementally maintained sum must stay
-  // bit-identical to the legacy fresh summation (same admission decisions).
+  // bit-identical to the oracle's fresh summation (same admission decisions).
   sim::Engine e_idx;
-  sim::Engine e_leg;
-  CpuConfig legacy_cfg;
-  legacy_cfg.legacy_scan = true;
+  sim::Engine e_scan;
   Cpu indexed(e_idx, "idx");
-  Cpu legacy(e_leg, "leg", legacy_cfg);
+  oracle::ScanCpu scan(e_scan, CpuConfig{});
 
   std::mt19937_64 rng(7);
   std::vector<ReserveId> live;
@@ -529,7 +530,7 @@ TEST(CpuSchedDiff, IncrementalUtilizationMatchesRecomputation) {
       spec.period = milliseconds(10 + static_cast<std::int64_t>(rng() % 90));
       spec.hard = rng() % 2 == 0;
       const auto a = indexed.create_reserve(spec);
-      const auto b = legacy.create_reserve(spec);
+      const auto b = scan.create_reserve(spec);
       ASSERT_EQ(a.ok(), b.ok()) << "admission diverged at step " << i;
       if (a.ok()) {
         ASSERT_EQ(a.value(), b.value());
@@ -544,25 +545,25 @@ TEST(CpuSchedDiff, IncrementalUtilizationMatchesRecomputation) {
       spec.period = milliseconds(10 + static_cast<std::int64_t>(rng() % 90));
       spec.hard = rng() % 2 == 0;
       const auto a = indexed.update_reserve(live[pick], spec);
-      const auto b = legacy.update_reserve(live[pick], spec);
+      const auto b = scan.update_reserve(live[pick], spec);
       ASSERT_EQ(a.ok(), b.ok()) << "update admission diverged at step " << i;
     } else {
       const std::size_t pick = rng() % live.size();
       indexed.destroy_reserve(live[pick]);
-      legacy.destroy_reserve(live[pick]);
+      scan.destroy_reserve(live[pick]);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
     }
     // Bit-identical, not merely close: admission compares against the cap
     // with exact floating-point values.
-    ASSERT_EQ(indexed.reserved_utilization(), legacy.reserved_utilization())
+    ASSERT_EQ(indexed.reserved_utilization(), scan.reserved_utilization())
         << "utilization diverged at step " << i;
   }
   for (const ReserveId id : live) {
     indexed.destroy_reserve(id);
-    legacy.destroy_reserve(id);
+    scan.destroy_reserve(id);
   }
   EXPECT_EQ(indexed.reserved_utilization(), 0.0);
-  EXPECT_EQ(legacy.reserved_utilization(), 0.0);
+  EXPECT_EQ(scan.reserved_utilization(), 0.0);
 }
 
 }  // namespace

@@ -1,18 +1,19 @@
 // Differential suite for the indexed per-flow network state (DESIGN.md §10).
 //
 // The SoA flow table behind IntServQueue (hashed FlowId -> dense slot,
-// shared packet-node pool, explicit ordered/ready indexes, incremental
-// reserved-rate accounting) must be observably indistinguishable from the
-// original std::map implementation, which is kept verbatim behind
-// IntServQueue::Config::legacy_flow_map as the oracle — the same
-// new-vs-oracle pattern the CPU scheduler uses for CpuConfig::legacy_scan.
-// Every test builds one deterministic operation script, replays it against
-// both queues, and asserts byte-identical observation logs (doubles are
-// compared through hexfloat formatting, so the reserved-rate sums must
-// match bit for bit, not just approximately).
+// shared packet-node pool, ready-flow heap, incremental reserved-rate
+// accounting) must be observably indistinguishable from
+// oracle::MapIntServQueue (tests/oracle/), a reference model that keeps
+// every flow in one std::map and scans it — the same production-vs-oracle
+// pattern test_cpu_sched_diff uses for the CPU scheduler. Every test builds
+// one deterministic operation script, replays it against both queues, and
+// asserts byte-identical observation logs (doubles are compared through
+// hexfloat formatting, so the reserved-rate sums must match bit for bit,
+// not just approximately).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <iomanip>
 #include <random>
 #include <sstream>
@@ -25,6 +26,7 @@
 #include "net/queue.hpp"
 #include "net/rsvp.hpp"
 #include "net/token_bucket.hpp"
+#include "oracle/map_intserv_queue.hpp"
 #include "sim/engine.hpp"
 
 namespace aqm::net {
@@ -138,10 +140,10 @@ std::string hex(double v) {
 }
 
 /// Replays `script` on a fresh queue and records everything observable.
+template <typename IntServ>
 std::vector<std::string> run_script(const std::vector<Op>& script,
-                                    IntServQueue::Config config, bool legacy) {
-  config.legacy_flow_map = legacy;
-  IntServQueue q(config);
+                                    const IntServQueue::Config& config) {
+  IntServ q(config);
   std::vector<std::string> log;
   for (const Op& op : script) {
     const TimePoint now{op.at_ns};
@@ -238,7 +240,7 @@ std::vector<Op> random_script(std::uint64_t seed, std::size_t n_ops) {
       case 10: {
         // Control-plane re-stamp churn: rate/bucket change in place, bucket
         // fill preserved, incremental reserved-rate sum must stay bitwise
-        // equal to the legacy map's fresh bookkeeping.
+        // equal to the oracle's fresh summation.
         op.kind = Op::Kind::Update;
         op.flow = pick_flow();
         op.rate_bps = 1e5 + static_cast<double>(rng() % 1000) * 977.0;
@@ -269,6 +271,11 @@ std::vector<Op> random_script(std::uint64_t seed, std::size_t n_ops) {
   return script;
 }
 
+void expect_same(const std::vector<Op>& script, const IntServQueue::Config& config) {
+  EXPECT_EQ(run_script<IntServQueue>(script, config),
+            run_script<oracle::MapIntServQueue>(script, config));
+}
+
 class FlowTableDiff : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FlowTableDiff, DemoteModeMatchesLegacy) {
@@ -277,7 +284,7 @@ TEST_P(FlowTableDiff, DemoteModeMatchesLegacy) {
   config.flow_capacity = 4;           // small: exercises capacity clamps
   config.best_effort_capacity = 32;   // small: exercises demote drops
   const auto script = random_script(GetParam(), 600);
-  EXPECT_EQ(run_script(script, config, false), run_script(script, config, true));
+  expect_same(script, config);
 }
 
 TEST_P(FlowTableDiff, ShapeModeMatchesLegacy) {
@@ -286,12 +293,12 @@ TEST_P(FlowTableDiff, ShapeModeMatchesLegacy) {
   config.flow_capacity = 4;
   config.best_effort_capacity = 32;
   const auto script = random_script(GetParam() ^ 0xD1FFu, 600);
-  EXPECT_EQ(run_script(script, config, false), run_script(script, config, true));
+  expect_same(script, config);
 }
 
 TEST_P(FlowTableDiff, HierarchicalParentMatchesLegacy) {
-  // The shared parent bucket must behave identically through both storage
-  // modes (demote and shape alike route policing through the same helpers).
+  // The shared parent bucket must police identically in production and in
+  // the oracle's own two-level policer, in demote and shape mode alike.
   for (const bool demote : {true, false}) {
     IntServQueue::Config config;
     config.excess_to_best_effort = demote;
@@ -300,18 +307,18 @@ TEST_P(FlowTableDiff, HierarchicalParentMatchesLegacy) {
     config.parent_rate_bps = 2e6;
     config.parent_bucket_bytes = 6'000;
     const auto script = random_script(GetParam() ^ (demote ? 0xA1u : 0xB2u), 600);
-    EXPECT_EQ(run_script(script, config, false), run_script(script, config, true));
+    expect_same(script, config);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Churn, FlowTableDiff,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
 
-// --- network-level diff: RSVP signaling + forwarding + metrics export --------
+// --- network-level check: RSVP signaling + forwarding + metrics export -------
 
-/// Runs a small reserved-traffic scenario with every IntServ egress queue in
-/// the given storage mode and returns the full metrics-registry JSON.
-std::string run_network_scenario(bool legacy) {
+/// Runs a small reserved-traffic scenario over IntServ egress queues and
+/// returns the full metrics-registry JSON.
+std::string run_network_scenario() {
   sim::Engine engine;
   Network net(engine);
   const NodeId a = net.add_node("a");
@@ -320,10 +327,8 @@ std::string run_network_scenario(bool legacy) {
   LinkConfig cfg;
   cfg.bandwidth_bps = 10e6;
   cfg.propagation = microseconds(50);
-  const auto make_queue = [legacy]() -> std::unique_ptr<Queue> {
-    IntServQueue::Config qc;
-    qc.legacy_flow_map = legacy;
-    return std::make_unique<IntServQueue>(qc);
+  const auto make_queue = []() -> std::unique_ptr<Queue> {
+    return std::make_unique<IntServQueue>(IntServQueue::Config{});
   };
   net.add_duplex_link(a, r, cfg, make_queue);
   net.add_duplex_link(r, b, cfg, make_queue);
@@ -359,11 +364,19 @@ std::string run_network_scenario(bool legacy) {
   return os.str();
 }
 
+/// RsvpAgent installs reservations into the concrete IntServQueue, so this
+/// scenario cannot host the oracle queue. Its export is pinned instead: the
+/// golden file was captured while the indexed table and the original
+/// std::map storage still ran side by side and exported identical bytes.
 TEST(FlowTableDiff, NetworkScenarioExportsIdenticalMetrics) {
-  const std::string indexed = run_network_scenario(false);
-  const std::string legacy = run_network_scenario(true);
-  EXPECT_FALSE(indexed.empty());
-  EXPECT_EQ(indexed, legacy);
+  std::ifstream golden(AQM_TESTS_DIR "/golden/flow_table_network_metrics.json",
+                       std::ios::binary);
+  ASSERT_TRUE(golden) << "missing golden file";
+  std::ostringstream want;
+  want << golden.rdbuf();
+  const std::string metrics = run_network_scenario();
+  EXPECT_FALSE(metrics.empty());
+  EXPECT_EQ(metrics, want.str());
 }
 
 TEST(FlowMonitorSnapshot, ObservedFlowsAreSorted) {

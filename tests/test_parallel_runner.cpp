@@ -1,18 +1,11 @@
-// Tests for the shard-parallel experiment runner and the coalesced link
-// transmitter:
+// Tests for the shard-parallel experiment runner:
 //  * ParallelRunner mechanics: full coverage of indices, exception
 //    propagation out of worker threads, inline fallback.
 //  * parse_experiment_options / derive_seed helpers.
 //  * Worker-count invariance: a 32-trial load sweep produces bit-identical
 //    per-trial results at 1, 2 and 8 workers (the determinism contract).
-//  * Event-coalescing equivalence: per-flow delivered/dropped counts on a
-//    saturated link are identical with the coalesced and the legacy
-//    two-event transmitter, across drop-tail, lossy-link and token-bucket
-//    gated (IntServ) configurations — and the coalesced path executes
-//    fewer simulator events to get there.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -20,7 +13,6 @@
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -72,7 +64,7 @@ TEST(ExperimentOptions, ParsesAndStripsJobsFlag) {
   char a0[] = "prog", a1[] = "--jobs", a2[] = "3";
   char* argv[] = {a0, a1, a2, nullptr};
   int argc = 3;
-  const auto opts = core::parse_experiment_options(argc, argv);
+  const auto opts = core::parse_experiment_options(argc, argv, core::kNoSidecars);
   EXPECT_EQ(opts.jobs, 3u);
   ASSERT_EQ(argc, 1);
   EXPECT_STREQ(argv[0], "prog");
@@ -85,7 +77,7 @@ TEST(ExperimentOptions, ParsesAndStripsJobsFlag) {
     for (std::string& a : args) argv.push_back(a.data());
     argv.push_back(nullptr);
     int argc = static_cast<int>(args.size());
-    core::parse_experiment_options(argc, argv.data());
+    core::parse_experiment_options(argc, argv.data(), core::kNoSidecars);
   };
   EXPECT_EXIT(parse({"prog", "--partitions", "2"}), ::testing::ExitedWithCode(2),
               "unknown argument: --partitions.*usage: prog");
@@ -93,19 +85,57 @@ TEST(ExperimentOptions, ParsesAndStripsJobsFlag) {
               "unknown argument: --jbos=4.*usage: prog");
 }
 
+TEST(ExperimentOptions, RejectsUndeclaredSidecarFlags) {
+  const auto parse = [](unsigned sidecars, std::vector<std::string> args) {
+    std::vector<char*> argv;
+    for (std::string& a : args) argv.push_back(a.data());
+    argv.push_back(nullptr);
+    int argc = static_cast<int>(args.size());
+    return core::parse_experiment_options(argc, argv.data(), sidecars);
+  };
+
+  // Declared sidecars parse in both spellings.
+  const auto all = parse(core::kAllSidecars, {"prog", "--trace", "t.json", "--metrics=m.json",
+                                              "--slo", "s.json", "--flight=f.json"});
+  EXPECT_EQ(all.trace_path, "t.json");
+  EXPECT_EQ(all.metrics_path, "m.json");
+  EXPECT_EQ(all.slo_path, "s.json");
+  EXPECT_EQ(all.flight_path, "f.json");
+
+  // A driver that writes no sidecar rejects every sidecar flag, and the
+  // usage line lists only what it accepts.
+  for (const char* flag : {"--trace", "--metrics", "--slo", "--flight"}) {
+    EXPECT_EXIT(parse(core::kNoSidecars, {"prog", flag, "out.json"}),
+                ::testing::ExitedWithCode(2),
+                std::string("unsupported argument: ") + flag + "\nusage: prog \\[--jobs N\\]\n$");
+  }
+  // A partial declaration (city_scale: metrics + SLO) keeps the declared
+  // flags and rejects the others, in either spelling.
+  const unsigned metrics_slo = core::kMetricsSidecar | core::kSloSidecar;
+  EXPECT_EQ(parse(metrics_slo, {"prog", "--slo=h.json"}).slo_path, "h.json");
+  EXPECT_EXIT(parse(metrics_slo, {"prog", "--trace=t.json"}), ::testing::ExitedWithCode(2),
+              "unsupported argument: --trace=t.json\nusage: prog \\[--jobs N\\] "
+              "\\[--metrics FILE\\] \\[--slo FILE\\]\n$");
+  EXPECT_EXIT(parse(metrics_slo, {"prog", "--jobs", "2", "--flight", "f.json"}),
+              ::testing::ExitedWithCode(2), "unsupported argument: --flight\n");
+  // A near-miss of a declared flag is an unknown argument, not a prefix match.
+  EXPECT_EXIT(parse(core::kAllSidecars, {"prog", "--tracefile", "t.json"}),
+              ::testing::ExitedWithCode(2), "unknown argument: --tracefile\n");
+}
+
 TEST(ExperimentOptions, ParsesCompactForms) {
   {
     char a0[] = "prog", a1[] = "-j8";
     char* argv[] = {a0, a1, nullptr};
     int argc = 2;
-    EXPECT_EQ(core::parse_experiment_options(argc, argv).jobs, 8u);
+    EXPECT_EQ(core::parse_experiment_options(argc, argv, core::kNoSidecars).jobs, 8u);
     EXPECT_EQ(argc, 1);
   }
   {
     char a0[] = "prog", a1[] = "--jobs=5";
     char* argv[] = {a0, a1, nullptr};
     int argc = 2;
-    EXPECT_EQ(core::parse_experiment_options(argc, argv).jobs, 5u);
+    EXPECT_EQ(core::parse_experiment_options(argc, argv, core::kNoSidecars).jobs, 5u);
     EXPECT_EQ(argc, 1);
   }
 }
@@ -114,7 +144,7 @@ TEST(ExperimentOptions, DefaultIsSerial) {
   char a0[] = "prog";
   char* argv[] = {a0, nullptr};
   int argc = 1;
-  EXPECT_EQ(core::parse_experiment_options(argc, argv).jobs, 1u);
+  EXPECT_EQ(core::parse_experiment_options(argc, argv, core::kNoSidecars).jobs, 1u);
 }
 
 TEST(DeriveSeed, DecorrelatesIndices) {
@@ -219,206 +249,6 @@ TEST(Experiment, ResultsKeepAddOrder) {
   opts.progress = false;
   const auto results = exp.run(opts);
   for (std::size_t i = 0; i < results.size(); ++i) EXPECT_EQ(results[i], i);
-}
-
-// --- event-coalescing equivalence ---------------------------------------------
-
-struct LinkCase {
-  double loss_probability = 0.0;
-  bool gated = false;  // IntServ token-bucket egress with one reserved flow
-  Duration propagation = net::LinkConfig{}.propagation;
-  std::uint32_t packet_bytes = net::kDefaultMtu;
-};
-
-/// One delivered packet: (flow, seq, delivery instant in ns).
-using Delivery = std::tuple<net::FlowId, std::uint64_t, std::int64_t>;
-
-struct LinkCaseStats {
-  net::FlowCounters flow_a;
-  net::FlowCounters flow_b;
-  std::uint64_t transmitted = 0;
-  std::uint64_t corrupted = 0;
-  std::uint64_t events_executed = 0;
-  std::vector<Delivery> deliveries;  // in delivery order
-
-  static bool same_flow(const net::FlowCounters& x, const net::FlowCounters& y) {
-    return x.sent == y.sent && x.delivered == y.delivered && x.dropped == y.dropped &&
-           x.sent_bytes == y.sent_bytes && x.delivered_bytes == y.delivered_bytes;
-  }
-};
-
-/// Two flows overdriving a 10 Mbps egress for 300 ms. Flow 5 holds a
-/// token-bucket reservation in the gated variant (exercising the
-/// ready-delay / retry path of the transmitter service loop).
-LinkCaseStats run_link_case(bool coalesced, const LinkCase& c) {
-  sim::Engine engine;
-  net::Network net(engine);
-  const auto a = net.add_node("a");
-  const auto b = net.add_node("b");
-  net::LinkConfig cfg;
-  cfg.bandwidth_bps = 10e6;
-  cfg.coalesced_events = coalesced;
-  cfg.loss_probability = c.loss_probability;
-  cfg.loss_seed = 99;
-  cfg.propagation = c.propagation;
-
-  std::unique_ptr<net::Queue> egress;
-  if (c.gated) {
-    auto q = std::make_unique<net::IntServQueue>(net::IntServQueue::Config{
-        /*best_effort_capacity=*/40, /*flow_capacity=*/60, /*control_capacity=*/10,
-        /*excess_to_best_effort=*/false});
-    q->install_reservation(/*flow=*/5, /*rate_bps=*/4e6, /*bucket_bytes=*/6'000,
-                           TimePoint::zero());
-    egress = std::move(q);
-  } else {
-    egress = std::make_unique<net::DropTailQueue>(40);
-  }
-  net::Link& link = net.add_link(a, b, cfg, std::move(egress));
-  net.add_link(b, a, cfg);
-  LinkCaseStats s;
-  net.set_receiver(b, [&](net::Packet&& p) {
-    s.deliveries.emplace_back(p.flow, p.seq, engine.now().ns());
-  });
-
-  net::TrafficGenerator::Config f5;
-  f5.src = a;
-  f5.dst = b;
-  f5.flow = 5;
-  f5.packet_bytes = c.packet_bytes;
-  f5.rate_bps = 8e6;
-  f5.poisson = true;
-  net::TrafficGenerator gen5(net, f5, /*trial_seed=*/101);
-
-  net::TrafficGenerator::Config f6 = f5;
-  f6.flow = 6;
-  f6.rate_bps = 7e6;  // CBR
-  f6.poisson = false;
-  net::TrafficGenerator gen6(net, f6, /*trial_seed=*/202);
-
-  const TimePoint stop{milliseconds(300).ns()};
-  gen5.run_between(TimePoint::zero(), stop);
-  gen6.run_between(TimePoint::zero(), stop);
-  engine.run();
-
-  s.flow_a = net.flow(5);
-  s.flow_b = net.flow(6);
-  s.transmitted = link.packets_transmitted();
-  s.corrupted = link.packets_corrupted();
-  s.events_executed = engine.executed();
-  return s;
-}
-
-/// Most deliveries that fall within one propagation delay of each other:
-/// the deepest the link's in-flight FIFO got.
-std::size_t max_in_flight(const std::vector<Delivery>& log, Duration propagation) {
-  std::size_t best = 0;
-  std::size_t lo = 0;
-  for (std::size_t hi = 0; hi < log.size(); ++hi) {
-    while (std::get<2>(log[lo]) <= std::get<2>(log[hi]) - propagation.ns()) ++lo;
-    best = std::max(best, hi - lo + 1);
-  }
-  return best;
-}
-
-LinkCaseStats expect_equivalent(const LinkCase& c, const char* what) {
-  const LinkCaseStats legacy = run_link_case(false, c);
-  const LinkCaseStats coalesced = run_link_case(true, c);
-
-  // The workload is saturating: something must actually be dropped, or the
-  // case is not testing what it claims to.
-  EXPECT_GT(legacy.flow_a.sent, 0u) << what;
-  EXPECT_GT(legacy.flow_a.dropped + legacy.flow_b.dropped + legacy.corrupted, 0u) << what;
-
-  EXPECT_TRUE(LinkCaseStats::same_flow(legacy.flow_a, coalesced.flow_a)) << what;
-  EXPECT_TRUE(LinkCaseStats::same_flow(legacy.flow_b, coalesced.flow_b)) << what;
-  EXPECT_EQ(legacy.transmitted, coalesced.transmitted) << what;
-  EXPECT_EQ(legacy.corrupted, coalesced.corrupted) << what;
-  // Per packet, not only in aggregate: same packets, same order, same
-  // delivery instants.
-  EXPECT_EQ(legacy.deliveries.size(), legacy.flow_a.delivered + legacy.flow_b.delivered)
-      << what;
-  EXPECT_EQ(legacy.deliveries, coalesced.deliveries) << what;
-  // The point of the change: same observable outcome, fewer events.
-  EXPECT_LT(coalesced.events_executed, legacy.events_executed) << what;
-  return coalesced;
-}
-
-TEST(LinkCoalescing, EquivalentOnSaturatedDropTail) {
-  expect_equivalent({}, "drop-tail");
-}
-
-TEST(LinkCoalescing, EquivalentWithRandomLoss) {
-  LinkCase c;
-  c.loss_probability = 0.05;
-  expect_equivalent(c, "lossy");
-}
-
-TEST(LinkCoalescing, EquivalentWithTokenBucketGating) {
-  LinkCase c;
-  c.gated = true;
-  expect_equivalent(c, "gated");
-}
-
-TEST(LinkCoalescing, EquivalentGatedAndLossy) {
-  LinkCase c;
-  c.gated = true;
-  c.loss_probability = 0.03;
-  expect_equivalent(c, "gated+lossy");
-}
-
-/// Propagation far longer than transmission (20 ms against 0.8 ms for a
-/// 1000-byte packet at 10 Mbps) keeps about 25 packets in flight at once,
-/// so every delivery pops a deep in-flight FIFO on the coalesced link.
-TEST(LinkCoalescing, InFlightFifoOnLongPropagation) {
-  LinkCase c;
-  c.propagation = milliseconds(20);
-  c.packet_bytes = 1000;
-  const LinkCaseStats s = expect_equivalent(c, "long propagation");
-  EXPECT_GE(max_in_flight(s.deliveries, c.propagation), 24u);
-}
-
-/// Same, with corrupted packets interleaved: they take the separate drop
-/// event and must never enter the in-flight FIFO.
-TEST(LinkCoalescing, InFlightFifoOnLongPropagationLossy) {
-  LinkCase c;
-  c.propagation = milliseconds(20);
-  c.packet_bytes = 1000;
-  c.loss_probability = 0.2;
-  const LinkCaseStats s = expect_equivalent(c, "long propagation, lossy");
-  EXPECT_GT(s.corrupted, 0u);
-  EXPECT_GE(max_in_flight(s.deliveries, c.propagation), 15u);
-}
-
-/// Steady-state event cost: on a long saturated drain the coalesced
-/// transmitter needs ~1 event per delivered packet vs ~2 for the legacy
-/// two-event path.
-TEST(LinkCoalescing, EventsPerPacketNearOne) {
-  auto events_per_packet = [](bool coalesced) {
-    sim::Engine engine;
-    net::Network net(engine);
-    const auto a = net.add_node("a");
-    const auto b = net.add_node("b");
-    net::LinkConfig cfg;
-    cfg.bandwidth_bps = 10e6;
-    cfg.coalesced_events = coalesced;
-    constexpr int kPackets = 2'000;
-    net.add_link(a, b, cfg, std::make_unique<net::DropTailQueue>(kPackets));
-    net.add_link(b, a, cfg);
-    int delivered = 0;
-    net.set_receiver(b, [&delivered](net::Packet&&) { ++delivered; });
-    for (int i = 0; i < kPackets; ++i) {
-      net::Packet p;
-      p.dst = b;
-      p.size_bytes = 1000;
-      net.send(a, std::move(p));
-    }
-    engine.run();
-    EXPECT_EQ(delivered, kPackets);
-    return static_cast<double>(engine.executed()) / static_cast<double>(delivered);
-  };
-
-  EXPECT_NEAR(events_per_packet(true), 1.0, 0.05);
-  EXPECT_NEAR(events_per_packet(false), 2.0, 0.05);
 }
 
 }  // namespace

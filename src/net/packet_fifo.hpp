@@ -1,8 +1,8 @@
 // Packet FIFOs backed by one recycled chunk arena per Network (DESIGN.md
 // §10).
 //
-// Every packet FIFO of the forwarding path — the DropTail, DiffServ, RED
-// and DRR class queues, IntServ's best-effort and control sub-queues and a
+// Every packet FIFO of the forwarding path — the DropTail, DiffServ and
+// RED class queues, IntServ's best-effort and control sub-queues and a
 // link's in-flight FIFO — stores its packets in fixed-size chunks drawn
 // from a PacketChunkPool. A FIFO holds a chunk only while it has packets
 // in it: a chunk goes back to the pool as soon as its last packet leaves,

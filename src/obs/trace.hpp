@@ -48,7 +48,7 @@ enum class TraceCategory : std::uint32_t {
   Engine = 1u << 0,  // sim::Engine event dispatch
   Net = 1u << 1,     // links, queues, RED, token buckets, RSVP
   Orb = 1u << 2,     // request send/dispatch/reply, marshal, transport
-  Os = 1u << 3,      // CPU reserves, priority changes
+  Os = 1u << 3,      // CPU reserves
   Quo = 1u << 4,       // contract region transitions, syscond updates
   App = 1u << 5,       // driver/example-level annotations
   Pipeline = 1u << 6,  // per-interceptor invocation pipeline stages

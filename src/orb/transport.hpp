@@ -61,7 +61,7 @@ struct TransportConfig {
   /// under incipient congestion, and ce_marks() exposes the feedback.
   bool ecn_capable = false;
   /// GIOP message coalescing. Disabled by default: the unbatched path is
-  /// the differential oracle and the experiment drivers' wire behavior.
+  /// the production default and every experiment driver's wire behavior.
   BatchPolicy batching{};
 };
 

@@ -251,23 +251,6 @@ obs::TraceRecorder* Cpu::os_tracer() {
   return tr;
 }
 
-bool Cpu::set_base_priority(JobId id, Priority priority) {
-  const std::uint32_t slot = slot_of(id);
-  if (slot == kNil) return false;
-  Job& job = jobs_[slot];
-  if (job.base_priority == priority) return true;
-  if (obs::TraceRecorder* tr = os_tracer()) {
-    tr->instant(obs::TraceCategory::Os, "priority.change", obs_track_, engine_.now(),
-                tr->current(),
-                {{"from", static_cast<double>(job.base_priority)},
-                 {"to", static_cast<double>(priority)}});
-  }
-  job.base_priority = priority;
-  reindex_job(job, slot);
-  reschedule();
-  return true;
-}
-
 std::optional<Priority> Cpu::base_priority(JobId id) const {
   const Job* job = find_job(id);
   if (job == nullptr) return std::nullopt;

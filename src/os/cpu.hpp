@@ -100,10 +100,6 @@ class Cpu {
   /// Returns false if the job already completed or does not exist.
   bool cancel(JobId id);
 
-  /// Changes a job's base priority in place (the primitive priority-
-  /// inheritance protocols need). Returns false for unknown jobs.
-  bool set_base_priority(JobId id, Priority priority);
-
   /// Current base priority of a job, if it exists.
   [[nodiscard]] std::optional<Priority> base_priority(JobId id) const;
 

@@ -61,15 +61,6 @@ bool ScanCpu::cancel(JobId id) {
   return true;
 }
 
-bool ScanCpu::set_base_priority(JobId id, Priority priority) {
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return false;
-  if (it->second.base_priority == priority) return true;
-  it->second.base_priority = priority;
-  reschedule();
-  return true;
-}
-
 // --- reserves ---------------------------------------------------------------
 
 Result<ReserveId> ScanCpu::create_reserve(const ReserveSpec& spec) {

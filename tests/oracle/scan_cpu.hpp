@@ -47,7 +47,6 @@ class ScanCpu {
   os::JobId submit(std::uint64_t cycles, os::Priority priority, std::function<void()> on_complete,
                    os::ReserveId reserve = os::kNoReserve);
   bool cancel(os::JobId id);
-  bool set_base_priority(os::JobId id, os::Priority priority);
 
   Result<os::ReserveId> create_reserve(const os::ReserveSpec& spec);
   Status<std::string> update_reserve(os::ReserveId id, const os::ReserveSpec& spec);

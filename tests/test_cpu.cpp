@@ -127,6 +127,28 @@ TEST(Cpu, CancelUnknownJobReturnsFalse) {
   EXPECT_FALSE(cpu.cancel(12345));
 }
 
+TEST(Cpu, BasePriorityReportsLiveJobsOnly) {
+  // os::LoadGenerator prunes its in-flight list with this: a live job
+  // reports its submit priority, a finished or cancelled one reports none.
+  sim::Engine e;
+  Cpu cpu(e, "cpu", fifo_config());
+  const auto reserve = cpu.create_reserve({milliseconds(1), milliseconds(10), true});
+  ASSERT_TRUE(reserve.ok());
+  const JobId high = cpu.submit_for(milliseconds(5), 100, [] {});
+  const JobId low = cpu.submit_for(milliseconds(5), 50, [] {});
+  const JobId boosted = cpu.submit_for(milliseconds(5), 7, [] {}, reserve.value());
+  EXPECT_EQ(cpu.base_priority(high), std::optional<Priority>(100));
+  EXPECT_EQ(cpu.base_priority(low), std::optional<Priority>(50));
+  EXPECT_EQ(cpu.base_priority(boosted), std::optional<Priority>(7));  // not the boost
+
+  EXPECT_TRUE(cpu.cancel(low));
+  EXPECT_EQ(cpu.base_priority(low), std::nullopt);
+  e.run();
+  EXPECT_EQ(cpu.base_priority(high), std::nullopt);
+  EXPECT_EQ(cpu.base_priority(boosted), std::nullopt);
+  EXPECT_EQ(cpu.base_priority(12345), std::nullopt);
+}
+
 TEST(Cpu, CompletionCallbackMaySubmit) {
   sim::Engine e;
   Cpu cpu(e, "cpu", fifo_config());

@@ -35,7 +35,6 @@ struct Op {
   enum class Kind {
     Submit,         // cycles, priority, reserve_slot (-1 = none, -2 = future id)
     Cancel,         // job_slot
-    SetPriority,    // job_slot, priority
     CreateReserve,  // compute/period/hard
     UpdateReserve,  // reserve_slot, compute/period/hard (in-place re-stamp)
     DestroyReserve, // reserve_slot
@@ -100,13 +99,6 @@ Outcome run_script(const std::vector<Op>& script, const CpuConfig& config) {
         case Op::Kind::Cancel:
           if (!submitted.empty()) {
             cpu.cancel(submitted[static_cast<std::size_t>(op.job_slot) % submitted.size()]);
-          }
-          break;
-        case Op::Kind::SetPriority:
-          if (!submitted.empty()) {
-            cpu.set_base_priority(
-                submitted[static_cast<std::size_t>(op.job_slot) % submitted.size()],
-                op.priority);
           }
           break;
         case Op::Kind::CreateReserve: {
@@ -216,7 +208,7 @@ std::vector<Op> random_script(std::uint64_t seed, bool with_reserves,
     Op op;
     op.at = TimePoint{when(rng)};
     const int roll = pct(rng);
-    if (roll < 55) {
+    if (roll < 61) {
       op.kind = Op::Kind::Submit;
       op.cycles = cost(rng);
       op.priority = prio(rng);
@@ -231,13 +223,9 @@ std::vector<Op> random_script(std::uint64_t seed, bool with_reserves,
           op.raw_reserve = static_cast<ReserveId>(1 + slot(rng) % 8);
         }
       }
-    } else if (roll < 70) {
+    } else if (roll < 82) {
       op.kind = Op::Kind::Cancel;
       op.job_slot = slot(rng);
-    } else if (roll < 82) {
-      op.kind = Op::Kind::SetPriority;
-      op.job_slot = slot(rng);
-      op.priority = prio(rng);
     } else if (roll < 86 && with_reserves) {
       op.kind = Op::Kind::CreateReserve;
       op.compute = microseconds(100 + 100 * (slot(rng) % 8));

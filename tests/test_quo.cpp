@@ -1,4 +1,4 @@
-// QuO layer: system condition objects, contracts, delegates, qoskets.
+// QuO layer: system condition objects, contracts, delegates.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -6,7 +6,6 @@
 
 #include "quo/contract.hpp"
 #include "quo/delegate.hpp"
-#include "quo/qosket.hpp"
 #include "quo/syscond.hpp"
 #include "sim/engine.hpp"
 
@@ -152,20 +151,6 @@ TEST_F(ContractFixture, TransitionCallbackSettingConditionDoesNotRecurse) {
   // Re-entrant eval is suppressed; a later eval picks up the new value.
   EXPECT_EQ(contract.current_region(), "b");
   EXPECT_EQ(contract.eval(), "a");
-}
-
-TEST(Qosket, OwnsContractsAndConditions) {
-  sim::Engine engine;
-  Qosket qosket("video-quality");
-  auto& cond = qosket.make_syscond<ValueSysCond>("bw", 3.0);
-  auto& contract = qosket.make_contract(engine, "main");
-  contract.add_region("any", nullptr);
-  EXPECT_EQ(qosket.contract("main"), &contract);
-  EXPECT_EQ(qosket.syscond("bw"), &cond);
-  EXPECT_EQ(qosket.contract("missing"), nullptr);
-  EXPECT_EQ(qosket.syscond("missing"), nullptr);
-  EXPECT_EQ(qosket.contract_count(), 1u);
-  EXPECT_EQ(qosket.syscond_count(), 1u);
 }
 
 }  // namespace

@@ -14,13 +14,10 @@
 // writes the flight-recorder dumps cut at each breach. Both sidecars are
 // byte-identical for any --jobs.
 #include <iostream>
-#include <vector>
 
 #include "common/priority_scenario.hpp"
 #include "common/table.hpp"
 #include "core/experiment.hpp"
-#include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
 
 int main(int argc, char** argv) {
   using namespace aqm;
@@ -32,77 +29,25 @@ int main(int argc, char** argv) {
 
   const std::size_t depths[] = {100, 250, 500, 1000, 2000};
 
-  const bool telemetry = !opts.slo_path.empty() || !opts.flight_path.empty();
+  // The SLO binds only when --slo or --flight attaches a telemetry hub.
   obs::SloSpec slo;
   slo.max_p99_latency_ms = 250.0;
   slo.max_drop_rate = 0.05;
 
   core::Experiment<PriorityScenarioResult> exp;
-  bool first = true;
   for (const std::size_t depth : depths) {
     PriorityScenarioConfig cfg;
     cfg.duration = seconds(12);
     cfg.cross_traffic = true;
     cfg.queue_pkts = depth;
-    cfg.collect_metrics = !opts.metrics_path.empty();
-    cfg.trace = first && !opts.trace_path.empty();
-    cfg.telemetry = telemetry;
-    if (telemetry) {
-      cfg.sender1_policy = PolicyBuilder::sender(core::kFlowSender1).slo(slo);
-      cfg.sender2_policy = PolicyBuilder::sender(core::kFlowSender2).slo(slo);
-    }
-    first = false;
+    cfg.sender1_policy = PolicyBuilder::sender(core::kFlowSender1).slo(slo);
+    cfg.sender2_policy = PolicyBuilder::sender(core::kFlowSender2).slo(slo);
     exp.add("queue-depth-" + std::to_string(depth), cfg.seed,
-            [cfg](const core::TrialSpec&) { return run_priority_scenario(cfg); });
+            [cfg](const core::TrialSpec& spec) {
+              return run_priority_scenario(cfg, spec.sidecars);
+            });
   }
   const auto results = exp.run(opts);
-
-  if (!opts.slo_path.empty()) {
-    std::vector<obs::NamedHealthReport> reports;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      reports.push_back({exp.spec(i).name, results[i].health});
-    }
-    if (obs::write_health_sidecar_file(opts.slo_path, reports)) {
-      std::cerr << "health events written to " << opts.slo_path << "\n";
-    } else {
-      std::cerr << "failed to write health events to " << opts.slo_path << "\n";
-      return 1;
-    }
-  }
-  if (!opts.flight_path.empty()) {
-    std::vector<obs::NamedFlightDumps> dumps;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      dumps.push_back({exp.spec(i).name, results[i].flight_dumps});
-    }
-    if (obs::write_flight_sidecar_file(opts.flight_path, dumps)) {
-      std::cerr << "flight dumps written to " << opts.flight_path << "\n";
-    } else {
-      std::cerr << "failed to write flight dumps to " << opts.flight_path << "\n";
-      return 1;
-    }
-  }
-
-  if (!opts.metrics_path.empty()) {
-    std::vector<obs::NamedSnapshot> snaps;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      snaps.push_back({exp.spec(i).name, results[i].metrics});
-    }
-    if (obs::write_metrics_sidecar_file(opts.metrics_path, snaps)) {
-      std::cerr << "metrics written to " << opts.metrics_path << "\n";
-    } else {
-      std::cerr << "failed to write metrics to " << opts.metrics_path << "\n";
-      return 1;
-    }
-  }
-  if (!opts.trace_path.empty() && results[0].trace != nullptr) {
-    if (results[0].trace->write_chrome_json_file(opts.trace_path)) {
-      std::cerr << "trace (" << results[0].trace->size() << " events) written to "
-                << opts.trace_path << "\n";
-    } else {
-      std::cerr << "failed to write trace to " << opts.trace_path << "\n";
-      return 1;
-    }
-  }
 
   TextTable table({"queue(pkts)", "theoretical ceiling(ms)", "s1 mean(ms)",
                    "s1 max(ms)", "s1 loss%"});

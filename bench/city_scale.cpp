@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,8 +28,6 @@
 #include "core/experiment.hpp"
 #include "net/network.hpp"
 #include "net/queue.hpp"
-#include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
 #include "sim/engine.hpp"
 
 namespace {
@@ -43,8 +40,6 @@ struct CityConfig {
   std::size_t flows_per_host = 16;   // total flows = hosts * flows_per_host
   int packets_per_flow = 8;
   double parent_rate_bps = 0.0;      // > 0: HTB parent on the core egress
-  bool collect_metrics = false;      // fill CityResult::metrics
-  bool telemetry = false;            // fill CityResult::health (drop-rate SLOs)
 };
 
 struct CityResult {
@@ -59,8 +54,7 @@ struct CityResult {
   // End-to-end latency sums at the sink (ns), split reserved vs. the rest.
   std::int64_t reserved_latency_ns = 0;
   std::int64_t other_latency_ns = 0;
-  obs::MetricsSnapshot metrics;  // --metrics sidecar payload
-  obs::HealthReport health;      // --slo sidecar payload
+  obs::TrialObs obs;  // --metrics and --slo (drop-rate SLOs) sidecars
 
   [[nodiscard]] double reserved_latency_ms() const {
     return reserved_delivered == 0
@@ -78,7 +72,7 @@ struct CityResult {
 
 bool is_reserved(net::FlowId f) { return (f - 1) % 8 == 0; }
 
-CityResult run_city(const CityConfig& cfg) {
+CityResult run_city(const CityConfig& cfg, unsigned sidecars) {
   sim::Engine engine;
   engine.reserve(1 << 16);
   net::Network net(engine);
@@ -142,16 +136,14 @@ CityResult run_city(const CityConfig& cfg) {
   // Drop-rate SLOs on 64 monitors spread across the id space, so they land
   // on hosts over the whole burst stagger — late hosts hit the saturated
   // core uplink and their best-effort monitors breach.
-  std::optional<obs::TelemetryHub> hub;
-  if (cfg.telemetry) {
-    hub.emplace();
+  core::TrialObserver observer(engine, sidecars);
+  if (obs::TelemetryHub* hub = observer.hub()) {
     obs::SloSpec slo;
     slo.max_drop_rate = 0.05;
     const std::uint64_t stride = n_flows < 64 ? 1 : n_flows / 64;
     for (std::uint64_t f = 1; f <= n_flows; f += stride) {
       hub->set_slo(f, slo);
     }
-    engine.set_telemetry(&*hub);
   }
 
   CityResult out;
@@ -198,7 +190,7 @@ CityResult run_city(const CityConfig& cfg) {
   out.core_reserved_rate_bps = core_egress.reserved_rate_bps();
   out.core_dropped = core_egress.stats().dropped;
 
-  if (cfg.collect_metrics) {
+  if (observer.wants(core::kMetricsSidecar)) {
     // Totals plus a probe flow per traffic class (full per-flow export at
     // 256k flows would be a ~1.5M-line sidecar).
     obs::MetricsRegistry reg;
@@ -215,13 +207,9 @@ CityResult run_city(const CityConfig& cfg) {
       emit("net.flow" + std::to_string(f), net.flow(f));
     }
     reg.counter("net.core.dropped").set(out.core_dropped);
-    out.metrics = reg.snapshot();
+    out.obs.metrics = reg.snapshot();
   }
-
-  if (hub) {
-    hub->finalize(engine.now());
-    out.health = hub->report();
-  }
+  observer.finish(out.obs);
   return out;
 }
 
@@ -249,38 +237,10 @@ int main(int argc, char** argv) {
 
   core::Experiment<CityResult> exp;
   for (const auto& c : cases) {
-    CityConfig cfg = c.cfg;
-    cfg.collect_metrics = !opts.metrics_path.empty();
-    cfg.telemetry = !opts.slo_path.empty();
-    exp.add(c.name, /*seed=*/cfg.hosts * cfg.flows_per_host,
-            [cfg](const core::TrialSpec&) { return run_city(cfg); });
+    exp.add(c.name, /*seed=*/c.cfg.hosts * c.cfg.flows_per_host,
+            [cfg = c.cfg](const core::TrialSpec& spec) { return run_city(cfg, spec.sidecars); });
   }
   const auto results = exp.run(opts);
-
-  if (!opts.slo_path.empty()) {
-    std::vector<obs::NamedHealthReport> reports;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      reports.push_back({exp.spec(i).name, results[i].health});
-    }
-    if (obs::write_health_sidecar_file(opts.slo_path, reports)) {
-      std::cerr << "health events written to " << opts.slo_path << "\n";
-    } else {
-      std::cerr << "failed to write health events to " << opts.slo_path << "\n";
-      return 1;
-    }
-  }
-  if (!opts.metrics_path.empty()) {
-    std::vector<obs::NamedSnapshot> snaps;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      snaps.push_back({exp.spec(i).name, results[i].metrics});
-    }
-    if (obs::write_metrics_sidecar_file(opts.metrics_path, snaps)) {
-      std::cerr << "metrics written to " << opts.metrics_path << "\n";
-    } else {
-      std::cerr << "failed to write metrics to " << opts.metrics_path << "\n";
-      return 1;
-    }
-  }
 
   TextTable table({"scenario", "flows", "sent", "delivered", "dropped",
                    "resv delivered", "resv lat (ms)", "BE lat (ms)",

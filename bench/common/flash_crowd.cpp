@@ -28,7 +28,7 @@ FlashCrowdResult run_flash_crowd(const FlashCrowdConfig& cfg) {
   params.load_seed = cfg.load_seed;
   core::ReservationTestbed bed(params);
 
-  obs::TelemetryHub hub(cfg.telemetry);
+  obs::TelemetryHub hub;
   bed.engine.set_telemetry(&hub);
   bed.engine.set_tracer(&hub.flight());
 

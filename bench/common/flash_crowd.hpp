@@ -42,7 +42,6 @@ struct FlashCrowdConfig {
 
   /// Drop-rate SLO evaluated on the telemetry hub's sliding window.
   double max_drop_rate = 0.05;
-  obs::TelemetryConfig telemetry{};
 
   /// Controller tuning (feedback mode). The pool is what the 10 Mbps
   /// bottleneck can actually promise next to the best-effort load.

@@ -7,7 +7,6 @@
 #include "common/table.hpp"
 #include "core/qos_session.hpp"
 #include "net/flow_monitor.hpp"
-#include "obs/telemetry.hpp"
 #include "orb/orb.hpp"
 #include "orb/servant.hpp"
 #include "os/load_generator.hpp"
@@ -15,7 +14,8 @@
 
 namespace aqm::bench {
 
-PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg) {
+PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg,
+                                             unsigned sidecars) {
   core::PriorityTestbedParams params;
   params.diffserv_bottleneck = cfg.diffserv_router ||
                                cfg.sender1_policy.map_priority_to_dscp ||
@@ -27,30 +27,14 @@ PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg) 
 
   PriorityScenarioResult result;
 
-  if (cfg.trace) {
-    result.trace = std::make_shared<obs::TraceRecorder>();
-    bed.engine.set_tracer(result.trace.get());
-  }
-
-  // Telemetry hub: attached before the QoS sessions apply, so per-policy
-  // SLO specs land on it. With full tracing off, the hub's flight ring
-  // doubles as the engine tracer (lossy, bounded, near-zero cost).
-  std::unique_ptr<obs::TelemetryHub> hub;
-  if (cfg.telemetry) {
-    hub = std::make_unique<obs::TelemetryHub>(cfg.telemetry_config);
-    bed.engine.set_telemetry(hub.get());
-    if (cfg.trace) {
-      hub->set_dump_source(result.trace.get());
-    } else {
-      bed.engine.set_tracer(&hub->flight());
-    }
-  }
+  core::TrialObserver observer(bed.engine, sidecars);
+  obs::TelemetryHub* hub = observer.hub();
 
   // Receiver-side FlowMonitor: a pure tap in front of the ORB transport's
   // receiver (swap_receiver chains it as downstream). Feeds jitter into
   // the hub and the "recv.*" registry names.
   std::unique_ptr<net::FlowMonitor> monitor;
-  if (cfg.collect_metrics || cfg.telemetry) {
+  if (observer.wants(core::kMetricsSidecar) || hub != nullptr) {
     monitor = std::make_unique<net::FlowMonitor>(bed.network, bed.receiver_node);
   }
 
@@ -74,12 +58,17 @@ PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg) 
   // Each sender's QoS (priority, DSCP mapping, flow id) is declared once in
   // its EndToEndQosPolicy and applied atomically through a QoSSession, which
   // binds it on the client ORB's QoS-policy interceptor for this target.
+  // An SLO spec needs the hub; without one the policy applies without it.
+  const auto bind = [hub](core::EndToEndQosPolicy policy) {
+    if (hub == nullptr) policy.slo.reset();
+    return policy;
+  };
   orb::ObjectStub stub1(bed.sender_orb, sink1);
   core::QoSSession session1(bed.sender_orb, stub1);
-  session1.apply(cfg.sender1_policy);
+  session1.apply(bind(cfg.sender1_policy));
   orb::ObjectStub stub2(bed.sender_orb, sink2);
   core::QoSSession session2(bed.sender_orb, stub2);
-  session2.apply(cfg.sender2_policy);
+  session2.apply(bind(cfg.sender2_policy));
 
   const auto interval =
       Duration{static_cast<std::int64_t>(std::llround(1e9 / cfg.messages_per_second))};
@@ -117,13 +106,7 @@ PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg) 
   // Drain in-flight messages.
   bed.engine.run_until(TimePoint::zero() + cfg.duration + seconds(5));
 
-  if (hub) {
-    hub->finalize(bed.engine.now());
-    result.health = hub->report();
-    result.flight_dumps = hub->dumps();
-    bed.engine.set_telemetry(nullptr);
-    if (!cfg.trace) bed.engine.set_tracer(nullptr);
-  }
+  observer.finish(result.obs);
   if (monitor) {
     const net::FlowId f1 = cfg.sender1_policy.flow.value_or(core::kFlowSender1);
     const net::FlowId f2 = cfg.sender2_policy.flow.value_or(core::kFlowSender2);
@@ -133,7 +116,7 @@ PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg) 
     result.s2_dropped = monitor->dropped(f2);
   }
 
-  if (cfg.collect_metrics) {
+  if (observer.wants(core::kMetricsSidecar)) {
     obs::MetricsRegistry reg;
     bed.sender_orb.export_metrics(reg, "orb.sender");
     bed.receiver_orb.export_metrics(reg, "orb.receiver");
@@ -154,7 +137,7 @@ PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg) 
     for (const auto& pt : result.s1_latency_ms.points()) h1.add(pt.value);
     auto& h2 = reg.histogram("scenario.s2_latency_ms_hist", 0.0, 2000.0, 100);
     for (const auto& pt : result.s2_latency_ms.points()) h2.add(pt.value);
-    result.metrics = reg.snapshot();
+    result.obs.metrics = reg.snapshot();
   }
   return result;
 }

@@ -5,18 +5,15 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
 
 #include "common/policy_builder.hpp"
 #include "common/stats.hpp"
 #include "net/dscp.hpp"
+#include "core/experiment.hpp"
 #include "core/qos_policy.hpp"
 #include "core/testbed.hpp"
-#include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
+#include "obs/sidecar.hpp"
 #include "orb/types.hpp"
 
 namespace aqm::bench {
@@ -63,19 +60,6 @@ struct PriorityScenarioConfig {
   /// by its config — a requirement for shard-parallel sweeps.
   std::uint64_t seed = 11;
   std::uint64_t cross_seed = 42;
-
-  /// Record a causal trace of the whole trial into result.trace (Chrome
-  /// trace-event JSON via TraceRecorder::write_chrome_json). Off for
-  /// sweeps: tracing stores every ORB/link/queue event.
-  bool trace = false;
-  /// Fill result.metrics with ORB/network/CPU counters at trial end.
-  bool collect_metrics = false;
-  /// Attach a TelemetryHub to the engine for the trial: per-flow SLO specs
-  /// on the sender policies are installed through QoSSession, the flight
-  /// ring records (as the engine tracer unless `trace` already claims it),
-  /// and result.health / result.flight_dumps carry the outcome.
-  bool telemetry = false;
-  obs::TelemetryConfig telemetry_config{};
 };
 
 struct PriorityScenarioResult {
@@ -85,27 +69,26 @@ struct PriorityScenarioResult {
   std::uint64_t s2_sent = 0;
   std::uint64_t s1_received = 0;
   std::uint64_t s2_received = 0;
-  /// Receiver-side FlowMonitor accounting (zeros unless cfg.collect_metrics
-  /// or cfg.telemetry installed the monitor).
+  /// Receiver-side FlowMonitor accounting (zeros unless the trial was
+  /// asked for --metrics, --slo or --flight, which install the monitor).
   double s1_jitter_ms = 0.0;
   double s2_jitter_ms = 0.0;
   std::uint64_t s1_dropped = 0;
   std::uint64_t s2_dropped = 0;
-  /// Trial-end metrics snapshot (empty unless cfg.collect_metrics).
-  obs::MetricsSnapshot metrics;
-  /// Recorded trial trace (null unless cfg.trace).
-  std::shared_ptr<obs::TraceRecorder> trace;
-  /// Health stream + flight dumps (empty unless cfg.telemetry).
-  obs::HealthReport health;
-  std::vector<obs::FlightDump> flight_dumps;
+  /// The trial's sidecar bundle (core::TrialObserver).
+  obs::TrialObs obs;
 
   [[nodiscard]] RunningStats s1_stats() const { return s1_latency_ms.stats(); }
   [[nodiscard]] RunningStats s2_stats() const { return s2_latency_ms.stats(); }
 };
 
 /// Builds a PriorityTestbed (DiffServ bottleneck iff requested or implied
-/// by a priority->DSCP mapping policy) and runs the scenario to completion.
-PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg);
+/// by a priority->DSCP mapping policy) and runs the scenario to completion,
+/// observed for the sidecar set `sidecars` (TrialSpec::sidecars). The
+/// sender policies' SLO specs apply only when the set attaches a hub
+/// (--slo or --flight).
+PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg,
+                                             unsigned sidecars = core::kNoSidecars);
 
 /// Prints the per-second latency series of both senders side by side —
 /// the textual equivalent of the paper's latency-vs-time figures.

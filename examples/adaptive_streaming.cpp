@@ -17,8 +17,6 @@
 // health-event sidecar; --flight FILE writes the flight-recorder dumps
 // cut at each breach.
 #include <iostream>
-#include <memory>
-#include <vector>
 
 #include "avstreams/stream.hpp"
 #include "core/experiment.hpp"
@@ -27,9 +25,6 @@
 #include "media/video_sink.hpp"
 #include "media/video_source.hpp"
 #include "net/flow_monitor.hpp"
-#include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "orb/cdr.hpp"
 #include "quo/contract.hpp"
 #include "quo/syscond.hpp"
@@ -42,24 +37,13 @@ int main(int argc, char** argv) {
   core::ReservationTestbed bed((core::ReservationTestbedParams{}));
   const media::GopStructure gop = media::GopStructure::mpeg1_paper_profile();
 
-  obs::TraceRecorder tracer;
-  if (!opts.trace_path.empty()) bed.engine.set_tracer(&tracer);
-
-  // Telemetry: the video flow runs under a drop-rate SLO. With full
-  // tracing off, the hub's lossy flight ring doubles as the engine tracer
-  // so breach dumps still have events to cut.
-  const bool telemetry = !opts.slo_path.empty() || !opts.flight_path.empty();
-  obs::TelemetryHub hub;
-  if (telemetry) {
-    bed.engine.set_telemetry(&hub);
-    if (!opts.trace_path.empty()) {
-      hub.set_dump_source(&tracer);
-    } else {
-      bed.engine.set_tracer(&hub.flight());
-    }
+  // Telemetry (--slo/--flight): the video flow runs under a drop-rate SLO.
+  core::TrialObserver observer(bed.engine, opts.sidecars());
+  obs::TelemetryHub* hub = observer.hub();
+  if (hub != nullptr) {
     obs::SloSpec slo;
     slo.max_drop_rate = 0.05;
-    hub.set_slo(core::kFlowVideo, slo);
+    hub->set_slo(core::kFlowVideo, slo);
   }
 
   // Receiver-side per-flow accounting (jitter, inter-arrival, drops) goes
@@ -158,7 +142,8 @@ int main(int argc, char** argv) {
   bed.engine.run_until(TimePoint{seconds(63).ns()});
   reporter.stop();
 
-  if (telemetry) hub.finalize(bed.engine.now());
+  obs::TrialObs trial;
+  observer.finish(trial);
 
   const auto lat = stats.latency_series().stats();
   std::cout << "\nresults:\n"
@@ -171,20 +156,12 @@ int main(int argc, char** argv) {
             << "\n"
             << "  receiver jitter (RFC 3550)          : "
             << monitor.jitter_ms(core::kFlowVideo) << " ms\n";
-  if (telemetry) {
-    std::cout << "  SLO health transitions              : " << hub.events().size()
-              << " (flight dumps: " << hub.dumps().size() << ")\n";
+  if (hub != nullptr) {
+    std::cout << "  SLO health transitions              : " << trial.health.events.size()
+              << " (flight dumps: " << trial.flight_dumps.size() << ")\n";
   }
 
-  if (!opts.trace_path.empty()) {
-    if (!tracer.write_chrome_json_file(opts.trace_path)) {
-      std::cerr << "failed to write trace to " << opts.trace_path << "\n";
-      return 1;
-    }
-    std::cerr << "trace (" << tracer.size() << " events, " << tracer.track_count()
-              << " tracks) written to " << opts.trace_path << "\n";
-  }
-  if (!opts.metrics_path.empty()) {
+  if (observer.wants(core::kMetricsSidecar)) {
     obs::MetricsRegistry reg;
     bed.sender_orb.export_metrics(reg, "orb.sender");
     bed.receiver_orb.export_metrics(reg, "orb.receiver");
@@ -192,37 +169,15 @@ int main(int argc, char** argv) {
     bed.sender_cpu.export_metrics(reg, "cpu.sender");
     bed.receiver_cpu.export_metrics(reg, "cpu.receiver");
     monitor.export_metrics(reg, "recv");
-    if (telemetry) hub.export_metrics(reg, "telemetry");
+    if (hub != nullptr) hub->export_metrics(reg, "telemetry");
     reg.counter("stream.frames_sourced").set(stats.source_count());
     reg.counter("stream.frames_transmitted").set(stats.transmitted_count());
     reg.counter("stream.frames_received").set(stats.received_count());
     reg.counter("stream.frames_decodable").set(stats.decodable_count());
     reg.counter("quo.contract_transitions").set(contract.transition_count());
     reg.stats("stream.latency_ms").merge(lat);
-    const std::vector<obs::NamedSnapshot> snaps{{"adaptive_streaming", reg.snapshot()}};
-    if (!obs::write_metrics_sidecar_file(opts.metrics_path, snaps)) {
-      std::cerr << "failed to write metrics to " << opts.metrics_path << "\n";
-      return 1;
-    }
-    std::cerr << "metrics written to " << opts.metrics_path << "\n";
+    trial.metrics = reg.snapshot();
   }
-  if (!opts.slo_path.empty()) {
-    const std::vector<obs::NamedHealthReport> reports{
-        {"adaptive_streaming", hub.report()}};
-    if (!obs::write_health_sidecar_file(opts.slo_path, reports)) {
-      std::cerr << "failed to write health events to " << opts.slo_path << "\n";
-      return 1;
-    }
-    std::cerr << "health events written to " << opts.slo_path << "\n";
-  }
-  if (!opts.flight_path.empty()) {
-    const std::vector<obs::NamedFlightDumps> dumps{
-        {"adaptive_streaming", hub.dumps()}};
-    if (!obs::write_flight_sidecar_file(opts.flight_path, dumps)) {
-      std::cerr << "failed to write flight dumps to " << opts.flight_path << "\n";
-      return 1;
-    }
-    std::cerr << "flight dumps written to " << opts.flight_path << "\n";
-  }
+  core::write_sidecars(opts, {{"adaptive_streaming", trial}});
   return 0;
 }

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
-# Captures a causal trace + metrics sidecar from the adaptive-streaming
-# demo and sanity-checks both artifacts: the trace must be valid Chrome
-# trace-event JSON (load it at https://ui.perfetto.dev or
-# chrome://tracing), and the metrics sidecar must be byte-identical
-# regardless of --jobs, which this script also verifies via the
-# ablation_queue_depth sweep at 1 and 4 workers.
+# Captures every sidecar the three sidecar-writing drivers accept and
+# sanity-checks them: each must be valid JSON (load the traces at
+# https://ui.perfetto.dev or chrome://tracing), and the sweep sidecars
+# (ablation_queue_depth: metrics, SLO health, flight dumps; city_scale:
+# metrics, SLO health) must be byte-identical at --jobs 1 and --jobs 4.
 #
 # Usage: scripts/run_trace.sh [build-dir] [out-dir]
 set -euo pipefail
@@ -13,7 +12,7 @@ repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
 out_dir="${2:-$repo_root/traces}"
 
-for bin in examples/adaptive_streaming bench/ablation_queue_depth; do
+for bin in examples/adaptive_streaming bench/ablation_queue_depth bench/city_scale; do
   if [[ ! -x "$build_dir/$bin" ]]; then
     echo "not built; run: cmake -B '$build_dir' -S '$repo_root' && cmake --build '$build_dir' -j" >&2
     exit 1
@@ -27,9 +26,15 @@ echo "== adaptive_streaming -> $out_dir/adaptive_streaming.trace.json"
   --trace "$out_dir/adaptive_streaming.trace.json" \
   --metrics "$out_dir/adaptive_streaming.metrics.json" > /dev/null
 
+echo "== adaptive_streaming SLO health + flight dumps"
+"$build_dir/examples/adaptive_streaming" \
+  --slo "$out_dir/adaptive_streaming.health.json" \
+  --flight "$out_dir/adaptive_streaming.flight.json" > /dev/null
+
 echo "== validating JSON"
-python3 -m json.tool "$out_dir/adaptive_streaming.trace.json" > /dev/null
-python3 -m json.tool "$out_dir/adaptive_streaming.metrics.json" > /dev/null
+for f in trace metrics health flight; do
+  python3 -m json.tool "$out_dir/adaptive_streaming.$f.json" > /dev/null
+done
 
 echo "== queue-depth sweep trace -> $out_dir/queue_depth.trace.json"
 "$build_dir/bench/ablation_queue_depth" --jobs 0 \
@@ -66,6 +71,20 @@ cmp "$out_dir/queue_depth.flight.j1.json" "$out_dir/queue_depth.flight.j4.json"
 mv "$out_dir/queue_depth.health.j1.json" "$out_dir/queue_depth.health.json"
 mv "$out_dir/queue_depth.flight.j1.json" "$out_dir/queue_depth.flight.json"
 rm -f "$out_dir/queue_depth.health.j4.json" "$out_dir/queue_depth.flight.j4.json"
+
+echo "== city_scale sidecar determinism: --jobs 1 vs --jobs 4"
+for j in 1 4; do
+  "$build_dir/bench/city_scale" --jobs "$j" \
+    --metrics "$out_dir/city_scale.metrics.j$j.json" \
+    --slo "$out_dir/city_scale.health.j$j.json" > /dev/null
+done
+for f in metrics health; do
+  python3 -m json.tool "$out_dir/city_scale.$f.j1.json" > /dev/null
+  python3 -m json.tool "$out_dir/city_scale.$f.j4.json" > /dev/null
+  cmp "$out_dir/city_scale.$f.j1.json" "$out_dir/city_scale.$f.j4.json"
+  mv "$out_dir/city_scale.$f.j1.json" "$out_dir/city_scale.$f.json"
+  rm -f "$out_dir/city_scale.$f.j4.json"
+done
 
 # The congested trials must actually breach (the sweep overloads a 10 Mbps
 # bottleneck 2x): an empty health stream means the monitors are not wired.

@@ -5,6 +5,9 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "obs/json.hpp"
+#include "sim/engine.hpp"
+
 namespace aqm::core {
 namespace {
 
@@ -23,18 +26,20 @@ bool parse_jobs_value(const char* text, unsigned& out) {
   std::exit(2);
 }
 
-/// One sidecar flag: `--<name> FILE` or `--<name>=FILE`.
+/// One sidecar: its flag (`--<name> FILE` or `--<name>=FILE`), where the
+/// parsed path lands, and the document written there.
 struct SidecarFlag {
   const char* name;
   Sidecar bit;
   std::string ExperimentOptions::*path;
+  void (*write)(std::ostream&, const std::vector<obs::NamedTrialObs>&);
 };
 
 constexpr SidecarFlag kSidecarFlags[] = {
-    {"trace", kTraceSidecar, &ExperimentOptions::trace_path},
-    {"metrics", kMetricsSidecar, &ExperimentOptions::metrics_path},
-    {"slo", kSloSidecar, &ExperimentOptions::slo_path},
-    {"flight", kFlightSidecar, &ExperimentOptions::flight_path},
+    {"trace", kTraceSidecar, &ExperimentOptions::trace_path, obs::write_trace_sidecar},
+    {"metrics", kMetricsSidecar, &ExperimentOptions::metrics_path, obs::write_metrics_sidecar},
+    {"slo", kSloSidecar, &ExperimentOptions::slo_path, obs::write_health_sidecar},
+    {"flight", kFlightSidecar, &ExperimentOptions::flight_path, obs::write_flight_sidecar},
 };
 
 /// `--name` alone (value in the next argument) or `--name=VALUE` (sets
@@ -110,6 +115,55 @@ ExperimentOptions parse_experiment_options(int& argc, char** argv, unsigned side
   argc = std::min(argc, 1);
   argv[argc] = nullptr;
   return opts;
+}
+
+unsigned ExperimentOptions::sidecars() const {
+  unsigned set = kNoSidecars;
+  for (const SidecarFlag& f : kSidecarFlags) {
+    if (!(this->*f.path).empty()) set |= f.bit;
+  }
+  return set;
+}
+
+void write_sidecars(const ExperimentOptions& opts,
+                    const std::vector<obs::NamedTrialObs>& trials) {
+  for (const SidecarFlag& f : kSidecarFlags) {
+    const std::string& path = opts.*f.path;
+    if (path.empty()) continue;
+    if (!obs::json::write_file(path, [&](std::ostream& os) { f.write(os, trials); })) {
+      std::fprintf(stderr, "failed to write %s sidecar to %s\n", f.name, path.c_str());
+      std::exit(1);
+    }
+    std::fprintf(stderr, "%s sidecar written to %s\n", f.name, path.c_str());
+  }
+}
+
+TrialObserver::TrialObserver(sim::Engine& engine, unsigned sidecars)
+    : engine_(engine), sidecars_(sidecars) {
+  if (wants(kTraceSidecar)) {
+    trace_ = std::make_shared<obs::TraceRecorder>();
+    engine_.set_tracer(trace_.get());
+  }
+  if (wants(kSloSidecar) || wants(kFlightSidecar)) {
+    hub_ = std::make_unique<obs::TelemetryHub>();
+    engine_.set_telemetry(hub_.get());
+    if (trace_ != nullptr) {
+      hub_->set_dump_source(trace_.get());
+    } else {
+      engine_.set_tracer(&hub_->flight());
+    }
+  }
+}
+
+void TrialObserver::finish(obs::TrialObs& out) {
+  if (hub_ != nullptr) {
+    hub_->finalize(engine_.now());
+    out.health = hub_->report();
+    out.flight_dumps = hub_->dumps();
+    engine_.set_telemetry(nullptr);
+    if (trace_ == nullptr) engine_.set_tracer(nullptr);
+  }
+  out.trace = trace_;
 }
 
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) {

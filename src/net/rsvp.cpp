@@ -13,8 +13,15 @@ static_assert(sizeof(ResvMsg) <= PacketPayload::kInlineSize);
 static_assert(sizeof(ResvErrMsg) <= PacketPayload::kInlineSize);
 static_assert(sizeof(TearMsg) <= PacketPayload::kInlineSize);
 
-RsvpAgent::RsvpAgent(Network& net, NodeId node, Config config)
-    : net_(net), node_(node), config_(config) {
+namespace {
+
+constexpr Duration kRetryTimeout = milliseconds(250);  // PATH re-sent after this
+constexpr int kMaxRetries = 3;
+constexpr std::uint32_t kMessageBytes = 128;  // wire size of every signaling packet
+
+}  // namespace
+
+RsvpAgent::RsvpAgent(Network& net, NodeId node) : net_(net), node_(node) {
   net_.set_control_handler(node_, [this](NodeId at, Packet&& p) { handle(at, std::move(p)); });
 }
 
@@ -22,7 +29,7 @@ template <typename Msg>
 void RsvpAgent::emit(NodeId dst, PacketKind kind, Msg msg) {
   Packet p;
   p.dst = dst;
-  p.size_bytes = config_.message_bytes;
+  p.size_bytes = kMessageBytes;
   p.dscp = dscp::kCs6;
   p.kind = kind;
   p.payload = std::move(msg);
@@ -62,10 +69,10 @@ void RsvpAgent::send_path(FlowId flow) {
 void RsvpAgent::arm_timeout(FlowId flow) {
   PendingReserve* pending = pending_.find(flow);
   assert(pending != nullptr);
-  pending->timeout = net_.engine().after(config_.retry_timeout, [this, flow] {
+  pending->timeout = net_.engine().after(kRetryTimeout, [this, flow] {
     const PendingReserve* pr = pending_.find(flow);
     if (pr == nullptr) return;
-    if (pr->attempts >= config_.max_retries) {
+    if (pr->attempts >= kMaxRetries) {
       finish_pending(flow, Status<std::string>::err("reservation timed out"));
       return;
     }

@@ -66,18 +66,11 @@ struct TearMsg {
   NodeId receiver = kInvalidNode;
 };
 
-struct RsvpConfig {
-  Duration retry_timeout = milliseconds(250);
-  int max_retries = 3;
-  std::uint32_t message_bytes = 128;
-};
-
 class RsvpAgent {
  public:
   using ReserveCallback = std::function<void(Status<std::string>)>;
-  using Config = RsvpConfig;
 
-  RsvpAgent(Network& net, NodeId node, Config config = {});
+  RsvpAgent(Network& net, NodeId node);
   RsvpAgent(const RsvpAgent&) = delete;
   RsvpAgent& operator=(const RsvpAgent&) = delete;
 
@@ -132,7 +125,6 @@ class RsvpAgent {
 
   Network& net_;
   NodeId node_;
-  Config config_;
   // Per-flow soft state lives in slot arenas (DESIGN.md §10): refresh/tear
   // churn at scale recycles slots instead of exercising the heap, and every
   // lookup on the signaling path is one hash probe. None of these tables is

@@ -1,70 +1,60 @@
 #include "obs/metrics.hpp"
 
-#include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <ostream>
+
+#include "obs/json.hpp"
 
 namespace aqm::obs {
 namespace {
-
-void escape(std::string& out, std::string_view s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-}
-
-/// Fixed double format: shortest-exact would vary by libc; %.17g is exact
-/// for any double and stable everywhere.
-void append_double(std::string& out, double v) {
-  // JSON has no inf/nan literals; emit null (never expected, but a
-  // malformed sidecar must not break the CI validator).
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void append_key(std::string& out, std::string_view key) {
-  out += "\"";
-  escape(out, key);
-  out += "\":";
-}
 
 std::string pad(int indent) { return std::string(static_cast<std::size_t>(indent), ' '); }
 
 void write_stats_object(std::string& line, const RunningStats& s) {
   line += "{";
-  append_key(line, "count");
-  line += std::to_string(s.count());
-  line += ",";
-  append_key(line, "mean");
-  append_double(line, s.mean());
-  line += ",";
-  append_key(line, "min");
-  append_double(line, s.empty() ? 0.0 : s.min());
-  line += ",";
-  append_key(line, "max");
-  append_double(line, s.empty() ? 0.0 : s.max());
-  line += ",";
-  append_key(line, "sum");
-  append_double(line, s.sum());
+  json::member(line, "count", s.count());
+  json::member(line, "mean", s.mean());
+  json::member(line, "min", s.empty() ? 0.0 : s.min());
+  json::member(line, "max", s.empty() ? 0.0 : s.max());
+  json::member(line, "sum", s.sum());
   line += "}";
+}
+
+void write_histogram_object(std::string& line, const Histogram& h) {
+  line += "{";
+  json::member(line, "count", h.count());
+  json::member(line, "lo", h.bucket_lo(0));
+  json::member(line, "hi", h.bucket_hi(h.bucket_count() - 1));
+  json::member(line, "p50", h.quantile(0.5));
+  json::member(line, "p90", h.quantile(0.9));
+  json::member(line, "p99", h.quantile(0.99));
+  json::member(line, "buckets");
+  line += " [";
+  for (std::size_t i = 0; i < h.bucket_count(); ++i) {
+    if (i > 0) line += ",";
+    line += std::to_string(h.bucket(i));
+  }
+  line += "]}";
+}
+
+/// One name-sorted section, `"name": {"key": value, ...}` with one entry
+/// per line; `write_value` appends an entry's value.
+template <typename Map, typename WriteValue>
+void write_section(std::ostream& os, const std::string& p1, const char* name, const Map& map,
+                   WriteValue write_value, const char* close) {
+  std::string line;
+  os << p1 << '"' << name << "\": {";
+  bool first = true;
+  for (const auto& [key, value] : map) {
+    line.clear();
+    line += first ? "\n" : ",\n";
+    line += p1 + "  ";
+    json::key(line, key);
+    line += " ";
+    write_value(line, value);
+    os << line;
+    first = false;
+  }
+  os << (first ? "" : "\n" + p1) << close;
 }
 
 }  // namespace
@@ -85,92 +75,15 @@ void MetricsSnapshot::merge(const MetricsSnapshot& other) {
 }
 
 void MetricsSnapshot::write_json(std::ostream& os, int indent) const {
-  const std::string p0 = pad(indent);
   const std::string p1 = pad(indent + 2);
-  std::string line;
   os << "{\n";
-
-  os << p1 << "\"counters\": {";
-  bool first = true;
-  for (const auto& [name, v] : counters) {
-    line.clear();
-    line += first ? "\n" : ",\n";
-    line += p1 + "  ";
-    append_key(line, name);
-    line += " ";
-    line += std::to_string(v);
-    os << line;
-    first = false;
-  }
-  os << (first ? "" : "\n" + p1) << "},\n";
-
-  os << p1 << "\"gauges\": {";
-  first = true;
-  for (const auto& [name, s] : gauges) {
-    line.clear();
-    line += first ? "\n" : ",\n";
-    line += p1 + "  ";
-    append_key(line, name);
-    line += " ";
-    write_stats_object(line, s);
-    os << line;
-    first = false;
-  }
-  os << (first ? "" : "\n" + p1) << "},\n";
-
-  os << p1 << "\"stats\": {";
-  first = true;
-  for (const auto& [name, s] : stats) {
-    line.clear();
-    line += first ? "\n" : ",\n";
-    line += p1 + "  ";
-    append_key(line, name);
-    line += " ";
-    write_stats_object(line, s);
-    os << line;
-    first = false;
-  }
-  os << (first ? "" : "\n" + p1) << "},\n";
-
-  os << p1 << "\"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms) {
-    line.clear();
-    line += first ? "\n" : ",\n";
-    line += p1 + "  ";
-    append_key(line, name);
-    line += " {";
-    append_key(line, "count");
-    line += std::to_string(h.count());
-    line += ",";
-    append_key(line, "lo");
-    append_double(line, h.bucket_lo(0));
-    line += ",";
-    append_key(line, "hi");
-    append_double(line, h.bucket_hi(h.bucket_count() - 1));
-    line += ",";
-    append_key(line, "p50");
-    append_double(line, h.quantile(0.5));
-    line += ",";
-    append_key(line, "p90");
-    append_double(line, h.quantile(0.9));
-    line += ",";
-    append_key(line, "p99");
-    append_double(line, h.quantile(0.99));
-    line += ",";
-    append_key(line, "buckets");
-    line += " [";
-    for (std::size_t i = 0; i < h.bucket_count(); ++i) {
-      if (i > 0) line += ",";
-      line += std::to_string(h.bucket(i));
-    }
-    line += "]}";
-    os << line;
-    first = false;
-  }
-  os << (first ? "" : "\n" + p1) << "}\n";
-
-  os << p0 << "}";
+  write_section(
+      os, p1, "counters", counters,
+      [](std::string& line, std::uint64_t v) { line += std::to_string(v); }, "},\n");
+  write_section(os, p1, "gauges", gauges, write_stats_object, "},\n");
+  write_section(os, p1, "stats", stats, write_stats_object, "},\n");
+  write_section(os, p1, "histograms", histograms, write_histogram_object, "}\n");
+  os << pad(indent) << "}";
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {
@@ -216,36 +129,6 @@ void MetricsRegistry::clear() {
   gauges_.clear();
   stats_.clear();
   histograms_.clear();
-}
-
-void write_metrics_sidecar(std::ostream& os, const std::vector<NamedSnapshot>& trials) {
-  os << "{\n  \"trials\": [";
-  MetricsSnapshot merged;
-  bool first = true;
-  for (const auto& t : trials) {
-    std::string head;
-    head += first ? "\n" : ",\n";
-    head += "    {\"name\": \"";
-    escape(head, t.name);
-    head += "\", \"metrics\": ";
-    os << head;
-    t.snapshot.write_json(os, 4);
-    os << "}";
-    merged.merge(t.snapshot);
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "],\n  \"merged\": ";
-  merged.write_json(os, 2);
-  os << "\n}\n";
-}
-
-bool write_metrics_sidecar_file(const std::string& path,
-                                const std::vector<NamedSnapshot>& trials) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return false;
-  write_metrics_sidecar(os, trials);
-  os.flush();
-  return static_cast<bool>(os);
 }
 
 }  // namespace aqm::obs

@@ -21,10 +21,8 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/stats.hpp"
 
@@ -109,19 +107,5 @@ class MetricsRegistry {
   std::map<std::string, RunningStats, std::less<>> stats_;
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
-
-/// One trial's snapshot, labeled for the sidecar file.
-struct NamedSnapshot {
-  std::string name;
-  MetricsSnapshot snapshot;
-};
-
-/// Writes the per-trial + merged metrics sidecar:
-///   {"trials":[{"name":...,"metrics":{...}},...],"merged":{...}}
-/// Trials must already be in index order; the merge folds them in that
-/// order, so the output is byte-identical for any worker count.
-void write_metrics_sidecar(std::ostream& os, const std::vector<NamedSnapshot>& trials);
-bool write_metrics_sidecar_file(const std::string& path,
-                                const std::vector<NamedSnapshot>& trials);
 
 }  // namespace aqm::obs

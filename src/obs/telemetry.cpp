@@ -2,25 +2,31 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <ostream>
 
 namespace aqm::obs {
+namespace {
+
+constexpr double kThroughputAlpha = 0.3;  // EWMA weight per completed bucket
+constexpr double kLatencyLoMs = 0.01;     // log-histogram layout for latency
+constexpr double kLatencyHiMs = 100000.0;
+constexpr std::size_t kLatencyBuckets = 96;
+constexpr std::size_t kFlightCapacity = 8192;  // flight-ring size in events
+constexpr std::size_t kRecentTraces = 16;      // per-flow recent trace ids kept
+constexpr std::size_t kMaxDumps = 8;           // flight dumps captured per trial
+
+}  // namespace
 
 TelemetryHub::TelemetryHub(TelemetryConfig cfg)
     : cfg_(cfg),
       bucket_ns_(cfg.bucket.ns()),
-      latency_layout_(Histogram::log_scaled(cfg.latency_lo_ms, cfg.latency_hi_ms,
-                                            cfg.latency_buckets)),
+      latency_layout_(Histogram::log_scaled(kLatencyLoMs, kLatencyHiMs, kLatencyBuckets)),
       window_ns_(cfg.bucket.ns() * static_cast<std::int64_t>(cfg.buckets)),
       window_scratch_(latency_layout_),
       flight_(kDefaultCategories),
       dump_source_(&flight_) {
   assert(bucket_ns_ > 0);
   assert(cfg_.buckets > 0);
-  flight_.set_ring_capacity(cfg_.flight_capacity);
+  flight_.set_ring_capacity(kFlightCapacity);
 }
 
 TelemetryHub::FlowState& TelemetryHub::flow_state(std::uint64_t flow) {
@@ -45,7 +51,7 @@ void TelemetryHub::enable_window(FlowState& f, TimePoint now) {
   // simulation clock, so evaluation instants are deterministic regardless
   // of when monitoring was enabled.
   f.bucket_start_ns = (now.ns() / bucket_ns_) * bucket_ns_;
-  f.recent_traces.assign(cfg_.recent_traces, 0);
+  f.recent_traces.assign(kRecentTraces, 0);
 }
 
 void TelemetryHub::set_slo(std::uint64_t flow, const SloSpec& spec) {
@@ -88,8 +94,7 @@ void TelemetryHub::roll(FlowState& f, std::int64_t now_ns) {
       f.ewma_bps = inst_bps;
       f.ewma_seeded = true;
     } else {
-      f.ewma_bps = cfg_.throughput_alpha * inst_bps +
-                   (1.0 - cfg_.throughput_alpha) * f.ewma_bps;
+      f.ewma_bps = kThroughputAlpha * inst_bps + (1.0 - kThroughputAlpha) * f.ewma_bps;
     }
     evaluate(f, boundary);
     // Advance: the next slot holds the window's oldest bucket; retire it
@@ -192,7 +197,7 @@ void TelemetryHub::note_trace(FlowState& f, std::uint64_t trace) {
 
 void TelemetryHub::capture_dump(const FlowState& f, std::int64_t t_ns,
                                 const char* metric) {
-  if (dumps_.size() >= cfg_.max_dumps || dump_source_ == nullptr) return;
+  if (dumps_.size() >= kMaxDumps || dump_source_ == nullptr) return;
   FlightDump d;
   d.t_ns = t_ns;
   d.flow = f.id;
@@ -361,280 +366,6 @@ void TelemetryHub::export_metrics(MetricsRegistry& reg, std::string_view prefix)
     reg.counter(p + ".unattributed.deliveries").inc(global_deliveries_);
     reg.counter(p + ".unattributed.deadline_misses").inc(global_misses_);
   }
-}
-
-// --- sidecar writers --------------------------------------------------------
-
-namespace {
-
-void escape(std::string& out, std::string_view s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-}
-
-/// Same fixed double format as the metrics sidecar: %.17g, null for
-/// non-finite (DESIGN.md §7 determinism rules).
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void append_key(std::string& out, std::string_view key) {
-  out += "\"";
-  escape(out, key);
-  out += "\":";
-}
-
-void append_window(std::string& out, const WindowStats& w) {
-  out += "{";
-  append_key(out, "calls");
-  out += std::to_string(w.calls);
-  out += ",";
-  append_key(out, "misses");
-  out += std::to_string(w.misses);
-  out += ",";
-  append_key(out, "deliveries");
-  out += std::to_string(w.deliveries);
-  out += ",";
-  append_key(out, "drops");
-  out += std::to_string(w.drops);
-  out += ",";
-  append_key(out, "bytes");
-  out += std::to_string(w.bytes);
-  out += ",";
-  append_key(out, "miss_rate");
-  append_double(out, w.miss_rate);
-  out += ",";
-  append_key(out, "drop_rate");
-  append_double(out, w.drop_rate);
-  out += ",";
-  append_key(out, "p99_latency_ms");
-  append_double(out, w.p99_latency_ms);
-  out += ",";
-  append_key(out, "throughput_bps");
-  append_double(out, w.throughput_bps);
-  out += "}";
-}
-
-void append_health_event(std::string& out, const HealthEvent& e) {
-  out += "{";
-  append_key(out, "t_ms");
-  append_double(out, static_cast<double>(e.t_ns) / 1e6);
-  out += ",";
-  append_key(out, "flow");
-  out += std::to_string(e.flow);
-  out += ",";
-  append_key(out, "type");
-  out += e.breach ? "\"breach\"" : "\"recover\"";
-  out += ",";
-  append_key(out, "metric");
-  out += "\"";
-  escape(out, e.metric);
-  out += "\",";
-  append_key(out, "value");
-  append_double(out, e.value);
-  out += ",";
-  append_key(out, "threshold");
-  append_double(out, e.threshold);
-  out += ",";
-  append_key(out, "window");
-  append_window(out, e.window);
-  out += "}";
-}
-
-void write_health_object(std::ostream& os, const HealthReport& r, const char* p1) {
-  std::string line;
-  os << "{\n" << p1 << "  \"events\": [";
-  bool first = true;
-  for (const HealthEvent& e : r.events) {
-    line.clear();
-    line += first ? "\n" : ",\n";
-    line += p1;
-    line += "    ";
-    append_health_event(line, e);
-    os << line;
-    first = false;
-  }
-  if (!first) os << "\n" << p1 << "  ";
-  os << "],\n" << p1 << "  \"flows\": {";
-  first = true;
-  for (const auto& [flow, s] : r.flows) {
-    line.clear();
-    line += first ? "\n" : ",\n";
-    line += p1;
-    line += "    ";
-    append_key(line, "flow" + std::to_string(flow));
-    line += " {";
-    append_key(line, "breaches");
-    line += std::to_string(s.breaches);
-    line += ",";
-    append_key(line, "recoveries");
-    line += std::to_string(s.recoveries);
-    line += ",";
-    append_key(line, "breached_ms");
-    append_double(line, static_cast<double>(s.breached_ns) / 1e6);
-    line += "}";
-    os << line;
-    first = false;
-  }
-  if (!first) os << "\n" << p1 << "  ";
-  os << "}\n" << p1 << "}";
-}
-
-}  // namespace
-
-void write_health_sidecar(std::ostream& os, const std::vector<NamedHealthReport>& trials) {
-  os << "{\n  \"trials\": [";
-  HealthReport merged;
-  std::uint64_t merged_events = 0;
-  bool first = true;
-  for (const auto& t : trials) {
-    std::string head;
-    head += first ? "\n" : ",\n";
-    head += "    {\"name\": \"";
-    escape(head, t.name);
-    head += "\", \"health\": ";
-    os << head;
-    write_health_object(os, t.report, "    ");
-    os << "}";
-    merged_events += t.report.events.size();
-    for (const auto& [flow, s] : t.report.flows) {
-      FlowHealthSummary& m = merged.flows[flow];
-      m.breaches += s.breaches;
-      m.recoveries += s.recoveries;
-      m.breached_ns += s.breached_ns;
-    }
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "],\n  \"merged\": ";
-  // The merged section sums summaries across trials (events stay in their
-  // trials: they live on independent simulated timelines).
-  std::string line;
-  os << "{\n    \"events\": " << merged_events << ",\n    \"flows\": {";
-  bool mfirst = true;
-  for (const auto& [flow, s] : merged.flows) {
-    line.clear();
-    line += mfirst ? "\n" : ",\n";
-    line += "      ";
-    append_key(line, "flow" + std::to_string(flow));
-    line += " {";
-    append_key(line, "breaches");
-    line += std::to_string(s.breaches);
-    line += ",";
-    append_key(line, "recoveries");
-    line += std::to_string(s.recoveries);
-    line += ",";
-    append_key(line, "breached_ms");
-    append_double(line, static_cast<double>(s.breached_ns) / 1e6);
-    line += "}";
-    os << line;
-    mfirst = false;
-  }
-  os << (mfirst ? "" : "\n    ") << "}\n  }\n}\n";
-}
-
-bool write_health_sidecar_file(const std::string& path,
-                               const std::vector<NamedHealthReport>& trials) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return false;
-  write_health_sidecar(os, trials);
-  os.flush();
-  return static_cast<bool>(os);
-}
-
-void write_flight_sidecar(std::ostream& os, const std::vector<NamedFlightDumps>& trials) {
-  os << "{\n  \"dumps\": [";
-  std::string line;
-  bool first = true;
-  for (const auto& t : trials) {
-    for (const FlightDump& d : t.dumps) {
-      line.clear();
-      line += first ? "\n" : ",\n";
-      line += "    {";
-      append_key(line, "trial");
-      line += "\"";
-      escape(line, t.name);
-      line += "\",";
-      append_key(line, "t_ms");
-      append_double(line, static_cast<double>(d.t_ns) / 1e6);
-      line += ",";
-      append_key(line, "flow");
-      line += std::to_string(d.flow);
-      line += ",";
-      append_key(line, "metric");
-      line += "\"";
-      escape(line, d.metric);
-      line += "\",";
-      append_key(line, "ring_overwritten");
-      line += std::to_string(d.ring_overwritten);
-      line += ",";
-      append_key(line, "events");
-      line += "[";
-      os << line;
-      bool efirst = true;
-      for (const FlightEvent& e : d.events) {
-        line.clear();
-        line += efirst ? "\n      {" : ",\n      {";
-        append_key(line, "t_ms");
-        append_double(line, static_cast<double>(e.ts_ns) / 1e6);
-        line += ",";
-        append_key(line, "cat");
-        line += "\"";
-        escape(line, e.cat);
-        line += "\",";
-        append_key(line, "name");
-        line += "\"";
-        escape(line, e.name);
-        line += "\",";
-        append_key(line, "id");
-        line += std::to_string(e.id);
-        if (e.argc > 0) {
-          line += ",";
-          append_key(line, "args");
-          line += "{";
-          for (std::uint8_t i = 0; i < e.argc; ++i) {
-            if (i > 0) line += ",";
-            append_key(line, e.args[i].first);
-            append_double(line, e.args[i].second);
-          }
-          line += "}";
-        }
-        line += "}";
-        os << line;
-        efirst = false;
-      }
-      os << (efirst ? "]}" : "\n    ]}");
-      first = false;
-    }
-  }
-  os << (first ? "" : "\n  ") << "]\n}\n";
-}
-
-bool write_flight_sidecar_file(const std::string& path,
-                               const std::vector<NamedFlightDumps>& trials) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return false;
-  write_flight_sidecar(os, trials);
-  os.flush();
-  return static_cast<bool>(os);
 }
 
 }  // namespace aqm::obs

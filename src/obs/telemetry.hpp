@@ -28,7 +28,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <optional>
 #include <string>
@@ -123,16 +122,11 @@ struct FlightDump {
   std::vector<FlightEvent> events;
 };
 
+/// The window layout. The EWMA weight, latency histogram layout,
+/// flight-ring size and dump bounds are fixed (telemetry.cpp).
 struct TelemetryConfig {
   Duration bucket = milliseconds(100);  // window bucket width
   std::uint32_t buckets = 10;           // window = bucket * buckets
-  double throughput_alpha = 0.3;        // EWMA weight per completed bucket
-  double latency_lo_ms = 0.01;          // log-histogram layout for latency
-  double latency_hi_ms = 100000.0;
-  std::size_t latency_buckets = 96;
-  std::size_t flight_capacity = 8192;   // flight-ring size in events
-  std::size_t recent_traces = 16;       // per-flow recent trace ids kept
-  std::size_t max_dumps = 8;            // flight dumps captured per trial
 };
 
 /// The engine-wired telemetry hub: owns the per-flow SLO monitors, the
@@ -365,33 +359,5 @@ inline void TelemetryHub::on_drop(std::uint64_t flow, TimePoint now,
   ++f.ring[f.cur].drops;
   ++f.w_drops;
 }
-
-/// One trial's health report, labeled for the sidecar file.
-struct NamedHealthReport {
-  std::string name;
-  HealthReport report;
-};
-
-/// Writes the per-trial + merged health sidecar:
-///   {"trials":[{"name":...,"health":{"events":[...],"flows":{...}}},...],
-///    "merged":{"events":N,"flows":{...}}}
-/// Deterministic: trials are pre-ordered by index, events are in
-/// occurrence order (evaluation instants are bucket boundaries), flow maps
-/// are key-sorted, doubles use the %.17g format of the metrics sidecar.
-void write_health_sidecar(std::ostream& os, const std::vector<NamedHealthReport>& trials);
-bool write_health_sidecar_file(const std::string& path,
-                               const std::vector<NamedHealthReport>& trials);
-
-/// One trial's flight dumps, labeled for the sidecar file.
-struct NamedFlightDumps {
-  std::string name;
-  std::vector<FlightDump> dumps;
-};
-
-/// Writes the flight-recorder dump sidecar: {"dumps":[{...},...]} with one
-/// entry per breach dump across all trials, in trial order.
-void write_flight_sidecar(std::ostream& os, const std::vector<NamedFlightDumps>& trials);
-bool write_flight_sidecar_file(const std::string& path,
-                               const std::vector<NamedFlightDumps>& trials);
 
 }  // namespace aqm::obs

@@ -3,8 +3,9 @@
 #include <cassert>
 #include <cinttypes>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
+
+#include "obs/json.hpp"
 
 namespace aqm::obs {
 
@@ -116,27 +117,6 @@ void TraceRecorder::clear() {
 
 namespace {
 
-/// JSON-escapes into `out` (names/labels are ASCII identifiers in
-/// practice, but stay safe on arbitrary input).
-void escape(std::string& out, std::string_view s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-}
-
 const char* phase_code(TracePhase p) {
   switch (p) {
     case TracePhase::Complete: return "X";
@@ -156,12 +136,6 @@ void append_us(std::string& out, std::int64_t ns) {
   out += buf;
 }
 
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
 }  // namespace
 
 void TraceRecorder::write_chrome_json(std::ostream& os) const {
@@ -173,9 +147,9 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
     line.clear();
     line += ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":";
     line += std::to_string(t);
-    line += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    escape(line, track_names_[t]);
-    line += "\"}}";
+    line += ",\"name\":\"thread_name\",\"args\":{\"name\":";
+    json::string(line, track_names_[t]);
+    line += "}}";
     os << line;
   }
   for_each([&](const TraceEvent& e) {
@@ -192,9 +166,8 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
     }
     line += ",\"cat\":\"";
     line += to_string(e.cat);
-    line += "\",\"name\":\"";
-    escape(line, e.name != nullptr ? e.name : "?");
-    line += "\"";
+    line += "\",\"name\":";
+    json::string(line, e.name != nullptr ? e.name : "?");
     if (e.phase == TracePhase::Instant) line += ",\"s\":\"t\"";
     if (e.id != 0 || e.phase == TracePhase::AsyncBegin || e.phase == TracePhase::AsyncEnd) {
       line += ",\"id\":\"";
@@ -203,27 +176,13 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
     }
     if (e.argc > 0) {
       line += ",\"args\":{";
-      for (std::uint8_t i = 0; i < e.argc; ++i) {
-        if (i > 0) line += ",";
-        line += "\"";
-        escape(line, e.args[i].key);
-        line += "\":";
-        append_double(line, e.args[i].value);
-      }
+      for (std::uint8_t i = 0; i < e.argc; ++i) json::member(line, e.args[i].key, e.args[i].value);
       line += "}";
     }
     line += "}";
     os << line;
   });
   os << "\n]}\n";
-}
-
-bool TraceRecorder::write_chrome_json_file(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return false;
-  write_chrome_json(os);
-  os.flush();
-  return static_cast<bool>(os);
 }
 
 }  // namespace aqm::obs

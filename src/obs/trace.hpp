@@ -206,8 +206,6 @@ class TraceRecorder {
   /// Writes the whole trace as Chrome trace-event JSON ({"traceEvents":
   /// [...]}) with process/thread metadata naming the tracks.
   void write_chrome_json(std::ostream& os) const;
-  /// Convenience: write_chrome_json to a file; false on I/O failure.
-  bool write_chrome_json_file(const std::string& path) const;
 
  private:
   static constexpr std::size_t kChunkEvents = 2048;

@@ -23,8 +23,7 @@ InterceptStatus PriorityInterceptor::send_request(ClientRequestContext& ctx) {
 InterceptStatus PriorityInterceptor::receive_request(ServerRequestContext& ctx) {
   ctx.priority = ctx.poa->policies().priority_model == PriorityModel::ServerDeclared
                      ? ctx.poa->policies().server_priority
-                     : find_priority(*ctx.contexts).value_or(
-                           orb_.config().default_priority);
+                     : find_priority(*ctx.contexts).value_or(kDefaultCorbaPriority);
   return {};
 }
 

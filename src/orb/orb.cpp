@@ -9,6 +9,13 @@
 namespace aqm::orb {
 namespace {
 
+// Client-side request marshaling cost: base + per KB of message.
+constexpr Duration kMarshalBase = microseconds(20);
+constexpr Duration kMarshalPerKb = microseconds(4);
+// Server-side header parse + POA demux cost, and demarshal per KB.
+constexpr Duration kDemuxBase = microseconds(25);
+constexpr Duration kDemarshalPerKb = microseconds(4);
+
 /// Encodes a CompletionStatus code as an exception reply body into `out`.
 void encode_error_body(CompletionStatus status, std::vector<std::uint8_t>& out) {
   out.clear();
@@ -51,13 +58,11 @@ Poa* OrbEndpoint::find_poa(std::string_view name) {
 }
 
 Duration OrbEndpoint::marshal_cost(std::size_t bytes) const {
-  return config_.marshal_base +
-         config_.marshal_per_kb * static_cast<std::int64_t>(bytes / 1024);
+  return kMarshalBase + kMarshalPerKb * static_cast<std::int64_t>(bytes / 1024);
 }
 
 Duration OrbEndpoint::demarshal_cost(std::size_t bytes) const {
-  return config_.demux_base +
-         config_.demarshal_per_kb * static_cast<std::int64_t>(bytes / 1024);
+  return kDemuxBase + kDemarshalPerKb * static_cast<std::int64_t>(bytes / 1024);
 }
 
 obs::TraceRecorder* OrbEndpoint::orb_tracer() {
@@ -567,7 +572,7 @@ void OrbEndpoint::handle_request(net::NodeId src, GiopMessage& msg, std::size_t 
                 << header.object_key;
     if (header.response_expected) {
       send_error_reply(acquire_server_call(src, header.request_id, 0),
-                       CompletionStatus::ObjectNotExist, config_.default_priority);
+                       CompletionStatus::ObjectNotExist, kDefaultCorbaPriority);
     }
     return;
   }

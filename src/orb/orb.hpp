@@ -62,15 +62,9 @@ class FlowClassifier;
 
 namespace aqm::orb {
 
+/// The marshal/demux CPU costs are fixed (orb.cpp); the transport is the
+/// configurable part.
 struct OrbConfig {
-  /// Client-side request marshaling cost: base + per-KB of message.
-  Duration marshal_base = microseconds(20);
-  Duration marshal_per_kb = microseconds(4);
-  /// Server-side header parse + POA demux cost, and demarshal per KB.
-  Duration demux_base = microseconds(25);
-  Duration demarshal_per_kb = microseconds(4);
-  /// Priority used when a CLIENT_PROPAGATED request carries no context.
-  CorbaPriority default_priority = 0;
   TransportConfig transport{};
 };
 

@@ -17,6 +17,8 @@ namespace aqm::orb {
 using CorbaPriority = std::int32_t;
 inline constexpr CorbaPriority kMinCorbaPriority = 0;
 inline constexpr CorbaPriority kMaxCorbaPriority = 32767;
+/// Priority of a CLIENT_PROPAGATED request that carries no priority context.
+inline constexpr CorbaPriority kDefaultCorbaPriority = kMinCorbaPriority;
 
 /// RT-CORBA PriorityModelPolicy.
 enum class PriorityModel : std::uint8_t {

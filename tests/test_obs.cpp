@@ -3,6 +3,7 @@
 // and network.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -15,6 +16,7 @@
 #include "net/flow_monitor.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
+#include "obs/sidecar.hpp"
 #include "obs/trace.hpp"
 #include "orb/orb.hpp"
 #include "os/cpu.hpp"
@@ -145,6 +147,21 @@ TEST(TraceRecorder, ChromeJsonIsWellFormedAndNamesTracks) {
   EXPECT_EQ(open, close);
 }
 
+TEST(TraceRecorder, ChromeJsonPrintsNonFiniteArgsAsNull) {
+  // JSON has no inf/nan literals; a non-finite arg must not break the file.
+  obs::TraceRecorder tr;
+  const std::uint16_t lane = tr.track("app");
+  tr.instant(obs::TraceCategory::App, "overflow", lane, TimePoint{1000}, 0,
+             {{"rate", std::numeric_limits<double>::infinity()},
+              {"ratio", std::numeric_limits<double>::quiet_NaN()}});
+  std::ostringstream os;
+  tr.write_chrome_json(os);
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"args\":{\"rate\":null,\"ratio\":null}"), std::string::npos) << json;
+  EXPECT_EQ(json.find("inf"), std::string::npos);
+  EXPECT_EQ(json.find("nan"), std::string::npos);
+}
+
 TEST(TraceRecorder, AmbientCurrentId) {
   obs::TraceRecorder tr;
   EXPECT_EQ(tr.current(), 0u);
@@ -257,10 +274,14 @@ TEST(MetricsSidecar, DeterministicBytesForAnyGrouping) {
     reg.stats("v").add(static_cast<double>(seed) * 0.1);
     return reg.snapshot();
   };
-  std::vector<obs::NamedSnapshot> trials;
+  std::vector<std::string> names;
+  std::vector<obs::TrialObs> bundles(4);
+  std::vector<obs::NamedTrialObs> trials;
   for (std::uint64_t i = 1; i <= 4; ++i) {
-    trials.push_back({"trial-" + std::to_string(i), make(i)});
+    names.push_back("trial-" + std::to_string(i));
+    bundles[i - 1].metrics = make(i);
   }
+  for (std::size_t i = 0; i < bundles.size(); ++i) trials.push_back({names[i], bundles[i]});
   std::ostringstream a;
   obs::write_metrics_sidecar(a, trials);
   std::ostringstream b;

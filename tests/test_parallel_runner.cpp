@@ -4,13 +4,18 @@
 //  * parse_experiment_options / derive_seed helpers.
 //  * Worker-count invariance: a 32-trial load sweep produces bit-identical
 //    per-trial results at 1, 2 and 8 workers (the determinism contract).
+//  * Sidecars: Experiment::run writes every requested file, byte-identical
+//    at 1 and 4 workers, and exits 1 when one cannot be written.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,6 +24,8 @@
 #include "net/network.hpp"
 #include "net/queue.hpp"
 #include "net/traffic_gen.hpp"
+#include "obs/metrics.hpp"
+#include "obs/sidecar.hpp"
 #include "sim/engine.hpp"
 #include "sim/parallel_runner.hpp"
 
@@ -169,11 +176,10 @@ struct TrialStats {
   bool operator==(const TrialStats&) const = default;
 };
 
-/// One self-contained trial: Poisson traffic at a per-trial rate through a
-/// 10 Mbps bottleneck. Private Engine/Network/RNG — no shared state.
-TrialStats run_load_trial(std::size_t index, std::uint64_t seed) {
-  sim::Engine engine;
-  net::Network net(engine);
+/// Poisson traffic of flow 9 at `rate_bps` from a to b through a 10 Mbps
+/// bottleneck, run to completion on `engine`.
+void run_bottleneck(sim::Engine& engine, net::Network& net, double rate_bps,
+                    std::uint64_t seed) {
   const auto a = net.add_node("a");
   const auto r = net.add_node("r");
   const auto b = net.add_node("b");
@@ -190,11 +196,19 @@ TrialStats run_load_trial(std::size_t index, std::uint64_t seed) {
   cfg.dst = b;
   cfg.flow = 9;
   cfg.poisson = true;
-  // Sweep from below to well above the bottleneck rate.
-  cfg.rate_bps = 4e6 + 0.5e6 * static_cast<double>(index);
+  cfg.rate_bps = rate_bps;
   net::TrafficGenerator gen(net, cfg, seed);
   gen.run_between(TimePoint::zero(), TimePoint{milliseconds(200).ns()});
   engine.run();
+}
+
+/// One self-contained trial: Poisson traffic at a per-trial rate through a
+/// 10 Mbps bottleneck. Private Engine/Network/RNG — no shared state.
+TrialStats run_load_trial(std::size_t index, std::uint64_t seed) {
+  sim::Engine engine;
+  net::Network net(engine);
+  // Sweep from below to well above the bottleneck rate.
+  run_bottleneck(engine, net, 4e6 + 0.5e6 * static_cast<double>(index), seed);
 
   const net::FlowCounters& flow = net.flow(9);
   TrialStats s;
@@ -249,6 +263,104 @@ TEST(Experiment, ResultsKeepAddOrder) {
   opts.progress = false;
   const auto results = exp.run(opts);
   for (std::size_t i = 0; i < results.size(); ++i) EXPECT_EQ(results[i], i);
+}
+
+// --- sidecars written by Experiment::run ---------------------------------------
+
+/// A trial result carrying its sidecar bundle, the way drivers return them.
+struct ObservedTrial {
+  unsigned sidecars = core::kNoSidecars;  // the set the trial's spec carried
+  obs::TrialObs obs;
+};
+
+/// The load trial observed through core::TrialObserver: flow 9 runs under
+/// a 1% drop-rate SLO, which the overloaded trials breach.
+ObservedTrial run_observed_trial(const core::TrialSpec& spec) {
+  sim::Engine engine;
+  net::Network net(engine);
+  core::TrialObserver observer(engine, spec.sidecars);
+  if (obs::TelemetryHub* hub = observer.hub()) {
+    obs::SloSpec slo;
+    slo.max_drop_rate = 0.01;
+    hub->set_slo(9, slo);
+  }
+  run_bottleneck(engine, net, 8e6 + 4e6 * static_cast<double>(spec.index), spec.seed);
+  ObservedTrial out;
+  out.sidecars = spec.sidecars;
+  observer.finish(out.obs);
+  if (observer.wants(core::kMetricsSidecar)) {
+    obs::MetricsRegistry reg;
+    net.export_metrics(reg, "net");
+    out.obs.metrics = reg.snapshot();
+  }
+  return out;
+}
+
+core::Experiment<ObservedTrial> observed_experiment() {
+  core::Experiment<ObservedTrial> exp;
+  for (std::size_t i = 0; i < 3; ++i) {
+    exp.add("observed-" + std::to_string(i), core::derive_seed(11, i), run_observed_trial);
+  }
+  return exp;
+}
+
+std::string take_file(const std::string& path) {
+  std::ostringstream text;
+  text << std::ifstream(path, std::ios::binary).rdbuf();
+  std::remove(path.c_str());
+  return text.str();
+}
+
+TEST(Experiment, WritesRequestedSidecarsIdenticallyForAnyJobs) {
+  const auto run = [](unsigned jobs) {
+    const std::string base = ::testing::TempDir() + "experiment_j" + std::to_string(jobs);
+    core::ExperimentOptions opts;
+    opts.jobs = jobs;
+    opts.progress = false;
+    opts.trace_path = base + ".trace.json";
+    opts.metrics_path = base + ".metrics.json";
+    opts.slo_path = base + ".slo.json";
+    opts.flight_path = base + ".flight.json";
+    auto results = observed_experiment().run(opts);
+    std::vector<std::string> files{take_file(opts.trace_path), take_file(opts.metrics_path),
+                                   take_file(opts.slo_path), take_file(opts.flight_path)};
+    return std::make_pair(std::move(results), std::move(files));
+  };
+  const auto [serial, serial_files] = run(1);
+  const auto [parallel, parallel_files] = run(4);
+  ASSERT_EQ(serial.size(), 3u);
+  ASSERT_EQ(parallel.size(), 3u);
+  EXPECT_EQ(serial_files, parallel_files);
+
+  // Every trial sees the requested set; only trial 0 records the trace.
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    const unsigned expected =
+        i == 0 ? core::kAllSidecars : core::kAllSidecars & ~core::kTraceSidecar;
+    EXPECT_EQ(serial[i].sidecars, expected) << "trial " << i;
+    EXPECT_EQ(parallel[i].sidecars, expected) << "trial " << i;
+    EXPECT_EQ(serial[i].obs.trace != nullptr, i == 0) << "trial " << i;
+  }
+
+  // The files hold what the trials observed.
+  const std::string& metrics = serial_files[1];
+  const std::string& slo = serial_files[2];
+  const std::string& flight = serial_files[3];
+  EXPECT_NE(serial_files[0].find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(metrics.find("\"observed-2\""), std::string::npos);
+  EXPECT_NE(metrics.find("\"merged\""), std::string::npos);
+  EXPECT_NE(slo.find("\"breach\""), std::string::npos);
+  EXPECT_NE(flight.find("\"trial\":\"observed-"), std::string::npos);
+}
+
+TEST(Experiment, UnwritableSidecarPathExitsWithOne) {
+  const auto run = [] {
+    core::ExperimentOptions opts;
+    opts.progress = false;
+    opts.metrics_path = "/nonexistent-dir/metrics.json";
+    (void)observed_experiment().run(opts);
+  };
+  EXPECT_EXIT(run(), ::testing::ExitedWithCode(1),
+              "failed to write metrics sidecar to /nonexistent-dir/metrics.json");
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "core/testbed.hpp"
 #include "net/network.hpp"
 #include "net/queue.hpp"
+#include "obs/sidecar.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "orb/orb.hpp"
@@ -258,10 +259,12 @@ TEST(HealthSidecar, DeterministicBytesAndNonFiniteAsNull) {
   report.events.push_back(e);
   report.flows[5] = {2, 1, milliseconds(30).ns()};
 
+  obs::TrialObs trial;
+  trial.health = report;
   std::ostringstream a;
   std::ostringstream b;
-  obs::write_health_sidecar(a, {{"trial", report}});
-  obs::write_health_sidecar(b, {{"trial", report}});
+  obs::write_health_sidecar(a, {{"trial", trial}});
+  obs::write_health_sidecar(b, {{"trial", trial}});
   EXPECT_EQ(a.str(), b.str());
   EXPECT_NE(a.str().find("\"drop_rate\""), std::string::npos);
   EXPECT_NE(a.str().find("null"), std::string::npos);
@@ -433,16 +436,17 @@ TEST(TelemetryScenario, SidecarsByteIdenticalForAnyJobs) {
     opts.jobs = jobs;
     opts.progress = false;
     const auto results = exp.run(opts);
-    std::vector<obs::NamedHealthReport> reports;
-    std::vector<obs::NamedFlightDumps> dumps;
+    std::vector<obs::TrialObs> bundles(results.size());
+    std::vector<obs::NamedTrialObs> trials;
     for (std::size_t i = 0; i < results.size(); ++i) {
-      reports.push_back({exp.spec(i).name, results[i].health});
-      dumps.push_back({exp.spec(i).name, results[i].dumps});
+      bundles[i].health = results[i].health;
+      bundles[i].flight_dumps = results[i].dumps;
+      trials.push_back({exp.spec(i).name, bundles[i]});
     }
     std::ostringstream health;
     std::ostringstream flight;
-    obs::write_health_sidecar(health, reports);
-    obs::write_flight_sidecar(flight, dumps);
+    obs::write_health_sidecar(health, trials);
+    obs::write_flight_sidecar(flight, trials);
     return std::make_pair(health.str(), flight.str());
   };
 

@@ -431,7 +431,7 @@ void BM_DiffServQueueOps(benchmark::State& state) {
     p.size_bytes = 1000;
     p.dscp = dscps[i++ % 4];
     (void)q.enqueue(std::move(p), t0);
-    benchmark::DoNotOptimize(q.dequeue(t0));
+    benchmark::DoNotOptimize(q.dequeue());
   }
   state.SetItemsProcessed(state.iterations());
 }

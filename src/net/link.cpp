@@ -90,8 +90,8 @@ void Link::send(Packet p) {
 
 /// Replays every service decision a store-and-forward transmitter would
 /// have made up to now. A decision is due only at the end of a committed
-/// transmission; once a decision finds the queue unservable, no new one
-/// arises until an arrival (send) or a conformance retry.
+/// transmission; once a decision finds the queue empty, no new one arises
+/// until the next arrival (send).
 void Link::pump() {
   while (decision_pending_ && avail_at_ <= engine_.now()) {
     decision_pending_ = false;
@@ -99,38 +99,13 @@ void Link::pump() {
   }
 }
 
-/// One service decision at the exact (possibly past) instant t. Either
-/// commits the next transmission, arms a conformance retry, or finds the
-/// queue empty. t <= now() always; between t and now the queue cannot
-/// have changed (every mutation path pumps first), so dequeuing with the
-/// backdated timestamp reproduces the store-and-forward decision exactly —
-/// including token-bucket fill levels and RED arrival state.
+/// One service decision at the exact (possibly past) instant t: commits
+/// the next transmission, or finds the queue empty. t <= now() always;
+/// between t and now the queue cannot have changed (every mutation path
+/// pumps first), and dequeue reads no clock, so the backdated decision is
+/// exactly the store-and-forward one; t only stamps the transmit instant.
 void Link::service(TimePoint t) {
-  if (retry_event_.valid()) {
-    engine_.cancel(retry_event_);
-    retry_event_ = sim::EventId{};
-  }
-  const TimePoint now = engine_.now();
-  for (;;) {
-    if (auto next = queue_->dequeue(t)) {
-      start_tx(std::move(*next), t);
-      return;
-    }
-    // Nothing eligible. If something is queued but gated (token bucket),
-    // retry when it could conform — inline when that instant has already
-    // passed (a store-and-forward retry event would have fired by now).
-    const auto delay = queue_->next_ready_delay(t);
-    if (!delay || *delay >= Duration::max()) return;
-    const TimePoint ready = t + *delay;
-    if (ready > now) {
-      retry_event_ = engine_.at(ready, [this] {
-        retry_event_ = sim::EventId{};
-        service(engine_.now());
-      });
-      return;
-    }
-    t = ready;
-  }
+  if (auto next = queue_->dequeue()) start_tx(std::move(*next), t);
 }
 
 /// Commits a transmission starting at t: head leaves the queue at t, the

@@ -8,7 +8,7 @@
 // already schedules anyway. Service decisions that logically happened in
 // the past are replayed at their exact original instants (the queue
 // provably did not change in between, because every arrival catches up
-// first), so dequeue order, token-bucket accounting, loss draws and
+// first, and dequeue reads no clock), so dequeue order, loss draws and
 // delivery times are exactly those of a store-and-forward transmitter with
 // one event per stage, while steady state costs ~1 engine event per packet
 // per hop instead of ~2. Committed packets wait in an in-flight FIFO; the
@@ -125,7 +125,6 @@ class Link {
   /// commit (= delivery) order. Declared after queue_, so it
   /// returns its chunks before a private pool goes away.
   PacketFifo in_flight_{queue_->own_packet_pool()};
-  sim::EventId retry_event_{};
   std::uint64_t tx_packets_ = 0;
   std::uint64_t tx_bytes_ = 0;
   std::uint64_t corrupted_ = 0;

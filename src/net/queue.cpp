@@ -23,16 +23,12 @@ std::optional<Packet> DropTailQueue::enqueue(Packet p, TimePoint /*now*/) {
   return std::nullopt;
 }
 
-std::optional<Packet> DropTailQueue::dequeue(TimePoint /*now*/) {
+std::optional<Packet> DropTailQueue::dequeue() {
   if (q_.empty()) return std::nullopt;
   Packet p = q_.pop_front();
   bytes_ -= p.size_bytes;
   count_dequeue();
   return p;
-}
-
-std::optional<Duration> DropTailQueue::next_ready_delay(TimePoint /*now*/) const {
-  return std::nullopt;  // FIFO: packets are always eligible, so never "not ready"
 }
 
 // --- DiffServQueue -----------------------------------------------------------
@@ -66,7 +62,7 @@ std::optional<Packet> DiffServQueue::enqueue(Packet p, TimePoint /*now*/) {
   return std::nullopt;
 }
 
-std::optional<Packet> DiffServQueue::dequeue(TimePoint /*now*/) {
+std::optional<Packet> DiffServQueue::dequeue() {
   if (occupied_classes_ == 0) return std::nullopt;
   // Lowest set bit == highest-priority occupied class: identical pick to
   // the class-order scan, without visiting the empty classes above it.
@@ -78,10 +74,6 @@ std::optional<Packet> DiffServQueue::dequeue(TimePoint /*now*/) {
   --packets_;
   count_dequeue();
   return p;
-}
-
-std::optional<Duration> DiffServQueue::next_ready_delay(TimePoint /*now*/) const {
-  return std::nullopt;  // strict priority: a queued packet is always eligible
 }
 
 // --- IntServQueue ------------------------------------------------------------
@@ -99,18 +91,6 @@ bool IntServQueue::policer_consume(TokenBucket& child, std::uint32_t bytes,
                                    TimePoint now) {
   if (!parent_) return child.consume(bytes, now);
   return hierarchical_consume(*parent_, child, bytes, now);
-}
-
-Duration IntServQueue::policer_wait(const TokenBucket& child, std::uint32_t bytes,
-                                    TimePoint now) const {
-  if (!parent_) return child.time_until_conforms(bytes, now);
-  return hierarchical_time_until_conforms(*parent_, child, bytes, now);
-}
-
-bool IntServQueue::shape_unconformable(const TokenBucket& child,
-                                       std::uint32_t bytes) const {
-  if (bytes > child.depth_bytes()) return true;
-  return parent_ && bytes > parent_->depth_bytes();
 }
 
 void IntServQueue::trace_demote(const Packet& p, TimePoint now) {
@@ -261,21 +241,6 @@ bool IntServQueue::update_reservation(FlowId flow, double rate_bps,
   return true;
 }
 
-void IntServQueue::set_parent_rate(double rate_bps, std::uint32_t bucket_bytes,
-                                   TimePoint now) {
-  config_.parent_rate_bps = rate_bps;
-  config_.parent_bucket_bytes = bucket_bytes;
-  if (rate_bps <= 0.0) {
-    parent_.reset();
-    return;
-  }
-  if (parent_) {
-    parent_->reconfigure(rate_bps, bucket_bytes, now);
-    return;
-  }
-  parent_.emplace(rate_bps, bucket_bytes, now);
-}
-
 void IntServQueue::remove_reservation(FlowId flow) {
   const std::uint32_t slot = slot_of_.find(flow);
   if (slot == kNoSlot) return;
@@ -332,29 +297,11 @@ std::optional<Packet> IntServQueue::enqueue(Packet p, TimePoint now) {
   }
   const std::uint32_t slot = p.flow != kNoFlow ? slot_of_.find(p.flow) : kNoSlot;
   if (slot != kNoSlot) {
-    if (config_.excess_to_best_effort) {
-      // Policing: pay for the packet now; conforming packets get the
-      // guaranteed queue, excess falls through to best effort below.
-      // (Capacity is checked first so a full queue does not burn tokens.)
-      if (flow_fifo_[slot].len < config_.flow_capacity &&
-          policer_consume(flow_bucket_[slot], p.size_bytes, now)) {
-        count_enqueue(p);
-        bytes_ += p.size_bytes;
-        ++packets_;
-        const FlowId id = p.flow;
-        flow_push(slot, id, std::move(p));
-        return std::nullopt;
-      }
-      // Non-conforming: demoted to best effort below.
-      trace_demote(p, now);
-    } else {
-      // Shaping: a packet larger than a bucket depth could never conform
-      // and would wedge the flow queue; treat it as non-conformable.
-      if (shape_unconformable(flow_bucket_[slot], p.size_bytes) ||
-          flow_fifo_[slot].len >= config_.flow_capacity) {
-        count_drop(p);
-        return p;
-      }
+    // Policing: pay for the packet now; conforming packets get the
+    // guaranteed queue, excess falls through to best effort below.
+    // (Capacity is checked first so a full queue does not burn tokens.)
+    if (flow_fifo_[slot].len < config_.flow_capacity &&
+        policer_consume(flow_bucket_[slot], p.size_bytes, now)) {
       count_enqueue(p);
       bytes_ += p.size_bytes;
       ++packets_;
@@ -362,6 +309,8 @@ std::optional<Packet> IntServQueue::enqueue(Packet p, TimePoint now) {
       flow_push(slot, id, std::move(p));
       return std::nullopt;
     }
+    // Non-conforming: demoted to best effort below.
+    trace_demote(p, now);
   }
   if (best_effort_.size() >= config_.best_effort_capacity) {
     count_drop(p);
@@ -374,7 +323,7 @@ std::optional<Packet> IntServQueue::enqueue(Packet p, TimePoint now) {
   return std::nullopt;
 }
 
-std::optional<Packet> IntServQueue::dequeue(TimePoint now) {
+std::optional<Packet> IntServQueue::dequeue() {
   // 1. Control plane first.
   if (!control_.empty()) {
     Packet p = control_.pop_front();
@@ -383,19 +332,14 @@ std::optional<Packet> IntServQueue::dequeue(TimePoint now) {
     count_dequeue();
     return p;
   }
-  // 2. Conforming reserved-flow packets, lowest ready FlowId first, found in
-  // the ready heap instead of by walking every reserved flow.
-  if (config_.excess_to_best_effort) {
-    // Demote mode: queued packets pre-paid their tokens at enqueue, so the
-    // lowest ready flow is always servable.
-    if (!ready_.empty()) {
-      Packet p = flow_pop(ready_.front().slot);
-      bytes_ -= p.size_bytes;
-      --packets_;
-      count_dequeue();
-      return p;
-    }
-  } else if (auto p = dequeue_shaped(now)) {
+  // 2. Reserved-flow packets, lowest ready FlowId first, found at the top
+  // of the ready heap instead of by walking every reserved flow. They
+  // pre-paid their tokens at enqueue, so the top flow is always servable.
+  if (!ready_.empty()) {
+    Packet p = flow_pop(ready_.front().slot);
+    bytes_ -= p.size_bytes;
+    --packets_;
+    count_dequeue();
     return p;
   }
   // 3. Best effort.
@@ -407,54 +351,6 @@ std::optional<Packet> IntServQueue::dequeue(TimePoint now) {
     return p;
   }
   return std::nullopt;
-}
-
-std::optional<Packet> IntServQueue::dequeue_shaped(TimePoint now) {
-  if (ready_.empty()) return std::nullopt;
-  // Best-first walk of the heap: scan_ is a min-heap of heap positions
-  // ordered by FlowId, seeded with the root; popping a position and
-  // pushing its two children yields the ready flows in ascending FlowId.
-  const auto later = [this](std::uint32_t a, std::uint32_t b) {
-    return ready_[a].id > ready_[b].id;
-  };
-  scan_.clear();
-  scan_.push_back(0);
-  while (!scan_.empty()) {
-    std::pop_heap(scan_.begin(), scan_.end(), later);
-    const std::uint32_t pos = scan_.back();
-    scan_.pop_back();
-    const std::uint32_t slot = ready_[pos].slot;
-    if (policer_consume(flow_bucket_[slot], flow_front(slot).size_bytes, now)) {
-      Packet p = flow_pop(slot);  // mutates the heap: return at once
-      bytes_ -= p.size_bytes;
-      --packets_;
-      count_dequeue();
-      return p;
-    }
-    for (std::uint32_t child = 2 * pos + 1; child <= 2 * pos + 2; ++child) {
-      if (child < ready_.size()) {
-        scan_.push_back(child);
-        std::push_heap(scan_.begin(), scan_.end(), later);
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<Duration> IntServQueue::next_ready_delay(TimePoint now) const {
-  if (!control_.empty() || !best_effort_.empty()) return Duration::zero();
-  if (config_.excess_to_best_effort) {
-    // Pre-paid: any ready flow is immediately servable.
-    return ready_.empty() ? std::nullopt : std::make_optional(Duration::zero());
-  }
-  // The minimum wait does not depend on visiting order: walk the heap array.
-  Duration best = Duration::max();
-  for (const ReadyFlow& f : ready_) {
-    best = std::min(best, policer_wait(flow_bucket_[f.slot],
-                                       flow_front(f.slot).size_bytes, now));
-  }
-  if (best == Duration::max()) return std::nullopt;  // nothing queued anywhere
-  return best;
 }
 
 }  // namespace aqm::net

@@ -52,13 +52,10 @@ class Queue {
   /// dropped (so the caller can report it); nullopt when accepted.
   virtual std::optional<Packet> enqueue(Packet p, TimePoint now) = 0;
 
-  /// Next packet eligible for transmission, if any.
-  virtual std::optional<Packet> dequeue(TimePoint now) = 0;
-
-  /// When packets are queued but none is currently eligible (e.g. a reserved
-  /// flow waiting for tokens), returns the delay after which dequeue() should
-  /// be retried. nullopt = nothing queued at all.
-  [[nodiscard]] virtual std::optional<Duration> next_ready_delay(TimePoint now) const = 0;
+  /// Next packet to transmit; nullopt only when the queue is empty. Every
+  /// admission decision (policing included) is made at enqueue, so a
+  /// queued packet is always eligible and dequeue needs no clock.
+  virtual std::optional<Packet> dequeue() = 0;
 
   [[nodiscard]] virtual std::size_t packets() const = 0;
   [[nodiscard]] virtual std::size_t bytes() const = 0;
@@ -121,8 +118,7 @@ class DropTailQueue final : public Queue {
   explicit DropTailQueue(std::size_t capacity_packets);
 
   std::optional<Packet> enqueue(Packet p, TimePoint now) override;
-  std::optional<Packet> dequeue(TimePoint now) override;
-  [[nodiscard]] std::optional<Duration> next_ready_delay(TimePoint now) const override;
+  std::optional<Packet> dequeue() override;
   [[nodiscard]] std::size_t packets() const override { return q_.size(); }
   [[nodiscard]] std::size_t bytes() const override { return bytes_; }
   void bind_packet_pool(PacketChunkPool& pool) override { q_.bind(pool); }
@@ -144,8 +140,7 @@ class DiffServQueue final : public Queue {
   explicit DiffServQueue(const std::array<std::size_t, kPhbClassCount>& capacities);
 
   std::optional<Packet> enqueue(Packet p, TimePoint now) override;
-  std::optional<Packet> dequeue(TimePoint now) override;
-  [[nodiscard]] std::optional<Duration> next_ready_delay(TimePoint now) const override;
+  std::optional<Packet> dequeue() override;
   [[nodiscard]] std::size_t packets() const override { return packets_; }
   [[nodiscard]] std::size_t bytes() const override { return bytes_; }
   void bind_packet_pool(PacketChunkPool& pool) override;
@@ -166,21 +161,18 @@ class DiffServQueue final : public Queue {
 };
 
 /// IntServ guaranteed service. Flows with an installed reservation get a
-/// per-flow FIFO policed by a token bucket; conforming reserved packets are
-/// served strictly ahead of best effort. Two policing disciplines for a
-/// reserved flow's excess traffic:
-///  * demote (default): non-conforming packets drop into the best-effort
-///    queue, so an over-rate flow still uses spare capacity (RFC 2211
-///    controlled-load style policing);
-///  * shape: non-conforming packets wait in the flow queue for tokens and
-///    are tail-dropped when it fills.
+/// per-flow FIFO policed by a token bucket at enqueue; conforming reserved
+/// packets are served strictly ahead of best effort. A reserved flow's
+/// excess (non-conforming, or arriving at a full flow queue) is demoted
+/// into the best-effort queue, so an over-rate flow still uses spare
+/// capacity (RFC 2211 controlled-load style policing).
 /// Control-plane (CS6) packets bypass into a dedicated high-priority
 /// sub-queue so signaling survives congestion.
 ///
 /// Per-flow state is flat SoA (DESIGN.md §10): a FlatIndex FlowId ->
 /// dense-slot map over struct-of-arrays fields (token bucket, FIFO
 /// head/tail into a shared packet-node pool, queue length), with an
-/// indexed min-heap of the ready flows holding packets (service scans) —
+/// indexed min-heap of the ready flows holding packets —
 /// so enqueue is O(1)+O(log n), dequeue serves the lowest ready FlowId
 /// without touching the other n-1 flows, and neither allocates once warm.
 /// tests/test_flow_table_diff replays randomized scripts against this queue
@@ -192,8 +184,6 @@ class IntServQueue final : public Queue {
     std::size_t best_effort_capacity = 1000;  // packets
     std::size_t flow_capacity = 100;          // packets per reserved flow
     std::size_t control_capacity = 100;       // packets (CS6 signaling)
-    /// true: police excess into best effort; false: shape in the flow queue.
-    bool excess_to_best_effort = true;
     /// > 0 enables the hierarchical policing parent: one shared per-class
     /// token bucket over all reserved flows; a packet must conform at both
     /// its flow's child bucket and the parent (two bucket touches per
@@ -216,13 +206,6 @@ class IntServQueue final : public Queue {
   /// (callers fall back to install_reservation).
   bool update_reservation(FlowId flow, double rate_bps, std::uint32_t bucket_bytes,
                           TimePoint now);
-  /// Live re-stamp of the hierarchical (HTB-style) parent: rate <= 0 drops
-  /// the parent level, an existing parent is reconfigured in place
-  /// (preserving its fill level), otherwise a fresh parent starts full.
-  void set_parent_rate(double rate_bps, std::uint32_t bucket_bytes, TimePoint now);
-  [[nodiscard]] double parent_rate_bps() const {
-    return parent_ ? parent_->rate_bps() : 0.0;
-  }
   [[nodiscard]] bool has_reservation(FlowId flow) const { return slot_of_.contains(flow); }
   /// Sum of reserved rates. O(1) amortized: maintained incrementally on
   /// id-order appends and recomputed lazily (in id order, so the value is
@@ -235,8 +218,7 @@ class IntServQueue final : public Queue {
 
   // --- Queue interface -------------------------------------------------------
   std::optional<Packet> enqueue(Packet p, TimePoint now) override;
-  std::optional<Packet> dequeue(TimePoint now) override;
-  [[nodiscard]] std::optional<Duration> next_ready_delay(TimePoint now) const override;
+  std::optional<Packet> dequeue() override;
   [[nodiscard]] std::size_t packets() const override { return packets_; }
   [[nodiscard]] std::size_t bytes() const override { return bytes_; }
   void bind_packet_pool(PacketChunkPool& pool) override {
@@ -245,16 +227,10 @@ class IntServQueue final : public Queue {
   }
 
  private:
-  // Two-level policing helpers: with the parent disabled they collapse to
-  // the single-bucket calls (including the refill-on-failed-consume side
+  // Two-level policing: with the parent disabled it collapses to the
+  // single-bucket consume (including its refill-on-failed-consume side
   // effect), which keeps pre-HTB configurations bit-identical.
   bool policer_consume(TokenBucket& child, std::uint32_t bytes, TimePoint now);
-  [[nodiscard]] Duration policer_wait(const TokenBucket& child, std::uint32_t bytes,
-                                      TimePoint now) const;
-  /// Shape mode: true when the packet could never conform (larger than the
-  /// child or parent bucket depth) and would wedge the flow queue.
-  [[nodiscard]] bool shape_unconformable(const TokenBucket& child,
-                                         std::uint32_t bytes) const;
   void trace_demote(const Packet& p, TimePoint now);
 
   // --- flow table ---------------------------------------------------------------
@@ -292,18 +268,11 @@ class IntServQueue final : public Queue {
   void ready_erase(std::uint32_t slot);
   void ready_sift_up(std::size_t pos);
   void ready_sift_down(std::size_t pos);
-  /// Shape mode: serves the lowest-FlowId ready flow whose head packet
-  /// conforms, visiting ready flows in ascending FlowId order (best-first
-  /// over the heap) exactly like the ordered scan it replaces.
-  std::optional<Packet> dequeue_shaped(TimePoint now);
 
   std::uint32_t pool_alloc(Packet&& p);
   Packet pool_release(std::uint32_t node);
   void flow_push(std::uint32_t slot, FlowId id, Packet&& p);
   Packet flow_pop(std::uint32_t slot);
-  [[nodiscard]] const Packet& flow_front(std::uint32_t slot) const {
-    return pool_[flow_fifo_[slot].head].pkt;
-  }
 
   Config config_;
   /// Flat id -> slot index over SoA per-flow fields.
@@ -319,7 +288,6 @@ class IntServQueue final : public Queue {
   /// packet.
   std::vector<ReadyFlow> ready_;
   std::vector<std::uint32_t> ready_pos_;  // by slot
-  std::vector<std::uint32_t> scan_;       // dequeue_shaped scratch: heap positions
   /// Running sum of reserved rates in ascending-FlowId order, and the
   /// highest reserved FlowId it covers. Dirty after a remove, a modify or
   /// a mid-order install; recomputed in id order on the next query.

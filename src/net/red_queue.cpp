@@ -70,16 +70,12 @@ std::optional<Packet> RedQueue::enqueue(Packet p, TimePoint now) {
   return std::nullopt;
 }
 
-std::optional<Packet> RedQueue::dequeue(TimePoint /*now*/) {
+std::optional<Packet> RedQueue::dequeue() {
   if (q_.empty()) return std::nullopt;
   Packet p = q_.pop_front();
   bytes_ -= p.size_bytes;
   count_dequeue();
   return p;
-}
-
-std::optional<Duration> RedQueue::next_ready_delay(TimePoint /*now*/) const {
-  return std::nullopt;
 }
 
 }  // namespace aqm::net

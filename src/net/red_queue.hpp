@@ -33,8 +33,7 @@ class RedQueue final : public Queue {
   explicit RedQueue(RedConfig config);
 
   std::optional<Packet> enqueue(Packet p, TimePoint now) override;
-  std::optional<Packet> dequeue(TimePoint now) override;
-  [[nodiscard]] std::optional<Duration> next_ready_delay(TimePoint now) const override;
+  std::optional<Packet> dequeue() override;
   [[nodiscard]] std::size_t packets() const override { return q_.size(); }
   [[nodiscard]] std::size_t bytes() const override { return bytes_; }
   void bind_packet_pool(PacketChunkPool& pool) override { q_.bind(pool); }

@@ -1,6 +1,7 @@
 #include "net/rsvp.hpp"
 
 #include <cassert>
+#include <cmath>
 
 #include "common/log.hpp"
 
@@ -39,7 +40,6 @@ void RsvpAgent::emit(NodeId dst, PacketKind kind, Msg msg) {
 void RsvpAgent::reserve(FlowId flow, NodeId receiver, FlowSpec spec, ReserveCallback cb) {
   assert(flow != kNoFlow);
   assert(receiver != node_ && "cannot reserve to self");
-  assert(spec.rate_bps > 0.0);
   // Supersede any in-flight request for the same flow.
   if (PendingReserve* prev = pending_.find(flow)) {
     net_.engine().cancel(prev->timeout);
@@ -128,14 +128,21 @@ Status<std::string> RsvpAgent::install_on_link(NodeId neighbor, FlowId flow,
   // On a modify, the flow's old rate is replaced rather than added.
   const double already = q->reserved_rate_bps() - q->flow_rate_bps(flow);
   obs::TraceRecorder* tr = net_.engine().tracer_for(obs::TraceCategory::Net);
-  if (already + spec.rate_bps > budget) {
+  // A spec can arrive from outside the program (a decoded policy
+  // override): a rate that is not a positive finite number, or an empty
+  // bucket, would corrupt the reserved sum and let later requests
+  // over-commit the link, so it is refused like an over-budget request.
+  const bool valid = std::isfinite(spec.rate_bps) && spec.rate_bps > 0.0 &&
+                     spec.bucket_bytes > 0;
+  if (!valid || already + spec.rate_bps > budget) {
     if (tr != nullptr) {
       tr->instant(obs::TraceCategory::Net, "rsvp.reject",
                   tr->track("rsvp:" + net_.node_name(node_)), net_.engine().now(),
                   tr->current(),
                   {{"flow", static_cast<double>(flow)}, {"rate_bps", spec.rate_bps}});
     }
-    return Status<std::string>::err("admission denied on link " +
+    return Status<std::string>::err((valid ? "admission denied on link "
+                                           : "invalid flow spec on link ") +
                                     net_.node_name(node_) + "->" +
                                     net_.node_name(neighbor));
   }

@@ -79,6 +79,9 @@ class RsvpAgent {
   /// Requests an end-to-end reservation for `flow` from this node to
   /// `receiver`. The callback fires exactly once with the outcome.
   /// Re-reserving an existing flow re-signals with the new spec (modify).
+  /// Every IntServ hop refuses a spec whose rate is not a positive finite
+  /// number or whose bucket is empty, through the same ResvErr path as an
+  /// over-budget request.
   void reserve(FlowId flow, NodeId receiver, FlowSpec spec, ReserveCallback cb);
 
   /// Tears down a reservation established from this node.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace aqm::net {
 
@@ -47,15 +46,6 @@ bool TokenBucket::consume(std::uint32_t bytes, TimePoint now) {
   return true;
 }
 
-Duration TokenBucket::time_until_conforms(std::uint32_t bytes, TimePoint now) const {
-  if (bytes > depth_bytes_) return Duration::max();
-  const double have = available(now);
-  const double need = static_cast<double>(bytes) - have;
-  if (need <= 0.0) return Duration::zero();
-  const double wait_s = need * 8.0 / rate_bps_;
-  return Duration{static_cast<std::int64_t>(std::ceil(wait_s * 1e9))};
-}
-
 bool hierarchical_consume(TokenBucket& parent, TokenBucket& child, std::uint32_t bytes,
                           TimePoint now) {
   if (!child.conforms(bytes, now) || !parent.conforms(bytes, now)) return false;
@@ -65,14 +55,6 @@ bool hierarchical_consume(TokenBucket& parent, TokenBucket& child, std::uint32_t
   (void)child_ok;
   (void)parent_ok;
   return true;
-}
-
-Duration hierarchical_time_until_conforms(const TokenBucket& parent,
-                                          const TokenBucket& child, std::uint32_t bytes,
-                                          TimePoint now) {
-  const Duration child_wait = child.time_until_conforms(bytes, now);
-  const Duration parent_wait = parent.time_until_conforms(bytes, now);
-  return std::max(child_wait, parent_wait);
 }
 
 }  // namespace aqm::net

@@ -1,6 +1,7 @@
-// Token bucket used for IntServ guaranteed-service flows: a flow reserved
-// at `rate_bps` with burst `depth_bytes` may transmit a packet whenever the
-// bucket holds at least the packet's size in tokens.
+// Token bucket used for IntServ guaranteed-service flows: a packet of a
+// flow reserved at `rate_bps` with burst `depth_bytes` conforms when the
+// bucket holds at least the packet's size in tokens. IntServQueue polices
+// with it at enqueue; nothing ever waits for tokens.
 #pragma once
 
 #include <cstdint>
@@ -33,10 +34,6 @@ class TokenBucket {
   /// the packet does not conform.
   bool consume(std::uint32_t bytes, TimePoint now);
 
-  /// Time until a packet of `bytes` would conform (zero if it already does;
-  /// Duration::max() if bytes > depth so it can never conform).
-  [[nodiscard]] Duration time_until_conforms(std::uint32_t bytes, TimePoint now) const;
-
  private:
   void refill(TimePoint now);
 
@@ -60,13 +57,5 @@ class TokenBucket {
 /// Consumes from child and parent iff the packet conforms at both levels.
 [[nodiscard]] bool hierarchical_consume(TokenBucket& parent, TokenBucket& child,
                                         std::uint32_t bytes, TimePoint now);
-
-/// Earliest instant-from-now at which the packet conforms at both levels
-/// (the max of the two per-bucket waits; Duration::max() if either bucket
-/// is too shallow to ever pass the packet).
-[[nodiscard]] Duration hierarchical_time_until_conforms(const TokenBucket& parent,
-                                                        const TokenBucket& child,
-                                                        std::uint32_t bytes,
-                                                        TimePoint now);
 
 }  // namespace aqm::net

@@ -42,36 +42,4 @@ void RateSysCond::start() { tick_.start(); }
 
 void RateSysCond::stop() { tick_.stop(); }
 
-TelemetrySysCond::TelemetrySysCond(sim::Engine& engine, obs::TelemetryHub& hub,
-                                   std::string name, std::uint64_t flow,
-                                   Metric metric, Duration poll_period)
-    : SysCond(std::move(name)),
-      engine_(engine),
-      hub_(hub),
-      flow_(flow),
-      metric_(metric),
-      tick_(engine, poll_period, [this] { notify(); }) {
-  hub_.watch(flow_);
-  bind_engine(engine);
-}
-
-double TelemetrySysCond::value() const {
-  const obs::WindowStats w = hub_.window(flow_, engine_.now());
-  switch (metric_) {
-    case Metric::MissRate:
-      return w.miss_rate;
-    case Metric::DropRate:
-      return w.drop_rate;
-    case Metric::P99LatencyMs:
-      return w.p99_latency_ms;
-    case Metric::ThroughputBps:
-      return w.throughput_bps;
-  }
-  return 0.0;
-}
-
-void TelemetrySysCond::start() { tick_.start(); }
-
-void TelemetrySysCond::stop() { tick_.stop(); }
-
 }  // namespace aqm::quo

@@ -11,11 +11,6 @@
 //   * RateSysCond      — windowed event rate (frames/s, bytes/s), evaluated
 //                        periodically on the simulation clock.
 //   * LambdaSysCond    — pull-through facade over any component getter.
-//   * TelemetrySysCond — facade over one flow's TelemetryHub window metric
-//                        (miss rate, drop rate, p99 latency, throughput),
-//                        polled periodically so contract regions track the
-//                        same measured aggregates the feedback control
-//                        plane actuates on.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +21,7 @@
 #include <vector>
 
 #include "common/time.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 
 namespace aqm::quo {
@@ -138,35 +133,6 @@ class RateSysCond final : public SysCond {
   mutable std::deque<std::pair<TimePoint, double>> events_;
   sim::PeriodicTimer tick_;
   double last_notified_ = -1.0;
-};
-
-/// Observes one flow's measured window aggregate from the TelemetryHub.
-/// Each poll period it rolls the flow's window to now, extracts the chosen
-/// metric and notifies unconditionally (a steady bad value must keep the
-/// contract evaluating, exactly like a stalled delivery counter). Contract
-/// regions keyed on this condition see the same numbers the
-/// FeedbackScheduler's control law consumes — the paper's "contracts
-/// observe the managed resources through system condition objects" closed
-/// over the streaming-telemetry plane.
-class TelemetrySysCond final : public SysCond {
- public:
-  enum class Metric { MissRate, DropRate, P99LatencyMs, ThroughputBps };
-
-  TelemetrySysCond(sim::Engine& engine, obs::TelemetryHub& hub, std::string name,
-                   std::uint64_t flow, Metric metric,
-                   Duration poll_period = milliseconds(250));
-
-  [[nodiscard]] double value() const override;
-
-  void start();
-  void stop();
-
- private:
-  sim::Engine& engine_;
-  obs::TelemetryHub& hub_;
-  std::uint64_t flow_;
-  Metric metric_;
-  sim::PeriodicTimer tick_;
 };
 
 }  // namespace aqm::quo

@@ -1,6 +1,5 @@
 #include "oracle/map_intserv_queue.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace aqm::oracle {
@@ -21,13 +20,6 @@ bool MapIntServQueue::police(TokenBucket& child, std::uint32_t bytes, TimePoint 
   child.consume(bytes, now);
   parent_->consume(bytes, now);
   return true;
-}
-
-Duration MapIntServQueue::police_wait(const TokenBucket& child, std::uint32_t bytes,
-                                      TimePoint now) const {
-  const Duration wait = child.time_until_conforms(bytes, now);
-  if (!parent_) return wait;
-  return std::max(wait, parent_->time_until_conforms(bytes, now));
 }
 
 std::optional<Packet> MapIntServQueue::admit(std::deque<Packet>& q, std::size_t capacity,
@@ -107,46 +99,21 @@ std::optional<Packet> MapIntServQueue::enqueue(Packet p, TimePoint now) {
   const auto it = p.flow != net::kNoFlow ? flows_.find(p.flow) : flows_.end();
   if (it != flows_.end()) {
     Flow& f = it->second;
-    if (config_.excess_to_best_effort) {
-      // Capacity first, so a full flow queue burns no tokens.
-      if (f.q.size() < config_.flow_capacity && police(f.bucket, p.size_bytes, now)) {
-        return admit(f.q, config_.flow_capacity, std::move(p));
-      }
-    } else {
-      const bool too_deep = p.size_bytes > f.bucket.depth_bytes() ||
-                            (parent_ && p.size_bytes > parent_->depth_bytes());
-      if (too_deep) {
-        count_drop(p);
-        return p;
-      }
+    // Capacity first, so a full flow queue burns no tokens.
+    if (f.q.size() < config_.flow_capacity && police(f.bucket, p.size_bytes, now)) {
       return admit(f.q, config_.flow_capacity, std::move(p));
     }
   }
   return admit(best_effort_, config_.best_effort_capacity, std::move(p));
 }
 
-std::optional<Packet> MapIntServQueue::dequeue(TimePoint now) {
+std::optional<Packet> MapIntServQueue::dequeue() {
   if (!control_.empty()) return take(control_);
   for (auto& [id, f] : flows_) {
-    if (f.q.empty()) continue;
-    if (config_.excess_to_best_effort || police(f.bucket, f.q.front().size_bytes, now)) {
-      return take(f.q);
-    }
+    if (!f.q.empty()) return take(f.q);
   }
   if (!best_effort_.empty()) return take(best_effort_);
   return std::nullopt;
-}
-
-std::optional<Duration> MapIntServQueue::next_ready_delay(TimePoint now) const {
-  if (!control_.empty() || !best_effort_.empty()) return Duration::zero();
-  Duration best = Duration::max();
-  for (const auto& [id, f] : flows_) {
-    if (f.q.empty()) continue;
-    if (config_.excess_to_best_effort) return Duration::zero();  // paid at enqueue
-    best = std::min(best, police_wait(f.bucket, f.q.front().size_bytes, now));
-  }
-  if (best == Duration::max()) return std::nullopt;
-  return best;
 }
 
 }  // namespace aqm::oracle

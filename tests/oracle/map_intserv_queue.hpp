@@ -9,10 +9,9 @@
 //
 // Semantics, shared with net::IntServQueue:
 //  * CS6 control traffic is served first from its own queue;
-//  * then reserved flows, lowest FlowId first. In demote mode a packet pays
-//    its tokens at enqueue and excess falls to best effort; in shape mode it
-//    waits in its flow queue and pays at dequeue, and a packet deeper than
-//    a bucket is dropped;
+//  * then reserved flows, lowest FlowId first. A packet pays its tokens at
+//    enqueue; excess, and packets arriving at a full flow queue, fall to
+//    best effort;
 //  * then best effort;
 //  * with a parent rate set, a reserved packet must conform at its flow's
 //    bucket and at the shared parent bucket; a packet that fails either
@@ -50,8 +49,7 @@ class MapIntServQueue final : public net::Queue {
   [[nodiscard]] std::size_t reservation_count() const { return flows_.size(); }
 
   std::optional<net::Packet> enqueue(net::Packet p, TimePoint now) override;
-  std::optional<net::Packet> dequeue(TimePoint now) override;
-  [[nodiscard]] std::optional<Duration> next_ready_delay(TimePoint now) const override;
+  std::optional<net::Packet> dequeue() override;
   [[nodiscard]] std::size_t packets() const override { return packets_; }
   [[nodiscard]] std::size_t bytes() const override { return bytes_; }
   void bind_packet_pool(net::PacketChunkPool& /*pool*/) override {}
@@ -63,8 +61,6 @@ class MapIntServQueue final : public net::Queue {
   };
 
   bool police(net::TokenBucket& child, std::uint32_t bytes, TimePoint now);
-  [[nodiscard]] Duration police_wait(const net::TokenBucket& child, std::uint32_t bytes,
-                                     TimePoint now) const;
   /// Accepts into `q` if it holds fewer than `capacity` packets.
   std::optional<net::Packet> admit(std::deque<net::Packet>& q, std::size_t capacity,
                                    net::Packet p);

@@ -30,22 +30,8 @@ void StoreForwardLink::send(net::Packet p) {
 
 void StoreForwardLink::try_transmit() {
   assert(!busy_);
-  if (retry_event_.valid()) {
-    engine_.cancel(retry_event_);
-    retry_event_ = sim::EventId{};
-  }
-  auto next = queue_->dequeue(engine_.now());
-  if (!next) {
-    // Queued but gated: poll again when the head could conform.
-    const auto delay = queue_->next_ready_delay(engine_.now());
-    if (delay && *delay < Duration::max()) {
-      retry_event_ = engine_.after(*delay, [this] {
-        retry_event_ = sim::EventId{};
-        if (!busy_) try_transmit();
-      });
-    }
-    return;
-  }
+  auto next = queue_->dequeue();
+  if (!next) return;
   busy_ = true;
   ++tx_packets_;
   engine_.after(transmission_time(next->size_bytes), [this, p = std::move(*next)]() mutable {

@@ -1,11 +1,10 @@
 // Reference model of net::Link for differential tests.
 //
 // A literal store-and-forward transmitter: when it is idle and the queue
-// has an eligible packet, the packet starts serializing now; one event
+// holds a packet, the packet starts serializing now; one event
 // fires at the end of serialization (draw the corruption loss, free the
 // transmitter, serve the next packet) and one more at the end of
-// propagation (deliver). A queue gated by a token bucket is polled again
-// when its head could conform. That is about two engine events per packet,
+// propagation (deliver). That is about two engine events per packet,
 // against net::Link's one; the packet timing, dequeue instants and loss
 // draws must match it exactly.
 //
@@ -56,7 +55,6 @@ class StoreForwardLink {
   DeliveryFn deliver_;
   DropFn on_drop_;
   bool busy_ = false;
-  sim::EventId retry_event_{};
   std::uint64_t tx_packets_ = 0;
   std::uint64_t corrupted_ = 0;
   Rng loss_rng_;

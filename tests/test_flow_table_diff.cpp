@@ -100,19 +100,6 @@ TEST(HierarchicalTokenBucket, RequiresBothLevels) {
   EXPECT_DOUBLE_EQ(child.available(t0), 900.0);
 }
 
-TEST(HierarchicalTokenBucket, WaitIsTheSlowerLevel) {
-  const TimePoint t0 = TimePoint::zero();
-  TokenBucket parent(800.0, 100);
-  TokenBucket child(8000.0, 1000);
-  ASSERT_TRUE(hierarchical_consume(parent, child, 100, t0));
-  // Parent refills 100 bytes/s, child 1000 bytes/s: the parent dominates.
-  const Duration wait = hierarchical_time_until_conforms(parent, child, 100, t0);
-  EXPECT_EQ(wait, parent.time_until_conforms(100, t0));
-  EXPECT_GT(wait, child.time_until_conforms(100, t0));
-  // A packet deeper than the parent can never conform.
-  EXPECT_EQ(hierarchical_time_until_conforms(parent, child, 500, t0), Duration::max());
-}
-
 // --- IntServQueue operation-script differencing ------------------------------
 
 struct Op {
@@ -174,7 +161,7 @@ std::vector<std::string> run_script(const std::vector<Op>& script,
         break;
       }
       case Op::Kind::Dequeue: {
-        const auto p = q.dequeue(now);
+        const auto p = q.dequeue();
         if (p) {
           line << "deq " << p->flow << " " << p->size_bytes << " "
                << static_cast<int>(p->dscp);
@@ -184,13 +171,11 @@ std::vector<std::string> run_script(const std::vector<Op>& script,
         break;
       }
       case Op::Kind::Probe: {
-        const auto delay = q.next_ready_delay(now);
         line << "probe sum=" << hex(q.reserved_rate_bps())
              << " n=" << q.reservation_count() << " pkts=" << q.packets()
              << " bytes=" << q.bytes()
              << " rate(" << op.flow << ")=" << hex(q.flow_rate_bps(op.flow))
              << " has=" << q.has_reservation(op.flow)
-             << " delay=" << (delay ? std::to_string(delay->ns()) : "none")
              << " stats=" << q.stats().enqueued << "/" << q.stats().dequeued << "/"
              << q.stats().dropped << "/" << q.stats().dropped_bytes;
         break;
@@ -198,10 +183,8 @@ std::vector<std::string> run_script(const std::vector<Op>& script,
     }
     log.push_back(line.str());
   }
-  // Drain whatever is left, far enough out that every shaped packet has
-  // earned its tokens: exit paths must match too.
-  TimePoint end{script.empty() ? 0 : script.back().at_ns + 10'000'000'000};
-  while (auto p = q.dequeue(end)) {
+  // Drain whatever is left: exit paths must match too.
+  while (auto p = q.dequeue()) {
     log.push_back("drain " + std::to_string(p->flow) + " " +
                   std::to_string(p->size_bytes));
   }
@@ -280,33 +263,22 @@ class FlowTableDiff : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FlowTableDiff, DemoteModeMatchesLegacy) {
   IntServQueue::Config config;
-  config.excess_to_best_effort = true;
   config.flow_capacity = 4;           // small: exercises capacity clamps
   config.best_effort_capacity = 32;   // small: exercises demote drops
   const auto script = random_script(GetParam(), 600);
   expect_same(script, config);
 }
 
-TEST_P(FlowTableDiff, ShapeModeMatchesLegacy) {
-  IntServQueue::Config config;
-  config.excess_to_best_effort = false;
-  config.flow_capacity = 4;
-  config.best_effort_capacity = 32;
-  const auto script = random_script(GetParam() ^ 0xD1FFu, 600);
-  expect_same(script, config);
-}
-
 TEST_P(FlowTableDiff, HierarchicalParentMatchesLegacy) {
   // The shared parent bucket must police identically in production and in
-  // the oracle's own two-level policer, in demote and shape mode alike.
-  for (const bool demote : {true, false}) {
+  // the oracle's own two-level policer, over two scripts per seed.
+  for (const std::uint64_t salt : {0xA1u, 0xB2u}) {
     IntServQueue::Config config;
-    config.excess_to_best_effort = demote;
     config.flow_capacity = 4;
     config.best_effort_capacity = 32;
     config.parent_rate_bps = 2e6;
     config.parent_bucket_bytes = 6'000;
-    const auto script = random_script(GetParam() ^ (demote ? 0xA1u : 0xB2u), 600);
+    const auto script = random_script(GetParam() ^ salt, 600);
     expect_same(script, config);
   }
 }

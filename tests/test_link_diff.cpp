@@ -9,7 +9,7 @@
 // Poisson plus flow 6 at 7 Mbps CBR into a 10 Mbps egress for 300 ms —
 // and compares the per-packet (flow, seq, delivery ns) logs, the per-flow
 // drop counts and the transmitted/corrupted counts, across drop-tail,
-// lossy, token-bucket gated (IntServ) and long-propagation configurations.
+// lossy, IntServ-policed and long-propagation configurations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,7 +31,7 @@ namespace {
 
 struct LinkCase {
   double loss_probability = 0.0;
-  bool gated = false;  // IntServ token-bucket egress with one reserved flow
+  bool intserv = false;  // IntServ egress with one policed reserved flow
   Duration propagation = LinkConfig{}.propagation;
   std::uint32_t packet_bytes = kDefaultMtu;
 };
@@ -68,12 +68,12 @@ std::vector<Arrival> arrival_script(const LinkCase& c) {
 }
 
 std::unique_ptr<Queue> make_egress(const LinkCase& c) {
-  if (!c.gated) return std::make_unique<DropTailQueue>(40);
-  // Flow 5 holds a token-bucket reservation in shape mode, exercising the
-  // ready-delay / retry path of the transmitter.
+  if (!c.intserv) return std::make_unique<DropTailQueue>(40);
+  // Flow 5 reserves half of its 8 Mbps offered load: its conforming
+  // packets are served ahead of best effort, the excess is demoted into
+  // the best-effort queue, where it tail-drops alongside flow 6.
   auto q = std::make_unique<IntServQueue>(IntServQueue::Config{
-      /*best_effort_capacity=*/40, /*flow_capacity=*/60, /*control_capacity=*/10,
-      /*excess_to_best_effort=*/false});
+      /*best_effort_capacity=*/40, /*flow_capacity=*/60, /*control_capacity=*/10});
   q->install_reservation(/*flow=*/5, /*rate_bps=*/4e6, /*bucket_bytes=*/6'000,
                          TimePoint::zero());
   return q;
@@ -85,6 +85,7 @@ using Delivery = std::tuple<FlowId, std::uint64_t, std::int64_t>;
 struct LinkCaseStats {
   std::map<FlowId, std::uint64_t> sent;
   std::map<FlowId, std::uint64_t> dropped;  // queue drops and corruption
+  std::map<FlowId, std::uint64_t> queue_dropped;  // rejected inside send()
   std::uint64_t transmitted = 0;
   std::uint64_t corrupted = 0;
   std::uint64_t events_executed = 0;
@@ -105,17 +106,25 @@ LinkCaseStats run_link_case(const LinkCase& c) {
   link.set_delivery([&](Packet&& p) {
     s.deliveries.emplace_back(p.flow, p.seq, engine.now().ns());
   });
-  link.set_drop_hook([&](const Packet& p) { ++s.dropped[p.flow]; });
+  // The egress queue rejects synchronously inside send(); corruption drops
+  // fire later from the engine.
+  bool in_send = false;
+  link.set_drop_hook([&](const Packet& p) {
+    ++s.dropped[p.flow];
+    if (in_send) ++s.queue_dropped[p.flow];
+  });
   for (const Arrival& a : arrival_script(c)) {
     ++s.sent[a.flow];
-    engine.at(TimePoint{a.at_ns}, [&link, a, bytes = c.packet_bytes] {
+    engine.at(TimePoint{a.at_ns}, [&link, &in_send, a, bytes = c.packet_bytes] {
       Packet p;
       p.src = 0;
       p.dst = 1;
       p.flow = a.flow;
       p.seq = a.seq;
       p.size_bytes = bytes;
+      in_send = true;
       link.send(std::move(p));
+      in_send = false;
     });
   }
   engine.run();
@@ -149,6 +158,7 @@ LinkCaseStats expect_equivalent(const LinkCase& c, const char* what) {
 
   EXPECT_EQ(ref.sent, coalesced.sent) << what;
   EXPECT_EQ(ref.dropped, coalesced.dropped) << what;
+  EXPECT_EQ(ref.queue_dropped, coalesced.queue_dropped) << what;
   EXPECT_EQ(ref.transmitted, coalesced.transmitted) << what;
   EXPECT_EQ(ref.corrupted, coalesced.corrupted) << what;
   // Per packet, not only in aggregate: same packets, same order, same
@@ -171,17 +181,34 @@ TEST(LinkCoalescing, EquivalentWithRandomLoss) {
   EXPECT_GT(s.corrupted, 0u);
 }
 
+/// The IntServ cases must exercise all three of its decisions: flow 5's
+/// conforming packets jump the best-effort queue (it gets at least its
+/// 4 Mbps, more than its share under drop-tail), and its demoted excess
+/// tail-drops in the best-effort queue beside flow 6.
+void expect_intserv_decisions(const LinkCaseStats& s, const char* what) {
+  const LinkCaseStats drop_tail = run_link_case<Link>({});
+  const auto delivered = [](const LinkCaseStats& r, FlowId flow) {
+    return std::count_if(r.deliveries.begin(), r.deliveries.end(),
+                         [flow](const Delivery& d) { return std::get<0>(d) == flow; });
+  };
+  const double reserved_packets = 4e6 * 0.3 / (kDefaultMtu * 8.0);
+  EXPECT_GE(static_cast<double>(delivered(s, 5)), 0.95 * reserved_packets) << what;
+  EXPECT_GT(delivered(s, 5), delivered(drop_tail, 5)) << what;
+  EXPECT_GT(s.queue_dropped.count(5), 0u) << what;
+  EXPECT_GT(s.queue_dropped.count(6), 0u) << what;
+}
+
 TEST(LinkCoalescing, EquivalentWithTokenBucketGating) {
   LinkCase c;
-  c.gated = true;
-  expect_equivalent(c, "gated");
+  c.intserv = true;
+  expect_intserv_decisions(expect_equivalent(c, "intserv"), "intserv");
 }
 
 TEST(LinkCoalescing, EquivalentGatedAndLossy) {
   LinkCase c;
-  c.gated = true;
+  c.intserv = true;
   c.loss_probability = 0.03;
-  expect_equivalent(c, "gated+lossy");
+  expect_intserv_decisions(expect_equivalent(c, "intserv+lossy"), "intserv+lossy");
 }
 
 /// Propagation far longer than transmission (20 ms against 0.8 ms for a

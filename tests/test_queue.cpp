@@ -28,10 +28,10 @@ TEST(DropTailQueue, FifoOrder) {
   }
   EXPECT_EQ(q.packets(), 3u);
   EXPECT_EQ(q.bytes(), 600u);
-  EXPECT_EQ(q.dequeue(t0)->size_bytes, 100u);
-  EXPECT_EQ(q.dequeue(t0)->size_bytes, 200u);
-  EXPECT_EQ(q.dequeue(t0)->size_bytes, 300u);
-  EXPECT_FALSE(q.dequeue(t0).has_value());
+  EXPECT_EQ(q.dequeue()->size_bytes, 100u);
+  EXPECT_EQ(q.dequeue()->size_bytes, 200u);
+  EXPECT_EQ(q.dequeue()->size_bytes, 300u);
+  EXPECT_FALSE(q.dequeue().has_value());
 }
 
 TEST(DropTailQueue, DropsWhenFull) {
@@ -45,15 +45,6 @@ TEST(DropTailQueue, DropsWhenFull) {
   EXPECT_EQ(q.stats().enqueued, 2u);
 }
 
-TEST(DropTailQueue, AlwaysReadyWhenNonEmpty) {
-  DropTailQueue q(5);
-  EXPECT_FALSE(q.next_ready_delay(t0).has_value());
-  (void)q.enqueue(make_packet(10), t0);
-  // Drop-tail has no gating: next_ready_delay stays nullopt (callers use
-  // dequeue() directly).
-  EXPECT_FALSE(q.next_ready_delay(t0).has_value());
-}
-
 // --- DiffServQueue -------------------------------------------------------------
 
 TEST(DiffServQueue, EfServedBeforeBestEffort) {
@@ -61,9 +52,9 @@ TEST(DiffServQueue, EfServedBeforeBestEffort) {
   (void)q.enqueue(make_packet(1, dscp::kBestEffort), t0);
   (void)q.enqueue(make_packet(2, dscp::kEf), t0);
   (void)q.enqueue(make_packet(3, dscp::kBestEffort), t0);
-  EXPECT_EQ(q.dequeue(t0)->size_bytes, 2u);
-  EXPECT_EQ(q.dequeue(t0)->size_bytes, 1u);
-  EXPECT_EQ(q.dequeue(t0)->size_bytes, 3u);
+  EXPECT_EQ(q.dequeue()->size_bytes, 2u);
+  EXPECT_EQ(q.dequeue()->size_bytes, 1u);
+  EXPECT_EQ(q.dequeue()->size_bytes, 3u);
 }
 
 TEST(DiffServQueue, StrictPriorityAcrossAllClasses) {
@@ -76,7 +67,7 @@ TEST(DiffServQueue, StrictPriorityAcrossAllClasses) {
   (void)q.enqueue(make_packet(6, dscp::kBestEffort), t0);
   (void)q.enqueue(make_packet(0, dscp::kCs6), t0);
   std::vector<std::uint32_t> order;
-  while (auto p = q.dequeue(t0)) order.push_back(p->size_bytes);
+  while (auto p = q.dequeue()) order.push_back(p->size_bytes);
   EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6}));
 }
 
@@ -111,17 +102,11 @@ IntServQueue::Config small_config() {
   return cfg;
 }
 
-IntServQueue::Config shaping_config() {
-  IntServQueue::Config cfg = small_config();
-  cfg.excess_to_best_effort = false;  // shape in the flow queue
-  return cfg;
-}
-
 TEST(IntServQueue, UnreservedTrafficIsBestEffort) {
   IntServQueue q(small_config());
   (void)q.enqueue(make_packet(1, dscp::kBestEffort, 5), t0);
   EXPECT_EQ(q.packets(), 1u);
-  EXPECT_EQ(q.dequeue(t0)->size_bytes, 1u);
+  EXPECT_EQ(q.dequeue()->size_bytes, 1u);
 }
 
 TEST(IntServQueue, ReservedFlowServedAheadOfBestEffort) {
@@ -129,40 +114,8 @@ TEST(IntServQueue, ReservedFlowServedAheadOfBestEffort) {
   q.install_reservation(7, 1e6, 50'000, t0);
   (void)q.enqueue(make_packet(100, dscp::kBestEffort, kNoFlow), t0);
   (void)q.enqueue(make_packet(200, dscp::kBestEffort, 7), t0);
-  EXPECT_EQ(q.dequeue(t0)->flow, 7u);
-  EXPECT_EQ(q.dequeue(t0)->flow, kNoFlow);
-}
-
-TEST(IntServQueue, NonConformingReservedWaitsForTokens) {
-  IntServQueue q(shaping_config());
-  // 8000 bps = 1000 B/s, bucket 1000 B.
-  q.install_reservation(7, 8000.0, 1000, t0);
-  (void)q.enqueue(make_packet(800, dscp::kBestEffort, 7), t0);
-  (void)q.enqueue(make_packet(800, dscp::kBestEffort, 7), t0);
-  EXPECT_TRUE(q.dequeue(t0).has_value());   // first conforms (bucket full)
-  EXPECT_FALSE(q.dequeue(t0).has_value());  // second must wait for tokens
-  const auto delay = q.next_ready_delay(t0);
-  ASSERT_TRUE(delay.has_value());
-  EXPECT_NEAR(delay->seconds(), 0.6, 0.01);  // needs 600 more bytes at 1000 B/s
-  const TimePoint later = t0 + *delay;
-  EXPECT_TRUE(q.dequeue(later).has_value());
-}
-
-TEST(IntServQueue, FlowQueueTailDropsWhenFull) {
-  IntServQueue q(shaping_config());  // flow capacity 4
-  q.install_reservation(7, 8000.0, 10'000, t0);
-  int dropped = 0;
-  for (int i = 0; i < 6; ++i) {
-    if (q.enqueue(make_packet(500, dscp::kBestEffort, 7), t0).has_value()) ++dropped;
-  }
-  EXPECT_EQ(dropped, 2);
-  EXPECT_EQ(q.stats().dropped, 2u);
-}
-
-TEST(IntServQueue, OversizedReservedPacketDroppedWhenShaping) {
-  IntServQueue q(shaping_config());
-  q.install_reservation(7, 8000.0, 1000, t0);
-  EXPECT_TRUE(q.enqueue(make_packet(2000, dscp::kBestEffort, 7), t0).has_value());
+  EXPECT_EQ(q.dequeue()->flow, 7u);
+  EXPECT_EQ(q.dequeue()->flow, kNoFlow);
 }
 
 TEST(IntServQueue, ExcessDemotesToBestEffortByDefault) {
@@ -176,8 +129,8 @@ TEST(IntServQueue, ExcessDemotesToBestEffortByDefault) {
   EXPECT_EQ(q.packets(), 2u);
   EXPECT_EQ(q.stats().dropped, 0u);
   // Both are immediately eligible (no token gating at dequeue).
-  EXPECT_TRUE(q.dequeue(t0).has_value());
-  EXPECT_TRUE(q.dequeue(t0).has_value());
+  EXPECT_TRUE(q.dequeue().has_value());
+  EXPECT_TRUE(q.dequeue().has_value());
 }
 
 TEST(IntServQueue, DemotedExcessDropsOnlyWhenBestEffortFull) {
@@ -196,19 +149,25 @@ TEST(IntServQueue, ControlPlaneBypassesEverything) {
   q.install_reservation(7, 1e9, 50'000, t0);
   (void)q.enqueue(make_packet(1, dscp::kBestEffort, 7), t0);
   (void)q.enqueue(make_packet(2, dscp::kCs6), t0);
-  EXPECT_EQ(q.dequeue(t0)->size_bytes, 2u);
+  EXPECT_EQ(q.dequeue()->size_bytes, 2u);
 }
 
 TEST(IntServQueue, RemoveReservationDemotesQueuedPackets) {
-  IntServQueue q(shaping_config());
+  IntServQueue q(small_config());
   q.install_reservation(7, 8000.0, 1000, t0);
+  (void)q.enqueue(make_packet(1, dscp::kBestEffort), t0);
+  // Both conform (800 of the 1000 bucket bytes) and wait in the flow queue,
+  // ahead of the best-effort packet that arrived first.
   (void)q.enqueue(make_packet(400, dscp::kBestEffort, 7), t0);
   (void)q.enqueue(make_packet(400, dscp::kBestEffort, 7), t0);
   q.remove_reservation(7);
   EXPECT_FALSE(q.has_reservation(7));
-  EXPECT_EQ(q.packets(), 2u);  // still queued, now as best effort
-  EXPECT_TRUE(q.dequeue(t0).has_value());
-  EXPECT_TRUE(q.dequeue(t0).has_value());
+  EXPECT_EQ(q.packets(), 3u);  // still queued, now as best effort
+  // Demoted to the tail of the best-effort FIFO.
+  EXPECT_EQ(q.dequeue()->size_bytes, 1u);
+  EXPECT_EQ(q.dequeue()->size_bytes, 400u);
+  EXPECT_EQ(q.dequeue()->size_bytes, 400u);
+  EXPECT_FALSE(q.dequeue().has_value());
 }
 
 TEST(IntServQueue, ReservedRateSumsFlows) {
@@ -221,11 +180,6 @@ TEST(IntServQueue, ReservedRateSumsFlows) {
   // Modify replaces, does not add.
   q.install_reservation(1, 0.5e6, 10'000, t0);
   EXPECT_DOUBLE_EQ(q.reserved_rate_bps(), 2.5e6);
-}
-
-TEST(IntServQueue, NextReadyNulloptWhenEmpty) {
-  IntServQueue q(small_config());
-  EXPECT_FALSE(q.next_ready_delay(t0).has_value());
 }
 
 }  // namespace

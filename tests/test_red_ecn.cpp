@@ -50,7 +50,7 @@ TEST(RedQueue, SustainedBacklogMarksCapablePackets) {
   EXPECT_EQ(q.early_dropped(), 0u);  // capable packets are marked, not dropped
   // Marked packets come out with CongestionExperienced set.
   int ce = 0;
-  while (auto p = q.dequeue(TimePoint::zero())) {
+  while (auto p = q.dequeue()) {
     if (p->ecn == Ecn::CongestionExperienced) ++ce;
   }
   EXPECT_EQ(static_cast<std::uint64_t>(ce), q.ecn_marked());

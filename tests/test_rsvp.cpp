@@ -1,6 +1,7 @@
 // RSVP signaling: PATH/RESV establishment, admission control, teardown.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -87,6 +88,49 @@ TEST_F(RsvpFixture, AdmissionRejectsOverBudgetAndTearsDown) {
   EXPECT_FALSE(queue_on(router, receiver)->has_reservation(2));
   // Flow 1 untouched.
   EXPECT_TRUE(queue_on(router, receiver)->has_reservation(1));
+}
+
+/// Reserves `spec` for `flow` from sender to receiver and runs signaling
+/// to completion; returns the outcome.
+Status<std::string> reserve_and_run(RsvpFixture& f, FlowId flow, FlowSpec spec) {
+  std::optional<Status<std::string>> out;
+  f.agent_at(f.sender).reserve(flow, f.receiver, spec,
+                               [&](Status<std::string> s) { out = std::move(s); });
+  f.engine.run();
+  EXPECT_TRUE(out.has_value());
+  return out ? *out : Status<std::string>::err("no outcome");
+}
+
+TEST_F(RsvpFixture, NegativeRateIsRejectedAndCannotInflateTheBudget) {
+  const auto negative = reserve_and_run(*this, 1, FlowSpec{-5e6, 16'000});
+  ASSERT_FALSE(negative.ok());
+  EXPECT_NE(negative.error().find("invalid flow spec"), std::string::npos);
+  EXPECT_TRUE(reserve_and_run(*this, 2, FlowSpec{8e6, 16'000}).ok());
+  // 8 + 2 Mbps exceeds the 9 Mbps reservable: a negative rate left behind
+  // would have made room for it.
+  EXPECT_FALSE(reserve_and_run(*this, 3, FlowSpec{2e6, 16'000}).ok());
+  for (IntServQueue* q : {queue_on(sender, router), queue_on(router, receiver)}) {
+    EXPECT_FALSE(q->has_reservation(1));
+    EXPECT_FALSE(q->has_reservation(3));
+    EXPECT_DOUBLE_EQ(q->reserved_rate_bps(), 8e6);
+  }
+}
+
+TEST_F(RsvpFixture, NanRateIsRejectedAndReservedSumStaysFinite) {
+  EXPECT_FALSE(reserve_and_run(*this, 1, FlowSpec{std::nan(""), 16'000}).ok());
+  EXPECT_FALSE(reserve_and_run(*this, 2, FlowSpec{50e6, 16'000}).ok());
+  for (IntServQueue* q : {queue_on(sender, router), queue_on(router, receiver)}) {
+    EXPECT_FALSE(q->has_reservation(1));
+    EXPECT_TRUE(std::isfinite(q->reserved_rate_bps()));
+    EXPECT_LE(q->reserved_rate_bps(), 9e6);
+  }
+}
+
+TEST_F(RsvpFixture, EmptyBucketIsRejected) {
+  EXPECT_FALSE(reserve_and_run(*this, 1, FlowSpec{1e6, 0}).ok());
+  EXPECT_FALSE(agent_at(sender).confirmed(1));
+  EXPECT_FALSE(queue_on(sender, router)->has_reservation(1));
+  EXPECT_FALSE(queue_on(router, receiver)->has_reservation(1));
 }
 
 TEST_F(RsvpFixture, ReleaseRemovesStateEverywhere) {

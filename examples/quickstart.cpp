@@ -1,7 +1,7 @@
 // Quickstart: two simulated hosts, an RT-CORBA style ORB on each, one
 // servant, a prioritized twoway call, and a look at what the RT machinery
 // did (priority propagation, mapping, DSCP marking) — then a custom
-// portable interceptor riding the invocation pipeline, and a
+// portable interceptor around the ORB's own stages, and a
 // deadline-bounded call with automatic retry.
 //
 // Build & run:  ./build/examples/quickstart
@@ -19,12 +19,12 @@ namespace {
 
 using namespace aqm;
 
-// A custom client interceptor: every invocation crosses the pipeline, so
-// this sees (and could rewrite) the QoS decision in `establish`, and
-// stamps its own GIOP service context in `send_request` — without any
-// change to the call sites. User client interceptors run BEFORE the
-// built-ins, so a priority rewritten here would still be mapped, stamped,
-// and DSCP-marked by them.
+// A custom client interceptor: every invocation crosses it, so this sees
+// (and could rewrite) the QoS decision in `establish`, and stamps its own
+// GIOP service context in `send_request` — without any change to the call
+// sites. Client interceptors run BEFORE the ORB's own stage, so a
+// priority rewritten here would still be mapped, stamped, and DSCP-marked
+// by the ORB.
 class AuditInterceptor final : public orb::ClientRequestInterceptor {
  public:
   static constexpr std::uint32_t kContextId = 0x41554454;  // "AUDT"
@@ -48,8 +48,8 @@ class AuditInterceptor final : public orb::ClientRequestInterceptor {
   }
 };
 
-// The matching server half observes the fully resolved request (user
-// server interceptors run AFTER the built-ins) and reads the custom
+// The matching server half observes the fully resolved request (server
+// interceptors run AFTER the ORB's own stage) and reads the custom
 // context back off the wire.
 class AuditServerInterceptor final : public orb::ServerRequestInterceptor {
  public:
@@ -125,14 +125,14 @@ int main() {
 
   engine.run();
 
-  // --- the invocation pipeline, extended ----------------------------------------
+  // --- registered interceptors ---------------------------------------------------
   std::cout << "\ncustom interceptors on the invocation pipeline:\n";
   client.add_client_interceptor(std::make_unique<AuditInterceptor>());
   server.add_server_interceptor(std::make_unique<AuditServerInterceptor>());
 
-  // Deadline + retry ride the same pipeline: the deadline travels in a
-  // service context and the server drops expired requests pre-dispatch;
-  // a timeout re-issues the call with exponential backoff.
+  // Deadline + retry are ORB stages: the deadline travels in a service
+  // context and the server drops expired requests pre-dispatch; a timeout
+  // re-issues the call with exponential backoff.
   stub.set_deadline(milliseconds(50));
   stub.set_retry({3, milliseconds(10), 2.0});
   stub.twoway("ping", {'p', 'i', 'n', 'g'},

@@ -21,8 +21,7 @@ namespace aqm::core {
 /// accumulate in the GIOP transport and ship as one wire write, flushed by
 /// byte/count thresholds or the deadline — the flush policy is itself QoS
 /// (a latency/efficiency trade), so it lives on the end-to-end policy and
-/// travels through QoSSession / the interceptor pipeline like priority and
-/// DSCP do.
+/// is applied by QoSSession like priority and DSCP are.
 struct OnewayBatchingPolicy {
   std::uint32_t max_bytes = 16 * 1024;
   std::uint32_t max_messages = 64;
@@ -61,9 +60,8 @@ struct EndToEndQosPolicy {
 
   // --- transport batching (coalesced writes) --------------------------------
   /// Enables GIOP message coalescing on the binding's flow (requires
-  /// `flow`). QoSSession plumbs this to GiopTransport::set_flow_batching;
-  /// the flush deadline also rides each invocation through the pipeline's
-  /// batch_flush_override slot.
+  /// `flow`). QoSSession installs it as the flow's GiopTransport batching
+  /// policy, `flush_deadline` as its flush_delay.
   std::optional<OnewayBatchingPolicy> oneway_batching;
 
   // --- service-level objective (telemetry contract, DESIGN.md §12) ----------

@@ -133,15 +133,12 @@ orb::InterceptStatus QosPolicyInterceptor::establish(orb::ClientRequestContext& 
   }
   if (policy.flow && ctx.flow == net::kNoFlow) ctx.flow = *policy.flow;
   // Policy deadline: a caller-pinned deadline (InvokeOptions or an earlier
-  // interceptor) wins; otherwise the built-in deadline interceptor sees
-  // the absolute deadline we stamp here.
+  // interceptor) wins; otherwise the ORB stamps the absolute deadline set
+  // here.
   const bool caller_deadline =
       ctx.deadline.has_value() ||
       (ctx.options != nullptr && ctx.options->deadline.has_value());
   if (policy.deadline && !caller_deadline) ctx.deadline = ctx.now + *policy.deadline;
-  if (policy.oneway_batching) {
-    ctx.batch_flush_override = policy.oneway_batching->flush_deadline;
-  }
   return {};
 }
 

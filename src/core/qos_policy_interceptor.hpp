@@ -1,5 +1,6 @@
 // Client-side interceptor that applies EndToEndQosPolicy decisions to every
-// invocation of a bound object reference — the pipeline half of QoSSession.
+// invocation of a bound object reference — the per-invocation half of
+// QoSSession.
 //
 // One instance is installed per client OrbEndpoint (find-or-install by
 // name) and holds the per-binding policies, keyed by (target node, object

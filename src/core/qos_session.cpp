@@ -70,8 +70,7 @@ void QoSSession::apply(EndToEndQosPolicy policy, ApplyCallback cb) {
   interceptor_bound_ = true;
 
   // Transport coalescing is flow-scoped wire behavior, applied directly to
-  // the client transport (the per-invocation flush override additionally
-  // rides through the QoS-policy interceptor).
+  // the client transport.
   if (policy_.oneway_batching) {
     if (!policy_.flow) {
       errors_.emplace_back("oneway batching requires the binding to have a flow id");
@@ -138,7 +137,7 @@ void QoSSession::update(EndToEndQosPolicy policy, ApplyCallback cb) {
   const bool flow_changed = policy.flow != policy_.flow;
   if (flow_changed && policy.flow) stub_.set_flow(*policy.flow);
 
-  // Priority / DSCP / deadline / flow / flush-override: one in-place,
+  // Priority / DSCP / deadline / flow: one in-place,
   // allocation-free re-stamp of the versioned binding state. Every later
   // invocation reads the new state; nothing is torn down or rebound.
   QosPolicyInterceptor::install(client_orb_)

@@ -17,7 +17,6 @@ const char* to_string(TraceCategory c) {
     case TraceCategory::Os: return "os";
     case TraceCategory::Quo: return "quo";
     case TraceCategory::App: return "app";
-    case TraceCategory::Pipeline: return "pipeline";
   }
   return "?";
 }

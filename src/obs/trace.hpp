@@ -49,16 +49,14 @@ enum class TraceCategory : std::uint32_t {
   Net = 1u << 1,     // links, queues, RED, token buckets, RSVP
   Orb = 1u << 2,     // request send/dispatch/reply, marshal, transport
   Os = 1u << 3,      // CPU reserves
-  Quo = 1u << 4,       // contract region transitions, syscond updates
-  App = 1u << 5,       // driver/example-level annotations
-  Pipeline = 1u << 6,  // per-interceptor invocation pipeline stages
+  Quo = 1u << 4,     // contract region transitions, syscond updates
+  App = 1u << 5,     // driver/example-level annotations
 };
 inline constexpr std::uint32_t kAllCategories = 0xffffffffu;
-/// Everything except the two very chatty lanes: per-event engine dispatch
-/// and per-interceptor pipeline stages (opt in with kAllCategories).
+/// Everything except the very chatty per-event engine dispatch lane (opt in
+/// with kAllCategories).
 inline constexpr std::uint32_t kDefaultCategories =
-    kAllCategories & ~(static_cast<std::uint32_t>(TraceCategory::Engine) |
-                       static_cast<std::uint32_t>(TraceCategory::Pipeline));
+    kAllCategories & ~static_cast<std::uint32_t>(TraceCategory::Engine);
 
 [[nodiscard]] const char* to_string(TraceCategory c);
 

@@ -41,7 +41,6 @@ OrbEndpoint::OrbEndpoint(net::Network& net, net::NodeId node, os::Cpu& cpu, OrbC
     : net_(net), cpu_(cpu), config_(config), transport_(net, node, config.transport) {
   transport_.set_message_handler(
       [this](net::NodeId src, const MessageView& msg) { on_message(src, msg); });
-  install_builtin_interceptors();
 }
 
 Poa& OrbEndpoint::create_poa(const std::string& name, PoaPolicies policies) {
@@ -74,56 +73,13 @@ obs::TraceRecorder* OrbEndpoint::orb_tracer() {
   return tr;
 }
 
-obs::TraceRecorder* OrbEndpoint::pipeline_tracer() {
-  obs::TraceRecorder* tr = engine().tracer_for(obs::TraceCategory::Pipeline);
-  if (tr != nullptr && obs_bound_ != tr) {
-    obs_track_ = tr->track("orb:" + net_.node_name(node()));
-    obs_bound_ = tr;
-  }
-  return tr;
-}
-
 // --- interceptor registration ------------------------------------------------
-
-void OrbEndpoint::install_builtin_interceptors() {
-  // Client chain (wire-nearest last): the priority mapper must run before
-  // the DSCP/flow stages that consume the resolved priority, and the DSCP
-  // stage before flow classification (classifiers may key on the codepoint).
-  client_chain_.push_back(InterceptorEntry<ClientRequestInterceptor>{
-      std::make_unique<PriorityInterceptor>(*this), /*builtin=*/true});
-  client_chain_.push_back(InterceptorEntry<ClientRequestInterceptor>{
-      std::make_unique<TimestampInterceptor>(), /*builtin=*/true});
-  client_chain_.push_back(InterceptorEntry<ClientRequestInterceptor>{
-      std::make_unique<TraceInterceptor>(), /*builtin=*/true});
-  client_chain_.push_back(InterceptorEntry<ClientRequestInterceptor>{
-      std::make_unique<DeadlineRetryInterceptor>(), /*builtin=*/true});
-  client_chain_.push_back(InterceptorEntry<ClientRequestInterceptor>{
-      std::make_unique<DscpInterceptor>(*this), /*builtin=*/true});
-  client_chain_.push_back(InterceptorEntry<ClientRequestInterceptor>{
-      std::make_unique<FlowClassificationInterceptor>(*this), /*builtin=*/true});
-
-  // Server chain: context extraction order mirrors the client stamping
-  // order (priority, timestamp, trace), then the deadline gate.
-  server_chain_.push_back(InterceptorEntry<ServerRequestInterceptor>{
-      std::make_unique<PriorityInterceptor>(*this), /*builtin=*/true});
-  server_chain_.push_back(InterceptorEntry<ServerRequestInterceptor>{
-      std::make_unique<TimestampInterceptor>(), /*builtin=*/true});
-  server_chain_.push_back(InterceptorEntry<ServerRequestInterceptor>{
-      std::make_unique<TraceInterceptor>(), /*builtin=*/true});
-  server_chain_.push_back(InterceptorEntry<ServerRequestInterceptor>{
-      std::make_unique<DeadlineDropInterceptor>(), /*builtin=*/true});
-  server_chain_.push_back(InterceptorEntry<ServerRequestInterceptor>{
-      std::make_unique<DscpInterceptor>(*this), /*builtin=*/true});
-}
 
 ClientRequestInterceptor& OrbEndpoint::add_client_interceptor(
     std::unique_ptr<ClientRequestInterceptor> icpt) {
   assert(icpt != nullptr);
-  const auto it = client_chain_.insert(
-      client_chain_.begin() + static_cast<std::ptrdiff_t>(client_user_count_),
-      InterceptorEntry<ClientRequestInterceptor>{std::move(icpt)});
-  ++client_user_count_;
-  return *it->icpt;
+  client_chain_.push_back(InterceptorEntry<ClientRequestInterceptor>{std::move(icpt)});
+  return *client_chain_.back().icpt;
 }
 
 ServerRequestInterceptor& OrbEndpoint::add_server_interceptor(
@@ -140,28 +96,14 @@ ClientRequestInterceptor* OrbEndpoint::find_client_interceptor(std::string_view 
   return nullptr;
 }
 
-ServerRequestInterceptor* OrbEndpoint::find_server_interceptor(std::string_view name) {
-  for (auto& entry : server_chain_) {
-    if (name == entry.icpt->name()) return entry.icpt.get();
-  }
-  return nullptr;
-}
-
 // --- chain runners -----------------------------------------------------------
 // Forward in every phase except the client reply/exception path, which
-// unwinds in reverse so user interceptors (registered before the built-ins)
-// observe replies last-in-first-out relative to their request-path order.
-// The server send_reply phase stays forward: the built-in stampers define
-// the reply's service-context byte order.
+// unwinds in reverse so interceptors observe replies last-in-first-out
+// relative to their request-path order.
 
 InterceptStatus OrbEndpoint::run_client_establish(ClientRequestContext& ctx) {
-  obs::TraceRecorder* tr = pipeline_tracer();
   for (auto& entry : client_chain_) {
     ++entry.runs;
-    if (tr != nullptr) {
-      tr->instant(obs::TraceCategory::Pipeline, entry.icpt->name(), obs_track_,
-                  engine().now(), ctx.trace_id);
-    }
     if (auto st = entry.icpt->establish(ctx); !st) {
       ++entry.vetoes;
       return st;
@@ -193,13 +135,8 @@ void OrbEndpoint::run_client_exception(ClientRequestContext& ctx) {
 }
 
 InterceptStatus OrbEndpoint::run_server_receive(ServerRequestContext& ctx) {
-  obs::TraceRecorder* tr = pipeline_tracer();
   for (auto& entry : server_chain_) {
     ++entry.runs;
-    if (tr != nullptr) {
-      tr->instant(obs::TraceCategory::Pipeline, entry.icpt->name(), obs_track_,
-                  engine().now(), ctx.trace);
-    }
     if (auto st = entry.icpt->receive_request(ctx); !st) {
       ++entry.vetoes;
       return st;
@@ -304,8 +241,7 @@ void OrbEndpoint::start_attempt(std::uint32_t slot) {
   const std::uint32_t request_id = next_request_id_++;
 
   // Establish phase: QoS decisions (priority/DSCP/flow/deadline rewrites)
-  // before any CPU cost is paid; the built-in priority stage maps the final
-  // CORBA priority to the native band the marshal job runs at.
+  // before any CPU cost is paid.
   ClientRequestContext ectx;
   ectx.ref = &rec.ref;
   ectx.operation = &rec.operation;
@@ -317,13 +253,20 @@ void OrbEndpoint::start_attempt(std::uint32_t slot) {
   ectx.priority = resolved;
   ectx.flow = options.flow;
   ectx.deadline = rec.deadline;  // carried across retries
-  ectx.retry = options.retry;
   ectx.body = &rec.body;
-  if (const auto st = run_client_establish(ectx); !st) {
+  InterceptStatus st = run_client_establish(ectx);
+  if (st) {
+    // The ORB's stage: the end-to-end deadline becomes absolute on the
+    // first attempt, and an attempt (a retry's, say) that starts past it
+    // dies before it pays marshal cost.
+    if (!ectx.deadline && options.deadline) ectx.deadline = ectx.now + *options.deadline;
+    if (ectx.deadline && ectx.now > *ectx.deadline) st = veto(CompletionStatus::Timeout);
+  }
+  if (!st) {
     ++stats_.client_vetoed;
     if (st.error() == CompletionStatus::Timeout) {
-      // Deadline already expired at establish time: the pipeline vetoed the
-      // call before any cost was paid, but the application still missed it.
+      // Deadline already expired at establish time: the call was vetoed
+      // before any cost was paid, but the application still missed it.
       ++stats_.deadline_missed;
       if (obs::TelemetryHub* th = engine().telemetry()) {
         th->on_deadline_miss(ectx.flow, engine().now());
@@ -346,7 +289,6 @@ void OrbEndpoint::start_attempt(std::uint32_t slot) {
   rec.deadline = ectx.deadline;
   rec.dscp_override = ectx.dscp_override;
   rec.flow = ectx.flow;
-  rec.flush_override = ectx.batch_flush_override;
   rec.retryable = !options.oneway && options.retry.enabled() &&
                   rec.attempt < options.retry.max_attempts;
   const Duration cost = marshal_cost(rec.body.size() + rec.operation.size() + 64);
@@ -365,9 +307,10 @@ void OrbEndpoint::start_attempt(std::uint32_t slot) {
                      {"priority", static_cast<double>(rec.priority)}});
   }
 
-  // Marshal on the client CPU at the request's native priority, then run
-  // the send_request (stamping) phase and ship.
-  cpu_.submit_for(cost, ectx.native_priority, [this, slot] { send_request(slot); });
+  // Marshal on the client CPU at the native band the final CORBA priority
+  // maps to, then run the send_request (stamping) phase and ship.
+  cpu_.submit_for(cost, priority_mappings_.to_native(rec.priority),
+                  [this, slot] { send_request(slot); });
 }
 
 void OrbEndpoint::send_request(std::uint32_t slot) {
@@ -392,11 +335,8 @@ void OrbEndpoint::send_request(std::uint32_t slot) {
   ctx.dscp_override = rec.dscp_override;
   ctx.flow = rec.flow;
   ctx.deadline = rec.deadline;
-  ctx.batch_flush_override = rec.flush_override;
   ctx.trace_id = rec.trace;
-  ctx.retry = rec.options.retry;
   ctx.contexts = &header.contexts;
-  ctx.context_spare = &context_spare_;
   if (const auto st = run_client_send(ctx); !st) {
     ++stats_.client_vetoed;
     if (rec.trace != 0 && rec.span_name != nullptr) {
@@ -410,6 +350,17 @@ void OrbEndpoint::send_request(std::uint32_t slot) {
     if (!oneway && cb) cb(st.error(), {});
     return;
   }
+
+  // The ORB's contexts follow the interceptors' ones: priority, send
+  // timestamp, trace (if traced), deadline (if any). An explicit override
+  // wins over the reference's protocol DSCP, which wins over the mapping.
+  stamp_priority_context(header.contexts, ctx.priority, &context_spare_);
+  stamp_timestamp_context(header.contexts, ctx.now, &context_spare_);
+  if (ctx.trace_id != 0) stamp_trace_context(header.contexts, ctx.trace_id, &context_spare_);
+  if (ctx.deadline) stamp_deadline_context(header.contexts, *ctx.deadline, &context_spare_);
+  const net::Dscp dscp = ctx.dscp_override      ? *ctx.dscp_override
+                         : rec.ref.protocol.dscp ? *rec.ref.protocol.dscp
+                                                 : dscp_mappings_.to_dscp(ctx.priority);
 
   auto buf = pool_.acquire();
   encode_request(header, rec.body, *buf);
@@ -447,8 +398,7 @@ void OrbEndpoint::send_request(std::uint32_t slot) {
     // same marshaling and dispatch semantics, zero wire time.
     on_message(node(), std::move(bytes));
   } else {
-    transport_.send_message(target, std::move(bytes), ctx.dscp, ctx.flow, trace_id,
-                            ctx.batch_flush_override);
+    transport_.send_message(target, std::move(bytes), dscp, ctx.flow, trace_id);
   }
 }
 
@@ -471,21 +421,31 @@ void OrbEndpoint::on_timeout(std::uint32_t slot) {
 
 void OrbEndpoint::complete_exception(std::uint32_t slot, CompletionStatus status) {
   CallRecord& rec = *calls_[slot];
+  const TimePoint now = engine().now();
+  // Timeouts and transient errors retry with exponential backoff while
+  // attempts remain and the backoff ends inside the deadline; hard
+  // failures are final.
+  std::optional<Duration> backoff;
+  if (rec.retryable &&
+      (status == CompletionStatus::Timeout || status == CompletionStatus::Transient)) {
+    const Duration wait = rec.options.retry.backoff_after(rec.attempt);
+    if (!rec.deadline || now + wait <= *rec.deadline) backoff = wait;
+  }
+
   ClientRequestContext ctx;
   ctx.attempt = rec.attempt;
-  ctx.now = engine().now();
+  ctx.now = now;
   ctx.status = status;
   ctx.trace_id = rec.trace;
   if (rec.retryable) {
     ctx.ref = &rec.ref;
     ctx.operation = &rec.operation;
     ctx.options = &rec.options;
-    ctx.retry = rec.options.retry;
     ctx.deadline = rec.deadline;
   }
   run_client_exception(ctx);
 
-  if (ctx.retry_requested && rec.retryable) {
+  if (backoff) {
     ++stats_.retries;
     if (obs::TelemetryHub* th = engine().telemetry()) {
       th->on_retry(rec.options.flow, engine().now());
@@ -494,9 +454,9 @@ void OrbEndpoint::complete_exception(std::uint32_t slot, CompletionStatus status
       tr->instant(obs::TraceCategory::Orb, "icpt.retry", obs_track_, engine().now(),
                   rec.trace,
                   {{"attempt", static_cast<double>(rec.attempt + 1)},
-                   {"backoff_us", static_cast<double>(ctx.retry_backoff.ns()) / 1e3}});
+                   {"backoff_us", static_cast<double>(backoff->ns()) / 1e3}});
     }
-    engine().after(ctx.retry_backoff, [this, slot] {
+    engine().after(*backoff, [this, slot] {
       ++calls_[slot]->attempt;
       start_attempt(slot);
     });
@@ -577,9 +537,10 @@ void OrbEndpoint::handle_request(net::NodeId src, GiopMessage& msg, std::size_t 
     return;
   }
 
-  // Receive_request phase: the built-ins resolve priority / timestamp /
-  // trace / deadline from the service contexts; a veto rejects the request
-  // before any thread-pool or servant work is spent on it.
+  // The ORB's stage resolves priority, send timestamp, trace and deadline
+  // from the service contexts, then the receive_request phase runs; a veto
+  // from either rejects the request before any thread-pool or servant work
+  // is spent on it.
   ServerRequestContext rctx;
   rctx.operation = &header.operation;
   rctx.object_key = &header.object_key;
@@ -590,7 +551,26 @@ void OrbEndpoint::handle_request(net::NodeId src, GiopMessage& msg, std::size_t 
   rctx.client = src;
   rctx.now = engine().now();
   rctx.contexts = &header.contexts;
-  if (const auto st = run_server_receive(rctx); !st) {
+  try {
+    rctx.priority = find_priority(header.contexts).value_or(kDefaultCorbaPriority);
+    rctx.client_send_time = find_timestamp(header.contexts);
+    rctx.trace = find_trace(header.contexts).value_or(0);
+    rctx.deadline = find_deadline(header.contexts);
+  } catch (const MarshalError& e) {
+    // A truncated context body is as malformed as an undecodable message.
+    AQM_WARN() << "orb@" << net_.node_name(node()) << ": dropping malformed GIOP ("
+               << e.what() << ")";
+    return;
+  }
+  if (poa->policies().priority_model == PriorityModel::ServerDeclared) {
+    rctx.priority = poa->policies().server_priority;
+  }
+  // Expired before any servant work: reject with the status the client
+  // retries as a timeout.
+  const InterceptStatus st = rctx.deadline && rctx.now > *rctx.deadline
+                                 ? veto(CompletionStatus::Timeout)
+                                 : run_server_receive(rctx);
+  if (!st) {
     ++stats_.server_vetoed;
     if (st.error() == CompletionStatus::Timeout) ++stats_.deadline_dropped;
     if (obs::TraceRecorder* tr = orb_tracer()) {
@@ -730,8 +710,12 @@ void OrbEndpoint::marshal_reply(std::uint32_t slot) {
   header.status = call.reply_status;
   recycle_contexts(header.contexts, context_spare_);
 
-  // Send_reply phase: built-in stampers append the reply's service
-  // contexts and derive the egress DSCP from the reply priority.
+  // The ORB stamps the reply's priority, timestamp and trace contexts and
+  // derives the egress DSCP from the reply priority; the send_reply phase
+  // runs after it.
+  stamp_priority_context(header.contexts, call.reply_priority, &context_spare_);
+  stamp_timestamp_context(header.contexts, engine().now(), &context_spare_);
+  if (call.trace != 0) stamp_trace_context(header.contexts, call.trace, &context_spare_);
   ServerRequestContext rctx;
   rctx.request_id = call.request_id;
   rctx.response_expected = true;
@@ -740,8 +724,8 @@ void OrbEndpoint::marshal_reply(std::uint32_t slot) {
   rctx.priority = call.reply_priority;
   rctx.trace = call.trace;
   rctx.reply_contexts = &header.contexts;
-  rctx.context_spare = &context_spare_;
   rctx.reply_status = call.reply_status;
+  rctx.reply_dscp = dscp_mappings_.to_dscp(call.reply_priority);
   if (const auto st = run_server_reply(rctx); !st) {
     // Reply suppressed: the client sees a timeout.
     ++stats_.server_vetoed;
@@ -812,7 +796,6 @@ void OrbEndpoint::finish_reply(std::uint32_t slot) {
     ctx.ref = &rec.ref;
     ctx.operation = &rec.operation;
     ctx.options = &rec.options;
-    ctx.retry = rec.options.retry;
     ctx.deadline = rec.deadline;
   }
   run_client_reply(ctx);

@@ -1,24 +1,23 @@
 // The ORB endpoint: one per simulated host.
 //
-// Client side: invoke() runs the client interceptor chain's establish
-// phase (QoS decisions: priority, DSCP, flow, deadline), marshals a GIOP
-// request (costed on the host CPU at the mapped native priority), runs the
-// send_request phase (service-context stamping, DSCP/flow classification),
-// and hands the bytes to the transport. Twoway replies are matched by
-// request id with a timeout; the receive_reply / receive_exception phases
-// run before the caller's callback (the deadline/retry interceptor may
-// re-issue the invocation instead of completing it).
+// Client side: invoke() runs the registered interceptors' establish phase
+// (QoS decisions: priority, DSCP, flow, deadline), then the ORB's own
+// stage: the absolute deadline (an expired one vetoes the call) and the
+// priority -> native mapping the marshal job runs at. After the marshal
+// cost, the interceptors' send_request phase runs, then the ORB stamps
+// the RTCorbaPriority / timestamp / trace / deadline service contexts,
+// picks the DSCP, encodes and hands the bytes to the transport. Twoway
+// replies are matched by request id with a timeout; on an error or
+// timeout the ORB decides a bounded retry before the interceptors'
+// receive_exception phase runs.
 //
 // Server side: complete messages are demultiplexed to a POA/servant, the
-// server chain's receive_request phase resolves QoS from the service
-// contexts (and may veto — e.g. the deadline interceptor drops expired
-// requests before any servant work), then the request is dispatched into
-// the POA's RT thread pool. For twoways the reply runs the send_reply
-// phase (context stamping, priority-derived DSCP) on its way out.
-//
-// All previously hard-wired QoS behaviors live in built-in interceptors
-// (see orb/interceptor.hpp); invoke/handle_request/send_reply are now
-// marshal + pipeline + transport.
+// ORB resolves priority, send time, trace and deadline from the service
+// contexts (dropping malformed ones like any undecodable message, and
+// expired deadlines before any servant work), the interceptors'
+// receive_request phase may veto, then the request is dispatched into the
+// POA's RT thread pool. For twoways the ORB stamps the reply's contexts
+// and priority-derived DSCP, then the interceptors' send_reply phase runs.
 //
 // The steady-state round trip allocates nothing (DESIGN.md §8). Each
 // client invocation lives in a recycled call record from invoke() to its
@@ -56,10 +55,6 @@
 #include "os/cpu.hpp"
 #include "sim/engine.hpp"
 
-namespace aqm::net {
-class FlowClassifier;
-}  // namespace aqm::net
-
 namespace aqm::orb {
 
 /// The marshal/demux CPU costs are fixed (orb.cpp); the transport is the
@@ -69,7 +64,7 @@ struct OrbConfig {
 };
 
 // InvokeOptions lives in orb/interceptor.hpp with the rest of the
-// per-invocation pipeline types (deadline/retry knobs included).
+// per-invocation types (deadline/retry knobs included).
 
 struct OrbStats {
   std::uint64_t requests_sent = 0;
@@ -79,11 +74,11 @@ struct OrbStats {
   std::uint64_t timeouts = 0;
   std::uint64_t dispatch_rejected = 0;  // thread-pool queue overflows
   std::uint64_t collocated_calls = 0;   // requests that skipped the transport
-  // --- pipeline counters ---------------------------------------------------
+  // --- veto, deadline and retry counters ------------------------------------
   std::uint64_t client_vetoed = 0;     // invocations short-circuited client-side
-  std::uint64_t server_vetoed = 0;     // requests rejected by the server chain
+  std::uint64_t server_vetoed = 0;     // requests or replies rejected server-side
   std::uint64_t deadline_dropped = 0;  // server vetoes for expired deadlines
-  std::uint64_t retries = 0;           // re-issued attempts (deadline/retry)
+  std::uint64_t retries = 0;           // re-issued attempts
   std::uint64_t deadline_missed = 0;   // client-side misses: pre-send expiry + timeouts
 };
 
@@ -108,29 +103,22 @@ class OrbEndpoint {
   void set_client_priority(CorbaPriority p) { client_priority_ = p; }
   [[nodiscard]] CorbaPriority client_priority() const { return client_priority_; }
 
-  // --- invocation pipeline ------------------------------------------------------
+  // --- interceptors --------------------------------------------------------------
 
-  /// Registers a client interceptor. User interceptors run BEFORE the
-  /// built-ins in the establish/send_request phases (their QoS decisions
-  /// feed the built-in stampers) and after them, in reverse registration
-  /// order, on the receive_reply/receive_exception path. Returns the
-  /// registered instance.
+  /// Registers a client interceptor. Interceptors run in registration
+  /// order BEFORE the ORB's own stage in establish/send_request (their QoS
+  /// decisions are what the ORB maps and stamps) and after it, in reverse
+  /// registration order, on the receive_reply/receive_exception path.
+  /// Returns the registered instance.
   ClientRequestInterceptor& add_client_interceptor(
       std::unique_ptr<ClientRequestInterceptor> icpt);
-  /// Registers a server interceptor. User interceptors run AFTER the
-  /// built-ins (they observe fully resolved requests) in every phase.
+  /// Registers a server interceptor. Interceptors run in registration
+  /// order AFTER the ORB's own stage (they observe fully resolved
+  /// requests) in every phase.
   ServerRequestInterceptor& add_server_interceptor(
       std::unique_ptr<ServerRequestInterceptor> icpt);
-  /// Finds a registered interceptor by name() (nullptr when absent).
+  /// Finds a registered client interceptor by name() (nullptr when absent).
   [[nodiscard]] ClientRequestInterceptor* find_client_interceptor(std::string_view name);
-  [[nodiscard]] ServerRequestInterceptor* find_server_interceptor(std::string_view name);
-
-  /// Installs the flow classifier consulted by the built-in net.flow
-  /// interceptor (non-owning; nullptr uninstalls).
-  void set_flow_classifier(net::FlowClassifier* classifier) {
-    flow_classifier_ = classifier;
-  }
-  [[nodiscard]] net::FlowClassifier* flow_classifier() const { return flow_classifier_; }
 
   // --- server side -------------------------------------------------------------
 
@@ -196,7 +184,6 @@ class OrbEndpoint {
     CorbaPriority priority = 0;
     std::optional<net::Dscp> dscp_override;
     net::FlowId flow = net::kNoFlow;  // resolved flow (after send_request)
-    std::optional<Duration> flush_override;
     std::uint64_t trace = 0;
     const char* span_name = nullptr;  // interned "call <op>" for the async end
     sim::EventId timeout{};
@@ -228,24 +215,24 @@ class OrbEndpoint {
   template <typename T>
   struct InterceptorEntry {
     std::unique_ptr<T> icpt;
-    bool builtin = false;
     std::uint64_t runs = 0;
     std::uint64_t vetoes = 0;
   };
 
-  void install_builtin_interceptors();
-
   // --- client call path (all keyed by call-record slot) --------------------
   std::uint32_t acquire_call();
   void release_call(std::uint32_t slot);
-  /// Establish phase + marshal job of the record's current attempt.
+  /// Establish phase, the ORB's deadline and priority mapping, then the
+  /// marshal job of the record's current attempt.
   void start_attempt(std::uint32_t slot);
-  /// Marshal job done: send_request phase, encode, ship.
+  /// Marshal job done: send_request phase, ORB contexts and DSCP, encode,
+  /// ship.
   void send_request(std::uint32_t slot);
   void on_timeout(std::uint32_t slot);
   /// Reply demarshaled: receive_reply or the exception path.
   void finish_reply(std::uint32_t slot);
-  /// Runs receive_exception and either schedules a retry or completes.
+  /// Decides a retry, runs receive_exception, then either re-issues the
+  /// call after the backoff or completes it.
   void complete_exception(std::uint32_t slot, CompletionStatus status);
 
   InterceptStatus run_client_establish(ClientRequestContext& ctx);
@@ -275,14 +262,12 @@ class OrbEndpoint {
   void send_error_reply(std::uint32_t slot, CompletionStatus status, CorbaPriority priority);
   /// Queues the reply marshal job for the record's req.reply_body.
   void send_reply(std::uint32_t slot, ReplyStatus status, CorbaPriority priority);
-  /// Reply marshal job done: send_reply phase, encode, ship, release.
+  /// Reply marshal job done: ORB contexts and DSCP, send_reply phase,
+  /// encode, ship, release.
   void marshal_reply(std::uint32_t slot);
   /// Engine recorder iff orb tracing is on; binds the "orb:<node>" lane on
   /// first use.
   [[nodiscard]] obs::TraceRecorder* orb_tracer();
-  /// Engine recorder iff the (chatty, off-by-default) per-interceptor
-  /// pipeline lane is enabled.
-  [[nodiscard]] obs::TraceRecorder* pipeline_tracer();
   [[nodiscard]] Duration marshal_cost(std::size_t bytes) const;
   [[nodiscard]] Duration demarshal_cost(std::size_t bytes) const;
 
@@ -315,11 +300,9 @@ class OrbEndpoint {
   std::vector<ServiceContext> context_spare_;
   std::uint32_t next_request_id_ = 1;
   OrbStats stats_;
-  // Client chain: [user..., built-ins...]; server chain: [built-ins..., user...].
+  // Registered interceptors, in registration order.
   std::vector<InterceptorEntry<ClientRequestInterceptor>> client_chain_;
   std::vector<InterceptorEntry<ServerRequestInterceptor>> server_chain_;
-  std::size_t client_user_count_ = 0;  // insertion point for user client interceptors
-  net::FlowClassifier* flow_classifier_ = nullptr;
   obs::TraceRecorder* obs_bound_ = nullptr;
   std::uint16_t obs_track_ = 0;
   std::uint64_t last_dispatch_trace_ = 0;
@@ -345,7 +328,7 @@ class ObjectStub {
   void set_deadline(Duration deadline) { deadline_ = deadline; }
   void clear_deadline() { deadline_.reset(); }
   /// Per-binding retry policy for twoway timeouts (bounded exponential
-  /// backoff, driven by the deadline/retry interceptor).
+  /// backoff, applied by the client ORB).
   void set_retry(RetryPolicy retry) { retry_ = retry; }
 
   void oneway(const std::string& operation, std::vector<std::uint8_t> body);

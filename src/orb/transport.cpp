@@ -60,8 +60,7 @@ const BatchPolicy* GiopTransport::flow_batching(net::FlowId flow) const {
 }
 
 void GiopTransport::send_message(net::NodeId dst, MessageBuffer msg, net::Dscp dscp,
-                                 net::FlowId flow, std::uint64_t trace,
-                                 std::optional<Duration> flush_override) {
+                                 net::FlowId flow, std::uint64_t trace) {
   assert(msg != nullptr && !msg->empty());
   ++sent_;
   const BatchPolicy& pol = policy_for(flow);
@@ -90,18 +89,8 @@ void GiopTransport::send_message(net::NodeId dst, MessageBuffer msg, net::Dscp d
     s.count = 0;
     s.trace = trace;
     s.active = true;
-    const Duration delay = flush_override.value_or(pol.flush_delay);
-    s.flush_at = net_.engine().now() + delay;
-    s.flush_event = net_.engine().after(delay, [this, slot] { deadline_flush(slot); });
-  } else if (flush_override) {
-    // A tighter per-invocation deadline pulls the whole batch forward.
-    const TimePoint want = net_.engine().now() + *flush_override;
-    if (want < s.flush_at) {
-      net_.engine().cancel(s.flush_event);
-      s.flush_at = want;
-      s.flush_event =
-          net_.engine().after(*flush_override, [this, slot] { deadline_flush(slot); });
-    }
+    s.flush_event =
+        net_.engine().after(pol.flush_delay, [this, slot] { deadline_flush(slot); });
   }
 
   // Append [pad to 4][u32 length LE][bytes] in one growth step: resize

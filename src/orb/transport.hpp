@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -121,12 +120,9 @@ class GiopTransport {
   /// Sends a message to `dst`, stamped with the given DSCP and flow id.
   /// A nonzero `trace` rides on every fragment so per-hop network events
   /// chain to the originating request. With coalescing enabled for the
-  /// flow, the message may be staged instead of shipped immediately;
-  /// `flush_override` (from the interceptor pipeline / QoS policy) pulls
-  /// the staging deadline earlier than the configured flush_delay.
+  /// flow, the message may be staged instead of shipped immediately.
   void send_message(net::NodeId dst, MessageBuffer msg, net::Dscp dscp,
-                    net::FlowId flow = net::kNoFlow, std::uint64_t trace = 0,
-                    std::optional<Duration> flush_override = {});
+                    net::FlowId flow = net::kNoFlow, std::uint64_t trace = 0);
 
   /// Flushes the staging buffer of one (dst, dscp, flow) key, if any.
   void flush(net::NodeId dst, net::Dscp dscp, net::FlowId flow);
@@ -176,7 +172,6 @@ class GiopTransport {
     std::shared_ptr<std::vector<std::uint8_t>> buf;  // pooled; null while inactive
     std::uint32_t count = 0;
     sim::EventId flush_event{};
-    TimePoint flush_at{};
     std::uint64_t trace = 0;  // the first staged message's trace labels the batch
     net::NodeId dst = net::kInvalidNode;
     net::Dscp dscp = 0;

@@ -7,7 +7,7 @@
 // based upon it."
 //
 // A Delegate wraps an ObjectStub and weaves its in-band behaviors into the
-// ORB's invocation pipeline: constructing one installs a per-target
+// client ORB's invocations: constructing one installs a per-target
 // registration on the client ORB's "quo.delegate" interceptor, so the
 // pre-invoke behavior (drop / rewrite / annotate) and the contract gate run
 // in the establish phase for EVERY invocation of the target — including
@@ -38,7 +38,7 @@ enum class CallAction : std::uint8_t {
   Drop,     // suppress the call (completes with Transient)
 };
 
-/// Pipeline half of the QuO delegate layer: one instance per client ORB
+/// Interceptor half of the QuO delegate layer: one instance per client ORB
 /// (find-or-install by name) routing the establish phase to the Delegate
 /// registered for the invocation's target reference.
 class DelegateInterceptor final : public orb::ClientRequestInterceptor {

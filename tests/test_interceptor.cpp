@@ -1,8 +1,9 @@
-// Invocation-pipeline contract: interceptor registration and ordering,
-// veto short-circuits on both sides, deadline expiry drops, bounded
-// retry with exponential backoff, service-context round-trips, QuO
-// delegate gating through the pipeline, and worker-count invariance of
-// the parallel experiment runner with interceptors installed.
+// Invocation-path contract: the service-context wire order of the ORB's
+// own stages around registered interceptors, interceptor ordering, veto
+// short-circuits on both sides, deadline expiry drops, malformed-context
+// drops, bounded retry with exponential backoff, service-context
+// round-trips, QuO delegate gating, and worker-count invariance of the
+// parallel experiment runner with interceptors installed.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +13,7 @@
 
 #include "core/experiment.hpp"
 #include "net/network.hpp"
+#include "obs/trace.hpp"
 #include "orb/interceptor.hpp"
 #include "orb/orb.hpp"
 #include "os/cpu.hpp"
@@ -65,9 +67,8 @@ class ProbeClientInterceptor final : public ClientRequestInterceptor {
       : name_(std::move(name)), log_(log) {}
   [[nodiscard]] const char* name() const override { return name_.c_str(); }
 
-  InterceptStatus establish(ClientRequestContext& ctx) override {
+  InterceptStatus establish(ClientRequestContext&) override {
     log_.push_back(name_ + ".establish");
-    native_priority_seen = ctx.native_priority;
     if (veto_establish) return veto(CompletionStatus::SystemError);
     return {};
   }
@@ -88,7 +89,6 @@ class ProbeClientInterceptor final : public ClientRequestInterceptor {
   bool veto_establish = false;
   std::uint32_t stamp_context_id = 0;
   std::vector<std::uint8_t> stamp_data;
-  os::Priority native_priority_seen = 0;
 
  private:
   std::string name_;
@@ -105,6 +105,8 @@ class ProbeServerInterceptor final : public ServerRequestInterceptor {
     log_.push_back(name_ + ".receive_request");
     priority_seen = ctx.priority;
     had_send_time = ctx.client_send_time.has_value();
+    request_context_ids.clear();
+    for (const ServiceContext& sc : *ctx.contexts) request_context_ids.push_back(sc.id);
     if (watch_context_id != 0) {
       for (const ServiceContext& sc : *ctx.contexts) {
         if (sc.id == watch_context_id) context_data = sc.data;
@@ -116,9 +118,10 @@ class ProbeServerInterceptor final : public ServerRequestInterceptor {
     }
     return {};
   }
-  InterceptStatus send_reply(ServerRequestContext&) override {
+  InterceptStatus send_reply(ServerRequestContext& ctx) override {
     log_.push_back(name_ + ".send_reply");
     if (veto_reply) return veto(CompletionStatus::SystemError);
+    if (stamp_reply_context_id != 0) ctx.reply_contexts->push_back({stamp_reply_context_id, {1}});
     return {};
   }
 
@@ -126,7 +129,9 @@ class ProbeServerInterceptor final : public ServerRequestInterceptor {
   CompletionStatus veto_status = CompletionStatus::Transient;
   bool veto_reply = false;
   std::uint32_t watch_context_id = 0;
+  std::uint32_t stamp_reply_context_id = 0;
   std::vector<std::uint8_t> context_data;
+  std::vector<std::uint32_t> request_context_ids;
   CorbaPriority priority_seen = -1;
   bool had_send_time = false;
 
@@ -137,22 +142,46 @@ class ProbeServerInterceptor final : public ServerRequestInterceptor {
 
 // --- registration and ordering ------------------------------------------------
 
-TEST_F(PipelineFixture, BuiltInChainsAreRegisteredByName) {
-  for (const char* name : {"rt.priority", "obs.timestamp", "obs.trace", "rt.deadline",
-                           "rt.dscp", "net.flow"}) {
-    EXPECT_NE(client.find_client_interceptor(name), nullptr) << name;
-  }
-  for (const char* name : {"rt.priority", "obs.timestamp", "obs.trace", "rt.deadline",
-                           "rt.dscp"}) {
-    EXPECT_NE(server.find_server_interceptor(name), nullptr) << name;
-  }
-  EXPECT_EQ(client.find_client_interceptor("no.such"), nullptr);
+TEST_F(PipelineFixture, ServiceContextsKeepTheirWireOrder) {
+  constexpr std::uint32_t kUserRequestId = 0x600DF00D;
+  constexpr std::uint32_t kUserReplyId = 0x600DF00E;
+  obs::TraceRecorder recorder;
+  engine.set_tracer(&recorder);  // a traced call carries the trace context
+  std::vector<std::string> log;
+  auto& stamper = static_cast<ProbeClientInterceptor&>(client.add_client_interceptor(
+      std::make_unique<ProbeClientInterceptor>("stamp", log)));
+  stamper.stamp_context_id = kUserRequestId;
+  stamper.stamp_data = {1};
+  auto& watcher = static_cast<ProbeServerInterceptor&>(server.add_server_interceptor(
+      std::make_unique<ProbeServerInterceptor>("watch", log)));
+  watcher.stamp_reply_context_id = kUserReplyId;
+  // The reply is read off the wire: this handler replaces the client ORB's.
+  std::vector<std::uint32_t> reply_ids;
+  client.transport().set_message_handler([&](net::NodeId, const MessageView& msg) {
+    for (const ServiceContext& sc : decode(msg.bytes()).reply.contexts) {
+      reply_ids.push_back(sc.id);
+    }
+  });
+
+  const ObjectRef ref = make_echo();
+  InvokeOptions opts;
+  opts.deadline = seconds(1);
+  client.invoke(ref, "echo", {1}, opts, [](CompletionStatus, std::vector<std::uint8_t>) {});
+  engine.run();
+  engine.set_tracer(nullptr);
+
+  EXPECT_EQ(watcher.request_context_ids,
+            (std::vector<std::uint32_t>{kUserRequestId, kRtCorbaPriorityContextId,
+                                        kTimestampContextId, kTraceContextId,
+                                        kDeadlineContextId}));
+  EXPECT_EQ(reply_ids, (std::vector<std::uint32_t>{kRtCorbaPriorityContextId,
+                                                   kTimestampContextId, kTraceContextId,
+                                                   kUserReplyId}));
 }
 
 TEST_F(PipelineFixture, UserInterceptorsRunInRegistrationOrderAndUnwindReversed) {
   std::vector<std::string> log;
-  auto& a = static_cast<ProbeClientInterceptor&>(client.add_client_interceptor(
-      std::make_unique<ProbeClientInterceptor>("a", log)));
+  client.add_client_interceptor(std::make_unique<ProbeClientInterceptor>("a", log));
   client.add_client_interceptor(std::make_unique<ProbeClientInterceptor>("b", log));
   server.add_server_interceptor(std::make_unique<ProbeServerInterceptor>("s", log));
 
@@ -170,9 +199,6 @@ TEST_F(PipelineFixture, UserInterceptorsRunInRegistrationOrderAndUnwindReversed)
       "b.receive_reply", "a.receive_reply",  // reverse unwind
   };
   EXPECT_EQ(log, expected);
-  // User client interceptors run BEFORE the built-ins: the native priority
-  // has not been resolved yet when their establish phase sees the context.
-  EXPECT_EQ(a.native_priority_seen, 0);
 }
 
 TEST_F(PipelineFixture, UserServerInterceptorObservesResolvedRequest) {
@@ -185,7 +211,7 @@ TEST_F(PipelineFixture, UserServerInterceptorObservesResolvedRequest) {
   opts.priority = 12'345;
   client.invoke(ref, "echo", {1}, opts, [](CompletionStatus, std::vector<std::uint8_t>) {});
   engine.run();
-  // Built-ins ran first: priority and send timestamp already extracted.
+  // The ORB ran first: priority and send timestamp already extracted.
   EXPECT_EQ(probe.priority_seen, 12'345);
   EXPECT_TRUE(probe.had_send_time);
 }
@@ -277,6 +303,38 @@ TEST_F(PipelineFixture, GenerousDeadlinePassesThrough) {
   ASSERT_EQ(status, CompletionStatus::Ok);
   EXPECT_EQ(handled, 1);
   EXPECT_EQ(server.stats().deadline_dropped, 0u);
+}
+
+TEST_F(PipelineFixture, TruncatedOrbContextsAreDroppedLikeMalformedMessages) {
+  // A registered client interceptor stamps its contexts first, so the
+  // server finds this 2-byte body before the ORB's well-formed one.
+  std::vector<std::string> log;
+  auto& stamper = static_cast<ProbeClientInterceptor&>(client.add_client_interceptor(
+      std::make_unique<ProbeClientInterceptor>("truncate", log)));
+  stamper.stamp_data = {0xAB, 0xCD};
+  const ObjectRef ref = make_echo();
+  InvokeOptions opts;
+  opts.timeout = milliseconds(50);
+  for (const std::uint32_t id : {kRtCorbaPriorityContextId, kTimestampContextId,
+                                 kTraceContextId, kDeadlineContextId}) {
+    stamper.stamp_context_id = id;
+    std::optional<CompletionStatus> status;
+    client.invoke(ref, "echo", {1}, opts,
+                  [&](CompletionStatus s, std::vector<std::uint8_t>) { status = s; });
+    engine.run();
+    EXPECT_EQ(status, CompletionStatus::Timeout) << "context id " << id;
+  }
+  EXPECT_EQ(handled, 0);
+  EXPECT_EQ(server.stats().requests_dispatched, 0u);
+
+  // The server survived and serves a well-formed request.
+  stamper.stamp_context_id = 0;
+  std::optional<CompletionStatus> status;
+  client.invoke(ref, "echo", {1}, opts,
+                [&](CompletionStatus s, std::vector<std::uint8_t>) { status = s; });
+  engine.run();
+  EXPECT_EQ(status, CompletionStatus::Ok);
+  EXPECT_EQ(handled, 1);
 }
 
 TEST_F(PipelineFixture, RetrySucceedsAfterTransientVetoes) {

@@ -1,8 +1,8 @@
 // GIOP transport batching (DESIGN.md §11).
 //
 // 1. Coalescing mechanics: framing, byte/count threshold flushes, the
-//    deadline flush timer, per-invocation flush overrides, the oversized
-//    bypass, and per-flow policy overrides.
+//    deadline flush timer, the oversized bypass, and per-flow policy
+//    overrides.
 // 2. Differential suite: randomized send/invoke churn must be observably
 //    identical with batching on and off (per-key payload streams at the
 //    transport level; servant bodies and reply bodies at the ORB level).
@@ -202,38 +202,6 @@ TEST(Coalescing, DeadlineFlushShipsAtFlushDelay) {
   // 212 B batch + 40 B overhead at 100 Mb/s + 50 µs propagation ≈ 570 µs.
   EXPECT_GE(delivered_at->ns(), microseconds(500).ns());
   EXPECT_LT(delivered_at->ns(), microseconds(600).ns());
-}
-
-TEST(Coalescing, FlushOverridePullsDeadlineForwardOnly) {
-  World w(batched_config(), batched_config());  // flush_delay = 500 µs
-  int got = 0;
-  std::optional<TimePoint> delivered_at;
-  w.tb->set_message_handler([&](net::NodeId, MessageView) {
-    ++got;
-    delivered_at = w.engine.now();
-  });
-  // Second send carries a tighter deadline: the whole batch moves up.
-  w.ta->send_message(w.b, make_message(100), net::dscp::kBestEffort, 1);
-  w.ta->send_message(w.b, make_message(100), net::dscp::kBestEffort, 1, 0,
-                     microseconds(100));
-  w.engine.run();
-  EXPECT_EQ(got, 2);
-  ASSERT_TRUE(delivered_at);
-  EXPECT_LT(delivered_at->ns(), microseconds(200).ns());
-  EXPECT_EQ(w.ta->batches_sent(), 1u);
-
-  // A looser override never pushes an armed deadline back.
-  got = 0;
-  delivered_at.reset();
-  const TimePoint t0 = w.engine.now();
-  w.ta->send_message(w.b, make_message(100), net::dscp::kBestEffort, 1, 0,
-                     microseconds(100));
-  w.ta->send_message(w.b, make_message(100), net::dscp::kBestEffort, 1, 0,
-                     microseconds(400));
-  w.engine.run();
-  EXPECT_EQ(got, 2);
-  ASSERT_TRUE(delivered_at);
-  EXPECT_LT((*delivered_at - t0).ns(), microseconds(200).ns());
 }
 
 TEST(Coalescing, PerFlowOverrideBeatsGlobalDefault) {

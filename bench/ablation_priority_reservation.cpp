@@ -66,8 +66,9 @@ std::array<StreamRow, 4> run_case(bool priority_driven_reservations) {
         poa, "display" + std::to_string(i), microseconds(400),
         [stats](const media::VideoFrame& f) { stats->on_received(f); });
     s.binding = std::make_unique<av::StreamBinding>(bed.sender_orb, s.sink->ref(), s.flow);
-    // Per-stream CORBA priority as a declarative policy binding on the
-    // QoS-policy interceptor (rather than pinning the stub).
+    // Per-stream CORBA priority as a declarative policy: the session
+    // writes it onto the stream binding's stub, which outlives the
+    // temporary session.
     core::QoSSession(bed.sender_orb, s.binding->stub())
         .apply(PolicyBuilder{}.priority(s.priority));
     auto* binding = s.binding.get();

@@ -57,7 +57,7 @@ PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg,
 
   // Each sender's QoS (priority, DSCP mapping, flow id) is declared once in
   // its EndToEndQosPolicy and applied atomically through a QoSSession, which
-  // binds it on the client ORB's QoS-policy interceptor for this target.
+  // writes it onto the sender's stub.
   // An SLO spec needs the hub; without one the policy applies without it.
   const auto bind = [hub](core::EndToEndQosPolicy policy) {
     if (hub == nullptr) policy.slo.reset();

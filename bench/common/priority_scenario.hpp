@@ -28,9 +28,9 @@ inline core::EndToEndQosPolicy default_sender_policy(net::FlowId flow) {
 struct PriorityScenarioConfig {
   /// Declarative per-sender QoS: each binding's priority, priority->DSCP
   /// mapping, explicit DSCP, and flow id ride one EndToEndQosPolicy applied
-  /// through a QoSSession (i.e. the core QoS-policy interceptor) — the same
-  /// path applications use, replacing the former per-driver scatter of
-  /// stub/ORB mutations.
+  /// through a QoSSession, which writes them onto the sender's stub — the
+  /// same path applications use, replacing the former per-driver scatter
+  /// of stub/ORB mutations.
   core::EndToEndQosPolicy sender1_policy = default_sender_policy(core::kFlowSender1);
   core::EndToEndQosPolicy sender2_policy = default_sender_policy(core::kFlowSender2);
   /// Build the router with a DiffServ (strict-priority PHB) bottleneck

@@ -7,7 +7,7 @@
 // reports delivery counts upstream on a marked control channel (status
 // collection); sender-side system condition objects expose offered vs
 // delivered rate; a contract with full/10fps/2fps regions drives a frame
-// filter inside the delegate in front of the stream binding.
+// filter in front of the stream binding.
 #pragma once
 
 #include <cstdint>

@@ -83,7 +83,7 @@ HopObservation run_propagation(orb::CorbaPriority corba) {
                  }));
 
   // The client leg rides the ambient client priority (no per-binding pin),
-  // exercising the stub -> interceptor-pipeline default path.
+  // exercising the ORB's default priority path.
   client.set_client_priority(corba);
   orb::ObjectStub relay_stub(client, relay_ref);
   relay_stub.oneway("send", std::vector<std::uint8_t>(256));

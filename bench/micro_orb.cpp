@@ -318,8 +318,9 @@ void BM_GiopBatchedOneway(benchmark::State& state) {
 }
 BENCHMARK(BM_GiopBatchedOneway)->Arg(64)->Arg(1024);
 
-/// Live policy re-stamp cost (DESIGN.md §13): QoSSession::update diffing a
-/// changed priority/deadline onto the versioned interceptor binding.
+/// Live policy re-stamp cost (DESIGN.md §13): QoSSession::apply diffing a
+/// changed priority/deadline against the active policy and writing them
+/// onto the stub.
 /// Arg(0): the direct session path. Arg(1): the same re-stamp driven
 /// through QosControlPlane::override_flow (merge + managed-slot
 /// bookkeeping on top). Both are synchronous and allocation-free in
@@ -364,11 +365,10 @@ void BM_PolicyUpdate(benchmark::State& state) {
     } else {
       policy.priority = priority;
       policy.deadline = milliseconds(5 + (i % 3));
-      session.update(policy);
+      session.apply(policy);
     }
     ++i;
   }
-  benchmark::DoNotOptimize(session.updates_applied());
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PolicyUpdate)->Arg(0)->Arg(1);

@@ -26,8 +26,4 @@ void NetworkQosManager::release(net::FlowId flow, net::NodeId src) {
   agent(src).release(flow);
 }
 
-bool NetworkQosManager::confirmed(net::FlowId flow, net::NodeId src) {
-  return agent(src).confirmed(flow);
-}
-
 }  // namespace aqm::core

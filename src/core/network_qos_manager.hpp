@@ -6,7 +6,6 @@
 
 #include <map>
 #include <memory>
-#include <utility>
 
 #include "net/network.hpp"
 #include "net/rsvp.hpp"
@@ -26,23 +25,14 @@ class NetworkQosManager {
   /// Instantiates agents on every node currently in the network.
   void deploy_agents_everywhere();
 
-  /// End-to-end reservation for `flow` from `src` to `dst`.
+  /// End-to-end reservation for `flow` from `src` to `dst`. Called again
+  /// for a live flow it renegotiates: RSVP re-signals Path/Resv with the
+  /// new spec and each hop's admission check replaces the flow's old rate,
+  /// so the flow is never torn down to best effort mid-change.
   void reserve(net::FlowId flow, net::NodeId src, net::NodeId dst,
                const net::FlowSpec& spec, net::RsvpAgent::ReserveCallback cb);
 
-  /// Renegotiates a live flow's reservation: RSVP re-signals Path/Resv
-  /// with the new spec and each hop's admission check replaces the flow's
-  /// old rate (install_reservation modify keeps queued packets), so the
-  /// flow is never torn down to best effort mid-change. Spelled separately
-  /// from reserve() so control-plane call sites read as re-stamps.
-  void renegotiate(net::FlowId flow, net::NodeId src, net::NodeId dst,
-                   const net::FlowSpec& spec, net::RsvpAgent::ReserveCallback cb) {
-    reserve(flow, src, dst, spec, std::move(cb));
-  }
-
   void release(net::FlowId flow, net::NodeId src);
-
-  [[nodiscard]] bool confirmed(net::FlowId flow, net::NodeId src);
 
  private:
   net::Network& network_;

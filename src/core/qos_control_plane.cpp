@@ -126,13 +126,17 @@ Status<std::string> QosControlPlane::override_flow(net::FlowId flow,
   if (it == managed_.end()) {
     return Status<std::string>::err("flow is not under control-plane management");
   }
+  if (ov.oneway_batching && ov.oneway_batching->flush_deadline < Duration::zero()) {
+    // A negative flush delay would schedule the batch flush in the past.
+    return Status<std::string>::err("oneway batching flush deadline must not be negative");
+  }
   Managed& m = it->second;
   m.ov = ov;
   m.overridden = true;
   ++overrides_applied_;
   // The session's diff takes it from here: unchanged mechanisms are not
-  // touched, per-invocation knobs re-stamp the versioned binding in place.
-  m.session->update(merge_override(m.base, ov));
+  // touched, per-invocation knobs are plain writes to the stub.
+  m.session->apply(merge_override(m.base, ov));
   return {};
 }
 
@@ -145,7 +149,7 @@ Status<std::string> QosControlPlane::clear_override(net::FlowId flow) {
   if (!m.overridden) return {};  // idempotent: nothing to clear
   m.ov = PolicyOverride{};
   m.overridden = false;
-  m.session->update(m.base);
+  m.session->apply(m.base);
   return {};
 }
 

@@ -3,12 +3,13 @@
 // override channel (ROADMAP item 2) layered on the re-stampable session
 // machinery. A controller sends override_flow(flow, partial-policy) and
 // the control plane merges the engaged fields over the managed session's
-// base policy and re-stamps it via QoSSession::update — priority, DSCP,
+// base policy and re-stamps it via QoSSession::apply — priority, DSCP,
 // deadline, batching, CPU reserve size and network reservation all change
 // on the live binding with no session restart and (for the per-invocation
 // knobs) no allocation. clear_override restores the base policy the same
-// way. Overrides compose with the FeedbackScheduler: both drive the same
-// update() diff path, so whichever writes last wins per mechanism.
+// way. Overrides compose with the FeedbackScheduler's re-stamps of the
+// same reserves and reservations: whichever writes last wins per
+// mechanism.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +76,9 @@ class QosControlPlane {
   [[nodiscard]] bool manages(net::FlowId flow) const { return managed_.count(flow) > 0; }
 
   /// Applies a partial-policy override to the managed flow's live binding.
-  /// Re-applying the same override is idempotent at every layer below.
+  /// Re-applying the same override is idempotent at every layer below. An
+  /// override with a negative batching flush deadline is rejected and
+  /// leaves the live policy unchanged.
   Status<std::string> override_flow(net::FlowId flow, const PolicyOverride& ov);
   /// Restores the managed flow's base policy.
   Status<std::string> clear_override(net::FlowId flow);

@@ -2,6 +2,12 @@
 // paper's paradigms. A policy can use either paradigm alone or combine
 // them ("Ultimately, we suspect that priority- and reservation-based
 // approaches will both have their place").
+//
+// QoSSession applies it to one binding. The per-invocation fields (flow,
+// priority, DSCP, deadline) become values on the binding's ObjectStub;
+// the rest installs per-flow transport, telemetry, network and server CPU
+// state. Every field is optional: a disengaged field leaves the
+// corresponding mechanism alone.
 #pragma once
 
 #include <cstdint>
@@ -31,24 +37,25 @@ struct OnewayBatchingPolicy {
 };
 
 struct EndToEndQosPolicy {
-  /// Network flow id classifying the binding's traffic. Applied to the
-  /// stub (and every invocation) by QoSSession / the QoS-policy
-  /// interceptor; reservations require one.
+  /// Network flow id classifying the binding's traffic, written to the
+  /// stub. Reservations, batching and SLOs require one.
   std::optional<net::FlowId> flow;
 
   // --- priority-based control (Sections 3.1, 3.2) ---------------------------
-  /// CORBA priority for the binding (mapped to native thread priorities on
-  /// both hosts via the priority-mapping managers).
+  /// CORBA priority for the binding, written to the stub (mapped to native
+  /// thread priorities on both hosts via the priority-mapping managers).
   std::optional<orb::CorbaPriority> priority;
-  /// Map the CORBA priority onto DiffServ codepoints (installs the banded
-  /// DSCP mapping on the client ORB).
+  /// Map the CORBA priority onto DiffServ codepoints: the binding's DSCP
+  /// protocol property becomes the banded mapping of `priority` (which
+  /// must then be set), without touching the ORB's mapping for its other
+  /// traffic.
   bool map_priority_to_dscp = false;
-  /// Explicit DSCP override via protocol properties (wins over the mapping).
+  /// Explicit DSCP for the binding's DSCP protocol property (wins over the
+  /// mapping).
   std::optional<net::Dscp> explicit_dscp;
-  /// Per-invocation end-to-end deadline for the binding, stamped by the
-  /// QoS-policy interceptor in establish (a caller-pinned InvokeOptions
-  /// deadline wins). Rides the deadline service context; bounds retries
-  /// and triggers server-side expiry drops like any other deadline.
+  /// Per-invocation end-to-end deadline for the binding, written to the
+  /// stub. Rides the deadline service context; bounds retries and
+  /// triggers server-side expiry drops like any other deadline.
   std::optional<Duration> deadline;
 
   // --- reservation-based control (Sections 3.3, 3.4) -----------------------
@@ -71,16 +78,9 @@ struct EndToEndQosPolicy {
   /// stream and cut flight-recorder dumps.
   std::optional<obs::SloSpec> slo;
 
-  [[nodiscard]] bool uses_priorities() const {
-    return priority.has_value() || map_priority_to_dscp || explicit_dscp.has_value();
-  }
-  [[nodiscard]] bool uses_reservations() const {
-    return server_cpu_reserve.has_value() || network_reservation.has_value();
-  }
-
-  /// Memberwise equality: the re-stamp path (QoSSession::update and the
-  /// control plane) diffs old-vs-new per mechanism and only touches the
-  /// mechanisms whose parameters actually changed.
+  /// Memberwise equality: QoSSession::apply diffs old-vs-new per
+  /// mechanism and only touches the mechanisms whose parameters actually
+  /// changed.
   friend bool operator==(const EndToEndQosPolicy&, const EndToEndQosPolicy&) = default;
 };
 

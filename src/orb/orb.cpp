@@ -89,13 +89,6 @@ ServerRequestInterceptor& OrbEndpoint::add_server_interceptor(
   return *server_chain_.back().icpt;
 }
 
-ClientRequestInterceptor* OrbEndpoint::find_client_interceptor(std::string_view name) {
-  for (auto& entry : client_chain_) {
-    if (name == entry.icpt->name()) return entry.icpt.get();
-  }
-  return nullptr;
-}
-
 // --- chain runners -----------------------------------------------------------
 // Forward in every phase except the client reply/exception path, which
 // unwinds in reverse so interceptors observe replies last-in-first-out

@@ -117,8 +117,6 @@ class OrbEndpoint {
   /// requests) in every phase.
   ServerRequestInterceptor& add_server_interceptor(
       std::unique_ptr<ServerRequestInterceptor> icpt);
-  /// Finds a registered client interceptor by name() (nullptr when absent).
-  [[nodiscard]] ClientRequestInterceptor* find_client_interceptor(std::string_view name);
 
   // --- server side -------------------------------------------------------------
 
@@ -308,9 +306,11 @@ class OrbEndpoint {
   std::uint64_t last_dispatch_trace_ = 0;
 };
 
-/// Client-side proxy bound to one object reference. Carries per-binding
-/// QoS (flow id for reservations, priority override) — the moral
-/// equivalent of RT-CORBA explicit binding.
+/// Client-side proxy bound to one object reference — the moral equivalent
+/// of RT-CORBA explicit binding. Carries the per-binding QoS every
+/// invocation through it uses: flow id, priority, deadline and retry
+/// policy, plus the DSCP protocol property of ref(). core::QoSSession
+/// writes its policy here.
 class ObjectStub {
  public:
   ObjectStub(OrbEndpoint& orb, ObjectRef ref) : orb_(&orb), ref_(std::move(ref)) {}
@@ -323,10 +323,12 @@ class ObjectStub {
   [[nodiscard]] net::FlowId flow() const { return flow_; }
   void set_priority(CorbaPriority p) { priority_ = p; }
   void clear_priority() { priority_.reset(); }
+  [[nodiscard]] std::optional<CorbaPriority> priority() const { return priority_; }
   /// Per-binding end-to-end deadline applied to every invocation (the
   /// server drops requests that arrive expired).
   void set_deadline(Duration deadline) { deadline_ = deadline; }
   void clear_deadline() { deadline_.reset(); }
+  [[nodiscard]] std::optional<Duration> deadline() const { return deadline_; }
   /// Per-binding retry policy for twoway timeouts (bounded exponential
   /// backoff, applied by the client ORB).
   void set_retry(RetryPolicy retry) { retry_ = retry; }

@@ -1,10 +1,11 @@
 // Runtime QoS control plane (DESIGN.md §13).
 //
 // 1. Override mechanics: merge_override semantics, live re-stamps through
-//    QosControlPlane (versioned binding bumps, no session restart), the
-//    clear path, idempotence, and the remote QosControlClient round-trip.
+//    QosControlPlane (stub writes, no session restart), the clear path,
+//    idempotence, the remote QosControlClient round-trip, and the refusal
+//    of an override whose batching flush deadline is negative.
 // 2. Zero-alloc steady state: repeated re-stamps of the per-invocation
-//    knobs (priority / DSCP / deadline) through both QoSSession::update
+//    knobs (priority / DSCP / deadline) through both QoSSession::apply
 //    and the control plane perform no heap allocation once warmed up,
 //    verified by counting global operator new.
 // 3. Revoke safety: revoking while RSVP signaling is in flight releases
@@ -35,7 +36,6 @@
 #include "common/flash_crowd.hpp"
 #include "common/policy_builder.hpp"
 #include "core/feedback_scheduler.hpp"
-#include "core/qos_policy_interceptor.hpp"
 #include "core/qos_session.hpp"
 #include "core/testbed.hpp"
 #include "net/dscp.hpp"
@@ -106,13 +106,6 @@ struct ControlPlaneFixture : public ::testing::Test {
     stub->set_flow(kFlowVideo);
   }
 
-  [[nodiscard]] const QosBindingState* binding_state() {
-    QosPolicyInterceptor* icpt = QosPolicyInterceptor::find(bed.sender_orb);
-    return icpt == nullptr
-               ? nullptr
-               : icpt->binding_state(target.node, target.object_key);
-  }
-
   ReservationTestbed bed;
   orb::Poa* app_poa;
   orb::Poa* ctrl_poa;
@@ -127,9 +120,7 @@ TEST_F(ControlPlaneFixture, OverrideRestampsLiveBindingWithoutRestart) {
   plane.manage(kFlowVideo, session);
   ASSERT_TRUE(plane.manages(kFlowVideo));
 
-  const QosBindingState* state = binding_state();
-  ASSERT_NE(state, nullptr);
-  const std::uint64_t v0 = state->version;
+  EXPECT_EQ(stub->priority(), 10'000);
 
   PolicyOverride ov;
   ov.priority = 22'000;
@@ -137,28 +128,27 @@ TEST_F(ControlPlaneFixture, OverrideRestampsLiveBindingWithoutRestart) {
   ov.deadline = milliseconds(5);
   ASSERT_TRUE(plane.override_flow(kFlowVideo, ov).ok());
 
-  // Same binding object, version bumped once, new knobs live — the next
-  // invocation reads them with no rebind and no session restart.
-  ASSERT_EQ(binding_state(), state);
-  EXPECT_EQ(state->version, v0 + 1);
-  EXPECT_EQ(state->policy.priority, 22'000);
-  EXPECT_EQ(state->policy.explicit_dscp, net::dscp::kEf);
-  EXPECT_EQ(state->policy.deadline, milliseconds(5));
-  EXPECT_EQ(session.updates_applied(), 1u);
+  // The new knobs are live on the same stub — the next invocation carries
+  // them with no rebind and no session restart.
+  EXPECT_EQ(stub->priority(), 22'000);
+  EXPECT_EQ(stub->ref().protocol.dscp, net::dscp::kEf);
+  EXPECT_EQ(stub->deadline(), milliseconds(5));
+  EXPECT_EQ(session.active_policy().priority, 22'000);
   ASSERT_NE(plane.active_override(kFlowVideo), nullptr);
   EXPECT_EQ(*plane.active_override(kFlowVideo), ov);
 
   // clear_override restores the base policy through the same re-stamp.
   ASSERT_TRUE(plane.clear_override(kFlowVideo).ok());
-  EXPECT_EQ(state->version, v0 + 2);
-  EXPECT_EQ(state->policy.priority, 10'000);
-  EXPECT_FALSE(state->policy.explicit_dscp.has_value());
-  EXPECT_FALSE(state->policy.deadline.has_value());
+  EXPECT_EQ(stub->priority(), 10'000);
+  EXPECT_FALSE(stub->ref().protocol.dscp.has_value());
+  EXPECT_FALSE(stub->deadline().has_value());
   EXPECT_EQ(plane.active_override(kFlowVideo), nullptr);
 
-  // Clearing again is idempotent: no stamp, no version churn.
+  // Clearing again is idempotent: nothing is written, so a value pinned
+  // on the stub in between survives.
+  stub->set_priority(1'000);
   ASSERT_TRUE(plane.clear_override(kFlowVideo).ok());
-  EXPECT_EQ(state->version, v0 + 2);
+  EXPECT_EQ(stub->priority(), 1'000);
 
   // Unknown flows are an error, not a crash.
   EXPECT_FALSE(plane.override_flow(kFlowSender1, ov).ok());
@@ -214,6 +204,30 @@ TEST_F(ControlPlaneFixture, RemoteOverrideRoundTrip) {
             std::string::npos);
 }
 
+TEST_F(ControlPlaneFixture, RemoteOverrideWithNegativeFlushDeadlineIsRejected) {
+  QoSSession session(bed.sender_orb, *stub);
+  session.apply(bench::PolicyBuilder::sender(kFlowVideo, 10'000));
+  plane.manage(kFlowVideo, session);
+
+  // A flush deadline below zero would schedule the batch flush before the
+  // engine's clock on the flow's next oneway.
+  QosControlClient controller(bed.receiver_orb, plane.ref());
+  PolicyOverride ov;
+  ov.priority = 30'000;
+  ov.oneway_batching = OnewayBatchingPolicy{8 * 1024, 16, microseconds(-250)};
+  std::optional<Status<std::string>> outcome;
+  controller.override_flow(kFlowVideo, ov,
+                           [&](Status<std::string> s) { outcome = std::move(s); });
+  bed.engine.run_until(TimePoint{seconds(2).ns()});
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->ok());
+  EXPECT_NE(outcome->error().find("flush deadline"), std::string::npos);
+  // The live policy is untouched, the rest of the override included.
+  EXPECT_FALSE(session.active_policy().oneway_batching.has_value());
+  EXPECT_EQ(session.active_policy().priority, 10'000);
+  EXPECT_EQ(plane.active_override(kFlowVideo), nullptr);
+}
+
 TEST_F(ControlPlaneFixture, RestampPathDoesNotAllocate) {
   QoSSession session(bed.sender_orb, *stub);
   session.apply(bench::PolicyBuilder::sender(kFlowVideo, 10'000).deadline(milliseconds(20)));
@@ -223,7 +237,7 @@ TEST_F(ControlPlaneFixture, RestampPathDoesNotAllocate) {
   // optionals; the binding itself was populated by apply).
   EndToEndQosPolicy policy = session.active_policy();
   policy.priority = 11'000;
-  session.update(policy);
+  session.apply(policy);
   PolicyOverride ov;
   ov.priority = 12'000;
   ov.dscp = net::dscp::kEf;
@@ -231,27 +245,32 @@ TEST_F(ControlPlaneFixture, RestampPathDoesNotAllocate) {
   ASSERT_TRUE(plane.override_flow(kFlowVideo, ov).ok());
   ASSERT_TRUE(plane.clear_override(kFlowVideo).ok());
 
-  const QosBindingState* state = binding_state();
-  ASSERT_NE(state, nullptr);
-  const std::uint64_t v0 = state->version;
-
-  // Steady state: per-invocation knob re-stamps are pure in-place writes.
+  // Steady state: per-invocation knob re-stamps are pure writes to the
+  // stub.
   const std::uint64_t before = g_heap_allocs;
   for (int i = 0; i < 100; ++i) {
     policy.priority = 12'000 + (i % 2) * 1'000;
     policy.deadline = milliseconds(5 + i % 3);
-    session.update(policy);
+    session.apply(policy);
   }
+  const std::optional<orb::CorbaPriority> direct_priority = stub->priority();
+  const std::optional<Duration> direct_deadline = stub->deadline();
+  int stamps = 0;
   for (int i = 0; i < 100; ++i) {
     ov.priority = 20'000 + (i % 2) * 1'000;
     if (plane.override_flow(kFlowVideo, ov).ok() &&
         plane.clear_override(kFlowVideo).ok()) {
-      continue;
+      ++stamps;
     }
   }
   EXPECT_EQ(g_heap_allocs, before);
-  // Every one of those was a real stamp on the live binding.
-  EXPECT_EQ(state->version, v0 + 100 + 200);
+  // Every one of those landed on the live binding: the last direct
+  // apply's values, then the base policy the last clear restored.
+  EXPECT_EQ(direct_priority, 13'000);
+  EXPECT_EQ(direct_deadline, milliseconds(5));
+  EXPECT_EQ(stamps, 100);
+  EXPECT_EQ(stub->priority(), 10'000);
+  EXPECT_EQ(stub->deadline(), milliseconds(20));
 }
 
 TEST_F(ControlPlaneFixture, RevokeDuringInFlightSignalingLeaksNothing) {
@@ -271,7 +290,7 @@ TEST_F(ControlPlaneFixture, RevokeDuringInFlightSignalingLeaksNothing) {
   // must be released by its own stale callback, not recorded — and the
   // cancelled apply's callback must never fire on the revoked session.
   session.revoke();
-  EXPECT_EQ(binding_state(), nullptr);
+  EXPECT_FALSE(stub->priority().has_value());
   bed.engine.run_until(TimePoint{seconds(2).ns()});
   EXPECT_FALSE(outcome.has_value());
   EXPECT_FALSE(session.network_reserved());
@@ -284,11 +303,11 @@ TEST_F(ControlPlaneFixture, RevokeDuringInFlightSignalingLeaksNothing) {
   // revoke must not wipe another session's live binding on the same stub.
   QoSSession owner(bed.sender_orb, *stub);
   owner.apply(bench::PolicyBuilder::sender(kFlowVideo, 15'000));
-  ASSERT_NE(binding_state(), nullptr);
+  ASSERT_EQ(stub->priority(), 15'000);
   QoSSession bystander(bed.sender_orb, *stub);
   bystander.revoke();
-  ASSERT_NE(binding_state(), nullptr);
-  EXPECT_EQ(binding_state()->policy.priority, 15'000);
+  EXPECT_EQ(stub->priority(), 15'000);
+  EXPECT_EQ(stub->flow(), kFlowVideo);
 }
 
 // --- override churn vs tear-down-and-rebind oracle ---------------------------

@@ -2,8 +2,8 @@
 // own stages around registered interceptors, interceptor ordering, veto
 // short-circuits on both sides, deadline expiry drops, malformed-context
 // drops, bounded retry with exponential backoff, service-context
-// round-trips, QuO delegate gating, and worker-count invariance of the
-// parallel experiment runner with interceptors installed.
+// round-trips, and worker-count invariance of the parallel experiment
+// runner with interceptors installed.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,8 +17,6 @@
 #include "orb/interceptor.hpp"
 #include "orb/orb.hpp"
 #include "os/cpu.hpp"
-#include "quo/contract.hpp"
-#include "quo/delegate.hpp"
 #include "sim/engine.hpp"
 
 namespace aqm::orb {
@@ -431,51 +429,6 @@ TEST_F(PipelineFixture, CustomServiceContextRoundTrips) {
                 [](CompletionStatus, std::vector<std::uint8_t>) {});
   engine.run();
   EXPECT_EQ(watcher.context_data, (std::vector<std::uint8_t>{7, 8, 9}));
-}
-
-// --- QuO delegate gating through the pipeline -----------------------------------
-
-TEST_F(PipelineFixture, DelegateContractGateVetoesOutOfRegionCalls) {
-  const ObjectRef ref = make_echo();
-  quo::Delegate delegate(ObjectStub(client, ref));
-
-  quo::Contract contract(engine, "modes");
-  contract.add_region("active", [] { return true; });
-  contract.eval();
-  delegate.gate_on_contract(contract, "standby");  // current region: active
-
-  std::optional<CompletionStatus> status;
-  delegate.twoway("echo", {1},
-                  [&](CompletionStatus s, std::vector<std::uint8_t>) { status = s; });
-  ASSERT_EQ(status, CompletionStatus::Transient);  // vetoed synchronously
-  engine.run();
-  EXPECT_EQ(handled, 0);
-  EXPECT_EQ(delegate.dropped(), 1u);
-  EXPECT_EQ(client.stats().client_vetoed, 1u);
-
-  delegate.gate_on_contract(contract, "active");
-  delegate.twoway("echo", {1},
-                  [&](CompletionStatus s, std::vector<std::uint8_t>) { status = s; });
-  engine.run();
-  EXPECT_EQ(status, CompletionStatus::Ok);
-  EXPECT_EQ(handled, 1);
-  EXPECT_EQ(delegate.forwarded(), 1u);
-}
-
-TEST_F(PipelineFixture, DelegateGateAppliesToOtherStubsOfTheTarget) {
-  // The delegate's registration is per-target on the ORB's pipeline, so a
-  // plain stub bound to the same object is gated too.
-  const ObjectRef ref = make_echo();
-  quo::Delegate delegate(ObjectStub(client, ref));
-  delegate.set_pre_invoke([](const std::string&, std::vector<std::uint8_t>&) {
-    return quo::CallAction::Drop;
-  });
-
-  ObjectStub other(client, ref);
-  other.oneway("echo", {1});
-  engine.run();
-  EXPECT_EQ(handled, 0);
-  EXPECT_EQ(delegate.dropped(), 1u);
 }
 
 // --- worker-count invariance with interceptors installed ------------------------

@@ -1,11 +1,10 @@
-// QuO layer: system condition objects, contracts, delegates.
+// QuO layer: system condition objects and contracts.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "quo/contract.hpp"
-#include "quo/delegate.hpp"
 #include "quo/syscond.hpp"
 #include "sim/engine.hpp"
 

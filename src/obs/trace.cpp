@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include <atomic>
 #include <cassert>
 #include <cinttypes>
 #include <cstdio>
@@ -21,7 +22,17 @@ const char* to_string(TraceCategory c) {
   return "?";
 }
 
-TraceRecorder::TraceRecorder(std::uint32_t categories) : categories_(categories) {}
+namespace {
+
+std::uint64_t fresh_uid() {
+  static std::atomic<std::uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+}  // namespace
+
+TraceRecorder::TraceRecorder(std::uint32_t categories)
+    : categories_(categories), uid_(fresh_uid()) {}
 
 std::uint16_t TraceRecorder::track(std::string_view name) {
   const auto it = track_index_.find(name);
@@ -69,46 +80,27 @@ const char* TraceRecorder::intern(std::string_view prefix, std::string_view s) {
   return interned_.back().text->c_str();
 }
 
-void TraceRecorder::push(TraceCategory cat, TracePhase phase, const char* name,
-                         std::uint16_t track, std::int64_t ts_ns, std::int64_t dur_ns,
-                         std::uint64_t id, std::initializer_list<TraceArg> args) {
-  if (!wants(cat)) return;
-  if (chunks_.empty() || chunks_[active_]->n == kChunkEvents) {
-    if (!chunks_.empty() && active_ + 1 < chunks_.size() &&
-        chunks_[active_ + 1]->n == 0) {
-      ++active_;  // recycled chunk from a previous clear()
-    } else if (ring_chunks_ != 0 && chunks_.size() >= ring_chunks_) {
-      // Flight-recorder ring: reclaim the oldest chunk wholesale.
-      active_ = (active_ + 1) % chunks_.size();
-      Chunk& victim = *chunks_[active_];
-      overwritten_ += victim.n;
-      total_ -= victim.n;
-      victim.n = 0;
-    } else {
-      chunks_.push_back(std::make_unique<Chunk>());
-      active_ = chunks_.size() - 1;
-    }
+void TraceRecorder::advance() {
+  if (overwritten_ == 0 && active_ + 1 < chunks_.size()) {
+    ++active_;  // spare chunk from a previous clear()
+  } else if (ring_chunks_ != 0 && chunks_.size() >= ring_chunks_) {
+    // Flight-recorder ring: reclaim the oldest chunk wholesale. It is full,
+    // like every chunk but the active one.
+    active_ = (active_ + 1) % chunks_.size();
+    overwritten_ += kChunkEvents;
+    total_ -= kChunkEvents;
+  } else {
+    chunks_.push_back(std::make_unique<Chunk>());
+    active_ = chunks_.size() - 1;
   }
-  Chunk& c = *chunks_[active_];
-  TraceEvent& e = c.ev[c.n++];
-  ++total_;
-  e.name = name;
-  e.phase = phase;
-  e.track = track;
-  e.cat = cat;
-  e.ts_ns = ts_ns;
-  e.dur_ns = dur_ns;
-  e.id = id;
-  e.argc = 0;
-  for (const TraceArg& a : args) {
-    if (e.argc == e.args.size()) break;
-    e.args[e.argc++] = a;
-  }
+  next_ = chunks_[active_]->data();
+  limit_ = next_ + kChunkEvents;
 }
 
 void TraceRecorder::clear() {
-  for (auto& chunk : chunks_) chunk->n = 0;
   active_ = 0;
+  next_ = chunks_.empty() ? nullptr : chunks_[0]->data();
+  limit_ = chunks_.empty() ? nullptr : next_ + kChunkEvents;
   total_ = 0;
   current_ = 0;
   overwritten_ = 0;

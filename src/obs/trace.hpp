@@ -7,9 +7,10 @@
 //    single pointer test (Engine::tracer_for returns nullptr unless a
 //    recorder is attached AND wants the category), and the whole layer
 //    compiles out with -DAQM_OBS_ENABLED=0.
-//  * Allocation-free steady state when enabled. Events are 64-byte PODs
-//    appended into recycled fixed-size chunks; names are `const char*`
-//    (string literals or strings interned once per distinct label).
+//  * Allocation-free steady state when enabled. Events are 72-byte PODs
+//    appended into recycled fixed-size chunks by an inline bump of the
+//    active chunk's cursor; names are `const char*` (string literals or
+//    strings interned once per distinct label).
 //  * Deterministic. Trace ids come from a per-recorder counter, tracks
 //    from first-registration order, so the same trial produces the same
 //    trace bytes on every run.
@@ -23,6 +24,7 @@
 // reaction into one async track.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -86,6 +88,8 @@ struct TraceEvent {
   std::uint64_t id = 0;     // correlation id (0 = none)
   std::array<TraceArg, 2> args{};
 };
+static_assert(sizeof(void*) != 8 || sizeof(TraceEvent) == 72,
+              "TraceEvent is a 72-byte POD on 64-bit targets; the flight ring is sized in it");
 
 /// Records trace events into pooled chunk storage. Single-threaded, like
 /// the engine it observes; one recorder per trial keeps shard-parallel
@@ -95,6 +99,11 @@ class TraceRecorder {
   explicit TraceRecorder(std::uint32_t categories = kDefaultCategories);
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
+
+  /// Process-unique identity, never reused (unlike the recorder's
+  /// address): callers that cache tracks or interned names per recorder
+  /// key the cache on it.
+  [[nodiscard]] std::uint64_t uid() const { return uid_; }
 
   // --- configuration --------------------------------------------------------
 
@@ -182,18 +191,18 @@ class TraceRecorder {
   /// (oldest surviving event first when the ring has wrapped).
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    if (overwritten_ == 0) {
-      for (const auto& chunk : chunks_) {
-        for (std::size_t i = 0; i < chunk->n; ++i) fn(chunk->ev[i]);
-      }
-      return;
-    }
-    // Wrapped ring: every chunk is in use and the oldest sits just after
-    // the active one in storage order.
+    if (total_ == 0) return;
+    // Every chunk but the active one is full. Until the ring wraps the
+    // oldest events sit in chunk 0 (chunks after the active one are spares
+    // a clear() left); once it has wrapped, just after the active chunk.
     const std::size_t n = chunks_.size();
-    for (std::size_t k = 1; k <= n; ++k) {
-      const Chunk& chunk = *chunks_[(active_ + k) % n];
-      for (std::size_t i = 0; i < chunk.n; ++i) fn(chunk.ev[i]);
+    std::size_t k = overwritten_ == 0 ? 0 : (active_ + 1) % n;
+    for (;;) {
+      const TraceEvent* first = chunks_[k]->data();
+      const TraceEvent* last = k == active_ ? next_ : first + kChunkEvents;
+      for (const TraceEvent* e = first; e != last; ++e) fn(*e);
+      if (k == active_) return;
+      k = (k + 1) % n;
     }
   }
 
@@ -207,20 +216,40 @@ class TraceRecorder {
 
  private:
   static constexpr std::size_t kChunkEvents = 2048;
-  struct Chunk {
-    std::size_t n = 0;
-    std::array<TraceEvent, kChunkEvents> ev;
-  };
+  using Chunk = std::array<TraceEvent, kChunkEvents>;
 
+  // The fast path: a bump of the active chunk's cursor, inlined into every
+  // instrumentation point. Only a full (or not yet allocated) chunk leaves
+  // it, for advance().
   void push(TraceCategory cat, TracePhase phase, const char* name, std::uint16_t track,
             std::int64_t ts_ns, std::int64_t dur_ns, std::uint64_t id,
-            std::initializer_list<TraceArg> args);
+            std::initializer_list<TraceArg> args) {
+    if (!wants(cat)) return;
+    if (next_ == limit_) [[unlikely]] advance();
+    TraceEvent& e = *next_++;
+    ++total_;
+    e.name = name;
+    e.phase = phase;
+    e.track = track;
+    e.cat = cat;
+    e.ts_ns = ts_ns;
+    e.dur_ns = dur_ns;
+    e.id = id;
+    e.argc = static_cast<std::uint8_t>(std::min(args.size(), e.args.size()));
+    std::copy_n(args.begin(), e.argc, e.args.begin());
+  }
+  /// Points the cursor at the next chunk to fill: a spare left by clear(),
+  /// the oldest chunk of a full ring (reclaimed wholesale), or a new one.
+  void advance();
 
   bool enabled_ = true;
   std::uint32_t categories_ = kDefaultCategories;
+  TraceEvent* next_ = nullptr;   // next free slot of the active chunk
+  TraceEvent* limit_ = nullptr;  // one past the active chunk's last slot
+  std::size_t total_ = 0;
   std::uint64_t last_id_ = 0;
   std::uint64_t current_ = 0;
-  std::size_t total_ = 0;
+  std::uint64_t uid_;
   std::size_t active_ = 0;       // chunk currently being filled
   std::size_t ring_chunks_ = 0;  // 0 = unbounded; else max chunks kept
   std::uint64_t overwritten_ = 0;

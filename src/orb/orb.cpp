@@ -66,11 +66,21 @@ Duration OrbEndpoint::demarshal_cost(std::size_t bytes) const {
 
 obs::TraceRecorder* OrbEndpoint::orb_tracer() {
   obs::TraceRecorder* tr = engine().tracer_for(obs::TraceCategory::Orb);
-  if (tr != nullptr && obs_bound_ != tr) {
+  if (tr != nullptr && obs_bound_ != tr->uid()) {
     obs_track_ = tr->track("orb:" + net_.node_name(node()));
-    obs_bound_ = tr;
+    span_names_.clear();
+    obs_bound_ = tr->uid();
   }
   return tr;
+}
+
+const char* OrbEndpoint::span_name(obs::TraceRecorder& tr, const std::string& operation) {
+  for (const auto& [op, name] : span_names_) {
+    if (op == operation) return name;
+  }
+  const char* name = tr.intern("call ", operation);
+  span_names_.emplace_back(operation, name);
+  return name;
 }
 
 // --- interceptor registration ------------------------------------------------
@@ -293,7 +303,7 @@ void OrbEndpoint::start_attempt(std::uint32_t slot) {
   rec.span_name = nullptr;
   if (obs::TraceRecorder* tr = orb_tracer()) {
     rec.trace = tr->next_id();
-    rec.span_name = tr->intern("call ", rec.operation);
+    rec.span_name = span_name(*tr, rec.operation);
     tr->async_begin(obs::TraceCategory::Orb, rec.span_name, obs_track_, engine().now(),
                     rec.trace,
                     {{"request_id", static_cast<double>(request_id)},

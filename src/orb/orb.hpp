@@ -37,6 +37,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/flat_index.hpp"
@@ -263,9 +264,11 @@ class OrbEndpoint {
   /// Reply marshal job done: ORB contexts and DSCP, send_reply phase,
   /// encode, ship, release.
   void marshal_reply(std::uint32_t slot);
-  /// Engine recorder iff orb tracing is on; binds the "orb:<node>" lane on
-  /// first use.
+  /// Engine recorder iff orb tracing is on; on first use of a recorder,
+  /// binds the "orb:<node>" lane and starts a fresh span-name cache.
   [[nodiscard]] obs::TraceRecorder* orb_tracer();
+  /// The interned "call <operation>" span name in the bound recorder.
+  [[nodiscard]] const char* span_name(obs::TraceRecorder& tr, const std::string& operation);
   [[nodiscard]] Duration marshal_cost(std::size_t bytes) const;
   [[nodiscard]] Duration demarshal_cost(std::size_t bytes) const;
 
@@ -301,8 +304,11 @@ class OrbEndpoint {
   // Registered interceptors, in registration order.
   std::vector<InterceptorEntry<ClientRequestInterceptor>> client_chain_;
   std::vector<InterceptorEntry<ServerRequestInterceptor>> server_chain_;
-  obs::TraceRecorder* obs_bound_ = nullptr;
+  // The recorder (by uid) obs_track_ and span_names_ belong to.
+  std::uint64_t obs_bound_ = 0;
   std::uint16_t obs_track_ = 0;
+  /// "call <operation>" async-span names, interned once per operation.
+  std::vector<std::pair<std::string, const char*>> span_names_;
   std::uint64_t last_dispatch_trace_ = 0;
 };
 

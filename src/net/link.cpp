@@ -29,7 +29,7 @@ Duration Link::transmission_time(std::uint32_t bytes) const {
 
 obs::TraceRecorder* Link::net_tracer() {
   obs::TraceRecorder* tr = engine_.tracer_for(obs::TraceCategory::Net);
-  if (tr != nullptr && trace_bound_ != tr) {
+  if (tr != nullptr && trace_bound_ != tr->uid()) {
     // First use (or recorder/name changed): bind this link's lane and hand
     // the queue discipline the same lane for its internal decisions.
     if (trace_name_.empty()) {
@@ -38,7 +38,7 @@ obs::TraceRecorder* Link::net_tracer() {
     trace_track_ = tr->track(trace_name_);
     qlen_name_ = tr->intern("qlen " + trace_name_);
     queue_->set_tracer(tr, trace_track_);
-    trace_bound_ = tr;
+    trace_bound_ = tr->uid();
   }
   return tr;
 }

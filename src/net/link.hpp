@@ -85,7 +85,7 @@ class Link {
   /// after topology construction still sees every hop.
   void set_trace_name(std::string name) {
     trace_name_ = std::move(name);
-    trace_bound_ = nullptr;  // re-resolve lane under the new name
+    trace_bound_ = 0;  // re-resolve lane under the new name
   }
 
   [[nodiscard]] std::uint64_t packets_transmitted() const { return tx_packets_; }
@@ -132,7 +132,7 @@ class Link {
   Rng loss_rng_;
 
   std::string trace_name_;
-  obs::TraceRecorder* trace_bound_ = nullptr;  // recorder the lane is bound to
+  std::uint64_t trace_bound_ = 0;  // uid of the recorder the lane is bound to
   obs::TelemetryHub* telemetry_bound_ = nullptr;  // hub the queue was handed
   std::uint16_t trace_track_ = 0;
   const char* qlen_name_ = nullptr;  // interned "qlen <link>" counter label

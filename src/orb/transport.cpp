@@ -217,9 +217,9 @@ void GiopTransport::transmit(net::NodeId dst, MessageBuffer msg, net::Dscp dscp,
 
 obs::TraceRecorder* GiopTransport::tracer() {
   obs::TraceRecorder* tr = net_.engine().tracer_for(obs::TraceCategory::Orb);
-  if (tr != nullptr && obs_bound_ != tr) {
+  if (tr != nullptr && obs_bound_ != tr->uid()) {
     obs_track_ = tr->track("giop:" + net_.node_name(node_));
-    obs_bound_ = tr;
+    obs_bound_ = tr->uid();
   }
   return tr;
 }

@@ -244,7 +244,7 @@ class GiopTransport {
   std::uint64_t batches_sent_ = 0;
   std::uint64_t batched_messages_ = 0;
   std::uint64_t batches_delivered_ = 0;
-  obs::TraceRecorder* obs_bound_ = nullptr;
+  std::uint64_t obs_bound_ = 0;  // uid of the recorder obs_track_ belongs to
   std::uint16_t obs_track_ = 0;
 };
 

@@ -244,9 +244,9 @@ bool Cpu::cancel(JobId id) {
 
 obs::TraceRecorder* Cpu::os_tracer() {
   obs::TraceRecorder* tr = engine_.tracer_for(obs::TraceCategory::Os);
-  if (tr != nullptr && obs_bound_ != tr) {
+  if (tr != nullptr && obs_bound_ != tr->uid()) {
     obs_track_ = tr->track("cpu:" + name_);
-    obs_bound_ = tr;
+    obs_bound_ = tr->uid();
   }
   return tr;
 }

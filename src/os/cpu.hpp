@@ -338,7 +338,7 @@ class Cpu {
   std::int64_t busy_ns_ = 0;
   bool trace_enabled_ = false;
   std::vector<RunSlice> trace_;
-  obs::TraceRecorder* obs_bound_ = nullptr;
+  std::uint64_t obs_bound_ = 0;  // uid of the recorder obs_track_ belongs to
   std::uint16_t obs_track_ = 0;
 };
 

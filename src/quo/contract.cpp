@@ -59,9 +59,9 @@ const std::string& Contract::eval() {
     AQM_DEBUG() << "contract " << name_ << ": region '" << from << "' -> '" << current_
                 << "' at " << engine_.now().seconds() << "s";
     if (obs::TraceRecorder* tr = engine_.tracer_for(obs::TraceCategory::Quo)) {
-      if (obs_bound_ != tr) {
+      if (obs_bound_ != tr->uid()) {
         obs_track_ = tr->track("quo:" + name_);
-        obs_bound_ = tr;
+        obs_bound_ = tr->uid();
         region_span_ = 0;
       }
       const TimePoint now = engine_.now();

@@ -77,7 +77,7 @@ class Contract {
   std::multimap<std::pair<std::string, std::string>, TransitionCallback> transition_callbacks_;
   std::vector<std::pair<TimePoint, std::string>> history_;
   bool evaluating_ = false;
-  obs::TraceRecorder* obs_bound_ = nullptr;
+  std::uint64_t obs_bound_ = 0;  // uid of the recorder obs_track_ belongs to
   std::uint16_t obs_track_ = 0;
   std::uint64_t region_span_ = 0;  // open async span for the active region
 };

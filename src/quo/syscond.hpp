@@ -53,9 +53,9 @@ class SysCond {
   void notify() {
     if (clock_ != nullptr) {
       if (obs::TraceRecorder* tr = clock_->tracer_for(obs::TraceCategory::Quo)) {
-        if (obs_bound_ != tr) {
+        if (obs_bound_ != tr->uid()) {
           obs_track_ = tr->track("quo:syscond");
-          obs_bound_ = tr;
+          obs_bound_ = tr->uid();
         }
         tr->instant(obs::TraceCategory::Quo, name_.c_str(), obs_track_, clock_->now(),
                     tr->current(), {{"value", value()}});
@@ -68,7 +68,7 @@ class SysCond {
   std::string name_;
   std::vector<Listener> listeners_;
   const sim::Engine* clock_ = nullptr;
-  obs::TraceRecorder* obs_bound_ = nullptr;
+  std::uint64_t obs_bound_ = 0;  // uid of the recorder obs_track_ belongs to
   std::uint16_t obs_track_ = 0;
 };
 

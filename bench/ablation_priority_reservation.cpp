@@ -34,6 +34,9 @@ struct Stream {
   std::unique_ptr<media::VideoSinkStats> stats;
   std::unique_ptr<av::VideoSinkEndpoint> sink;
   std::unique_ptr<av::StreamBinding> binding;
+  /// The stream's QoS: its priority, plus its reservation when priority
+  /// drives reservations. Outlives the RSVP callback it reports through.
+  std::unique_ptr<core::QoSSession> session;
   std::unique_ptr<media::VideoSource> source;
   bool reserved = false;
 };
@@ -67,10 +70,9 @@ std::array<StreamRow, 4> run_case(bool priority_driven_reservations) {
         [stats](const media::VideoFrame& f) { stats->on_received(f); });
     s.binding = std::make_unique<av::StreamBinding>(bed.sender_orb, s.sink->ref(), s.flow);
     // Per-stream CORBA priority as a declarative policy: the session
-    // writes it onto the stream binding's stub, which outlives the
-    // temporary session.
-    core::QoSSession(bed.sender_orb, s.binding->stub())
-        .apply(PolicyBuilder{}.priority(s.priority));
+    // writes it onto the stream binding's stub.
+    s.session = std::make_unique<core::QoSSession>(bed.sender_orb, s.binding->stub(), &bed.qos);
+    s.session->apply(PolicyBuilder{}.priority(s.priority));
     auto* binding = s.binding.get();
     s.source = std::make_unique<media::VideoSource>(
         bed.engine, gop, 30.0, [stats, binding](const media::VideoFrame& f) {
@@ -83,9 +85,8 @@ std::array<StreamRow, 4> run_case(bool priority_driven_reservations) {
     // Priority drives reservation: walk streams from highest CORBA
     // priority down, reserving until admission control says no.
     for (auto& s : streams) {
-      s.binding->reserve(bed.qos.agent(bed.sender_node),
-                         net::FlowSpec{stream_rate, 40'000},
-                         [&s](Status<std::string> status) { s.reserved = status.ok(); });
+      s.session->apply(PolicyBuilder{}.priority(s.priority).network(stream_rate),
+                       [&s](Status<std::string> status) { s.reserved = status.ok(); });
     }
   }
 

@@ -17,6 +17,7 @@
 #include "net/packet.hpp"
 #include "net/rsvp.hpp"
 #include "obs/telemetry.hpp"
+#include "orb/transport.hpp"
 #include "orb/types.hpp"
 #include "os/cpu.hpp"
 
@@ -64,7 +65,7 @@ class PolicyBuilder {
     p_.network_reservation = net::FlowSpec{rate_bps, bucket_bytes};
     return *this;
   }
-  PolicyBuilder& batching(const core::OnewayBatchingPolicy& batching) {
+  PolicyBuilder& batching(const orb::BatchPolicy& batching) {
     p_.oneway_batching = batching;
     return *this;
   }

@@ -7,6 +7,8 @@
 //   2. at t=40s: the application upgrades its reservation to full rate via
 //      RSVP, after which the contract returns the stream to 30 fps even
 //      though the load is still there.
+// Both reservations are apply() calls on one QoSSession over the stream's
+// stub: the upgrade re-signals the live reservation in place.
 // Pass --trace FILE to capture the whole run as Chrome trace-event JSON
 // (load in Perfetto): ORB call spans chain through per-hop link/queue
 // events to the server dispatch and the QuO region transitions they cause.
@@ -20,6 +22,7 @@
 
 #include "avstreams/stream.hpp"
 #include "core/experiment.hpp"
+#include "core/qos_session.hpp"
 #include "core/testbed.hpp"
 #include "media/frame_filter.hpp"
 #include "media/video_sink.hpp"
@@ -117,22 +120,25 @@ int main(int argc, char** argv) {
   });
 
   // Initial partial reservation.
-  binding.reserve(bed.qos.agent(bed.sender_node), net::FlowSpec{730e3, 40'000},
-                  [&](Status<std::string> s) {
-                    std::cout << "  [RSVP " << bed.engine.now().seconds()
-                              << "s] partial reservation (730 kbps wire-rate): "
-                              << (s.ok() ? "granted" : s.error()) << "\n";
-                  });
+  core::QoSSession session(bed.sender_orb, binding.stub(), &bed.qos);
+  core::EndToEndQosPolicy policy;
+  policy.flow = core::kFlowVideo;
+  policy.network_reservation = net::FlowSpec{730e3, 40'000};
+  session.apply(policy, [&](Status<std::string> s) {
+    std::cout << "  [RSVP " << bed.engine.now().seconds()
+              << "s] partial reservation (730 kbps wire-rate): "
+              << (s.ok() ? "granted" : s.error()) << "\n";
+  });
 
   // t=40s: the application asks for a full-rate reservation (modify).
   bed.engine.at(TimePoint{seconds(40).ns()}, [&] {
-    binding.reserve(bed.qos.agent(bed.sender_node), net::FlowSpec{1.3e6, 40'000},
-                    [&](Status<std::string> s) {
-                      std::cout << "  [RSVP " << bed.engine.now().seconds()
-                                << "s] upgrade to full reservation: "
-                                << (s.ok() ? "granted" : s.error()) << "\n";
-                      if (s.ok()) reserved_kbps.set(1300.0);
-                    });
+    policy.network_reservation = net::FlowSpec{1.3e6, 40'000};
+    session.apply(policy, [&](Status<std::string> s) {
+      std::cout << "  [RSVP " << bed.engine.now().seconds()
+                << "s] upgrade to full reservation: " << (s.ok() ? "granted" : s.error())
+                << "\n";
+      if (s.ok()) reserved_kbps.set(1300.0);
+    });
   });
 
   std::cout << "adaptive stream: video 0-60s, 43.8 Mbps load from 20s on\n";

@@ -1,72 +1,18 @@
 // Quickstart: two simulated hosts, an RT-CORBA style ORB on each, one
 // servant, a prioritized twoway call, and a look at what the RT machinery
-// did (priority propagation, mapping, DSCP marking) — then a custom
-// portable interceptor around the ORB's own stages, and a
-// deadline-bounded call with automatic retry.
+// did (priority propagation, mapping, DSCP marking) — then a
+// deadline-bounded call with automatic retry, two more of the ORB's own
+// invocation stages.
 //
 // Build & run:  ./build/examples/quickstart
 #include <iostream>
 #include <memory>
 
 #include "net/network.hpp"
-#include "orb/interceptor.hpp"
 #include "orb/orb.hpp"
 #include "orb/rt/dscp_mapping.hpp"
 #include "os/cpu.hpp"
 #include "sim/engine.hpp"
-
-namespace {
-
-using namespace aqm;
-
-// A custom client interceptor: every invocation crosses it, so this sees
-// (and could rewrite) the QoS decision in `establish`, and stamps its own
-// GIOP service context in `send_request` — without any change to the call
-// sites. Client interceptors run BEFORE the ORB's own stage, so a
-// priority rewritten here would still be mapped, stamped, and DSCP-marked
-// by the ORB.
-class AuditInterceptor final : public orb::ClientRequestInterceptor {
- public:
-  static constexpr std::uint32_t kContextId = 0x41554454;  // "AUDT"
-
-  [[nodiscard]] const char* name() const override { return "app.audit"; }
-
-  orb::InterceptStatus establish(orb::ClientRequestContext& ctx) override {
-    std::cout << "  [audit] establish '" << *ctx.operation << "' priority "
-              << ctx.priority << " attempt " << ctx.attempt << "\n";
-    return {};  // returning veto(CompletionStatus::...) would reject pre-cost
-  }
-
-  orb::InterceptStatus send_request(orb::ClientRequestContext& ctx) override {
-    ctx.contexts->push_back({kContextId, {static_cast<std::uint8_t>(ctx.attempt)}});
-    return {};
-  }
-
-  void receive_reply(orb::ClientRequestContext& ctx) override {
-    std::cout << "  [audit] reply for request " << ctx.request_id << ": "
-              << orb::to_string(ctx.status) << "\n";
-  }
-};
-
-// The matching server half observes the fully resolved request (server
-// interceptors run AFTER the ORB's own stage) and reads the custom
-// context back off the wire.
-class AuditServerInterceptor final : public orb::ServerRequestInterceptor {
- public:
-  [[nodiscard]] const char* name() const override { return "app.audit"; }
-
-  orb::InterceptStatus receive_request(orb::ServerRequestContext& ctx) override {
-    for (const orb::ServiceContext& sc : *ctx.contexts) {
-      if (sc.id == AuditInterceptor::kContextId) {
-        std::cout << "  [audit] server saw attempt " << int{sc.data.at(0)}
-                  << " at resolved priority " << ctx.priority << "\n";
-      }
-    }
-    return {};
-  }
-};
-
-}  // namespace
 
 int main() {
   using namespace aqm;
@@ -125,10 +71,8 @@ int main() {
 
   engine.run();
 
-  // --- registered interceptors ---------------------------------------------------
-  std::cout << "\ncustom interceptors on the invocation pipeline:\n";
-  client.add_client_interceptor(std::make_unique<AuditInterceptor>());
-  server.add_server_interceptor(std::make_unique<AuditServerInterceptor>());
+  // --- a deadline-bounded call ---------------------------------------------------
+  std::cout << "\na deadline-bounded call with retry:\n";
 
   // Deadline + retry are ORB stages: the deadline travels in a service
   // context and the server drops expired requests pre-dispatch; a timeout

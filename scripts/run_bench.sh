@@ -2,8 +2,8 @@
 # Runs the tracked microbenchmark suites, refreshes the BENCH_*.json
 # reports at the repo root, and compares each suite against its seed
 # baseline in bench/baselines/, failing loudly on a >15% throughput
-# regression (3% for BM_InterceptorOverhead — the invocation-pipeline
-# refactor's hot-path budget). These files are committed: they are the
+# regression (3% for BM_InterceptorOverhead — the full oneway invocation
+# path's hot-path budget). These files are committed: they are the
 # PR-over-PR performance record of the hot paths.
 #
 # Usage: scripts/run_bench.sh [--rerecord[=N]] [build-dir] [min-time-seconds]
@@ -221,8 +221,9 @@ TOLERANCE = 0.15
 # scheduler, so they are a record, not a regression gate.
 RECORD_ONLY = ("BM_ParallelSweep",)
 UNGATED_COUNTERS = {"workers"}
-# The interceptor refactor promised the invocation hot path stays within
-# 3% of the recorded pre-refactor baseline; hold it to that.
+# The full oneway invocation path (BM_InterceptorOverhead/0, named for the
+# interceptor chain it once measured) stays within 3% of its recorded
+# baseline.
 TIGHT = {"BM_InterceptorOverhead": 0.03}
 # The scheduler-scaling suite exists for the shape (ns_per_job roughly
 # flat from 256 to 16384 pending jobs — CI asserts that, self-relative,

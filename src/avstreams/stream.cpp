@@ -31,12 +31,4 @@ void StreamBinding::push(const media::VideoFrame& frame) {
   stub_.oneway(kPushFrameOp, encode_frame(frame));
 }
 
-void StreamBinding::reserve(net::RsvpAgent& agent, const net::FlowSpec& spec,
-                            net::RsvpAgent::ReserveCallback cb) {
-  assert(agent.node() != stub_.ref().node && "use the sender-side agent");
-  agent.reserve(flow(), stub_.ref().node, spec, std::move(cb));
-}
-
-void StreamBinding::release(net::RsvpAgent& agent) { agent.release(flow()); }
-
 }  // namespace aqm::av

@@ -8,8 +8,11 @@
 //  * VideoSinkEndpoint — receiver side: activates a frame-sink servant in a
 //    POA and hands arriving frames to application code.
 //  * StreamBinding — sender side: a bound flow to a sink endpoint, pushing
-//    frames as oneway GIOP requests; exposes RSVP reservation attach/detach
-//    and per-stream priority, mirroring the explicit-binding + QoS model.
+//    frames as oneway GIOP requests through its ObjectStub. The stream's
+//    QoS (priority, DSCP, the RSVP reservation attached to its flow) is a
+//    core::QoSSession applied over stub(), mirroring the explicit-binding
+//    + QoS model: the session is the one path that reserves, re-stamps
+//    and releases.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +21,6 @@
 #include <string>
 
 #include "media/frame.hpp"
-#include "net/rsvp.hpp"
 #include "orb/orb.hpp"
 
 namespace aqm::av {
@@ -48,16 +50,9 @@ class StreamBinding {
   /// Pushes one frame down the stream (oneway).
   void push(const media::VideoFrame& frame);
 
-  /// Attaches an RSVP reservation to the stream's network flow via the
-  /// sender-side agent. The callback reports the signaling outcome.
-  void reserve(net::RsvpAgent& agent, const net::FlowSpec& spec,
-               net::RsvpAgent::ReserveCallback cb);
-  void release(net::RsvpAgent& agent);
-
-  /// Per-stream CORBA priority (affects thread priorities and DSCP).
-  void set_priority(orb::CorbaPriority priority) { stub_.set_priority(priority); }
-
   [[nodiscard]] net::FlowId flow() const { return stub_.flow(); }
+  /// The stream's binding; a core::QoSSession over it applies the
+  /// stream's QoS.
   [[nodiscard]] orb::ObjectStub& stub() { return stub_; }
   [[nodiscard]] std::uint64_t frames_pushed() const { return pushed_; }
 

@@ -31,7 +31,7 @@ void encode_override(orb::CdrWriter& w, const PolicyOverride& ov) {
   if (ov.oneway_batching) {
     w.write_u32(ov.oneway_batching->max_bytes);
     w.write_u32(ov.oneway_batching->max_messages);
-    w.write_i64(ov.oneway_batching->flush_deadline.ns());
+    w.write_i64(ov.oneway_batching->flush_delay.ns());
   }
 }
 
@@ -54,10 +54,10 @@ PolicyOverride decode_override(orb::CdrReader& r) {
     ov.network_reservation = spec;
   }
   if (r.read_bool()) {
-    OnewayBatchingPolicy batching;
+    orb::BatchPolicy batching;
     batching.max_bytes = r.read_u32();
     batching.max_messages = r.read_u32();
-    batching.flush_deadline = Duration{r.read_i64()};
+    batching.flush_delay = Duration{r.read_i64()};
     ov.oneway_batching = batching;
   }
   return ov;
@@ -126,8 +126,9 @@ Status<std::string> QosControlPlane::override_flow(net::FlowId flow,
   if (it == managed_.end()) {
     return Status<std::string>::err("flow is not under control-plane management");
   }
-  if (ov.oneway_batching && ov.oneway_batching->flush_deadline < Duration::zero()) {
-    // A negative flush delay would schedule the batch flush in the past.
+  if (ov.oneway_batching && ov.oneway_batching->flush_delay < Duration::zero()) {
+    // Refused before the merge, so the live policy stays untouched (the
+    // session would refuse it too, but only after replacing the policy).
     return Status<std::string>::err("oneway batching flush deadline must not be negative");
   }
   Managed& m = it->second;

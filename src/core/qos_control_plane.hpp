@@ -40,7 +40,7 @@ struct PolicyOverride {
   std::optional<Duration> deadline;
   std::optional<os::ReserveSpec> server_cpu_reserve;
   std::optional<net::FlowSpec> network_reservation;
-  std::optional<OnewayBatchingPolicy> oneway_batching;
+  std::optional<orb::BatchPolicy> oneway_batching;
 
   [[nodiscard]] bool any() const {
     return priority || dscp || deadline || server_cpu_reserve || network_reservation ||

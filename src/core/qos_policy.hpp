@@ -18,23 +18,15 @@
 #include "net/packet.hpp"
 #include "net/rsvp.hpp"
 #include "obs/telemetry.hpp"
+#include "orb/transport.hpp"
 #include "orb/types.hpp"
 #include "os/cpu.hpp"
 
 namespace aqm::core {
 
-/// Transport coalescing policy for the binding's flow: small messages
-/// accumulate in the GIOP transport and ship as one wire write, flushed by
-/// byte/count thresholds or the deadline — the flush policy is itself QoS
-/// (a latency/efficiency trade), so it lives on the end-to-end policy and
-/// is applied by QoSSession like priority and DSCP are.
-struct OnewayBatchingPolicy {
-  std::uint32_t max_bytes = 16 * 1024;
-  std::uint32_t max_messages = 64;
-  Duration flush_deadline = microseconds(500);
-
-  friend bool operator==(const OnewayBatchingPolicy&, const OnewayBatchingPolicy&) = default;
-};
+/// Older name of orb::BatchPolicy, {max_bytes, max_messages, flush_delay},
+/// kept for callers that still spell it.
+using OnewayBatchingPolicy = orb::BatchPolicy;
 
 struct EndToEndQosPolicy {
   /// Network flow id classifying the binding's traffic, written to the
@@ -67,9 +59,9 @@ struct EndToEndQosPolicy {
 
   // --- transport batching (coalesced writes) --------------------------------
   /// Enables GIOP message coalescing on the binding's flow (requires
-  /// `flow`). QoSSession installs it as the flow's GiopTransport batching
-  /// policy, `flush_deadline` as its flush_delay.
-  std::optional<OnewayBatchingPolicy> oneway_batching;
+  /// `flow` and a non-negative flush_delay). QoSSession installs it as the
+  /// flow's batching policy on the client's GiopTransport.
+  std::optional<orb::BatchPolicy> oneway_batching;
 
   // --- service-level objective (telemetry contract, DESIGN.md §12) ----------
   /// Windowed SLO for the binding's flow (requires `flow` and a

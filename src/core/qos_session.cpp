@@ -83,12 +83,12 @@ void QoSSession::apply_batching(const EndToEndQosPolicy& next, bool flow_changed
     errors_.emplace_back("oneway batching requires the binding to have a flow id");
     return;
   }
-  orb::BatchPolicy batching;
-  batching.enabled = true;
-  batching.max_bytes = next.oneway_batching->max_bytes;
-  batching.max_messages = next.oneway_batching->max_messages;
-  batching.flush_delay = next.oneway_batching->flush_deadline;
-  client_orb_.transport().set_flow_batching(*next.flow, batching);
+  if (next.oneway_batching->flush_delay < Duration::zero()) {
+    // A negative flush delay would schedule the batch flush in the past.
+    errors_.emplace_back("oneway batching flush deadline must not be negative");
+    return;
+  }
+  client_orb_.transport().set_flow_batching(*next.flow, *next.oneway_batching);
   batching_applied_ = true;
   batching_flow_ = *next.flow;
 }

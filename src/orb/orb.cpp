@@ -83,81 +83,6 @@ const char* OrbEndpoint::span_name(obs::TraceRecorder& tr, const std::string& op
   return name;
 }
 
-// --- interceptor registration ------------------------------------------------
-
-ClientRequestInterceptor& OrbEndpoint::add_client_interceptor(
-    std::unique_ptr<ClientRequestInterceptor> icpt) {
-  assert(icpt != nullptr);
-  client_chain_.push_back(InterceptorEntry<ClientRequestInterceptor>{std::move(icpt)});
-  return *client_chain_.back().icpt;
-}
-
-ServerRequestInterceptor& OrbEndpoint::add_server_interceptor(
-    std::unique_ptr<ServerRequestInterceptor> icpt) {
-  assert(icpt != nullptr);
-  server_chain_.push_back(InterceptorEntry<ServerRequestInterceptor>{std::move(icpt)});
-  return *server_chain_.back().icpt;
-}
-
-// --- chain runners -----------------------------------------------------------
-// Forward in every phase except the client reply/exception path, which
-// unwinds in reverse so interceptors observe replies last-in-first-out
-// relative to their request-path order.
-
-InterceptStatus OrbEndpoint::run_client_establish(ClientRequestContext& ctx) {
-  for (auto& entry : client_chain_) {
-    ++entry.runs;
-    if (auto st = entry.icpt->establish(ctx); !st) {
-      ++entry.vetoes;
-      return st;
-    }
-  }
-  return {};
-}
-
-InterceptStatus OrbEndpoint::run_client_send(ClientRequestContext& ctx) {
-  for (auto& entry : client_chain_) {
-    if (auto st = entry.icpt->send_request(ctx); !st) {
-      ++entry.vetoes;
-      return st;
-    }
-  }
-  return {};
-}
-
-void OrbEndpoint::run_client_reply(ClientRequestContext& ctx) {
-  for (auto it = client_chain_.rbegin(); it != client_chain_.rend(); ++it) {
-    it->icpt->receive_reply(ctx);
-  }
-}
-
-void OrbEndpoint::run_client_exception(ClientRequestContext& ctx) {
-  for (auto it = client_chain_.rbegin(); it != client_chain_.rend(); ++it) {
-    it->icpt->receive_exception(ctx);
-  }
-}
-
-InterceptStatus OrbEndpoint::run_server_receive(ServerRequestContext& ctx) {
-  for (auto& entry : server_chain_) {
-    ++entry.runs;
-    if (auto st = entry.icpt->receive_request(ctx); !st) {
-      ++entry.vetoes;
-      return st;
-    }
-  }
-  return {};
-}
-
-InterceptStatus OrbEndpoint::run_server_reply(ServerRequestContext& ctx) {
-  for (auto& entry : server_chain_) {
-    if (auto st = entry.icpt->send_reply(ctx); !st) {
-      ++entry.vetoes;
-      return st;
-    }
-  }
-  return {};
-}
-
 // --- metrics -----------------------------------------------------------------
 
 void OrbEndpoint::export_metrics(obs::MetricsRegistry& reg, std::string_view prefix) const {
@@ -171,8 +96,8 @@ void OrbEndpoint::export_metrics(obs::MetricsRegistry& reg, std::string_view pre
   reg.counter(p + ".collocated_calls").set(stats_.collocated_calls);
   reg.counter(p + ".messages_expired").set(transport_.messages_expired());
   // Emitted only when coalescing is actually in play, so metrics sidecars
-  // of batching-off runs stay byte-identical to the pre-batching ORB.
-  if (config_.transport.batching.enabled || transport_.batched_messages() > 0) {
+  // of unbatched runs stay byte-identical to the pre-batching ORB.
+  if (transport_.batched_messages() > 0) {
     reg.counter(p + ".transport.batches_sent").set(transport_.batches_sent());
     reg.counter(p + ".transport.batched_messages").set(transport_.batched_messages());
     reg.counter(p + ".transport.batches_delivered").set(transport_.batches_delivered());
@@ -182,16 +107,6 @@ void OrbEndpoint::export_metrics(obs::MetricsRegistry& reg, std::string_view pre
   reg.counter(p + ".interceptor.deadline_dropped").set(stats_.deadline_dropped);
   reg.counter(p + ".interceptor.deadline_missed").set(stats_.deadline_missed);
   reg.counter(p + ".interceptor.retries").set(stats_.retries);
-  for (const auto& entry : client_chain_) {
-    const std::string base = p + ".interceptor.client." + entry.icpt->name();
-    reg.counter(base + ".runs").set(entry.runs);
-    reg.counter(base + ".vetoes").set(entry.vetoes);
-  }
-  for (const auto& entry : server_chain_) {
-    const std::string base = p + ".interceptor.server." + entry.icpt->name();
-    reg.counter(base + ".runs").set(entry.runs);
-    reg.counter(base + ".vetoes").set(entry.vetoes);
-  }
   for (const auto& [name, poa] : poas_) {
     const std::string base = p + ".poa." + name;
     reg.counter(base + ".dispatched").set(poa->dispatch_stats().dispatched);
@@ -237,63 +152,35 @@ void OrbEndpoint::invoke(const ObjectRef& ref, const std::string& operation,
 void OrbEndpoint::start_attempt(std::uint32_t slot) {
   CallRecord& rec = *calls_[slot];
   const InvokeOptions& options = rec.options;
-  const CorbaPriority resolved =
-      options.priority.value_or(rec.ref.priority_model == PriorityModel::ServerDeclared
-                                    ? rec.ref.server_priority
-                                    : client_priority_);
+  const TimePoint now = engine().now();
   const std::uint32_t request_id = next_request_id_++;
 
-  // Establish phase: QoS decisions (priority/DSCP/flow/deadline rewrites)
-  // before any CPU cost is paid.
-  ClientRequestContext ectx;
-  ectx.ref = &rec.ref;
-  ectx.operation = &rec.operation;
-  ectx.options = &options;
-  ectx.request_id = request_id;
-  ectx.oneway = options.oneway;
-  ectx.attempt = rec.attempt;
-  ectx.now = engine().now();
-  ectx.priority = resolved;
-  ectx.flow = options.flow;
-  ectx.deadline = rec.deadline;  // carried across retries
-  ectx.body = &rec.body;
-  InterceptStatus st = run_client_establish(ectx);
-  if (st) {
-    // The ORB's stage: the end-to-end deadline becomes absolute on the
-    // first attempt, and an attempt (a retry's, say) that starts past it
-    // dies before it pays marshal cost.
-    if (!ectx.deadline && options.deadline) ectx.deadline = ectx.now + *options.deadline;
-    if (ectx.deadline && ectx.now > *ectx.deadline) st = veto(CompletionStatus::Timeout);
-  }
-  if (!st) {
+  // The end-to-end deadline becomes absolute on the first attempt, and an
+  // attempt (a retry's, say) that starts past it dies before it pays
+  // marshal cost.
+  if (!rec.deadline && options.deadline) rec.deadline = now + *options.deadline;
+  if (rec.deadline && now > *rec.deadline) {
     ++stats_.client_vetoed;
-    if (st.error() == CompletionStatus::Timeout) {
-      // Deadline already expired at establish time: the call was vetoed
-      // before any cost was paid, but the application still missed it.
-      ++stats_.deadline_missed;
-      if (obs::TelemetryHub* th = engine().telemetry()) {
-        th->on_deadline_miss(ectx.flow, engine().now());
-      }
-    }
+    // The call was vetoed before any cost was paid, but the application
+    // still missed its deadline.
+    ++stats_.deadline_missed;
+    if (obs::TelemetryHub* th = engine().telemetry()) th->on_deadline_miss(options.flow, now);
     if (obs::TraceRecorder* tr = orb_tracer()) {
-      tr->instant(obs::TraceCategory::Orb, "icpt.veto", obs_track_, engine().now(), 0,
+      tr->instant(obs::TraceCategory::Orb, "icpt.veto", obs_track_, now, 0,
                   {{"request_id", static_cast<double>(request_id)}});
     }
     // Vetoed invocations complete synchronously: no CPU or wire cost.
     ResponseCallback cb = std::move(rec.cb);
     const bool oneway = options.oneway;
     release_call(slot);
-    if (!oneway && cb) cb(st.error(), {});
+    if (!oneway && cb) cb(CompletionStatus::Timeout, {});
     return;
   }
 
   rec.request_id = request_id;
-  rec.priority = ectx.priority;
-  rec.deadline = ectx.deadline;
-  rec.dscp_override = ectx.dscp_override;
-  rec.flow = ectx.flow;
-  rec.retryable = !options.oneway && options.retry.enabled() &&
-                  rec.attempt < options.retry.max_attempts;
+  rec.priority = options.priority.value_or(
+      rec.ref.priority_model == PriorityModel::ServerDeclared ? rec.ref.server_priority
+                                                               : client_priority_);
   const Duration cost = marshal_cost(rec.body.size() + rec.operation.size() + 64);
 
   // A traced request gets one end-to-end id here; it rides in a GIOP
@@ -304,14 +191,13 @@ void OrbEndpoint::start_attempt(std::uint32_t slot) {
   if (obs::TraceRecorder* tr = orb_tracer()) {
     rec.trace = tr->next_id();
     rec.span_name = span_name(*tr, rec.operation);
-    tr->async_begin(obs::TraceCategory::Orb, rec.span_name, obs_track_, engine().now(),
-                    rec.trace,
+    tr->async_begin(obs::TraceCategory::Orb, rec.span_name, obs_track_, now, rec.trace,
                     {{"request_id", static_cast<double>(request_id)},
                      {"priority", static_cast<double>(rec.priority)}});
   }
 
-  // Marshal on the client CPU at the native band the final CORBA priority
-  // maps to, then run the send_request (stamping) phase and ship.
+  // Marshal on the client CPU at the native band the CORBA priority maps
+  // to, then stamp and ship.
   cpu_.submit_for(cost, priority_mappings_.to_native(rec.priority),
                   [this, slot] { send_request(slot); });
 }
@@ -319,6 +205,7 @@ void OrbEndpoint::start_attempt(std::uint32_t slot) {
 void OrbEndpoint::send_request(std::uint32_t slot) {
   CallRecord& rec = *calls_[slot];
   const bool oneway = rec.options.oneway;
+  const TimePoint now = engine().now();
   RequestHeader& header = request_scratch_;
   header.request_id = rec.request_id;
   header.response_expected = !oneway;
@@ -326,44 +213,15 @@ void OrbEndpoint::send_request(std::uint32_t slot) {
   header.operation = rec.operation;
   recycle_contexts(header.contexts, context_spare_);
 
-  ClientRequestContext ctx;
-  ctx.ref = &rec.ref;
-  ctx.operation = &rec.operation;
-  ctx.options = &rec.options;
-  ctx.request_id = rec.request_id;
-  ctx.oneway = oneway;
-  ctx.attempt = rec.attempt;
-  ctx.now = engine().now();
-  ctx.priority = rec.priority;
-  ctx.dscp_override = rec.dscp_override;
-  ctx.flow = rec.flow;
-  ctx.deadline = rec.deadline;
-  ctx.trace_id = rec.trace;
-  ctx.contexts = &header.contexts;
-  if (const auto st = run_client_send(ctx); !st) {
-    ++stats_.client_vetoed;
-    if (rec.trace != 0 && rec.span_name != nullptr) {
-      if (obs::TraceRecorder* tr = orb_tracer()) {
-        tr->async_end(obs::TraceCategory::Orb, rec.span_name, obs_track_, engine().now(),
-                      rec.trace, {{"veto", 1.0}});
-      }
-    }
-    ResponseCallback cb = std::move(rec.cb);
-    release_call(slot);
-    if (!oneway && cb) cb(st.error(), {});
-    return;
-  }
-
-  // The ORB's contexts follow the interceptors' ones: priority, send
-  // timestamp, trace (if traced), deadline (if any). An explicit override
-  // wins over the reference's protocol DSCP, which wins over the mapping.
-  stamp_priority_context(header.contexts, ctx.priority, &context_spare_);
-  stamp_timestamp_context(header.contexts, ctx.now, &context_spare_);
-  if (ctx.trace_id != 0) stamp_trace_context(header.contexts, ctx.trace_id, &context_spare_);
-  if (ctx.deadline) stamp_deadline_context(header.contexts, *ctx.deadline, &context_spare_);
-  const net::Dscp dscp = ctx.dscp_override      ? *ctx.dscp_override
-                         : rec.ref.protocol.dscp ? *rec.ref.protocol.dscp
-                                                 : dscp_mappings_.to_dscp(ctx.priority);
+  // The ORB's contexts: priority, send timestamp, trace (if traced),
+  // deadline (if any). The reference's protocol DSCP wins over the
+  // priority mapping.
+  stamp_priority_context(header.contexts, rec.priority, &context_spare_);
+  stamp_timestamp_context(header.contexts, now, &context_spare_);
+  if (rec.trace != 0) stamp_trace_context(header.contexts, rec.trace, &context_spare_);
+  if (rec.deadline) stamp_deadline_context(header.contexts, *rec.deadline, &context_spare_);
+  const net::Dscp dscp = rec.ref.protocol.dscp ? *rec.ref.protocol.dscp
+                                               : dscp_mappings_.to_dscp(rec.priority);
 
   auto buf = pool_.acquire();
   encode_request(header, rec.body, *buf);
@@ -373,23 +231,22 @@ void OrbEndpoint::send_request(std::uint32_t slot) {
   const net::NodeId target = rec.ref.node;
   const bool collocated = target == node();
   if (collocated) ++stats_.collocated_calls;
+  const net::FlowId flow = rec.options.flow;
   const std::uint64_t trace_id = rec.trace;
   if (obs::TraceRecorder* tr = orb_tracer()) {
-    tr->instant(obs::TraceCategory::Orb, "send", obs_track_, engine().now(), trace_id,
+    tr->instant(obs::TraceCategory::Orb, "send", obs_track_, now, trace_id,
                 {{"bytes", static_cast<double>(bytes->size())}});
   }
 
   if (!oneway) {
-    rec.flow = ctx.flow;
-    rec.sent_at = engine().now();
+    rec.sent_at = now;
     rec.timeout = engine().after(rec.options.timeout, [this, slot] { on_timeout(slot); });
     pending_.insert(rec.request_id, slot);
   } else {
     // Oneways have no reply; the client span closes at the send.
     if (trace_id != 0 && rec.span_name != nullptr) {
       if (obs::TraceRecorder* tr = orb_tracer()) {
-        tr->async_end(obs::TraceCategory::Orb, rec.span_name, obs_track_, engine().now(),
-                      trace_id);
+        tr->async_end(obs::TraceCategory::Orb, rec.span_name, obs_track_, now, trace_id);
       }
     }
     release_call(slot);
@@ -401,7 +258,7 @@ void OrbEndpoint::send_request(std::uint32_t slot) {
     // same marshaling and dispatch semantics, zero wire time.
     on_message(node(), std::move(bytes));
   } else {
-    transport_.send_message(target, std::move(bytes), dscp, ctx.flow, trace_id);
+    transport_.send_message(target, std::move(bytes), dscp, flow, trace_id);
   }
 }
 
@@ -411,7 +268,7 @@ void OrbEndpoint::on_timeout(std::uint32_t slot) {
   ++stats_.timeouts;
   ++stats_.deadline_missed;
   if (obs::TelemetryHub* th = engine().telemetry()) {
-    th->on_deadline_miss(rec.flow, engine().now(), rec.trace);
+    th->on_deadline_miss(rec.options.flow, engine().now(), rec.trace);
   }
   if (rec.trace != 0 && rec.span_name != nullptr) {
     if (obs::TraceRecorder* tr = orb_tracer()) {
@@ -429,24 +286,11 @@ void OrbEndpoint::complete_exception(std::uint32_t slot, CompletionStatus status
   // attempts remain and the backoff ends inside the deadline; hard
   // failures are final.
   std::optional<Duration> backoff;
-  if (rec.retryable &&
+  if (rec.attempt < rec.options.retry.max_attempts &&
       (status == CompletionStatus::Timeout || status == CompletionStatus::Transient)) {
     const Duration wait = rec.options.retry.backoff_after(rec.attempt);
     if (!rec.deadline || now + wait <= *rec.deadline) backoff = wait;
   }
-
-  ClientRequestContext ctx;
-  ctx.attempt = rec.attempt;
-  ctx.now = now;
-  ctx.status = status;
-  ctx.trace_id = rec.trace;
-  if (rec.retryable) {
-    ctx.ref = &rec.ref;
-    ctx.operation = &rec.operation;
-    ctx.options = &rec.options;
-    ctx.deadline = rec.deadline;
-  }
-  run_client_exception(ctx);
 
   if (backoff) {
     ++stats_.retries;
@@ -540,25 +384,18 @@ void OrbEndpoint::handle_request(net::NodeId src, GiopMessage& msg, std::size_t 
     return;
   }
 
-  // The ORB's stage resolves priority, send timestamp, trace and deadline
-  // from the service contexts, then the receive_request phase runs; a veto
-  // from either rejects the request before any thread-pool or servant work
-  // is spent on it.
-  ServerRequestContext rctx;
-  rctx.operation = &header.operation;
-  rctx.object_key = &header.object_key;
-  rctx.poa = poa;
-  rctx.request_id = header.request_id;
-  rctx.response_expected = header.response_expected;
-  rctx.collocated = src == node();
-  rctx.client = src;
-  rctx.now = engine().now();
-  rctx.contexts = &header.contexts;
+  // Resolve priority, send timestamp, trace and deadline from the service
+  // contexts; an expired deadline rejects the request before any
+  // thread-pool or servant work is spent on it.
+  CorbaPriority priority = kDefaultCorbaPriority;
+  std::optional<TimePoint> client_send_time;
+  std::uint64_t trace = 0;
+  std::optional<TimePoint> deadline;
   try {
-    rctx.priority = find_priority(header.contexts).value_or(kDefaultCorbaPriority);
-    rctx.client_send_time = find_timestamp(header.contexts);
-    rctx.trace = find_trace(header.contexts).value_or(0);
-    rctx.deadline = find_deadline(header.contexts);
+    priority = find_priority(header.contexts).value_or(kDefaultCorbaPriority);
+    client_send_time = find_timestamp(header.contexts);
+    trace = find_trace(header.contexts).value_or(0);
+    deadline = find_deadline(header.contexts);
   } catch (const MarshalError& e) {
     // A truncated context body is as malformed as an undecodable message.
     AQM_WARN() << "orb@" << net_.node_name(node()) << ": dropping malformed GIOP ("
@@ -566,32 +403,25 @@ void OrbEndpoint::handle_request(net::NodeId src, GiopMessage& msg, std::size_t 
     return;
   }
   if (poa->policies().priority_model == PriorityModel::ServerDeclared) {
-    rctx.priority = poa->policies().server_priority;
+    priority = poa->policies().server_priority;
   }
-  // Expired before any servant work: reject with the status the client
-  // retries as a timeout.
-  const InterceptStatus st = rctx.deadline && rctx.now > *rctx.deadline
-                                 ? veto(CompletionStatus::Timeout)
-                                 : run_server_receive(rctx);
-  if (!st) {
+  if (deadline && engine().now() > *deadline) {
+    // Rejected with the status the client retries as a timeout.
     ++stats_.server_vetoed;
-    if (st.error() == CompletionStatus::Timeout) ++stats_.deadline_dropped;
+    ++stats_.deadline_dropped;
     if (obs::TraceRecorder* tr = orb_tracer()) {
-      tr->instant(obs::TraceCategory::Orb, "icpt.veto", obs_track_, engine().now(),
-                  rctx.trace,
+      tr->instant(obs::TraceCategory::Orb, "icpt.veto", obs_track_, engine().now(), trace,
                   {{"request_id", static_cast<double>(header.request_id)},
-                   {"status", static_cast<double>(st.error())}});
+                   {"status", static_cast<double>(CompletionStatus::Timeout)}});
     }
     if (header.response_expected) {
-      send_error_reply(acquire_server_call(src, header.request_id, rctx.trace), st.error(),
-                       rctx.priority);
+      send_error_reply(acquire_server_call(src, header.request_id, trace),
+                       CompletionStatus::Timeout, priority);
     }
     return;
   }
 
-  const CorbaPriority priority = rctx.priority;
-  const std::uint64_t trace = rctx.trace;
-  if (rctx.collocated) ++poa->dispatch_stats().collocated;
+  if (src == node()) ++poa->dispatch_stats().collocated;
 
   const std::uint32_t slot = acquire_server_call(src, header.request_id, trace);
   ServerCall& call = *server_calls_[slot];
@@ -600,7 +430,7 @@ void OrbEndpoint::handle_request(net::NodeId src, GiopMessage& msg, std::size_t 
   req.operation.swap(header.operation);
   req.body.swap(msg.body);
   req.priority = priority;
-  req.client_send_time = rctx.client_send_time;
+  req.client_send_time = client_send_time;
   req.handled_at = TimePoint{};
   req.deferred_ = false;
   call.servant = std::move(servant);
@@ -714,27 +544,11 @@ void OrbEndpoint::marshal_reply(std::uint32_t slot) {
   recycle_contexts(header.contexts, context_spare_);
 
   // The ORB stamps the reply's priority, timestamp and trace contexts and
-  // derives the egress DSCP from the reply priority; the send_reply phase
-  // runs after it.
+  // derives the egress DSCP from the reply priority.
   stamp_priority_context(header.contexts, call.reply_priority, &context_spare_);
   stamp_timestamp_context(header.contexts, engine().now(), &context_spare_);
   if (call.trace != 0) stamp_trace_context(header.contexts, call.trace, &context_spare_);
-  ServerRequestContext rctx;
-  rctx.request_id = call.request_id;
-  rctx.response_expected = true;
-  rctx.client = call.req.client;
-  rctx.now = engine().now();
-  rctx.priority = call.reply_priority;
-  rctx.trace = call.trace;
-  rctx.reply_contexts = &header.contexts;
-  rctx.reply_status = call.reply_status;
-  rctx.reply_dscp = dscp_mappings_.to_dscp(call.reply_priority);
-  if (const auto st = run_server_reply(rctx); !st) {
-    // Reply suppressed: the client sees a timeout.
-    ++stats_.server_vetoed;
-    release_server_call(slot);
-    return;
-  }
+  const net::Dscp dscp = dscp_mappings_.to_dscp(call.reply_priority);
 
   auto buf = pool_.acquire();
   encode_reply(header, call.req.reply_body, *buf);
@@ -747,7 +561,7 @@ void OrbEndpoint::marshal_reply(std::uint32_t slot) {
   const net::NodeId client = call.req.client;
   const std::uint64_t trace = call.trace;
   release_server_call(slot);
-  transport_.send_message(client, std::move(bytes), rctx.reply_dscp, net::kNoFlow, trace);
+  transport_.send_message(client, std::move(bytes), dscp, net::kNoFlow, trace);
 }
 
 void OrbEndpoint::handle_reply(GiopMessage& msg, std::size_t wire_size) {
@@ -786,22 +600,9 @@ void OrbEndpoint::finish_reply(std::uint32_t slot) {
   }
   ++stats_.replies_ok;
   if (obs::TelemetryHub* th = engine().telemetry()) {
-    th->on_call(rec.flow, engine().now(), (engine().now() - rec.sent_at).millis(), rec.trace);
+    th->on_call(rec.options.flow, engine().now(), (engine().now() - rec.sent_at).millis(),
+                rec.trace);
   }
-  ClientRequestContext ctx;
-  ctx.request_id = rec.request_id;
-  ctx.attempt = rec.attempt;
-  ctx.now = engine().now();
-  ctx.priority = rec.priority;
-  ctx.trace_id = rec.trace;
-  ctx.status = CompletionStatus::Ok;
-  if (rec.retryable) {
-    ctx.ref = &rec.ref;
-    ctx.operation = &rec.operation;
-    ctx.options = &rec.options;
-    ctx.deadline = rec.deadline;
-  }
-  run_client_reply(ctx);
   // A non-empty body goes to the caller by value (the public callback
   // signature), and the record's buffer with it; an empty one keeps it.
   ResponseCallback cb = std::move(rec.cb);

@@ -1,23 +1,22 @@
 // The ORB endpoint: one per simulated host.
 //
-// Client side: invoke() runs the registered interceptors' establish phase
-// (QoS decisions: priority, DSCP, flow, deadline), then the ORB's own
-// stage: the absolute deadline (an expired one vetoes the call) and the
-// priority -> native mapping the marshal job runs at. After the marshal
-// cost, the interceptors' send_request phase runs, then the ORB stamps
-// the RTCorbaPriority / timestamp / trace / deadline service contexts,
-// picks the DSCP, encodes and hands the bytes to the transport. Twoway
-// replies are matched by request id with a timeout; on an error or
-// timeout the ORB decides a bounded retry before the interceptors'
-// receive_exception phase runs.
+// Client side: invoke() resolves the call's priority and makes its
+// end-to-end deadline absolute (an attempt that starts past it is vetoed
+// before any cost is paid), then runs the marshal job at the native band
+// the priority maps to. After the marshal cost the ORB stamps the
+// RTCorbaPriority / timestamp / trace / deadline service contexts, picks
+// the DSCP (the reference's protocol DSCP, else the priority mapping),
+// encodes and hands the bytes to the transport. Twoway replies are
+// matched by request id with a timeout; on a timeout or a transient error
+// the ORB decides a bounded retry with exponential backoff.
 //
 // Server side: complete messages are demultiplexed to a POA/servant, the
 // ORB resolves priority, send time, trace and deadline from the service
 // contexts (dropping malformed ones like any undecodable message, and
-// expired deadlines before any servant work), the interceptors'
-// receive_request phase may veto, then the request is dispatched into the
-// POA's RT thread pool. For twoways the ORB stamps the reply's contexts
-// and priority-derived DSCP, then the interceptors' send_reply phase runs.
+// vetoing expired deadlines before any servant work), then the request is
+// dispatched into the POA's RT thread pool. For twoways the ORB stamps
+// the reply's priority / timestamp / trace contexts and sends it at the
+// DSCP its priority maps to.
 //
 // The steady-state round trip allocates nothing (DESIGN.md §8). Each
 // client invocation lives in a recycled call record from invoke() to its
@@ -46,7 +45,6 @@
 #include "obs/metrics.hpp"
 #include "orb/exceptions.hpp"
 #include "orb/giop.hpp"
-#include "orb/interceptor.hpp"
 #include "orb/poa.hpp"
 #include "orb/rt/dscp_mapping.hpp"
 #include "orb/rt/priority_mapping.hpp"
@@ -64,8 +62,35 @@ struct OrbConfig {
   TransportConfig transport{};
 };
 
-// InvokeOptions lives in orb/interceptor.hpp with the rest of the
-// per-invocation types (deadline/retry knobs included).
+/// Bounded retry with exponential backoff, applied by the client ORB to
+/// Timeout/Transient outcomes. max_attempts == 1 disables retries.
+struct RetryPolicy {
+  int max_attempts = 1;
+  Duration initial_backoff = milliseconds(50);
+  double backoff_multiplier = 2.0;
+
+  /// Backoff before re-issuing attempt `attempt + 1` (attempts are 1-based).
+  [[nodiscard]] Duration backoff_after(int attempt) const {
+    double scale = 1.0;
+    for (int i = 1; i < attempt; ++i) scale *= backoff_multiplier;
+    return Duration{static_cast<std::int64_t>(
+        static_cast<double>(initial_backoff.ns()) * scale)};
+  }
+};
+
+struct InvokeOptions {
+  bool oneway = false;
+  Duration timeout = seconds(2);
+  /// Overrides the ambient client priority / server-declared priority.
+  std::optional<CorbaPriority> priority;
+  /// Network flow id (for reservations and per-flow statistics).
+  net::FlowId flow = net::kNoFlow;
+  /// Per-invocation end-to-end deadline. Rides a service context; the
+  /// server drops requests whose deadline already expired before any
+  /// servant work runs. Also bounds retries.
+  std::optional<Duration> deadline;
+  RetryPolicy retry;
+};
 
 struct OrbStats {
   std::uint64_t requests_sent = 0;
@@ -75,9 +100,9 @@ struct OrbStats {
   std::uint64_t timeouts = 0;
   std::uint64_t dispatch_rejected = 0;  // thread-pool queue overflows
   std::uint64_t collocated_calls = 0;   // requests that skipped the transport
-  // --- veto, deadline and retry counters ------------------------------------
-  std::uint64_t client_vetoed = 0;     // invocations short-circuited client-side
-  std::uint64_t server_vetoed = 0;     // requests or replies rejected server-side
+  // --- deadline and retry counters ------------------------------------------
+  std::uint64_t client_vetoed = 0;     // attempts that started past their deadline
+  std::uint64_t server_vetoed = 0;     // requests that arrived past their deadline
   std::uint64_t deadline_dropped = 0;  // server vetoes for expired deadlines
   std::uint64_t retries = 0;           // re-issued attempts
   std::uint64_t deadline_missed = 0;   // client-side misses: pre-send expiry + timeouts
@@ -104,21 +129,6 @@ class OrbEndpoint {
   void set_client_priority(CorbaPriority p) { client_priority_ = p; }
   [[nodiscard]] CorbaPriority client_priority() const { return client_priority_; }
 
-  // --- interceptors --------------------------------------------------------------
-
-  /// Registers a client interceptor. Interceptors run in registration
-  /// order BEFORE the ORB's own stage in establish/send_request (their QoS
-  /// decisions are what the ORB maps and stamps) and after it, in reverse
-  /// registration order, on the receive_reply/receive_exception path.
-  /// Returns the registered instance.
-  ClientRequestInterceptor& add_client_interceptor(
-      std::unique_ptr<ClientRequestInterceptor> icpt);
-  /// Registers a server interceptor. Interceptors run in registration
-  /// order AFTER the ORB's own stage (they observe fully resolved
-  /// requests) in every phase.
-  ServerRequestInterceptor& add_server_interceptor(
-      std::unique_ptr<ServerRequestInterceptor> icpt);
-
   // --- server side -------------------------------------------------------------
 
   Poa& create_poa(const std::string& name, PoaPolicies policies = {});
@@ -127,10 +137,10 @@ class OrbEndpoint {
   // --- client side -------------------------------------------------------------
 
   /// Fire an invocation. For oneways `cb` may be null; for twoways it is
-  /// called exactly once with the outcome. With transport batching on,
-  /// any number of invocations can be in flight on one logical connection
-  /// — completions demux by request id — and small requests coalesce in
-  /// the transport until a threshold/deadline flush or flush_transport().
+  /// called exactly once with the outcome. On a batched flow, any number
+  /// of invocations can be in flight on one logical connection —
+  /// completions demux by request id — and small requests coalesce in the
+  /// transport until a threshold/deadline flush or flush_transport().
   void invoke(const ObjectRef& ref, const std::string& operation,
               std::vector<std::uint8_t> body, InvokeOptions options,
               ResponseCallback cb = nullptr);
@@ -175,14 +185,9 @@ class OrbEndpoint {
     int attempt = 1;
     /// Absolute deadline, carried across retries.
     std::optional<TimePoint> deadline;
-    /// Another attempt is still possible: the reply/exception phases see
-    /// ref/operation/options (interceptor.hpp's "originals").
-    bool retryable = false;
     // --- the current attempt ------------------------------------------------
     std::uint32_t request_id = 0;
     CorbaPriority priority = 0;
-    std::optional<net::Dscp> dscp_override;
-    net::FlowId flow = net::kNoFlow;  // resolved flow (after send_request)
     std::uint64_t trace = 0;
     const char* span_name = nullptr;  // interned "call <op>" for the async end
     sim::EventId timeout{};
@@ -211,35 +216,20 @@ class OrbEndpoint {
     CorbaPriority reply_priority = 0;
   };
 
-  template <typename T>
-  struct InterceptorEntry {
-    std::unique_ptr<T> icpt;
-    std::uint64_t runs = 0;
-    std::uint64_t vetoes = 0;
-  };
-
   // --- client call path (all keyed by call-record slot) --------------------
   std::uint32_t acquire_call();
   void release_call(std::uint32_t slot);
-  /// Establish phase, the ORB's deadline and priority mapping, then the
-  /// marshal job of the record's current attempt.
+  /// The deadline check and priority mapping, then the marshal job of the
+  /// record's current attempt.
   void start_attempt(std::uint32_t slot);
-  /// Marshal job done: send_request phase, ORB contexts and DSCP, encode,
-  /// ship.
+  /// Marshal job done: ORB contexts and DSCP, encode, ship.
   void send_request(std::uint32_t slot);
   void on_timeout(std::uint32_t slot);
-  /// Reply demarshaled: receive_reply or the exception path.
+  /// Reply demarshaled: the caller's callback or the exception path.
   void finish_reply(std::uint32_t slot);
-  /// Decides a retry, runs receive_exception, then either re-issues the
-  /// call after the backoff or completes it.
+  /// Decides a retry, then either re-issues the call after the backoff or
+  /// completes it.
   void complete_exception(std::uint32_t slot, CompletionStatus status);
-
-  InterceptStatus run_client_establish(ClientRequestContext& ctx);
-  InterceptStatus run_client_send(ClientRequestContext& ctx);
-  void run_client_reply(ClientRequestContext& ctx);
-  void run_client_exception(ClientRequestContext& ctx);
-  InterceptStatus run_server_receive(ServerRequestContext& ctx);
-  InterceptStatus run_server_reply(ServerRequestContext& ctx);
 
   void on_message(net::NodeId src, const MessageView& msg);
   /// Both take the decode scratch by reference and swap its body and
@@ -261,8 +251,7 @@ class OrbEndpoint {
   void send_error_reply(std::uint32_t slot, CompletionStatus status, CorbaPriority priority);
   /// Queues the reply marshal job for the record's req.reply_body.
   void send_reply(std::uint32_t slot, ReplyStatus status, CorbaPriority priority);
-  /// Reply marshal job done: ORB contexts and DSCP, send_reply phase,
-  /// encode, ship, release.
+  /// Reply marshal job done: ORB contexts and DSCP, encode, ship, release.
   void marshal_reply(std::uint32_t slot);
   /// Engine recorder iff orb tracing is on; on first use of a recorder,
   /// binds the "orb:<node>" lane and starts a fresh span-name cache.
@@ -301,9 +290,6 @@ class OrbEndpoint {
   std::vector<ServiceContext> context_spare_;
   std::uint32_t next_request_id_ = 1;
   OrbStats stats_;
-  // Registered interceptors, in registration order.
-  std::vector<InterceptorEntry<ClientRequestInterceptor>> client_chain_;
-  std::vector<InterceptorEntry<ServerRequestInterceptor>> server_chain_;
   // The recorder (by uid) obs_track_ and span_names_ belong to.
   std::uint64_t obs_bound_ = 0;
   std::uint16_t obs_track_ = 0;

@@ -31,15 +31,6 @@ GiopTransport::GiopTransport(net::Network& net, net::NodeId node, TransportConfi
   net_.set_receiver(node_, [this](net::Packet&& p) { on_packet(std::move(p)); });
 }
 
-const BatchPolicy& GiopTransport::policy_for(net::FlowId flow) const {
-  // The hash probe only runs when some flow actually carries an override —
-  // the common case (global config only) stays branch-predictable.
-  if (flow_batching_.size() != 0) {
-    if (const BatchPolicy* p = flow_batching_.find(flow)) return *p;
-  }
-  return config_.batching;
-}
-
 void GiopTransport::set_flow_batching(net::FlowId flow, BatchPolicy policy) {
   flow_batching_[flow] = policy;
 }
@@ -56,18 +47,21 @@ void GiopTransport::clear_flow_batching(net::FlowId flow) {
 }
 
 const BatchPolicy* GiopTransport::flow_batching(net::FlowId flow) const {
-  return flow_batching_.find(flow);
+  // The hash probe only runs when some flow actually batches — the common
+  // case (no policy anywhere) stays branch-predictable.
+  return flow_batching_.empty() ? nullptr : flow_batching_.find(flow);
 }
 
 void GiopTransport::send_message(net::NodeId dst, MessageBuffer msg, net::Dscp dscp,
                                  net::FlowId flow, std::uint64_t trace) {
   assert(msg != nullptr && !msg->empty());
   ++sent_;
-  const BatchPolicy& pol = policy_for(flow);
-  if (!pol.enabled) {
+  const BatchPolicy* policy = flow_batching(flow);
+  if (policy == nullptr) {
     transmit(dst, std::move(msg), dscp, flow, trace);
     return;
   }
+  const BatchPolicy& pol = *policy;
 
   // Oversized messages bypass staging; flush the key's pending batch first
   // so per-key delivery order matches submission order.

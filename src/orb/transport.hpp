@@ -5,15 +5,16 @@
 // counts as lost (video semantics: no retransmission, matching the paper's
 // streaming experiments).
 //
-// Batching session layer (DESIGN.md §11): with coalescing enabled, small
-// messages to the same (destination, DSCP, flow) accumulate in a staging
-// buffer and ship as one wire write — one fragmentation pass, one
+// Batching session layer (DESIGN.md §11): on a flow with a BatchPolicy,
+// small messages to the same (destination, DSCP, flow) accumulate in a
+// staging buffer and ship as one wire write — one fragmentation pass, one
 // packet_overhead share — framed under a "GBAT" header and unpacked on the
 // receive side into zero-copy MessageViews over the batch buffer. Flushes
 // are driven by byte/count thresholds or an engine-timer deadline, so the
 // batched world stays exactly as deterministic as the unbatched one.
-// Batching is a per-transport policy choice: with it disabled (the default)
-// every message ships as its own wire write.
+// Batching is per flow: a flow without a policy (the default) ships every
+// message as its own wire write. Traffic sent under net::kNoFlow (ORB
+// replies, for one) batches when kNoFlow itself has a policy.
 #pragma once
 
 #include <cstdint>
@@ -42,14 +43,18 @@ struct GiopFragment {
   MessageBuffer data;  // the full message; [offset, offset+length) is this fragment
 };
 
-/// Coalescing flush policy (DESIGN.md §11). A staged batch ships when it
-/// reaches `max_bytes` or `max_messages`, or when `flush_delay` elapses
-/// after its first message was staged — whichever comes first.
+/// Coalescing flush policy of one flow (DESIGN.md §11). A staged batch
+/// ships when it reaches `max_bytes` or `max_messages`, or when
+/// `flush_delay` elapses after its first message was staged — whichever
+/// comes first. The flush policy is itself QoS (a latency/efficiency
+/// trade), so it is also the EndToEndQosPolicy's `oneway_batching` field,
+/// which QoSSession installs on the binding's flow.
 struct BatchPolicy {
-  bool enabled = false;
   std::uint32_t max_bytes = 16 * 1024;
   std::uint32_t max_messages = 64;
   Duration flush_delay = microseconds(500);
+
+  friend bool operator==(const BatchPolicy&, const BatchPolicy&) = default;
 };
 
 struct TransportConfig {
@@ -59,9 +64,6 @@ struct TransportConfig {
   /// Send fragments ECN-capable: RED routers then mark instead of drop
   /// under incipient congestion, and ce_marks() exposes the feedback.
   bool ecn_capable = false;
-  /// GIOP message coalescing. Disabled by default: the unbatched path is
-  /// the production default and every experiment driver's wire behavior.
-  BatchPolicy batching{};
 };
 
 /// A borrowed window into a delivered message. For unbatched traffic the
@@ -119,8 +121,8 @@ class GiopTransport {
 
   /// Sends a message to `dst`, stamped with the given DSCP and flow id.
   /// A nonzero `trace` rides on every fragment so per-hop network events
-  /// chain to the originating request. With coalescing enabled for the
-  /// flow, the message may be staged instead of shipped immediately.
+  /// chain to the originating request. On a flow with a batching policy,
+  /// the message may be staged instead of shipped immediately.
   void send_message(net::NodeId dst, MessageBuffer msg, net::Dscp dscp,
                     net::FlowId flow = net::kNoFlow, std::uint64_t trace = 0);
 
@@ -130,11 +132,12 @@ class GiopTransport {
   /// order — the pipelining submit/flush boundary.
   void flush_all();
 
-  /// Per-flow coalescing override (QoSSession plumbs EndToEndQosPolicy's
-  /// oneway_batching here). A flow-level policy wins over config batching,
-  /// so a session can batch one flow while the transport default stays off.
+  /// Per-flow coalescing (QoSSession plumbs EndToEndQosPolicy's
+  /// oneway_batching here). A flow batches exactly when it has a policy;
+  /// clearing it ships whatever the departing policy left staged.
   void set_flow_batching(net::FlowId flow, BatchPolicy policy);
   void clear_flow_batching(net::FlowId flow);
+  /// The flow's batching policy, or null when the flow is unbatched.
   [[nodiscard]] const BatchPolicy* flow_batching(net::FlowId flow) const;
 
   /// Logical messages passed to send_message (batched or not).
@@ -179,8 +182,8 @@ class GiopTransport {
     bool active = false;
   };
 
-  /// The pre-batching wire path, verbatim: fragment to MTU and send. Both
-  /// the oracle (batching off) and flushed batches go through here.
+  /// The plain wire path: fragment to MTU and send. Unbatched messages and
+  /// flushed batches both go through here.
   void transmit(net::NodeId dst, MessageBuffer msg, net::Dscp dscp, net::FlowId flow,
                 std::uint64_t trace);
   void on_packet(net::Packet&& p);
@@ -189,7 +192,6 @@ class GiopTransport {
   void deliver(net::NodeId src, MessageBuffer msg);
   void expire(net::NodeId src, std::uint64_t message_id);
 
-  [[nodiscard]] const BatchPolicy& policy_for(net::FlowId flow) const;
   [[nodiscard]] std::uint32_t staging_slot(net::NodeId dst, net::Dscp dscp,
                                            net::FlowId flow);
   void flush_slot(std::uint32_t slot);

@@ -1,5 +1,6 @@
-// A/V streaming service: frame codec, sink endpoints, stream bindings and
-// RSVP attachment.
+// A/V streaming service: frame codec, sink endpoints, stream bindings, and
+// a stream's QoS (RSVP reservation, priority) applied through a QoSSession
+// over the binding's stub.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,6 +9,7 @@
 
 #include "avstreams/frame_codec.hpp"
 #include "avstreams/stream.hpp"
+#include "core/qos_session.hpp"
 #include "core/testbed.hpp"
 #include "media/video_source.hpp"
 
@@ -68,21 +70,40 @@ TEST_F(StreamFixture, ReservationAttachesToStreamFlow) {
   VideoSinkEndpoint sink(poa, "display", microseconds(200),
                          [](const media::VideoFrame&) {});
   StreamBinding binding(bed.sender_orb, sink.ref(), core::kFlowVideo);
+  core::QoSSession session(bed.sender_orb, binding.stub(), &bed.qos);
+  auto* queue = dynamic_cast<net::IntServQueue*>(
+      &bed.network.link_between(bed.switch_node, bed.receiver_node)->queue());
+  ASSERT_NE(queue, nullptr);
 
+  core::EndToEndQosPolicy policy;
+  policy.flow = core::kFlowVideo;
+  policy.network_reservation = net::FlowSpec{1.2e6, 32'000};
   std::optional<bool> outcome;
-  binding.reserve(bed.qos.agent(bed.sender_node), net::FlowSpec{1.2e6, 32'000},
-                  [&](Status<std::string> s) { outcome = s.ok(); });
+  session.apply(policy, [&](Status<std::string> s) { outcome = s.ok(); });
   bed.engine.run_until(TimePoint{seconds(1).ns()});
   ASSERT_TRUE(outcome.has_value());
   EXPECT_TRUE(*outcome);
   // The bottleneck egress holds the reservation for the stream's flow.
-  auto* queue = dynamic_cast<net::IntServQueue*>(
-      &bed.network.link_between(bed.switch_node, bed.receiver_node)->queue());
-  ASSERT_NE(queue, nullptr);
   EXPECT_TRUE(queue->has_reservation(core::kFlowVideo));
+  EXPECT_DOUBLE_EQ(queue->flow_rate_bps(core::kFlowVideo), 1.2e6);
 
-  binding.release(bed.qos.agent(bed.sender_node));
+  // A larger spec re-signals the live reservation in place: the egress
+  // never drops it while the upgrade is in flight.
+  policy.network_reservation = net::FlowSpec{1.6e6, 32'000};
+  outcome.reset();
+  session.apply(policy, [&](Status<std::string> s) { outcome = s.ok(); });
+  for (int step = 1; step <= 1000 && !outcome; ++step) {
+    bed.engine.run_until(TimePoint{(seconds(1) + microseconds(100) * step).ns()});
+    ASSERT_TRUE(queue->has_reservation(core::kFlowVideo)) << "dropped at step " << step;
+  }
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_TRUE(*outcome);
+  EXPECT_TRUE(session.network_reserved());
+  EXPECT_DOUBLE_EQ(queue->flow_rate_bps(core::kFlowVideo), 1.6e6);
+
+  session.revoke();
   bed.engine.run_until(TimePoint{seconds(2).ns()});
+  EXPECT_FALSE(session.network_reserved());
   EXPECT_FALSE(queue->has_reservation(core::kFlowVideo));
 }
 
@@ -93,7 +114,10 @@ TEST_F(StreamFixture, StreamPriorityAffectsDscp) {
   VideoSinkEndpoint sink(poa, "display", microseconds(200),
                          [](const media::VideoFrame&) {});
   StreamBinding binding(bed.sender_orb, sink.ref(), core::kFlowVideo);
-  binding.set_priority(30'000);  // maps to EF under the banded mapping
+  core::QoSSession session(bed.sender_orb, binding.stub());
+  core::EndToEndQosPolicy policy;
+  policy.priority = 30'000;  // maps to EF under the banded mapping
+  session.apply(policy);
 
   media::VideoFrame f;
   f.index = 0;

@@ -169,7 +169,7 @@ TEST_F(ControlPlaneFixture, RemoteOverrideRoundTrip) {
   ov.priority = 30'000;
   ov.server_cpu_reserve = os::ReserveSpec{milliseconds(10), milliseconds(100), true};
   ov.network_reservation = net::FlowSpec{1.5e6, 32'000};
-  ov.oneway_batching = OnewayBatchingPolicy{8 * 1024, 16, microseconds(250)};
+  ov.oneway_batching = orb::BatchPolicy{8 * 1024, 16, microseconds(250)};
 
   std::optional<Status<std::string>> outcome;
   controller.override_flow(kFlowVideo, ov,
@@ -214,7 +214,7 @@ TEST_F(ControlPlaneFixture, RemoteOverrideWithNegativeFlushDeadlineIsRejected) {
   QosControlClient controller(bed.receiver_orb, plane.ref());
   PolicyOverride ov;
   ov.priority = 30'000;
-  ov.oneway_batching = OnewayBatchingPolicy{8 * 1024, 16, microseconds(-250)};
+  ov.oneway_batching = orb::BatchPolicy{8 * 1024, 16, microseconds(-250)};
   std::optional<Status<std::string>> outcome;
   controller.override_flow(kFlowVideo, ov,
                            [&](Status<std::string> s) { outcome = std::move(s); });

@@ -232,6 +232,28 @@ TEST_F(SessionFixture, BandedDscpWithoutPriorityIsAnError) {
   EXPECT_FALSE(stub->ref().protocol.dscp.has_value());
 }
 
+TEST_F(SessionFixture, NegativeBatchingFlushDelayIsAnApplyError) {
+  QoSSession session(bed.sender_orb, *stub);
+  EndToEndQosPolicy policy;
+  policy.flow = kFlowVideo;
+  policy.priority = 20'000;
+  policy.oneway_batching = orb::BatchPolicy{8 * 1024, 16, microseconds(-250)};
+  std::optional<Status<std::string>> outcome;
+  session.apply(policy, [&](Status<std::string> s) { outcome = std::move(s); });
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->ok());
+  EXPECT_NE(outcome->error().find("flush deadline"), std::string::npos);
+  // No flow policy was installed, so the flow's oneways ship unbatched
+  // instead of scheduling a flush in the past; the rest of the policy
+  // still applies.
+  EXPECT_EQ(bed.sender_orb.transport().flow_batching(kFlowVideo), nullptr);
+  EXPECT_EQ(stub->priority(), 20'000);
+  stub->oneway("op", std::vector<std::uint8_t>(64));
+  bed.engine.run_until(TimePoint{milliseconds(100).ns()});
+  EXPECT_EQ(bed.sender_orb.transport().batched_messages(), 0u);
+  EXPECT_EQ(bed.receiver_orb.stats().requests_dispatched, 1u);
+}
+
 TEST_F(SessionFixture, ReapplyingACpuReserveKeepsTheOneReserve) {
   QoSSession session(bed.sender_orb, *stub, nullptr, &cpu_client);
   EndToEndQosPolicy policy;

@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "avstreams/stream.hpp"
+#include "core/qos_session.hpp"
 #include "core/testbed.hpp"
 #include "media/video_sink.hpp"
 #include "media/video_source.hpp"
@@ -143,8 +144,10 @@ TEST(IntegrationReservation, FullReservationSurvivesOverload) {
   av::StreamBinding binding(bed.sender_orb, sink.ref(), core::kFlowVideo);
 
   std::optional<bool> reserved;
-  binding.reserve(bed.qos.agent(bed.sender_node), net::FlowSpec{1.3e6, 40'000},
-                  [&](Status<std::string> s) { reserved = s.ok(); });
+  core::QoSSession session(bed.sender_orb, binding.stub(), &bed.qos);
+  core::EndToEndQosPolicy policy;
+  policy.network_reservation = net::FlowSpec{1.3e6, 40'000};
+  session.apply(policy, [&](Status<std::string> s) { reserved = s.ok(); });
 
   media::VideoSource source(bed.engine, media::GopStructure::mpeg1_paper_profile(), 30.0,
                             [&](const media::VideoFrame& f) {

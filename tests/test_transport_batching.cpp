@@ -1,11 +1,12 @@
 // GIOP transport batching (DESIGN.md §11).
 //
 // 1. Coalescing mechanics: framing, byte/count threshold flushes, the
-//    deadline flush timer, the oversized bypass, and per-flow policy
-//    overrides.
+//    deadline flush timer, the oversized bypass, and installing and
+//    clearing a flow's policy.
 // 2. Differential suite: randomized send/invoke churn must be observably
-//    identical with batching on and off (per-key payload streams at the
-//    transport level; servant bodies and reply bodies at the ORB level).
+//    identical with and without flow batching policies (per-key payload
+//    streams at the transport level; servant bodies and reply bodies at
+//    the ORB level).
 //    Loss and ECN change wire-level packetization, so those paths are
 //    asserted as batched-mode behavior rather than diffed across modes.
 // 3. Zero-alloc steady state: the receive path (fragment reassembly, batch
@@ -70,24 +71,22 @@ MessageBuffer make_message(std::size_t size, std::uint8_t salt = 0) {
   return v;
 }
 
-TransportConfig batched_config() {
-  TransportConfig cfg;
-  cfg.batching.enabled = true;
-  return cfg;
-}
-
 /// Two hosts over a 100 Mb/s, 50 µs link — the test_transport topology.
+/// Both transports batch flow 1 under `flow1`, if given.
 struct World {
-  World(TransportConfig cfg_a, TransportConfig cfg_b, double bandwidth_bps = 100e6)
-      : net(engine) {
+  explicit World(std::optional<BatchPolicy> flow1 = BatchPolicy{}) : net(engine) {
     a = net.add_node("a");
     b = net.add_node("b");
     net::LinkConfig link;
-    link.bandwidth_bps = bandwidth_bps;
+    link.bandwidth_bps = 100e6;
     link.propagation = microseconds(50);
     net.add_duplex_link(a, b, link);
-    ta = std::make_unique<GiopTransport>(net, a, cfg_a);
-    tb = std::make_unique<GiopTransport>(net, b, cfg_b);
+    ta = std::make_unique<GiopTransport>(net, a);
+    tb = std::make_unique<GiopTransport>(net, b);
+    if (flow1) {
+      ta->set_flow_batching(1, *flow1);
+      tb->set_flow_batching(1, *flow1);
+    }
   }
 
   sim::Engine engine;
@@ -101,7 +100,7 @@ struct World {
 // --- coalescing mechanics ----------------------------------------------------
 
 TEST(Coalescing, SmallMessagesShareOneWirePacket) {
-  World w(batched_config(), batched_config());
+  World w;
   std::vector<std::vector<std::uint8_t>> got;
   w.tb->set_message_handler([&](net::NodeId src, MessageView m) {
     EXPECT_EQ(src, w.a);
@@ -125,10 +124,10 @@ TEST(Coalescing, SmallMessagesShareOneWirePacket) {
 }
 
 TEST(Coalescing, CountThresholdFlushesBeforeDeadline) {
-  TransportConfig cfg = batched_config();
-  cfg.batching.max_messages = 3;
-  cfg.batching.flush_delay = seconds(10);  // would time out the test if used
-  World w(cfg, cfg);
+  BatchPolicy pol;
+  pol.max_messages = 3;
+  pol.flush_delay = seconds(10);  // would time out the test if used
+  World w(pol);
   std::optional<TimePoint> delivered_at;
   int got = 0;
   w.tb->set_message_handler([&](net::NodeId, MessageView) {
@@ -146,10 +145,10 @@ TEST(Coalescing, CountThresholdFlushesBeforeDeadline) {
 }
 
 TEST(Coalescing, ByteThresholdFlushesBeforeDeadline) {
-  TransportConfig cfg = batched_config();
-  cfg.batching.max_bytes = 2048;
-  cfg.batching.flush_delay = seconds(10);
-  World w(cfg, cfg);
+  BatchPolicy pol;
+  pol.max_bytes = 2048;
+  pol.flush_delay = seconds(10);
+  World w(pol);
   std::optional<TimePoint> delivered_at;
   int got = 0;
   w.tb->set_message_handler([&](net::NodeId, MessageView) {
@@ -167,10 +166,10 @@ TEST(Coalescing, ByteThresholdFlushesBeforeDeadline) {
 }
 
 TEST(Coalescing, OversizedBypassPreservesPerKeyOrder) {
-  TransportConfig cfg = batched_config();
-  cfg.batching.max_bytes = 1024;
-  cfg.batching.flush_delay = seconds(10);
-  World w(cfg, cfg);
+  BatchPolicy pol;
+  pol.max_bytes = 1024;
+  pol.flush_delay = seconds(10);
+  World w(pol);
   std::vector<std::size_t> sizes;
   w.tb->set_message_handler(
       [&](net::NodeId, MessageView m) { sizes.push_back(m.size()); });
@@ -186,7 +185,7 @@ TEST(Coalescing, OversizedBypassPreservesPerKeyOrder) {
 }
 
 TEST(Coalescing, DeadlineFlushShipsAtFlushDelay) {
-  World w(batched_config(), batched_config());  // flush_delay = 500 µs
+  World w;  // flush_delay = 500 µs
   int before_deadline = -1;
   int got = 0;
   std::optional<TimePoint> delivered_at;
@@ -205,10 +204,10 @@ TEST(Coalescing, DeadlineFlushShipsAtFlushDelay) {
 }
 
 TEST(Coalescing, PerFlowOverrideBeatsGlobalDefault) {
-  // Transport default off; flow 7 opts in via set_flow_batching.
-  World w(TransportConfig{}, TransportConfig{});
+  // A flow without a policy ships unbatched; flow 7 opts in via
+  // set_flow_batching.
+  World w(std::nullopt);
   BatchPolicy pol;
-  pol.enabled = true;
   pol.max_messages = 100;
   pol.flush_delay = seconds(10);
   w.ta->set_flow_batching(7, pol);
@@ -220,8 +219,8 @@ TEST(Coalescing, PerFlowOverrideBeatsGlobalDefault) {
   }
   w.ta->send_message(w.b, make_message(100), net::dscp::kBestEffort, 8);
   w.engine.run_until(TimePoint{milliseconds(2).ns()});
-  EXPECT_EQ(got, 1);  // flow 8 (default: unbatched) arrived; flow 7 staged
-  // Dropping the override flushes what the departing policy staged.
+  EXPECT_EQ(got, 1);  // flow 8 (no policy: unbatched) arrived; flow 7 staged
+  // Dropping the policy flushes what it staged.
   w.ta->clear_flow_batching(7);
   EXPECT_EQ(w.ta->flow_batching(7), nullptr);
   w.engine.run();
@@ -297,11 +296,16 @@ struct ChurnResult {
 };
 
 ChurnResult run_transport_churn(const std::vector<ChurnOp>& ops, bool batching) {
-  TransportConfig cfg;
-  cfg.batching.enabled = batching;
-  cfg.batching.max_bytes = 2048;  // exercises byte threshold + oversized bypass
-  cfg.batching.max_messages = 16;
-  World w(cfg, cfg);
+  World w(std::nullopt);
+  if (batching) {
+    BatchPolicy pol;
+    pol.max_bytes = 2048;  // exercises byte threshold + oversized bypass
+    pol.max_messages = 16;
+    for (const net::FlowId flow : {1u, 2u, 3u}) {  // every flow make_churn draws
+      w.ta->set_flow_batching(flow, pol);
+      w.tb->set_flow_batching(flow, pol);
+    }
+  }
   ChurnResult r;
   auto handler = [&r](net::NodeId dst) {
     return [&r, dst](net::NodeId, MessageView m) {
@@ -368,10 +372,14 @@ OrbChurnResult run_orb_churn(std::uint64_t seed, bool batching) {
   net.add_duplex_link(client_node, server_node, link);
   os::Cpu client_cpu(engine, "client-cpu");
   os::Cpu server_cpu(engine, "server-cpu");
-  OrbConfig cfg;
-  cfg.transport.batching.enabled = batching;
-  OrbEndpoint client(net, client_node, client_cpu, cfg);
-  OrbEndpoint server(net, server_node, server_cpu, cfg);
+  OrbEndpoint client(net, client_node, client_cpu);
+  OrbEndpoint server(net, server_node, server_cpu);
+  if (batching) {
+    // The requests carry no flow id and the replies go out under kNoFlow:
+    // a kNoFlow policy on each end batches both directions.
+    client.transport().set_flow_batching(net::kNoFlow, BatchPolicy{});
+    server.transport().set_flow_batching(net::kNoFlow, BatchPolicy{});
+  }
 
   OrbChurnResult r;
   Poa& poa = server.create_poa("app");
@@ -448,12 +456,14 @@ TEST(BatchLoss, LostBatchExpiresOnceHoweverManyMessagesItCarried) {
   // Queue of 2: the flushed batch's fragment burst loses its tail.
   net.add_link(a, b, slow, std::make_unique<net::DropTailQueue>(2));
   net.add_link(b, a, slow);
-  TransportConfig cfg = batched_config();
-  cfg.batching.max_messages = 100;
-  cfg.batching.flush_delay = milliseconds(1);
+  TransportConfig cfg;
   cfg.reassembly_timeout = milliseconds(500);
   GiopTransport ta(net, a, cfg);
   GiopTransport tb(net, b, cfg);
+  BatchPolicy pol;
+  pol.max_messages = 100;
+  pol.flush_delay = milliseconds(1);
+  ta.set_flow_batching(4, pol);
   int delivered = 0;
   tb.set_message_handler([&](net::NodeId, MessageView) { ++delivered; });
   for (int i = 0; i < 12; ++i) {
@@ -485,12 +495,14 @@ TEST(BatchEcn, CeMarksSurfaceOnBatchedFlow) {
   red.seed = 7;
   net.add_link(a, b, slow, std::make_unique<net::RedQueue>(red));
   net.add_link(b, a, slow);
-  TransportConfig cfg = batched_config();
+  TransportConfig cfg;
   cfg.ecn_capable = true;
-  cfg.batching.max_messages = 2;
-  cfg.batching.flush_delay = microseconds(100);
   GiopTransport ta(net, a, cfg);
   GiopTransport tb(net, b, cfg);
+  BatchPolicy pol;
+  pol.max_messages = 2;
+  pol.flush_delay = microseconds(100);
+  ta.set_flow_batching(9, pol);
   int delivered = 0;
   tb.set_message_handler([&](net::NodeId, MessageView) { ++delivered; });
   for (int i = 0; i < 300; ++i) {
@@ -528,20 +540,18 @@ TEST(QosSessionBatching, PolicyAppliesFlushesOnRevoke) {
   core::QoSSession session(client, stub);
   core::EndToEndQosPolicy policy;
   policy.flow = 77;
-  core::OnewayBatchingPolicy batching;
+  BatchPolicy batching;
   batching.max_messages = 64;
-  batching.flush_deadline = milliseconds(5);
+  batching.flush_delay = milliseconds(5);
   policy.oneway_batching = batching;
   std::optional<bool> outcome;
   session.apply(policy, [&](Status<std::string> s) { outcome = s.ok(); });
   ASSERT_TRUE(outcome.has_value());
   EXPECT_TRUE(*outcome);
-  // The policy landed on the client transport as a flow-scoped override
-  // (the transport's own default stays off).
+  // The policy landed on the client transport as flow 77's policy.
   const BatchPolicy* bp = client.transport().flow_batching(77);
   ASSERT_NE(bp, nullptr);
-  EXPECT_TRUE(bp->enabled);
-  EXPECT_EQ(bp->flush_delay, milliseconds(5));
+  EXPECT_EQ(*bp, batching);
 
   for (int i = 0; i < 5; ++i) stub.oneway("op", std::vector<std::uint8_t>(600));
   // Past marshaling but short of the 5 ms flush deadline: still staged.
@@ -576,7 +586,7 @@ TEST(QosSessionBatching, BatchingWithoutFlowIdFails) {
 
   core::QoSSession session(client, stub);
   core::EndToEndQosPolicy policy;
-  policy.oneway_batching = core::OnewayBatchingPolicy{};
+  policy.oneway_batching = BatchPolicy{};
   std::optional<Status<std::string>> outcome;
   session.apply(policy, [&](Status<std::string> s) { outcome = std::move(s); });
   ASSERT_TRUE(outcome.has_value());
@@ -590,9 +600,10 @@ TEST(BatchZeroAlloc, SteadyStateSendReceiveIsAllocationFree) {
   sim::Engine engine;
   net::Network net(engine);
   const net::NodeId n = net.add_node("host");
-  TransportConfig cfg = batched_config();
-  cfg.batching.max_messages = 8;  // count threshold: no flush_all in the loop
-  GiopTransport t(net, n, cfg);
+  GiopTransport t(net, n);
+  BatchPolicy pol;
+  pol.max_messages = 8;  // count threshold: no flush_all in the loop
+  t.set_flow_batching(3, pol);
   std::uint64_t bytes_seen = 0;
   std::uint64_t msgs_seen = 0;
   t.set_message_handler([&](net::NodeId, MessageView m) {

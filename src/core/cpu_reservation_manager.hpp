@@ -66,8 +66,7 @@ class CpuReservationClient {
 
   /// Asks the remote host for its admitted reserve utilization, sum(C/T).
   /// Admission planners poll this before placing work; the server answers
-  /// from the kernel's incrementally-maintained sum, so the query costs
-  /// O(1) regardless of how many reserves the host carries.
+  /// with os::Cpu::reserved_utilization().
   void query_utilization(UtilizationCallback cb, Duration timeout = seconds(2));
 
  private:

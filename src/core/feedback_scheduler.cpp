@@ -1,6 +1,5 @@
 #include "core/feedback_scheduler.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/log.hpp"
@@ -13,18 +12,6 @@ FeedbackScheduler::FeedbackScheduler(sim::Engine& engine, obs::TelemetryHub& hub
 
 FeedbackScheduler::~FeedbackScheduler() { stop(); }
 
-void FeedbackScheduler::control_cpu(net::FlowId flow, os::Cpu& cpu,
-                                    os::ReserveId reserve, Duration period,
-                                    bool hard) {
-  Controlled& c = flows_[flow];
-  c.cpu = &cpu;
-  c.reserve = reserve;
-  c.period = period;
-  c.hard = hard;
-  c.applied_compute_ns = 0;
-  if (running_) hub_.watch(flow);
-}
-
 void FeedbackScheduler::control_rate(net::FlowId flow, net::IntServQueue& queue,
                                      std::uint32_t bucket_bytes) {
   Controlled& c = flows_[flow];
@@ -33,8 +20,6 @@ void FeedbackScheduler::control_rate(net::FlowId flow, net::IntServQueue& queue,
   c.applied_rate_bps = 0.0;
   if (running_) hub_.watch(flow);
 }
-
-void FeedbackScheduler::uncontrol(net::FlowId flow) { flows_.erase(flow); }
 
 void FeedbackScheduler::start() {
   if (running_) return;
@@ -77,66 +62,34 @@ void FeedbackScheduler::run_epoch(TimePoint now) {
   ++epochs_run_;
   if (flows_.empty()) return;
 
-  // Sense: smoothed deficit per flow, plus the share denominators. Two
-  // passes because proportional division needs the pool-wide sums; both
+  // Sense: smoothed deficit per flow, plus the share denominator. Two
+  // passes because proportional division needs the pool-wide sum; both
   // iterate the same ordered map, so the visit order (and therefore the
   // hub roll order and any resulting health events) is ascending flow id.
-  double cpu_denom = 0.0;
   double net_denom = 0.0;
   for (auto& [flow, c] : flows_) {
     const obs::WindowStats w = hub_.window(flow, now);
     const double measured = measure_deficit(w);
     c.deficit = (1.0 - cfg_.smoothing) * c.deficit + cfg_.smoothing * measured;
-    if (c.cpu != nullptr) cpu_denom += cfg_.min_share + c.deficit;
-    if (c.queue != nullptr) net_denom += cfg_.min_share + c.deficit;
+    net_denom += cfg_.min_share + c.deficit;
   }
 
   // Actuate: proportional-to-deficit shares, re-stamped in place only
   // when outside the hysteresis dead zone.
+  if (net_denom <= 0.0) return;
   for (auto& [flow, c] : flows_) {
-    const double weight = cfg_.min_share + c.deficit;
-    if (c.cpu != nullptr && cpu_denom > 0.0) {
-      const double share = weight / cpu_denom;
-      const double util = share * cfg_.cpu_pool_utilization;
-      std::int64_t compute_ns = static_cast<std::int64_t>(
-          std::floor(util * static_cast<double>(c.period.ns())));
-      compute_ns = std::clamp<std::int64_t>(compute_ns, 1, c.period.ns());
-      const std::int64_t cur = c.applied_compute_ns;
-      const bool outside_band =
-          cur <= 0 || std::abs(static_cast<double>(compute_ns - cur)) >
-                          cfg_.hysteresis * static_cast<double>(cur);
-      if (outside_band && compute_ns != cur) {
-        os::ReserveSpec spec;
-        spec.compute = Duration{compute_ns};
-        spec.period = c.period;
-        spec.hard = c.hard;
-        const auto status = c.cpu->update_reserve(c.reserve, spec);
-        if (status.ok()) {
-          c.applied_compute_ns = compute_ns;
-          ++restamps_applied_;
-        } else {
-          ++restamps_rejected_;
-          AQM_DEBUG() << "feedback: cpu re-stamp rejected for flow " << flow
-                      << ": " << status.error();
-        }
-      }
-    }
-    if (c.queue != nullptr && net_denom > 0.0) {
-      const double share = weight / net_denom;
-      const double rate = share * cfg_.net_pool_bps;
-      const double cur = c.applied_rate_bps;
-      const bool outside_band =
-          cur <= 0.0 || std::abs(rate - cur) > cfg_.hysteresis * cur;
-      if (outside_band && rate > 0.0) {
-        if (c.queue->update_reservation(flow, rate, c.bucket_bytes, now)) {
-          c.applied_rate_bps = rate;
-          ++restamps_applied_;
-        } else {
-          ++restamps_rejected_;
-          AQM_DEBUG() << "feedback: rate re-stamp skipped, flow " << flow
-                      << " has no reservation on the controlled queue";
-        }
-      }
+    const double share = (cfg_.min_share + c.deficit) / net_denom;
+    const double rate = share * cfg_.net_pool_bps;
+    const double cur = c.applied_rate_bps;
+    const bool outside_band = cur <= 0.0 || std::abs(rate - cur) > cfg_.hysteresis * cur;
+    if (!(outside_band && rate > 0.0)) continue;
+    if (c.queue->update_reservation(flow, rate, c.bucket_bytes, now)) {
+      c.applied_rate_bps = rate;
+      ++restamps_applied_;
+    } else {
+      ++restamps_rejected_;
+      AQM_DEBUG() << "feedback: rate re-stamp skipped, flow " << flow
+                  << " has no reservation on the controlled queue";
     }
   }
 }

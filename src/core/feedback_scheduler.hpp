@@ -1,14 +1,14 @@
 // Feedback-driven adaptation loop: the closed-loop half of the runtime
 // control plane. Each epoch the scheduler reads every controlled flow's
 // measured window stats from the TelemetryHub and re-divides the shared
-// resource pools — CPU reserve utilization and HTB link rate — in
-// proportion to each flow's smoothed *deficit* (deadline-miss rate, drop
-// rate, and p99-latency overshoot, weighted). Flows that are meeting
-// their targets drift back toward the equal share; flows falling behind
-// are grown at the expense of the comfortable ones. Re-division lands
-// through the same idempotent re-stamp primitives the override channel
-// uses (os::Cpu::update_reserve, IntServQueue::update_reservation), so a
-// controller epoch never tears a binding down.
+// HTB link-rate pool in proportion to each flow's smoothed *deficit*
+// (deadline-miss rate, drop rate, and p99-latency overshoot, weighted).
+// Flows that are meeting their targets drift back toward the equal share;
+// flows falling behind are grown at the expense of the comfortable ones.
+// Re-division lands through the same idempotent re-stamp primitive the
+// override channel uses (IntServQueue::update_reservation), so a
+// controller epoch never tears a binding down. CPU reserves are sized by
+// the override channel, not by this loop.
 //
 // Determinism contract (DESIGN.md §13): epochs fire at integer multiples
 // of the epoch length on the engine clock, flows are visited in ascending
@@ -20,12 +20,10 @@
 #include <cstdint>
 #include <map>
 
-#include "common/result.hpp"
 #include "common/time.hpp"
 #include "net/packet.hpp"
 #include "net/queue.hpp"
 #include "obs/telemetry.hpp"
-#include "os/cpu.hpp"
 #include "sim/engine.hpp"
 
 namespace aqm::core {
@@ -33,8 +31,6 @@ namespace aqm::core {
 struct FeedbackConfig {
   /// Control period; epoch k evaluates at engine time k * epoch.
   Duration epoch = milliseconds(500);
-  /// Total CPU utilization (sum C/T) divided among CPU-controlled flows.
-  double cpu_pool_utilization = 0.6;
   /// Total link rate (bps) divided among rate-controlled flows.
   double net_pool_bps = 10e6;
   /// Minimum share weight every flow keeps even with zero deficit, as a
@@ -56,9 +52,9 @@ struct FeedbackConfig {
   double latency_target_ms = 50.0;
 };
 
-/// The per-epoch controller. One instance per controlled host/link pool;
-/// registrations borrow the kernel/queue/hub, which must outlive the
-/// scheduler (or be unregistered first).
+/// The per-epoch controller. One instance per controlled link pool;
+/// registrations borrow the queue and hub, which must outlive the
+/// scheduler.
 class FeedbackScheduler {
  public:
   FeedbackScheduler(sim::Engine& engine, obs::TelemetryHub& hub,
@@ -69,20 +65,13 @@ class FeedbackScheduler {
 
   [[nodiscard]] const FeedbackConfig& config() const { return cfg_; }
 
-  /// Puts `reserve` (a live reserve on `cpu`) under CPU-share control for
-  /// `flow`. Each epoch the flow's share of cpu_pool_utilization is
-  /// re-stamped as compute = share * pool * period over the fixed
-  /// `period`. Windowed telemetry for the flow (hub.watch) begins at
-  /// start(), not here: a registered-but-disabled controller costs the
-  /// delivery path nothing.
-  void control_cpu(net::FlowId flow, os::Cpu& cpu, os::ReserveId reserve,
-                   Duration period, bool hard = false);
   /// Puts `flow`'s reservation on `queue` under rate control: each epoch
   /// the flow's share of net_pool_bps is re-stamped via
-  /// update_reservation with the given bucket depth.
+  /// update_reservation with the given bucket depth. Windowed telemetry
+  /// for the flow (hub.watch) begins at start(), not here: a
+  /// registered-but-disabled controller costs the delivery path nothing.
   void control_rate(net::FlowId flow, net::IntServQueue& queue,
                     std::uint32_t bucket_bytes);
-  void uncontrol(net::FlowId flow);
   [[nodiscard]] bool controls(net::FlowId flow) const {
     return flows_.count(flow) > 0;
   }
@@ -105,13 +94,6 @@ class FeedbackScheduler {
 
  private:
   struct Controlled {
-    // CPU actuator (cpu == nullptr when not CPU-controlled).
-    os::Cpu* cpu = nullptr;
-    os::ReserveId reserve = 0;
-    Duration period = Duration::zero();
-    bool hard = false;
-    std::int64_t applied_compute_ns = 0;  // last re-stamped compute
-    // Rate actuator (queue == nullptr when not rate-controlled).
     net::IntServQueue* queue = nullptr;
     std::uint32_t bucket_bytes = 0;
     double applied_rate_bps = 0.0;  // last re-stamped rate

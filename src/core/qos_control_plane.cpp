@@ -126,9 +126,13 @@ Status<std::string> QosControlPlane::override_flow(net::FlowId flow,
   if (it == managed_.end()) {
     return Status<std::string>::err("flow is not under control-plane management");
   }
+  // Negative delays are refused before the merge, so the live policy stays
+  // untouched (the session would refuse them too, but only after replacing
+  // the policy).
+  if (ov.deadline && *ov.deadline < Duration::zero()) {
+    return Status<std::string>::err("end-to-end deadline must not be negative");
+  }
   if (ov.oneway_batching && ov.oneway_batching->flush_delay < Duration::zero()) {
-    // Refused before the merge, so the live policy stays untouched (the
-    // session would refuse it too, but only after replacing the policy).
     return Status<std::string>::err("oneway batching flush deadline must not be negative");
   }
   Managed& m = it->second;

@@ -77,8 +77,8 @@ class QosControlPlane {
 
   /// Applies a partial-policy override to the managed flow's live binding.
   /// Re-applying the same override is idempotent at every layer below. An
-  /// override with a negative batching flush deadline is rejected and
-  /// leaves the live policy unchanged.
+  /// override with a negative end-to-end deadline or batching flush
+  /// deadline is rejected and leaves the live policy unchanged.
   Status<std::string> override_flow(net::FlowId flow, const PolicyOverride& ov);
   /// Restores the managed flow's base policy.
   Status<std::string> clear_override(net::FlowId flow);

@@ -47,7 +47,8 @@ struct EndToEndQosPolicy {
   std::optional<net::Dscp> explicit_dscp;
   /// Per-invocation end-to-end deadline for the binding, written to the
   /// stub. Rides the deadline service context; bounds retries and
-  /// triggers server-side expiry drops like any other deadline.
+  /// triggers server-side expiry drops like any other deadline. A negative
+  /// deadline is an apply error and leaves the stub without one.
   std::optional<Duration> deadline;
 
   // --- reservation-based control (Sections 3.3, 3.4) -----------------------

@@ -21,6 +21,13 @@ std::optional<net::Dscp> binding_dscp(const EndToEndQosPolicy& policy) {
   return std::nullopt;
 }
 
+/// The deadline a policy writes to the stub: none when it is negative
+/// (apply reports that as an error), since every call would start past it.
+std::optional<Duration> stub_deadline(const EndToEndQosPolicy& policy) {
+  if (policy.deadline && *policy.deadline < Duration::zero()) return std::nullopt;
+  return policy.deadline;
+}
+
 }  // namespace
 
 QoSSession::QoSSession(orb::OrbEndpoint& client_orb, orb::ObjectStub& stub,
@@ -33,6 +40,9 @@ void QoSSession::apply(EndToEndQosPolicy policy, ApplyCallback cb) {
   pending_parts_ = 1;  // sentinel for the synchronous part
   if (policy.map_priority_to_dscp && !policy.priority) {
     errors_.emplace_back("banded DSCP mapping requires a priority");
+  }
+  if (policy.deadline && *policy.deadline < Duration::zero()) {
+    errors_.emplace_back("end-to-end deadline must not be negative");
   }
   const bool flow_changed = policy.flow != policy_.flow;
   write_stub(policy);
@@ -55,9 +65,10 @@ void QoSSession::write_stub(const EndToEndQosPolicy& next) {
       stub_.clear_priority();
     }
   }
-  if (next.deadline != policy_.deadline) {
-    if (next.deadline) {
-      stub_.set_deadline(*next.deadline);
+  const std::optional<Duration> deadline = stub_deadline(next);
+  if (deadline != stub_deadline(policy_)) {
+    if (deadline) {
+      stub_.set_deadline(*deadline);
     } else {
       stub_.clear_deadline();
     }

@@ -23,6 +23,14 @@ std::uint64_t mul_div_ceil(std::uint64_t a, std::uint64_t num, std::uint64_t den
   return static_cast<std::uint64_t>((wide + den - 1) / den);
 }
 
+/// A period starting at `start` ends at an instant the clock can hold.
+bool boundary_fits(TimePoint start, Duration period) {
+  return period.ns() < TimePoint::max().ns() - start.ns();
+}
+
+constexpr const char* kBoundaryOverflow =
+    "reserve admission denied: period boundary overflows the clock";
+
 }  // namespace
 
 Cpu::Cpu(sim::Engine& engine, std::string name, Config config)
@@ -134,61 +142,45 @@ void Cpu::ready_remove(Job& job) {
 }
 
 void Cpu::reindex_attached(ReserveId id) {
-  const std::uint32_t pos = attached_index_.find(id);
-  if (pos == kNoSlot) return;
-  for (std::uint32_t slot = attached_[pos].head; slot != kNil;
-       slot = jobs_[slot].attached_next) {
+  const AttachedList* list = attached_list(id);
+  if (list == nullptr) return;
+  for (std::uint32_t slot = list->head; slot != kNil; slot = jobs_[slot].attached_next) {
     reindex_job(jobs_[slot], slot);
   }
 }
 
 // --- reserve membership -----------------------------------------------------
 
-std::uint32_t Cpu::attached_count(ReserveId id) const {
-  const std::uint32_t pos = attached_index_.find(id);
-  return pos == kNoSlot ? 0 : attached_[pos].count;
+Cpu::AttachedList* Cpu::attached_list(ReserveId id) {
+  for (AttachedList& list : attached_) {
+    if (list.reserve == id) return &list;
+  }
+  return nullptr;
 }
 
-bool Cpu::attach(Job& job, std::uint32_t slot) {
-  std::uint32_t pos = attached_index_.find(job.reserve);
-  if (pos == kNoSlot) {
-    if (!free_attached_.empty()) {
-      pos = free_attached_.back();
-      free_attached_.pop_back();
-    } else {
-      pos = static_cast<std::uint32_t>(attached_.size());
-      attached_.emplace_back();
-    }
-    attached_[pos] = AttachedList{};
-    attached_index_.insert(job.reserve, pos);
-  }
-  AttachedList& list = attached_[pos];
+void Cpu::attach(Job& job, std::uint32_t slot) {
+  AttachedList* list = attached_list(job.reserve);
+  if (list == nullptr) list = &attached_.emplace_back(AttachedList{job.reserve});
   job.attached_prev = kNil;
-  job.attached_next = list.head;
-  if (list.head != kNil) jobs_[list.head].attached_prev = slot;
-  list.head = slot;
-  return ++list.count == 1;
+  job.attached_next = list->head;
+  if (list->head != kNil) jobs_[list->head].attached_prev = slot;
+  list->head = slot;
 }
 
 void Cpu::detach(Job& job) {
-  const std::uint32_t pos = attached_index_.find(job.reserve);
-  assert(pos != kNoSlot);
-  AttachedList& list = attached_[pos];
+  AttachedList* list = attached_list(job.reserve);
+  assert(list != nullptr);
   if (job.attached_prev != kNil) {
     jobs_[job.attached_prev].attached_next = job.attached_next;
   } else {
-    list.head = job.attached_next;
+    list->head = job.attached_next;
   }
   if (job.attached_next != kNil) jobs_[job.attached_next].attached_prev = job.attached_prev;
   job.attached_prev = job.attached_next = kNil;
-  if (--list.count == 0) {
-    attached_index_.erase(job.reserve);
-    free_attached_.push_back(pos);
+  if (list->head == kNil) {  // the last job left
+    *list = attached_.back();
+    attached_.pop_back();
   }
-}
-
-void Cpu::push_wake(const Reserve& r) {
-  wake_heap_.push({boundary_of(r).ns(), r.id});
 }
 
 // --- job submission ---------------------------------------------------------
@@ -213,12 +205,7 @@ JobId Cpu::submit(std::uint64_t cycles, Priority priority, std::function<void()>
   job.queue_rank = next_rank_++;
   job.in_ready = false;
   job_index_.insert(id, slot);
-  if (reserve != kNoReserve && attach(job, slot)) {
-    // First attached job: the wake heap may hold no live entry for this
-    // reserve (entries go stale when the list drains), so seed one.
-    const auto rit = reserves_.find(reserve);
-    if (rit != reserves_.end()) push_wake(rit->second);
-  }
+  if (reserve != kNoReserve) attach(job, slot);
   ready_insert(job, slot);
   reschedule();
   return id;
@@ -264,19 +251,14 @@ Result<ReserveId> Cpu::create_reserve(const ReserveSpec& spec) {
       spec.compute > spec.period) {
     return Result<ReserveId>::err("invalid reserve spec: need 0 < compute <= period");
   }
+  if (!boundary_fits(engine_.now(), spec.period)) {
+    return Result<ReserveId>::err(kBoundaryOverflow);
+  }
   if (reserved_utilization() + spec.utilization() > config_.reserve_utilization_cap) {
     return Result<ReserveId>::err("reserve admission denied: utilization cap exceeded");
   }
   const ReserveId id = next_reserve_id_++;
-  Reserve r;
-  r.id = id;
-  r.spec = spec;
-  r.budget = spec.compute;  // starts with a full budget
-  r.period_start = engine_.now();
-  const auto [rit, inserted] = reserves_.emplace(id, std::move(r));
-  assert(inserted);
-  (void)inserted;
-  reserved_util_sum_ += spec.utilization();
+  reserves_.push_back(Reserve{id, spec, spec.compute, engine_.now()});  // full budget
   AQM_DEBUG() << "cpu " << name_ << ": reserve " << id << " admitted ("
               << spec.compute.millis() << "ms/" << spec.period.millis() << "ms)";
   if (obs::TraceRecorder* tr = os_tracer()) {
@@ -284,13 +266,9 @@ Result<ReserveId> Cpu::create_reserve(const ReserveSpec& spec) {
                 tr->current(),
                 {{"compute_ms", spec.compute.millis()}, {"period_ms", spec.period.millis()}});
   }
-  replenish_heap_.push({boundary_of(rit->second).ns(), id});
-  if (attached_count(id) > 0) {
-    // Jobs submitted against this id before the reserve existed are
-    // boosted from now on.
-    push_wake(rit->second);
-    reindex_attached(id);
-  }
+  // Jobs submitted against this id before the reserve existed are boosted
+  // from now on.
+  reindex_attached(id);
   reschedule();
   return id;
 }
@@ -300,11 +278,11 @@ Status<std::string> Cpu::update_reserve(ReserveId id, const ReserveSpec& spec) {
       spec.compute > spec.period) {
     return Status<std::string>::err("invalid reserve spec: need 0 < compute <= period");
   }
-  const auto it = reserves_.find(id);
-  if (it == reserves_.end()) {
+  Reserve* const found = find_reserve(id);
+  if (found == nullptr) {
     return Status<std::string>::err("unknown reserve");
   }
-  Reserve& r = it->second;
+  Reserve& r = *found;
   if (r.spec.compute == spec.compute && r.spec.period == spec.period &&
       r.spec.hard == spec.hard) {
     return {};  // idempotent: re-stamping the current spec touches nothing
@@ -312,12 +290,14 @@ Status<std::string> Cpu::update_reserve(ReserveId id, const ReserveSpec& spec) {
   // Settle the running slice and any due replenishments under the OLD
   // parameters first, so consumed-budget accounting can't straddle specs.
   reschedule();
-  // Admission with the reserve's own old utilization excluded. Summed over
-  // reserves_ in id order with the candidate substituted, so the admitted
-  // value is bit-identical to a fresh summation.
+  if (!boundary_fits(r.period_start, spec.period)) {
+    return Status<std::string>::err(kBoundaryOverflow);
+  }
+  // Admission with the reserve's own old utilization excluded: summed over
+  // reserves_ in id order with the candidate substituted.
   double candidate_sum = 0.0;
-  for (const auto& [rid, other] : reserves_) {
-    candidate_sum += (rid == id ? spec : other.spec).utilization();
+  for (const Reserve& other : reserves_) {
+    candidate_sum += (other.id == id ? spec : other.spec).utilization();
   }
   if (candidate_sum > config_.reserve_utilization_cap) {
     return Status<std::string>::err("reserve admission denied: utilization cap exceeded");
@@ -325,7 +305,6 @@ Status<std::string> Cpu::update_reserve(ReserveId id, const ReserveSpec& spec) {
   const Duration consumed = std::max(Duration::zero(), r.spec.compute - r.budget);
   r.spec = spec;
   r.budget = std::max(Duration::zero(), spec.compute - consumed);
-  reserved_util_sum_ = candidate_sum;
   AQM_DEBUG() << "cpu " << name_ << ": reserve " << id << " re-stamped ("
               << spec.compute.millis() << "ms/" << spec.period.millis() << "ms)";
   if (obs::TraceRecorder* tr = os_tracer()) {
@@ -333,36 +312,39 @@ Status<std::string> Cpu::update_reserve(ReserveId id, const ReserveSpec& spec) {
                 tr->current(),
                 {{"compute_ms", spec.compute.millis()}, {"period_ms", spec.period.millis()}});
   }
-  // The boundary moved with the new period: push a fresh replenish entry
-  // (the old one goes stale and is skipped lazily) and re-place attached
-  // jobs — the resize may have flipped the boost state in either direction
-  // (budget gained or clamped to zero).
-  replenish_heap_.push({boundary_of(r).ns(), id});
-  if (attached_count(id) > 0) push_wake(r);
+  // Re-place attached jobs: the resize may have flipped the boost state in
+  // either direction (budget gained or clamped to zero).
   reindex_attached(id);
   reschedule();
   return {};
 }
 
 void Cpu::destroy_reserve(ReserveId id) {
-  const auto it = reserves_.find(id);
-  if (it == reserves_.end()) return;
-  reserves_.erase(it);
-  // Recompute in id order rather than subtracting: bit-identical to a fresh
-  // summation, so float drift can never skew admission. Destroys are rare
-  // control-plane events; admissions stay O(1).
-  reserved_util_sum_ = 0.0;
-  for (const auto& [rid, r] : reserves_) reserved_util_sum_ += r.spec.utilization();
-  // Jobs that referenced the reserve fall back to base priority; heap
-  // entries for the dead id are skipped lazily.
+  const Reserve* const r = find_reserve(id);
+  if (r == nullptr) return;
+  reserves_.erase(reserves_.begin() + (r - reserves_.data()));
+  // Jobs that referenced the reserve fall back to base priority.
   reindex_attached(id);
   reschedule();
 }
 
+const Cpu::Reserve* Cpu::find_reserve(ReserveId id) const {
+  const auto it = std::lower_bound(
+      reserves_.begin(), reserves_.end(), id,
+      [](const Reserve& r, ReserveId key) { return r.id < key; });
+  return it != reserves_.end() && it->id == id ? &*it : nullptr;
+}
+
+double Cpu::reserved_utilization() const {
+  double sum = 0.0;
+  for (const Reserve& r : reserves_) sum += r.spec.utilization();
+  return sum;
+}
+
 Duration Cpu::reserve_budget(ReserveId id) const {
-  const auto it = reserves_.find(id);
-  if (it == reserves_.end()) return Duration::zero();
-  const Reserve& r = it->second;
+  const Reserve* const found = find_reserve(id);
+  if (found == nullptr) return Duration::zero();
+  const Reserve& r = *found;
   const TimePoint now = engine_.now();
   Duration budget = r.budget;
   TimePoint period_start = r.period_start;
@@ -418,10 +400,9 @@ std::optional<Priority> Cpu::running_priority() const {
 
 std::optional<Priority> Cpu::effective_priority(const Job& job) const {
   if (job.reserve != kNoReserve) {
-    const auto it = reserves_.find(job.reserve);
-    if (it != reserves_.end()) {
-      if (it->second.budget > Duration::zero()) return kBoostBand + job.base_priority;
-      if (it->second.spec.hard) return std::nullopt;  // suspended until replenish
+    if (const Reserve* r = find_reserve(job.reserve)) {
+      if (r->budget > Duration::zero()) return kBoostBand + job.base_priority;
+      if (r->spec.hard) return std::nullopt;  // suspended until replenish
     }
   }
   return job.base_priority;
@@ -429,8 +410,8 @@ std::optional<Priority> Cpu::effective_priority(const Job& job) const {
 
 bool Cpu::is_boosted(const Job& job) const {
   if (job.reserve == kNoReserve) return false;
-  const auto it = reserves_.find(job.reserve);
-  return it != reserves_.end() && it->second.budget > Duration::zero();
+  const Reserve* r = find_reserve(job.reserve);
+  return r != nullptr && r->budget > Duration::zero();
 }
 
 // --- scheduling core --------------------------------------------------------
@@ -451,15 +432,14 @@ void Cpu::charge_running() {
   busy_ns_ += elapsed.ns();
 
   if (running_boosted_) {
-    const auto rit = reserves_.find(job.reserve);
-    if (rit != reserves_.end()) {
-      rit->second.budget = std::max(Duration::zero(), rit->second.budget - elapsed);
-      if (rit->second.budget == Duration::zero()) {
+    if (Reserve* r = find_reserve(job.reserve)) {
+      r->budget = std::max(Duration::zero(), r->budget - elapsed);
+      if (r->budget == Duration::zero()) {
         if (obs::TraceRecorder* tr = os_tracer()) {
           tr->instant(obs::TraceCategory::Os, "reserve.deplete", obs_track_,
                       engine_.now(), 0,
                       {{"reserve", static_cast<double>(job.reserve)},
-                       {"hard", rit->second.spec.hard ? 1.0 : 0.0}});
+                       {"hard", r->spec.hard ? 1.0 : 0.0}});
         }
         if (obs::TelemetryHub* th = engine_.telemetry()) {
           th->on_reserve_overrun(static_cast<std::uint64_t>(job.reserve),
@@ -490,40 +470,20 @@ void Cpu::clear_pending_events() {
 }
 
 void Cpu::roll_periods() {
+  // One id-order pass, so replenish trace instants at a shared boundary come
+  // out in reserve-id order.
   const TimePoint now = engine_.now();
-  // Pop due boundaries off the min-heap; the common case (nothing due) is a
-  // single comparison and touches neither reserves nor the tracer.
-  if (replenish_heap_.empty() || replenish_heap_.top().first > now.ns()) return;
-  std::vector<ReserveId>& due = due_;
-  due.clear();
-  while (!replenish_heap_.empty() && replenish_heap_.top().first <= now.ns()) {
-    const auto [at_ns, id] = replenish_heap_.top();
-    replenish_heap_.pop();
-    const auto it = reserves_.find(id);
-    if (it == reserves_.end()) continue;                  // destroyed: stale
-    if (boundary_of(it->second).ns() != at_ns) continue;  // boundary moved: stale
-    due.push_back(id);
-  }
-  if (due.empty()) return;
-  // Replenish in id order, so the emitted trace instants come out in
-  // reserve-id order whatever order the heap held them in.
-  std::sort(due.begin(), due.end());
-  obs::TraceRecorder* tr = os_tracer();
-  for (const ReserveId id : due) {
-    Reserve& r = reserves_.find(id)->second;
+  for (Reserve& r : reserves_) {
+    if (now < boundary_of(r)) continue;
     const std::int64_t k = (now - r.period_start).ns() / r.spec.period.ns();
     r.period_start = r.period_start + r.spec.period * k;
     const bool was_exhausted = r.budget == Duration::zero();
     r.budget = r.spec.compute;  // unused budget does not accumulate
-    replenish_heap_.push({boundary_of(r).ns(), id});
-    if (attached_count(id) > 0) {
-      push_wake(r);
-      // Suspended (hard) and demoted (soft) jobs re-enter the boost band.
-      if (was_exhausted) reindex_attached(id);
-    }
-    if (tr != nullptr) {
+    // Suspended (hard) and demoted (soft) jobs re-enter the boost band.
+    if (was_exhausted) reindex_attached(r.id);
+    if (obs::TraceRecorder* tr = os_tracer()) {
       tr->instant(obs::TraceCategory::Os, "reserve.replenish", obs_track_, now, 0,
-                  {{"reserve", static_cast<double>(id)},
+                  {{"reserve", static_cast<double>(r.id)},
                    {"budget_ms", r.budget.millis()}});
     }
   }
@@ -532,25 +492,16 @@ void Cpu::roll_periods() {
 void Cpu::arm_reserve_wake() {
   // Wake the scheduler at the next period boundary of any reserve that has
   // jobs attached, so suspended jobs resume and budgets refresh on time.
-  // Idle reserves arm nothing, which keeps the event queue drainable. The
-  // earliest live wake-heap entry IS the next boundary of an attached
-  // reserve (entries are pushed on first attach and on every
-  // replenish while attached, and a live entry is never popped as stale).
-  while (!wake_heap_.empty()) {
-    const auto [at_ns, id] = wake_heap_.top();
-    const auto rit = reserves_.find(id);
-    const bool live = rit != reserves_.end() && boundary_of(rit->second).ns() == at_ns &&
-                      attached_count(id) > 0;
-    if (!live) {
-      wake_heap_.pop();
-      continue;
-    }
-    reserve_wake_event_ = engine_.at(TimePoint{at_ns}, [this] {
-      reserve_wake_event_ = sim::EventId{};
-      reschedule();
-    });
-    return;
+  // Idle reserves arm nothing, which keeps the event queue drainable.
+  TimePoint next = TimePoint::max();
+  for (const Reserve& r : reserves_) {
+    if (boundary_of(r) < next && attached_list(r.id) != nullptr) next = boundary_of(r);
   }
+  if (next == TimePoint::max()) return;
+  reserve_wake_event_ = engine_.at(next, [this] {
+    reserve_wake_event_ = sim::EventId{};
+    reschedule();
+  });
 }
 
 void Cpu::reschedule() {
@@ -575,9 +526,7 @@ void Cpu::reschedule() {
   // The running job may be stopped early by reserve-budget exhaustion or by
   // quantum expiry (round-robin with an equal-priority peer).
   Duration limit = Duration::max();
-  if (running_boosted_) {
-    limit = reserves_.at(best->reserve).budget;
-  }
+  if (running_boosted_) limit = find_reserve(best->reserve)->budget;
   // The running job sits at the top of its level heap; any second entry is
   // an equal-effective-priority peer to round-robin with.
   if (config_.quantum < Duration::max() && levels_[first_ready_].heap.size() > 1) {

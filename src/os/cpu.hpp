@@ -18,13 +18,15 @@
 //    every `period`.
 //  * Reserve admission control enforces sum(C_i/T_i) <= utilization cap.
 //
-// Scheduling decisions are indexed, not scanned (DESIGN.md §9), and the
-// steady state allocates nothing: jobs live in a recycled slab addressed
-// through a FlatIndex, runnable jobs sit in per-effective-priority-level
-// rank-ordered min-heaps under a descending level vector (levels are never
-// erased), reserves keep an intrusive list of their attached jobs, and
-// period boundaries sit in lazily-invalidated min-heaps — so
-// submit/complete/cancel cost is independent of the number of pending jobs.
+// Job-side scheduling decisions are indexed, not scanned (DESIGN.md §9),
+// and the steady state allocates nothing: jobs live in a recycled slab
+// addressed through a FlatIndex, runnable jobs sit in
+// per-effective-priority-level rank-ordered min-heaps under a descending
+// level vector (levels are never erased), and each reserve id keeps an
+// intrusive list of its attached jobs — so submit/complete/cancel cost is
+// independent of the number of pending jobs. Reserves are one per
+// application (a handful per CPU), so they sit in one id-ordered vector
+// that period rolls, wake arming and the utilization sum simply scan.
 // tests/test_cpu_sched_diff drives this scheduler and an O(n)-scan
 // reference model that lives with the tests through randomized workloads
 // and asserts identical traces.
@@ -37,9 +39,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -122,15 +122,13 @@ class Cpu {
   /// Destroys a reserve. Jobs attached to it continue at base priority.
   void destroy_reserve(ReserveId id);
 
-  [[nodiscard]] bool has_reserve(ReserveId id) const { return reserves_.count(id) > 0; }
+  [[nodiscard]] bool has_reserve(ReserveId id) const { return find_reserve(id) != nullptr; }
 
   /// Remaining budget in the current period (zero for unknown reserves).
   [[nodiscard]] Duration reserve_budget(ReserveId id) const;
 
-  /// Sum of C/T over all live reserves. O(1): the sum is maintained
-  /// incrementally on create and recomputed in id order on resize/destroy,
-  /// so it is bit-identical to a fresh summation (DESIGN.md §9).
-  [[nodiscard]] double reserved_utilization() const { return reserved_util_sum_; }
+  /// Sum of C/T over all live reserves, summed in id order (DESIGN.md §9).
+  [[nodiscard]] double reserved_utilization() const;
 
   // --- introspection --------------------------------------------------------
 
@@ -201,6 +199,12 @@ class Cpu {
     TimePoint period_start{};
   };
 
+  /// Live reserve `id`, or nullptr.
+  [[nodiscard]] const Reserve* find_reserve(ReserveId id) const;
+  [[nodiscard]] Reserve* find_reserve(ReserveId id) {
+    return const_cast<Reserve*>(std::as_const(*this).find_reserve(id));
+  }
+
   // Effective priority of a job right now; nullopt when not runnable
   // (hard reserve with exhausted budget).
   [[nodiscard]] std::optional<Priority> effective_priority(const Job& job) const;
@@ -266,19 +270,17 @@ class Cpu {
   /// may be submitted against a reserve created later and is boosted the
   /// moment that reserve appears).
   struct AttachedList {
+    ReserveId reserve = kNoReserve;
     std::uint32_t head = kNil;
-    std::uint32_t count = 0;
   };
-  /// Number of live jobs attached to `id`.
-  [[nodiscard]] std::uint32_t attached_count(ReserveId id) const;
-  /// Links the job into its reserve's list; returns true for the first one.
-  bool attach(Job& job, std::uint32_t slot);
+  /// The list of `id`, or nullptr when no live job references it.
+  [[nodiscard]] AttachedList* attached_list(ReserveId id);
+  void attach(Job& job, std::uint32_t slot);
   void detach(Job& job);
 
   [[nodiscard]] static TimePoint boundary_of(const Reserve& r) {
     return r.period_start + r.spec.period;
   }
-  void push_wake(const Reserve& r);
 
   void charge_running();            // account CPU time of running job up to now()
   void reschedule();                // pick next job, arm completion/limit events
@@ -297,36 +299,24 @@ class Cpu {
   std::vector<Job> jobs_;
   std::vector<std::uint32_t> free_jobs_;
   FlatIndex<JobId> job_index_;
-  std::map<ReserveId, Reserve> reserves_;  // ordered: id-order replenish traces
+  /// Live reserves in ascending id order: ids are handed out increasing,
+  /// so create appends. Scanned in id order, which orders replenish trace
+  /// instants and keeps the utilization sum bit-identical to the oracle's.
+  std::vector<Reserve> reserves_;
   JobId next_job_id_ = 1;
   ReserveId next_reserve_id_ = 1;
   std::uint64_t next_rank_ = 1;
 
-  // --- ready index, reserve membership and period boundaries ---------------
+  // --- ready index and reserve membership -----------------------------------
   /// Every effective-priority level ever used, highest first. Levels are
   /// never erased, so their heaps keep their capacity; first_ready_ is the
   /// first non-empty one (levels_.size() when nothing is runnable).
   std::vector<Level> levels_;
   std::size_t first_ready_ = 0;
   std::size_t ready_count_ = 0;
-  FlatIndex<ReserveId> attached_index_;  // reserve id -> attached_ position
+  /// One list per reserve id with live jobs; an entry goes when its last
+  /// job does.
   std::vector<AttachedList> attached_;
-  std::vector<std::uint32_t> free_attached_;
-  /// Lazily-invalidated min-heaps of (period boundary ns, reserve id). An
-  /// entry is stale when the reserve is gone or its boundary moved on; the
-  /// wake heap additionally requires attached jobs. Exactly one live
-  /// replenish entry exists per reserve (pushed on create and on each
-  /// replenish); wake entries are pushed on first attach and on replenish.
-  using BoundaryHeap =
-      std::priority_queue<std::pair<std::int64_t, ReserveId>,
-                          std::vector<std::pair<std::int64_t, ReserveId>>,
-                          std::greater<>>;
-  BoundaryHeap replenish_heap_;
-  BoundaryHeap wake_heap_;
-  /// Incremental sum(C/T): += on create; recomputed in id order on destroy
-  /// so the value stays bit-identical to a from-scratch summation.
-  double reserved_util_sum_ = 0.0;
-  std::vector<ReserveId> due_;  // roll_periods() scratch
 
   std::optional<JobId> running_;
   bool running_boosted_ = false;

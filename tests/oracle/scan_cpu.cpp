@@ -29,6 +29,14 @@ bool valid_spec(const ReserveSpec& spec) {
          spec.compute <= spec.period;
 }
 
+// Admission refuses a period whose end the clock cannot represent.
+bool boundary_fits(TimePoint start, Duration period) {
+  return period.ns() < TimePoint::max().ns() - start.ns();
+}
+
+constexpr const char* kBoundaryOverflow =
+    "reserve admission denied: period boundary overflows the clock";
+
 }  // namespace
 
 ScanCpu::ScanCpu(sim::Engine& engine, os::CpuConfig config)
@@ -67,6 +75,7 @@ Result<ReserveId> ScanCpu::create_reserve(const ReserveSpec& spec) {
   if (!valid_spec(spec)) {
     return Result<ReserveId>::err("invalid reserve spec: need 0 < compute <= period");
   }
+  if (!boundary_fits(engine_.now(), spec.period)) return Result<ReserveId>::err(kBoundaryOverflow);
   if (reserved_utilization() + spec.utilization() > config_.reserve_utilization_cap) {
     return Result<ReserveId>::err("reserve admission denied: utilization cap exceeded");
   }
@@ -86,6 +95,9 @@ Status<std::string> ScanCpu::update_reserve(ReserveId id, const ReserveSpec& spe
   if (r.spec == spec) return {};
   // Settle the running slice and due replenishments under the old spec.
   reschedule();
+  if (!boundary_fits(r.period_start, spec.period)) {
+    return Status<std::string>::err(kBoundaryOverflow);
+  }
   double candidate_sum = 0.0;
   for (const auto& [rid, other] : reserves_) {
     candidate_sum += (rid == id ? spec : other.spec).utilization();

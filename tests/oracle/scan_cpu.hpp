@@ -3,9 +3,9 @@
 // The same fixed-priority scheduler with TimeSys-style reserves, written as
 // a literal scan: every scheduling decision walks all jobs, every period
 // roll walks all reserves, and jobs and reserves live in ordered maps. It
-// has none of the production scheduler's indexes (ready heaps, attached
-// lists, boundary heaps, incremental utilization sum), so agreement
-// between the two is evidence that those indexes are exact.
+// has none of the production scheduler's job indexes (ready heaps, the job
+// slab, attached lists), so agreement between the two is evidence that
+// those indexes are exact.
 //
 // Semantics, shared with os::Cpu:
 //  * the runnable job with the highest effective priority runs; ties go to
@@ -17,7 +17,8 @@
 //    the next boundary of any reserve with attached jobs;
 //  * equal-priority peers rotate every quantum (the interrupted job gets a
 //    fresh rank);
-//  * admission bounds sum(C/T), summed over live reserves in id order.
+//  * admission bounds sum(C/T), summed over live reserves in id order, and
+//    refuses a period whose end the clock cannot represent.
 //
 // Job and reserve ids, run-trace slices (os::Cpu::RunSlice) and admission
 // error strings match os::Cpu, so outcomes compare directly. Observability

@@ -3,7 +3,7 @@
 // 1. Override mechanics: merge_override semantics, live re-stamps through
 //    QosControlPlane (stub writes, no session restart), the clear path,
 //    idempotence, the remote QosControlClient round-trip, and the refusal
-//    of an override whose batching flush deadline is negative.
+//    of an override whose deadline or batching flush deadline is negative.
 // 2. Zero-alloc steady state: repeated re-stamps of the per-invocation
 //    knobs (priority / DSCP / deadline) through both QoSSession::apply
 //    and the control plane perform no heap allocation once warmed up,
@@ -15,8 +15,8 @@
 // 4. Differential oracle: randomized override churn (override_flow /
 //    clear_override) must be observably identical to tearing the session
 //    down and rebinding with the merged policy at every step.
-// 5. Feedback epochs: deterministic epoch grid, equal-share division at
-//    zero deficit, and the hysteresis dead zone.
+// 5. Feedback epochs: deterministic epoch grid, equal division of the
+//    link-rate pool at zero deficit, and the hysteresis dead zone.
 // 6. Flash crowd: under the static policy the SLO breach is sustained;
 //    with the FeedbackScheduler the flow breaches and then recovers while
 //    the crowd is still arriving.
@@ -228,6 +228,27 @@ TEST_F(ControlPlaneFixture, RemoteOverrideWithNegativeFlushDeadlineIsRejected) {
   EXPECT_EQ(plane.active_override(kFlowVideo), nullptr);
 }
 
+TEST_F(ControlPlaneFixture, OverrideWithNegativeDeadlineIsRejected) {
+  QoSSession session(bed.sender_orb, *stub);
+  session.apply(bench::PolicyBuilder::sender(kFlowVideo, 10'000).deadline(milliseconds(20)));
+  plane.manage(kFlowVideo, session);
+
+  PolicyOverride ov;
+  ov.priority = 30'000;
+  ov.deadline = milliseconds(-5);
+  const Status<std::string> status = plane.override_flow(kFlowVideo, ov);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.error().find("deadline must not be negative"), std::string::npos);
+  // Refused before the merge: the live policy and the stub keep their
+  // values, the rest of the override included.
+  EXPECT_EQ(session.active_policy().deadline, milliseconds(20));
+  EXPECT_EQ(session.active_policy().priority, 10'000);
+  EXPECT_EQ(stub->deadline(), milliseconds(20));
+  EXPECT_EQ(stub->priority(), 10'000);
+  EXPECT_EQ(plane.active_override(kFlowVideo), nullptr);
+  EXPECT_EQ(plane.overrides_applied(), 0u);
+}
+
 TEST_F(ControlPlaneFixture, RestampPathDoesNotAllocate) {
   QoSSession session(bed.sender_orb, *stub);
   session.apply(bench::PolicyBuilder::sender(kFlowVideo, 10'000).deadline(milliseconds(20)));
@@ -419,16 +440,15 @@ TEST(OverrideChurnOracle, LiveRestampMatchesTearDownAndRebind) {
 TEST(FeedbackSchedulerTest, EpochGridIsDeterministicAndHysteresisHolds) {
   sim::Engine engine;
   obs::TelemetryHub hub;
-  os::Cpu cpu(engine, "host");
-  const auto r1 = cpu.create_reserve({milliseconds(10), milliseconds(100), true});
-  const auto r2 = cpu.create_reserve({milliseconds(10), milliseconds(100), true});
-  ASSERT_TRUE(r1.ok() && r2.ok());
+  net::IntServQueue queue(net::IntServQueue::Config{});
+  queue.install_reservation(kFlowSender1, 1e6, 10'000, engine.now());
+  queue.install_reservation(kFlowSender2, 1e6, 10'000, engine.now());
 
   FeedbackConfig cfg;
-  cfg.cpu_pool_utilization = 0.6;
+  cfg.net_pool_bps = 6e6;
   FeedbackScheduler fs(engine, hub, cfg);
-  fs.control_cpu(kFlowSender1, cpu, r1.value(), milliseconds(100), true);
-  fs.control_cpu(kFlowSender2, cpu, r2.value(), milliseconds(100), true);
+  fs.control_rate(kFlowSender1, queue, 10'000);
+  fs.control_rate(kFlowSender2, queue, 10'000);
   EXPECT_TRUE(fs.controls(kFlowSender1));
   EXPECT_FALSE(fs.controls(kFlowCross));
 
@@ -440,12 +460,14 @@ TEST(FeedbackSchedulerTest, EpochGridIsDeterministicAndHysteresisHolds) {
   EXPECT_EQ(fs.epochs_run(), 3u);  // 500, 1000, 1500 ms
 
   // No traffic, zero deficit everywhere: both flows settle on the equal
-  // share of the pool (0.3 utilization -> 30 ms per 100 ms period), and
-  // epochs after the first change nothing (inside the dead zone).
+  // share of the pool (3 Mbps each), and epochs after the first change
+  // nothing (inside the dead zone).
   EXPECT_DOUBLE_EQ(fs.deficit(kFlowSender1), 0.0);
   EXPECT_EQ(fs.restamps_applied(), 2u);
   EXPECT_EQ(fs.restamps_rejected(), 0u);
-  EXPECT_NEAR(cpu.reserved_utilization(), 0.6, 1e-9);
+  EXPECT_DOUBLE_EQ(queue.flow_rate_bps(kFlowSender1), 3e6);
+  EXPECT_DOUBLE_EQ(queue.flow_rate_bps(kFlowSender2), 3e6);
+  EXPECT_NEAR(queue.reserved_rate_bps(), 6e6, 1e-6);
 
   fs.stop();
   const std::uint64_t epochs = fs.epochs_run();

@@ -52,6 +52,35 @@ TEST_F(AtrFixture, RemoteReserveAdmissionFailureReported) {
   EXPECT_NE(second->error().find("admission denied"), std::string::npos);
 }
 
+TEST_F(AtrFixture, RemoteReserveWithClockOverflowingPeriodIsRefused) {
+  std::optional<Result<os::ReserveId>> overflowing;
+  client.create_reserve({nanoseconds(1), Duration::max(), true},
+                        [&](Result<os::ReserveId> r) { overflowing = std::move(r); });
+  bed.engine.run();
+  ASSERT_TRUE(overflowing.has_value());
+  ASSERT_FALSE(overflowing->ok());
+  EXPECT_NE(overflowing->error().find("overflows the clock"), std::string::npos);
+  EXPECT_DOUBLE_EQ(bed.server_cpu.reserved_utilization(), 0.0);
+
+  // A live reserve cannot be re-stamped onto such a period either.
+  std::optional<os::ReserveId> id;
+  client.create_reserve({milliseconds(20), milliseconds(100), true},
+                        [&](Result<os::ReserveId> r) {
+                          ASSERT_TRUE(r.ok());
+                          id = r.value();
+                        });
+  bed.engine.run();
+  ASSERT_TRUE(id);
+  std::optional<Status<std::string>> resized;
+  client.update_reserve(*id, {nanoseconds(1), Duration::max(), true},
+                        [&](Status<std::string> s) { resized = std::move(s); });
+  bed.engine.run();
+  ASSERT_TRUE(resized.has_value());
+  ASSERT_FALSE(resized->ok());
+  EXPECT_NE(resized->error().find("overflows the clock"), std::string::npos);
+  EXPECT_DOUBLE_EQ(bed.server_cpu.reserved_utilization(), 0.2);
+}
+
 TEST_F(AtrFixture, RemoteUtilizationQueryTracksAdmittedReserves) {
   std::optional<Result<double>> util;
   client.query_utilization([&](Result<double> r) { util = std::move(r); });
@@ -252,6 +281,31 @@ TEST_F(SessionFixture, NegativeBatchingFlushDelayIsAnApplyError) {
   bed.engine.run_until(TimePoint{milliseconds(100).ns()});
   EXPECT_EQ(bed.sender_orb.transport().batched_messages(), 0u);
   EXPECT_EQ(bed.receiver_orb.stats().requests_dispatched, 1u);
+}
+
+TEST_F(SessionFixture, NegativeDeadlineIsAnApplyError) {
+  QoSSession session(bed.sender_orb, *stub);
+  EndToEndQosPolicy policy;
+  policy.priority = 20'000;
+  policy.deadline = milliseconds(50);
+  session.apply(policy);
+  ASSERT_EQ(stub->deadline(), milliseconds(50));
+
+  policy.deadline = milliseconds(-5);
+  std::optional<Status<std::string>> outcome;
+  session.apply(policy, [&](Status<std::string> s) { outcome = std::move(s); });
+  ASSERT_TRUE(outcome.has_value());
+  ASSERT_FALSE(outcome->ok());
+  EXPECT_NE(outcome->error().find("deadline must not be negative"), std::string::npos);
+  // The stub carries no deadline rather than one every call starts past:
+  // a twoway through it completes instead of being vetoed before sending.
+  EXPECT_FALSE(stub->deadline().has_value());
+  EXPECT_EQ(stub->priority(), 20'000);
+  std::optional<orb::CompletionStatus> call;
+  stub->twoway("op", {}, [&](orb::CompletionStatus st, std::vector<std::uint8_t>) { call = st; });
+  bed.engine.run_until(TimePoint{milliseconds(500).ns()});
+  EXPECT_EQ(call, orb::CompletionStatus::Ok);
+  EXPECT_EQ(bed.sender_orb.stats().client_vetoed, 0u);
 }
 
 TEST_F(SessionFixture, ReapplyingACpuReserveKeepsTheOneReserve) {

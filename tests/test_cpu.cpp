@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "sim/engine.hpp"
 
 namespace aqm::os {
@@ -216,6 +219,44 @@ TEST(Cpu, ZeroCostJobCompletesImmediately) {
   e.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(e.now(), TimePoint::zero());
+}
+
+TEST(Cpu, ReplenishInstantsAtASharedBoundaryComeOutInReserveIdOrder) {
+  sim::Engine e;
+  obs::TraceRecorder tr(static_cast<std::uint32_t>(obs::TraceCategory::Os));
+  e.set_tracer(&tr);
+  Cpu cpu(e, "cpu", fifo_config());
+  // Periods of 10, 5 and 2 ms all end at 10 ms and at 20 ms.
+  const auto r1 = cpu.create_reserve({milliseconds(1), milliseconds(10), true});
+  const auto r2 = cpu.create_reserve({milliseconds(1), milliseconds(5), true});
+  const auto r3 = cpu.create_reserve({milliseconds(1), milliseconds(2), true});
+  ASSERT_TRUE(r1.ok() && r2.ok() && r3.ok());
+
+  // 2.5 ms of work on the first hard reserve runs 1 ms per 10 ms period:
+  // [0, 1], [10, 11] and [20, 20.5] ms. Only its wakes roll the periods.
+  std::optional<TimePoint> done;
+  cpu.submit_for(microseconds(2'500), 10, [&] { done = e.now(); }, r1.value());
+  e.run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(done->ns(), (milliseconds(20) + microseconds(500)).ns());
+
+  std::vector<std::pair<std::int64_t, double>> replenished;  // (ns, reserve id)
+  tr.for_each([&](const obs::TraceEvent& ev) {
+    if (std::string_view(ev.name) == "reserve.replenish") {
+      replenished.emplace_back(ev.ts_ns, ev.args[0].value);
+    }
+  });
+  const std::int64_t t10 = milliseconds(10).ns();
+  const std::int64_t t20 = milliseconds(20).ns();
+  const std::vector<std::pair<std::int64_t, double>> expected = {
+      {t10, 1.0}, {t10, 2.0}, {t10, 3.0}, {t20, 1.0}, {t20, 2.0}, {t20, 3.0}};
+  EXPECT_EQ(replenished, expected);
+
+  // Live reserves with no attached job arm no wake: the engine drained at
+  // the last completion.
+  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_EQ(e.now(), *done);
+  EXPECT_TRUE(cpu.has_reserve(r3.value()));
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Differential suite for the indexed CPU scheduler (DESIGN.md §9).
 //
-// The indexed scheduler (per-level ready queues, reserve membership index,
-// period-boundary heaps) must be observably indistinguishable from
-// oracle::ScanCpu (tests/oracle/), a reference model that rescans every
-// job and reserve on each decision. Every test builds one deterministic
+// The indexed scheduler (job slab, per-level ready queues, reserve
+// membership lists, id-ordered reserve table) must be observably
+// indistinguishable from oracle::ScanCpu (tests/oracle/), a reference
+// model that rescans every job and reserve on each decision. Every test builds one deterministic
 // operation script, replays it against both schedulers in separate
 // engines, and asserts byte-identical run traces, completion orders, and
 // sampled state probes — the same production-vs-oracle pattern
@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -499,11 +500,113 @@ TEST(CpuSchedDiff, UpdateReserveResizeParity) {
            /*min_slices=*/4);
 }
 
+TEST(CpuSchedDiff, CoincidingBoundariesWithReserveChurn) {
+  // Four reserves whose periods (2, 4, 4, 1 ms) end together every 4 ms,
+  // under saturating background load. Reserved jobs attach and finish or
+  // are cancelled, so the wake moves from reserve to reserve; one reserve
+  // is destroyed and one resized mid-period, and a period whose end the
+  // clock cannot hold is refused on create and on resize.
+  std::vector<Op> script;
+  const auto create = [&script](Duration compute, Duration period, bool hard) {
+    Op op;
+    op.kind = Op::Kind::CreateReserve;
+    op.at = TimePoint::zero();
+    op.compute = compute;
+    op.period = period;
+    op.hard = hard;
+    script.push_back(op);
+  };
+  create(microseconds(300), milliseconds(2), true);   // slot 0
+  create(microseconds(200), milliseconds(4), false);  // slot 1
+  create(microseconds(500), milliseconds(4), true);   // slot 2
+  create(microseconds(100), milliseconds(1), true);   // slot 3
+
+  const auto submit = [&script](Duration at, std::uint64_t cycles, Priority priority,
+                                int reserve_slot) {
+    Op op;
+    op.kind = Op::Kind::Submit;
+    op.at = TimePoint{at.ns()};
+    op.cycles = cycles;
+    op.priority = priority;
+    op.reserve_slot = reserve_slot;
+    script.push_back(op);
+  };
+  for (int i = 0; i < 10; ++i) submit(milliseconds(2 * i), 3'000'000, 3, -1);
+  submit(Duration::zero(), 700'000, 1, 0);
+  submit(milliseconds(1), 1'200'000, 1, 2);
+  submit(milliseconds(3), 400'000, 1, 1);  // soft: demoted below the load
+  submit(milliseconds(5), 350'000, 1, 3);
+  submit(milliseconds(9), 900'000, 1, 1);  // submit slot 9: cancelled below
+  submit(milliseconds(10), 2'000'000, 1, 0);
+
+  Op overflow_create;
+  overflow_create.kind = Op::Kind::CreateReserve;
+  overflow_create.at = TimePoint{(milliseconds(2) + microseconds(500)).ns()};
+  overflow_create.compute = nanoseconds(1);
+  overflow_create.period = Duration::max();
+  script.push_back(overflow_create);
+
+  Op destroy;
+  destroy.kind = Op::Kind::DestroyReserve;
+  destroy.at = TimePoint{(milliseconds(6) + microseconds(500)).ns()};
+  destroy.reserve_slot = 1;
+  script.push_back(destroy);
+
+  Op resize;
+  resize.kind = Op::Kind::UpdateReserve;
+  resize.at = TimePoint{(milliseconds(7) + microseconds(300)).ns()};
+  resize.reserve_slot = 2;
+  resize.compute = microseconds(800);
+  resize.period = milliseconds(3);  // the moved boundary (7 ms) is already past
+  script.push_back(resize);
+
+  Op cancel;
+  cancel.kind = Op::Kind::Cancel;
+  cancel.at = TimePoint{(milliseconds(9) + microseconds(500)).ns()};
+  cancel.job_slot = 9;
+  script.push_back(cancel);
+
+  Op overflow_resize = resize;
+  overflow_resize.at = TimePoint{milliseconds(11).ns()};
+  overflow_resize.reserve_slot = 0;
+  overflow_resize.compute = nanoseconds(1);
+  overflow_resize.period = Duration::max();
+  script.push_back(overflow_resize);
+
+  for (int i = 0; i <= 16; ++i) {
+    Op probe;
+    probe.kind = Op::Kind::Probe;
+    probe.at = TimePoint{milliseconds(i).ns()};
+    script.push_back(probe);
+  }
+  std::stable_sort(script.begin(), script.end(),
+                   [](const Op& a, const Op& b) { return a.at < b.at; });
+
+  const CpuConfig cfg = quantum_config(microseconds(500));
+  const Outcome indexed = run_script<ProdCpu>(script, cfg);
+  const Outcome scan = run_script<oracle::ScanCpu>(script, cfg);
+  EXPECT_GE(indexed.trace.size(), 10u);
+  expect_identical(indexed, scan, "coinciding-boundaries");
+
+  EXPECT_EQ(indexed.reserves_created.size(), 4u);  // the overflowing create is refused
+  std::size_t refused_resizes = 0;
+  for (const std::string& probe : indexed.probes) {
+    if (probe.find("overflows the clock") != std::string::npos) ++refused_resizes;
+  }
+  EXPECT_EQ(refused_resizes, 1u);
+  EXPECT_EQ(indexed.leftover_jobs, 0u);
+  std::set<ReserveId> boosted;  // reserves whose jobs ran in the boost band
+  for (const Cpu::RunSlice& slice : indexed.trace) {
+    if (slice.boosted) boosted.insert(slice.reserve);
+  }
+  EXPECT_EQ(boosted.size(), 4u);
+}
+
 // --- incremental accounting ---------------------------------------------------
 
 TEST(CpuSchedDiff, IncrementalUtilizationMatchesRecomputation) {
-  // Create/destroy churn: the incrementally maintained sum must stay
-  // bit-identical to the oracle's fresh summation (same admission decisions).
+  // Create/resize/destroy churn: the production sum must stay bit-identical
+  // to the oracle's fresh summation (same admission decisions).
   sim::Engine e_idx;
   sim::Engine e_scan;
   Cpu indexed(e_idx, "idx");
@@ -525,8 +628,8 @@ TEST(CpuSchedDiff, IncrementalUtilizationMatchesRecomputation) {
         live.push_back(a.value());
       }
     } else if (rng() % 2 == 0) {
-      // In-place resize: the incremental sum swaps the old share for the
-      // new one; admission must agree bit-for-bit with the fresh summation.
+      // In-place resize: admission must agree bit-for-bit with the fresh
+      // summation.
       const std::size_t pick = rng() % live.size();
       ReserveSpec spec;
       spec.compute = microseconds(100 + static_cast<std::int64_t>(rng() % 900));

@@ -155,6 +155,31 @@ TEST(Reserve, DestroyWhileJobAttachedDemotesJob) {
   EXPECT_EQ(reserved_done->ns(), milliseconds(30).ns());
 }
 
+TEST(Reserve, RefusesAPeriodThatOverflowsTheClock) {
+  sim::Engine e;
+  Cpu cpu(e, "cpu", fifo_config());
+  e.run_until(TimePoint{seconds(1).ns()});
+  // At t = 1 s the end of a Duration::max() period lies past the clock.
+  const auto overflowing = cpu.create_reserve({nanoseconds(1), Duration::max(), true});
+  ASSERT_FALSE(overflowing.ok());
+  EXPECT_NE(overflowing.error().find("overflows the clock"), std::string::npos);
+  EXPECT_DOUBLE_EQ(cpu.reserved_utilization(), 0.0);
+
+  const auto r = cpu.create_reserve({milliseconds(10), milliseconds(100), true});
+  ASSERT_TRUE(r.ok());
+  const auto resized = cpu.update_reserve(r.value(), {nanoseconds(1), Duration::max(), true});
+  ASSERT_FALSE(resized.ok());
+  EXPECT_NE(resized.error().find("overflows the clock"), std::string::npos);
+  EXPECT_DOUBLE_EQ(cpu.reserved_utilization(), 0.1);
+
+  // The reserve keeps its spec and schedules its job on time.
+  std::optional<TimePoint> done;
+  cpu.submit_for(milliseconds(5), 10, [&] { done = e.now(); }, r.value());
+  e.run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(done->ns(), (seconds(1) + milliseconds(5)).ns());
+}
+
 TEST(Reserve, UnknownReserveBudgetIsZero) {
   sim::Engine e;
   Cpu cpu(e, "cpu");

@@ -147,10 +147,9 @@ BENCHMARK(BM_PacketForwarding);
 /// per-packet cost: hashed flow lookup + ready-index service on the indexed
 /// table. The point is the shape, not the absolute rate: ns_per_packet must
 /// stay roughly flat from 1k to 256k installed flows — the ordered-map
-/// implementation walked reserved flows on the service path and re-summed
-/// every reservation on admission, both linear in N. CI asserts the
-/// flatness (256k within 3x of 1k); run_bench.sh gates the recorded floors
-/// with the LOOSE margin used for every scaling suite.
+/// implementation walked reserved flows on the service path, linear in N.
+/// CI asserts the flatness (256k within 3x of 1k); run_bench.sh gates the
+/// recorded floors with the LOOSE margin used for every scaling suite.
 void BM_RouterFanIn(benchmark::State& state) {
   const auto n_flows = static_cast<std::uint64_t>(state.range(0));
   constexpr int kPacketsPerIter = 1'024;
@@ -169,8 +168,6 @@ void BM_RouterFanIn(benchmark::State& state) {
   net::IntServQueue& egress = *intserv;
   net.add_link(r, b, cfg, std::move(intserv));
   net.add_link(b, r, cfg);
-  // Ascending ids: every install extends the incremental reserved-rate sum
-  // instead of forcing a full re-sum (the admission-path fast case).
   for (std::uint64_t f = 1; f <= n_flows; ++f) {
     egress.install_reservation(f, 20e3, 64'000, engine.now());
   }

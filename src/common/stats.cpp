@@ -115,17 +115,6 @@ bool Histogram::merge(const Histogram& other) {
   return true;
 }
 
-bool Histogram::subtract(const Histogram& other) {
-  if (!same_layout(other)) return false;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    assert(counts_[i] >= other.counts_[i]);
-    counts_[i] -= other.counts_[i];
-  }
-  assert(total_ >= other.total_);
-  total_ -= other.total_;
-  return true;
-}
-
 RunningStats TimeSeries::stats_between(TimePoint from, TimePoint to) const {
   RunningStats s;
   for (const auto& p : points_) {

@@ -98,12 +98,6 @@ class Histogram {
   /// unchanged) on a layout mismatch.
   bool merge(const Histogram& other);
 
-  /// Exact inverse of merge for sliding-window maintenance: bucket-wise
-  /// subtraction of counts previously merged in. Returns false (and
-  /// leaves this unchanged) on a layout mismatch; callers must only
-  /// subtract histograms whose counts are still contained in this one.
-  bool subtract(const Histogram& other);
-
  private:
   [[nodiscard]] bool same_layout(const Histogram& other) const;
 

@@ -6,23 +6,6 @@
 namespace aqm::core {
 namespace {
 
-std::vector<std::uint8_t> encode_create_request(const os::ReserveSpec& spec) {
-  orb::CdrWriter w;
-  w.write_i64(spec.compute.ns());
-  w.write_i64(spec.period.ns());
-  w.write_bool(spec.hard);
-  return w.take();
-}
-
-os::ReserveSpec decode_create_request(const std::vector<std::uint8_t>& body) {
-  orb::CdrReader r(body);
-  os::ReserveSpec spec;
-  spec.compute = Duration{r.read_i64()};
-  spec.period = Duration{r.read_i64()};
-  spec.hard = r.read_bool();
-  return spec;
-}
-
 std::vector<std::uint8_t> encode_create_reply(const Result<os::ReserveId>& result) {
   orb::CdrWriter w;
   w.write_bool(result.ok());
@@ -40,14 +23,20 @@ Result<os::ReserveId> decode_create_reply(const std::vector<std::uint8_t>& body)
   return Result<os::ReserveId>::err(r.read_string());
 }
 
-std::vector<std::uint8_t> encode_update_request(os::ReserveId id,
-                                                const os::ReserveSpec& spec) {
-  orb::CdrWriter w;
-  w.write_u64(id);
+}  // namespace
+
+void write_reserve_spec(orb::CdrWriter& w, const os::ReserveSpec& spec) {
   w.write_i64(spec.compute.ns());
   w.write_i64(spec.period.ns());
   w.write_bool(spec.hard);
-  return w.take();
+}
+
+os::ReserveSpec read_reserve_spec(orb::CdrReader& r) {
+  os::ReserveSpec spec;
+  spec.compute = Duration{r.read_i64()};
+  spec.period = Duration{r.read_i64()};
+  spec.hard = r.read_bool();
+  return spec;
 }
 
 std::vector<std::uint8_t> encode_status_reply(const Status<std::string>& status) {
@@ -63,38 +52,24 @@ Status<std::string> decode_status_reply(const std::vector<std::uint8_t>& body) {
   return Status<std::string>::err(r.read_string());
 }
 
-}  // namespace
-
 CpuReservationManagerServer::CpuReservationManagerServer(orb::Poa& poa, os::Cpu& cpu) {
   // Reservation signaling is control-plane work: cheap and fast.
   auto servant = std::make_shared<orb::FunctionServant>(
       microseconds(30), [&cpu](orb::ServerRequest& req) {
+        orb::CdrReader r(req.body);
         if (req.operation == kCreateReserveOp) {
-          const os::ReserveSpec spec = decode_create_request(req.body);
-          req.reply_body = encode_create_reply(cpu.create_reserve(spec));
+          req.reply_body = encode_create_reply(cpu.create_reserve(read_reserve_spec(r)));
           return;
         }
         if (req.operation == kUpdateReserveOp) {
-          orb::CdrReader r(req.body);
           const os::ReserveId id = r.read_u64();
-          os::ReserveSpec spec;
-          spec.compute = Duration{r.read_i64()};
-          spec.period = Duration{r.read_i64()};
-          spec.hard = r.read_bool();
-          req.reply_body = encode_status_reply(cpu.update_reserve(id, spec));
+          req.reply_body = encode_status_reply(cpu.update_reserve(id, read_reserve_spec(r)));
           return;
         }
         if (req.operation == kDestroyReserveOp) {
-          orb::CdrReader r(req.body);
           cpu.destroy_reserve(r.read_u64());
           orb::CdrWriter w;
           w.write_bool(true);
-          req.reply_body = w.take();
-          return;
-        }
-        if (req.operation == kQueryUtilizationOp) {
-          orb::CdrWriter w;
-          w.write_f64(cpu.reserved_utilization());
           req.reply_body = w.take();
           return;
         }
@@ -108,39 +83,18 @@ CpuReservationClient::CpuReservationClient(orb::OrbEndpoint& orb, orb::ObjectRef
 
 void CpuReservationClient::create_reserve(const os::ReserveSpec& spec, CreateCallback cb,
                                           Duration timeout) {
-  stub_.twoway(kCreateReserveOp, encode_create_request(spec),
-               [cb = std::move(cb)](orb::CompletionStatus status,
-                                    std::vector<std::uint8_t> body) {
-                 if (status != orb::CompletionStatus::Ok) {
-                   cb(Result<os::ReserveId>::err(std::string("rpc failed: ") +
-                                                 orb::to_string(status)));
-                   return;
-                 }
-                 try {
-                   cb(decode_create_reply(body));
-                 } catch (const orb::MarshalError& e) {
-                   cb(Result<os::ReserveId>::err(e.what()));
-                 }
-               },
+  orb::CdrWriter w;
+  write_reserve_spec(w, spec);
+  stub_.twoway(kCreateReserveOp, w.take(), reply_handler(std::move(cb), decode_create_reply),
                timeout);
 }
 
 void CpuReservationClient::update_reserve(os::ReserveId id, const os::ReserveSpec& spec,
                                           UpdateCallback cb, Duration timeout) {
-  stub_.twoway(kUpdateReserveOp, encode_update_request(id, spec),
-               [cb = std::move(cb)](orb::CompletionStatus status,
-                                    std::vector<std::uint8_t> body) {
-                 if (status != orb::CompletionStatus::Ok) {
-                   cb(Status<std::string>::err(std::string("rpc failed: ") +
-                                               orb::to_string(status)));
-                   return;
-                 }
-                 try {
-                   cb(decode_status_reply(body));
-                 } catch (const orb::MarshalError& e) {
-                   cb(Status<std::string>::err(e.what()));
-                 }
-               },
+  orb::CdrWriter w;
+  w.write_u64(id);
+  write_reserve_spec(w, spec);
+  stub_.twoway(kUpdateReserveOp, w.take(), reply_handler(std::move(cb), decode_status_reply),
                timeout);
 }
 
@@ -152,25 +106,6 @@ void CpuReservationClient::destroy_reserve(os::ReserveId id, DestroyCallback cb,
                [cb = std::move(cb)](orb::CompletionStatus status,
                                     std::vector<std::uint8_t>) {
                  if (cb) cb(status == orb::CompletionStatus::Ok);
-               },
-               timeout);
-}
-
-void CpuReservationClient::query_utilization(UtilizationCallback cb, Duration timeout) {
-  stub_.twoway(kQueryUtilizationOp, {},
-               [cb = std::move(cb)](orb::CompletionStatus status,
-                                    std::vector<std::uint8_t> body) {
-                 if (status != orb::CompletionStatus::Ok) {
-                   cb(Result<double>::err(std::string("rpc failed: ") +
-                                          orb::to_string(status)));
-                   return;
-                 }
-                 try {
-                   orb::CdrReader r(body);
-                   cb(Result<double>{r.read_f64()});
-                 } catch (const orb::MarshalError& e) {
-                   cb(Result<double>::err(e.what()));
-                 }
                },
                timeout);
 }

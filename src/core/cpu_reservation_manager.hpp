@@ -6,14 +6,19 @@
 // representations of reservation specification into the particular style
 // supported by the TimeSys implementation."
 //
-// Server side exposes create/destroy operations over the ORB; the client
-// helper gives remote middleware (the QoS manager, QuO behaviors) typed
-// asynchronous access.
+// Server side exposes create/update/destroy operations over the ORB; the
+// client helper gives remote middleware (the QoS manager, QuO behaviors)
+// typed asynchronous access. The wire codec and the client reply path at
+// the bottom are shared with the QoS control plane
+// (core/qos_control_plane.hpp), the other service that carries
+// reservation requests over the ORB.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/result.hpp"
 #include "orb/orb.hpp"
@@ -25,7 +30,6 @@ inline constexpr const char* kCpuReserveManagerObjectId = "cpu_reserve_manager";
 inline constexpr const char* kCreateReserveOp = "create_reserve";
 inline constexpr const char* kUpdateReserveOp = "update_reserve";
 inline constexpr const char* kDestroyReserveOp = "destroy_reserve";
-inline constexpr const char* kQueryUtilizationOp = "query_utilization";
 
 /// Host-local agent: activates the manager servant in `poa` and forwards
 /// reservation requests to the host's resource kernel (os::Cpu).
@@ -45,7 +49,6 @@ class CpuReservationClient {
   using CreateCallback = std::function<void(Result<os::ReserveId>)>;
   using UpdateCallback = std::function<void(Status<std::string>)>;
   using DestroyCallback = std::function<void(bool ok)>;
-  using UtilizationCallback = std::function<void(Result<double>)>;
 
   CpuReservationClient(orb::OrbEndpoint& orb, orb::ObjectRef manager);
 
@@ -64,13 +67,42 @@ class CpuReservationClient {
   void destroy_reserve(os::ReserveId id, DestroyCallback cb = nullptr,
                        Duration timeout = seconds(2));
 
-  /// Asks the remote host for its admitted reserve utilization, sum(C/T).
-  /// Admission planners poll this before placing work; the server answers
-  /// with os::Cpu::reserved_utilization().
-  void query_utilization(UtilizationCallback cb, Duration timeout = seconds(2));
-
  private:
   orb::ObjectStub stub_;
 };
+
+// --- control-plane wire codec ----------------------------------------------
+// One CDR writer and one reader per wire type.
+
+/// ReserveSpec: compute (i64 ns), period (i64 ns), hard (bool).
+void write_reserve_spec(orb::CdrWriter& w, const os::ReserveSpec& spec);
+[[nodiscard]] os::ReserveSpec read_reserve_spec(orb::CdrReader& r);
+
+/// Status reply body: ok (bool), then the error string when not ok.
+[[nodiscard]] std::vector<std::uint8_t> encode_status_reply(const Status<std::string>& status);
+[[nodiscard]] Status<std::string> decode_status_reply(const std::vector<std::uint8_t>& body);
+
+/// The one client reply path: wraps `cb` into an ORB response callback
+/// that hands it `decode(body)`. A non-Ok completion arrives as
+/// "rpc failed: <status>", an undecodable reply as the MarshalError's
+/// text; a null `cb` ignores the reply. `Reply` is a Result<T> or a
+/// Status<std::string>.
+template <typename Reply>
+[[nodiscard]] orb::OrbEndpoint::ResponseCallback reply_handler(
+    std::function<void(Reply)> cb, Reply (*decode)(const std::vector<std::uint8_t>&)) {
+  return [cb = std::move(cb), decode](orb::CompletionStatus status,
+                                      std::vector<std::uint8_t> body) {
+    if (!cb) return;
+    if (status != orb::CompletionStatus::Ok) {
+      cb(Reply::err(std::string("rpc failed: ") + orb::to_string(status)));
+      return;
+    }
+    try {
+      cb(decode(body));
+    } catch (const orb::MarshalError& e) {
+      cb(Reply::err(e.what()));
+    }
+  };
+}
 
 }  // namespace aqm::core

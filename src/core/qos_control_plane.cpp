@@ -17,11 +17,7 @@ void encode_override(orb::CdrWriter& w, const PolicyOverride& ov) {
   w.write_bool(ov.deadline.has_value());
   if (ov.deadline) w.write_i64(ov.deadline->ns());
   w.write_bool(ov.server_cpu_reserve.has_value());
-  if (ov.server_cpu_reserve) {
-    w.write_i64(ov.server_cpu_reserve->compute.ns());
-    w.write_i64(ov.server_cpu_reserve->period.ns());
-    w.write_bool(ov.server_cpu_reserve->hard);
-  }
+  if (ov.server_cpu_reserve) write_reserve_spec(w, *ov.server_cpu_reserve);
   w.write_bool(ov.network_reservation.has_value());
   if (ov.network_reservation) {
     w.write_f64(ov.network_reservation->rate_bps);
@@ -40,13 +36,7 @@ PolicyOverride decode_override(orb::CdrReader& r) {
   if (r.read_bool()) ov.priority = r.read_i32();
   if (r.read_bool()) ov.dscp = r.read_u8();
   if (r.read_bool()) ov.deadline = Duration{r.read_i64()};
-  if (r.read_bool()) {
-    os::ReserveSpec spec;
-    spec.compute = Duration{r.read_i64()};
-    spec.period = Duration{r.read_i64()};
-    spec.hard = r.read_bool();
-    ov.server_cpu_reserve = spec;
-  }
+  if (r.read_bool()) ov.server_cpu_reserve = read_reserve_spec(r);
   if (r.read_bool()) {
     net::FlowSpec spec;
     spec.rate_bps = r.read_f64();
@@ -61,19 +51,6 @@ PolicyOverride decode_override(orb::CdrReader& r) {
     ov.oneway_batching = batching;
   }
   return ov;
-}
-
-std::vector<std::uint8_t> encode_status_reply(const Status<std::string>& status) {
-  orb::CdrWriter w;
-  w.write_bool(status.ok());
-  if (!status.ok()) w.write_string(status.error());
-  return w.take();
-}
-
-Status<std::string> decode_status_reply(const std::vector<std::uint8_t>& body) {
-  orb::CdrReader r(body);
-  if (r.read_bool()) return {};
-  return Status<std::string>::err(r.read_string());
 }
 
 }  // namespace
@@ -94,15 +71,14 @@ QosControlPlane::QosControlPlane(orb::Poa& poa) {
   // CPU-reservation manager it sits beside.
   auto servant = std::make_shared<orb::FunctionServant>(
       microseconds(30), [this](orb::ServerRequest& req) {
+        orb::CdrReader r(req.body);
         if (req.operation == kOverrideFlowOp) {
-          orb::CdrReader r(req.body);
           const net::FlowId flow = r.read_u64();
           const PolicyOverride ov = decode_override(r);
           req.reply_body = encode_status_reply(override_flow(flow, ov));
           return;
         }
         if (req.operation == kClearOverrideOp) {
-          orb::CdrReader r(req.body);
           req.reply_body = encode_status_reply(clear_override(r.read_u64()));
           return;
         }
@@ -172,42 +148,14 @@ void QosControlClient::override_flow(net::FlowId flow, const PolicyOverride& ov,
   orb::CdrWriter w;
   w.write_u64(flow);
   encode_override(w, ov);
-  stub_.twoway(kOverrideFlowOp, w.take(),
-               [cb = std::move(cb)](orb::CompletionStatus status,
-                                    std::vector<std::uint8_t> body) {
-                 if (!cb) return;
-                 if (status != orb::CompletionStatus::Ok) {
-                   cb(Status<std::string>::err(std::string("rpc failed: ") +
-                                               orb::to_string(status)));
-                   return;
-                 }
-                 try {
-                   cb(decode_status_reply(body));
-                 } catch (const orb::MarshalError& e) {
-                   cb(Status<std::string>::err(e.what()));
-                 }
-               },
+  stub_.twoway(kOverrideFlowOp, w.take(), reply_handler(std::move(cb), decode_status_reply),
                timeout);
 }
 
 void QosControlClient::clear_override(net::FlowId flow, Callback cb, Duration timeout) {
   orb::CdrWriter w;
   w.write_u64(flow);
-  stub_.twoway(kClearOverrideOp, w.take(),
-               [cb = std::move(cb)](orb::CompletionStatus status,
-                                    std::vector<std::uint8_t> body) {
-                 if (!cb) return;
-                 if (status != orb::CompletionStatus::Ok) {
-                   cb(Status<std::string>::err(std::string("rpc failed: ") +
-                                               orb::to_string(status)));
-                   return;
-                 }
-                 try {
-                   cb(decode_status_reply(body));
-                 } catch (const orb::MarshalError& e) {
-                   cb(Status<std::string>::err(e.what()));
-                 }
-               },
+  stub_.twoway(kClearOverrideOp, w.take(), reply_handler(std::move(cb), decode_status_reply),
                timeout);
 }
 

@@ -4,8 +4,8 @@
 // message). libstdc++'s std::any only stores trivially-copyable payloads up
 // to one pointer inline, so each packet paid a heap allocation. All payload
 // types in this codebase fit in 48 bytes; PacketPayload keeps them inline
-// (falling back to the heap for anything larger) so forwarding a packet
-// through routers and queues never allocates.
+// (a larger type does not compile) so forwarding a packet through routers
+// and queues never allocates.
 #pragma once
 
 #include <cassert>
@@ -108,22 +108,16 @@ class PacketPayload {
 
   template <typename D>
   [[nodiscard]] D* ptr() {
-    if constexpr (fits_inline<D>()) {
-      return std::launder(reinterpret_cast<D*>(buf_));
-    } else {
-      return *std::launder(reinterpret_cast<D**>(buf_));
-    }
+    return std::launder(reinterpret_cast<D*>(buf_));
   }
 
   template <typename T, typename D = std::decay_t<T>>
   void construct(T&& v) {
-    if constexpr (fits_inline<D>()) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<T>(v));
-      ops_ = &kInlineOps<D>;
-    } else {
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<T>(v)));
-      ops_ = &kHeapOps<D>;
-    }
+    static_assert(fits_inline<D>(),
+                  "PacketPayload types must fit inline: at most kInlineSize bytes, "
+                  "max_align_t alignment and a nothrow move constructor");
+    ::new (static_cast<void*>(buf_)) D(std::forward<T>(v));
+    ops_ = &kInlineOps<D>;
   }
 
   template <typename D>
@@ -141,16 +135,6 @@ class PacketPayload {
       std::is_trivially_destructible_v<D>
           ? nullptr
           : +[](void* p) noexcept { std::launder(reinterpret_cast<D*>(p))->~D(); },
-      &type_tag<D>,
-  };
-
-  template <typename D>
-  static constexpr Ops kHeapOps{
-      [](const void* src, void* dst) {
-        ::new (dst) D*(new D(**std::launder(reinterpret_cast<D* const*>(src))));
-      },
-      nullptr,  // pointer payload: relocation is the default memcpy
-      [](void* p) noexcept { delete *std::launder(reinterpret_cast<D**>(p)); },
       &type_tag<D>,
   };
 

@@ -197,10 +197,8 @@ void IntServQueue::install_reservation(FlowId flow, double rate_bps,
                                        std::uint32_t bucket_bytes, TimePoint now) {
   assert(flow != kNoFlow);
   if (const std::uint32_t slot = slot_of_.find(flow); slot != kNoSlot) {
-    // Modify: swap in the new bucket, keep the queued packets. The rate
-    // changed in the middle of id order, so the running sum goes stale.
+    // Modify: swap in the new bucket, keep the queued packets.
     flow_bucket_[slot] = TokenBucket{rate_bps, bucket_bytes, now};
-    reserved_dirty_ = true;
     return;
   }
   std::uint32_t slot;
@@ -215,17 +213,6 @@ void IntServQueue::install_reservation(FlowId flow, double rate_bps,
     flow_fifo_.emplace_back();
     ready_pos_.push_back(0);
   }
-  // Incremental sum: an append at the end of id order extends the running
-  // value exactly as a full id-order summation would; anything else is
-  // recomputed lazily in id order, so the result stays bit-identical.
-  if (!reserved_dirty_) {
-    if (slot_of_.empty() || flow > reserved_max_id_) {
-      reserved_sum_ += rate_bps;
-      reserved_max_id_ = flow;
-    } else {
-      reserved_dirty_ = true;
-    }
-  }
   slot_of_.insert(flow, slot);
 }
 
@@ -235,9 +222,6 @@ bool IntServQueue::update_reservation(FlowId flow, double rate_bps,
   const std::uint32_t slot = slot_of_.find(flow);
   if (slot == kNoSlot) return false;
   flow_bucket_[slot].reconfigure(rate_bps, bucket_bytes, now);
-  // The rate changed in the middle of id order: the running sum goes stale
-  // and is recomputed lazily in id order.
-  reserved_dirty_ = true;
   return true;
 }
 
@@ -258,7 +242,6 @@ void IntServQueue::remove_reservation(FlowId flow) {
   }
   free_slots_.push_back(slot);
   slot_of_.erase(flow);
-  reserved_dirty_ = true;
 }
 
 double IntServQueue::flow_rate_bps(FlowId flow) const {
@@ -267,18 +250,15 @@ double IntServQueue::flow_rate_bps(FlowId flow) const {
 }
 
 double IntServQueue::reserved_rate_bps() const {
-  if (reserved_dirty_) {
-    std::vector<std::pair<FlowId, std::uint32_t>> order;
-    order.reserve(slot_of_.size());
-    slot_of_.for_each_unordered(
-        [&order](FlowId id, std::uint32_t slot) { order.emplace_back(id, slot); });
-    std::sort(order.begin(), order.end());
-    reserved_sum_ = 0.0;
-    for (const auto& [id, slot] : order) reserved_sum_ += flow_bucket_[slot].rate_bps();
-    reserved_max_id_ = order.empty() ? kNoFlow : order.back().first;
-    reserved_dirty_ = false;
-  }
-  return reserved_sum_;
+  std::vector<std::pair<FlowId, double>> order;
+  order.reserve(slot_of_.size());
+  slot_of_.for_each_unordered([&](FlowId id, std::uint32_t slot) {
+    order.emplace_back(id, flow_bucket_[slot].rate_bps());
+  });
+  std::sort(order.begin(), order.end());
+  double sum = 0.0;
+  for (const auto& [id, rate] : order) sum += rate;
+  return sum;
 }
 
 // --- data plane --------------------------------------------------------------

@@ -207,9 +207,9 @@ class IntServQueue final : public Queue {
   bool update_reservation(FlowId flow, double rate_bps, std::uint32_t bucket_bytes,
                           TimePoint now);
   [[nodiscard]] bool has_reservation(FlowId flow) const { return slot_of_.contains(flow); }
-  /// Sum of reserved rates. O(1) amortized: maintained incrementally on
-  /// id-order appends and recomputed lazily (in id order, so the value is
-  /// bit-identical to a full id-order summation) after removes/modifies.
+  /// Sum of reserved rates, added up in ascending-FlowId order so the
+  /// value does not depend on the flow table's layout. O(n log n) per
+  /// call; admission asks once per request, never per packet.
   [[nodiscard]] double reserved_rate_bps() const;
   /// Reserved rate of one flow; 0 when it holds no reservation.
   [[nodiscard]] double flow_rate_bps(FlowId flow) const;
@@ -288,12 +288,6 @@ class IntServQueue final : public Queue {
   /// packet.
   std::vector<ReadyFlow> ready_;
   std::vector<std::uint32_t> ready_pos_;  // by slot
-  /// Running sum of reserved rates in ascending-FlowId order, and the
-  /// highest reserved FlowId it covers. Dirty after a remove, a modify or
-  /// a mid-order install; recomputed in id order on the next query.
-  mutable double reserved_sum_ = 0.0;
-  mutable FlowId reserved_max_id_ = kNoFlow;
-  mutable bool reserved_dirty_ = false;
 
   /// Hierarchical policing parent (Config::parent_rate_bps > 0).
   std::optional<TokenBucket> parent_;

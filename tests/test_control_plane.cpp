@@ -228,6 +228,50 @@ TEST_F(ControlPlaneFixture, RemoteOverrideWithNegativeFlushDeadlineIsRejected) {
   EXPECT_EQ(plane.active_override(kFlowVideo), nullptr);
 }
 
+// The client's one reply path, shared with the CPU reservation client:
+// each failure reaches the callback as an error with a fixed text.
+TEST_F(ControlPlaneFixture, RemoteCallFailuresReachTheCallbackAsErrors) {
+  PolicyOverride ov;
+  ov.priority = 30'000;
+  std::optional<Status<std::string>> overridden;
+  std::optional<Status<std::string>> cleared;
+
+  // A non-Ok completion: the control plane's POA holds no such object.
+  orb::ObjectRef missing = plane.ref();
+  missing.object_key = "ctrl/no_such_control";
+  QosControlClient orphan(bed.receiver_orb, missing);
+  orphan.override_flow(kFlowVideo, ov,
+                       [&](Status<std::string> s) { overridden = std::move(s); });
+  orphan.clear_override(kFlowVideo, [&](Status<std::string> s) { cleared = std::move(s); });
+  orphan.clear_override(kFlowVideo);  // no callback: the reply is ignored
+  bed.engine.run_until(TimePoint{seconds(2).ns()});
+  ASSERT_TRUE(overridden && cleared);
+  ASSERT_FALSE(overridden->ok());
+  EXPECT_EQ(overridden->error(), "rpc failed: OBJECT_NOT_EXIST");
+  ASSERT_FALSE(cleared->ok());
+  EXPECT_EQ(cleared->error(), "rpc failed: OBJECT_NOT_EXIST");
+
+  // An undecodable reply: a servant under the control plane's object id
+  // that answers one byte (false, then no error string).
+  orb::Poa& rogue_poa = bed.sender_orb.create_poa("rogue");
+  const orb::ObjectRef rogue_ref = rogue_poa.activate_object(
+      kQosControlObjectId,
+      std::make_shared<orb::FunctionServant>(
+          microseconds(30), [](orb::ServerRequest& req) { req.reply_body = {0}; }));
+  QosControlClient rogue(bed.receiver_orb, rogue_ref);
+  overridden.reset();
+  cleared.reset();
+  rogue.override_flow(kFlowVideo, ov,
+                      [&](Status<std::string> s) { overridden = std::move(s); });
+  rogue.clear_override(kFlowVideo, [&](Status<std::string> s) { cleared = std::move(s); });
+  bed.engine.run_until(TimePoint{seconds(4).ns()});
+  ASSERT_TRUE(overridden && cleared);
+  ASSERT_FALSE(overridden->ok());
+  EXPECT_EQ(overridden->error(), "MARSHAL: CDR buffer underrun");
+  ASSERT_FALSE(cleared->ok());
+  EXPECT_EQ(cleared->error(), "MARSHAL: CDR buffer underrun");
+}
+
 TEST_F(ControlPlaneFixture, OverrideWithNegativeDeadlineIsRejected) {
   QoSSession session(bed.sender_orb, *stub);
   session.apply(bench::PolicyBuilder::sender(kFlowVideo, 10'000).deadline(milliseconds(20)));

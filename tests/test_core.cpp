@@ -82,11 +82,8 @@ TEST_F(AtrFixture, RemoteReserveWithClockOverflowingPeriodIsRefused) {
 }
 
 TEST_F(AtrFixture, RemoteUtilizationQueryTracksAdmittedReserves) {
-  std::optional<Result<double>> util;
-  client.query_utilization([&](Result<double> r) { util = std::move(r); });
   bed.engine.run();
-  ASSERT_TRUE(util && util->ok());
-  EXPECT_DOUBLE_EQ(util->value(), 0.0);
+  EXPECT_DOUBLE_EQ(bed.server_cpu.reserved_utilization(), 0.0);
 
   client.create_reserve({milliseconds(20), milliseconds(100), true},
                         [](Result<os::ReserveId> r) { ASSERT_TRUE(r.ok()); });
@@ -96,19 +93,13 @@ TEST_F(AtrFixture, RemoteUtilizationQueryTracksAdmittedReserves) {
                           ASSERT_TRUE(r.ok());
                           second = r.value();
                         });
-  util.reset();
-  client.query_utilization([&](Result<double> r) { util = std::move(r); });
   bed.engine.run();
-  ASSERT_TRUE(util && util->ok());
-  EXPECT_NEAR(util->value(), 0.2 + 0.15, 1e-12);
+  EXPECT_NEAR(bed.server_cpu.reserved_utilization(), 0.2 + 0.15, 1e-12);
 
   ASSERT_TRUE(second);
   client.destroy_reserve(*second);
-  util.reset();
-  client.query_utilization([&](Result<double> r) { util = std::move(r); });
   bed.engine.run();
-  ASSERT_TRUE(util && util->ok());
-  EXPECT_NEAR(util->value(), 0.2, 1e-12);
+  EXPECT_NEAR(bed.server_cpu.reserved_utilization(), 0.2, 1e-12);
 }
 
 TEST_F(AtrFixture, RemoteDestroyReleasesReserve) {
@@ -125,6 +116,48 @@ TEST_F(AtrFixture, RemoteDestroyReleasesReserve) {
   bed.engine.run();
   EXPECT_EQ(destroyed, true);
   EXPECT_FALSE(bed.server_cpu.has_reserve(*id));
+  EXPECT_DOUBLE_EQ(bed.server_cpu.reserved_utilization(), 0.0);
+}
+
+// The client's one reply path: each failure reaches the callback as an
+// error with a fixed text, and a null callback is ignored.
+TEST_F(AtrFixture, RemoteCallFailuresReachTheCallbackAsErrors) {
+  const os::ReserveSpec spec{milliseconds(20), milliseconds(100), true};
+  std::optional<Result<os::ReserveId>> created;
+  std::optional<Status<std::string>> updated;
+
+  // A non-Ok completion: the manager's POA holds no such object.
+  orb::ObjectRef missing = manager.ref();
+  missing.object_key = "mgmt/no_such_manager";
+  CpuReservationClient orphan(bed.client_orb, missing);
+  orphan.create_reserve(spec, [&](Result<os::ReserveId> r) { created = std::move(r); });
+  orphan.update_reserve(1, spec, [&](Status<std::string> s) { updated = std::move(s); });
+  orphan.update_reserve(1, spec, nullptr);
+  bed.engine.run();
+  ASSERT_TRUE(created && updated);
+  ASSERT_FALSE(created->ok());
+  EXPECT_EQ(created->error(), "rpc failed: OBJECT_NOT_EXIST");
+  ASSERT_FALSE(updated->ok());
+  EXPECT_EQ(updated->error(), "rpc failed: OBJECT_NOT_EXIST");
+
+  // An undecodable reply: a servant under the manager's object id that
+  // answers one byte (false, then no error string).
+  orb::Poa& rogue_poa = bed.server_orb.create_poa("rogue");
+  const orb::ObjectRef rogue_ref = rogue_poa.activate_object(
+      kCpuReserveManagerObjectId,
+      std::make_shared<orb::FunctionServant>(
+          microseconds(30), [](orb::ServerRequest& req) { req.reply_body = {0}; }));
+  CpuReservationClient rogue(bed.client_orb, rogue_ref);
+  created.reset();
+  updated.reset();
+  rogue.create_reserve(spec, [&](Result<os::ReserveId> r) { created = std::move(r); });
+  rogue.update_reserve(1, spec, [&](Status<std::string> s) { updated = std::move(s); });
+  bed.engine.run();
+  ASSERT_TRUE(created && updated);
+  ASSERT_FALSE(created->ok());
+  EXPECT_EQ(created->error(), "MARSHAL: CDR buffer underrun");
+  ASSERT_FALSE(updated->ok());
+  EXPECT_EQ(updated->error(), "MARSHAL: CDR buffer underrun");
   EXPECT_DOUBLE_EQ(bed.server_cpu.reserved_utilization(), 0.0);
 }
 

@@ -102,22 +102,6 @@ TEST(PacketPayload, ResetDestroysValue) {
   EXPECT_FALSE(p.has_value());
 }
 
-TEST(PacketPayload, OversizedTypeFallsBackToHeap) {
-  Big big;
-  big.bytes[0] = 42;
-  big.bytes[127] = 7;
-  PacketPayload p = big;
-  const Big* stored = p.get<Big>();
-  ASSERT_NE(stored, nullptr);
-  EXPECT_EQ(stored->bytes[0], 42);
-  EXPECT_EQ(stored->bytes[127], 7);
-
-  PacketPayload copy = p;
-  EXPECT_NE(copy.get<Big>(), stored) << "heap payloads must deep-copy";
-  PacketPayload moved = std::move(copy);
-  EXPECT_EQ(moved.get<Big>()->bytes[0], 42);
-}
-
 TEST(PacketPayload, ReassignmentReplacesValue) {
   PacketPayload p = Small{1, 1};
   p = PacketPayload{std::string("hello")};

@@ -144,6 +144,15 @@ TEST(Histogram, MergeRejectsLayoutMismatch) {
   // A failed merge leaves the target untouched.
   EXPECT_EQ(a.count(), 1u);
   EXPECT_EQ(a.bucket(5), 1u);
+  // Scale is part of the layout: a linear and a log histogram with the
+  // same bounds and bucket count do not merge.
+  Histogram linear(1.0, 1000.0, 12);
+  Histogram log = Histogram::log_scaled(1.0, 1000.0, 12);
+  log.add(5.0);
+  EXPECT_FALSE(linear.merge(log));
+  EXPECT_FALSE(log.merge(linear));
+  EXPECT_EQ(linear.count(), 0u);
+  EXPECT_EQ(log.count(), 1u);
 }
 
 TEST(Histogram, BucketBounds) {
@@ -202,25 +211,6 @@ TEST(Histogram, LogScaledQuantileTracksUpperBucket) {
   EXPECT_GT(p99, 1.0);
   EXPECT_LE(h.quantile(1.0), 600.0);
   EXPECT_GT(h.quantile(1.0), 400.0);
-}
-
-TEST(Histogram, SubtractInvertsMergeAndRejectsMismatch) {
-  Histogram window = Histogram::log_scaled(1.0, 1000.0, 12);
-  Histogram expiring = Histogram::log_scaled(1.0, 1000.0, 12);
-  window.add(5.0);
-  window.add(50.0);
-  expiring.add(5.0);
-  ASSERT_TRUE(window.merge(expiring));
-  EXPECT_EQ(window.count(), 3u);
-  ASSERT_TRUE(window.subtract(expiring));
-  EXPECT_EQ(window.count(), 2u);
-  EXPECT_EQ(window.bucket(window.bucket_index(5.0)), 1u);
-  // Scale is part of the layout: a linear histogram with the same bounds
-  // and bucket count neither merges nor subtracts.
-  Histogram linear(1.0, 1000.0, 12);
-  EXPECT_FALSE(window.merge(linear));
-  EXPECT_FALSE(window.subtract(linear));
-  EXPECT_EQ(window.count(), 2u);
 }
 
 TEST(TimeSeries, StatsBetweenWindow) {

@@ -1,10 +1,13 @@
 // Open-addressing key -> slot index shared by every per-flow and
 // per-message table (DESIGN.md §10).
 //
-// Per-flow state lives in dense slot arenas owned by its consumer (FlowMap,
-// IntServQueue, TelemetryHub, the GIOP transport); FlatIndex only maps a
-// key to the slot number. It is a linear-probe table over one flat array
-// of (key, slot) cells:
+// FlatIndex only maps a key to a slot number; the storage the number
+// points into belongs to the consumer: FlowMap's 64-id pages (the index is
+// FlowMap's page directory, keyed by id >> 6), TelemetryHub's flow vector,
+// the GIOP transport's reassembly and staging arenas, the ORB's pending
+// calls, the CPU's jobs, the trace recorder's interned strings and
+// Network's links. It is a linear-probe table
+// over one flat array of (key, slot) cells:
 //
 //  * the key is mixed multiplicatively (Fibonacci hashing) and the home
 //    cell taken from the high bits, so strided ids (every 8th flow,
@@ -18,9 +21,9 @@
 //    size touches no allocator.
 //
 // Determinism rule: probe order depends on the capacity history, so the
-// index exposes no iteration order. for_each_unordered() exists only to
-// build sorted views (FlowMap::for_each_ordered and friends); anything
-// emitted must be sorted by key first.
+// index exposes no iteration order. for_each_unordered() walks the cells
+// as they lie (tests inspect the layout through it); anything emitted
+// must be sorted by key first.
 #pragma once
 
 #include <bit>

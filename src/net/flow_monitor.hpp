@@ -42,9 +42,10 @@ class FlowMonitor {
   [[nodiscard]] double jitter_ms(FlowId flow) const;
 
   /// Sorted snapshot of the observed FlowIds (ascending). This is the ONLY
-  /// iteration surface the monitor offers: the backing table is hashed, so
-  /// consumers that enumerate flows (metrics export, experiment tables) go
-  /// through this to stay deterministic and --jobs-invariant.
+  /// iteration surface the monitor offers: the backing table keeps its
+  /// pages in no particular order, so consumers that enumerate flows
+  /// (metrics export, experiment tables) go through this to stay
+  /// deterministic and --jobs-invariant.
   [[nodiscard]] std::vector<FlowId> observed_flows() const { return flows_.sorted_ids(); }
 
   /// Dumps per-flow counters and stats into a registry as
@@ -69,8 +70,8 @@ class FlowMonitor {
   };
 
   Network& net_;
-  /// Hashed flat table (DESIGN.md §10): the per-packet receiver does one
-  /// hash probe instead of an O(log n) tree walk at high fan-in.
+  /// Paged flat table (DESIGN.md §10): the per-packet receiver does one
+  /// directory probe instead of an O(log n) tree walk at high fan-in.
   FlowMap<PerFlow> flows_;
   Network::ReceiverFn downstream_;
   TimeSeries empty_series_;

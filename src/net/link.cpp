@@ -20,6 +20,7 @@ Link::Link(sim::Engine& engine, NodeId from, NodeId to, LinkConfig config,
   assert(config_.bandwidth_bps > 0.0);
   assert(config_.loss_probability >= 0.0 && config_.loss_probability < 1.0);
   assert(queue_ != nullptr);
+  queue_->set_drop_sink([this](const Packet& p) { report_drop(net_tracer(), p); });
 }
 
 Duration Link::transmission_time(std::uint32_t bytes) const {
@@ -48,6 +49,14 @@ void Link::trace_qlen(obs::TraceRecorder* tr, TimePoint t) {
               static_cast<double>(queue_->packets()));
 }
 
+void Link::report_drop(obs::TraceRecorder* tr, const Packet& p) {
+  if (tr != nullptr) {
+    tr->instant(obs::TraceCategory::Net, "drop", trace_track_, engine_.now(), p.trace,
+                {{"flow", static_cast<double>(p.flow)}});
+  }
+  if (on_drop_) on_drop_(p);
+}
+
 obs::TelemetryHub* Link::net_telemetry() {
   obs::TelemetryHub* th = engine_.telemetry();
   if (th != telemetry_bound_) {
@@ -68,11 +77,7 @@ void Link::send(Packet p) {
   // end-of-serialization event (firing at avail_at_) would.
   pump();
   if (auto rejected = queue_->enqueue(std::move(p), engine_.now())) {
-    if (tr != nullptr) {
-      tr->instant(obs::TraceCategory::Net, "drop", trace_track_, engine_.now(),
-                  rejected->trace, {{"flow", flow}});
-    }
-    if (on_drop_) on_drop_(*rejected);
+    report_drop(tr, *rejected);
     return;
   }
   if (tr != nullptr) {

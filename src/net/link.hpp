@@ -70,7 +70,8 @@ class Link {
 
   /// Wired by the Network: called when a packet finishes propagation.
   void set_delivery(DeliveryFn fn) { deliver_ = std::move(fn); }
-  /// Wired by the Network: called when the egress queue drops a packet.
+  /// Wired by the Network: called when the egress queue drops a packet,
+  /// at enqueue or later (Queue::set_drop_sink).
   void set_drop_hook(DropFn fn) { on_drop_ = std::move(fn); }
 
   /// Offers a packet to the egress queue and kicks the transmitter.
@@ -104,6 +105,8 @@ class Link {
   /// Engine recorder iff net tracing is on; binds the lane on first use.
   [[nodiscard]] obs::TraceRecorder* net_tracer();
   void trace_qlen(obs::TraceRecorder* tr, TimePoint t);
+  /// Traces a queue drop on the link's lane and reports it to the hook.
+  void report_drop(obs::TraceRecorder* tr, const Packet& p);
   /// Engine telemetry hub; hands the queue discipline the same pointer
   /// when it changes (one compare per send, like the tracer binding).
   [[nodiscard]] obs::TelemetryHub* net_telemetry();

@@ -1,6 +1,5 @@
 #include "net/queue.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -196,9 +195,9 @@ Packet IntServQueue::flow_pop(std::uint32_t slot) {
 void IntServQueue::install_reservation(FlowId flow, double rate_bps,
                                        std::uint32_t bucket_bytes, TimePoint now) {
   assert(flow != kNoFlow);
-  if (const std::uint32_t slot = slot_of_.find(flow); slot != kNoSlot) {
+  if (const std::uint32_t* slot = slot_of_.find(flow)) {
     // Modify: swap in the new bucket, keep the queued packets.
-    flow_bucket_[slot] = TokenBucket{rate_bps, bucket_bytes, now};
+    flow_bucket_[*slot] = TokenBucket{rate_bps, bucket_bytes, now};
     return;
   }
   std::uint32_t slot;
@@ -213,21 +212,22 @@ void IntServQueue::install_reservation(FlowId flow, double rate_bps,
     flow_fifo_.emplace_back();
     ready_pos_.push_back(0);
   }
-  slot_of_.insert(flow, slot);
+  slot_of_[flow] = slot;
 }
 
 bool IntServQueue::update_reservation(FlowId flow, double rate_bps,
                                       std::uint32_t bucket_bytes, TimePoint now) {
   assert(flow != kNoFlow);
-  const std::uint32_t slot = slot_of_.find(flow);
-  if (slot == kNoSlot) return false;
-  flow_bucket_[slot].reconfigure(rate_bps, bucket_bytes, now);
+  const std::uint32_t* slot = slot_of_.find(flow);
+  if (slot == nullptr) return false;
+  flow_bucket_[*slot].reconfigure(rate_bps, bucket_bytes, now);
   return true;
 }
 
 void IntServQueue::remove_reservation(FlowId flow) {
-  const std::uint32_t slot = slot_of_.find(flow);
-  if (slot == kNoSlot) return;
+  const std::uint32_t* found = slot_of_.find(flow);
+  if (found == nullptr) return;
+  const std::uint32_t slot = *found;
   // Queued packets of the torn-down flow demote to best effort (clamped by
   // the best-effort capacity).
   while (flow_fifo_[slot].len > 0) {
@@ -235,7 +235,7 @@ void IntServQueue::remove_reservation(FlowId flow) {
     if (best_effort_.size() >= config_.best_effort_capacity) {
       bytes_ -= p.size_bytes;
       --packets_;
-      count_drop(p);
+      discard(p);
       continue;
     }
     best_effort_.push_back(std::move(p));
@@ -245,19 +245,14 @@ void IntServQueue::remove_reservation(FlowId flow) {
 }
 
 double IntServQueue::flow_rate_bps(FlowId flow) const {
-  const std::uint32_t slot = slot_of_.find(flow);
-  return slot == kNoSlot ? 0.0 : flow_bucket_[slot].rate_bps();
+  const std::uint32_t* slot = slot_of_.find(flow);
+  return slot == nullptr ? 0.0 : flow_bucket_[*slot].rate_bps();
 }
 
 double IntServQueue::reserved_rate_bps() const {
-  std::vector<std::pair<FlowId, double>> order;
-  order.reserve(slot_of_.size());
-  slot_of_.for_each_unordered([&](FlowId id, std::uint32_t slot) {
-    order.emplace_back(id, flow_bucket_[slot].rate_bps());
-  });
-  std::sort(order.begin(), order.end());
   double sum = 0.0;
-  for (const auto& [id, rate] : order) sum += rate;
+  slot_of_.for_each_ordered(
+      [&](FlowId, std::uint32_t slot) { sum += flow_bucket_[slot].rate_bps(); });
   return sum;
 }
 
@@ -275,8 +270,8 @@ std::optional<Packet> IntServQueue::enqueue(Packet p, TimePoint now) {
     control_.push_back(std::move(p));
     return std::nullopt;
   }
-  const std::uint32_t slot = p.flow != kNoFlow ? slot_of_.find(p.flow) : kNoSlot;
-  if (slot != kNoSlot) {
+  if (const std::uint32_t* found = p.flow != kNoFlow ? slot_of_.find(p.flow) : nullptr) {
+    const std::uint32_t slot = *found;
     // Policing: pay for the packet now; conforming packets get the
     // guaranteed queue, excess falls through to best effort below.
     // (Capacity is checked first so a full queue does not burn tokens.)

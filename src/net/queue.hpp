@@ -15,14 +15,15 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "common/flat_index.hpp"
 #include "common/time.hpp"
 #include "net/dscp.hpp"
+#include "net/flow_table.hpp"
 #include "net/packet.hpp"
 #include "net/packet_fifo.hpp"
 #include "net/token_bucket.hpp"
@@ -77,6 +78,12 @@ class Queue {
   /// without any engine dependency.
   void set_telemetry(obs::TelemetryHub* hub) { telemetry_ = hub; }
 
+  /// Wired by the owning Link: receives every packet the discipline drops
+  /// outside enqueue (an IntServ teardown demoting into a full best-effort
+  /// queue), so it reaches the link's drop hook exactly like a packet
+  /// enqueue rejects.
+  void set_drop_sink(std::function<void(const Packet&)> fn) { drop_sink_ = std::move(fn); }
+
   /// Moves every packet FIFO of the discipline onto `pool` (queued packets
   /// included). Network::add_link hands over the network's shared arena;
   /// until then the FIFOs draw from the queue's own pool.
@@ -102,6 +109,12 @@ class Queue {
     stats_.dropped_bytes += p.size_bytes;
   }
   void count_dequeue() { ++stats_.dequeued; }
+  /// Drops a packet that was already queued: counts it and reports it to
+  /// the drop sink.
+  void discard(const Packet& p) {
+    count_drop(p);
+    if (drop_sink_) drop_sink_(p);
+  }
 
  private:
   // Declared in the base so it outlives the derived class's FIFOs.
@@ -109,6 +122,7 @@ class Queue {
   QueueStats stats_;
   obs::TraceRecorder* tracer_ = nullptr;
   obs::TelemetryHub* telemetry_ = nullptr;
+  std::function<void(const Packet&)> drop_sink_;
   std::uint16_t trace_track_ = 0;
 };
 
@@ -169,7 +183,7 @@ class DiffServQueue final : public Queue {
 /// Control-plane (CS6) packets bypass into a dedicated high-priority
 /// sub-queue so signaling survives congestion.
 ///
-/// Per-flow state is flat SoA (DESIGN.md §10): a FlatIndex FlowId ->
+/// Per-flow state is flat SoA (DESIGN.md §10): a FlowMap FlowId ->
 /// dense-slot map over struct-of-arrays fields (token bucket, FIFO
 /// head/tail into a shared packet-node pool, queue length), with an
 /// indexed min-heap of the ready flows holding packets —
@@ -197,6 +211,8 @@ class IntServQueue final : public Queue {
   // --- reservation plane (driven by the RSVP agent) -------------------------
   void install_reservation(FlowId flow, double rate_bps, std::uint32_t bucket_bytes,
                            TimePoint now);
+  /// Queued packets of the flow demote to best effort; those that do not
+  /// fit are dropped through the drop sink (counted like enqueue drops).
   void remove_reservation(FlowId flow);
   /// Live re-stamp of an installed reservation: the flow's token bucket is
   /// reconfigured in place (fill level settled at the old rate, clamped to
@@ -208,8 +224,9 @@ class IntServQueue final : public Queue {
                           TimePoint now);
   [[nodiscard]] bool has_reservation(FlowId flow) const { return slot_of_.contains(flow); }
   /// Sum of reserved rates, added up in ascending-FlowId order so the
-  /// value does not depend on the flow table's layout. O(n log n) per
-  /// call; admission asks once per request, never per packet.
+  /// value does not depend on the flow table's layout. One pass over the
+  /// reservations plus a sort of their page keys; admission asks once per
+  /// request, never per packet.
   [[nodiscard]] double reserved_rate_bps() const;
   /// Reserved rate of one flow; 0 when it holds no reservation.
   [[nodiscard]] double flow_rate_bps(FlowId flow) const;
@@ -275,8 +292,8 @@ class IntServQueue final : public Queue {
   Packet flow_pop(std::uint32_t slot);
 
   Config config_;
-  /// Flat id -> slot index over SoA per-flow fields.
-  FlatIndex<FlowId> slot_of_;
+  /// Paged id -> slot index over SoA per-flow fields.
+  FlowMap<std::uint32_t> slot_of_;
   std::vector<TokenBucket> flow_bucket_;    // by slot
   std::vector<FlowFifo> flow_fifo_;         // by slot
   std::vector<std::uint32_t> free_slots_;

@@ -40,11 +40,16 @@ void RsvpAgent::emit(NodeId dst, PacketKind kind, Msg msg) {
 void RsvpAgent::reserve(FlowId flow, NodeId receiver, FlowSpec spec, ReserveCallback cb) {
   assert(flow != kNoFlow);
   assert(receiver != node_ && "cannot reserve to self");
-  // Supersede any in-flight request for the same flow.
-  if (PendingReserve* prev = pending_.find(flow)) {
-    net_.engine().cancel(prev->timeout);
-    if (prev->cb) prev->cb(Status<std::string>::err("superseded by a new request"));
-    pending_.erase(flow);
+  // Supersede any in-flight request for the same flow. The old request
+  // leaves pending_ before its callback runs; if that callback issues a
+  // newer request for the flow, the newer one is live and this call is
+  // superseded in turn.
+  if (pending_.contains(flow)) {
+    finish_pending(flow, Status<std::string>::err("superseded by a new request"));
+    if (pending_.contains(flow)) {
+      if (cb) cb(Status<std::string>::err("superseded by a new request"));
+      return;
+    }
   }
   pending_[flow] = PendingReserve{std::move(cb), spec, receiver, sim::EventId{}, 0};
   send_path(flow);
@@ -241,12 +246,11 @@ void RsvpAgent::on_resv(ResvMsg msg) {
     finish_pending(msg.flow, {});
     return;
   }
-  // Continue upstream along the recorded path. (Copy the hop out first:
-  // the arena entry may move if emit's control path inserts path state.)
-  const NodeId phop = ps->phop;
+  // Continue upstream along the recorded path. (ps is still valid:
+  // FlowMap values never move, and nothing above erased the flow.)
   ResvMsg fwd = msg;
   fwd.nhop = node_;
-  emit(phop, PacketKind::RsvpResv, fwd);
+  emit(ps->phop, PacketKind::RsvpResv, fwd);
 }
 
 void RsvpAgent::on_resv_err(ResvErrMsg msg) {

@@ -78,7 +78,10 @@ class RsvpAgent {
 
   /// Requests an end-to-end reservation for `flow` from this node to
   /// `receiver`. The callback fires exactly once with the outcome.
-  /// Re-reserving an existing flow re-signals with the new spec (modify).
+  /// Re-reserving an existing flow re-signals with the new spec (modify);
+  /// a request still in flight for the flow is superseded (its callback
+  /// gets "superseded by a new request"), and the latest request is the
+  /// live one even when a superseded callback issues it.
   /// Every IntServ hop refuses a spec whose rate is not a positive finite
   /// number or whose bucket is empty, through the same ResvErr path as an
   /// over-budget request.
@@ -128,10 +131,10 @@ class RsvpAgent {
 
   Network& net_;
   NodeId node_;
-  // Per-flow soft state lives in slot arenas (DESIGN.md §10): refresh/tear
-  // churn at scale recycles slots instead of exercising the heap, and every
-  // lookup on the signaling path is one hash probe. None of these tables is
-  // ever iterated, so no ordering surface is needed here.
+  // Per-flow soft state lives in paged FlowMaps (DESIGN.md §10): every
+  // lookup on the signaling path is one directory probe, and an entry's
+  // address is stable until it is erased. None of these tables is ever
+  // iterated, so no ordering surface is needed here.
   FlowMap<PathState> path_state_;
   FlowMap<PendingReserve> pending_;
   FlowMap<NodeId> confirmed_;  // flow -> receiver (sender side)

@@ -47,7 +47,7 @@ void GiopTransport::clear_flow_batching(net::FlowId flow) {
 }
 
 const BatchPolicy* GiopTransport::flow_batching(net::FlowId flow) const {
-  // The hash probe only runs when some flow actually batches — the common
+  // The table probe only runs when some flow actually batches — the common
   // case (no policy anywhere) stays branch-predictable.
   return flow_batching_.empty() ? nullptr : flow_batching_.find(flow);
 }

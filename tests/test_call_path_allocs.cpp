@@ -16,6 +16,10 @@
 //  * a many-host burst through DropTail and IntServ egresses (city fan-in
 //    at small scale), which also pins the packet arena's size to the peak
 //    number of packets queued at once.
+//
+// The allocator counts bytes as well as calls, which budgets the per-flow
+// table: city_fanin's 131 072 dense flow ids must cost at most 48 bytes of
+// heap each, every byte allocated on the way counted (growth included).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -31,6 +35,7 @@
 #include "core/qos_policy.hpp"
 #include "core/qos_session.hpp"
 #include "core/testbed.hpp"
+#include "net/flow_table.hpp"
 #include "net/network.hpp"
 #include "net/packet_fifo.hpp"
 #include "net/queue.hpp"
@@ -44,6 +49,7 @@
 
 namespace {
 std::uint64_t g_heap_allocs = 0;
+std::uint64_t g_heap_bytes = 0;
 }  // namespace
 
 // The plain new/delete pair stays out of line and every other form forwards
@@ -51,6 +57,7 @@ std::uint64_t g_heap_allocs = 0;
 // an inlined malloc() meeting a delete (or a new meeting a free()).
 [[gnu::noinline]] void* operator new(std::size_t n) {
   ++g_heap_allocs;
+  g_heap_bytes += n;
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -387,6 +394,21 @@ TEST(CallPathAllocs, CityFanInBurstAllocatesNothingAndPoolTracksPeak) {
   const std::size_t peak_rounded = (pool.peak_packets() + kChunk - 1) / kChunk * kChunk;
   EXPECT_LE(pool.capacity_packets(), peak_rounded + (kChunk - 1) * fifos);
   EXPECT_LT(pool.capacity_packets(), ring_capacity / 2);
+}
+
+// --- per-flow table bytes ------------------------------------------------------
+
+TEST(CallPathAllocs, DenseFlowCountersCostAtMost48BytesPerFlow) {
+  constexpr std::uint64_t kFlows = 131'072;  // city_fanin's flow ids 1..N
+  const std::uint64_t before = g_heap_bytes;
+  {
+    net::FlowMap<net::FlowCounters> flows;
+    for (net::FlowId f = 1; f <= kFlows; ++f) ++flows[f].sent;
+    ASSERT_EQ(flows.size(), kFlows);
+  }
+  const double per_flow = static_cast<double>(g_heap_bytes - before) / kFlows;
+  // The values themselves are sizeof(FlowCounters) == 40 bytes.
+  EXPECT_LE(per_flow, 48.0);
 }
 
 }  // namespace

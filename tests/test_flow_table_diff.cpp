@@ -1,8 +1,10 @@
 // Differential suite for the indexed per-flow network state (DESIGN.md §10).
 //
-// The SoA flow table behind IntServQueue (hashed FlowId -> dense slot,
-// shared packet-node pool, ready-flow heap, incremental reserved-rate
-// accounting) must be observably indistinguishable from
+// FlowMap, the paged table behind every FlowId-keyed map in net/ and the
+// GIOP transport, is checked at its page edges and against std::map under
+// seeded random churn. The SoA flow table behind IntServQueue (FlowMap
+// FlowId -> dense slot, shared packet-node pool, ready-flow heap,
+// id-ordered reserved-rate sum) must be observably indistinguishable from
 // oracle::MapIntServQueue (tests/oracle/), a reference model that keeps
 // every flow in one std::map and scans it — the same production-vs-oracle
 // pattern test_cpu_sched_diff uses for the CPU scheduler. Every test builds
@@ -12,9 +14,11 @@
 // not just approximately).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iomanip>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -78,6 +82,164 @@ TEST(FlowMap, OrderedIterationIsAscending) {
     EXPECT_EQ(v, static_cast<int>(id * 10));
   });
   EXPECT_EQ(seen, want);
+}
+
+// --- paged layout: page boundaries, page lifetime, stable references ---------
+
+constexpr FlowId kMaxId = ~FlowId{0};
+
+TEST(FlowMap, PageBoundaryAndExtremeIds) {
+  FlowMap<FlowId> m;
+  const std::vector<FlowId> ids{65, kMaxId, 63, 0, 64};
+  for (const FlowId id : ids) m[id] = id ^ 0x5A5A;
+  EXPECT_EQ(m.size(), ids.size());
+  for (const FlowId id : ids) {
+    ASSERT_NE(m.find(id), nullptr) << id;
+    EXPECT_EQ(*m.find(id), id ^ 0x5A5A);
+  }
+  // Neighbours on the same pages are absent.
+  for (const FlowId id : {FlowId{1}, FlowId{62}, FlowId{66}, FlowId{127}, kMaxId - 1}) {
+    EXPECT_FALSE(m.contains(id)) << id;
+  }
+  const std::vector<FlowId> want{0, 63, 64, 65, kMaxId};
+  EXPECT_EQ(m.sorted_ids(), want);
+  EXPECT_TRUE(m.erase(64));
+  EXPECT_FALSE(m.contains(64));
+  EXPECT_EQ(*m.find(63), FlowId{63} ^ 0x5A5A);
+  EXPECT_EQ(*m.find(65), FlowId{65} ^ 0x5A5A);
+  EXPECT_TRUE(m.erase(kMaxId));
+  EXPECT_FALSE(m.erase(kMaxId));
+  const std::vector<FlowId> left{0, 63, 65};
+  EXPECT_EQ(m.sorted_ids(), left);
+}
+
+TEST(FlowMap, IdsAPageOrMoreApart) {
+  FlowMap<int> m;
+  std::vector<FlowId> ids;
+  for (FlowId k = 0; k < 200; ++k) ids.push_back(k * 64 + (k % 64));
+  for (FlowId k = 1; k < 8; ++k) ids.push_back(k << 40);
+  for (std::size_t i = ids.size(); i-- > 0;) m[ids[i]] = static_cast<int>(i);
+  EXPECT_EQ(m.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_NE(m.find(ids[i]), nullptr) << ids[i];
+    EXPECT_EQ(*m.find(ids[i]), static_cast<int>(i));
+    EXPECT_FALSE(m.contains(ids[i] + 64));
+  }
+  std::vector<FlowId> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(m.sorted_ids(), sorted);
+}
+
+TEST(FlowMap, ErasingTheLastIdOfAPageThenReinsertingIt) {
+  FlowMap<int> m;
+  m[5] = 50;     // page 0
+  m[130] = 13;   // page 2, alone
+  m[200] = 20;   // page 3
+  int* const keep = m.find(200);
+  EXPECT_TRUE(m.erase(130));  // frees page 2; page 3 takes its directory place
+  EXPECT_FALSE(m.contains(130));
+  EXPECT_EQ(m.find(130), nullptr);
+  EXPECT_FALSE(m.erase(130));
+  EXPECT_EQ(m.size(), 2u);
+  EXPECT_EQ(m.find(200), keep);
+  EXPECT_EQ(*keep, 20);
+  // The reinserted id starts from a fresh value, not the erased one.
+  EXPECT_EQ(m[130], 0);
+  m[130] = 31;
+  EXPECT_EQ(m.size(), 3u);
+  EXPECT_EQ(*m.find(130), 31);
+  EXPECT_EQ(m.find(200), keep);
+  // Emptying the first page too leaves the rest intact and ordered.
+  EXPECT_TRUE(m.erase(5));
+  const std::vector<FlowId> want{130, 200};
+  EXPECT_EQ(m.sorted_ids(), want);
+  EXPECT_EQ(*m.find(200), 20);
+  m.clear();
+  EXPECT_TRUE(m.empty());
+  EXPECT_FALSE(m.contains(200));
+}
+
+TEST(FlowMap, ReferencesStayValidAcrossInserts) {
+  FlowMap<std::uint64_t> m;
+  std::vector<std::pair<FlowId, std::uint64_t*>> held;
+  for (const FlowId id : {FlowId{1}, FlowId{64}, FlowId{4'000}, FlowId{1} << 50}) {
+    std::uint64_t& v = m[id];
+    v = id * 3;
+    held.emplace_back(id, &v);
+  }
+  // 10k more inserts, dense and sparse, plus churn that frees whole pages.
+  for (FlowId id = 2; id < 8'002; ++id) m[id] = id;
+  for (FlowId k = 0; k < 2'000; ++k) m[(k + 7) << 20] = k;
+  for (FlowId k = 0; k < 2'000; k += 2) m.erase((k + 7) << 20);
+  for (const auto& [id, ptr] : held) {
+    if (id >= 2 && id < 8'002) continue;  // overwritten by the dense run
+    EXPECT_EQ(m.find(id), ptr) << id;
+    EXPECT_EQ(*ptr, id * 3) << id;
+  }
+  EXPECT_EQ(m.find(64), held[1].second);
+  EXPECT_EQ(*held[1].second, 64u);
+  EXPECT_EQ(m.find(4'000), held[2].second);
+}
+
+/// Random insert / overwrite / erase / lookup churn over one id population,
+/// checked op by op against std::map, ordered views included.
+void diff_against_std_map(std::uint64_t seed, const std::vector<FlowId>& population) {
+  std::mt19937_64 rng(seed);
+  FlowMap<std::uint64_t> m;
+  std::map<FlowId, std::uint64_t> ref;
+  const auto pick = [&] { return population[rng() % population.size()]; };
+  for (int step = 0; step < 20'000; ++step) {
+    const FlowId id = pick();
+    switch (rng() % 4) {
+      case 0:
+      case 1: {
+        const std::uint64_t v = rng();
+        m[id] = v;
+        ref[id] = v;
+        break;
+      }
+      case 2:
+        ASSERT_EQ(m.erase(id), ref.erase(id) == 1) << "step " << step;
+        break;
+      default: {
+        const auto it = ref.find(id);
+        const std::uint64_t* got = m.find(id);
+        ASSERT_EQ(got != nullptr, it != ref.end()) << "step " << step;
+        if (got != nullptr) {
+          ASSERT_EQ(*got, it->second);
+        }
+      }
+    }
+    ASSERT_EQ(m.size(), ref.size());
+    if (step % 997 == 0 || step == 19'999) {
+      std::vector<std::pair<FlowId, std::uint64_t>> seen;
+      m.for_each_ordered([&](FlowId k, const std::uint64_t& v) { seen.emplace_back(k, v); });
+      const std::vector<std::pair<FlowId, std::uint64_t>> want(ref.begin(), ref.end());
+      ASSERT_EQ(seen, want) << "step " << step;
+      std::vector<FlowId> keys;
+      for (const auto& [k, v] : want) keys.push_back(k);
+      ASSERT_EQ(m.sorted_ids(), keys);
+    }
+  }
+}
+
+TEST(FlowMap, RandomChurnMatchesStdMapDense) {
+  std::vector<FlowId> ids;
+  for (FlowId id = 0; id < 3'000; ++id) ids.push_back(id);
+  diff_against_std_map(11, ids);
+}
+
+TEST(FlowMap, RandomChurnMatchesStdMapStride8) {
+  std::vector<FlowId> ids;
+  for (FlowId id = 1; id < 24'000; id += 8) ids.push_back(id);
+  diff_against_std_map(12, ids);
+}
+
+TEST(FlowMap, RandomChurnMatchesStdMapSparse) {
+  std::mt19937_64 rng(13);
+  std::vector<FlowId> ids{0, kMaxId};
+  for (int i = 0; i < 3'000; ++i) ids.push_back(rng());
+  diff_against_std_map(14, ids);
 }
 
 // --- hierarchical token bucket ----------------------------------------------

@@ -143,6 +143,38 @@ TEST(Network, CongestionDropsAreCounted) {
   EXPECT_EQ(net.flow(3).dropped, 7u);
 }
 
+TEST(Network, ReservationTeardownDropsReachTheFlowCounters) {
+  sim::Engine e;
+  Network net(e);
+  const NodeId a = net.add_node("a");
+  const NodeId b = net.add_node("b");
+  IntServQueue::Config qc;
+  qc.best_effort_capacity = 2;
+  auto queue = std::make_unique<IntServQueue>(qc);
+  IntServQueue& q = *queue;
+  net.add_link(a, b, fast_link(1e6), std::move(queue));
+  net.add_link(b, a, fast_link());
+  net.set_receiver(b, [](Packet&&) {});
+  q.install_reservation(7, 1e6, 100'000, e.now());
+  // Flow 7: one packet on the wire, five conforming ones in its flow queue.
+  for (int i = 0; i < 6; ++i) net.send(a, make_packet(b, 1000, 7));
+  // Best effort full behind them.
+  for (int i = 0; i < 2; ++i) net.send(a, make_packet(b, 1000, 8));
+  ASSERT_EQ(q.packets(), 7u);
+  // Teardown demotes flow 7's queued packets into the full best-effort
+  // queue: all five are dropped, and the network must count them.
+  q.remove_reservation(7);
+  EXPECT_EQ(q.stats().dropped, 5u);
+  e.run();
+  const FlowCounters& f7 = net.flow(7);
+  EXPECT_EQ(f7.sent, 6u);
+  EXPECT_EQ(f7.delivered, 1u);
+  EXPECT_EQ(f7.dropped, 5u);
+  EXPECT_EQ(f7.sent, f7.delivered + f7.dropped);
+  EXPECT_EQ(net.flow(8).delivered, 2u);
+  EXPECT_EQ(net.totals().sent, net.totals().delivered + net.totals().dropped);
+}
+
 TEST(Network, LinkUtilizationAndCounters) {
   sim::Engine e;
   Network net(e);

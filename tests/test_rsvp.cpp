@@ -67,6 +67,38 @@ TEST_F(RsvpFixture, SignalingTakesNetworkTime) {
   EXPECT_GT(confirmed_at->ns(), 4 * microseconds(100).ns());
 }
 
+TEST_F(RsvpFixture, SupersededCallbackThatReservesAgainLeavesTheLatestLive) {
+  // cb1 is superseded by cb2 and, from inside its callback, issues cb3:
+  // cb3 is then the latest request, so cb2 is superseded too.
+  std::vector<Status<std::string>> cb1;
+  std::vector<Status<std::string>> cb2;
+  std::vector<Status<std::string>> cb3;
+  RsvpAgent& a = agent_at(sender);
+  a.reserve(5, receiver, FlowSpec{1e6, 16'000},
+            [&](Status<std::string> s) {
+              cb1.push_back(std::move(s));
+              if (cb1.size() == 1) {
+                a.reserve(5, receiver, FlowSpec{2e6, 16'000},
+                          [&](Status<std::string> s3) { cb3.push_back(std::move(s3)); });
+              }
+            });
+  a.reserve(5, receiver, FlowSpec{3e6, 16'000},
+            [&](Status<std::string> s) { cb2.push_back(std::move(s)); });
+  engine.run();
+  ASSERT_EQ(cb1.size(), 1u);
+  ASSERT_EQ(cb2.size(), 1u);
+  ASSERT_EQ(cb3.size(), 1u);
+  ASSERT_FALSE(cb1[0].ok());
+  EXPECT_EQ(cb1[0].error(), "superseded by a new request");
+  ASSERT_FALSE(cb2[0].ok());
+  EXPECT_EQ(cb2[0].error(), "superseded by a new request");
+  EXPECT_TRUE(cb3[0].ok());
+  EXPECT_TRUE(a.confirmed(5));
+  // The live request's spec is the one installed on every hop.
+  EXPECT_DOUBLE_EQ(queue_on(sender, router)->flow_rate_bps(5), 2e6);
+  EXPECT_DOUBLE_EQ(queue_on(router, receiver)->flow_rate_bps(5), 2e6);
+}
+
 TEST_F(RsvpFixture, AdmissionRejectsOverBudgetAndTearsDown) {
   // First flow takes 8 Mbps of the 9 Mbps reservable (0.9 * 10 Mbps).
   std::optional<bool> first;

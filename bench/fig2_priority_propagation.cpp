@@ -54,11 +54,11 @@ HopObservation run_propagation(orb::CorbaPriority corba) {
   orb::OrbEndpoint middle(network, middle_node, middle_cpu);
   orb::OrbEndpoint server(network, server_node, server_cpu);
 
-  client.priority_mappings().install(orb::rt::make_qnx_mapping());
-  middle.priority_mappings().install(orb::rt::make_lynxos_mapping());
-  server.priority_mappings().install(orb::rt::make_solaris_rt_mapping());
+  client.priority_mappings() = orb::rt::kQnxMapping;
+  middle.priority_mappings() = orb::rt::kLynxOsMapping;
+  server.priority_mappings() = orb::rt::kSolarisRtMapping;
   for (orb::OrbEndpoint* o : {&client, &middle, &server}) {
-    o->dscp_mappings().install(std::make_unique<orb::rt::BandedDscpMapping>());
+    o->dscp_mappings() = orb::rt::DscpMapping::banded();
   }
 
   // Backend and relay servants record what they observed.

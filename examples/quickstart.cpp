@@ -36,7 +36,7 @@ int main() {
 
   // Map CORBA priorities onto DiffServ codepoints (the paper's TAO
   // enhancement); default mapping would leave everything best-effort.
-  client.dscp_mappings().install(std::make_unique<orb::rt::BandedDscpMapping>());
+  client.dscp_mappings() = orb::rt::DscpMapping::banded();
 
   // --- a servant ------------------------------------------------------------------
   orb::PoaPolicies policies;

@@ -21,7 +21,7 @@ RateAdaptationQosket::RateAdaptationQosket(sim::Engine& engine,
   contract_.eval();
 }
 
-void RateAdaptationQosket::observe(quo::SysCond& ratio_condition) {
+void RateAdaptationQosket::observe(quo::ValueSysCond& ratio_condition) {
   ratio_condition.subscribe([this, &ratio_condition] { report(ratio_condition.value()); });
 }
 

@@ -56,11 +56,7 @@ class RateAdaptationQosket {
 
   /// Convenience: subscribe to a condition carrying the ratio (e.g. a
   /// StatusCollector condition). Every change feeds report().
-  void observe(quo::SysCond& ratio_condition);
-
-  /// Update the granted reservation (e.g. after an RSVP modify) — affects
-  /// future downgrade targets.
-  void set_reserved_rate(double bps) { config_.reserved_rate_bps = bps; }
+  void observe(quo::ValueSysCond& ratio_condition);
 
   [[nodiscard]] media::FilterLevel level() const { return filter_.level(); }
   [[nodiscard]] const quo::Contract& contract() const { return contract_; }

@@ -43,8 +43,6 @@ thread_local std::string t_tag;
 
 void Log::set_thread_tag(std::string tag) { t_tag = std::move(tag); }
 
-const std::string& Log::thread_tag() { return t_tag; }
-
 void Log::write(LogLevel level, std::string_view msg) {
   if (!enabled(level)) return;
   std::string tagged;

@@ -32,7 +32,6 @@ class Log {
   /// Tags every message written by the calling thread with "[tag] ".
   /// Empty clears the tag. Thread-local; typically set once per worker.
   static void set_thread_tag(std::string tag);
-  [[nodiscard]] static const std::string& thread_tag();
 
   [[nodiscard]] static bool enabled(LogLevel level) { return level >= Log::level(); }
 };

@@ -15,8 +15,7 @@ namespace {
 std::optional<net::Dscp> binding_dscp(const EndToEndQosPolicy& policy) {
   if (policy.explicit_dscp) return policy.explicit_dscp;
   if (policy.map_priority_to_dscp && policy.priority) {
-    static const orb::rt::BandedDscpMapping kBands;
-    return kBands.to_dscp(*policy.priority);
+    return orb::rt::DscpMapping::banded().to_dscp(*policy.priority);
   }
   return std::nullopt;
 }

@@ -28,7 +28,6 @@ class VideoSource {
   [[nodiscard]] bool running() const { return timer_.running(); }
   [[nodiscard]] double fps() const { return fps_; }
   [[nodiscard]] const GopStructure& gop() const { return gop_; }
-  [[nodiscard]] std::uint64_t frames_emitted() const { return next_index_; }
 
  private:
   void emit();

@@ -71,7 +71,7 @@ void Link::send(Packet p) {
   obs::TelemetryHub* th = net_telemetry();
   const std::uint64_t trace_id = p.trace;
   const double flow = static_cast<double>(p.flow);
-  // Catch the virtual transmitter up before the new packet becomes
+  // Catch the lazy transmitter up before the new packet becomes
   // visible: a service decision pending at avail_at_ <= now must see the
   // queue as it was without this arrival, exactly as a store-and-forward
   // end-of-serialization event (firing at avail_at_) would.
@@ -93,10 +93,9 @@ void Link::send(Packet p) {
   if (!decision_pending_) service(engine_.now());
 }
 
-/// Replays every service decision a store-and-forward transmitter would
-/// have made up to now. A decision is due only at the end of a committed
-/// transmission; once a decision finds the queue empty, no new one arises
-/// until the next arrival (send).
+/// A decision is due only at the end of a committed transmission; once a
+/// decision finds the queue empty, no new one arises until the next
+/// arrival (send).
 void Link::pump() {
   while (decision_pending_ && avail_at_ <= engine_.now()) {
     decision_pending_ = false;

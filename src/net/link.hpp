@@ -7,18 +7,19 @@
 // new arrival becomes visible, and from the delivery/drop events it
 // already schedules anyway. Service decisions that logically happened in
 // the past are replayed at their exact original instants (the queue
-// provably did not change in between, because every arrival catches up
-// first, and dequeue reads no clock), so dequeue order, loss draws and
-// delivery times are exactly those of a store-and-forward transmitter with
-// one event per stage, while steady state costs ~1 engine event per packet
-// per hop instead of ~2. Committed packets wait in an in-flight FIFO; the
-// delivery event captures only the link and pops the front, which is safe
-// because delivery instants never decrease in commit order and the engine
-// fires ties in scheduling order. The event fits the engine's inline
-// handler buffer and the FIFO draws from the network's packet arena, so a
-// hop costs no heap allocation (DESIGN.md §10). tests/test_link_diff
-// checks the timing packet for packet against a one-event-per-stage
-// store-and-forward reference model that lives with the tests.
+// provably did not change in between, because every arrival and every
+// reservation teardown catches up first, and dequeue reads no clock), so
+// dequeue order, loss draws and delivery times are exactly those of a
+// store-and-forward transmitter with one event per stage, while steady
+// state costs ~1 engine event per packet per hop instead of ~2. Committed
+// packets wait in an in-flight FIFO; the delivery event captures only the
+// link and pops the front, which is safe because delivery instants never
+// decrease in commit order and the engine fires ties in scheduling order.
+// The event fits the engine's inline handler buffer and the FIFO draws
+// from the network's packet arena, so a hop costs no heap allocation
+// (DESIGN.md §10). tests/test_link_diff checks the timing packet for
+// packet against a one-event-per-stage store-and-forward reference model
+// that lives with the tests.
 #pragma once
 
 #include <cstdint>
@@ -77,6 +78,11 @@ class Link {
   /// Offers a packet to the egress queue and kicks the transmitter.
   void send(Packet p);
 
+  /// Replays every service decision a store-and-forward transmitter would
+  /// have made up to now. send() runs it first; anything else that changes
+  /// which packet the queue yields next (a reservation teardown) must too.
+  void pump();
+
   /// Serialization time of a packet of the given size on this link.
   [[nodiscard]] Duration transmission_time(std::uint32_t bytes) const;
 
@@ -98,7 +104,6 @@ class Link {
 
  private:
   // --- virtual transmitter ---
-  void pump();
   void service(TimePoint t);
   void start_tx(Packet p, TimePoint t);
   // --- observability ---

@@ -51,7 +51,7 @@ void RsvpAgent::reserve(FlowId flow, NodeId receiver, FlowSpec spec, ReserveCall
       return;
     }
   }
-  pending_[flow] = PendingReserve{std::move(cb), spec, receiver, sim::EventId{}, 0};
+  pending_[flow] = PendingReserve{std::move(cb), spec, receiver, ++last_request_};
   send_path(flow);
 }
 
@@ -65,8 +65,9 @@ void RsvpAgent::send_path(FlowId flow) {
   msg.receiver = pending->receiver;
   msg.spec = pending->spec;
   msg.phop = node_;
+  msg.request = pending->request;
   // Local path state lets the sender process the returning RESV.
-  path_state_[flow] = PathState{kInvalidNode, node_, msg.receiver, msg.spec};
+  path_state_[flow] = PathState{kInvalidNode, node_, msg.receiver, msg.spec, msg.request};
   emit(msg.receiver, PacketKind::RsvpPath, msg);
   arm_timeout(flow);
 }
@@ -165,7 +166,13 @@ void RsvpAgent::remove_on_link(NodeId neighbor, FlowId flow) {
   if (neighbor == kInvalidNode) return;
   Link* link = net_.link_between(node_, neighbor);
   if (link == nullptr) return;
-  if (auto* q = dynamic_cast<IntServQueue*>(&link->queue())) q->remove_reservation(flow);
+  if (auto* q = dynamic_cast<IntServQueue*>(&link->queue())) {
+    // Replay the service decisions due before now against the queue as it
+    // still is: a reserved packet a store-and-forward transmitter would
+    // already have sent must not be demoted behind best effort.
+    link->pump();
+    q->remove_reservation(flow);
+  }
 }
 
 void RsvpAgent::handle([[maybe_unused]] NodeId node, Packet&& p) {
@@ -191,7 +198,8 @@ void RsvpAgent::handle([[maybe_unused]] NodeId node, Packet&& p) {
 
 void RsvpAgent::on_path(PathMsg msg) {
   if (node_ != msg.sender) {
-    path_state_[msg.flow] = PathState{msg.phop, msg.sender, msg.receiver, msg.spec};
+    path_state_[msg.flow] =
+        PathState{msg.phop, msg.sender, msg.receiver, msg.spec, msg.request};
   }
   if (node_ == msg.receiver) {
     // Receiver: answer with RESV retracing the path.
@@ -201,6 +209,7 @@ void RsvpAgent::on_path(PathMsg msg) {
     resv.receiver = msg.receiver;
     resv.spec = msg.spec;
     resv.nhop = node_;
+    resv.request = msg.request;
     emit(msg.phop, PacketKind::RsvpResv, resv);
     return;
   }
@@ -217,6 +226,11 @@ void RsvpAgent::on_resv(ResvMsg msg) {
                 << msg.flow;
     return;
   }
+  if (ps->request != msg.request) {
+    // This hop has seen the PATH of a newer request: the RESV is stale.
+    AQM_DEBUG() << "rsvp: node " << node_ << " dropped stale RESV for flow " << msg.flow;
+    return;
+  }
   // Reserve on our egress toward the downstream node the RESV came from:
   // that link carries the flow's data.
   const auto admitted = install_on_link(msg.nhop, msg.flow, msg.spec);
@@ -227,6 +241,7 @@ void RsvpAgent::on_resv(ResvMsg msg) {
     ResvErrMsg err;
     err.flow = msg.flow;
     err.sender = msg.sender;
+    err.request = msg.request;
     err.reason = admitted.error();
     if (node_ == msg.sender) {
       on_resv_err(std::move(err));
@@ -258,6 +273,8 @@ void RsvpAgent::on_resv_err(ResvErrMsg msg) {
     emit(msg.sender, PacketKind::RsvpResvErr, msg);
     return;
   }
+  const PendingReserve* pr = pending_.find(msg.flow);
+  if (pr == nullptr || pr->request != msg.request) return;  // not the live request
   confirmed_.erase(msg.flow);
   finish_pending(msg.flow, Status<std::string>::err(msg.reason));
 }

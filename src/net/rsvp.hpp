@@ -12,6 +12,10 @@
 //    the receiver that removes any partially installed state.
 //  * PATH is retransmitted a few times if no confirmation arrives
 //    (signaling packets are CS6 but can still be lost on non-IntServ hops).
+//  * PATH, RESV and ResvErr carry the number of the sender's request. Path
+//    state records the latest one, so a RESV for a superseded request is
+//    dropped at the first hop that has seen the newer PATH, and the sender
+//    completes a request only with a RESV or ResvErr bearing its number.
 //
 // One RsvpAgent is attached per node; the sender-side agent exposes the
 // reserve/release API used by the A/V streaming service and the core
@@ -44,6 +48,7 @@ struct PathMsg {
   NodeId receiver = kInvalidNode;
   FlowSpec spec;
   NodeId phop = kInvalidNode;  // previous RSVP hop, updated in flight
+  std::uint32_t request = 0;   // the sender's request number
 };
 
 struct ResvMsg {
@@ -52,11 +57,13 @@ struct ResvMsg {
   NodeId receiver = kInvalidNode;
   FlowSpec spec;
   NodeId nhop = kInvalidNode;  // the downstream node that sent this RESV
+  std::uint32_t request = 0;   // copied from the PATH it answers
 };
 
 struct ResvErrMsg {
   FlowId flow = kNoFlow;
   NodeId sender = kInvalidNode;
+  std::uint32_t request = 0;  // copied from the refused RESV
   std::string reason;
 };
 
@@ -102,11 +109,13 @@ class RsvpAgent {
     NodeId sender;
     NodeId receiver;
     FlowSpec spec;
+    std::uint32_t request;  // of the latest PATH seen
   };
   struct PendingReserve {
     ReserveCallback cb;
     FlowSpec spec;
     NodeId receiver;
+    std::uint32_t request;
     sim::EventId timeout{};
     int attempts = 0;
   };
@@ -122,7 +131,8 @@ class RsvpAgent {
   void finish_pending(FlowId flow, Status<std::string> status);
 
   // Installs/removes a reservation on the egress link node_ -> neighbor.
-  // Returns error string on admission failure.
+  // Returns error string on admission failure. Removal first catches the
+  // link's transmitter up, since it moves queued packets.
   Status<std::string> install_on_link(NodeId neighbor, FlowId flow, const FlowSpec& spec);
   void remove_on_link(NodeId neighbor, FlowId flow);
 
@@ -138,6 +148,7 @@ class RsvpAgent {
   FlowMap<PathState> path_state_;
   FlowMap<PendingReserve> pending_;
   FlowMap<NodeId> confirmed_;  // flow -> receiver (sender side)
+  std::uint32_t last_request_ = 0;  // numbers this agent's reserve() calls
 };
 
 }  // namespace aqm::net

@@ -22,7 +22,7 @@
 // simulation TimePoints explicitly. The engine carries one TelemetryHub
 // pointer (Engine::set_telemetry) exactly like the tracer, so every
 // instrumentation point costs a single pointer test when telemetry is
-// detached and compiles out entirely with -DAQM_OBS_ENABLED=0.
+// detached.
 #pragma once
 
 #include <array>

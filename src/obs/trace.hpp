@@ -3,10 +3,10 @@
 // trace-event JSON (loadable in Perfetto / chrome://tracing).
 //
 // Design constraints, in order:
-//  * ~Free when disabled. Every instrumentation point is guarded by a
+//  * ~Free when detached. Every instrumentation point is guarded by a
 //    single pointer test (Engine::tracer_for returns nullptr unless a
-//    recorder is attached AND wants the category), and the whole layer
-//    compiles out with -DAQM_OBS_ENABLED=0.
+//    recorder is attached AND wants the category); the category mask is
+//    fixed when the recorder is built.
 //  * Allocation-free steady state when enabled. Events are 72-byte PODs
 //    appended into recycled fixed-size chunks by an inline bump of the
 //    active chunk's cursor; names are `const char*` (string literals or
@@ -38,10 +38,6 @@
 
 #include "common/flat_index.hpp"
 #include "common/time.hpp"
-
-#ifndef AQM_OBS_ENABLED
-#define AQM_OBS_ENABLED 1
-#endif
 
 namespace aqm::obs {
 
@@ -107,9 +103,6 @@ class TraceRecorder {
 
   // --- configuration --------------------------------------------------------
 
-  void set_enabled(bool on) { enabled_ = on; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
   /// Flight-recorder mode: bound storage to roughly `max_events` (rounded
   /// up to whole chunks, at least one). Once the ring is full each new
   /// chunk overwrites the oldest one wholesale — chunk-granular loss, with
@@ -122,10 +115,8 @@ class TraceRecorder {
   /// Events lost to ring overwrites since the last clear().
   [[nodiscard]] std::uint64_t overwritten() const { return overwritten_; }
 
-  void set_categories(std::uint32_t mask) { categories_ = mask; }
-  [[nodiscard]] std::uint32_t categories() const { return categories_; }
   [[nodiscard]] bool wants(TraceCategory c) const {
-    return enabled_ && (categories_ & static_cast<std::uint32_t>(c)) != 0;
+    return (categories_ & static_cast<std::uint32_t>(c)) != 0;
   }
 
   // --- identity -------------------------------------------------------------
@@ -185,7 +176,6 @@ class TraceRecorder {
 
   [[nodiscard]] std::size_t size() const { return total_; }
   [[nodiscard]] bool empty() const { return total_ == 0; }
-  [[nodiscard]] std::size_t track_count() const { return track_names_.size(); }
 
   /// Invokes fn(const TraceEvent&) over all events in record order
   /// (oldest surviving event first when the ring has wrapped).
@@ -242,8 +232,7 @@ class TraceRecorder {
   /// the oldest chunk of a full ring (reclaimed wholesale), or a new one.
   void advance();
 
-  bool enabled_ = true;
-  std::uint32_t categories_ = kDefaultCategories;
+  const std::uint32_t categories_;
   TraceEvent* next_ = nullptr;   // next free slot of the active chunk
   TraceEvent* limit_ = nullptr;  // one past the active chunk's last slot
   std::size_t total_ = 0;

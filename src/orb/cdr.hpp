@@ -53,10 +53,8 @@ class CdrWriter {
   explicit CdrWriter(std::vector<std::uint8_t>& external) : buf_(&external) {}
 
   void write_u8(std::uint8_t v) { buf_->push_back(v); }
-  void write_i8(std::int8_t v) { write_u8(static_cast<std::uint8_t>(v)); }
   void write_bool(bool v) { write_u8(v ? 1 : 0); }
   void write_u16(std::uint16_t v) { write_prim(v); }
-  void write_i16(std::int16_t v) { write_u16(static_cast<std::uint16_t>(v)); }
   void write_u32(std::uint32_t v) { write_prim(v); }
   void write_i32(std::int32_t v) { write_u32(static_cast<std::uint32_t>(v)); }
   void write_u64(std::uint64_t v) { write_prim(v); }
@@ -118,10 +116,8 @@ class CdrReader {
   explicit CdrReader(std::span<const std::uint8_t> data, bool big_endian = false);
 
   [[nodiscard]] std::uint8_t read_u8();
-  [[nodiscard]] std::int8_t read_i8() { return static_cast<std::int8_t>(read_u8()); }
   [[nodiscard]] bool read_bool() { return read_u8() != 0; }
   [[nodiscard]] std::uint16_t read_u16();
-  [[nodiscard]] std::int16_t read_i16() { return static_cast<std::int16_t>(read_u16()); }
   [[nodiscard]] std::uint32_t read_u32();
   [[nodiscard]] std::int32_t read_i32() { return static_cast<std::int32_t>(read_u32()); }
   [[nodiscard]] std::uint64_t read_u64();

@@ -198,7 +198,7 @@ void OrbEndpoint::start_attempt(std::uint32_t slot) {
 
   // Marshal on the client CPU at the native band the CORBA priority maps
   // to, then stamp and ship.
-  cpu_.submit_for(cost, priority_mappings_.to_native(rec.priority),
+  cpu_.submit_for(cost, priority_mapping_.to_native(rec.priority),
                   [this, slot] { send_request(slot); });
 }
 
@@ -221,7 +221,7 @@ void OrbEndpoint::send_request(std::uint32_t slot) {
   if (rec.trace != 0) stamp_trace_context(header.contexts, rec.trace, &context_spare_);
   if (rec.deadline) stamp_deadline_context(header.contexts, *rec.deadline, &context_spare_);
   const net::Dscp dscp = rec.ref.protocol.dscp ? *rec.ref.protocol.dscp
-                                               : dscp_mappings_.to_dscp(rec.priority);
+                                               : dscp_mapping_.to_dscp(rec.priority);
 
   auto buf = pool_.acquire();
   encode_request(header, rec.body, *buf);
@@ -531,7 +531,7 @@ void OrbEndpoint::send_reply(std::uint32_t slot, ReplyStatus status, CorbaPriori
   call.replied = true;
   call.reply_status = status;
   call.reply_priority = priority;
-  const os::Priority native = priority_mappings_.to_native(priority);
+  const os::Priority native = priority_mapping_.to_native(priority);
   const Duration cost = marshal_cost(call.req.reply_body.size() + 32);
   cpu_.submit_for(cost, native, [this, slot] { marshal_reply(slot); });
 }
@@ -548,7 +548,7 @@ void OrbEndpoint::marshal_reply(std::uint32_t slot) {
   stamp_priority_context(header.contexts, call.reply_priority, &context_spare_);
   stamp_timestamp_context(header.contexts, engine().now(), &context_spare_);
   if (call.trace != 0) stamp_trace_context(header.contexts, call.trace, &context_spare_);
-  const net::Dscp dscp = dscp_mappings_.to_dscp(call.reply_priority);
+  const net::Dscp dscp = dscp_mapping_.to_dscp(call.reply_priority);
 
   auto buf = pool_.acquire();
   encode_reply(header, call.req.reply_body, *buf);
@@ -573,7 +573,7 @@ void OrbEndpoint::handle_reply(GiopMessage& msg, std::size_t wire_size) {
   rec.reply_status = msg.reply.status;
   rec.reply_body.swap(msg.body);
 
-  const os::Priority native = priority_mappings_.to_native(rec.priority);
+  const os::Priority native = priority_mapping_.to_native(rec.priority);
   const Duration cost = demarshal_cost(wire_size);
   if (obs::TraceRecorder* tr = orb_tracer()) {
     tr->instant(obs::TraceCategory::Orb, "reply.recv", obs_track_, engine().now(), rec.trace,

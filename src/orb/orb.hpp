@@ -117,17 +117,17 @@ class OrbEndpoint {
   OrbEndpoint(const OrbEndpoint&) = delete;
   OrbEndpoint& operator=(const OrbEndpoint&) = delete;
 
-  // --- RT-CORBA managers ------------------------------------------------------
+  // --- RT-CORBA mappings ------------------------------------------------------
 
-  [[nodiscard]] rt::PriorityMappingManager& priority_mappings() { return priority_mappings_; }
-  [[nodiscard]] const rt::PriorityMappingManager& priority_mappings() const {
-    return priority_mappings_;
+  /// The installed mappings; install a custom one by assigning to them.
+  [[nodiscard]] rt::PriorityMapping& priority_mappings() { return priority_mapping_; }
+  [[nodiscard]] const rt::PriorityMapping& priority_mappings() const {
+    return priority_mapping_;
   }
-  [[nodiscard]] rt::DscpMappingManager& dscp_mappings() { return dscp_mappings_; }
+  [[nodiscard]] rt::DscpMapping& dscp_mappings() { return dscp_mapping_; }
 
   /// RTCurrent: ambient CORBA priority of this endpoint's client calls.
   void set_client_priority(CorbaPriority p) { client_priority_ = p; }
-  [[nodiscard]] CorbaPriority client_priority() const { return client_priority_; }
 
   // --- server side -------------------------------------------------------------
 
@@ -140,14 +140,10 @@ class OrbEndpoint {
   /// called exactly once with the outcome. On a batched flow, any number
   /// of invocations can be in flight on one logical connection —
   /// completions demux by request id — and small requests coalesce in the
-  /// transport until a threshold/deadline flush or flush_transport().
+  /// transport until a count, byte or deadline threshold flushes them.
   void invoke(const ObjectRef& ref, const std::string& operation,
               std::vector<std::uint8_t> body, InvokeOptions options,
               ResponseCallback cb = nullptr);
-
-  /// Ships every staged (batched) message now — the AMI-style pipelining
-  /// submit/flush boundary. A no-op when nothing is staged.
-  void flush_transport() { transport_.flush_all(); }
 
   // --- plumbing -----------------------------------------------------------------
 
@@ -266,8 +262,8 @@ class OrbEndpoint {
   OrbConfig config_;
   CdrBufferPool pool_;
   GiopTransport transport_;
-  rt::PriorityMappingManager priority_mappings_;
-  rt::DscpMappingManager dscp_mappings_;
+  rt::PriorityMapping priority_mapping_;
+  rt::DscpMapping dscp_mapping_;
   CorbaPriority client_priority_ = 0;
   std::map<std::string, std::unique_ptr<Poa>, std::less<>> poas_;
   /// Call records (stable addresses: user callbacks may re-enter invoke())

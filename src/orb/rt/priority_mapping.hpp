@@ -1,31 +1,45 @@
-// RT-CORBA priority mappings: translate platform-independent CORBA
-// priorities [0, 32767] to native OS priorities and back. A
-// PriorityMappingManager allows installation of a custom mapping, exactly
-// like the TAO extension the paper describes for its DiffServ work.
+// RT-CORBA priority mapping: translates platform-independent CORBA
+// priorities [0, 32767] to native OS priorities and back by scaling them
+// linearly onto a native range. Each ORB holds one mapping by value, and
+// installing a custom mapping (the job of TAO's priority-mapping manager,
+// which the paper's DiffServ work extends) is plain assignment to
+// OrbEndpoint::priority_mappings(); the ORB's thread pools read the
+// installed mapping from then on.
 #pragma once
 
-#include <memory>
+#include <algorithm>
+#include <cassert>
+#include <cstdint>
 
 #include "os/priority.hpp"
 #include "orb/types.hpp"
 
 namespace aqm::orb::rt {
 
+/// Linear scaling of [0, 32767] onto [native_min, native_max]; the default
+/// range is [kMinPriority, kMaxPriority].
 class PriorityMapping {
  public:
-  virtual ~PriorityMapping() = default;
-  [[nodiscard]] virtual os::Priority to_native(CorbaPriority corba) const = 0;
-  [[nodiscard]] virtual CorbaPriority to_corba(os::Priority native) const = 0;
-};
+  constexpr PriorityMapping(os::Priority native_min = os::kMinPriority,
+                            os::Priority native_max = os::kMaxPriority)
+      : min_(native_min), max_(native_max) {
+    assert(native_min < native_max);
+  }
 
-/// Default: linear scaling of [0, 32767] onto [kMinPriority, kMaxPriority].
-class LinearPriorityMapping final : public PriorityMapping {
- public:
-  LinearPriorityMapping(os::Priority native_min = os::kMinPriority,
-                        os::Priority native_max = os::kMaxPriority);
+  [[nodiscard]] constexpr os::Priority to_native(CorbaPriority corba) const {
+    corba = std::clamp(corba, kMinCorbaPriority, kMaxCorbaPriority);
+    const auto span = static_cast<std::int64_t>(max_ - min_);
+    return min_ + static_cast<os::Priority>(static_cast<std::int64_t>(corba) * span /
+                                            kMaxCorbaPriority);
+  }
 
-  [[nodiscard]] os::Priority to_native(CorbaPriority corba) const override;
-  [[nodiscard]] CorbaPriority to_corba(os::Priority native) const override;
+  [[nodiscard]] constexpr CorbaPriority to_corba(os::Priority native) const {
+    native = std::clamp(native, min_, max_);
+    const auto span = static_cast<std::int64_t>(max_ - min_);
+    if (span == 0) return kMinCorbaPriority;
+    return static_cast<CorbaPriority>(static_cast<std::int64_t>(native - min_) *
+                                      kMaxCorbaPriority / span);
+  }
 
  private:
   os::Priority min_;
@@ -38,35 +52,13 @@ class LinearPriorityMapping final : public PriorityMapping {
 // priority lands on a different native value per host while the
 // RTCorbaPriority service context carries the platform-independent value
 // end to end (the paper's example: CORBA 100 -> QNX 16 / LynxOS 128 /
-// Solaris 136). These factories produce mappings confined to each OS's
-// real-time band.
+// Solaris 136). These mappings are confined to each OS's real-time band.
 
 /// QNX Neutrino: priorities 1..31.
-[[nodiscard]] std::unique_ptr<PriorityMapping> make_qnx_mapping();
+inline constexpr PriorityMapping kQnxMapping{1, 31};
 /// LynxOS: priorities 0..255.
-[[nodiscard]] std::unique_ptr<PriorityMapping> make_lynxos_mapping();
+inline constexpr PriorityMapping kLynxOsMapping{0, 255};
 /// Solaris RT scheduling class: global priorities 100..159.
-[[nodiscard]] std::unique_ptr<PriorityMapping> make_solaris_rt_mapping();
-
-/// Holds the active mapping; supports installing a custom one at run time
-/// (TAO's priority-mapping manager).
-class PriorityMappingManager {
- public:
-  PriorityMappingManager();
-
-  /// Replaces the active mapping. Passing nullptr restores the default.
-  void install(std::unique_ptr<PriorityMapping> mapping);
-
-  [[nodiscard]] const PriorityMapping& mapping() const { return *active_; }
-  [[nodiscard]] os::Priority to_native(CorbaPriority corba) const {
-    return active_->to_native(corba);
-  }
-  [[nodiscard]] CorbaPriority to_corba(os::Priority native) const {
-    return active_->to_corba(native);
-  }
-
- private:
-  std::unique_ptr<PriorityMapping> active_;
-};
+inline constexpr PriorityMapping kSolarisRtMapping{100, 159};
 
 }  // namespace aqm::orb::rt

@@ -5,7 +5,7 @@
 
 namespace aqm::orb::rt {
 
-ThreadPool::ThreadPool(os::Cpu& cpu, const PriorityMappingManager& mapping,
+ThreadPool::ThreadPool(os::Cpu& cpu, const PriorityMapping& mapping,
                        std::vector<ThreadpoolLane> lanes)
     : cpu_(cpu), mapping_(mapping) {
   assert(!lanes.empty());

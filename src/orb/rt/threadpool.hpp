@@ -36,7 +36,9 @@ struct ThreadpoolLane {
 class ThreadPool {
  public:
   /// `lanes` must be non-empty; they are sorted by lane priority internally.
-  ThreadPool(os::Cpu& cpu, const PriorityMappingManager& mapping,
+  /// `mapping` is read at each dispatch (it is the ORB's installed mapping,
+  /// so a later install applies to later work) and must outlive the pool.
+  ThreadPool(os::Cpu& cpu, const PriorityMapping& mapping,
              std::vector<ThreadpoolLane> lanes);
 
   /// Submits request work costing `cpu_cost` at `priority`. `on_complete`
@@ -44,7 +46,6 @@ class ThreadPool {
   /// queue is full (the caller should answer TRANSIENT).
   bool dispatch(CorbaPriority priority, Duration cpu_cost, std::function<void()> on_complete);
 
-  [[nodiscard]] std::size_t lane_count() const { return lanes_.size(); }
   [[nodiscard]] std::size_t queued(std::size_t lane) const { return lanes_.at(lane).queued; }
   [[nodiscard]] unsigned busy(std::size_t lane) const { return lanes_.at(lane).busy; }
   [[nodiscard]] std::uint64_t rejected() const { return rejected_; }
@@ -75,7 +76,7 @@ class ThreadPool {
   void on_thread_free(std::size_t lane_idx);
 
   os::Cpu& cpu_;
-  const PriorityMappingManager& mapping_;
+  const PriorityMapping& mapping_;
   std::vector<Lane> lanes_;  // sorted ascending by lane_priority
   std::vector<Work> work_;
   std::vector<std::uint32_t> free_work_;

@@ -70,7 +70,7 @@ void LoadGenerator::emit_burst() {
                                              static_cast<double>(config_.burst_mean.ns()) * factor))};
   ++bursts_;
   std::erase_if(in_flight_, [this](JobId id) { return !cpu_.base_priority(id).has_value(); });
-  in_flight_.push_back(cpu_.submit_for(cost, config_.priority, [this] { ++completed_; }));
+  in_flight_.push_back(cpu_.submit_for(cost, config_.priority, nullptr));
 }
 
 }  // namespace aqm::os

@@ -49,7 +49,6 @@ class LoadGenerator {
   [[nodiscard]] double offered_utilization() const;
 
   [[nodiscard]] std::uint64_t bursts_submitted() const { return bursts_; }
-  [[nodiscard]] std::uint64_t bursts_completed() const { return completed_; }
 
  private:
   void arm_next();
@@ -65,7 +64,6 @@ class LoadGenerator {
   /// running; completed ones are pruned as new bursts are submitted.
   std::vector<JobId> in_flight_;
   std::uint64_t bursts_ = 0;
-  std::uint64_t completed_ = 0;
 };
 
 }  // namespace aqm::os

@@ -15,18 +15,12 @@ Contract& Contract::add_region(std::string region, Predicate predicate) {
   return *this;
 }
 
-Contract& Contract::on_enter(const std::string& region, TransitionCallback cb) {
+Contract& Contract::on_enter(const std::string& region, EnterCallback cb) {
   enter_callbacks_.emplace(region, std::move(cb));
   return *this;
 }
 
-Contract& Contract::on_transition(const std::string& from, const std::string& to,
-                                  TransitionCallback cb) {
-  transition_callbacks_.emplace(std::make_pair(from, to), std::move(cb));
-  return *this;
-}
-
-Contract& Contract::observe(SysCond& cond) {
+Contract& Contract::observe(ValueSysCond& cond) {
   cond.bind_engine(engine_);
   cond.subscribe([this] { eval(); });
   return *this;
@@ -34,7 +28,7 @@ Contract& Contract::observe(SysCond& cond) {
 
 const std::string& Contract::eval() {
   assert(!regions_.empty() && "contract has no regions");
-  // Transition callbacks may set conditions that re-trigger eval();
+  // Enter callbacks may set conditions that re-trigger eval();
   // suppress re-entrancy so one outermost eval settles the region.
   if (evaluating_) return current_;
   evaluating_ = true;
@@ -79,8 +73,6 @@ const std::string& Contract::eval() {
                   tr->intern("transition " + from + "->" + current_), obs_track_, now,
                   tr->current());
     }
-    const auto [tb, te] = transition_callbacks_.equal_range({from, current_});
-    for (auto it = tb; it != te; ++it) it->second();
     const auto [eb, ee] = enter_callbacks_.equal_range(current_);
     for (auto it = eb; it != ee; ++it) it->second();
   }

@@ -6,9 +6,9 @@
 //
 // A contract is an ordered list of named regions with boolean predicates
 // (usually over system condition objects). eval() selects the first region
-// whose predicate holds; when the active region changes, transition
-// callbacks fire. Contracts subscribe to their conditions so evaluation is
-// automatic.
+// whose predicate holds; when the active region changes, the callbacks
+// registered for entering the new region fire. Contracts subscribe to
+// their conditions so evaluation is automatic.
 #pragma once
 
 #include <functional>
@@ -26,7 +26,7 @@ namespace aqm::quo {
 class Contract {
  public:
   using Predicate = std::function<bool()>;
-  using TransitionCallback = std::function<void()>;
+  using EnterCallback = std::function<void()>;
 
   Contract(sim::Engine& engine, std::string name);
   Contract(const Contract&) = delete;
@@ -40,14 +40,10 @@ class Contract {
   Contract& add_region(std::string region, Predicate predicate);
 
   /// Fires whenever the active region becomes `region`.
-  Contract& on_enter(const std::string& region, TransitionCallback cb);
-
-  /// Fires on the specific (from, to) transition.
-  Contract& on_transition(const std::string& from, const std::string& to,
-                          TransitionCallback cb);
+  Contract& on_enter(const std::string& region, EnterCallback cb);
 
   /// Subscribes this contract to a condition; any change re-evaluates.
-  Contract& observe(SysCond& cond);
+  Contract& observe(ValueSysCond& cond);
 
   /// Evaluates predicates and performs the region change if needed.
   /// Returns the active region after evaluation.
@@ -73,8 +69,7 @@ class Contract {
   std::string name_;
   std::vector<Region> regions_;
   std::string current_;
-  std::multimap<std::string, TransitionCallback> enter_callbacks_;
-  std::multimap<std::pair<std::string, std::string>, TransitionCallback> transition_callbacks_;
+  std::multimap<std::string, EnterCallback> enter_callbacks_;
   std::vector<std::pair<TimePoint, std::string>> history_;
   bool evaluating_ = false;
   std::uint64_t obs_bound_ = 0;  // uid of the recorder obs_track_ belongs to

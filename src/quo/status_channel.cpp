@@ -78,7 +78,6 @@ void StatusReporter::emit() {
   report.sent_at = orb_.engine().now();
   report.values.reserve(probes_.size());
   for (const auto& [name, fn] : probes_) report.values.emplace_back(name, fn());
-  ++sent_;
   stub_.oneway(kStatusReportOp, encode_status_report(report));
 }
 

@@ -77,7 +77,6 @@ class StatusReporter {
   void start() { timer_.start(); }
   void stop() { timer_.stop(); }
   [[nodiscard]] bool running() const { return timer_.running(); }
-  [[nodiscard]] std::uint64_t reports_sent() const { return sent_; }
 
  private:
   void emit();
@@ -86,7 +85,6 @@ class StatusReporter {
   orb::ObjectStub stub_;
   std::vector<std::pair<std::string, Probe>> probes_;
   sim::PeriodicTimer timer_;
-  std::uint64_t sent_ = 0;
 };
 
 }  // namespace aqm::quo

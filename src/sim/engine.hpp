@@ -95,9 +95,6 @@ class InlineHandler {
 
   [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
 
-  /// True when the stored callable lives in the inline buffer (no heap).
-  [[nodiscard]] bool is_inline() const { return ops_ != nullptr && ops_->inline_storage; }
-
   void reset() {
     if (ops_ != nullptr) {
       if (ops_->destroy != nullptr) ops_->destroy(buf_);
@@ -114,7 +111,6 @@ class InlineHandler {
     void (*invoke)(void*);
     void (*relocate)(void* src, void* dst) noexcept;  // move-construct into dst, destroy src
     void (*destroy)(void*) noexcept;
-    bool inline_storage;
   };
 
   template <typename D>
@@ -147,7 +143,6 @@ class InlineHandler {
       std::is_trivially_destructible_v<D>
           ? nullptr
           : +[](void* p) noexcept { std::launder(reinterpret_cast<D*>(p))->~D(); },
-      true,
   };
 
   template <typename D>
@@ -155,7 +150,6 @@ class InlineHandler {
       [](void* p) { (**std::launder(reinterpret_cast<D**>(p)))(); },
       nullptr,  // pointer payload: relocation is the default memcpy
       [](void* p) noexcept { delete *std::launder(reinterpret_cast<D**>(p)); },
-      false,
   };
 
   void steal(InlineHandler& other) noexcept {
@@ -198,49 +192,22 @@ class Engine {
   /// their recorder through the engine so a trial needs exactly one wiring
   /// point.
   void set_tracer(obs::TraceRecorder* tracer) {
-#if AQM_OBS_ENABLED
     tracer_ = tracer;
     engine_track_ = tracer != nullptr ? tracer->track("engine") : 0;
-#else
-    (void)tracer;
-#endif
   }
-  [[nodiscard]] obs::TraceRecorder* tracer() const {
-#if AQM_OBS_ENABLED
-    return tracer_;
-#else
-    return nullptr;
-#endif
-  }
+  [[nodiscard]] obs::TraceRecorder* tracer() const { return tracer_; }
   /// The attached recorder iff it wants `cat`, else nullptr. This is THE
   /// instrumentation guard: one pointer test when tracing is off.
   [[nodiscard]] obs::TraceRecorder* tracer_for(obs::TraceCategory cat) const {
-#if AQM_OBS_ENABLED
     return tracer_ != nullptr && tracer_->wants(cat) ? tracer_ : nullptr;
-#else
-    (void)cat;
-    return nullptr;
-#endif
   }
 
   /// Attaches (or detaches, with nullptr) the streaming telemetry hub,
   /// exactly like the tracer: the engine does not own it, subsystems reach
   /// it through the engine, and every observation point costs one pointer
   /// test when telemetry is detached.
-  void set_telemetry(obs::TelemetryHub* hub) {
-#if AQM_OBS_ENABLED
-    telemetry_ = hub;
-#else
-    (void)hub;
-#endif
-  }
-  [[nodiscard]] obs::TelemetryHub* telemetry() const {
-#if AQM_OBS_ENABLED
-    return telemetry_;
-#else
-    return nullptr;
-#endif
-  }
+  void set_telemetry(obs::TelemetryHub* hub) { telemetry_ = hub; }
+  [[nodiscard]] obs::TelemetryHub* telemetry() const { return telemetry_; }
 
   /// Schedules a handler at an absolute time (must be >= now()). The
   /// callable is constructed directly in its slab slot (no intermediate
@@ -305,12 +272,10 @@ class Engine {
       now_ = TimePoint{top.time_ns};
       ++executed_;
       --live_;
-#if AQM_OBS_ENABLED
       if (obs::TraceRecorder* tr = tracer_for(obs::TraceCategory::Engine)) {
         tr->instant(obs::TraceCategory::Engine, "dispatch", engine_track_, now_, 0,
                     {{"pending", static_cast<double>(live_)}});
       }
-#endif
       // Move the handler out before invoking: the handler may schedule new
       // events, growing the slab and invalidating references into it. This
       // also lets the slot be recycled by the handler itself.
@@ -439,11 +404,9 @@ class Engine {
   bool peek_next_time(TimePoint& t);
 
   TimePoint now_ = TimePoint::zero();
-#if AQM_OBS_ENABLED
   obs::TraceRecorder* tracer_ = nullptr;
   obs::TelemetryHub* telemetry_ = nullptr;
   std::uint16_t engine_track_ = 0;
-#endif
   std::uint64_t next_order_ = 1;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;

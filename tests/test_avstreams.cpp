@@ -3,7 +3,6 @@
 // over the binding's stub.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -108,8 +107,7 @@ TEST_F(StreamFixture, ReservationAttachesToStreamFlow) {
 }
 
 TEST_F(StreamFixture, StreamPriorityAffectsDscp) {
-  bed.sender_orb.dscp_mappings().install(
-      std::make_unique<orb::rt::BandedDscpMapping>());
+  bed.sender_orb.dscp_mappings() = orb::rt::DscpMapping::banded();
   orb::Poa& poa = bed.receiver_orb.create_poa("video");
   VideoSinkEndpoint sink(poa, "display", microseconds(200),
                          [](const media::VideoFrame&) {});

@@ -30,8 +30,7 @@ PriorityRunResult run_priority_scenario(core::PriorityTestbed& bed, bool banded_
                                         orb::CorbaPriority p1, orb::CorbaPriority p2,
                                         Duration duration, bool cross_traffic) {
   if (banded_dscp) {
-    bed.sender_orb.dscp_mappings().install(
-        std::make_unique<orb::rt::BandedDscpMapping>());
+    bed.sender_orb.dscp_mappings() = orb::rt::DscpMapping::banded();
   }
   orb::Poa& poa1 = bed.receiver_orb.create_poa("recv1");
   orb::Poa& poa2 = bed.receiver_orb.create_poa("recv2");

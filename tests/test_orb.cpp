@@ -301,10 +301,10 @@ TEST_F(OrbFixture, DscpMappingManagerControlsMarking) {
   // With the default best-effort mapping installed, high priority still
   // maps to DSCP 0; with the banded mapping it maps to EF.
   EXPECT_EQ(client.dscp_mappings().to_dscp(30'000), net::dscp::kBestEffort);
-  client.dscp_mappings().install(std::make_unique<rt::BandedDscpMapping>());
+  client.dscp_mappings() = rt::DscpMapping::banded();
   EXPECT_EQ(client.dscp_mappings().to_dscp(30'000), net::dscp::kEf);
   EXPECT_EQ(client.dscp_mappings().to_dscp(0), net::dscp::kBestEffort);
-  client.dscp_mappings().install(nullptr);  // restore default
+  client.dscp_mappings() = rt::DscpMapping{};  // restore default
   EXPECT_EQ(client.dscp_mappings().to_dscp(30'000), net::dscp::kBestEffort);
 }
 

@@ -195,7 +195,7 @@ INSTANTIATE_TEST_SUITE_P(Rates, RateProperty, ::testing::Values(0.5e6, 1e6, 2e6,
 class MappingProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(MappingProperty, LinearPriorityMappingIsMonotone) {
-  orb::rt::LinearPriorityMapping mapping;
+  orb::rt::PriorityMapping mapping;
   const int step = GetParam();
   os::Priority last = os::kMinPriority;
   for (orb::CorbaPriority p = 0; p <= orb::kMaxCorbaPriority; p += step) {
@@ -210,7 +210,7 @@ TEST_P(MappingProperty, LinearPriorityMappingIsMonotone) {
 }
 
 TEST_P(MappingProperty, RoundTripStaysClose) {
-  orb::rt::LinearPriorityMapping mapping;
+  orb::rt::PriorityMapping mapping;
   const int step = GetParam();
   for (orb::CorbaPriority p = 0; p <= orb::kMaxCorbaPriority; p += step) {
     const orb::CorbaPriority back = mapping.to_corba(mapping.to_native(p));
@@ -220,7 +220,7 @@ TEST_P(MappingProperty, RoundTripStaysClose) {
 }
 
 TEST_P(MappingProperty, BandedDscpIsMonotoneInServiceClass) {
-  orb::rt::BandedDscpMapping mapping;
+  constexpr auto mapping = orb::rt::DscpMapping::banded();
   const int step = GetParam();
   auto rank = [](net::Dscp d) {
     return static_cast<int>(net::kPhbClassCount) -

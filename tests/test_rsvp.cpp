@@ -99,6 +99,45 @@ TEST_F(RsvpFixture, SupersededCallbackThatReservesAgainLeavesTheLatestLive) {
   EXPECT_DOUBLE_EQ(queue_on(router, receiver)->flow_rate_bps(5), 2e6);
 }
 
+TEST_F(RsvpFixture, ResvOfASupersededRequestDoesNotConfirmTheNewerOne) {
+  // The 1 Mbps request's RESV comes back after the 3 Mbps PATH has passed
+  // the router: it must not complete the 3 Mbps request.
+  std::vector<Status<std::string>> cb1;
+  std::vector<double> egress_at_cb2;
+  std::vector<bool> cb2_ok;
+  RsvpAgent& a = agent_at(sender);
+  a.reserve(5, receiver, FlowSpec{1e6, 16'000},
+            [&](Status<std::string> s) { cb1.push_back(std::move(s)); });
+  a.reserve(5, receiver, FlowSpec{3e6, 16'000}, [&](Status<std::string> s) {
+    cb2_ok.push_back(s.ok());
+    egress_at_cb2.push_back(queue_on(sender, router)->flow_rate_bps(5));
+  });
+  engine.run();
+  ASSERT_EQ(cb1.size(), 1u);
+  EXPECT_FALSE(cb1[0].ok());
+  ASSERT_EQ(cb2_ok.size(), 1u);
+  EXPECT_TRUE(cb2_ok[0]);
+  EXPECT_DOUBLE_EQ(egress_at_cb2[0], 3e6);
+  EXPECT_DOUBLE_EQ(queue_on(router, receiver)->flow_rate_bps(5), 3e6);
+}
+
+TEST_F(RsvpFixture, RefusedNewerRequestReportsItsResvErr) {
+  // The newer request cannot be admitted: its ResvErr, not the older
+  // request's RESV, decides its callback.
+  std::vector<Status<std::string>> cb2;
+  RsvpAgent& a = agent_at(sender);
+  a.reserve(5, receiver, FlowSpec{1e6, 16'000}, nullptr);
+  a.reserve(5, receiver, FlowSpec{50e6, 16'000},
+            [&](Status<std::string> s) { cb2.push_back(std::move(s)); });
+  engine.run();
+  ASSERT_EQ(cb2.size(), 1u);
+  ASSERT_FALSE(cb2[0].ok());
+  EXPECT_NE(cb2[0].error().find("admission denied"), std::string::npos);
+  EXPECT_FALSE(a.confirmed(5));
+  EXPECT_FALSE(queue_on(sender, router)->has_reservation(5));
+  EXPECT_FALSE(queue_on(router, receiver)->has_reservation(5));
+}
+
 TEST_F(RsvpFixture, AdmissionRejectsOverBudgetAndTearsDown) {
   // First flow takes 8 Mbps of the 9 Mbps reservable (0.9 * 10 Mbps).
   std::optional<bool> first;
@@ -215,6 +254,64 @@ TEST_F(RsvpFixture, ReservationFromReceiverSideSeparateDirection) {
   engine.run();
   ASSERT_TRUE(ok.has_value());
   EXPECT_TRUE(*ok);
+}
+
+TEST(RsvpTeardown, ReservedPacketDueBeforeTheTeardownLeavesFirst) {
+  // 1 Mbps IntServ link, 10 ms propagation: a 1000-byte packet takes 8 ms
+  // to serialize. Flow 8 seq 1 is on the wire from 0 to 8 ms, flow 8 seq 2
+  // waits in best effort and reserved flow 7 in its flow queue. At 8 ms
+  // the transmitter picks flow 7, so a teardown at 12 ms, which the link
+  // has not yet caught up to, must not demote it behind flow 8 seq 2.
+  sim::Engine engine;
+  Network net(engine);
+  const NodeId a = net.add_node("a");
+  const NodeId b = net.add_node("b");
+  LinkConfig slow;
+  slow.bandwidth_bps = 1e6;
+  slow.propagation = milliseconds(10);
+  net.add_link(a, b, slow, std::make_unique<IntServQueue>(IntServQueue::Config{}));
+  net.add_link(b, a, slow);
+  RsvpAgent agent_a(net, a);
+  RsvpAgent agent_b(net, b);
+  std::optional<bool> reserved;
+  agent_a.reserve(7, b, FlowSpec{0.5e6, 16'000},
+                  [&](Status<std::string> s) { reserved = s.ok(); });
+  engine.run();
+  ASSERT_TRUE(reserved && *reserved);
+
+  struct Arrival {
+    FlowId flow;
+    std::uint64_t seq;
+    std::int64_t at_ns;
+  };
+  std::vector<Arrival> arrivals;
+  const TimePoint t0 = engine.now();
+  net.set_receiver(b, [&](Packet&& p) {
+    arrivals.push_back({p.flow, p.seq, (engine.now() - t0).ns()});
+  });
+  const auto packet = [&](FlowId flow, std::uint64_t seq) {
+    Packet p;
+    p.dst = b;
+    p.size_bytes = 1000;
+    p.flow = flow;
+    p.seq = seq;
+    return p;
+  };
+  net.send(a, packet(8, 1));
+  net.send(a, packet(8, 2));
+  net.send(a, packet(7, 1));
+  engine.after(milliseconds(12), [&] { agent_a.release(7); });
+  engine.run();
+
+  ASSERT_EQ(arrivals.size(), 3u);
+  EXPECT_EQ(arrivals[0].flow, 8u);
+  EXPECT_EQ(arrivals[0].at_ns, milliseconds(18).ns());
+  EXPECT_EQ(arrivals[1].flow, 7u);
+  EXPECT_EQ(arrivals[1].at_ns, milliseconds(26).ns());
+  EXPECT_EQ(arrivals[2].flow, 8u);
+  EXPECT_EQ(arrivals[2].seq, 2u);
+  EXPECT_GT(arrivals[2].at_ns, arrivals[1].at_ns);
+  EXPECT_EQ(net.link_between(a, b)->queue().packets(), 0u);
 }
 
 TEST(RsvpTimeout, FailsAfterRetriesWhenPathBroken) {

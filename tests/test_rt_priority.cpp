@@ -34,9 +34,9 @@ struct Figure2Fixture : public ::testing::Test {
     net::LinkConfig link;
     net.add_duplex_link(client_node, middle_node, link);
     net.add_duplex_link(middle_node, server_node, link);
-    client.priority_mappings().install(rt::make_qnx_mapping());
-    middle.priority_mappings().install(rt::make_lynxos_mapping());
-    server.priority_mappings().install(rt::make_solaris_rt_mapping());
+    client.priority_mappings() = rt::kQnxMapping;
+    middle.priority_mappings() = rt::kLynxOsMapping;
+    server.priority_mappings() = rt::kSolarisRtMapping;
   }
 
   sim::Engine engine;
@@ -132,13 +132,33 @@ TEST_F(Figure2Fixture, NativeExecutionUsesLocalMapping) {
   EXPECT_EQ(*observed, expected_native);
 }
 
+TEST_F(Figure2Fixture, MappingInstalledAfterPoaCreationReachesItsThreadPool) {
+  // The POA's thread pool reads the ORB's installed mapping at dispatch,
+  // so an install after the POA exists still decides the native priority.
+  constexpr CorbaPriority kPriority = 20'000;
+  Poa& poa = server.create_poa("backend");
+  const ObjectRef ref = poa.activate_object(
+      "sink", std::make_shared<FunctionServant>(milliseconds(5), [](ServerRequest&) {}));
+  server.priority_mappings() = rt::kQnxMapping;
+
+  std::optional<os::Priority> observed;
+  client.set_client_priority(kPriority);
+  InvokeOptions opts;
+  opts.oneway = true;
+  client.invoke(ref, "op", {}, opts);
+  engine.after(milliseconds(3), [&] { observed = server_cpu.running_priority(); });
+  engine.run();
+  ASSERT_TRUE(observed.has_value());
+  EXPECT_EQ(*observed, rt::kQnxMapping.to_native(kPriority));
+  EXPECT_NE(*observed, rt::kSolarisRtMapping.to_native(kPriority));
+}
+
 TEST(RtMappings, RoundTripWithinEachOsBand) {
-  const auto mappings = {rt::make_qnx_mapping(), rt::make_lynxos_mapping(),
-                         rt::make_solaris_rt_mapping()};
-  for (const auto& m : mappings) {
+  for (const rt::PriorityMapping& m :
+       {rt::kQnxMapping, rt::kLynxOsMapping, rt::kSolarisRtMapping}) {
     for (CorbaPriority p = 0; p <= kMaxCorbaPriority; p += 1111) {
-      const os::Priority native = m->to_native(p);
-      const CorbaPriority back = m->to_corba(native);
+      const os::Priority native = m.to_native(p);
+      const CorbaPriority back = m.to_corba(native);
       // Coarse bands (QNX has 31 levels) quantize heavily; the round trip
       // must stay within one native step.
       const double step = 32767.0 / 30.0;

@@ -19,7 +19,7 @@ struct PoolFixture : public ::testing::Test {
   PoolFixture() : cpu(engine, "cpu", fifo_config()) {}
   sim::Engine engine;
   os::Cpu cpu;
-  PriorityMappingManager mapping;
+  PriorityMapping mapping;
 };
 
 TEST_F(PoolFixture, LaneSelectionByPriority) {

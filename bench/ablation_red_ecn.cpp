@@ -61,12 +61,7 @@ CaseResult run_case(RouterKind router, Feedback feedback) {
   network.add_duplex_link(load_src, hub, access);
   std::unique_ptr<net::Queue> egress;
   if (router == RouterKind::RedEcn) {
-    net::RedConfig red;
-    red.capacity_packets = 1000;
-    red.min_threshold = 30;
-    red.max_threshold = 200;
-    red.max_probability = 0.15;
-    egress = std::make_unique<net::RedQueue>(red);
+    egress = std::make_unique<net::RedQueue>();
   } else {
     egress = std::make_unique<net::DropTailQueue>(1000);
   }
@@ -75,10 +70,10 @@ CaseResult run_case(RouterKind router, Feedback feedback) {
 
   os::Cpu sender_cpu(engine, "sender-cpu");
   os::Cpu receiver_cpu(engine, "receiver-cpu");
-  orb::OrbConfig orb_cfg;
-  orb_cfg.transport.ecn_capable = (router == RouterKind::RedEcn);
-  orb::OrbEndpoint sender_orb(network, sender, sender_cpu, orb_cfg);
-  orb::OrbEndpoint receiver_orb(network, receiver, receiver_cpu, orb_cfg);
+  orb::TransportConfig transport;
+  transport.ecn_capable = (router == RouterKind::RedEcn);
+  orb::OrbEndpoint sender_orb(network, sender, sender_cpu, transport);
+  orb::OrbEndpoint receiver_orb(network, receiver, receiver_cpu, transport);
 
   const media::GopStructure gop = media::GopStructure::mpeg1_paper_profile();
   const net::FlowId flow = 71;

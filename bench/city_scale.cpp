@@ -93,7 +93,6 @@ CityResult run_city(const CityConfig& cfg, unsigned sidecars) {
     qc.best_effort_capacity = 4'096;
     if (is_core && cfg.parent_rate_bps > 0.0) {
       qc.parent_rate_bps = cfg.parent_rate_bps;
-      qc.parent_bucket_bytes = 64'000;
     }
     return std::make_unique<net::IntServQueue>(qc);
   };
@@ -123,8 +122,8 @@ CityResult run_city(const CityConfig& cfg, unsigned sidecars) {
   // Reservations: every 8th flow is EF with a guaranteed rate, installed on
   // both IntServ stages its packets cross. The installs bypass RSVP
   // admission, so past 1k flows they over-commit the core uplink (see the
-  // Notes). Ids ascend, so each install extends the incremental
-  // reserved-rate sum (no O(n) re-sum on this path).
+  // Notes). Each install is one flow-table insert: the reserved-rate sum is
+  // summed only when RSVP admission asks for it, and nothing here does.
   const std::uint64_t n_flows = cfg.hosts * cfg.flows_per_host;
   const TimePoint t0 = TimePoint::zero();
   for (std::uint64_t f = 1; f <= n_flows; f += 8) {

@@ -6,6 +6,7 @@
 
 #include "common/log.hpp"
 #include "common/policy_builder.hpp"
+#include "core/feedback_scheduler.hpp"
 #include "core/qos_session.hpp"
 #include "core/testbed.hpp"
 #include "net/queue.hpp"
@@ -16,8 +17,38 @@
 namespace aqm::bench {
 namespace {
 
-Duration message_interval(double rate_bps, std::size_t message_bytes) {
-  const double mps = rate_bps / (8.0 * static_cast<double>(message_bytes));
+constexpr Duration kDuration = seconds(20);
+constexpr Duration kStepAt = seconds(6);     // flash-crowd arrival
+constexpr std::size_t kMessageBytes = 1000;  // oneway payload per message
+
+// Offered load (bps of payload).
+constexpr double kABaseRateBps = 1.5e6;   // flow A before the step
+constexpr double kACrowdRateBps = 4.5e6;  // flow A after the step
+constexpr double kBRateBps = 1.5e6;       // flow B, steady
+
+// Admission-time reservations (the static policy).
+constexpr double kAReserveBps = 2e6;
+constexpr double kBReserveBps = 2e6;
+constexpr std::uint32_t kBucketBytes = 40'000;
+
+/// Drop-rate SLO evaluated on the telemetry hub's sliding window.
+constexpr double kMaxDropRate = 0.05;
+
+/// Controller tuning (feedback mode). The pool is what the 10 Mbps
+/// bottleneck can actually promise next to the best-effort load.
+constexpr core::FeedbackConfig kController{
+    .epoch = milliseconds(500),
+    .net_pool_bps = 8e6,
+    .min_share = 0.25,
+    .smoothing = 0.5,
+    .hysteresis = 0.05,
+    .miss_weight = 0.0,
+    .drop_weight = 4.0,
+    .latency_weight = 0.0,
+};
+
+Duration message_interval(double rate_bps) {
+  const double mps = rate_bps / (8.0 * static_cast<double>(kMessageBytes));
   return Duration{static_cast<std::int64_t>(std::llround(1e9 / mps))};
 }
 
@@ -25,7 +56,7 @@ Duration message_interval(double rate_bps, std::size_t message_bytes) {
 
 FlashCrowdResult run_flash_crowd(const FlashCrowdConfig& cfg) {
   core::ReservationTestbedParams params;
-  params.load_seed = cfg.load_seed;
+  params.load_seed = kFlashCrowdLoadSeed;
   core::ReservationTestbed bed(params);
 
   obs::TelemetryHub hub;
@@ -33,7 +64,7 @@ FlashCrowdResult run_flash_crowd(const FlashCrowdConfig& cfg) {
   bed.engine.set_tracer(&hub.flight());
 
   FlashCrowdResult result;
-  const TimePoint step_time = TimePoint::zero() + cfg.step_at;
+  const TimePoint step_time = TimePoint::zero() + kStepAt;
   std::uint64_t a_sent_post = 0;
   std::uint64_t a_received_post = 0;
 
@@ -54,16 +85,16 @@ FlashCrowdResult run_flash_crowd(const FlashCrowdConfig& cfg) {
   // Admission-time policy per flow: classification, the static RSVP
   // reservation, and the drop-rate SLO the run is judged by.
   obs::SloSpec slo;
-  slo.max_drop_rate = cfg.max_drop_rate;
+  slo.max_drop_rate = kMaxDropRate;
   orb::ObjectStub stub_a(bed.sender_orb, sink_a);
   core::QoSSession session_a(bed.sender_orb, stub_a, &bed.qos);
   session_a.apply(PolicyBuilder::sender(core::kFlowSender1)
-                      .network(cfg.a_reserve_bps, cfg.bucket_bytes)
+                      .network(kAReserveBps, kBucketBytes)
                       .slo(slo));
   orb::ObjectStub stub_b(bed.sender_orb, sink_b);
   core::QoSSession session_b(bed.sender_orb, stub_b, &bed.qos);
   session_b.apply(PolicyBuilder::sender(core::kFlowSender2)
-                      .network(cfg.b_reserve_bps, cfg.bucket_bytes)
+                      .network(kBReserveBps, kBucketBytes)
                       .slo(slo));
   // Let the RSVP Path/Resv exchanges settle before traffic starts.
   bed.engine.run_until(TimePoint::zero() + milliseconds(500));
@@ -74,39 +105,36 @@ FlashCrowdResult run_flash_crowd(const FlashCrowdConfig& cfg) {
       &bed.network.link_between(bed.switch_node, bed.receiver_node)->queue());
   std::unique_ptr<core::FeedbackScheduler> controller;
   if (cfg.feedback) {
-    controller =
-        std::make_unique<core::FeedbackScheduler>(bed.engine, hub, cfg.controller);
-    controller->control_rate(core::kFlowSender1, bottleneck, cfg.bucket_bytes);
-    controller->control_rate(core::kFlowSender2, bottleneck, cfg.bucket_bytes);
+    controller = std::make_unique<core::FeedbackScheduler>(bed.engine, hub, kController);
+    controller->control_rate(core::kFlowSender1, bottleneck, kBucketBytes);
+    controller->control_rate(core::kFlowSender2, bottleneck, kBucketBytes);
     controller->start();
   }
 
-  const Duration base_interval = message_interval(cfg.a_base_rate_bps, cfg.message_bytes);
-  const Duration crowd_interval =
-      message_interval(cfg.a_crowd_rate_bps, cfg.message_bytes);
+  const Duration base_interval = message_interval(kABaseRateBps);
+  const Duration crowd_interval = message_interval(kACrowdRateBps);
   sim::PeriodicTimer task_a(bed.engine, base_interval, [&] {
     ++result.a_sent;
     if (bed.engine.now() >= step_time) ++a_sent_post;
-    stub_a.oneway("frame", std::vector<std::uint8_t>(cfg.message_bytes));
+    stub_a.oneway("frame", std::vector<std::uint8_t>(kMessageBytes));
   });
-  sim::PeriodicTimer task_b(
-      bed.engine, message_interval(cfg.b_rate_bps, cfg.message_bytes), [&] {
-        ++result.b_sent;
-        stub_b.oneway("frame", std::vector<std::uint8_t>(cfg.message_bytes));
-      });
+  sim::PeriodicTimer task_b(bed.engine, message_interval(kBRateBps), [&] {
+    ++result.b_sent;
+    stub_b.oneway("frame", std::vector<std::uint8_t>(kMessageBytes));
+  });
 
   task_a.start();
   task_b.start_after(milliseconds(7));  // decollide the two send grids
   bed.load_traffic->start();
 
-  // The flash crowd: flow A's arrival rate steps up at step_at.
+  // The flash crowd: flow A's arrival rate steps up at kStepAt.
   bed.engine.at(step_time, [&] {
     task_a.stop();
     task_a.set_period(crowd_interval);
     task_a.start();
   });
 
-  bed.engine.run_until(TimePoint::zero() + cfg.duration);
+  bed.engine.run_until(TimePoint::zero() + kDuration);
   // Judge the SLO at end of traffic, before the drain: once arrivals stop,
   // every window goes clean and even the collapsed static run would log a
   // vacuous "recovery".
@@ -125,7 +153,7 @@ FlashCrowdResult run_flash_crowd(const FlashCrowdConfig& cfg) {
   bed.load_traffic->stop();
   if (controller) controller->stop();
   // Drain in-flight messages.
-  bed.engine.run_until(TimePoint::zero() + cfg.duration + seconds(2));
+  bed.engine.run_until(TimePoint::zero() + kDuration + seconds(2));
 
   hub.finalize(bed.engine.now());
   result.health = hub.report();

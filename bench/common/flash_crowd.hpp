@@ -4,7 +4,7 @@
 // Two reserved flows cross the ReservationTestbed's IntServ bottleneck
 // while the 43.8 Mbps load source keeps best-effort service saturated, so
 // any traffic outside a flow's reservation is effectively lost. Flow A
-// starts inside its reservation; at `step_at` its offered load steps up
+// starts inside its reservation; at 6 s its offered load steps up
 // (the flash crowd) far past the reserved rate. Under a static policy the
 // excess rides best effort and drowns — a sustained drop-rate SLO breach.
 // With the FeedbackScheduler controlling the bottleneck's per-flow HTB
@@ -15,48 +15,19 @@
 
 #include <cstdint>
 
-#include "common/time.hpp"
-#include "core/feedback_scheduler.hpp"
 #include "obs/telemetry.hpp"
 
 namespace aqm::bench {
 
+/// Seed of the 43.8 Mbps load pulse, and so of the trial.
+inline constexpr std::uint64_t kFlashCrowdLoadSeed = 43;
+
+/// The offered loads, reservations, SLO and controller tuning are fixed
+/// (flash_crowd.cpp).
 struct FlashCrowdConfig {
   /// false: reservations stay at their admission-time rates (static
   /// policy). true: a FeedbackScheduler re-divides the bottleneck pool.
   bool feedback = false;
-
-  Duration duration = seconds(20);
-  Duration step_at = seconds(6);     // flash-crowd arrival
-  std::size_t message_bytes = 1000;  // oneway payload per message
-
-  // Offered load (bps of payload).
-  double a_base_rate_bps = 1.5e6;   // flow A before the step
-  double a_crowd_rate_bps = 4.5e6;  // flow A after the step
-  double b_rate_bps = 1.5e6;        // flow B, steady
-
-  // Admission-time reservations (the static policy).
-  double a_reserve_bps = 2e6;
-  double b_reserve_bps = 2e6;
-  std::uint32_t bucket_bytes = 40'000;
-
-  /// Drop-rate SLO evaluated on the telemetry hub's sliding window.
-  double max_drop_rate = 0.05;
-
-  /// Controller tuning (feedback mode). The pool is what the 10 Mbps
-  /// bottleneck can actually promise next to the best-effort load.
-  core::FeedbackConfig controller{
-      .epoch = milliseconds(500),
-      .net_pool_bps = 8e6,
-      .min_share = 0.25,
-      .smoothing = 0.5,
-      .hysteresis = 0.05,
-      .miss_weight = 0.0,
-      .drop_weight = 4.0,
-      .latency_weight = 0.0,
-  };
-
-  std::uint64_t load_seed = 43;
 };
 
 struct FlashCrowdResult {
@@ -69,7 +40,7 @@ struct FlashCrowdResult {
   std::uint64_t a_recoveries = 0;
   bool a_breached_at_end = false;
   std::int64_t a_breached_ns = 0;  // total time flow A spent breached
-  /// Post-step delivery ratio for flow A (received/sent after step_at).
+  /// Post-step delivery ratio for flow A (received/sent after the step).
   double a_post_step_delivery = 0.0;
   /// Controller accounting (zeros in static mode).
   std::uint64_t epochs_run = 0;

@@ -13,6 +13,20 @@
 #include "sim/engine.hpp"
 
 namespace aqm::bench {
+namespace {
+
+// Competing CPU load: 15 ms bursts every 25 ms on average, at a priority
+// between the two mapped sender thread priorities.
+constexpr os::Priority kCpuLoadPriority = 128;
+constexpr Duration kCpuLoadBurst = milliseconds(15);
+constexpr Duration kCpuLoadInterval = milliseconds(25);
+
+// Message workload: ~1.2 Mbps per sender (paper Section 5.1).
+constexpr double kMessagesPerSecond = 120.0;
+constexpr std::uint32_t kMessageBytes = 1200;
+constexpr Duration kServantCost = microseconds(300);
+
+}  // namespace
 
 PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg,
                                              unsigned sidecars) {
@@ -31,19 +45,17 @@ PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg,
   obs::TelemetryHub* hub = observer.hub();
 
   // Receiver-side FlowMonitor: a pure tap in front of the ORB transport's
-  // receiver (swap_receiver chains it as downstream). Feeds jitter into
-  // the hub and the "recv.*" registry names.
-  std::unique_ptr<net::FlowMonitor> monitor;
-  if (observer.wants(core::kMetricsSidecar) || hub != nullptr) {
-    monitor = std::make_unique<net::FlowMonitor>(bed.network, bed.receiver_node);
-  }
+  // receiver (swap_receiver chains it as downstream). It schedules no
+  // events, so it changes no timing. Feeds the summary's drop and jitter
+  // columns, jitter into the hub and the "recv.*" registry names.
+  net::FlowMonitor monitor(bed.network, bed.receiver_node);
 
   // Two servants in two separate POAs, as in the paper's receiver host.
   auto make_sink = [&](const std::string& poa_name, TimeSeries& series,
                        std::uint64_t& count) {
     orb::Poa& poa = bed.receiver_orb.create_poa(poa_name);
     auto servant = std::make_shared<orb::FunctionServant>(
-        cfg.servant_cost, [&series, &count, &bed](orb::ServerRequest& req) {
+        kServantCost, [&series, &count, &bed](orb::ServerRequest& req) {
           ++count;
           if (req.client_send_time) {
             series.add(bed.engine.now(),
@@ -71,22 +83,22 @@ PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg,
   session2.apply(bind(cfg.sender2_policy));
 
   const auto interval =
-      Duration{static_cast<std::int64_t>(std::llround(1e9 / cfg.messages_per_second))};
+      Duration{static_cast<std::int64_t>(std::llround(1e9 / kMessagesPerSecond))};
   sim::PeriodicTimer task1(bed.engine, interval, [&] {
     ++result.s1_sent;
-    stub1.oneway("frame", std::vector<std::uint8_t>(cfg.message_bytes));
+    stub1.oneway("frame", std::vector<std::uint8_t>(kMessageBytes));
   });
   sim::PeriodicTimer task2(bed.engine, interval, [&] {
     ++result.s2_sent;
-    stub2.oneway("frame", std::vector<std::uint8_t>(cfg.message_bytes));
+    stub2.oneway("frame", std::vector<std::uint8_t>(kMessageBytes));
   });
 
   std::unique_ptr<os::LoadGenerator> load;
   if (cfg.cpu_load) {
     os::LoadGenerator::Config load_cfg;
-    load_cfg.priority = cfg.cpu_load_priority;
-    load_cfg.burst_mean = cfg.cpu_load_burst;
-    load_cfg.interval_mean = cfg.cpu_load_interval;
+    load_cfg.priority = kCpuLoadPriority;
+    load_cfg.burst_mean = kCpuLoadBurst;
+    load_cfg.interval_mean = kCpuLoadInterval;
     load = std::make_unique<os::LoadGenerator>(bed.engine, bed.receiver_cpu, load_cfg,
                                                cfg.seed);
     load->start();
@@ -107,14 +119,12 @@ PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg,
   bed.engine.run_until(TimePoint::zero() + cfg.duration + seconds(5));
 
   observer.finish(result.obs);
-  if (monitor) {
-    const net::FlowId f1 = cfg.sender1_policy.flow.value_or(core::kFlowSender1);
-    const net::FlowId f2 = cfg.sender2_policy.flow.value_or(core::kFlowSender2);
-    result.s1_jitter_ms = monitor->jitter_ms(f1);
-    result.s2_jitter_ms = monitor->jitter_ms(f2);
-    result.s1_dropped = monitor->dropped(f1);
-    result.s2_dropped = monitor->dropped(f2);
-  }
+  const net::FlowId f1 = cfg.sender1_policy.flow.value_or(core::kFlowSender1);
+  const net::FlowId f2 = cfg.sender2_policy.flow.value_or(core::kFlowSender2);
+  result.s1_jitter_ms = monitor.jitter_ms(f1);
+  result.s2_jitter_ms = monitor.jitter_ms(f2);
+  result.s1_dropped = monitor.dropped(f1);
+  result.s2_dropped = monitor.dropped(f2);
 
   if (observer.wants(core::kMetricsSidecar)) {
     obs::MetricsRegistry reg;
@@ -125,7 +135,7 @@ PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg,
     bed.receiver_cpu.export_metrics(reg, "cpu.receiver");
     // Receiver-side quality signals go through registry names (not ad-hoc
     // prints): recv.flow<id>.jitter_ms / .dropped / .interarrival_ms etc.
-    if (monitor) monitor->export_metrics(reg, "recv");
+    monitor.export_metrics(reg, "recv");
     if (hub) hub->export_metrics(reg, "telemetry");
     reg.counter("scenario.s1_sent").set(result.s1_sent);
     reg.counter("scenario.s2_sent").set(result.s2_sent);

@@ -42,16 +42,8 @@ struct PriorityScenarioConfig {
   double cross_rate_bps = 16e6;
   std::size_t queue_pkts = 1000;  // bottleneck egress queue depth
   /// Competing CPU load on the receiver host (between the two mapped
-  /// thread priorities).
+  /// thread priorities; its shape is fixed in priority_scenario.cpp).
   bool cpu_load = false;
-  os::Priority cpu_load_priority = 128;
-  Duration cpu_load_burst = milliseconds(15);
-  Duration cpu_load_interval = milliseconds(25);
-
-  /// Message workload: ~1.2 Mbps per sender (paper Section 5.1).
-  double messages_per_second = 120.0;
-  std::uint32_t message_bytes = 1200;
-  Duration servant_cost = microseconds(300);
 
   Duration duration = seconds(60);
   /// Per-trial seeds: `seed` drives the CPU load generator, `cross_seed`
@@ -69,8 +61,7 @@ struct PriorityScenarioResult {
   std::uint64_t s2_sent = 0;
   std::uint64_t s1_received = 0;
   std::uint64_t s2_received = 0;
-  /// Receiver-side FlowMonitor accounting (zeros unless the trial was
-  /// asked for --metrics, --slo or --flight, which install the monitor).
+  /// Receiver-side FlowMonitor accounting.
   double s1_jitter_ms = 0.0;
   double s2_jitter_ms = 0.0;
   std::uint64_t s1_dropped = 0;

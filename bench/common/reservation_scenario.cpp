@@ -13,22 +13,38 @@
 #include "quo/status_channel.hpp"
 
 namespace aqm::bench {
+namespace {
+
+/// The paper's partial reservation is "670 Kbps" of MPEG payload. Our
+/// token buckets police wire bytes (payload + GIOP + per-packet
+/// overhead), so we reserve the wire-rate equivalent: the 10 fps I+P
+/// stream is ~654 kbps of payload ~= 730 kbps on the wire.
+constexpr double kPartialRateBps = 730e3;
+constexpr double kFullRateBps = 1.35e6;  // wire rate of the full ~1.2 Mbps stream
+
+constexpr Duration kTotal = seconds(300);       // paper: 300 s of video
+constexpr Duration kLoadStart = seconds(60);    // paper: load from t=60 s
+constexpr Duration kLoadDuration = seconds(60);  // of the testbed's 43.8 Mbps pulse
+
+constexpr double kFps = 30.0;
+constexpr Duration kSinkDecodeCost = microseconds(500);
+
+}  // namespace
 
 ReservationScenarioResult run_reservation_scenario(const ReservationScenarioConfig& cfg) {
   core::ReservationTestbedParams params;
-  params.load_rate_bps = cfg.load_rate_bps;
   params.load_seed = cfg.load_seed;
   core::ReservationTestbed bed(params);
 
   const media::GopStructure gop = media::GopStructure::mpeg1_paper_profile();
-  const double ip_rate = gop.rate_bps_filtered(cfg.fps, true, true, false);
+  const double ip_rate = gop.rate_bps_filtered(kFps, true, true, false);
 
   ReservationScenarioResult result;
   media::VideoSinkStats stats(bed.engine, gop);
 
   // --- receiver side: sink endpoint ---------------------------------------------
   orb::Poa& video_poa = bed.receiver_orb.create_poa("video");
-  av::VideoSinkEndpoint sink(video_poa, "display", cfg.sink_decode_cost,
+  av::VideoSinkEndpoint sink(video_poa, "display", kSinkDecodeCost,
                              [&](const media::VideoFrame& f) { stats.on_received(f); });
 
   // --- sender side: source -> QuO frame filter -> stream binding -----------------
@@ -36,8 +52,8 @@ ReservationScenarioResult run_reservation_scenario(const ReservationScenarioConf
   media::FrameFilter filter(media::FilterLevel::Full);
 
   double reserved_rate = 0.0;
-  if (cfg.reservation == ReservationLevel::Partial) reserved_rate = cfg.partial_rate_bps;
-  if (cfg.reservation == ReservationLevel::Full) reserved_rate = cfg.full_rate_bps;
+  if (cfg.reservation == ReservationLevel::Partial) reserved_rate = kPartialRateBps;
+  if (cfg.reservation == ReservationLevel::Full) reserved_rate = kFullRateBps;
 
   std::unique_ptr<av::RateAdaptationQosket> qosket;
   if (cfg.frame_filtering) {
@@ -47,7 +63,7 @@ ReservationScenarioResult run_reservation_scenario(const ReservationScenarioConf
     qosket = std::make_unique<av::RateAdaptationQosket>(bed.engine, filter, qcfg);
   }
 
-  media::VideoSource source(bed.engine, gop, cfg.fps, [&](const media::VideoFrame& f) {
+  media::VideoSource source(bed.engine, gop, kFps, [&](const media::VideoFrame& f) {
     ++result.frames_sourced;
     stats.on_source(f);
     if (cfg.frame_filtering && !filter.filter(f)) return;
@@ -95,11 +111,11 @@ ReservationScenarioResult run_reservation_scenario(const ReservationScenarioConf
 
   // --- schedule the run ----------------------------------------------------------
   const TimePoint video_start{seconds(1).ns()};
-  const TimePoint video_end = video_start + cfg.total;
+  const TimePoint video_end = video_start + kTotal;
   source.run_between(video_start, video_end);
   reporter.start();
-  const TimePoint load_start = video_start + cfg.load_start;
-  const TimePoint load_end = load_start + cfg.load_duration;
+  const TimePoint load_start = video_start + kLoadStart;
+  const TimePoint load_end = load_start + kLoadDuration;
   bed.load_traffic->run_between(load_start, load_end);
 
   bed.engine.run_until(video_end + seconds(5));

@@ -30,24 +30,11 @@ enum class ReservationLevel : std::uint8_t { None, Partial, Full };
   return "?";
 }
 
+/// The rates, the schedule and the video are the paper's and fixed
+/// (reservation_scenario.cpp).
 struct ReservationScenarioConfig {
   ReservationLevel reservation = ReservationLevel::None;
   bool frame_filtering = false;
-
-  /// The paper's partial reservation is "670 Kbps" of MPEG payload. Our
-  /// token buckets police wire bytes (payload + GIOP + per-packet
-  /// overhead), so we reserve the wire-rate equivalent: the 10 fps I+P
-  /// stream is ~654 kbps of payload ~= 730 kbps on the wire.
-  double partial_rate_bps = 730e3;
-  double full_rate_bps = 1.35e6;  // wire rate of the full ~1.2 Mbps stream
-
-  Duration total = seconds(300);       // paper: 300 s of video
-  Duration load_start = seconds(60);   // paper: load from t=60 s
-  Duration load_duration = seconds(60);
-  double load_rate_bps = 43.8e6;
-
-  double fps = 30.0;
-  Duration sink_decode_cost = microseconds(500);
   /// Per-trial seed of the 43.8 Mbps load generator (explicit-seed ctor).
   std::uint64_t load_seed = 43;
 };

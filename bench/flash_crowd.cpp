@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   for (const bool feedback : {false, true}) {
     FlashCrowdConfig cfg;
     cfg.feedback = feedback;
-    exp.add(feedback ? "flash-crowd-feedback" : "flash-crowd-static", cfg.load_seed,
+    exp.add(feedback ? "flash-crowd-feedback" : "flash-crowd-static", kFlashCrowdLoadSeed,
             [cfg](const core::TrialSpec&) { return run_flash_crowd(cfg); });
   }
   const auto results = exp.run(opts);

@@ -168,7 +168,7 @@ BENCHMARK(BM_InterceptorOverhead)->Arg(0);
 
 /// AMI-style pipelined calls over the batched GIOP transport (DESIGN.md
 /// §11): a 128-call window is submitted per iteration and rides one
-/// staging pass (shared packet_overhead, one fragmentation run). The
+/// staging pass (shared per-packet overhead, one fragmentation run). The
 /// client stub uses a pre-marshaled request template — the header shape is
 /// fixed per (object, operation), so each call copies the template and
 /// patches the request id, TAO-compiled-stub style. The server fully

@@ -3,6 +3,22 @@
 #include <algorithm>
 
 namespace aqm::av {
+namespace {
+
+/// Delivery ratio below which the current level counts as failing.
+constexpr double kLossThreshold = 0.9;
+/// Consecutive loss-y reports (after the first downgrade) before stepping
+/// down another level.
+constexpr int kPersistentLossReports = 4;
+/// Reports to ignore right after a level change (in-flight frames from the
+/// previous level would otherwise read as loss).
+constexpr int kGraceReports = 4;
+/// Clean reports required before the first upgrade probe; doubles after
+/// every probe (exponential backoff), capped below.
+constexpr int kInitialUpgradeHoldReports = 16;
+constexpr int kMaxUpgradeHoldReports = 128;
+
+}  // namespace
 
 RateAdaptationQosket::RateAdaptationQosket(sim::Engine& engine,
                                            media::FrameFilter& filter,
@@ -12,9 +28,9 @@ RateAdaptationQosket::RateAdaptationQosket(sim::Engine& engine,
       config_(config),
       ratio_("delivery-ratio", 1.0),
       contract_(engine, "video-rate-adaptation"),
-      upgrade_hold_reports_(config.initial_upgrade_hold_reports) {
+      upgrade_hold_reports_(kInitialUpgradeHoldReports) {
   contract_
-      .add_region("ok", [this] { return ratio_.value() >= config_.loss_threshold; })
+      .add_region("ok", [this] { return ratio_.value() >= kLossThreshold; })
       .add_region("loss", nullptr)
       .observe(ratio_);
   contract_.on_enter("loss", [this] { downgrade(); });
@@ -33,7 +49,7 @@ void RateAdaptationQosket::report(double ratio) {
   const std::string before = contract_.current_region();
   ratio_.set(ratio);  // may transition the contract and trigger a downgrade
   if (contract_.current_region() == "loss") {
-    if (before == "loss" && ++reports_in_loss_ >= config_.persistent_loss_reports) {
+    if (before == "loss" && ++reports_in_loss_ >= kPersistentLossReports) {
       downgrade();
       reports_in_loss_ = 0;
     }
@@ -53,7 +69,7 @@ void RateAdaptationQosket::set_level(media::FilterLevel level) {
   if (filter_.level() == level) return;
   filter_.set_level(level);
   history_.emplace_back(engine_.now(), media::to_string(level));
-  grace_reports_ = config_.grace_reports;
+  grace_reports_ = kGraceReports;
 }
 
 void RateAdaptationQosket::downgrade() {
@@ -81,8 +97,7 @@ void RateAdaptationQosket::upgrade() {
     case media::FilterLevel::Full:
       break;
   }
-  upgrade_hold_reports_ =
-      std::min(upgrade_hold_reports_ * 2, config_.max_upgrade_hold_reports);
+  upgrade_hold_reports_ = std::min(upgrade_hold_reports_ * 2, kMaxUpgradeHoldReports);
 }
 
 }  // namespace aqm::av

@@ -23,19 +23,9 @@
 
 namespace aqm::av {
 
+/// The contract's thresholds and report counts are fixed
+/// (rate_adaptation.cpp); the rates are the configurable part.
 struct RateAdaptationConfig {
-  /// Delivery ratio below which the current level counts as failing.
-  double loss_threshold = 0.9;
-  /// Consecutive loss-y reports (after the first downgrade) before
-  /// stepping down another level.
-  int persistent_loss_reports = 4;
-  /// Reports to ignore right after a level change (in-flight frames from
-  /// the previous level would otherwise read as loss).
-  int grace_reports = 4;
-  /// Clean reports required before the first upgrade probe; doubles after
-  /// every probe (exponential backoff), capped below.
-  int initial_upgrade_hold_reports = 16;
-  int max_upgrade_hold_reports = 128;
   /// Network rate granted to the stream (0 = none) and the rate the
   /// reduced (I+P) stream needs: decides whether a downgrade from full
   /// rate lands on 10 fps or all the way at 2 fps.

@@ -51,9 +51,11 @@ void FeedbackScheduler::tick(TimePoint now) {
 }
 
 double FeedbackScheduler::measure_deficit(const obs::WindowStats& w) const {
+  // p99 latency above this contributes (p99/target - 1) to the deficit.
+  constexpr double kLatencyTargetMs = 50.0;
   double d = cfg_.miss_weight * w.miss_rate + cfg_.drop_weight * w.drop_rate;
-  if (cfg_.latency_target_ms > 0.0 && w.p99_latency_ms > cfg_.latency_target_ms) {
-    d += cfg_.latency_weight * (w.p99_latency_ms / cfg_.latency_target_ms - 1.0);
+  if (w.p99_latency_ms > kLatencyTargetMs) {
+    d += cfg_.latency_weight * (w.p99_latency_ms / kLatencyTargetMs - 1.0);
   }
   return d;
 }

@@ -47,9 +47,9 @@ struct FeedbackConfig {
   /// Deficit weights.
   double miss_weight = 1.0;
   double drop_weight = 1.0;
+  /// Weighs (p99 / 50 ms - 1) when the p99 latency is above the 50 ms
+  /// target (feedback_scheduler.cpp).
   double latency_weight = 0.5;
-  /// p99 latency above this contributes (p99/target - 1) to the deficit.
-  double latency_target_ms = 50.0;
 };
 
 /// The per-epoch controller. One instance per controlled link pool;

@@ -5,10 +5,16 @@
 namespace aqm::core {
 namespace {
 
-net::LinkConfig link_config(double bps, Duration prop) {
+constexpr double kAccessBps = 100e6;
+constexpr double kBottleneckBps = 10e6;  // the paper's contended segment
+constexpr Duration kPropagation = microseconds(100);
+/// The reservation experiments' competing load pulse.
+constexpr double kLoadRateBps = 43.8e6;
+
+net::LinkConfig link_config(double bps) {
   net::LinkConfig cfg;
   cfg.bandwidth_bps = bps;
-  cfg.propagation = prop;
+  cfg.propagation = kPropagation;
   return cfg;
 }
 
@@ -25,8 +31,8 @@ PriorityTestbed::PriorityTestbed(const PriorityTestbedParams& p)
       receiver_cpu(engine, "receiver-cpu", p.cpu),
       sender_orb(network, sender_node, sender_cpu),
       receiver_orb(network, receiver_node, receiver_cpu) {
-  const auto access = link_config(p.access_bps, p.propagation);
-  const auto bottleneck = link_config(p.bottleneck_bps, p.propagation);
+  const auto access = link_config(kAccessBps);
+  const auto bottleneck = link_config(kBottleneckBps);
 
   network.add_duplex_link(sender_node, router_node, access);
   network.add_duplex_link(cross_node, router_node, access);
@@ -69,17 +75,17 @@ ReservationTestbed::ReservationTestbed(const ReservationTestbedParams& p)
       sender_orb(network, sender_node, sender_cpu),
       receiver_orb(network, receiver_node, receiver_cpu),
       qos(network) {
-  const auto access = link_config(p.access_bps, p.propagation);
-  const auto bottleneck = link_config(p.bottleneck_bps, p.propagation);
+  const auto access = link_config(kAccessBps);
+  const auto bottleneck = link_config(kBottleneckBps);
 
   // Sender's own egress also carries an IntServ queue: the first hop of the
   // reserved path.
   network.add_link(sender_node, switch_node, access,
-                   std::make_unique<net::IntServQueue>(p.intserv));
+                   std::make_unique<net::IntServQueue>(net::IntServQueue::Config{}));
   network.add_link(switch_node, sender_node, access);
   network.add_duplex_link(load_node, switch_node, access);
   network.add_link(switch_node, receiver_node, bottleneck,
-                   std::make_unique<net::IntServQueue>(p.intserv));
+                   std::make_unique<net::IntServQueue>(net::IntServQueue::Config{}));
   network.add_link(receiver_node, switch_node, access);
 
   // RSVP agents on every hop of the data path (and the load host, harmlessly).
@@ -88,7 +94,7 @@ ReservationTestbed::ReservationTestbed(const ReservationTestbedParams& p)
   net::TrafficGenerator::Config load;
   load.src = load_node;
   load.dst = receiver_node;
-  load.rate_bps = p.load_rate_bps;
+  load.rate_bps = kLoadRateBps;
   load.flow = kFlowCross;
   load.poisson = true;
   load_traffic = std::make_unique<net::TrafficGenerator>(network, load, p.load_seed);
@@ -99,12 +105,11 @@ AtrTestbed::AtrTestbed(const AtrTestbedParams& p)
       network(engine),
       client_node(network.add_node("client")),
       server_node(network.add_node("atr-server")),
-      client_cpu(engine, "client-cpu", p.client_cpu),
+      client_cpu(engine, "client-cpu"),
       server_cpu(engine, "server-cpu", p.server_cpu),
       client_orb(network, client_node, client_cpu),
       server_orb(network, server_node, server_cpu) {
-  network.add_duplex_link(client_node, server_node,
-                          link_config(p.link_bps, p.propagation));
+  network.add_duplex_link(client_node, server_node, link_config(kAccessBps));
 }
 
 }  // namespace aqm::core

@@ -36,10 +36,9 @@ inline constexpr net::FlowId kFlowCross = 900;
 inline constexpr net::FlowId kFlowVideo = 201;
 inline constexpr net::FlowId kFlowImages = 301;
 
+/// The link rates and delays are fixed (testbed.cpp): 100 Mbps access
+/// links, the 10 Mbps bottleneck and 100 us per hop.
 struct PriorityTestbedParams {
-  double access_bps = 100e6;
-  double bottleneck_bps = 10e6;
-  Duration propagation = microseconds(100);
   std::size_t router_queue_pkts = 1000;
   /// false: plain drop-tail FIFO on the bottleneck (control / thread-prio
   /// runs); true: DiffServ-enabled router (DSCP runs).
@@ -69,12 +68,9 @@ class PriorityTestbed {
   std::unique_ptr<net::TrafficGenerator> cross_traffic;  // configured, not started
 };
 
+/// The links, their default IntServ queues and the 43.8 Mbps load pulse
+/// are fixed (testbed.cpp).
 struct ReservationTestbedParams {
-  double access_bps = 100e6;
-  double bottleneck_bps = 10e6;
-  Duration propagation = microseconds(100);
-  net::IntServQueue::Config intserv{};
-  double load_rate_bps = 43.8e6;
   /// Per-trial seed of the load-pulse generator.
   std::uint64_t load_seed = 43;
   os::CpuConfig cpu{};
@@ -99,10 +95,8 @@ class ReservationTestbed {
   std::unique_ptr<net::TrafficGenerator> load_traffic;  // configured, not started
 };
 
+/// The client-server link (100 Mbps, 100 us) and the client CPU are fixed.
 struct AtrTestbedParams {
-  double link_bps = 100e6;
-  Duration propagation = microseconds(100);
-  os::CpuConfig client_cpu{};
   os::CpuConfig server_cpu{};
 };
 

@@ -1,6 +1,5 @@
 #include "net/link.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -14,11 +13,8 @@ Link::Link(sim::Engine& engine, NodeId from, NodeId to, LinkConfig config,
       from_(from),
       to_(to),
       config_(config),
-      queue_(std::move(queue)),
-      loss_rng_(config.loss_seed ^ (static_cast<std::uint64_t>(from) << 32) ^
-                static_cast<std::uint64_t>(to) ^ 0xA1B2C3D4E5F60718ULL) {
+      queue_(std::move(queue)) {
   assert(config_.bandwidth_bps > 0.0);
-  assert(config_.loss_probability >= 0.0 && config_.loss_probability < 1.0);
   assert(queue_ != nullptr);
   queue_->set_drop_sink([this](const Packet& p) { report_drop(net_tracer(), p); });
 }
@@ -114,9 +110,8 @@ void Link::service(TimePoint t) {
 
 /// Commits a transmission starting at t: head leaves the queue at t, the
 /// transmitter frees at t + tx, the receiver has the packet a propagation
-/// delay later. Schedules the one externally visible event (delivery or
-/// corruption drop), which doubles as the catch-up point keeping the
-/// service chain alive.
+/// delay later. Schedules the one externally visible event (delivery),
+/// which doubles as the catch-up point keeping the service chain alive.
 void Link::start_tx(Packet p, TimePoint t) {
   const Duration tx = transmission_time(p.size_bytes);
   busy_ns_ += tx.ns();
@@ -130,38 +125,21 @@ void Link::start_tx(Packet p, TimePoint t) {
                   {"flow", static_cast<double>(p.flow)}});
     trace_qlen(tr, t);
   }
-  // The loss draw happens at commit rather than at the end of
-  // serialization; draws still happen exactly once per transmission in
-  // transmission order, so the (seed, packet) mapping is the same.
-  if (config_.loss_probability > 0.0 && loss_rng_.bernoulli(config_.loss_probability)) {
-    // A backdated commit can place tx end in the past; clamp the event to
-    // now (the drop hook only feeds counters, never timing).
-    engine_.at(std::max(avail_at_, engine_.now()), [this, p = std::move(p)]() mutable {
-      ++corrupted_;
-      if (obs::TraceRecorder* tr = net_tracer()) {
-        tr->instant(obs::TraceCategory::Net, "corrupt", trace_track_, engine_.now(),
-                    p.trace, {{"flow", static_cast<double>(p.flow)}});
-      }
-      if (on_drop_) on_drop_(p);
-      pump();
-    });
-  } else {
-    // Delivery instants strictly follow commit order on one link (each
-    // avail_at_ + propagation is >= the previous one, and the engine fires
-    // ties in scheduling order), so the packet waits in the in-flight FIFO
-    // and the event captures only `this`: it fits the engine's inline
-    // handler buffer, where a captured Packet would cost a heap allocation.
-    in_flight_.push_back(std::move(p));
-    engine_.at(avail_at_ + config_.propagation, [this] {
-      Packet p = in_flight_.pop_front();
-      pump();
-      if (obs::TraceRecorder* tr = net_tracer()) {
-        tr->instant(obs::TraceCategory::Net, "deliver", trace_track_, engine_.now(),
-                    p.trace, {{"flow", static_cast<double>(p.flow)}});
-      }
-      if (deliver_) deliver_(std::move(p));
-    });
-  }
+  // Delivery instants strictly follow commit order on one link (each
+  // avail_at_ + propagation is >= the previous one, and the engine fires
+  // ties in scheduling order), so the packet waits in the in-flight FIFO
+  // and the event captures only `this`: it fits the engine's inline
+  // handler buffer, where a captured Packet would cost a heap allocation.
+  in_flight_.push_back(std::move(p));
+  engine_.at(avail_at_ + config_.propagation, [this] {
+    Packet p = in_flight_.pop_front();
+    pump();
+    if (obs::TraceRecorder* tr = net_tracer()) {
+      tr->instant(obs::TraceCategory::Net, "deliver", trace_track_, engine_.now(),
+                  p.trace, {{"flow", static_cast<double>(p.flow)}});
+    }
+    if (deliver_) deliver_(std::move(p));
+  });
 }
 
 double Link::utilization() const {

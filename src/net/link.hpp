@@ -9,7 +9,7 @@
 // the past are replayed at their exact original instants (the queue
 // provably did not change in between, because every arrival and every
 // reservation teardown catches up first, and dequeue reads no clock), so
-// dequeue order, loss draws and delivery times are exactly those of a
+// dequeue order and delivery times are exactly those of a
 // store-and-forward transmitter with one event per stage, while steady
 // state costs ~1 engine event per packet per hop instead of ~2. Committed
 // packets wait in an in-flight FIFO; the delivery event captures only the
@@ -27,7 +27,6 @@
 #include <memory>
 #include <string>
 
-#include "common/rng.hpp"
 #include "common/time.hpp"
 #include "net/packet.hpp"
 #include "net/queue.hpp"
@@ -40,10 +39,6 @@ struct LinkConfig {
   Duration propagation = microseconds(100);
   /// Fraction of bandwidth RSVP admission control may hand out.
   double reservable_fraction = 0.9;
-  /// Random per-packet corruption loss (noisy wireless channels). Applied
-  /// after transmission, before delivery; deterministic per (link, seed).
-  double loss_probability = 0.0;
-  std::uint64_t loss_seed = 0;
 };
 
 class Link {
@@ -99,8 +94,6 @@ class Link {
   [[nodiscard]] std::uint64_t bytes_transmitted() const { return tx_bytes_; }
   /// Fraction of elapsed time the transmitter has been busy.
   [[nodiscard]] double utilization() const;
-  /// Packets lost to random corruption (loss_probability).
-  [[nodiscard]] std::uint64_t packets_corrupted() const { return corrupted_; }
 
  private:
   // --- virtual transmitter ---
@@ -129,15 +122,13 @@ class Link {
   /// that instant has not been replayed yet.
   TimePoint avail_at_ = TimePoint::zero();
   bool decision_pending_ = false;
-  /// Committed, uncorrupted packets awaiting their delivery event, in
+  /// Committed packets awaiting their delivery event, in
   /// commit (= delivery) order. Declared after queue_, so it
   /// returns its chunks before a private pool goes away.
   PacketFifo in_flight_{queue_->own_packet_pool()};
   std::uint64_t tx_packets_ = 0;
   std::uint64_t tx_bytes_ = 0;
-  std::uint64_t corrupted_ = 0;
   std::int64_t busy_ns_ = 0;
-  Rng loss_rng_;
 
   std::string trace_name_;
   std::uint64_t trace_bound_ = 0;  // uid of the recorder the lane is bound to

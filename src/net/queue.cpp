@@ -79,10 +79,8 @@ std::optional<Packet> DiffServQueue::dequeue() {
 
 IntServQueue::IntServQueue(Config config) : config_(config) {
   assert(config_.best_effort_capacity > 0);
-  assert(config_.flow_capacity > 0);
-  assert(config_.control_capacity > 0);
   if (config_.parent_rate_bps > 0.0) {
-    parent_.emplace(config_.parent_rate_bps, config_.parent_bucket_bytes);
+    parent_.emplace(config_.parent_rate_bps, kParentBucketBytes);
   }
 }
 
@@ -260,7 +258,7 @@ double IntServQueue::reserved_rate_bps() const {
 
 std::optional<Packet> IntServQueue::enqueue(Packet p, TimePoint now) {
   if (classify(p.dscp) == PhbClass::NetworkControl) {
-    if (control_.size() >= config_.control_capacity) {
+    if (control_.size() >= kControlCapacity) {
       count_drop(p);
       return p;
     }
@@ -275,7 +273,7 @@ std::optional<Packet> IntServQueue::enqueue(Packet p, TimePoint now) {
     // Policing: pay for the packet now; conforming packets get the
     // guaranteed queue, excess falls through to best effort below.
     // (Capacity is checked first so a full queue does not burn tokens.)
-    if (flow_fifo_[slot].len < config_.flow_capacity &&
+    if (flow_fifo_[slot].len < kFlowCapacity &&
         policer_consume(flow_bucket_[slot], p.size_bytes, now)) {
       count_enqueue(p);
       bytes_ += p.size_bytes;

@@ -196,15 +196,16 @@ class IntServQueue final : public Queue {
  public:
   struct Config {
     std::size_t best_effort_capacity = 1000;  // packets
-    std::size_t flow_capacity = 100;          // packets per reserved flow
-    std::size_t control_capacity = 100;       // packets (CS6 signaling)
     /// > 0 enables the hierarchical policing parent: one shared per-class
     /// token bucket over all reserved flows; a packet must conform at both
     /// its flow's child bucket and the parent (two bucket touches per
     /// packet, independent of flow count). 0 = per-flow policing only.
     double parent_rate_bps = 0.0;
-    std::uint32_t parent_bucket_bytes = 64'000;
   };
+  static constexpr std::size_t kFlowCapacity = 100;     // packets per reserved flow
+  static constexpr std::size_t kControlCapacity = 100;  // packets (CS6 signaling)
+  /// Depth of the hierarchical policing parent's bucket.
+  static constexpr std::uint32_t kParentBucketBytes = 64'000;
 
   explicit IntServQueue(Config config);
 

@@ -1,31 +1,35 @@
 #include "net/red_queue.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "obs/telemetry.hpp"
 
 namespace aqm::net {
+namespace {
 
-RedQueue::RedQueue(RedConfig config) : config_(config), rng_(config.seed) {
-  assert(config_.capacity_packets > 0);
-  assert(config_.min_threshold < config_.max_threshold);
-  assert(config_.max_probability > 0.0 && config_.max_probability <= 1.0);
-  assert(config_.weight > 0.0 && config_.weight <= 1.0);
-}
+constexpr std::size_t kCapacityPackets = 1000;
+constexpr double kMinThreshold = 30.0;  // avg queue length (packets)
+constexpr double kMaxThreshold = 200.0;
+constexpr double kMaxProbability = 0.15;  // mark/drop probability at kMaxThreshold
+constexpr double kWeight = 0.002;         // EWMA weight per arrival
+constexpr std::uint64_t kSeed = 99;
+
+}  // namespace
+
+RedQueue::RedQueue() : rng_(kSeed) {}
 
 bool RedQueue::congestion_signal() {
-  if (avg_ < config_.min_threshold) {
+  if (avg_ < kMinThreshold) {
     count_since_mark_ = -1;
     return false;
   }
-  if (avg_ >= config_.max_threshold) {
+  if (avg_ >= kMaxThreshold) {
     count_since_mark_ = 0;
     return true;
   }
   ++count_since_mark_;
-  const double pb = config_.max_probability * (avg_ - config_.min_threshold) /
-                    (config_.max_threshold - config_.min_threshold);
+  const double pb =
+      kMaxProbability * (avg_ - kMinThreshold) / (kMaxThreshold - kMinThreshold);
   // Uniform spacing refinement: pa = pb / (1 - count * pb).
   const double denom = 1.0 - static_cast<double>(count_since_mark_) * pb;
   const double pa = denom <= 0.0 ? 1.0 : std::min(1.0, pb / denom);
@@ -37,15 +41,14 @@ bool RedQueue::congestion_signal() {
 }
 
 std::optional<Packet> RedQueue::enqueue(Packet p, TimePoint now) {
-  avg_ = (1.0 - config_.weight) * avg_ +
-         config_.weight * static_cast<double>(q_.size());
+  avg_ = (1.0 - kWeight) * avg_ + kWeight * static_cast<double>(q_.size());
 
-  if (q_.size() >= config_.capacity_packets) {
+  if (q_.size() >= kCapacityPackets) {
     count_drop(p);
     return p;
   }
   if (congestion_signal()) {
-    if (config_.ecn && p.ecn == Ecn::Capable) {
+    if (p.ecn == Ecn::Capable) {
       p.ecn = Ecn::CongestionExperienced;
       ++marked_;
       // marked packets are still enqueued

@@ -2,12 +2,13 @@
 //
 // Classic RED: maintain an EWMA of the queue length; between the min and
 // max thresholds, mark/drop arriving packets with probability rising
-// linearly to max_probability (spread uniformly using the count-since-
-// last-mark refinement); above max, mark/drop everything. ECN-capable
-// packets are marked CongestionExperienced instead of dropped, giving
-// end-to-end adaptation (QuO contracts) an early congestion signal before
-// any loss occurs — the counterpart to the ECN bits the paper points out
-// in the DiffServ byte.
+// linearly to the maximum (spread uniformly using the count-since-last-mark
+// refinement); above max, mark/drop everything. ECN-capable packets are
+// marked CongestionExperienced instead of dropped, giving end-to-end
+// adaptation (QuO contracts) an early congestion signal before any loss
+// occurs — the counterpart to the ECN bits the paper points out in the
+// DiffServ byte. The thresholds are fixed (red_queue.cpp) at the values of
+// the ECN ablation's 10 Mbps bottleneck.
 #pragma once
 
 #include <cstdint>
@@ -18,19 +19,9 @@
 
 namespace aqm::net {
 
-struct RedConfig {
-  std::size_t capacity_packets = 1000;
-  double min_threshold = 50.0;    // avg queue length (packets)
-  double max_threshold = 250.0;
-  double max_probability = 0.1;   // mark/drop probability at max_threshold
-  double weight = 0.002;          // EWMA weight per arrival
-  bool ecn = true;                // mark ECN-capable packets instead of dropping
-  std::uint64_t seed = 99;
-};
-
 class RedQueue final : public Queue {
  public:
-  explicit RedQueue(RedConfig config);
+  RedQueue();
 
   std::optional<Packet> enqueue(Packet p, TimePoint now) override;
   std::optional<Packet> dequeue() override;
@@ -46,7 +37,6 @@ class RedQueue final : public Queue {
   /// True if RED decides this arrival should be marked/dropped.
   bool congestion_signal();
 
-  RedConfig config_;
   Rng rng_;
   PacketFifo q_{own_packet_pool()};
   std::size_t bytes_ = 0;

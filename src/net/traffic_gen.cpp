@@ -77,7 +77,6 @@ void TrafficGenerator::arm_next() {
     Packet p;
     p.dst = config_.dst;
     p.size_bytes = config_.packet_bytes;
-    p.dscp = config_.dscp;
     p.flow = config_.flow;
     p.seq = seq_++;
     net_.send(config_.src, std::move(p));

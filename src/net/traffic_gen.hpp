@@ -1,6 +1,7 @@
 // Cross-traffic generation, standing in for the paper's load machines
 // (16 Mbps competing traffic in the Figure 4-6 testbed, 43.8 Mbps in the
-// reservation experiments).
+// reservation experiments). Its packets are best effort (the packet's
+// default DSCP).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +21,6 @@ class TrafficGenerator {
     NodeId dst = kInvalidNode;
     double rate_bps = 16e6;
     std::uint32_t packet_bytes = kDefaultMtu;
-    Dscp dscp = dscp::kBestEffort;
     FlowId flow = kNoFlow;
     bool poisson = false;  // false = CBR spacing
     std::uint64_t seed = 7;

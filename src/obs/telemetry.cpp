@@ -1,7 +1,6 @@
 #include "obs/telemetry.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace aqm::obs {
 namespace {
@@ -13,19 +12,18 @@ constexpr std::size_t kLatencyBuckets = 96;
 constexpr std::size_t kFlightCapacity = 8192;  // flight-ring size in events
 constexpr std::size_t kRecentTraces = 16;      // per-flow recent trace ids kept
 constexpr std::size_t kMaxDumps = 8;           // flight dumps captured per trial
+/// Consecutive violating window evaluations before a flow breaches, and
+/// consecutive clean ones before it recovers.
+constexpr std::uint32_t kBreachWindows = 2;
+constexpr std::uint32_t kRecoverWindows = 2;
 
 }  // namespace
 
-TelemetryHub::TelemetryHub(TelemetryConfig cfg)
-    : cfg_(cfg),
-      bucket_ns_(cfg.bucket.ns()),
-      latency_layout_(Histogram::log_scaled(kLatencyLoMs, kLatencyHiMs, kLatencyBuckets)),
-      window_ns_(cfg.bucket.ns() * static_cast<std::int64_t>(cfg.buckets)),
+TelemetryHub::TelemetryHub()
+    : latency_layout_(Histogram::log_scaled(kLatencyLoMs, kLatencyHiMs, kLatencyBuckets)),
       window_scratch_(latency_layout_),
       flight_(kDefaultCategories),
       dump_source_(&flight_) {
-  assert(bucket_ns_ > 0);
-  assert(cfg_.buckets > 0);
   flight_.set_ring_capacity(kFlightCapacity);
 }
 
@@ -45,12 +43,12 @@ TelemetryHub::FlowState& TelemetryHub::flow_state(std::uint64_t flow) {
 void TelemetryHub::enable_window(FlowState& f, TimePoint now) {
   if (f.windowed) return;
   f.windowed = true;
-  f.ring.reserve(cfg_.buckets);
-  for (std::uint32_t i = 0; i < cfg_.buckets; ++i) f.ring.emplace_back(latency_layout_);
+  f.ring.reserve(kWindowBuckets);
+  for (std::uint32_t i = 0; i < kWindowBuckets; ++i) f.ring.emplace_back(latency_layout_);
   // Bucket boundaries are integer multiples of the bucket width on the
   // simulation clock, so evaluation instants are deterministic regardless
   // of when monitoring was enabled.
-  f.bucket_start_ns = (now.ns() / bucket_ns_) * bucket_ns_;
+  f.bucket_start_ns = (now.ns() / kBucketNs) * kBucketNs;
   f.recent_traces.assign(kRecentTraces, 0);
 }
 
@@ -84,12 +82,12 @@ const SloSpec* TelemetryHub::slo(std::uint64_t flow) const {
 }
 
 void TelemetryHub::roll(FlowState& f, std::int64_t now_ns) {
-  while (now_ns >= f.bucket_start_ns + bucket_ns_) {
-    const std::int64_t boundary = f.bucket_start_ns + bucket_ns_;
+  while (now_ns >= f.bucket_start_ns + kBucketNs) {
+    const std::int64_t boundary = f.bucket_start_ns + kBucketNs;
     // The bucket that just completed updates the throughput EWMA before
     // the window is judged at this boundary.
     const double inst_bps = static_cast<double>(f.ring[f.cur].bytes) * 8.0e9 /
-                            static_cast<double>(bucket_ns_);
+                            static_cast<double>(kBucketNs);
     if (!f.ewma_seeded) {
       f.ewma_bps = inst_bps;
       f.ewma_seeded = true;
@@ -146,8 +144,8 @@ void TelemetryHub::evaluate(FlowState& f, std::int64_t t_ns) {
   if (!f.has_spec) return;
   const WindowStats w = window_stats(f);
   // Windows with no traffic at all are skipped as "clean": an idle flow
-  // recovers (nothing is violated) rather than pinning a throughput
-  // breach forever after load stops.
+  // recovers (nothing is violated) rather than pinning a breach forever
+  // after load stops.
   const bool empty = w.calls == 0 && w.deliveries == 0 && w.drops == 0;
   const char* metric = nullptr;
   double value = 0.0;
@@ -166,17 +164,12 @@ void TelemetryHub::evaluate(FlowState& f, std::int64_t t_ns) {
       metric = "p99_latency_ms";
       value = w.p99_latency_ms;
       threshold = *s.max_p99_latency_ms;
-    } else if (s.min_throughput_bps && f.ewma_seeded &&
-               w.throughput_bps < *s.min_throughput_bps) {
-      metric = "throughput_bps";
-      value = w.throughput_bps;
-      threshold = *s.min_throughput_bps;
     }
   }
   if (metric != nullptr) {
     f.good_streak = 0;
     ++f.bad_streak;
-    if (!f.breached && f.bad_streak >= f.spec.breach_windows) {
+    if (!f.breached && f.bad_streak >= kBreachWindows) {
       f.breached = true;
       f.breach_since_ns = t_ns;
       ++f.summary.breaches;
@@ -186,7 +179,7 @@ void TelemetryHub::evaluate(FlowState& f, std::int64_t t_ns) {
   } else {
     f.bad_streak = 0;
     ++f.good_streak;
-    if (f.breached && f.good_streak >= f.spec.recover_windows) {
+    if (f.breached && f.good_streak >= kRecoverWindows) {
       f.breached = false;
       f.summary.breached_ns += t_ns - f.breach_since_ns;
       ++f.summary.recoveries;
@@ -209,7 +202,7 @@ void TelemetryHub::capture_dump(const FlowState& f, std::int64_t t_ns,
   d.flow = f.id;
   d.metric = metric;
   d.ring_overwritten = dump_source_->overwritten();
-  const std::int64_t lo = t_ns - window_ns_;
+  const std::int64_t lo = t_ns - kWindowNs;
   dump_source_->for_each([&](const TraceEvent& e) {
     if (e.ts_ns < lo) return;
     bool implicated = false;

@@ -43,20 +43,17 @@
 namespace aqm::obs {
 
 /// Per-flow service-level objective. Only the set fields are evaluated;
-/// rates are per sliding window, latency is the window p99, throughput is
-/// an EWMA of per-bucket delivered goodput. Hysteresis: a flow must
-/// violate for `breach_windows` consecutive window evaluations to breach
-/// and be clean for `recover_windows` consecutive evaluations to recover.
+/// rates are per sliding window, latency is the window p99. Hysteresis
+/// (telemetry.cpp): a flow must violate for two consecutive window
+/// evaluations to breach and be clean for two consecutive evaluations to
+/// recover.
 struct SloSpec {
   std::optional<double> max_miss_rate;        // deadline misses / calls
   std::optional<double> max_drop_rate;        // drops / (deliveries + drops)
   std::optional<double> max_p99_latency_ms;   // window p99 of call latency
-  std::optional<double> min_throughput_bps;   // EWMA delivered throughput
-  std::uint32_t breach_windows = 2;
-  std::uint32_t recover_windows = 2;
 
   [[nodiscard]] bool any() const {
-    return max_miss_rate || max_drop_rate || max_p99_latency_ms || min_throughput_bps;
+    return max_miss_rate || max_drop_rate || max_p99_latency_ms;
   }
 
   friend bool operator==(const SloSpec&, const SloSpec&) = default;
@@ -122,26 +119,24 @@ struct FlightDump {
   std::vector<FlightEvent> events;
 };
 
-/// The window layout. The EWMA weight, latency histogram layout,
-/// flight-ring size and dump bounds are fixed (telemetry.cpp).
-struct TelemetryConfig {
-  Duration bucket = milliseconds(100);  // window bucket width
-  std::uint32_t buckets = 10;           // window = bucket * buckets
-};
-
 /// The engine-wired telemetry hub: owns the per-flow SLO monitors, the
 /// flight ring and the health stream for one trial (one hub per trial,
 /// like TraceRecorder/MetricsRegistry, keeps shard-parallel sweeps
 /// race-free). All observation points are O(1) with an MRU flow cache;
 /// windows roll lazily when an observation or poll crosses a bucket
 /// boundary, so quiet periods cost nothing until the next touch.
+///
+/// The window is kWindowBuckets buckets of kBucket each. The EWMA weight,
+/// latency histogram layout, flight-ring size and dump bounds are fixed
+/// too (telemetry.cpp).
 class TelemetryHub {
  public:
-  explicit TelemetryHub(TelemetryConfig cfg = {});
+  static constexpr Duration kBucket = milliseconds(100);  // window bucket width
+  static constexpr std::uint32_t kWindowBuckets = 10;     // window = kBucket * kWindowBuckets
+
+  TelemetryHub();
   TelemetryHub(const TelemetryHub&) = delete;
   TelemetryHub& operator=(const TelemetryHub&) = delete;
-
-  [[nodiscard]] const TelemetryConfig& config() const { return cfg_; }
 
   // --- SLO specs ------------------------------------------------------------
 
@@ -277,12 +272,13 @@ class TelemetryHub {
   void note_trace(FlowState& f, std::uint64_t trace);
   void capture_dump(const FlowState& f, std::int64_t t_ns, const char* metric);
 
-  TelemetryConfig cfg_;
+  static constexpr std::int64_t kBucketNs = kBucket.ns();
+  static constexpr std::int64_t kWindowNs = kBucketNs * kWindowBuckets;
+
   // Hot group: every field an inline observation point reads sits in the
-  // two cache lines following cfg_ — the MRU cache, the flow array
-  // pointer, the bucket width, and the latency layout bucket_index()
-  // consults. Keep declaration order (= memory order) tight here.
-  std::int64_t bucket_ns_;
+  // first two cache lines — the MRU cache, the flow array pointer and the
+  // latency layout bucket_index() consults. Keep declaration order (=
+  // memory order) tight here.
   // MRU cache: the last flow touched, to skip the index probe on runs of
   // observations for the same flow (the common case on the hot path).
   std::uint64_t mru_flow_ = 0;
@@ -290,7 +286,6 @@ class TelemetryHub {
   std::vector<FlowState> flows_;
   Histogram latency_layout_;
 
-  std::int64_t window_ns_;
   Histogram window_scratch_;  // merge target for window_stats()
   FlatIndex<std::uint64_t> flow_index_;  // flow id -> position in flows_
 
@@ -320,7 +315,7 @@ inline void TelemetryHub::on_call(std::uint64_t flow, TimePoint now,
   ++f.total_calls;
   if (trace != 0) note_trace(f, trace);
   if (!f.windowed) return;
-  if (now.ns() - f.bucket_start_ns >= bucket_ns_) roll(f, now.ns());
+  if (now.ns() - f.bucket_start_ns >= kBucketNs) roll(f, now.ns());
   Bucket& b = f.ring[f.cur];
   ++b.calls;
   b.latency.add_at(latency_layout_.bucket_index(latency_ms));
@@ -337,7 +332,7 @@ inline void TelemetryHub::on_delivery(std::uint64_t flow, TimePoint now,
   ++f.total_deliveries;
   f.total_bytes += bytes;
   if (!f.windowed) return;
-  if (now.ns() - f.bucket_start_ns >= bucket_ns_) roll(f, now.ns());
+  if (now.ns() - f.bucket_start_ns >= kBucketNs) roll(f, now.ns());
   Bucket& b = f.ring[f.cur];
   ++b.deliveries;
   b.bytes += bytes;
@@ -355,7 +350,7 @@ inline void TelemetryHub::on_drop(std::uint64_t flow, TimePoint now,
   ++f.total_drops;
   if (trace != 0) note_trace(f, trace);
   if (!f.windowed) return;
-  if (now.ns() - f.bucket_start_ns >= bucket_ns_) roll(f, now.ns());
+  if (now.ns() - f.bucket_start_ns >= kBucketNs) roll(f, now.ns());
   ++f.ring[f.cur].drops;
   ++f.w_drops;
 }

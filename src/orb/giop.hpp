@@ -46,8 +46,8 @@ inline constexpr std::uint32_t kTimestampContextId = 0x41514D01;
 /// RT-CORBA priority so every hop of a request shares one trace.
 inline constexpr std::uint32_t kTraceContextId = 0x41514D02;
 /// Vendor context: absolute end-to-end deadline (simulation clock). The
-/// server-side deadline interceptor drops requests that arrive expired
-/// before any servant work is spent on them.
+/// server ORB drops requests that arrive expired before any servant work
+/// is spent on them.
 inline constexpr std::uint32_t kDeadlineContextId = 0x41514D03;
 
 struct RequestHeader {

@@ -37,8 +37,9 @@ CompletionStatus decode_error_body(const std::vector<std::uint8_t>& body) {
 
 }  // namespace
 
-OrbEndpoint::OrbEndpoint(net::Network& net, net::NodeId node, os::Cpu& cpu, OrbConfig config)
-    : net_(net), cpu_(cpu), config_(config), transport_(net, node, config.transport) {
+OrbEndpoint::OrbEndpoint(net::Network& net, net::NodeId node, os::Cpu& cpu,
+                         TransportConfig transport)
+    : net_(net), cpu_(cpu), transport_(net, node, transport) {
   transport_.set_message_handler(
       [this](net::NodeId src, const MessageView& msg) { on_message(src, msg); });
 }
@@ -102,11 +103,10 @@ void OrbEndpoint::export_metrics(obs::MetricsRegistry& reg, std::string_view pre
     reg.counter(p + ".transport.batched_messages").set(transport_.batched_messages());
     reg.counter(p + ".transport.batches_delivered").set(transport_.batches_delivered());
   }
-  reg.counter(p + ".interceptor.client_vetoed").set(stats_.client_vetoed);
-  reg.counter(p + ".interceptor.server_vetoed").set(stats_.server_vetoed);
-  reg.counter(p + ".interceptor.deadline_dropped").set(stats_.deadline_dropped);
-  reg.counter(p + ".interceptor.deadline_missed").set(stats_.deadline_missed);
-  reg.counter(p + ".interceptor.retries").set(stats_.retries);
+  reg.counter(p + ".client_vetoed").set(stats_.client_vetoed);
+  reg.counter(p + ".server_vetoed").set(stats_.server_vetoed);
+  reg.counter(p + ".deadline_missed").set(stats_.deadline_missed);
+  reg.counter(p + ".retries").set(stats_.retries);
   for (const auto& [name, poa] : poas_) {
     const std::string base = p + ".poa." + name;
     reg.counter(base + ".dispatched").set(poa->dispatch_stats().dispatched);
@@ -166,7 +166,7 @@ void OrbEndpoint::start_attempt(std::uint32_t slot) {
     ++stats_.deadline_missed;
     if (obs::TelemetryHub* th = engine().telemetry()) th->on_deadline_miss(options.flow, now);
     if (obs::TraceRecorder* tr = orb_tracer()) {
-      tr->instant(obs::TraceCategory::Orb, "icpt.veto", obs_track_, now, 0,
+      tr->instant(obs::TraceCategory::Orb, "deadline.veto", obs_track_, now, 0,
                   {{"request_id", static_cast<double>(request_id)}});
     }
     // Vetoed invocations complete synchronously: no CPU or wire cost.
@@ -298,7 +298,7 @@ void OrbEndpoint::complete_exception(std::uint32_t slot, CompletionStatus status
       th->on_retry(rec.options.flow, engine().now());
     }
     if (obs::TraceRecorder* tr = orb_tracer()) {
-      tr->instant(obs::TraceCategory::Orb, "icpt.retry", obs_track_, engine().now(),
+      tr->instant(obs::TraceCategory::Orb, "retry", obs_track_, engine().now(),
                   rec.trace,
                   {{"attempt", static_cast<double>(rec.attempt + 1)},
                    {"backoff_us", static_cast<double>(backoff->ns()) / 1e3}});
@@ -408,9 +408,8 @@ void OrbEndpoint::handle_request(net::NodeId src, GiopMessage& msg, std::size_t 
   if (deadline && engine().now() > *deadline) {
     // Rejected with the status the client retries as a timeout.
     ++stats_.server_vetoed;
-    ++stats_.deadline_dropped;
     if (obs::TraceRecorder* tr = orb_tracer()) {
-      tr->instant(obs::TraceCategory::Orb, "icpt.veto", obs_track_, engine().now(), trace,
+      tr->instant(obs::TraceCategory::Orb, "deadline.veto", obs_track_, engine().now(), trace,
                   {{"request_id", static_cast<double>(header.request_id)},
                    {"status", static_cast<double>(CompletionStatus::Timeout)}});
     }

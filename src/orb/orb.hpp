@@ -56,12 +56,6 @@
 
 namespace aqm::orb {
 
-/// The marshal/demux CPU costs are fixed (orb.cpp); the transport is the
-/// configurable part.
-struct OrbConfig {
-  TransportConfig transport{};
-};
-
 /// Bounded retry with exponential backoff, applied by the client ORB to
 /// Timeout/Transient outcomes. max_attempts == 1 disables retries.
 struct RetryPolicy {
@@ -103,7 +97,6 @@ struct OrbStats {
   // --- deadline and retry counters ------------------------------------------
   std::uint64_t client_vetoed = 0;     // attempts that started past their deadline
   std::uint64_t server_vetoed = 0;     // requests that arrived past their deadline
-  std::uint64_t deadline_dropped = 0;  // server vetoes for expired deadlines
   std::uint64_t retries = 0;           // re-issued attempts
   std::uint64_t deadline_missed = 0;   // client-side misses: pre-send expiry + timeouts
 };
@@ -113,7 +106,10 @@ class OrbEndpoint {
   using ResponseCallback =
       std::function<void(CompletionStatus, std::vector<std::uint8_t> body)>;
 
-  OrbEndpoint(net::Network& net, net::NodeId node, os::Cpu& cpu, OrbConfig config = {});
+  /// The marshal/demux CPU costs are fixed (orb.cpp); the transport is the
+  /// configurable part.
+  OrbEndpoint(net::Network& net, net::NodeId node, os::Cpu& cpu,
+              TransportConfig transport = {});
   OrbEndpoint(const OrbEndpoint&) = delete;
   OrbEndpoint& operator=(const OrbEndpoint&) = delete;
 
@@ -153,7 +149,6 @@ class OrbEndpoint {
   [[nodiscard]] sim::Engine& engine() { return net_.engine(); }
   [[nodiscard]] GiopTransport& transport() { return transport_; }
   [[nodiscard]] const OrbStats& stats() const { return stats_; }
-  [[nodiscard]] const OrbConfig& config() const { return config_; }
   /// Encode-buffer pool shared by this endpoint's request and reply paths.
   [[nodiscard]] CdrBufferPool& buffer_pool() { return pool_; }
 
@@ -259,7 +254,6 @@ class OrbEndpoint {
 
   net::Network& net_;
   os::Cpu& cpu_;
-  OrbConfig config_;
   CdrBufferPool pool_;
   GiopTransport transport_;
   rt::PriorityMapping priority_mapping_;

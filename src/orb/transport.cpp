@@ -19,6 +19,11 @@ constexpr std::size_t kBatchHeaderSize = 8;
 constexpr std::size_t kBatchCountOffset = 6;  // u16 LE, patched at flush
 constexpr std::uint32_t kBatchMaxCount = 0xFFFF;
 
+constexpr std::uint32_t kPacketOverhead = 40;  // IP + TCP-ish framing per fragment
+/// How long a partly reassembled message waits for its missing fragments
+/// before it counts as lost.
+constexpr Duration kReassemblyTimeout = seconds(5);
+
 }  // namespace
 
 // Fragments ride in every data packet; keep them inside the payload's
@@ -27,7 +32,7 @@ static_assert(sizeof(GiopFragment) <= net::PacketPayload::kInlineSize);
 
 GiopTransport::GiopTransport(net::Network& net, net::NodeId node, TransportConfig config)
     : net_(net), node_(node), config_(config) {
-  assert(config_.mtu > config_.packet_overhead);
+  assert(config_.mtu > kPacketOverhead);
   net_.set_receiver(node_, [this](net::Packet&& p) { on_packet(std::move(p)); });
 }
 
@@ -188,7 +193,7 @@ void GiopTransport::flush_slot(std::uint32_t slot) {
 
 void GiopTransport::transmit(net::NodeId dst, MessageBuffer msg, net::Dscp dscp,
                              net::FlowId flow, std::uint64_t trace) {
-  const std::uint32_t payload_mtu = config_.mtu - config_.packet_overhead;
+  const std::uint32_t payload_mtu = config_.mtu - kPacketOverhead;
   const auto total = static_cast<std::uint32_t>(msg->size());
   const std::uint32_t count = (total + payload_mtu - 1) / payload_mtu;
   const std::uint64_t message_id = next_message_id_++;
@@ -198,7 +203,7 @@ void GiopTransport::transmit(net::NodeId dst, MessageBuffer msg, net::Dscp dscp,
     const std::uint32_t length = std::min(payload_mtu, total - offset);
     net::Packet p;
     p.dst = dst;
-    p.size_bytes = length + config_.packet_overhead;
+    p.size_bytes = length + kPacketOverhead;
     p.dscp = dscp;
     p.ecn = config_.ecn_capable ? net::Ecn::Capable : net::Ecn::NotCapable;
     p.flow = flow;
@@ -276,7 +281,7 @@ void GiopTransport::on_packet(net::Packet&& p) {
     r.src = p.src;
     r.message_id = frag->message_id;
     r.expiry = net_.engine().after(
-        config_.reassembly_timeout,
+        kReassemblyTimeout,
         [this, src = p.src, id = frag->message_id] { expire(src, id); });
     reassembly_index_.insert(reassembly_key(p.src, frag->message_id), slot);
   }

@@ -8,7 +8,7 @@
 // Batching session layer (DESIGN.md §11): on a flow with a BatchPolicy,
 // small messages to the same (destination, DSCP, flow) accumulate in a
 // staging buffer and ship as one wire write — one fragmentation pass, one
-// packet_overhead share — framed under a "GBAT" header and unpacked on the
+// per-packet framing overhead — framed under a "GBAT" header and unpacked on the
 // receive side into zero-copy MessageViews over the batch buffer. Flushes
 // are driven by byte/count thresholds or an engine-timer deadline, so the
 // batched world stays exactly as deterministic as the unbatched one.
@@ -59,8 +59,6 @@ struct BatchPolicy {
 
 struct TransportConfig {
   std::uint32_t mtu = net::kDefaultMtu;
-  std::uint32_t packet_overhead = 40;  // IP + TCP-ish framing per fragment
-  Duration reassembly_timeout = seconds(5);
   /// Send fragments ECN-capable: RED routers then mark instead of drop
   /// under incipient congestion, and ce_marks() exposes the feedback.
   bool ecn_capable = false;

@@ -49,10 +49,7 @@ double LoadGenerator::offered_utilization() const {
 }
 
 void LoadGenerator::arm_next() {
-  const double mean_ns = static_cast<double>(config_.interval_mean.ns());
-  const double wait_ns = config_.exponential_arrivals
-                             ? rng_.exponential(mean_ns)
-                             : mean_ns;
+  const double wait_ns = rng_.exponential(static_cast<double>(config_.interval_mean.ns()));
   next_event_ = engine_.after(Duration{std::max<std::int64_t>(1, static_cast<std::int64_t>(wait_ns))},
                               [this] {
                                 next_event_ = sim::EventId{};

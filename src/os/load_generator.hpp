@@ -3,7 +3,7 @@
 // was variable and not sustained").
 //
 // The generator submits bursts of CPU work open-loop: burst arrivals follow
-// a (fixed or exponential) inter-arrival process and each burst costs a
+// an exponential inter-arrival process and each burst costs a
 // randomized amount of CPU time, all at a fixed priority. Seeded, so load
 // patterns are reproducible.
 #pragma once
@@ -25,7 +25,6 @@ class LoadGenerator {
     Duration burst_mean = milliseconds(20);    // mean CPU cost per burst
     double burst_jitter = 0.5;                 // burst ~ U[mean*(1-j), mean*(1+j)]
     Duration interval_mean = milliseconds(60); // mean time between burst arrivals
-    bool exponential_arrivals = true;          // false = fixed interval
     std::uint64_t seed = 1;
   };
 

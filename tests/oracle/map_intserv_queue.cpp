@@ -10,7 +10,7 @@ using net::TokenBucket;
 
 MapIntServQueue::MapIntServQueue(Config config) : config_(config) {
   if (config_.parent_rate_bps > 0.0) {
-    parent_.emplace(config_.parent_rate_bps, config_.parent_bucket_bytes);
+    parent_.emplace(config_.parent_rate_bps, net::IntServQueue::kParentBucketBytes);
   }
 }
 
@@ -94,14 +94,15 @@ double MapIntServQueue::flow_rate_bps(FlowId flow) const {
 
 std::optional<Packet> MapIntServQueue::enqueue(Packet p, TimePoint now) {
   if (net::classify(p.dscp) == net::PhbClass::NetworkControl) {
-    return admit(control_, config_.control_capacity, std::move(p));
+    return admit(control_, net::IntServQueue::kControlCapacity, std::move(p));
   }
   const auto it = p.flow != net::kNoFlow ? flows_.find(p.flow) : flows_.end();
   if (it != flows_.end()) {
     Flow& f = it->second;
     // Capacity first, so a full flow queue burns no tokens.
-    if (f.q.size() < config_.flow_capacity && police(f.bucket, p.size_bytes, now)) {
-      return admit(f.q, config_.flow_capacity, std::move(p));
+    if (f.q.size() < net::IntServQueue::kFlowCapacity &&
+        police(f.bucket, p.size_bytes, now)) {
+      return admit(f.q, net::IntServQueue::kFlowCapacity, std::move(p));
     }
   }
   return admit(best_effort_, config_.best_effort_capacity, std::move(p));

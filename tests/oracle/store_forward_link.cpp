@@ -5,13 +5,10 @@
 
 namespace aqm::oracle {
 
-StoreForwardLink::StoreForwardLink(sim::Engine& engine, net::NodeId from, net::NodeId to,
-                                   net::LinkConfig config, std::unique_ptr<net::Queue> queue)
-    : engine_(engine),
-      config_(config),
-      queue_(std::move(queue)),
-      loss_rng_(config.loss_seed ^ (static_cast<std::uint64_t>(from) << 32) ^
-                static_cast<std::uint64_t>(to) ^ 0xA1B2C3D4E5F60718ULL) {
+StoreForwardLink::StoreForwardLink(sim::Engine& engine, net::NodeId /*from*/,
+                                   net::NodeId /*to*/, net::LinkConfig config,
+                                   std::unique_ptr<net::Queue> queue)
+    : engine_(engine), config_(config), queue_(std::move(queue)) {
   assert(queue_ != nullptr);
 }
 
@@ -36,14 +33,9 @@ void StoreForwardLink::try_transmit() {
   ++tx_packets_;
   engine_.after(transmission_time(next->size_bytes), [this, p = std::move(*next)]() mutable {
     busy_ = false;
-    if (config_.loss_probability > 0.0 && loss_rng_.bernoulli(config_.loss_probability)) {
-      ++corrupted_;
-      if (on_drop_) on_drop_(p);
-    } else {
-      engine_.after(config_.propagation, [this, p = std::move(p)]() mutable {
-        if (deliver_) deliver_(std::move(p));
-      });
-    }
+    engine_.after(config_.propagation, [this, p = std::move(p)]() mutable {
+      if (deliver_) deliver_(std::move(p));
+    });
     try_transmit();
   });
 }

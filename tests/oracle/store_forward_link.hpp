@@ -2,22 +2,17 @@
 //
 // A literal store-and-forward transmitter: when it is idle and the queue
 // holds a packet, the packet starts serializing now; one event
-// fires at the end of serialization (draw the corruption loss, free the
-// transmitter, serve the next packet) and one more at the end of
-// propagation (deliver). That is about two engine events per packet,
-// against net::Link's one; the packet timing, dequeue instants and loss
-// draws must match it exactly.
-//
-// The loss RNG is seeded with net::Link's formula over (loss_seed, from,
-// to), so a lossy model corrupts the same transmissions. Observability
-// hooks (trace lanes, telemetry) are left out.
+// fires at the end of serialization (free the transmitter, serve the next
+// packet) and one more at the end of propagation (deliver). That is about
+// two engine events per packet, against net::Link's one; the packet timing
+// and dequeue instants must match it exactly. Observability hooks (trace
+// lanes, telemetry) are left out.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 
-#include "common/rng.hpp"
 #include "common/time.hpp"
 #include "net/link.hpp"
 #include "net/packet.hpp"
@@ -37,13 +32,12 @@ class StoreForwardLink {
   StoreForwardLink& operator=(const StoreForwardLink&) = delete;
 
   void set_delivery(DeliveryFn fn) { deliver_ = std::move(fn); }
-  /// Called for queue drops and corrupted transmissions alike.
+  /// Called for queue drops.
   void set_drop_hook(DropFn fn) { on_drop_ = std::move(fn); }
 
   void send(net::Packet p);
 
   [[nodiscard]] std::uint64_t packets_transmitted() const { return tx_packets_; }
-  [[nodiscard]] std::uint64_t packets_corrupted() const { return corrupted_; }
 
  private:
   void try_transmit();
@@ -56,8 +50,6 @@ class StoreForwardLink {
   DropFn on_drop_;
   bool busy_ = false;
   std::uint64_t tx_packets_ = 0;
-  std::uint64_t corrupted_ = 0;
-  Rng loss_rng_;
 };
 
 }  // namespace aqm::oracle

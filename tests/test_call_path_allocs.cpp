@@ -42,7 +42,6 @@
 #include "obs/telemetry.hpp"
 #include "orb/orb.hpp"
 #include "orb/servant.hpp"
-#include "os/load_generator.hpp"
 #include "sim/engine.hpp"
 
 // --- counting allocator ------------------------------------------------------
@@ -76,7 +75,7 @@ constexpr std::uint64_t kWindow = 10'000;
 // --- twoway RT-CORBA calls ----------------------------------------------------
 
 /// Twoway callers on the Figs. 4-6 testbed. Every input is periodic with
-/// one 10 ms period — each caller calls every 2.5 ms, the LoadGenerator
+/// one 10 ms period — each caller calls every 2.5 ms, the CPU load
 /// bursts every 10 ms, the hard reserve replenishes every 10 ms — so after
 /// warm-up the simulation repeats itself and no queue, pool or calendar
 /// meets a new peak in the window. body[0] selects the servant's answer:
@@ -110,13 +109,10 @@ class TwowayCalls {
     const auto servant = std::make_shared<orb::FunctionServant>(
         microseconds(200), [this](orb::ServerRequest& req) { serve(req); });
 
-    os::LoadGenerator::Config load;
-    load.priority = 128;
-    load.burst_mean = milliseconds(2);
-    load.burst_jitter = 0.0;
-    load.interval_mean = kPeriod;
-    load.exponential_arrivals = false;
-    load_ = std::make_unique<os::LoadGenerator>(bed_.engine, bed_.receiver_cpu, load, 7);
+    // Competing CPU load: a 2 ms burst at priority 128 every period.
+    load_ = std::make_unique<sim::PeriodicTimer>(bed_.engine, kPeriod, [this] {
+      bed_.receiver_cpu.submit_for(milliseconds(2), 128, nullptr);
+    });
     load_->start();
 
     for (std::size_t i = 0; i < kCallers; ++i) {
@@ -219,7 +215,7 @@ class TwowayCalls {
   core::PriorityTestbed bed_;
   obs::TelemetryHub hub_;
   os::ReserveId reserve_ = os::kNoReserve;
-  std::unique_ptr<os::LoadGenerator> load_;
+  std::unique_ptr<sim::PeriodicTimer> load_;
   std::vector<std::unique_ptr<Caller>> callers_;
   std::vector<std::vector<std::uint8_t>> bodies_;
   std::array<orb::ServerRequest::Replier, 64> repliers_{};
@@ -342,7 +338,7 @@ TEST(CallPathAllocs, CityFanInBurstAllocatesNothingAndPoolTracksPeak) {
     intserv.push_back(q.get());
     net.add_link(from, to, cfg, std::move(q));
     fifos += 3;  // best effort + control + in flight
-    ring_capacity += qc.best_effort_capacity + qc.control_capacity;
+    ring_capacity += qc.best_effort_capacity + net::IntServQueue::kControlCapacity;
   };
   for (const net::NodeId e : edges) add_intserv(e, core, edge_up);
   add_intserv(core, sink, core_up);

@@ -423,23 +423,45 @@ void expect_same(const std::vector<Op>& script, const IntServQueue::Config& conf
 
 class FlowTableDiff : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// Fills one generously reserved flow past IntServQueue::kFlowCapacity
+/// before the random churn starts, so the capacity clamp (excess demoted,
+/// then dropped by the full best-effort queue) is exercised too.
+std::vector<Op> with_capacity_burst(std::vector<Op> script) {
+  std::vector<Op> burst;
+  Op install{Op::Kind::Install};
+  install.flow = 3;
+  install.rate_bps = 1e9;
+  install.bucket_bytes = 1'000'000;
+  burst.push_back(install);
+  for (std::size_t i = 0; i < IntServQueue::kFlowCapacity + 40; ++i) {
+    Op enq{Op::Kind::Enqueue};
+    enq.flow = 3;
+    enq.size = 500;
+    burst.push_back(enq);
+  }
+  Op probe{Op::Kind::Probe};
+  probe.flow = 3;
+  burst.push_back(probe);
+  script.insert(script.begin(), burst.begin(), burst.end());
+  return script;
+}
+
 TEST_P(FlowTableDiff, DemoteModeMatchesLegacy) {
   IntServQueue::Config config;
-  config.flow_capacity = 4;           // small: exercises capacity clamps
-  config.best_effort_capacity = 32;   // small: exercises demote drops
-  const auto script = random_script(GetParam(), 600);
+  config.best_effort_capacity = 32;  // small: exercises demote drops
+  const auto script = with_capacity_burst(random_script(GetParam(), 600));
   expect_same(script, config);
 }
 
 TEST_P(FlowTableDiff, HierarchicalParentMatchesLegacy) {
   // The shared parent bucket must police identically in production and in
-  // the oracle's own two-level policer, over two scripts per seed.
+  // the oracle's own two-level policer, over two scripts per seed. At
+  // 200 kbps the parent, not the flows' own buckets, refuses most of the
+  // reserved load once its 64 kB depth is spent.
   for (const std::uint64_t salt : {0xA1u, 0xB2u}) {
     IntServQueue::Config config;
-    config.flow_capacity = 4;
     config.best_effort_capacity = 32;
-    config.parent_rate_bps = 2e6;
-    config.parent_bucket_bytes = 6'000;
+    config.parent_rate_bps = 2e5;
     const auto script = random_script(GetParam() ^ salt, 600);
     expect_same(script, config);
   }

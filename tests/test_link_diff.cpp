@@ -8,8 +8,10 @@
 // link of each kind from one seeded arrival script — flow 5 at 8 Mbps
 // Poisson plus flow 6 at 7 Mbps CBR into a 10 Mbps egress for 300 ms —
 // and compares the per-packet (flow, seq, delivery ns) logs, the per-flow
-// drop counts and the transmitted/corrupted counts, across drop-tail,
-// lossy, IntServ-policed and long-propagation configurations.
+// drop counts and the transmitted counts, across drop-tail, lossy,
+// IntServ-policed and long-propagation configurations. Loss comes from
+// oracle::LossyQueue in front of the egress discipline: links lose no
+// packets of their own.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +25,7 @@
 #include "common/rng.hpp"
 #include "net/link.hpp"
 #include "net/queue.hpp"
+#include "oracle/lossy_queue.hpp"
 #include "oracle/store_forward_link.hpp"
 #include "sim/engine.hpp"
 
@@ -30,7 +33,7 @@ namespace aqm::net {
 namespace {
 
 struct LinkCase {
-  double loss_probability = 0.0;
+  double loss = 0.0;     // Bernoulli loss of arrivals at the egress
   bool intserv = false;  // IntServ egress with one policed reserved flow
   Duration propagation = LinkConfig{}.propagation;
   std::uint32_t packet_bytes = kDefaultMtu;
@@ -67,16 +70,20 @@ std::vector<Arrival> arrival_script(const LinkCase& c) {
   return script;
 }
 
-std::unique_ptr<Queue> make_egress(const LinkCase& c) {
+std::unique_ptr<Queue> make_discipline(const LinkCase& c) {
   if (!c.intserv) return std::make_unique<DropTailQueue>(40);
   // Flow 5 reserves half of its 8 Mbps offered load: its conforming
   // packets are served ahead of best effort, the excess is demoted into
   // the best-effort queue, where it tail-drops alongside flow 6.
-  auto q = std::make_unique<IntServQueue>(IntServQueue::Config{
-      /*best_effort_capacity=*/40, /*flow_capacity=*/60, /*control_capacity=*/10});
+  auto q = std::make_unique<IntServQueue>(IntServQueue::Config{/*best_effort_capacity=*/40});
   q->install_reservation(/*flow=*/5, /*rate_bps=*/4e6, /*bucket_bytes=*/6'000,
                          TimePoint::zero());
   return q;
+}
+
+std::unique_ptr<Queue> make_egress(const LinkCase& c) {
+  if (c.loss == 0.0) return make_discipline(c);
+  return std::make_unique<oracle::LossyQueue>(make_discipline(c), c.loss, /*seed=*/99);
 }
 
 /// One delivered packet: (flow, seq, delivery instant in ns).
@@ -84,10 +91,9 @@ using Delivery = std::tuple<FlowId, std::uint64_t, std::int64_t>;
 
 struct LinkCaseStats {
   std::map<FlowId, std::uint64_t> sent;
-  std::map<FlowId, std::uint64_t> dropped;  // queue drops and corruption
+  std::map<FlowId, std::uint64_t> dropped;
   std::map<FlowId, std::uint64_t> queue_dropped;  // rejected inside send()
   std::uint64_t transmitted = 0;
-  std::uint64_t corrupted = 0;
   std::uint64_t events_executed = 0;
   std::vector<Delivery> deliveries;  // in delivery order
 };
@@ -97,8 +103,6 @@ LinkCaseStats run_link_case(const LinkCase& c) {
   sim::Engine engine;
   LinkConfig cfg;
   cfg.bandwidth_bps = 10e6;
-  cfg.loss_probability = c.loss_probability;
-  cfg.loss_seed = 99;
   cfg.propagation = c.propagation;
   LinkT link(engine, /*from=*/0, /*to=*/1, cfg, make_egress(c));
 
@@ -106,8 +110,8 @@ LinkCaseStats run_link_case(const LinkCase& c) {
   link.set_delivery([&](Packet&& p) {
     s.deliveries.emplace_back(p.flow, p.seq, engine.now().ns());
   });
-  // The egress queue rejects synchronously inside send(); corruption drops
-  // fire later from the engine.
+  // The egress queue rejects synchronously inside send(); drops of queued
+  // packets (none on these queues) would fire later from the engine.
   bool in_send = false;
   link.set_drop_hook([&](const Packet& p) {
     ++s.dropped[p.flow];
@@ -130,7 +134,6 @@ LinkCaseStats run_link_case(const LinkCase& c) {
   engine.run();
 
   s.transmitted = link.packets_transmitted();
-  s.corrupted = link.packets_corrupted();
   s.events_executed = engine.executed();
   return s;
 }
@@ -160,10 +163,9 @@ LinkCaseStats expect_equivalent(const LinkCase& c, const char* what) {
   EXPECT_EQ(ref.dropped, coalesced.dropped) << what;
   EXPECT_EQ(ref.queue_dropped, coalesced.queue_dropped) << what;
   EXPECT_EQ(ref.transmitted, coalesced.transmitted) << what;
-  EXPECT_EQ(ref.corrupted, coalesced.corrupted) << what;
   // Per packet, not only in aggregate: same packets, same order, same
   // delivery instants.
-  EXPECT_EQ(ref.deliveries.size(), ref.transmitted - ref.corrupted) << what;
+  EXPECT_EQ(ref.deliveries.size(), ref.transmitted) << what;
   EXPECT_EQ(ref.deliveries, coalesced.deliveries) << what;
   // Same observable outcome, fewer events.
   EXPECT_LT(coalesced.events_executed, ref.events_executed) << what;
@@ -174,11 +176,12 @@ TEST(LinkCoalescing, EquivalentOnSaturatedDropTail) {
   expect_equivalent({}, "drop-tail");
 }
 
+/// Random arrivals lost at the egress: every decision the transmitter
+/// replays must see the same surviving queue as the reference.
 TEST(LinkCoalescing, EquivalentWithRandomLoss) {
   LinkCase c;
-  c.loss_probability = 0.05;
-  const LinkCaseStats s = expect_equivalent(c, "lossy");
-  EXPECT_GT(s.corrupted, 0u);
+  c.loss = 0.05;
+  expect_equivalent(c, "lossy");
 }
 
 /// The IntServ cases must exercise all three of its decisions: flow 5's
@@ -207,7 +210,7 @@ TEST(LinkCoalescing, EquivalentWithTokenBucketGating) {
 TEST(LinkCoalescing, EquivalentGatedAndLossy) {
   LinkCase c;
   c.intserv = true;
-  c.loss_probability = 0.03;
+  c.loss = 0.03;
   expect_intserv_decisions(expect_equivalent(c, "intserv+lossy"), "intserv+lossy");
 }
 
@@ -222,15 +225,13 @@ TEST(LinkCoalescing, InFlightFifoOnLongPropagation) {
   EXPECT_GE(max_in_flight(s.deliveries, c.propagation), 24u);
 }
 
-/// Same, with corrupted packets interleaved: they take the separate drop
-/// event and must never enter the in-flight FIFO.
+/// Same, with lost arrivals thinning the stream the FIFO carries.
 TEST(LinkCoalescing, InFlightFifoOnLongPropagationLossy) {
   LinkCase c;
   c.propagation = milliseconds(20);
   c.packet_bytes = 1000;
-  c.loss_probability = 0.2;
+  c.loss = 0.2;
   const LinkCaseStats s = expect_equivalent(c, "long propagation, lossy");
-  EXPECT_GT(s.corrupted, 0u);
   EXPECT_GE(max_in_flight(s.deliveries, c.propagation), 15u);
 }
 

@@ -267,28 +267,6 @@ TEST(FlowMonitor, RecordsLatencyAndGaps) {
   EXPECT_NEAR(stats.min(), 1.0, 0.01);  // 1ms serialization
 }
 
-TEST(LossyLink, DropsApproximatelyConfiguredFraction) {
-  sim::Engine e;
-  Network net(e);
-  const NodeId a = net.add_node("a");
-  const NodeId b = net.add_node("b");
-  LinkConfig lossy = fast_link(100e6);
-  lossy.loss_probability = 0.2;
-  lossy.loss_seed = 5;
-  net.add_link(a, b, lossy);
-  net.add_link(b, a, fast_link());
-  int received = 0;
-  net.set_receiver(b, [&](Packet&&) { ++received; });
-  const int sent = 5000;
-  for (int i = 0; i < sent; ++i) {
-    e.after(microseconds(200 * i), [&] { net.send(a, make_packet(b, 500, 8)); });
-  }
-  e.run();
-  EXPECT_NEAR(static_cast<double>(received) / sent, 0.8, 0.03);
-  EXPECT_EQ(net.flow(8).dropped + net.flow(8).delivered, net.flow(8).sent);
-  EXPECT_EQ(net.link_between(a, b)->packets_corrupted(), net.flow(8).dropped);
-}
-
 TEST(LossyLink, ZeroLossByDefault) {
   sim::Engine e;
   Network net(e);
@@ -302,30 +280,7 @@ TEST(LossyLink, ZeroLossByDefault) {
   }
   e.run();
   EXPECT_EQ(received, 100);
-  EXPECT_EQ(net.link_between(a, b)->packets_corrupted(), 0u);
-}
-
-TEST(LossyLink, DeterministicForSeed) {
-  auto run = [](std::uint64_t seed) {
-    sim::Engine e;
-    Network net(e);
-    const NodeId a = net.add_node("a");
-    const NodeId b = net.add_node("b");
-    LinkConfig lossy = fast_link(100e6);
-    lossy.loss_probability = 0.3;
-    lossy.loss_seed = seed;
-    net.add_link(a, b, lossy);
-    net.add_link(b, a, fast_link());
-    int received = 0;
-    net.set_receiver(b, [&](Packet&&) { ++received; });
-    for (int i = 0; i < 500; ++i) {
-      e.after(microseconds(100 * i), [&] { net.send(a, make_packet(b, 500)); });
-    }
-    e.run();
-    return received;
-  };
-  EXPECT_EQ(run(1), run(1));
-  EXPECT_NE(run(1), run(2));
+  EXPECT_EQ(net.flow(1).dropped, 0u);
 }
 
 TEST(FlowMonitor, DownstreamStillSeesPackets) {

@@ -97,8 +97,6 @@ TEST(DiffServQueue, ClassifyMapsCodepoints) {
 IntServQueue::Config small_config() {
   IntServQueue::Config cfg;
   cfg.best_effort_capacity = 4;
-  cfg.flow_capacity = 4;
-  cfg.control_capacity = 4;
   return cfg;
 }
 

@@ -23,19 +23,17 @@ Packet make_packet(Ecn ecn = Ecn::NotCapable) {
   return p;
 }
 
-RedConfig small_red() {
-  RedConfig cfg;
-  cfg.capacity_packets = 100;
-  cfg.min_threshold = 5;
-  cfg.max_threshold = 20;
-  cfg.max_probability = 0.2;
-  cfg.weight = 0.5;  // fast-moving average for unit tests
-  return cfg;
+// The queue's EWMA weight is 0.002 per arrival, so with nothing dequeued
+// the average after n arrivals is about n - 500 * (1 - e^(-n/500)): 9 at
+// 100 arrivals, 35 at 200, past the 200-packet max threshold from about
+// 530 on. The min threshold is 30 packets and the capacity 1000.
+void fill(RedQueue& q, int n, Ecn ecn) {
+  for (int i = 0; i < n; ++i) (void)q.enqueue(make_packet(ecn), TimePoint::zero());
 }
 
 TEST(RedQueue, NoSignalsBelowMinThreshold) {
-  RedQueue q(small_red());
-  for (int i = 0; i < 4; ++i) {
+  RedQueue q;
+  for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(q.enqueue(make_packet(Ecn::Capable), TimePoint::zero()).has_value());
   }
   EXPECT_EQ(q.ecn_marked(), 0u);
@@ -43,9 +41,9 @@ TEST(RedQueue, NoSignalsBelowMinThreshold) {
 }
 
 TEST(RedQueue, SustainedBacklogMarksCapablePackets) {
-  RedQueue q(small_red());
-  // Build a standing queue well past max_threshold without dequeuing.
-  for (int i = 0; i < 60; ++i) (void)q.enqueue(make_packet(Ecn::Capable), TimePoint::zero());
+  RedQueue q;
+  // Build a standing queue well past the max threshold without dequeuing.
+  fill(q, 600, Ecn::Capable);
   EXPECT_GT(q.ecn_marked(), 10u);
   EXPECT_EQ(q.early_dropped(), 0u);  // capable packets are marked, not dropped
   // Marked packets come out with CongestionExperienced set.
@@ -57,39 +55,29 @@ TEST(RedQueue, SustainedBacklogMarksCapablePackets) {
 }
 
 TEST(RedQueue, NonCapablePacketsAreDroppedInstead) {
-  RedQueue q(small_red());
-  for (int i = 0; i < 60; ++i) (void)q.enqueue(make_packet(Ecn::NotCapable), TimePoint::zero());
+  RedQueue q;
+  fill(q, 600, Ecn::NotCapable);
   EXPECT_EQ(q.ecn_marked(), 0u);
   EXPECT_GT(q.early_dropped(), 10u);
   EXPECT_EQ(q.stats().dropped, q.early_dropped());
 }
 
-TEST(RedQueue, EcnDisabledDropsCapablePacketsToo) {
-  RedConfig cfg = small_red();
-  cfg.ecn = false;
-  RedQueue q(cfg);
-  for (int i = 0; i < 60; ++i) (void)q.enqueue(make_packet(Ecn::Capable), TimePoint::zero());
-  EXPECT_EQ(q.ecn_marked(), 0u);
-  EXPECT_GT(q.early_dropped(), 10u);
-}
-
 TEST(RedQueue, HardCapacityStillEnforced) {
-  RedConfig cfg = small_red();
-  cfg.capacity_packets = 10;
-  RedQueue q(cfg);
+  RedQueue q;
   int rejected = 0;
-  for (int i = 0; i < 30; ++i) {
+  for (int i = 0; i < 1'100; ++i) {
     if (q.enqueue(make_packet(Ecn::Capable), TimePoint::zero()).has_value()) ++rejected;
   }
-  EXPECT_EQ(q.packets(), 10u);
-  EXPECT_GT(rejected, 0);
+  EXPECT_EQ(q.packets(), 1'000u);
+  EXPECT_EQ(rejected, 100);
 }
 
 TEST(RedQueue, AverageTracksOccupancy) {
-  RedQueue q(small_red());
+  RedQueue q;
   EXPECT_DOUBLE_EQ(q.average_queue(), 0.0);
-  for (int i = 0; i < 30; ++i) (void)q.enqueue(make_packet(Ecn::Capable), TimePoint::zero());
-  EXPECT_GT(q.average_queue(), 5.0);
+  fill(q, 200, Ecn::Capable);
+  EXPECT_GT(q.average_queue(), 30.0);
+  EXPECT_LT(q.average_queue(), 40.0);
 }
 
 TEST(EcnEndToEnd, TransportCountsCongestionMarks) {
@@ -106,17 +94,13 @@ TEST(EcnEndToEnd, TransportCountsCongestionMarks) {
   bottleneck.bandwidth_bps = 10e6;
   net.add_duplex_link(sender, router, access);
   net.add_duplex_link(load_src, router, access);
-  RedConfig red;
-  red.min_threshold = 20;
-  red.max_threshold = 100;
-  red.max_probability = 0.2;
-  net.add_link(router, receiver, bottleneck, std::make_unique<RedQueue>(red));
+  net.add_link(router, receiver, bottleneck, std::make_unique<RedQueue>());
   net.add_link(receiver, router, access);
 
   os::Cpu sender_cpu(engine, "sender-cpu");
   os::Cpu receiver_cpu(engine, "receiver-cpu");
-  orb::OrbConfig ecn_orb;
-  ecn_orb.transport.ecn_capable = true;
+  orb::TransportConfig ecn_orb;
+  ecn_orb.ecn_capable = true;
   orb::OrbEndpoint sender_orb(net, sender, sender_cpu, ecn_orb);
   orb::OrbEndpoint receiver_orb(net, receiver, receiver_cpu, ecn_orb);
 

@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "net/network.hpp"
+#include "net/queue.hpp"
 #include "net/rsvp.hpp"
+#include "oracle/lossy_queue.hpp"
 #include "sim/engine.hpp"
 
 namespace aqm::net {
@@ -339,12 +341,16 @@ TEST(RsvpLoss, RetriesSucceedOverLossyLink) {
     Network net(engine);
     const NodeId a = net.add_node("a");
     const NodeId b = net.add_node("b");
-    LinkConfig lossy;
-    lossy.bandwidth_bps = 10e6;
-    lossy.loss_probability = 0.3;  // per packet, both directions
-    lossy.loss_seed = static_cast<std::uint64_t>(trial) + 100;
-    net.add_link(a, b, lossy, std::make_unique<IntServQueue>(IntServQueue::Config{}));
-    net.add_link(b, a, lossy);
+    LinkConfig cfg;
+    cfg.bandwidth_bps = 10e6;
+    // 30% loss per packet, both directions.
+    const auto seed = static_cast<std::uint64_t>(trial) + 100;
+    const auto lossy = [](std::uint64_t queue_seed) {
+      return std::make_unique<oracle::LossyQueue>(std::make_unique<DropTailQueue>(1000), 0.3,
+                                                  queue_seed);
+    };
+    net.add_link(a, b, cfg, lossy(seed));
+    net.add_link(b, a, cfg, lossy(seed + 1'000));
     RsvpAgent agent_a(net, a);
     RsvpAgent agent_b(net, b);
     std::optional<bool> ok;

@@ -128,20 +128,28 @@ TEST_F(ChannelFixture, ContractObservesRemoteCondition) {
 namespace aqm::av {
 namespace {
 
-RateAdaptationConfig quick_config(double reserved, double ip_rate) {
+// The qosket's fixed contract (rate_adaptation.cpp): a level change arms
+// 4 grace reports, 4 consecutive reports in loss step down again, and the
+// first upgrade probe waits for 16 clean reports, doubling after each probe.
+constexpr int kGrace = 4;
+constexpr int kPersistentLoss = 4;
+constexpr int kFirstHold = 16;
+
+RateAdaptationConfig rates(double reserved, double ip_rate) {
   RateAdaptationConfig cfg;
-  cfg.grace_reports = 0;
-  cfg.persistent_loss_reports = 2;
-  cfg.initial_upgrade_hold_reports = 3;
   cfg.reserved_rate_bps = reserved;
   cfg.ip_stream_rate_bps = ip_rate;
   return cfg;
 }
 
+void report_n(RateAdaptationQosket& qosket, int n, double ratio) {
+  for (int i = 0; i < n; ++i) qosket.report(ratio);
+}
+
 TEST(RateAdaptationQosket, DowngradesToIpWhenReservationCoversIt) {
   sim::Engine engine;
   media::FrameFilter filter;
-  RateAdaptationQosket qosket(engine, filter, quick_config(700e3, 650e3));
+  RateAdaptationQosket qosket(engine, filter, rates(700e3, 650e3));
   EXPECT_EQ(qosket.level(), media::FilterLevel::Full);
   qosket.report(0.3);
   EXPECT_EQ(qosket.level(), media::FilterLevel::IpOnly);
@@ -150,7 +158,7 @@ TEST(RateAdaptationQosket, DowngradesToIpWhenReservationCoversIt) {
 TEST(RateAdaptationQosket, DowngradesToIOnlyWithoutReservation) {
   sim::Engine engine;
   media::FrameFilter filter;
-  RateAdaptationQosket qosket(engine, filter, quick_config(0.0, 650e3));
+  RateAdaptationQosket qosket(engine, filter, rates(0.0, 650e3));
   qosket.report(0.1);
   EXPECT_EQ(qosket.level(), media::FilterLevel::IOnly);
 }
@@ -158,57 +166,61 @@ TEST(RateAdaptationQosket, DowngradesToIOnlyWithoutReservation) {
 TEST(RateAdaptationQosket, PersistentLossStepsDownAgain) {
   sim::Engine engine;
   media::FrameFilter filter;
-  RateAdaptationQosket qosket(engine, filter, quick_config(700e3, 650e3));
-  qosket.report(0.3);  // Full -> IpOnly
-  qosket.report(0.3);
-  qosket.report(0.3);  // persistent (2 reports in loss) -> IOnly
+  RateAdaptationQosket qosket(engine, filter, rates(700e3, 650e3));
+  qosket.report(0.3);  // Full -> IpOnly, grace armed
+  report_n(qosket, kGrace, 0.3);
+  report_n(qosket, kPersistentLoss - 1, 0.3);
+  EXPECT_EQ(qosket.level(), media::FilterLevel::IpOnly);
+  qosket.report(0.3);  // persistent loss -> IOnly
   EXPECT_EQ(qosket.level(), media::FilterLevel::IOnly);
 }
 
 TEST(RateAdaptationQosket, UpgradesAfterCleanHold) {
   sim::Engine engine;
   media::FrameFilter filter;
-  RateAdaptationQosket qosket(engine, filter, quick_config(700e3, 650e3));
+  RateAdaptationQosket qosket(engine, filter, rates(700e3, 650e3));
   qosket.report(0.3);  // -> IpOnly
-  for (int i = 0; i < 3; ++i) qosket.report(1.0);
+  report_n(qosket, kGrace, 1.0);
+  report_n(qosket, kFirstHold - 1, 1.0);
+  EXPECT_EQ(qosket.level(), media::FilterLevel::IpOnly);
+  qosket.report(1.0);
   EXPECT_EQ(qosket.level(), media::FilterLevel::Full);
 }
 
 TEST(RateAdaptationQosket, BackoffDoublesUpgradeHold) {
   sim::Engine engine;
   media::FrameFilter filter;
-  RateAdaptationQosket qosket(engine, filter, quick_config(700e3, 650e3));
-  qosket.report(0.3);                               // -> IpOnly
-  for (int i = 0; i < 3; ++i) qosket.report(1.0);   // probe up -> Full
-  qosket.report(0.3);                               // fails -> IpOnly
-  for (int i = 0; i < 3; ++i) qosket.report(1.0);   // 3 clean: NOT enough now
+  RateAdaptationQosket qosket(engine, filter, rates(700e3, 650e3));
+  qosket.report(0.3);                                 // -> IpOnly
+  report_n(qosket, kGrace + kFirstHold, 1.0);         // probe up -> Full
+  report_n(qosket, kGrace, 1.0);
+  qosket.report(0.3);                                 // fails -> IpOnly
+  report_n(qosket, kGrace + kFirstHold, 1.0);         // first hold: NOT enough now
   EXPECT_EQ(qosket.level(), media::FilterLevel::IpOnly);
-  for (int i = 0; i < 3; ++i) qosket.report(1.0);   // 6 total clean: upgrade
+  report_n(qosket, kFirstHold, 1.0);                  // doubled hold: upgrade
   EXPECT_EQ(qosket.level(), media::FilterLevel::Full);
 }
 
 TEST(RateAdaptationQosket, GraceSuppressesTransientLoss) {
   sim::Engine engine;
   media::FrameFilter filter;
-  RateAdaptationConfig cfg = quick_config(700e3, 650e3);
-  cfg.grace_reports = 2;
-  RateAdaptationQosket qosket(engine, filter, cfg);
+  RateAdaptationQosket qosket(engine, filter, rates(700e3, 650e3));
   qosket.report(0.3);  // -> IpOnly, grace armed
-  qosket.report(0.1);  // swallowed by grace
-  qosket.report(0.1);  // swallowed by grace
+  report_n(qosket, kGrace, 0.1);  // swallowed by grace
   EXPECT_EQ(qosket.level(), media::FilterLevel::IpOnly);
-  qosket.report(0.1);  // now it counts (fresh loss region entry: no change)
+  // Now they count (the contract is still in its loss region).
+  report_n(qosket, kPersistentLoss - 1, 0.1);
   EXPECT_EQ(qosket.level(), media::FilterLevel::IpOnly);
-  qosket.report(0.1);  // persistent-loss counter reaches 2 -> IOnly
+  qosket.report(0.1);  // persistent-loss counter reaches its bound -> IOnly
   EXPECT_EQ(qosket.level(), media::FilterLevel::IOnly);
 }
 
 TEST(RateAdaptationQosket, HistoryRecordsTransitions) {
   sim::Engine engine;
   media::FrameFilter filter;
-  RateAdaptationQosket qosket(engine, filter, quick_config(700e3, 650e3));
+  RateAdaptationQosket qosket(engine, filter, rates(700e3, 650e3));
   qosket.report(0.3);
-  for (int i = 0; i < 3; ++i) qosket.report(1.0);
+  report_n(qosket, kGrace + kFirstHold, 1.0);
   ASSERT_EQ(qosket.history().size(), 2u);
   EXPECT_EQ(qosket.history()[0].second, "ip-10fps");
   EXPECT_EQ(qosket.history()[1].second, "full-30fps");
@@ -217,7 +229,7 @@ TEST(RateAdaptationQosket, HistoryRecordsTransitions) {
 TEST(RateAdaptationQosket, ObserveWiresACondition) {
   sim::Engine engine;
   media::FrameFilter filter;
-  RateAdaptationQosket qosket(engine, filter, quick_config(700e3, 650e3));
+  RateAdaptationQosket qosket(engine, filter, rates(700e3, 650e3));
   quo::ValueSysCond ratio("ratio", 1.0);
   qosket.observe(ratio);
   ratio.update(0.2);

@@ -1,9 +1,9 @@
 // Streaming QoS telemetry: windowed SLO monitors, breach/recovery
 // hysteresis, flight-recorder dumps and the deterministic health sidecar
-// (DESIGN.md §12). Unit tests drive the hub directly with a small window
-// (10 ms buckets, 4-bucket ring); scenario tests push real packets through
-// a congested net::Link and check the end-to-end contract, including
-// byte-identical sidecars for any --jobs.
+// (DESIGN.md §12). Unit tests drive the hub directly on its fixed window
+// (100 ms buckets, 10-bucket ring); scenario tests push real packets
+// through a congested net::Link and check the end-to-end contract,
+// including byte-identical sidecars for any --jobs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -27,17 +27,12 @@
 namespace aqm {
 namespace {
 
-obs::TelemetryConfig small_config() {
-  obs::TelemetryConfig cfg;
-  cfg.bucket = milliseconds(10);
-  cfg.buckets = 4;
-  return cfg;
-}
-
+// The hub's fixed window: 100 ms buckets, 10 per window; a flow breaches
+// after two violating evaluations and recovers after two clean ones.
 TimePoint at_ms(std::int64_t ms) { return TimePoint{milliseconds(ms).ns()}; }
 
 TEST(SloMonitor, WindowAggregatesAndRates) {
-  obs::TelemetryHub hub(small_config());
+  obs::TelemetryHub hub;
   obs::SloSpec spec;
   spec.max_miss_rate = 0.9;  // never violated here
   hub.set_slo(7, spec);
@@ -60,9 +55,9 @@ TEST(SloMonitor, WindowAggregatesAndRates) {
   EXPECT_GT(w.p99_latency_ms, 1.0);
   EXPECT_LT(w.p99_latency_ms, 4.0);
 
-  // The window is 4 buckets: everything above expires once the clock moves
-  // a full window past the bucket that held it.
-  const obs::WindowStats after = hub.window(7, at_ms(60));
+  // The window is 10 buckets: everything above expires once the clock
+  // moves a full window past the bucket that held it.
+  const obs::WindowStats after = hub.window(7, at_ms(1'050));
   EXPECT_EQ(after.calls, 0u);
   EXPECT_EQ(after.deliveries, 0u);
   EXPECT_EQ(after.drops, 0u);
@@ -70,7 +65,7 @@ TEST(SloMonitor, WindowAggregatesAndRates) {
 }
 
 TEST(SloMonitor, UnmonitoredFlowHasZeroWindow) {
-  obs::TelemetryHub hub(small_config());
+  obs::TelemetryHub hub;
   hub.on_call(9, at_ms(1), 5.0);
   const obs::WindowStats w = hub.window(9, at_ms(2));
   EXPECT_EQ(w.calls, 0u);
@@ -78,7 +73,7 @@ TEST(SloMonitor, UnmonitoredFlowHasZeroWindow) {
 }
 
 TEST(SloMonitor, SetAndClearSlo) {
-  obs::TelemetryHub hub(small_config());
+  obs::TelemetryHub hub;
   obs::SloSpec spec;
   spec.max_drop_rate = 0.1;
   hub.set_slo(5, spec);
@@ -88,30 +83,31 @@ TEST(SloMonitor, SetAndClearSlo) {
   EXPECT_EQ(hub.slo(5), nullptr);
 }
 
-// Timeline (10 ms buckets, 4-bucket window, breach_windows = recover = 2):
-// drops in buckets [0,10) and [10,20), deliveries in every bucket through
-// [60,70). Evaluations at each boundary: bad at 10 ms (streak 1), bad at
-// 20 ms (streak 2 -> breach), still bad while the drop buckets remain in
-// the window, clean at 60 ms (streak 1) and 70 ms (streak 2 -> recovery).
+// Timeline: 5 drops in each of buckets [0,100) and [100,200) ms, 5
+// deliveries in every bucket through [1100,1200). Evaluations at each
+// boundary: bad at 100 ms (streak 1), bad at 200 ms (streak 2 -> breach),
+// still bad while both drop buckets remain in the window; at 1100 ms only
+// the second is left (5 drops of 55, under 0.1): clean (streak 1), and at
+// 1200 ms clean again (streak 2 -> recovery).
 TEST(SloMonitor, BreachAndRecoveryHysteresis) {
-  obs::TelemetryHub hub(small_config());
+  obs::TelemetryHub hub;
   obs::SloSpec spec;
   spec.max_drop_rate = 0.1;
   hub.set_slo(5, spec);
 
-  for (int b = 0; b < 7; ++b) {
-    for (int i = 0; i < 5; ++i) hub.on_delivery(5, at_ms(10 * b + 1), 100);
+  for (int b = 0; b < 12; ++b) {
+    for (int i = 0; i < 5; ++i) hub.on_delivery(5, at_ms(100 * b + 1), 100);
     if (b < 2) {
-      for (int i = 0; i < 5; ++i) hub.on_drop(5, at_ms(10 * b + 2));
+      for (int i = 0; i < 5; ++i) hub.on_drop(5, at_ms(100 * b + 2));
     }
   }
-  hub.poll(at_ms(80));
+  hub.poll(at_ms(1'300));
 
   ASSERT_EQ(hub.events().size(), 2u);
   const obs::HealthEvent& breach = hub.events()[0];
   EXPECT_TRUE(breach.breach);
   EXPECT_STREQ(breach.metric, "drop_rate");
-  EXPECT_EQ(breach.t_ns, milliseconds(20).ns());
+  EXPECT_EQ(breach.t_ns, milliseconds(200).ns());
   EXPECT_EQ(breach.flow, 5u);
   EXPECT_DOUBLE_EQ(breach.threshold, 0.1);
   EXPECT_DOUBLE_EQ(breach.value, 0.5);
@@ -120,39 +116,38 @@ TEST(SloMonitor, BreachAndRecoveryHysteresis) {
 
   const obs::HealthEvent& recovery = hub.events()[1];
   EXPECT_FALSE(recovery.breach);
-  EXPECT_EQ(recovery.t_ns, milliseconds(70).ns());
+  EXPECT_EQ(recovery.t_ns, milliseconds(1'200).ns());
 
   const obs::HealthReport report = hub.report();
   ASSERT_EQ(report.flows.count(5u), 1u);
   const obs::FlowHealthSummary& s = report.flows.at(5u);
   EXPECT_EQ(s.breaches, 1u);
   EXPECT_EQ(s.recoveries, 1u);
-  EXPECT_EQ(s.breached_ns, milliseconds(50).ns());
+  EXPECT_EQ(s.breached_ns, milliseconds(1'000).ns());
   EXPECT_FALSE(hub.breached(5));
 }
 
 TEST(SloMonitor, EmptyWindowsCountCleanAndRecover) {
-  obs::TelemetryHub hub(small_config());
+  obs::TelemetryHub hub;
   obs::SloSpec spec;
   spec.max_drop_rate = 0.1;
   hub.set_slo(5, spec);
   for (int i = 0; i < 5; ++i) hub.on_drop(5, at_ms(1));
-  hub.poll(at_ms(25));
+  hub.poll(at_ms(250));
   EXPECT_TRUE(hub.breached(5));
   // No traffic at all afterwards: once the drop bucket leaves the window
   // the empty evaluations count clean, so an idle flow recovers.
-  hub.poll(at_ms(200));
+  hub.poll(at_ms(2'000));
   EXPECT_FALSE(hub.breached(5));
   ASSERT_EQ(hub.events().size(), 2u);
   EXPECT_FALSE(hub.events()[1].breach);
 }
 
 TEST(SloMonitor, ViolationPriorityMissRateFirst) {
-  obs::TelemetryHub hub(small_config());
+  obs::TelemetryHub hub;
   obs::SloSpec spec;
   spec.max_miss_rate = 0.1;
   spec.max_drop_rate = 0.1;
-  spec.breach_windows = 1;
   hub.set_slo(5, spec);
   // Both rates are violated in the same window; the breach names the
   // highest-priority metric (miss_rate before drop_rate).
@@ -160,22 +155,22 @@ TEST(SloMonitor, ViolationPriorityMissRateFirst) {
   hub.on_deadline_miss(5, at_ms(2));
   hub.on_delivery(5, at_ms(3), 100);
   hub.on_drop(5, at_ms(4));
-  hub.poll(at_ms(15));
+  hub.poll(at_ms(250));
   ASSERT_EQ(hub.events().size(), 1u);
   EXPECT_STREQ(hub.events()[0].metric, "miss_rate");
 }
 
 TEST(SloMonitor, P99LatencyBreachFromLogHistogram) {
-  obs::TelemetryHub hub(small_config());
+  obs::TelemetryHub hub;
   obs::SloSpec spec;
   spec.max_p99_latency_ms = 50.0;
   hub.set_slo(5, spec);
   for (int b = 0; b < 2; ++b) {
-    for (int i = 0; i < 98; ++i) hub.on_call(5, at_ms(10 * b + 1), 1.0);
-    hub.on_call(5, at_ms(10 * b + 2), 500.0);
-    hub.on_call(5, at_ms(10 * b + 2), 500.0);
+    for (int i = 0; i < 98; ++i) hub.on_call(5, at_ms(100 * b + 1), 1.0);
+    hub.on_call(5, at_ms(100 * b + 2), 500.0);
+    hub.on_call(5, at_ms(100 * b + 2), 500.0);
   }
-  hub.poll(at_ms(25));
+  hub.poll(at_ms(250));
   ASSERT_FALSE(hub.events().empty());
   const obs::HealthEvent& e = hub.events()[0];
   EXPECT_TRUE(e.breach);
@@ -186,36 +181,10 @@ TEST(SloMonitor, P99LatencyBreachFromLogHistogram) {
   EXPECT_LT(e.value, 1000.0);
 }
 
-TEST(SloMonitor, ThroughputEwmaDecaysIntoBreach) {
-  obs::TelemetryHub hub(small_config());
-  obs::SloSpec spec;
-  spec.min_throughput_bps = 1e6;
-  hub.set_slo(5, spec);
-  // Four healthy buckets at 10 Mbps seed the EWMA well above the floor.
-  for (int b = 0; b < 4; ++b) hub.on_delivery(5, at_ms(10 * b + 1), 12'500);
-  hub.poll(at_ms(40));
-  EXPECT_FALSE(hub.breached(5));
-  // Then a trickle (8 kbps instantaneous) decays the EWMA through the
-  // floor; the window stays non-empty so the evaluations are not skipped.
-  for (int b = 4; b < 16; ++b) hub.on_delivery(5, at_ms(10 * b + 1), 10);
-  hub.poll(at_ms(160));
-  EXPECT_TRUE(hub.breached(5));
-  bool saw_throughput_breach = false;
-  for (const obs::HealthEvent& e : hub.events()) {
-    if (e.breach && std::string_view(e.metric) == "throughput_bps") {
-      saw_throughput_breach = true;
-      EXPECT_LT(e.value, 1e6);
-      EXPECT_DOUBLE_EQ(e.threshold, 1e6);
-    }
-  }
-  EXPECT_TRUE(saw_throughput_breach);
-}
-
 TEST(FlightRecorder, DumpContainsOnlyImplicatedEvents) {
-  obs::TelemetryHub hub(small_config());
+  obs::TelemetryHub hub;
   obs::SloSpec spec;
   spec.max_drop_rate = 0.1;
-  spec.breach_windows = 1;
   hub.set_slo(5, spec);
 
   obs::TraceRecorder& ring = hub.flight();
@@ -230,7 +199,7 @@ TEST(FlightRecorder, DumpContainsOnlyImplicatedEvents) {
   ring.instant(obs::TraceCategory::Net, "drop", track, at_ms(2), 0, {{"flow", 6.0}});
 
   for (int i = 0; i < 5; ++i) hub.on_drop(5, at_ms(3));
-  hub.poll(at_ms(15));
+  hub.poll(at_ms(250));
 
   ASSERT_EQ(hub.dumps().size(), 1u);
   const obs::FlightDump& d = hub.dumps()[0];
@@ -275,7 +244,7 @@ TEST(HealthSidecar, DeterministicBytesAndNonFiniteAsNull) {
 
 TEST(QoSSessionSlo, InstallsAndRevokesThroughPolicy) {
   core::PriorityTestbed bed((core::PriorityTestbedParams{}));
-  obs::TelemetryHub hub(small_config());
+  obs::TelemetryHub hub;
   bed.engine.set_telemetry(&hub);
 
   orb::Poa& poa = bed.receiver_orb.create_poa("app");
@@ -345,10 +314,7 @@ struct ScenarioOut {
 // tracer, exactly the shipped wiring.
 ScenarioOut run_congestion_trial(std::size_t burst) {
   sim::Engine e;
-  obs::TelemetryConfig cfg;
-  cfg.bucket = milliseconds(50);
-  cfg.buckets = 4;
-  obs::TelemetryHub hub(cfg);
+  obs::TelemetryHub hub;
   e.set_telemetry(&hub);
   e.set_tracer(&hub.flight());
 
@@ -376,7 +342,7 @@ ScenarioOut run_congestion_trial(std::size_t burst) {
     }
   });
   e.run();
-  hub.finalize(at_ms(500));
+  hub.finalize(at_ms(2'000));
   e.set_telemetry(nullptr);
   e.set_tracer(nullptr);
 
@@ -398,7 +364,7 @@ TEST(TelemetryScenario, CongestionBreachThenRecoveryWithFlightDump) {
   EXPECT_DOUBLE_EQ(breach.threshold, 0.05);
   EXPECT_GT(breach.window.drops, 0u);
   // Boundary instants are integer multiples of the bucket width.
-  EXPECT_EQ(breach.t_ns % milliseconds(50).ns(), 0);
+  EXPECT_EQ(breach.t_ns % milliseconds(100).ns(), 0);
 
   const obs::HealthEvent& last = out.health.events.back();
   EXPECT_FALSE(last.breach);

@@ -109,10 +109,8 @@ TEST(TransportLoss, IncompleteMessageExpires) {
   // Queue of 2: a multi-fragment burst loses its tail.
   net.add_link(a, b, slow, std::make_unique<net::DropTailQueue>(2));
   net.add_link(b, a, slow);
-  TransportConfig cfg;
-  cfg.reassembly_timeout = milliseconds(500);
-  GiopTransport ta(net, a, cfg);
-  GiopTransport tb(net, b, cfg);
+  GiopTransport ta(net, a);
+  GiopTransport tb(net, b);
   int delivered = 0;
   tb.set_message_handler([&](net::NodeId, MessageView) { ++delivered; });
   auto msg = std::make_shared<std::vector<std::uint8_t>>(10'000);  // 7 fragments

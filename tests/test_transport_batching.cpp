@@ -456,10 +456,8 @@ TEST(BatchLoss, LostBatchExpiresOnceHoweverManyMessagesItCarried) {
   // Queue of 2: the flushed batch's fragment burst loses its tail.
   net.add_link(a, b, slow, std::make_unique<net::DropTailQueue>(2));
   net.add_link(b, a, slow);
-  TransportConfig cfg;
-  cfg.reassembly_timeout = milliseconds(500);
-  GiopTransport ta(net, a, cfg);
-  GiopTransport tb(net, b, cfg);
+  GiopTransport ta(net, a);
+  GiopTransport tb(net, b);
   BatchPolicy pol;
   pol.max_messages = 100;
   pol.flush_delay = milliseconds(1);
@@ -485,15 +483,7 @@ TEST(BatchEcn, CeMarksSurfaceOnBatchedFlow) {
   const net::NodeId b = net.add_node("b");
   net::LinkConfig slow;
   slow.bandwidth_bps = 1e6;
-  net::RedConfig red;
-  red.capacity_packets = 1000;
-  red.min_threshold = 5.0;
-  red.max_threshold = 500.0;  // marks only: queue depth stays below max
-  red.max_probability = 0.5;
-  red.weight = 1.0;  // avg == instantaneous queue, marks build fast
-  red.ecn = true;
-  red.seed = 7;
-  net.add_link(a, b, slow, std::make_unique<net::RedQueue>(red));
+  net.add_link(a, b, slow, std::make_unique<net::RedQueue>());
   net.add_link(b, a, slow);
   TransportConfig cfg;
   cfg.ecn_capable = true;
@@ -505,15 +495,17 @@ TEST(BatchEcn, CeMarksSurfaceOnBatchedFlow) {
   ta.set_flow_batching(9, pol);
   int delivered = 0;
   tb.set_message_handler([&](net::NodeId, MessageView) { ++delivered; });
-  for (int i = 0; i < 300; ++i) {
+  // 500 one-packet batches queue up at once: RED's average climbs past its
+  // 30-packet min threshold but stays below the 200-packet max.
+  for (int i = 0; i < 1'000; ++i) {
     ta.send_message(b, make_message(600), net::dscp::kBestEffort, 9);
   }
   engine.run();
-  // Below max_threshold RED marks ECN-capable packets instead of dropping:
-  // every message still arrives, and the congestion feedback is visible on
-  // the receiving transport's per-flow CE counter.
-  EXPECT_EQ(delivered, 300);
-  EXPECT_EQ(ta.batches_sent(), 150u);
+  // Below the max threshold RED marks ECN-capable packets instead of
+  // dropping: every message still arrives, and the congestion feedback is
+  // visible on the receiving transport's per-flow CE counter.
+  EXPECT_EQ(delivered, 1'000);
+  EXPECT_EQ(ta.batches_sent(), 500u);
   EXPECT_GT(tb.ce_marks(9), 0u);
   EXPECT_EQ(tb.ce_marks(10), 0u);
 }

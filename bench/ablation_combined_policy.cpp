@@ -61,8 +61,9 @@ int main(int argc, char** argv) {
       cfg.sender2_policy = PolicyBuilder::sender(core::kFlowSender2, 1'000);
       cfg.cross_rate_bps = cross;
       cells.push_back({cross, &p});
-      exp.add(std::string("cross-") + fmt(cross / 1e6, 0) + "-" + p.name, cfg.seed,
-              [cfg](const core::TrialSpec&) { return run_priority_scenario(cfg); });
+      exp.add(std::string("cross-") + fmt(cross / 1e6, 0) + "-" + p.name,
+              kPriorityScenarioSeed,
+              [cfg](const core::TrialSpec& spec) { return run_priority_scenario(cfg, spec); });
     }
   }
   const auto results = exp.run(opts);

@@ -49,8 +49,10 @@ struct StreamRow {
   double latency_stddev_ms;
 };
 
-std::array<StreamRow, 4> run_case(bool priority_driven_reservations) {
-  core::ReservationTestbed bed((core::ReservationTestbedParams{}));
+std::array<StreamRow, 4> run_case(bool priority_driven_reservations, std::uint64_t seed) {
+  core::ReservationTestbedParams params;
+  params.load_seed = seed;
+  core::ReservationTestbed bed(params);
   const media::GopStructure gop = media::GopStructure::mpeg1_paper_profile();
   // Deliberately generous per-stream reservations (jitter headroom) so the
   // 90%-of-10Mbps admission budget cannot hold all four streams.
@@ -120,7 +122,7 @@ int main(int argc, char** argv) {
   core::Experiment<std::array<StreamRow, 4>> exp;
   for (const bool policy : policies) {
     exp.add(policy ? "priority-driven" : "best-effort", 43,
-            [policy](const core::TrialSpec&) { return run_case(policy); });
+            [policy](const core::TrialSpec& spec) { return run_case(policy, spec.seed); });
   }
   const auto results = exp.run(opts);
 

@@ -42,10 +42,8 @@ int main(int argc, char** argv) {
     cfg.queue_pkts = depth;
     cfg.sender1_policy = PolicyBuilder::sender(core::kFlowSender1).slo(slo);
     cfg.sender2_policy = PolicyBuilder::sender(core::kFlowSender2).slo(slo);
-    exp.add("queue-depth-" + std::to_string(depth), cfg.seed,
-            [cfg](const core::TrialSpec& spec) {
-              return run_priority_scenario(cfg, spec.sidecars);
-            });
+    exp.add("queue-depth-" + std::to_string(depth), kPriorityScenarioSeed,
+            [cfg](const core::TrialSpec& spec) { return run_priority_scenario(cfg, spec); });
   }
   const auto results = exp.run(opts);
 

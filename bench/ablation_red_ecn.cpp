@@ -45,7 +45,7 @@ struct CaseResult {
   std::size_t adaptations = 0;
 };
 
-CaseResult run_case(RouterKind router, Feedback feedback) {
+CaseResult run_case(RouterKind router, Feedback feedback, std::uint64_t seed) {
   sim::Engine engine;
   net::Network network(engine);
   const auto sender = network.add_node("sender");
@@ -143,7 +143,7 @@ CaseResult run_case(RouterKind router, Feedback feedback) {
   load.off_mean = seconds(2);
   load.flow = 72;
   load.poisson = true;
-  load.seed = 21;
+  load.seed = seed;
   net::TrafficGenerator load_gen(network, load);
   load_gen.run_between(TimePoint{seconds(10).ns()}, TimePoint{seconds(50).ns()});
 
@@ -179,7 +179,9 @@ int main(int argc, char** argv) {
   core::Experiment<CaseResult> exp;
   for (const auto& c : cases) {
     exp.add(c.name, 21, [router = c.router, feedback = c.feedback](
-                            const core::TrialSpec&) { return run_case(router, feedback); });
+                            const core::TrialSpec& spec) {
+      return run_case(router, feedback, spec.seed);
+    });
   }
   const auto results = exp.run(opts);
 

@@ -26,22 +26,25 @@ constexpr double kMessagesPerSecond = 120.0;
 constexpr std::uint32_t kMessageBytes = 1200;
 constexpr Duration kServantCost = microseconds(300);
 
+// The cross-traffic stream's seed is the trial seed plus this offset.
+constexpr std::uint64_t kCrossSeedOffset = 31;
+
 }  // namespace
 
 PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg,
-                                             unsigned sidecars) {
+                                             const core::TrialSpec& spec) {
   core::PriorityTestbedParams params;
   params.diffserv_bottleneck = cfg.diffserv_router ||
                                cfg.sender1_policy.map_priority_to_dscp ||
                                cfg.sender2_policy.map_priority_to_dscp;
   params.cross_rate_bps = cfg.cross_rate_bps;
   params.router_queue_pkts = cfg.queue_pkts;
-  params.cross_seed = cfg.cross_seed;
+  params.cross_seed = spec.seed + kCrossSeedOffset;
   core::PriorityTestbed bed(params);
 
   PriorityScenarioResult result;
 
-  core::TrialObserver observer(bed.engine, sidecars);
+  core::TrialObserver observer(bed.engine, spec.sidecars);
   obs::TelemetryHub* hub = observer.hub();
 
   // Receiver-side FlowMonitor: a pure tap in front of the ORB transport's
@@ -100,7 +103,7 @@ PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg,
     load_cfg.burst_mean = kCpuLoadBurst;
     load_cfg.interval_mean = kCpuLoadInterval;
     load = std::make_unique<os::LoadGenerator>(bed.engine, bed.receiver_cpu, load_cfg,
-                                               cfg.seed);
+                                               spec.seed);
     load->start();
   }
 

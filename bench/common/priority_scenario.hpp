@@ -46,13 +46,11 @@ struct PriorityScenarioConfig {
   bool cpu_load = false;
 
   Duration duration = seconds(60);
-  /// Per-trial seeds: `seed` drives the CPU load generator, `cross_seed`
-  /// the cross-traffic generator. Both reach their generator through the
-  /// explicit-seed constructor, so a trial's randomness is fully determined
-  /// by its config — a requirement for shard-parallel sweeps.
-  std::uint64_t seed = 11;
-  std::uint64_t cross_seed = 42;
 };
+
+/// The trial seed every priority-scenario driver declares to
+/// core::Experiment::add.
+inline constexpr std::uint64_t kPriorityScenarioSeed = 11;
 
 struct PriorityScenarioResult {
   TimeSeries s1_latency_ms;  // one point per delivered message
@@ -75,11 +73,13 @@ struct PriorityScenarioResult {
 
 /// Builds a PriorityTestbed (DiffServ bottleneck iff requested or implied
 /// by a priority->DSCP mapping policy) and runs the scenario to completion,
-/// observed for the sidecar set `sidecars` (TrialSpec::sidecars). The
-/// sender policies' SLO specs apply only when the set attaches a hub
-/// (--slo or --flight).
+/// observed for the trial's sidecar set (spec.sidecars). All randomness
+/// comes from spec.seed: the CPU load generator draws from it and the
+/// cross traffic from a stream at a fixed offset to it. The sender
+/// policies' SLO specs apply only when the set attaches a hub (--slo or
+/// --flight).
 PriorityScenarioResult run_priority_scenario(const PriorityScenarioConfig& cfg,
-                                             unsigned sidecars = core::kNoSidecars);
+                                             const core::TrialSpec& spec);
 
 /// Prints the per-second latency series of both senders side by side —
 /// the textual equivalent of the paper's latency-vs-time figures.

@@ -31,9 +31,10 @@ constexpr Duration kSinkDecodeCost = microseconds(500);
 
 }  // namespace
 
-ReservationScenarioResult run_reservation_scenario(const ReservationScenarioConfig& cfg) {
+ReservationScenarioResult run_reservation_scenario(const ReservationScenarioConfig& cfg,
+                                                   const core::TrialSpec& spec) {
   core::ReservationTestbedParams params;
-  params.load_seed = cfg.load_seed;
+  params.load_seed = spec.seed;
   core::ReservationTestbed bed(params);
 
   const media::GopStructure gop = media::GopStructure::mpeg1_paper_profile();

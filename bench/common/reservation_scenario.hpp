@@ -14,6 +14,7 @@
 #include <string>
 
 #include "common/stats.hpp"
+#include "core/experiment.hpp"
 #include "media/video_sink.hpp"
 #include "net/rsvp.hpp"
 
@@ -35,9 +36,11 @@ enum class ReservationLevel : std::uint8_t { None, Partial, Full };
 struct ReservationScenarioConfig {
   ReservationLevel reservation = ReservationLevel::None;
   bool frame_filtering = false;
-  /// Per-trial seed of the 43.8 Mbps load generator (explicit-seed ctor).
-  std::uint64_t load_seed = 43;
 };
+
+/// The trial seed every reservation-scenario driver declares to
+/// core::Experiment::add.
+inline constexpr std::uint64_t kReservationScenarioSeed = 43;
 
 struct ReservationScenarioResult {
   std::uint64_t frames_sourced = 0;      // produced by the 30 fps source
@@ -68,6 +71,9 @@ struct ReservationScenarioResult {
   }
 };
 
-ReservationScenarioResult run_reservation_scenario(const ReservationScenarioConfig& cfg);
+/// Runs one trial; spec.seed drives the 43.8 Mbps load generator, the
+/// trial's only randomness.
+ReservationScenarioResult run_reservation_scenario(const ReservationScenarioConfig& cfg,
+                                                   const core::TrialSpec& spec);
 
 }  // namespace aqm::bench

@@ -25,11 +25,12 @@ int main(int argc, char** argv) {
   congested.cross_traffic = true;
 
   core::Experiment<PriorityScenarioResult> exp;
-  exp.add("fig4a-idle", idle.seed,
-          [idle](const core::TrialSpec&) { return run_priority_scenario(idle); });
-  exp.add("fig4b-congested", congested.seed, [congested](const core::TrialSpec&) {
-    return run_priority_scenario(congested);
-  });
+  exp.add("fig4a-idle", kPriorityScenarioSeed,
+          [idle](const core::TrialSpec& spec) { return run_priority_scenario(idle, spec); });
+  exp.add("fig4b-congested", kPriorityScenarioSeed,
+          [congested](const core::TrialSpec& spec) {
+            return run_priority_scenario(congested, spec);
+          });
   const auto results = exp.run(opts);
   const auto& idle_result = results[0];
   const auto& congested_result = results[1];

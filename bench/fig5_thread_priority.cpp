@@ -32,11 +32,12 @@ int main(int argc, char** argv) {
   congested.cross_traffic = true;
 
   core::Experiment<PriorityScenarioResult> exp;
-  exp.add("fig5a-quiet-net", base.seed,
-          [base](const core::TrialSpec&) { return run_priority_scenario(base); });
-  exp.add("fig5b-congested", congested.seed, [congested](const core::TrialSpec&) {
-    return run_priority_scenario(congested);
-  });
+  exp.add("fig5a-quiet-net", kPriorityScenarioSeed,
+          [base](const core::TrialSpec& spec) { return run_priority_scenario(base, spec); });
+  exp.add("fig5b-congested", kPriorityScenarioSeed,
+          [congested](const core::TrialSpec& spec) {
+            return run_priority_scenario(congested, spec);
+          });
   const auto results = exp.run(opts);
   const auto& a = results[0];
   const auto& b = results[1];

@@ -38,10 +38,10 @@ int main(int argc, char** argv) {
   fig5b.sender2_policy = PolicyBuilder::sender(core::kFlowSender2, 10'000);
 
   core::Experiment<PriorityScenarioResult> exp;
-  exp.add("fig6-combined", cfg.seed,
-          [cfg](const core::TrialSpec&) { return run_priority_scenario(cfg); });
-  exp.add("fig6-ref-thread-only", fig5b.seed,
-          [fig5b](const core::TrialSpec&) { return run_priority_scenario(fig5b); });
+  exp.add("fig6-combined", kPriorityScenarioSeed,
+          [cfg](const core::TrialSpec& spec) { return run_priority_scenario(cfg, spec); });
+  exp.add("fig6-ref-thread-only", kPriorityScenarioSeed,
+          [fig5b](const core::TrialSpec& spec) { return run_priority_scenario(fig5b, spec); });
   const auto results = exp.run(opts);
   const auto& r = results[0];
   const auto& r5 = results[1];

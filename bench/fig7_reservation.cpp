@@ -73,8 +73,9 @@ int main(int argc, char** argv) {
     ReservationScenarioConfig cfg;
     cfg.reservation = c.level;
     cfg.frame_filtering = c.filtering;
-    exp.add(c.title, cfg.load_seed,
-            [cfg](const core::TrialSpec&) { return run_reservation_scenario(cfg); });
+    exp.add(c.title, kReservationScenarioSeed, [cfg](const core::TrialSpec& spec) {
+      return run_reservation_scenario(cfg, spec);
+    });
   }
   const auto results = exp.run(opts);
 

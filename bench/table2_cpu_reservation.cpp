@@ -151,11 +151,11 @@ int main(int argc, char** argv) {
   // Same load seed (17) for both loaded conditions, as in the serial driver.
   core::Experiment<RunResult> exp;
   exp.add("table2-no-load", 17,
-          [](const core::TrialSpec&) { return run_condition(false, false, 17); });
+          [](const core::TrialSpec& spec) { return run_condition(false, false, spec.seed); });
   exp.add("table2-load", 17,
-          [](const core::TrialSpec&) { return run_condition(true, false, 17); });
+          [](const core::TrialSpec& spec) { return run_condition(true, false, spec.seed); });
   exp.add("table2-load-reserve", 17,
-          [](const core::TrialSpec&) { return run_condition(true, true, 17); });
+          [](const core::TrialSpec& spec) { return run_condition(true, true, spec.seed); });
   const auto results = exp.run(opts);
   const RunResult& no_load = results[0];
   const RunResult& loaded = results[1];

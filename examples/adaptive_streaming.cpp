@@ -162,10 +162,6 @@ int main(int argc, char** argv) {
             << "\n"
             << "  receiver jitter (RFC 3550)          : "
             << monitor.jitter_ms(core::kFlowVideo) << " ms\n";
-  if (hub != nullptr) {
-    std::cout << "  SLO health transitions              : " << trial.health.events.size()
-              << " (flight dumps: " << trial.flight_dumps.size() << ")\n";
-  }
 
   if (observer.wants(core::kMetricsSidecar)) {
     obs::MetricsRegistry reg;

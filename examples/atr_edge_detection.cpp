@@ -64,7 +64,7 @@ int main() {
     load_cfg.priority = 100;
     load_cfg.burst_mean = milliseconds(20);
     load_cfg.interval_mean = milliseconds(50);
-    os::LoadGenerator load(bed.engine, bed.server_cpu, load_cfg);
+    os::LoadGenerator load(bed.engine, bed.server_cpu, load_cfg, /*seed=*/1);
     load.start();
 
     RunningStats per_image_ms;

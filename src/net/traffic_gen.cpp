@@ -20,7 +20,6 @@ TrafficGenerator::TrafficGenerator(Network& net, Config config)
   assert(config_.src != kInvalidNode);
   assert(config_.dst != kInvalidNode);
   assert(config_.rate_bps > 0.0);
-  assert(config_.packet_bytes > 0);
 }
 
 TrafficGenerator::TrafficGenerator(Network& net, Config config, std::uint64_t trial_seed)
@@ -65,7 +64,7 @@ void TrafficGenerator::run_between(TimePoint from, TimePoint until) {
 
 Duration TrafficGenerator::interval() {
   const double mean_s =
-      static_cast<double>(config_.packet_bytes) * 8.0 / config_.rate_bps;
+      static_cast<double>(kPacketBytes) * 8.0 / config_.rate_bps;
   const double s = config_.poisson ? rng_.exponential(mean_s) : mean_s;
   return Duration{std::max<std::int64_t>(1, static_cast<std::int64_t>(std::llround(s * 1e9)))};
 }
@@ -76,7 +75,7 @@ void TrafficGenerator::arm_next() {
     if (!running_ || !sending_) return;  // paused until the next "on" toggle
     Packet p;
     p.dst = config_.dst;
-    p.size_bytes = config_.packet_bytes;
+    p.size_bytes = kPacketBytes;
     p.flow = config_.flow;
     p.seq = seq_++;
     net_.send(config_.src, std::move(p));

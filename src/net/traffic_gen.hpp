@@ -16,11 +16,13 @@ namespace aqm::net {
 
 class TrafficGenerator {
  public:
+  /// Every generated packet is one full MTU.
+  static constexpr std::uint32_t kPacketBytes = kDefaultMtu;
+
   struct Config {
     NodeId src = kInvalidNode;
     NodeId dst = kInvalidNode;
     double rate_bps = 16e6;
-    std::uint32_t packet_bytes = kDefaultMtu;
     FlowId flow = kNoFlow;
     bool poisson = false;  // false = CBR spacing
     std::uint64_t seed = 7;

@@ -168,11 +168,6 @@ void stamp_timestamp_context(std::vector<ServiceContext>& contexts, TimePoint t,
   CdrWriter(append_context(contexts, kTimestampContextId, spare)).write_i64(t.ns());
 }
 
-void stamp_trace_context(std::vector<ServiceContext>& contexts, std::uint64_t trace_id,
-                         std::vector<ServiceContext>* spare) {
-  CdrWriter(append_context(contexts, kTraceContextId, spare)).write_u64(trace_id);
-}
-
 void stamp_deadline_context(std::vector<ServiceContext>& contexts, TimePoint deadline,
                             std::vector<ServiceContext>* spare) {
   CdrWriter(append_context(contexts, kDeadlineContextId, spare)).write_i64(deadline.ns());
@@ -204,21 +199,6 @@ std::optional<TimePoint> find_timestamp(const std::vector<ServiceContext>& conte
     if (c.id != kTimestampContextId) continue;
     CdrReader r(c.data);
     return TimePoint{r.read_i64()};
-  }
-  return std::nullopt;
-}
-
-ServiceContext make_trace_context(std::uint64_t trace_id) {
-  std::vector<ServiceContext> one;
-  stamp_trace_context(one, trace_id, nullptr);
-  return std::move(one.front());
-}
-
-std::optional<std::uint64_t> find_trace(const std::vector<ServiceContext>& contexts) {
-  for (const auto& c : contexts) {
-    if (c.id != kTraceContextId) continue;
-    CdrReader r(c.data);
-    return r.read_u64();
   }
   return std::nullopt;
 }

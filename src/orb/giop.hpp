@@ -9,7 +9,8 @@
 // Service contexts are (id, octet-sequence) pairs. The RTCorbaPriority
 // context propagates the client's RT-CORBA priority end-to-end (Figure 2 in
 // the paper); a vendor context carries the send timestamp used by the
-// experiments to measure one-way latency.
+// experiments to measure one-way latency. The ORB stamps contexts on
+// requests only; its replies carry none.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +43,6 @@ struct ServiceContext {
 inline constexpr std::uint32_t kRtCorbaPriorityContextId = 21;
 /// Vendor context: simulation send timestamp for latency measurement.
 inline constexpr std::uint32_t kTimestampContextId = 0x41514D01;
-/// Vendor context: causal trace id, propagated end-to-end exactly like the
-/// RT-CORBA priority so every hop of a request shares one trace.
-inline constexpr std::uint32_t kTraceContextId = 0x41514D02;
 /// Vendor context: absolute end-to-end deadline (simulation clock). The
 /// server ORB drops requests that arrive expired before any servant work
 /// is spent on them.
@@ -112,8 +110,6 @@ void stamp_priority_context(std::vector<ServiceContext>& contexts, CorbaPriority
                             std::vector<ServiceContext>* spare);
 void stamp_timestamp_context(std::vector<ServiceContext>& contexts, TimePoint t,
                              std::vector<ServiceContext>* spare);
-void stamp_trace_context(std::vector<ServiceContext>& contexts, std::uint64_t trace_id,
-                         std::vector<ServiceContext>* spare);
 void stamp_deadline_context(std::vector<ServiceContext>& contexts, TimePoint deadline,
                             std::vector<ServiceContext>* spare);
 
@@ -123,10 +119,6 @@ void stamp_deadline_context(std::vector<ServiceContext>& contexts, TimePoint dea
 
 [[nodiscard]] ServiceContext make_timestamp_context(TimePoint t);
 [[nodiscard]] std::optional<TimePoint> find_timestamp(
-    const std::vector<ServiceContext>& contexts);
-
-[[nodiscard]] ServiceContext make_trace_context(std::uint64_t trace_id);
-[[nodiscard]] std::optional<std::uint64_t> find_trace(
     const std::vector<ServiceContext>& contexts);
 
 [[nodiscard]] ServiceContext make_deadline_context(TimePoint deadline);

@@ -183,9 +183,10 @@ void OrbEndpoint::start_attempt(std::uint32_t slot) {
                                                                : client_priority_);
   const Duration cost = marshal_cost(rec.body.size() + rec.operation.size() + 64);
 
-  // A traced request gets one end-to-end id here; it rides in a GIOP
-  // service context (next to the RT-CORBA priority) and on every fragment
-  // packet, so all layers chain their events to this call.
+  // A traced request gets one end-to-end id here; it rides on every
+  // fragment packet (Packet::trace), never in the message itself, so all
+  // layers chain their events to this call and no wire byte depends on
+  // whether a recorder is attached.
   rec.trace = 0;
   rec.span_name = nullptr;
   if (obs::TraceRecorder* tr = orb_tracer()) {
@@ -213,12 +214,10 @@ void OrbEndpoint::send_request(std::uint32_t slot) {
   header.operation = rec.operation;
   recycle_contexts(header.contexts, context_spare_);
 
-  // The ORB's contexts: priority, send timestamp, trace (if traced),
-  // deadline (if any). The reference's protocol DSCP wins over the
-  // priority mapping.
+  // The ORB's contexts: priority, send timestamp, deadline (if any). The
+  // reference's protocol DSCP wins over the priority mapping.
   stamp_priority_context(header.contexts, rec.priority, &context_spare_);
   stamp_timestamp_context(header.contexts, now, &context_spare_);
-  if (rec.trace != 0) stamp_trace_context(header.contexts, rec.trace, &context_spare_);
   if (rec.deadline) stamp_deadline_context(header.contexts, *rec.deadline, &context_spare_);
   const net::Dscp dscp = rec.ref.protocol.dscp ? *rec.ref.protocol.dscp
                                                : dscp_mapping_.to_dscp(rec.priority);
@@ -256,7 +255,7 @@ void OrbEndpoint::send_request(std::uint32_t slot) {
     // Collocation optimization (TAO-style): the target lives in this
     // ORB, so the request short-circuits the transport entirely —
     // same marshaling and dispatch semantics, zero wire time.
-    on_message(node(), std::move(bytes));
+    on_message(node(), MessageView(std::move(bytes), trace_id));
   } else {
     transport_.send_message(target, std::move(bytes), dscp, flow, trace_id);
   }
@@ -328,7 +327,7 @@ void OrbEndpoint::on_message(net::NodeId src, const MessageView& msg) {
     return;
   }
   if (decode_scratch_.type == GiopMsgType::Request) {
-    handle_request(src, decode_scratch_, msg.size());
+    handle_request(src, decode_scratch_, msg.size(), msg.trace());
   } else {
     handle_reply(decode_scratch_, msg.size());
   }
@@ -362,7 +361,8 @@ void OrbEndpoint::release_server_call(std::uint32_t slot) {
   free_server_calls_.push_back(slot);
 }
 
-void OrbEndpoint::handle_request(net::NodeId src, GiopMessage& msg, std::size_t wire_size) {
+void OrbEndpoint::handle_request(net::NodeId src, GiopMessage& msg, std::size_t wire_size,
+                                 std::uint64_t trace) {
   RequestHeader& header = msg.request;
 
   // object_key = "<poa>/<object-id>"; demuxed through views into the key.
@@ -384,17 +384,15 @@ void OrbEndpoint::handle_request(net::NodeId src, GiopMessage& msg, std::size_t 
     return;
   }
 
-  // Resolve priority, send timestamp, trace and deadline from the service
+  // Resolve priority, send timestamp and deadline from the service
   // contexts; an expired deadline rejects the request before any
   // thread-pool or servant work is spent on it.
   CorbaPriority priority = kDefaultCorbaPriority;
   std::optional<TimePoint> client_send_time;
-  std::uint64_t trace = 0;
   std::optional<TimePoint> deadline;
   try {
     priority = find_priority(header.contexts).value_or(kDefaultCorbaPriority);
     client_send_time = find_timestamp(header.contexts);
-    trace = find_trace(header.contexts).value_or(0);
     deadline = find_deadline(header.contexts);
   } catch (const MarshalError& e) {
     // A truncated context body is as malformed as an undecodable message.
@@ -540,13 +538,9 @@ void OrbEndpoint::marshal_reply(std::uint32_t slot) {
   ReplyHeader& header = reply_scratch_;
   header.request_id = call.request_id;
   header.status = call.reply_status;
-  recycle_contexts(header.contexts, context_spare_);
 
-  // The ORB stamps the reply's priority, timestamp and trace contexts and
-  // derives the egress DSCP from the reply priority.
-  stamp_priority_context(header.contexts, call.reply_priority, &context_spare_);
-  stamp_timestamp_context(header.contexts, engine().now(), &context_spare_);
-  if (call.trace != 0) stamp_trace_context(header.contexts, call.trace, &context_spare_);
+  // Replies carry no service context: the client reads none. The egress
+  // DSCP derives from the reply priority.
   const net::Dscp dscp = dscp_mapping_.to_dscp(call.reply_priority);
 
   auto buf = pool_.acquire();

@@ -4,19 +4,20 @@
 // end-to-end deadline absolute (an attempt that starts past it is vetoed
 // before any cost is paid), then runs the marshal job at the native band
 // the priority maps to. After the marshal cost the ORB stamps the
-// RTCorbaPriority / timestamp / trace / deadline service contexts, picks
-// the DSCP (the reference's protocol DSCP, else the priority mapping),
-// encodes and hands the bytes to the transport. Twoway replies are
+// RTCorbaPriority / timestamp / deadline service contexts, picks the DSCP
+// (the reference's protocol DSCP, else the priority mapping), encodes and
+// hands the bytes to the transport, with the call's trace id (if traced)
+// riding out of band on every packet. Twoway replies are
 // matched by request id with a timeout; on a timeout or a transient error
 // the ORB decides a bounded retry with exponential backoff.
 //
 // Server side: complete messages are demultiplexed to a POA/servant, the
-// ORB resolves priority, send time, trace and deadline from the service
-// contexts (dropping malformed ones like any undecodable message, and
-// vetoing expired deadlines before any servant work), then the request is
-// dispatched into the POA's RT thread pool. For twoways the ORB stamps
-// the reply's priority / timestamp / trace contexts and sends it at the
-// DSCP its priority maps to.
+// ORB resolves priority, send time and deadline from the service contexts
+// (dropping malformed ones like any undecodable message, and vetoing
+// expired deadlines before any servant work) and takes the trace id from
+// the delivered message, then the request is dispatched into the POA's RT
+// thread pool. For twoways the ORB sends a reply with no service context
+// at the DSCP its priority maps to.
 //
 // The steady-state round trip allocates nothing (DESIGN.md §8). Each
 // client invocation lives in a recycled call record from invoke() to its
@@ -225,8 +226,9 @@ class OrbEndpoint {
   void on_message(net::NodeId src, const MessageView& msg);
   /// Both take the decode scratch by reference and swap its body and
   /// strings with pooled buffers; decode_into refills them on the next
-  /// message.
-  void handle_request(net::NodeId src, GiopMessage& msg, std::size_t wire_size);
+  /// message. `trace` is the delivered message's (MessageView::trace).
+  void handle_request(net::NodeId src, GiopMessage& msg, std::size_t wire_size,
+                      std::uint64_t trace);
   void handle_reply(GiopMessage& msg, std::size_t wire_size);
 
   // --- server call path (keyed by server-record slot) ----------------------
@@ -242,7 +244,7 @@ class OrbEndpoint {
   void send_error_reply(std::uint32_t slot, CompletionStatus status, CorbaPriority priority);
   /// Queues the reply marshal job for the record's req.reply_body.
   void send_reply(std::uint32_t slot, ReplyStatus status, CorbaPriority priority);
-  /// Reply marshal job done: ORB contexts and DSCP, encode, ship, release.
+  /// Reply marshal job done: DSCP, encode, ship, release.
   void marshal_reply(std::uint32_t slot);
   /// Engine recorder iff orb tracing is on; on first use of a recorder,
   /// binds the "orb:<node>" lane and starts a fresh span-name cache.
@@ -272,9 +274,9 @@ class OrbEndpoint {
   /// because servant and callback work is always deferred through the CPU
   /// or thread pool, so no nested on_message can run while it is live.
   GiopMessage decode_scratch_;
-  /// Encode-side twins of decode_scratch_: each request/reply is stamped
-  /// into one of these and encoded before anything can re-enter, and
-  /// stamped contexts are recycled through context_spare_.
+  /// Encode-side twins of decode_scratch_: each request/reply is filled
+  /// into one of these and encoded before anything can re-enter, and a
+  /// request's stamped contexts are recycled through context_spare_.
   RequestHeader request_scratch_;
   ReplyHeader reply_scratch_;
   std::vector<ServiceContext> context_spare_;

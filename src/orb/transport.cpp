@@ -265,7 +265,7 @@ void GiopTransport::on_packet(net::Packet&& p) {
   }
 
   if (frag->count == 1) {
-    deliver(p.src, frag->data);
+    deliver(p.src, frag->data, p.trace);
     return;
   }
 
@@ -296,11 +296,12 @@ void GiopTransport::on_packet(net::Packet&& p) {
 
   net_.engine().cancel(r.expiry);
   MessageBuffer msg = std::move(r.data);
+  const std::uint64_t trace = r.trace;
   release_reassembly_slot(slot);
-  deliver(p.src, std::move(msg));
+  deliver(p.src, std::move(msg), trace);
 }
 
-void GiopTransport::deliver(net::NodeId src, MessageBuffer msg) {
+void GiopTransport::deliver(net::NodeId src, MessageBuffer msg, std::uint64_t trace) {
   const std::vector<std::uint8_t>& b = *msg;
   if (b.size() >= kBatchHeaderSize && b[0] == kBatchMagic[0] && b[1] == kBatchMagic[1] &&
       b[2] == kBatchMagic[2] && b[3] == kBatchMagic[3]) {
@@ -309,7 +310,7 @@ void GiopTransport::deliver(net::NodeId src, MessageBuffer msg) {
                                 (static_cast<std::uint32_t>(b[kBatchCountOffset + 1]) << 8);
     // One owner reference for the whole batch; the view is rebound per
     // entry, so unpacking N messages costs zero refcount round-trips.
-    MessageView view(msg, nullptr, 0);
+    MessageView view(msg, nullptr, 0, trace);
     std::size_t off = kBatchHeaderSize;
     for (std::uint32_t i = 0; i < count; ++i) {
       off = (off + 3) & ~std::size_t{3};
@@ -328,7 +329,7 @@ void GiopTransport::deliver(net::NodeId src, MessageBuffer msg) {
   }
   ++delivered_;
   if (handler_) {
-    const MessageView view(std::move(msg));
+    const MessageView view(std::move(msg), trace);
     handler_(src, view);
   }
 }

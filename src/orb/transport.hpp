@@ -68,16 +68,20 @@ struct TransportConfig {
 /// view spans the whole MessageBuffer; for batched traffic it is a slice of
 /// the shared batch buffer — the zero-copy demux handoff. The view keeps
 /// the underlying buffer alive; copying the view copies only the
-/// shared_ptr, never the bytes.
+/// shared_ptr, never the bytes. It also carries the trace id the message's
+/// packets carried (`Packet::trace`), which is how a traced request's id
+/// reaches the server: no trace id is ever encoded into the message.
 class MessageView {
  public:
   MessageView() = default;
-  /* implicit */ MessageView(MessageBuffer whole)
+  /* implicit */ MessageView(MessageBuffer whole, std::uint64_t trace = 0)
       : owner_(std::move(whole)),
         data_(owner_ ? owner_->data() : nullptr),
-        size_(owner_ ? owner_->size() : 0) {}
-  MessageView(MessageBuffer owner, const std::uint8_t* data, std::size_t size)
-      : owner_(std::move(owner)), data_(data), size_(size) {}
+        size_(owner_ ? owner_->size() : 0),
+        trace_(trace) {}
+  MessageView(MessageBuffer owner, const std::uint8_t* data, std::size_t size,
+              std::uint64_t trace)
+      : owner_(std::move(owner)), data_(data), size_(size), trace_(trace) {}
 
   [[nodiscard]] const std::uint8_t* data() const { return data_; }
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -85,6 +89,9 @@ class MessageView {
   [[nodiscard]] std::span<const std::uint8_t> bytes() const { return {data_, size_}; }
   /// The buffer keeping this view alive (the whole batch for a slice).
   [[nodiscard]] const MessageBuffer& owner() const { return owner_; }
+  /// The sender's trace id, 0 when untraced. Every entry of a batch
+  /// carries the batch's id: that of its first staged message.
+  [[nodiscard]] std::uint64_t trace() const { return trace_; }
 
  private:
   friend class GiopTransport;
@@ -99,6 +106,7 @@ class MessageView {
   MessageBuffer owner_;
   const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
+  std::uint64_t trace_ = 0;
 };
 
 class GiopTransport {
@@ -185,9 +193,10 @@ class GiopTransport {
   void transmit(net::NodeId dst, MessageBuffer msg, net::Dscp dscp, net::FlowId flow,
                 std::uint64_t trace);
   void on_packet(net::Packet&& p);
-  /// Hands a complete wire message up: unpacks "GBAT" batches into one
-  /// view per entry, passes everything else through as a whole-buffer view.
-  void deliver(net::NodeId src, MessageBuffer msg);
+  /// Hands a complete wire message and its packets' trace id up: unpacks
+  /// "GBAT" batches into one view per entry, passes everything else
+  /// through as a whole-buffer view.
+  void deliver(net::NodeId src, MessageBuffer msg, std::uint64_t trace);
   void expire(net::NodeId src, std::uint64_t message_id);
 
   [[nodiscard]] std::uint32_t staging_slot(net::NodeId dst, net::Dscp dscp,

@@ -35,18 +35,17 @@ constexpr const char* kBoundaryOverflow =
 
 Cpu::Cpu(sim::Engine& engine, std::string name, Config config)
     : engine_(engine), name_(std::move(name)), config_(config) {
-  assert(config_.hz > 0);
   assert(config_.quantum > Duration::zero());
   assert(config_.reserve_utilization_cap > 0.0);
 }
 
 Duration Cpu::duration_of(std::uint64_t cycles) const {
-  return Duration{static_cast<std::int64_t>(mul_div_ceil(cycles, 1'000'000'000ULL, config_.hz))};
+  return Duration{static_cast<std::int64_t>(mul_div_ceil(cycles, 1'000'000'000ULL, kCpuHz))};
 }
 
 std::uint64_t Cpu::cycles_for(Duration cpu_time) const {
   assert(cpu_time >= Duration::zero());
-  return mul_div_ceil(static_cast<std::uint64_t>(cpu_time.ns()), config_.hz, 1'000'000'000ULL);
+  return mul_div_ceil(static_cast<std::uint64_t>(cpu_time.ns()), kCpuHz, 1'000'000'000ULL);
 }
 
 // --- job slab ---------------------------------------------------------------
@@ -427,7 +426,7 @@ void Cpu::charge_running() {
 
   const std::uint64_t used = std::min(
       job.cycles_remaining,
-      mul_div(static_cast<std::uint64_t>(elapsed.ns()), config_.hz, 1'000'000'000ULL));
+      mul_div(static_cast<std::uint64_t>(elapsed.ns()), kCpuHz, 1'000'000'000ULL));
   job.cycles_remaining -= used;
   busy_ns_ += elapsed.ns();
 

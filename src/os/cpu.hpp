@@ -70,8 +70,10 @@ struct ReserveSpec {
   friend bool operator==(const ReserveSpec&, const ReserveSpec&) = default;
 };
 
+/// Clock rate of every simulated CPU: 1 GHz, like the paper's testbed.
+inline constexpr std::uint64_t kCpuHz = 1'000'000'000;
+
 struct CpuConfig {
-  std::uint64_t hz = 1'000'000'000;       // 1 GHz, like the paper's testbed
   Duration quantum = milliseconds(10);    // round-robin slice within a priority
   double reserve_utilization_cap = 0.9;   // admission bound for sum(C/T)
 };
@@ -133,7 +135,7 @@ class Cpu {
   // --- introspection --------------------------------------------------------
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] std::uint64_t hz() const { return config_.hz; }
+  [[nodiscard]] static constexpr std::uint64_t hz() { return kCpuHz; }
   [[nodiscard]] bool idle() const { return !running_.has_value(); }
   [[nodiscard]] std::size_t job_count() const { return job_index_.size(); }
   /// Jobs runnable right now (pending jobs minus hard-reserve-suspended

@@ -5,25 +5,13 @@
 
 namespace aqm::os {
 
-namespace {
-
-LoadGenerator::Config with_seed(LoadGenerator::Config c, std::uint64_t seed) {
-  c.seed = seed;
-  return c;
-}
-
-}  // namespace
-
-LoadGenerator::LoadGenerator(sim::Engine& engine, Cpu& cpu, Config config)
-    : engine_(engine), cpu_(cpu), config_(config), rng_(config.seed) {
+LoadGenerator::LoadGenerator(sim::Engine& engine, Cpu& cpu, Config config,
+                             std::uint64_t seed)
+    : engine_(engine), cpu_(cpu), config_(config), rng_(seed) {
   assert(config_.burst_mean > Duration::zero());
   assert(config_.interval_mean > Duration::zero());
   assert(config_.burst_jitter >= 0.0 && config_.burst_jitter <= 1.0);
 }
-
-LoadGenerator::LoadGenerator(sim::Engine& engine, Cpu& cpu, Config config,
-                             std::uint64_t trial_seed)
-    : LoadGenerator(engine, cpu, with_seed(config, trial_seed)) {}
 
 LoadGenerator::~LoadGenerator() {
   stop();

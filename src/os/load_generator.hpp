@@ -25,14 +25,12 @@ class LoadGenerator {
     Duration burst_mean = milliseconds(20);    // mean CPU cost per burst
     double burst_jitter = 0.5;                 // burst ~ U[mean*(1-j), mean*(1+j)]
     Duration interval_mean = milliseconds(60); // mean time between burst arrivals
-    std::uint64_t seed = 1;
   };
 
-  LoadGenerator(sim::Engine& engine, Cpu& cpu, Config config);
-  /// Explicit per-trial seed, overriding config.seed. The generator owns a
-  /// private Rng (no shared or global stream), so trials seeded identically
-  /// produce identical load patterns on any worker thread.
-  LoadGenerator(sim::Engine& engine, Cpu& cpu, Config config, std::uint64_t trial_seed);
+  /// The generator owns a private Rng seeded with `seed` (no shared or
+  /// global stream), so trials seeded identically produce identical load
+  /// patterns on any worker thread.
+  LoadGenerator(sim::Engine& engine, Cpu& cpu, Config config, std::uint64_t seed);
   /// Stops arrivals and cancels every burst still on the CPU: their
   /// completion callbacks point back at this generator.
   ~LoadGenerator();

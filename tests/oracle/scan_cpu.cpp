@@ -43,7 +43,7 @@ ScanCpu::ScanCpu(sim::Engine& engine, os::CpuConfig config)
     : engine_(engine), config_(config) {}
 
 Duration ScanCpu::duration_of(std::uint64_t cycles) const {
-  return Duration{static_cast<std::int64_t>(mul_div_ceil(cycles, 1'000'000'000ULL, config_.hz))};
+  return Duration{static_cast<std::int64_t>(mul_div_ceil(cycles, 1'000'000'000ULL, os::kCpuHz))};
 }
 
 // --- jobs -------------------------------------------------------------------
@@ -185,7 +185,7 @@ void ScanCpu::charge_running() {
   if (elapsed == Duration::zero()) return;
   job.cycles_remaining -= std::min(
       job.cycles_remaining,
-      mul_div(static_cast<std::uint64_t>(elapsed.ns()), config_.hz, 1'000'000'000ULL));
+      mul_div(static_cast<std::uint64_t>(elapsed.ns()), os::kCpuHz, 1'000'000'000ULL));
   busy_ns_ += elapsed.ns();
   if (running_boosted_) {
     const auto rit = reserves_.find(job.reserve);

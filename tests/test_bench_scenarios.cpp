@@ -15,7 +15,9 @@ TEST(PriorityScenario, SummaryCountsNetworkDropsAndJitterWithoutSidecars) {
   PriorityScenarioConfig cfg;
   cfg.duration = seconds(5);
   cfg.cross_traffic = true;
-  const PriorityScenarioResult r = run_priority_scenario(cfg, core::kNoSidecars);
+  core::TrialSpec spec;
+  spec.seed = kPriorityScenarioSeed;
+  const PriorityScenarioResult r = run_priority_scenario(cfg, spec);
   ASSERT_GT(r.s1_sent, r.s1_received);
   EXPECT_GT(r.s1_dropped, 0u);
   EXPECT_LE(r.s1_dropped, r.s1_sent - r.s1_received);

@@ -6,7 +6,7 @@
 // the window, and every callback the test hands the library captures at
 // most 16 bytes, so whatever the window counts is the library's own:
 //  * twoway calls through an RT thread-pool lane over a DiffServ link,
-//    with priority, timestamp, trace and deadline service contexts, some
+//    traced, with priority, timestamp and deadline service contexts, some
 //    with a retry policy, while the server CPU runs a hard reserve next to
 //    a LoadGenerator. The only allocation the public API forces is the
 //    non-empty reply body handed to ResponseCallback by value: exactly one

@@ -98,10 +98,12 @@ void fuzz(const std::vector<Bytes>& seeds, std::uint64_t rng_seed, Decode&& deco
 
 std::vector<orb::ServiceContext> all_contexts() {
   return {orb::make_priority_context(20'000), orb::make_timestamp_context(TimePoint{123'456}),
-          orb::make_trace_context(0xABCDEF), orb::make_deadline_context(TimePoint{999'999})};
+          orb::make_deadline_context(TimePoint{999'999})};
 }
 
-/// Valid GIOP messages: requests with and without contexts, and replies.
+/// Valid GIOP messages: requests with and without contexts, and replies
+/// with and without them (the ORB stamps none on a reply, but bytes from
+/// outside may carry some).
 std::vector<Bytes> giop_seeds() {
   orb::RequestHeader req;
   req.request_id = 7;
@@ -130,7 +132,6 @@ void decode_giop(orb::GiopMessage& scratch, std::span<const std::uint8_t> bytes)
                                                                     : scratch.reply.contexts;
   (void)orb::find_priority(contexts);
   (void)orb::find_timestamp(contexts);
-  (void)orb::find_trace(contexts);
   (void)orb::find_deadline(contexts);
 }
 
@@ -164,7 +165,6 @@ TEST(HostileInput, ServiceContextFinders) {
       const std::vector<orb::ServiceContext> contexts{{c.id, b}};
       (void)orb::find_priority(contexts);
       (void)orb::find_timestamp(contexts);
-      (void)orb::find_trace(contexts);
       (void)orb::find_deadline(contexts);
     });
   }

@@ -120,8 +120,7 @@ TEST(IntegrationCpu, ThreadPriorityDecidesLatencyUnderCpuLoad) {
   load_cfg.priority = 128;  // between the two mapped priorities
   load_cfg.burst_mean = milliseconds(15);
   load_cfg.interval_mean = milliseconds(25);
-  load_cfg.seed = 11;
-  os::LoadGenerator load(bed.engine, bed.receiver_cpu, load_cfg);
+  os::LoadGenerator load(bed.engine, bed.receiver_cpu, load_cfg, /*seed=*/11);
   load.start();
   // CORBA 30000 -> native ~233 (above load); CORBA 1000 -> native ~7 (below).
   const auto r =
@@ -212,8 +211,7 @@ TEST(IntegrationReservation, CpuReserveRestoresProcessingTime) {
       cfg.priority = 100;  // same priority as the processing job
       cfg.burst_mean = milliseconds(20);
       cfg.interval_mean = milliseconds(50);
-      cfg.seed = 5;
-      load = std::make_unique<os::LoadGenerator>(bed.engine, bed.server_cpu, cfg);
+      load = std::make_unique<os::LoadGenerator>(bed.engine, bed.server_cpu, cfg, /*seed=*/5);
       load->start();
     }
     const TimePoint deadline = bed.engine.now() + seconds(10);

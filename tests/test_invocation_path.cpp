@@ -1,5 +1,6 @@
 // Invocation-path contract of the ORB's own stages: the service-context
-// wire order of requests and replies, deadline vetoes on both sides,
+// wire order of requests and replies, the trace id that reaches the server
+// off the packets rather than the message, deadline vetoes on both sides,
 // malformed-context drops, bounded retry with exponential backoff, and
 // worker-count invariance of the parallel experiment runner with retries
 // and transient failures in play.
@@ -8,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -62,7 +64,7 @@ struct PipelineFixture : public ::testing::Test {
 
 TEST_F(PipelineFixture, ServiceContextsKeepTheirWireOrder) {
   obs::TraceRecorder recorder;
-  engine.set_tracer(&recorder);  // a traced call carries the trace context
+  engine.set_tracer(&recorder);  // tracing adds no context: the id rides on packets
   InvokeOptions opts;
   opts.deadline = seconds(1);
 
@@ -97,10 +99,9 @@ TEST_F(PipelineFixture, ServiceContextsKeepTheirWireOrder) {
   engine.set_tracer(nullptr);
 
   EXPECT_EQ(request_ids, (std::vector<std::uint32_t>{kRtCorbaPriorityContextId,
-                                                     kTimestampContextId, kTraceContextId,
+                                                     kTimestampContextId,
                                                      kDeadlineContextId}));
-  EXPECT_EQ(reply_ids, (std::vector<std::uint32_t>{kRtCorbaPriorityContextId,
-                                                   kTimestampContextId, kTraceContextId}));
+  EXPECT_TRUE(reply_ids.empty());
   EXPECT_EQ(handled, 1);
 }
 
@@ -109,8 +110,8 @@ TEST_F(PipelineFixture, TruncatedOrbContextsAreDroppedLikeMalformedMessages) {
   // body: too short for any of them.
   const ObjectRef ref = make_echo();
   const std::vector<std::uint8_t> body = {1};
-  for (const std::uint32_t id : {kRtCorbaPriorityContextId, kTimestampContextId,
-                                 kTraceContextId, kDeadlineContextId}) {
+  for (const std::uint32_t id :
+       {kRtCorbaPriorityContextId, kTimestampContextId, kDeadlineContextId}) {
     RequestHeader header;
     header.request_id = 1000 + id;
     header.response_expected = true;
@@ -134,6 +135,43 @@ TEST_F(PipelineFixture, TruncatedOrbContextsAreDroppedLikeMalformedMessages) {
   engine.run();
   EXPECT_EQ(status, CompletionStatus::Ok);
   EXPECT_EQ(handled, 1);
+}
+
+// --- out-of-band trace id --------------------------------------------------------
+
+TEST_F(PipelineFixture, DispatchCarriesTheClientTraceIdOffThePacketOrTheCollocatedCall) {
+  obs::TraceRecorder recorder;
+  engine.set_tracer(&recorder);
+  const auto ignore = [](CompletionStatus, std::vector<std::uint8_t>) {};
+  // A 4 KB body fragments at the 1500-byte MTU, so the server takes the
+  // id from the reassembled message.
+  client.invoke(make_echo(), "echo", std::vector<std::uint8_t>(4096, 7), InvokeOptions{},
+                ignore);
+  engine.run();
+  // A collocated call never reaches the transport.
+  Poa& local = client.create_poa("local");
+  const ObjectRef local_ref = local.activate_object(
+      "echo", std::make_shared<FunctionServant>(microseconds(100), [](ServerRequest&) {}));
+  client.invoke(local_ref, "echo", {1}, InvokeOptions{}, ignore);
+  engine.run();
+  engine.set_tracer(nullptr);
+
+  std::vector<std::uint64_t> calls;
+  std::vector<std::uint64_t> dispatches;
+  recorder.for_each([&](const obs::TraceEvent& e) {
+    if (e.phase == obs::TracePhase::AsyncBegin) calls.push_back(e.id);
+    if (std::string_view(e.name) == "dispatch") dispatches.push_back(e.id);
+  });
+  ASSERT_EQ(calls.size(), 2u);
+  EXPECT_NE(calls[0], 0u);
+  EXPECT_NE(calls[1], 0u);
+  EXPECT_EQ(dispatches, calls);
+  std::size_t request_fragments = 0;
+  recorder.for_each([&](const obs::TraceEvent& e) {
+    if (e.id == calls[0] && std::string_view(e.name) == "tx") ++request_fragments;
+  });
+  EXPECT_GE(request_fragments, 4u);  // at least two each way
+  EXPECT_EQ(client.stats().collocated_calls, 1u);
 }
 
 // --- deadline / retry -----------------------------------------------------------

@@ -214,7 +214,6 @@ TEST(TrafficGenerator, CbrRateIsAccurate) {
   cfg.src = a;
   cfg.dst = b;
   cfg.rate_bps = 1.2e6;
-  cfg.packet_bytes = 1500;
   cfg.flow = 4;
   cfg.poisson = false;
   TrafficGenerator gen(net, cfg);
@@ -222,6 +221,7 @@ TEST(TrafficGenerator, CbrRateIsAccurate) {
   e.run_until(TimePoint{seconds(10).ns()});
   gen.stop();
   // 1.2 Mbps = 150 KB/s = 100 pkts/s of 1500 B.
+  static_assert(TrafficGenerator::kPacketBytes == 1500);
   EXPECT_NEAR(static_cast<double>(gen.packets_sent()), 1000.0, 10.0);
 }
 
@@ -235,8 +235,7 @@ TEST(TrafficGenerator, PoissonApproximatesRate) {
   TrafficGenerator::Config cfg;
   cfg.src = a;
   cfg.dst = b;
-  cfg.rate_bps = 8e6;
-  cfg.packet_bytes = 1000;  // 1000 pkts/s
+  cfg.rate_bps = 12e6;  // 1000 pkts/s of 1500 B
   cfg.poisson = true;
   cfg.seed = 99;
   TrafficGenerator gen(net, cfg);

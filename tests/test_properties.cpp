@@ -163,7 +163,6 @@ TEST_P(RateProperty, ReservedFlowGoodputHonorsReservationUnderOverload) {
   video.src = src;
   video.dst = dst;
   video.rate_bps = reserved_bps * 2;
-  video.packet_bytes = 1000;
   video.flow = 5;
   net::TrafficGenerator video_gen(network, video);
 

@@ -193,7 +193,7 @@ TEST(LoadGenerator, OfferedUtilizationMatchesConfig) {
   LoadGenerator::Config cfg;
   cfg.burst_mean = milliseconds(20);
   cfg.interval_mean = milliseconds(80);
-  LoadGenerator load(e, cpu, cfg);
+  LoadGenerator load(e, cpu, cfg, /*seed=*/1);
   EXPECT_NEAR(load.offered_utilization(), 0.25, 1e-12);
 }
 
@@ -204,8 +204,7 @@ TEST(LoadGenerator, GeneratesApproximatelyConfiguredLoad) {
   cfg.priority = 100;
   cfg.burst_mean = milliseconds(10);
   cfg.interval_mean = milliseconds(40);
-  cfg.seed = 7;
-  LoadGenerator load(e, cpu, cfg);
+  LoadGenerator load(e, cpu, cfg, /*seed=*/7);
   load.start();
   e.run_until(TimePoint{seconds(20).ns()});
   load.stop();
@@ -220,7 +219,7 @@ TEST(LoadGenerator, StopHaltsSubmission) {
   LoadGenerator::Config cfg;
   cfg.burst_mean = milliseconds(1);
   cfg.interval_mean = milliseconds(10);
-  LoadGenerator load(e, cpu, cfg);
+  LoadGenerator load(e, cpu, cfg, /*seed=*/1);
   load.start();
   e.run_until(TimePoint{seconds(1).ns()});
   load.stop();

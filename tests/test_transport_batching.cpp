@@ -123,6 +123,23 @@ TEST(Coalescing, SmallMessagesShareOneWirePacket) {
   EXPECT_EQ(w.tb->batches_delivered(), 1u);
 }
 
+TEST(Coalescing, EveryEntryCarriesTheBatchTrace) {
+  World w;
+  std::vector<std::uint64_t> traces;
+  w.tb->set_message_handler([&](net::NodeId, const MessageView& m) {
+    traces.push_back(m.trace());
+  });
+  // Three traced messages batch together; a large one fragments alone.
+  for (std::uint64_t trace : {7u, 8u, 9u}) {
+    w.ta->send_message(w.b, make_message(100), net::dscp::kBestEffort, 1, trace);
+  }
+  w.engine.run();
+  w.ta->send_message(w.b, make_message(40'000), net::dscp::kBestEffort, 1, 11);
+  w.engine.run();
+  // The batch's id is its first staged message's.
+  EXPECT_EQ(traces, (std::vector<std::uint64_t>{7, 7, 7, 11}));
+}
+
 TEST(Coalescing, CountThresholdFlushesBeforeDeadline) {
   BatchPolicy pol;
   pol.max_messages = 3;
